@@ -252,6 +252,7 @@ def _certificate_payload(cert: SynthesisCertificate) -> dict:
     return {
         "mu": cert.mu,
         "alpha": cert.alpha,
+        "epsilon": cert.eps,
         "peak": cert.peak,
         "gamma": cert.gamma,
         "omega": cert.omega,
@@ -280,6 +281,8 @@ def _load_certificate(path: str, plant: Plant) -> dict:
         out["mu"] = _number(data, "certificate", "mu", positive=True)
         out["alpha"] = _number(data, "certificate", "alpha", positive=True)
         out["peak"] = _number(data, "certificate", "peak", positive=True)
+        out["eps"] = _number(data, "certificate", "epsilon", positive=True,
+                             default=lmi.DEFAULT_EPS)
         out["gain"] = Matrix(_matrix(data, "certificate", "gain"))
         out["lyap_inv"] = DiagMatrix(_vector(data, "certificate", "lyap_inv"))
         out["sector_inv"] = DiagMatrix(_vector(data, "certificate", "sector_inv"))
@@ -388,6 +391,8 @@ def cmd_grid(config_path: str, out_override: str | None) -> int:
         "status": "feasible" if best is not None else "infeasible",
         "cells": {s: sum(1 for c in fmap.cells if c.status == s)
                   for s in ("feasible", "infeasible", "failed")},
+        "failed_cells": [{"mu": c.mu, "alpha": c.alpha, "reason": c.reason}
+                         for c in fmap.cells if c.status == "failed"],
     }
     if best is not None:
         extra["best"] = {"mu": best.mu, "alpha": best.alpha,
@@ -513,7 +518,8 @@ def cmd_verify(config_path: str, out_override: str | None,
     margins: dict[str, float] = {}
 
     # the design-side inequalities at the stored point
-    problem = control.build_synthesis_lmis(plant, stored["mu"], stored["alpha"])
+    problem = control.build_synthesis_lmis(plant, stored["mu"], stored["alpha"],
+                                           eps=stored["eps"])
     point = lmi.Point.build(problem.variables, {
         "lyap_inv": stored["lyap_inv"].diagonal,
         "sector_inv": stored["sector_inv"].diagonal,

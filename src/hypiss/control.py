@@ -120,8 +120,9 @@ class SynthesisCertificate:
 
     lyap_inv is the inverse of the (diagonal) Lyapunov weight, sector_inv
     the inverse of the sector multiplier, gain_scaled the gain times
-    lyap_inv, coupling the disturbance-coupling bound, and peak an upper
-    bound on the largest eigenvalue of lyap_inv that the design minimized.
+    lyap_inv, coupling the disturbance-coupling bound, peak an upper
+    bound on the largest eigenvalue of lyap_inv that the design minimized,
+    and eps the strictness slack the inequalities were posed with.
     """
 
     lyap_inv: DiagMatrix
@@ -136,6 +137,7 @@ class SynthesisCertificate:
     omega: float
     kappa: float
     margins: dict[str, float]
+    eps: float
 
 
 @dataclass(frozen=True)
@@ -177,6 +179,7 @@ class GridCell:
     status: str  # "feasible" | "infeasible" | "failed"
     peak: float | None
     gamma: float | None
+    reason: str | None = None  # why a "failed" cell failed
 
 
 @dataclass(frozen=True)
@@ -320,13 +323,14 @@ def _certificate_from_solution(plant: Plant, problem: lmi.LmiProblem,
             f"largest lyap_inv eigenvalue {qmax:.6g} exceeds peak bound {peak:.6g}",
             solution)
 
+    # gamma = sqrt(max lyap_inv) e^{mu/2}, taken from iss_coefficients so that
+    # verify, which recomputes it there, finds exactly the stored value
     coeffs = iss_coefficients(invert_diag(q), mu, alpha, 1.0)
-    gamma = math.sqrt(qmax) * math.exp(mu / 2.0)
     return SynthesisCertificate(
         lyap_inv=q, sector_inv=s, gain_scaled=w, coupling=g,
         mu=mu, alpha=alpha, peak=peak, gain=gain,
-        gamma=gamma, omega=coeffs.omega, kappa=coeffs.kappa,
-        margins=margins)
+        gamma=coeffs.gamma, omega=coeffs.omega, kappa=coeffs.kappa,
+        margins=margins, eps=problem.eps)
 
 
 def synthesize(plant: Plant, mu: float, alpha: float,
@@ -353,7 +357,8 @@ def grid_search(plant: Plant, mu_grid, alpha_grid,
                 eps: float = lmi.DEFAULT_EPS) -> FeasibilityMap:
     """Run the design over a grid of (mu, alpha) weights.
 
-    Cells never abort the sweep: solver failures are recorded as "failed".
+    Cells never abort the sweep: solver failures are recorded as "failed",
+    with the exception type and message, or the solver status, as reason.
     The best cell minimizes the certified disturbance gain gamma, with ties
     broken by smaller mu then smaller alpha.
     """
@@ -374,8 +379,9 @@ def grid_search(plant: Plant, mu_grid, alpha_grid,
             try:
                 problem = build_synthesis_lmis(plant, mu, alpha, eps=eps)
                 solution = sdp.minimize(problem, options)
-            except Exception:
-                cells.append(GridCell(mu, alpha, "failed", None, None))
+            except Exception as e:
+                cells.append(GridCell(mu, alpha, "failed", None, None,
+                                      f"{type(e).__name__}: {e}"))
                 continue
             if solution.status is sdp.Status.OPTIMAL:
                 peak = float(solution.objective)
@@ -388,7 +394,8 @@ def grid_search(plant: Plant, mu_grid, alpha_grid,
             elif solution.status is sdp.Status.INFEASIBLE:
                 cells.append(GridCell(mu, alpha, "infeasible", None, None))
             else:
-                cells.append(GridCell(mu, alpha, "failed", None, None))
+                cells.append(GridCell(mu, alpha, "failed", None, None,
+                                      f"solver reported {solution.status.value}"))
 
     best = None
     if best_cell is not None:

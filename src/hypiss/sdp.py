@@ -1,11 +1,18 @@
-"""Interior-point solver for the small dense LMI systems built by `lmi`.
+"""Interior-point solver for the small LMI systems built by `lmi`.
 
 The method is a plain log-det barrier path-following scheme: a phase-1
 search drives a uniform slack below zero to find a strictly feasible point,
 then (for minimization) Newton centering follows the central path along a
 geometrically growing barrier parameter until the duality-gap surrogate
-nu / t drops under tolerance.  Everything is dense numpy with fixed
-iteration order, so identical inputs produce bit-identical outputs.
+nu / t drops under tolerance.
+
+The solver uses the structure of the problem.  Every block whose base and
+coefficients are all diagonal (positivity of diagonal variables, scalar
+bounds, the peak cap) is a set of elementwise linear rows b + G x > 0 with
+the barrier -sum log r, and so is the phase-1 box.  The remaining blocks
+are dense, with their coefficients stacked flat so that evaluating a block
+or assembling its Hessian is one matrix product.  Everything is numpy with
+fixed iteration order, so identical inputs produce bit-identical outputs.
 
 Infeasibility is declared heuristically: when phase 1 converges with its
 slack optimum above the declaration threshold, no strictly feasible point
@@ -39,7 +46,13 @@ class Status(enum.Enum):
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Tuning knobs; defaults are sized for blocks of dimension <= ~10."""
+    """Tuning knobs.
+
+    The defaults are sized for the synthesis problems of `control` up to
+    state dimension n = 10: dense blocks of dimension up to about 3n and a
+    few hundred entries.  Diagonal blocks and the phase-1 box cost one
+    elementwise row per diagonal entry, whatever their size.
+    """
 
     max_newton: int = 600                  # total Newton step budget
     t_init: float = 1.0                    # initial barrier parameter
@@ -72,38 +85,88 @@ class Solution:
         return self.status in (Status.FEASIBLE, Status.OPTIMAL)
 
 
-class _Cone:
-    """One PSD block in normalized form: value(x) must stay positive definite."""
+@dataclass(frozen=True)
+class _Dense:
+    """One PSD block that is not diagonal: S(x) = base + sum_k x[idx[k]] A_k.
 
-    __slots__ = ("dim", "base", "idx", "coeffs")
+    The coefficient matrices are stored flat, one row-major A_k per row of
+    `flat`, so a value is one matrix-vector product.
+    """
 
-    def __init__(self, dim, base, idx, coeffs):
-        self.dim = dim
-        self.base = base
-        self.idx = idx
-        self.coeffs = coeffs
+    base: np.ndarray   # (d, d)
+    idx: np.ndarray    # (k,) entries of x the block depends on
+    flat: np.ndarray   # (k, d*d)
+    ix: tuple          # np.ix_(idx, idx): where the block's Hessian lands
+
+    @staticmethod
+    def make(base, idx, flat) -> "_Dense":
+        return _Dense(base, idx, flat, np.ix_(idx, idx))
+
+    @property
+    def dim(self) -> int:
+        return self.base.shape[0]
 
     def value(self, x: np.ndarray) -> np.ndarray:
-        out = self.base.copy()
-        if len(self.idx):
-            out += np.tensordot(x[self.idx], self.coeffs, axes=1)
-        return out
+        d = self.dim
+        return self.base + (x[self.idx] @ self.flat).reshape(d, d)
 
 
-def _cones(sf: lmi.StandardForm) -> list[_Cone]:
-    cones = []
+@dataclass(frozen=True)
+class _Cones:
+    """The strict feasible set {x : b + G x > 0, S_j(x) > 0 for every j}.
+
+    Every constraint block whose base and coefficients are all diagonal
+    becomes d elementwise rows of (b, G); the remaining blocks stay dense.
+    The log barrier is the same either way, since -log det of a diagonal
+    matrix is -sum log of its diagonal, and so is its parameter count nu:
+    one per row, d per dense block.
+    """
+
+    b: np.ndarray                 # (r,)
+    g: np.ndarray                 # (r, n)
+    dense: tuple[_Dense, ...]
+
+    @property
+    def nu(self) -> float:
+        return float(self.b.size + sum(blk.dim for blk in self.dense))
+
+    def rows(self, x: np.ndarray) -> np.ndarray:
+        return self.b + self.g @ x
+
+
+def _cones(sf: lmi.StandardForm) -> _Cones:
+    """Normalize every block to value(x) > 0, sign and eps folded in."""
+    n = sf.n
+    b, g, dense = [], [], []
     for blk in sf.blocks:
         sign = -1.0 if blk.sense == lmi.LEQ else 1.0
         base = sign * blk.base - blk.eps * np.eye(blk.dim)
-        cones.append(_Cone(blk.dim, base, blk.idx.copy(), sign * blk.coeffs))
-    return cones
+        coeffs = sign * blk.coeffs
+        off = ~np.eye(blk.dim, dtype=bool)
+        if not (np.any(base[off]) or np.any(coeffs[:, off])):
+            rows = np.zeros((blk.dim, n))
+            rows[:, blk.idx] = np.diagonal(coeffs, axis1=1, axis2=2).T
+            b.append(np.diagonal(base))
+            g.append(rows)
+        else:
+            dense.append(_Dense.make(base, blk.idx.copy(),
+                                     coeffs.reshape(len(blk.idx), blk.dim * blk.dim)))
+    return _Cones(np.concatenate(b) if b else np.zeros(0),
+                  np.vstack(g) if g else np.zeros((0, n)), tuple(dense))
 
 
-def _barrier(cones: list[_Cone], x: np.ndarray) -> float | None:
-    """-sum log det of the blocks, or None if any block is not PD."""
-    total = 0.0
-    for c in cones:
-        s = c.value(x)
+def _barrier(cones: _Cones, x: np.ndarray) -> float | None:
+    """-sum log r - sum log det S_j, or None if x is not strictly inside.
+
+    The rows are checked first, so a trial point that leaves them costs no
+    factorization.
+    """
+    r = cones.rows(x)
+    if not np.all(r > 0.0) or not np.all(np.isfinite(r)):
+        return None
+    total = -float(np.sum(np.log(r)))
+    for blk in cones.dense:
+        s = blk.value(x)
         if not np.all(np.isfinite(s)):
             return None
         try:
@@ -117,8 +180,30 @@ def _barrier(cones: list[_Cone], x: np.ndarray) -> float | None:
     return total
 
 
+def _derivatives(cones: _Cones, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and Hessian of the barrier at a strictly feasible x.
+
+    Rows give -G^T (1/r) and (G/r)^T (G/r).  A dense block gives
+    -tr(S^-1 A_k) and tr(S^-1 A_k S^-1 A_l); with U_k = A_k S^-1 (one
+    product over the stacked coefficients) that is tr(U_k) and
+    vec(U_k) . vec(U_l^T).  Raises LinAlgError if a dense block is
+    singular.
+    """
+    r = cones.rows(x)
+    gr = cones.g / r[:, None]
+    grad = -((1.0 / r) @ cones.g)
+    hess = gr.T @ gr
+    for blk in cones.dense:
+        d, k = blk.dim, len(blk.idx)
+        sinv = np.linalg.inv(blk.value(x))
+        u = (blk.flat.reshape(k * d, d) @ sinv).reshape(k, d, d)
+        grad[blk.idx] -= np.trace(u, axis1=1, axis2=2)
+        hess[blk.ix] += u.reshape(k, d * d) @ u.transpose(0, 2, 1).reshape(k, d * d).T
+    return grad, (hess + hess.T) / 2.0
+
+
 def _newton_center(cones, tvec, x, budget, stop_when=None):
-    """Damped Newton minimization of tvec @ x - sum log det S_j(x).
+    """Damped Newton minimization of tvec @ x + barrier(x).
 
     Returns (x, steps_used, outcome) with outcome one of "centered",
     "stopped" (the early-exit predicate fired), "budget", "stalled".
@@ -126,21 +211,13 @@ def _newton_center(cones, tvec, x, budget, stop_when=None):
     """
     n = x.size
     used = 0
+    f0 = None  # merit value at x, carried over from the accepted trial
     while used < budget:
-        g = tvec.copy()
-        hess = np.zeros((n, n))
-        for c in cones:
-            s = c.value(x)
-            try:
-                sinv = np.linalg.inv(s)
-            except np.linalg.LinAlgError:
-                return x, used, "stalled"
-            if len(c.idx) == 0:
-                continue
-            t = np.einsum("ab,kbc->kac", sinv, c.coeffs)
-            g[c.idx] -= np.einsum("kaa->k", t)
-            hess[np.ix_(c.idx, c.idx)] += np.einsum("kab,lba->kl", t, t)
-        hess = (hess + hess.T) / 2.0
+        try:
+            g, hess = _derivatives(cones, x)
+        except np.linalg.LinAlgError:
+            return x, used, "stalled"
+        g += tvec
 
         dx = None
         try:
@@ -160,10 +237,11 @@ def _newton_center(cones, tvec, x, budget, stop_when=None):
         if dec / 2.0 <= _NEWTON_TOL:
             return x, used, "centered"
 
-        f0 = _barrier(cones, x)
         if f0 is None:
-            return x, used, "stalled"
-        f0 += float(tvec @ x)
+            b0 = _barrier(cones, x)
+            if b0 is None:
+                return x, used, "stalled"
+            f0 = b0 + float(tvec @ x)
         alpha = 1.0
         accepted = False
         while alpha > 1e-18:
@@ -177,7 +255,7 @@ def _newton_center(cones, tvec, x, budget, stop_when=None):
             alpha *= 0.5
         if not accepted:
             return x, used, "stalled"
-        x = xn
+        x, f0 = xn, fn
         used += 1
         if stop_when is not None and stop_when(x):
             return x, used, "stopped"
@@ -189,36 +267,30 @@ def _phase1(cones, x0, opts):
 
     The search runs inside a large box |entry| < _PHASE1_BOX so the slack
     minimization stays bounded even when the feasible set has unbounded
-    directions (monotone slack-type variables usually give it some).
+    directions (monotone slack-type variables usually give it some).  The
+    box is 2(n+1) more rows, R - x_i > 0 and R + x_i > 0 for every entry
+    and the slack; the slack itself is a column of ones on the rows and
+    the identity on every dense block.
 
     Returns (x, slack, steps_used, outcome) with outcome "feasible",
     "infeasible_candidate" (slack converged while positive), or "stalled".
     """
     n = x0.size
-    eye_stack = {d: np.eye(d)[None, :, :] for d in {c.dim for c in cones}}
-    aug = []
-    for c in cones:
-        idx = np.append(c.idx, n)
-        coeffs = (np.concatenate([c.coeffs, eye_stack[c.dim]])
-                  if len(c.idx) else eye_stack[c.dim].copy())
-        aug.append(_Cone(c.dim, c.base, idx, coeffs))
+    box = np.kron(np.eye(n + 1), [[-1.0], [1.0]])
+    aug = _Cones(
+        np.concatenate([cones.b, np.full(2 * (n + 1), _PHASE1_BOX)]),
+        np.vstack([np.hstack([cones.g, np.ones((cones.b.size, 1))]), box]),
+        tuple(_Dense.make(blk.base, np.append(blk.idx, n),
+                          np.vstack([blk.flat, np.eye(blk.dim).reshape(1, -1)]))
+              for blk in cones.dense))
 
-    # one diagonal cone holding R - x_i > 0 and R + x_i > 0 for every entry
-    box_dim = 2 * (n + 1)
-    box_coeffs = np.zeros((n + 1, box_dim, box_dim))
-    for i in range(n + 1):
-        box_coeffs[i, 2 * i, 2 * i] = -1.0
-        box_coeffs[i, 2 * i + 1, 2 * i + 1] = 1.0
-    aug.append(_Cone(box_dim, _PHASE1_BOX * np.eye(box_dim),
-                     np.arange(n + 1), box_coeffs))
-
-    floor = 0.0
-    for c in cones:
-        w = np.linalg.eigvalsh((lambda s: (s + s.T) / 2.0)(c.value(x0)))
-        floor = max(floor, -float(w[0]))
+    floor = max(0.0, -float(np.min(cones.rows(x0), initial=np.inf)))
+    for blk in cones.dense:
+        s = blk.value(x0)
+        floor = max(floor, -float(np.linalg.eigvalsh((s + s.T) / 2.0)[0]))
     xs = np.append(x0, floor + 1.0)
 
-    nu = float(sum(c.dim for c in aug))
+    nu = aug.nu
     tvec_unit = np.zeros(n + 1)
     tvec_unit[n] = 1.0
     t = opts.t_init
@@ -241,7 +313,7 @@ def _phase1(cones, x0, opts):
 
 def _phase2(cones, cvec, x, opts, budget):
     """Path-follow the objective from a strictly feasible start."""
-    nu = float(sum(c.dim for c in cones))
+    nu = cones.nu
     t = opts.t_init
     used_total = 0
     achieved = np.inf  # certified gap surrogate from the last centered stage
@@ -275,7 +347,7 @@ def solve_feasibility(problem: lmi.LmiProblem, options: SolveOptions | None = No
     opts = options or SolveOptions()
     sf = lmi.vectorize(problem)
     cones = _cones(sf)
-    if not cones:
+    if not sf.blocks:
         return _finish(problem, sf, sf.initial.copy(), Status.FEASIBLE)
     x, slack, _, outcome = _phase1(cones, sf.initial.copy(), opts)
     if outcome == "feasible":

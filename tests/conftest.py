@@ -18,6 +18,26 @@ def _demo_plant() -> Plant:
     )
 
 
+def _random_plant_config(rng: np.random.Generator, n: int, mu: float) -> dict:
+    """Plant block of a config, feasible by construction at weights mu and
+    alpha = mu min(lambda) / 2: H is scaled to spectral norm 0.8 e^{-mu/2},
+    m = ceil(n/2) controls, q = n disturbances (the benchmark's rule)."""
+    m = (n + 1) // 2
+    lam = rng.uniform(1.0, 2.0, n)
+    h = rng.standard_normal((n, n))
+    h *= 0.8 * math.exp(-mu / 2.0) / np.linalg.norm(h, 2)
+    return {"lambda": lam.tolist(), "H": h.tolist(),
+            "B": rng.standard_normal((n, m)).tolist(),
+            "N": (rng.standard_normal((n, n)) / math.sqrt(n)).tolist(),
+            "u_max": rng.uniform(0.2, 1.0, m).tolist()}
+
+
+@pytest.fixture
+def random_plant_config():
+    """Factory (rng, n, mu) -> plant config block of a random feasible plant."""
+    return _random_plant_config
+
+
 @pytest.fixture
 def demo_plant() -> Plant:
     """Two-channel demo system used across the suite: unequal speeds, a

@@ -174,6 +174,45 @@ class TestGrid:
         assert report["certificate"] is None
         assert "best" not in report
 
+    def test_failed_cell_reason_in_report(self, tmp_path, monkeypatch):
+        from hypiss import sdp
+
+        real = sdp.minimize
+        calls = []
+
+        def minimize(problem, options=None):
+            calls.append(problem)
+            if len(calls) == 1:
+                raise FloatingPointError("injected")
+            return real(problem, options)
+
+        monkeypatch.setattr(sdp, "minimize", minimize)
+        cfg = self._grid_config({"min": 1.0, "max": 1.0, "count": 1},
+                                {"min": 0.25, "max": 0.5, "count": 2})
+        out = tmp_path / "o"
+        assert cli.main(["grid", "--config", _write_config(tmp_path, cfg),
+                         "--out", str(out)]) == 0
+        header, rows = _read_csv(out / "feasibility.csv")
+        assert [r[2:] for r in rows] == [["failed", "", ""],
+                                          ["feasible", rows[1][3], rows[1][4]]]
+        report = json.loads((out / "grid_report.json").read_text())
+        assert report["cells"] == {"feasible": 1, "infeasible": 0, "failed": 1}
+        assert report["failed_cells"] == [
+            {"mu": 1.0, "alpha": 0.25, "reason": "FloatingPointError: injected"}]
+
+    def test_demo_grid_best_certificate_verifies(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["--seed-configs"]) == 0
+        out = tmp_path / "o"
+        assert cli.main(["grid", "--config", "example_gridsearch.json",
+                         "--out", str(out)]) == 0
+        report = json.loads((out / "grid_report.json").read_text())
+        assert report["failed_cells"] == []
+        cert = out / "best.json"
+        cert.write_text(json.dumps(report["certificate"]))
+        assert cli.main(["verify", "--config", "example_gridsearch.json",
+                         "--gain", str(cert), "--out", str(out)]) == 0
+
     def test_scalar_mu_is_schema_error(self, tmp_path, capsys):
         cfg = self._grid_config(1.0, {"min": 0.5, "max": 1.0, "count": 2})
         code = cli.main(["grid", "--config", _write_config(tmp_path, cfg),
@@ -291,6 +330,42 @@ class TestVerify:
         assert report["status"] == "pass"
         for family in ("synthesis.", "analysis.", "wellposedness."):
             assert any(k.startswith(family) for k in report["margins"])
+
+    def test_certificate_made_at_small_eps_passes(self, tmp_path):
+        cfg = _design_config()
+        cfg["design"]["epsilon"] = 1e-9
+        cfg_path = _write_config(tmp_path, cfg)
+        out = tmp_path / "s"
+        assert cli.main(["synth", "--config", cfg_path, "--out", str(out)]) == 0
+        cert = json.loads((out / "certificate.json").read_text())
+        assert cert["epsilon"] == 1e-9
+        assert cli.main(["verify", "--config", cfg_path,
+                         "--gain", str(out / "certificate.json"),
+                         "--out", str(tmp_path / "v")]) == 0
+
+    def test_certificate_without_eps_uses_default(self, tmp_path):
+        cfg_path, cert_path = self._synth(tmp_path)
+        cert = json.loads(cert_path.read_text())
+        assert cert.pop("epsilon") == 1e-6
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(cert))
+        assert cli.main(["verify", "--config", cfg_path, "--gain", str(old),
+                         "--out", str(tmp_path / "v")]) == 0
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_random_plant_certificates_pass(self, tmp_path, n, random_plant_config):
+        # the stored gamma must equal the one verify recomputes to the bit
+        rng = np.random.default_rng(1)
+        for k in range(3):
+            cfg = {"plant": random_plant_config(rng, n, 1.0),
+                   "design": {"mu": 1.0, "epsilon": 1e-6, "delta": 0.01}}
+            cfg["design"]["alpha"] = 0.5 * min(cfg["plant"]["lambda"])
+            cfg_path = _write_config(tmp_path, cfg, f"plant{k}.json")
+            out = tmp_path / f"s{k}"
+            assert cli.main(["synth", "--config", cfg_path, "--out", str(out)]) == 0
+            assert cli.main(["verify", "--config", cfg_path,
+                             "--gain", str(out / "certificate.json"),
+                             "--out", str(out)]) == 0
 
     def test_perturbed_gain_fails(self, tmp_path):
         cfg_path, cert_path = self._synth(tmp_path)

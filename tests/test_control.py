@@ -193,6 +193,14 @@ class TestSynthesize:
         ref = iss_coefficients(invert_diag(c.lyap_inv), c.mu, c.alpha, 1.0)
         assert abs(c.kappa - ref.kappa) < 1e-12
 
+    def test_gamma_is_the_iss_coefficient(self, demo_certificate):
+        # verify recomputes gamma through iss_coefficients; the stored value
+        # must be that number exactly, not an algebraically equal one
+        c = demo_certificate
+        ref = iss_coefficients(invert_diag(c.lyap_inv), c.mu, c.alpha, 1.0)
+        assert c.gamma == ref.gamma
+        assert c.eps == lmi.DEFAULT_EPS
+
     def test_gain_reconstruction(self, demo_certificate):
         c = demo_certificate
         assert np.allclose(c.gain.array @ np.diag(c.lyap_inv.diagonal),
@@ -264,6 +272,27 @@ class TestGridSearch:
         cell = fm.cells[0]
         assert cell.status == "feasible"
         assert abs(cell.gamma - math.sqrt(cell.peak) * math.exp(0.5)) < 1e-12
+
+    def test_failed_cell_keeps_its_reason(self, demo_plant, monkeypatch):
+        real = sdp.minimize
+        calls = []
+
+        def minimize(problem, options=None):
+            calls.append(problem)
+            if len(calls) == 2:  # the cell (0.5, 1.2); the sweep goes on
+                raise FloatingPointError("injected at one cell")
+            return real(problem, options)
+
+        monkeypatch.setattr(sdp, "minimize", minimize)
+        fm = grid_search(demo_plant, [0.5, 1.0], [0.5, 1.2])
+        reasons = {(c.mu, c.alpha): (c.status, c.reason) for c in fm.cells}
+        assert reasons == {
+            (0.5, 0.5): ("infeasible", None),
+            (0.5, 1.2): ("failed", "FloatingPointError: injected at one cell"),
+            (1.0, 0.5): ("feasible", None),
+            (1.0, 1.2): ("infeasible", None),
+        }
+        assert (fm.best.mu, fm.best.alpha) == (1.0, 0.5)
 
     def test_grid_validation(self, demo_plant):
         with pytest.raises(ValueError):

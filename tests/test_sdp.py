@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from hypiss import lmi, sdp
+from hypiss import cli, lmi, sdp
+from hypiss.control import build_synthesis_lmis
 from hypiss.lmi import (
     GEQ,
     LEQ,
@@ -188,3 +189,96 @@ class TestSolutionContract:
         for name in a.point.entries:
             assert np.array_equal(a.point.entries[name], b.point.entries[name])
         assert a.margins == b.margins
+
+
+def _reference_derivatives(sf, x):
+    """Barrier, gradient and Hessian with every block read as a dense
+    matrix, by the textbook formulas: -log det S, -tr(S^-1 A_k) and
+    tr(S^-1 A_k S^-1 A_l)."""
+    n = x.size
+    f, g, h = 0.0, np.zeros(n), np.zeros((n, n))
+    for blk in sf.blocks:
+        sign = -1.0 if blk.sense == LEQ else 1.0
+        s = sign * blk.value(x) - blk.eps * np.eye(blk.dim)
+        f -= np.linalg.slogdet(s)[1]
+        sinv = np.linalg.inv(s)
+        for a, i in enumerate(blk.idx):
+            ti = sinv @ (sign * blk.coeffs[a])
+            g[i] -= np.trace(ti)
+            for b, j in enumerate(blk.idx):
+                h[i, j] += np.trace(ti @ sinv @ (sign * blk.coeffs[b]))
+    return f, g, h
+
+
+class TestStructure:
+    def test_diagonal_blocks_become_rows(self):
+        sf = lmi.vectorize(_demo_synthesis_problem(1.0, 0.5))
+        cones = sdp._cones(sf)
+        # peak_cap, q_pos and s_pos are diagonal: 2 + 2 + 2 rows
+        assert cones.b.size == 6
+        assert [blk.dim for blk in cones.dense] == [6, 4, 2, 2]
+        assert cones.nu == sum(blk.dim for blk in sf.blocks)
+
+    def test_derivatives_match_dense_reference(self):
+        prob = _demo_synthesis_problem(1.0, 0.5)
+        sf = lmi.vectorize(prob)
+        feas = sdp.solve_feasibility(dataclasses.replace(prob, objective=None))
+        x = sf.vector(feas.point)
+        cones = sdp._cones(sf)
+        f, g, h = _reference_derivatives(sf, x)
+        grad, hess = sdp._derivatives(cones, x)
+        assert sdp._barrier(cones, x) == pytest.approx(f, rel=1e-12, abs=1e-12)
+        assert np.allclose(grad, g, rtol=1e-10, atol=1e-10 * np.max(np.abs(g)))
+        assert np.allclose(hess, h, rtol=1e-10, atol=1e-10 * np.max(np.abs(h)))
+        assert np.array_equal(hess, hess.T)
+
+    def test_barrier_rejects_point_outside_rows(self):
+        sf = lmi.vectorize(_demo_synthesis_problem(1.0, 0.5))
+        x = sf.initial.copy()
+        x[0] = -1.0  # lyap_inv[0] < 0 breaks q_pos, a row
+        assert sdp._barrier(sdp._cones(sf), x) is None
+
+    def test_rows_and_dense_block_closed_form(self):
+        # min c with [[c, 1], [1, y]] >= 0 and y <= 2: c y >= 1, optimum 1/2
+        vc, vy = VarSpec.scalar("c"), VarSpec.scalar("y")
+        c = MatExpr.from_var(vc)
+        y = MatExpr.from_var(vy)
+        prob = LmiProblem(
+            (vc, vy),
+            (Constraint(sym_block([[c, np.array([[1.0]])], [None, y]]), GEQ,
+                        "hyperbola", eps=0.0),
+             Constraint(symmetric_expr(y - np.array([[2.0]])), LEQ, "cap", eps=0.0)),
+            objective=((("c", 0), 1.0),))
+        cones = sdp._cones(lmi.vectorize(prob))
+        assert cones.b.size == 1 and len(cones.dense) == 1
+        sol = sdp.minimize(prob)
+        assert sol.status is Status.OPTIMAL
+        assert sol.objective == pytest.approx(0.5, abs=1e-6)
+        assert sol.point.entry(("y", 0)) == pytest.approx(2.0, abs=1e-5)
+
+    def test_rows_only_problem(self):
+        # min 2x + y with x >= 1, y >= 0, x + y >= 3: optimum 4 at (1, 2)
+        vx, vy = VarSpec.scalar("x"), VarSpec.scalar("y")
+        x = MatExpr.from_var(vx)
+        y = MatExpr.from_var(vy)
+        cons = (Constraint(symmetric_expr(x - np.array([[1.0]])), GEQ, "x", eps=0.0),
+                Constraint(symmetric_expr(y), GEQ, "y", eps=0.0),
+                Constraint(symmetric_expr(x + y - np.array([[3.0]])), GEQ, "sum",
+                           eps=0.0))
+        feas = LmiProblem((vx, vy), cons)
+        assert sdp._cones(lmi.vectorize(feas)).dense == ()
+        found = sdp.solve_feasibility(feas)
+        assert found.status is Status.FEASIBLE
+        assert min(found.margins) > 0.0
+        sol = sdp.minimize(dataclasses.replace(
+            feas, objective=((("x", 0), 2.0), (("y", 0), 1.0))))
+        assert sol.status is Status.OPTIMAL
+        assert sol.objective == pytest.approx(4.0, abs=1e-6)
+        assert sol.point.entry(("x", 0)) == pytest.approx(1.0, abs=1e-5)
+
+    def test_random_plant_at_n8(self, random_plant_config):
+        cfg = {"plant": random_plant_config(np.random.default_rng(8), 8, 1.0)}
+        alpha = 0.5 * min(cfg["plant"]["lambda"])
+        sol = sdp.minimize(build_synthesis_lmis(cli._build_plant(cfg), 1.0, alpha))
+        assert sol.status is Status.OPTIMAL
+        assert min(sol.margins) >= -1e-9

@@ -306,6 +306,11 @@ def _load_certificate(path: str, plant: Plant) -> dict:
     return out
 
 
+def _newton_steps(steps: tuple[int, int] | None) -> dict | None:
+    """The solver's Newton steps per phase, as the reports record them."""
+    return None if steps is None else {"phase1": steps[0], "phase2": steps[1]}
+
+
 def _write_report(out_dir: Path, command: str, digest: str, margins: dict,
                   timing: float, manifest: list[str], certificate=None,
                   extra: dict | None = None) -> Path:
@@ -344,9 +349,11 @@ def cmd_synth(config_path: str, out_override: str | None) -> int:
     except InfeasibleError as e:
         timing = time.perf_counter() - started
         worst = min(e.solution.margins) if e.solution is not None else float("nan")
+        steps = e.solution.newton_steps if e.solution is not None else None
         _write_report(out_dir, "synth", digest,
                       {"worst_phase1_margin": worst}, timing, [],
-                      extra={"status": "infeasible", "mu": mu, "alpha": alpha})
+                      extra={"status": "infeasible", "mu": mu, "alpha": alpha,
+                             "newton_steps": _newton_steps(steps)})
         print(f"infeasible at mu={mu:g}, alpha={alpha:g} "
               f"(worst margin {worst:.3e})", file=sys.stderr)
         return 2
@@ -357,7 +364,8 @@ def cmd_synth(config_path: str, out_override: str | None) -> int:
         json.dumps(_certificate_payload(cert), indent=2, sort_keys=True) + "\n")
     _write_report(out_dir, "synth", digest, dict(cert.margins), timing,
                   [cert_path.name], certificate=_certificate_payload(cert),
-                  extra={"status": "feasible"})
+                  extra={"status": "feasible",
+                         "newton_steps": _newton_steps(cert.newton_steps)})
     print(f"feasible: peak={cert.peak:.6g} gamma={cert.gamma:.6g} "
           f"omega={cert.omega:g} kappa={cert.kappa:.6g}")
     print(f"wrote {cert_path}")
@@ -393,6 +401,8 @@ def cmd_grid(config_path: str, out_override: str | None) -> int:
                   for s in ("feasible", "infeasible", "failed")},
         "failed_cells": [{"mu": c.mu, "alpha": c.alpha, "reason": c.reason}
                          for c in fmap.cells if c.status == "failed"],
+        "newton_steps": [{"mu": c.mu, "alpha": c.alpha,
+                          "steps": _newton_steps(c.newton_steps)} for c in fmap.cells],
     }
     if best is not None:
         extra["best"] = {"mu": best.mu, "alpha": best.alpha,

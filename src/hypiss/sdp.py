@@ -11,8 +11,23 @@ coefficients are all diagonal (positivity of diagonal variables, scalar
 bounds, the peak cap) is a set of elementwise linear rows b + G x > 0 with
 the barrier -sum log r, and so is the phase-1 box.  The remaining blocks
 are dense, with their coefficients stacked flat so that evaluating a block
-or assembling its Hessian is one matrix product.  Everything is numpy with
-fixed iteration order, so identical inputs produce bit-identical outputs.
+or assembling its Hessian is one matrix product.
+
+Problems are solved as a batch along a leading axis, one cell per
+problem.  Problems of the same structure (entry vector, row count, dense
+block sizes) share one stack: a dense block whose entries differ from cell
+to cell depends on their union in every cell, with zero coefficients where
+a cell has none, and the dense blocks of a cell are padded with identity
+to one size, so that one call evaluates, factors or inverts all of them.
+Newton then runs over the stack in lockstep: each iteration is one stacked
+pass for the barrier, the derivatives, the Newton systems and each
+line-search trial of the cells still running.  Every cell keeps its own
+barrier parameter, step budget, outcome and step length, and leaves the
+stack when its phase ends.  Many cells of one structure are split into
+several stacks so that the padded coefficients of one stack stay under
+_STACK_BYTES.  `minimize` and `solve_feasibility` are batches of one, so
+there is one solver path.  Everything is numpy with fixed iteration order,
+so identical batches produce bit-identical outputs.
 
 Infeasibility is declared heuristically: when phase 1 converges with its
 slack optimum above the declaration threshold, no strictly feasible point
@@ -22,6 +37,7 @@ exists up to solver accuracy.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,9 +48,12 @@ _NEWTON_TOL = 1e-5        # threshold on the squared Newton decrement / 2;
                           # the decrement is affine-invariant, and the gap
                           # surrogate nu/t is valid once it is this small
 _ARMIJO = 0.25
+_MIN_STEP = 1e-18         # backtracking gives up below this step length
 _EXIT_SLACK = -1e-9       # phase-1 early exit once the slack is safely negative
 _PHASE1_BOX = 1e9         # phase-1 searches |entry| < this; keeps the slack
                           # minimization bounded when the feasible set is not
+_STACK_BYTES = 16 << 20   # cap on one stack's padded coefficients; about
+                          # 2.5 MB a cell at n = 10, 15 kB at n = 2
 
 
 class Status(enum.Enum):
@@ -73,12 +92,14 @@ class Solution:
     """Solver outcome.  `margins` re-checks every constraint of the original
     problem at the returned point through lmi.margin, eps folded in, so a
     feasible/optimal claim can be audited independently of solver internals.
+    `newton_steps` counts the Newton steps taken in phase 1 and in phase 2.
     """
 
     status: Status
     point: lmi.Point
     objective: float | None
     margins: tuple[float, ...]
+    newton_steps: tuple[int, int]
 
     @property
     def ok(self) -> bool:
@@ -87,33 +108,38 @@ class Solution:
 
 @dataclass(frozen=True)
 class _Dense:
-    """One PSD block that is not diagonal: S(x) = base + sum_k x[idx[k]] A_k.
+    """One PSD block that is not diagonal, over a stack of cells:
+    S_c(x) = base[c] + sum_k x[idx[k]] A_ck.
 
-    The coefficient matrices are stored flat, one row-major A_k per row of
-    `flat`, so a value is one matrix-vector product.
+    The coefficient matrices are stored flat, one row-major A_ck per row of
+    `flat[c]`, so the block's share of the Hessian is one matrix product
+    per cell.
     """
 
-    base: np.ndarray   # (d, d)
-    idx: np.ndarray    # (k,) entries of x the block depends on
-    flat: np.ndarray   # (k, d*d)
-    ix: tuple          # np.ix_(idx, idx): where the block's Hessian lands
+    base: np.ndarray   # (cells, d, d)
+    idx: np.ndarray    # (k,) entries of x the block depends on, in every cell
+    flat: np.ndarray   # (cells, k, d*d)
+    ix: tuple          # where the block's Hessian lands in a stacked Hessian
+    tr: np.ndarray     # (d*d,) where vec(X^T) takes its entries from vec(X)
 
     @staticmethod
     def make(base, idx, flat) -> "_Dense":
-        return _Dense(base, idx, flat, np.ix_(idx, idx))
+        d = base.shape[-1]
+        return _Dense(base, idx, flat, (slice(None),) + np.ix_(idx, idx),
+                      np.arange(d * d).reshape(d, d).T.ravel())
 
     @property
     def dim(self) -> int:
-        return self.base.shape[0]
+        return self.base.shape[-1]
 
-    def value(self, x: np.ndarray) -> np.ndarray:
-        d = self.dim
-        return self.base + (x[self.idx] @ self.flat).reshape(d, d)
+    def take(self, sel) -> "_Dense":
+        return _Dense(self.base[sel], self.idx, self.flat[sel], self.ix, self.tr)
 
 
 @dataclass(frozen=True)
 class _Cones:
-    """The strict feasible set {x : b + G x > 0, S_j(x) > 0 for every j}.
+    """The strict feasible sets {x : b_c + G_c x > 0, S_cj(x) > 0 for every j}
+    of a stack of cells with the same structure.
 
     Every constraint block whose base and coefficients are all diagonal
     becomes d elementwise rows of (b, G); the remaining blocks stay dense.
@@ -122,20 +148,54 @@ class _Cones:
     one per row, d per dense block.
     """
 
-    b: np.ndarray                 # (r,)
-    g: np.ndarray                 # (r, n)
+    b: np.ndarray                 # (cells, r)
+    g: np.ndarray                 # (cells, r, n)
     dense: tuple[_Dense, ...]
+
+    @functools.cached_property
+    def padded(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(base, vidx, vflat), built on first use: the dense blocks of a
+        cell as one stack of J matrices padded to the largest block size D,
+        identity in the padding (which adds nothing to the barrier), and
+        their coefficients padded the same way over the entries vidx any
+        block depends on.  One call then factors or inverts every block,
+        and one product gives every value.  base is (cells, J, D, D),
+        vflat (cells, m, J*D*D)."""
+        ncell, size = len(self.b), max((blk.dim for blk in self.dense), default=0)
+        base = np.zeros((ncell, len(self.dense), size, size))
+        base[:, :] = np.eye(size)
+        vidx = np.array(sorted(set().union(*(blk.idx.tolist() for blk in self.dense))),
+                        dtype=int)
+        row = {v: k for k, v in enumerate(vidx.tolist())}
+        vflat = np.zeros((ncell, vidx.size, len(self.dense), size, size))
+        for j, blk in enumerate(self.dense):
+            d = blk.dim
+            base[:, j, :d, :d] = blk.base
+            vflat[:, [row[v] for v in blk.idx.tolist()], j, :d, :d] = \
+                blk.flat.reshape(ncell, -1, d, d)
+        return base, vidx, vflat.reshape(ncell, vidx.size, len(self.dense) * size * size)
 
     @property
     def nu(self) -> float:
-        return float(self.b.size + sum(blk.dim for blk in self.dense))
+        return float(self.b.shape[1] + sum(blk.dim for blk in self.dense))
+
+    def take(self, sel) -> "_Cones":
+        return _Cones(self.b[sel], self.g[sel], tuple(blk.take(sel) for blk in self.dense))
 
     def rows(self, x: np.ndarray) -> np.ndarray:
-        return self.b + self.g @ x
+        """b + G x, one row of x per cell."""
+        return self.b + (self.g @ x[:, :, None])[:, :, 0]
+
+    def values(self, x: np.ndarray) -> np.ndarray:
+        """The padded dense blocks S(x), (cells, J, D, D), one row of x per
+        cell."""
+        base, vidx, vflat = self.padded
+        return base + (x[:, None, vidx] @ vflat).reshape(base.shape)
 
 
 def _cones(sf: lmi.StandardForm) -> _Cones:
-    """Normalize every block to value(x) > 0, sign and eps folded in."""
+    """One problem as a stack of one cell: every block normalized to
+    value(x) > 0, sign and eps folded in."""
     n = sf.n
     b, g, dense = [], [], []
     for blk in sf.blocks:
@@ -149,120 +209,277 @@ def _cones(sf: lmi.StandardForm) -> _Cones:
             b.append(np.diagonal(base))
             g.append(rows)
         else:
-            dense.append(_Dense.make(base, blk.idx.copy(),
-                                     coeffs.reshape(len(blk.idx), blk.dim * blk.dim)))
-    return _Cones(np.concatenate(b) if b else np.zeros(0),
-                  np.vstack(g) if g else np.zeros((0, n)), tuple(dense))
+            dense.append(_Dense.make(base[None], blk.idx.copy(),
+                                     coeffs.reshape(1, len(blk.idx), blk.dim * blk.dim)))
+    return _Cones((np.concatenate(b) if b else np.zeros(0))[None],
+                  (np.vstack(g) if g else np.zeros((0, n)))[None], tuple(dense))
 
 
-def _barrier(cones: _Cones, x: np.ndarray) -> float | None:
-    """-sum log r - sum log det S_j, or None if x is not strictly inside.
+def _structure(sf: lmi.StandardForm, cones: _Cones) -> tuple:
+    """What cells must share to be stacked: the entry vector, the number of
+    rows and the sizes of the dense blocks."""
+    return sf.refs, cones.b.shape[1], tuple(blk.dim for blk in cones.dense)
 
-    The rows are checked first, so a trial point that leaves them costs no
+
+def _stack(cells: list[_Cones], refs: tuple) -> _Cones:
+    """Cells of one structure as one stack.  A dense block whose entries
+    differ between cells depends on their union in every cell, ordered by
+    entry reference as lmi orders terms, with zero coefficients where a
+    cell has none."""
+    if len(cells) == 1:
+        return cells[0]
+    dense = []
+    for blocks in zip(*(c.dense for c in cells)):
+        idx = blocks[0].idx
+        if all(np.array_equal(blk.idx, idx) for blk in blocks):
+            flat = np.concatenate([blk.flat for blk in blocks])
+        else:
+            union = set().union(*(blk.idx.tolist() for blk in blocks))
+            idx = np.array(sorted(union, key=refs.__getitem__))
+            where = {v: k for k, v in enumerate(idx.tolist())}
+            flat = np.zeros((len(blocks), idx.size, blocks[0].flat.shape[2]))
+            for c, blk in enumerate(blocks):
+                flat[c, [where[v] for v in blk.idx.tolist()]] = blk.flat[0]
+        dense.append(_Dense.make(np.concatenate([blk.base for blk in blocks]), idx, flat))
+    return _Cones(np.concatenate([c.b for c in cells]),
+                  np.concatenate([c.g for c in cells]), tuple(dense))
+
+
+def _each(f, *stacks):
+    """f applied to stacks of matrices.  numpy raises LinAlgError for the
+    whole stack when one matrix fails; then f runs cell by cell and the
+    cells it fails on get NaN."""
+    try:
+        return f(*stacks)
+    except np.linalg.LinAlgError:
+        out = np.full(stacks[-1].shape, np.nan)
+        for c in range(out.shape[0]):
+            try:
+                out[c] = f(*(s[c] for s in stacks))
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def _barrier(cones: _Cones, x: np.ndarray) -> np.ndarray:
+    """-sum log r - sum log det S_j at x, one row per cell; inf where x is
+    not strictly inside.
+
+    The rows are checked first, so a cell whose point leaves them costs no
     factorization.
     """
+    f = np.full(len(x), np.inf)
     r = cones.rows(x)
-    if not np.all(r > 0.0) or not np.all(np.isfinite(r)):
-        return None
-    total = -float(np.sum(np.log(r)))
-    for blk in cones.dense:
-        s = blk.value(x)
-        if not np.all(np.isfinite(s)):
-            return None
-        try:
-            chol = np.linalg.cholesky(s)
-        except np.linalg.LinAlgError:
-            return None
-        d = np.diagonal(chol)
-        if np.any(d <= 0.0):
-            return None
-        total -= 2.0 * float(np.sum(np.log(d)))
-    return total
+    inside = ((r > 0.0) & (r < np.inf)).all(axis=1)
+    whole = inside.all()
+    total = -np.log(r if whole else r[inside]).sum(axis=1)
+    if cones.dense:
+        s = cones.values(x)
+        if not whole:
+            s = s[inside]
+        d = np.diagonal(_each(np.linalg.cholesky, s), axis1=2, axis2=3)
+        ok = np.isfinite(s).all(axis=(1, 2, 3)) & (d > 0.0).all(axis=(1, 2))
+        if not ok.all():
+            inside[inside] = ok
+            total, d = total[ok], d[ok]
+        total -= 2.0 * np.log(d).sum(axis=(1, 2))
+    f[inside] = total
+    return f
 
 
 def _derivatives(cones: _Cones, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient and Hessian of the barrier at a strictly feasible x.
+    """Gradients and Hessians of the barrier at strictly feasible points,
+    one row of x per cell.
 
     Rows give -G^T (1/r) and (G/r)^T (G/r).  A dense block gives
-    -tr(S^-1 A_k) and tr(S^-1 A_k S^-1 A_l); with U_k = A_k S^-1 (one
-    product over the stacked coefficients) that is tr(U_k) and
-    vec(U_k) . vec(U_l^T).  Raises LinAlgError if a dense block is
-    singular.
+    -tr(S^-1 A_k) = -<A_k, S^-1>, one product for all blocks, and
+    tr(S^-1 A_k S^-1 A_l); with U_k = A_k S^-1 (one product over the
+    block's stacked coefficients) that is vec(U_k) . vec(U_l^T).  A cell
+    with a singular dense block gets NaN.
     """
-    r = cones.rows(x)
-    gr = cones.g / r[:, None]
-    grad = -((1.0 / r) @ cones.g)
-    hess = gr.T @ gr
-    for blk in cones.dense:
-        d, k = blk.dim, len(blk.idx)
-        sinv = np.linalg.inv(blk.value(x))
-        u = (blk.flat.reshape(k * d, d) @ sinv).reshape(k, d, d)
-        grad[blk.idx] -= np.trace(u, axis1=1, axis2=2)
-        hess[blk.ix] += u.reshape(k, d * d) @ u.transpose(0, 2, 1).reshape(k, d * d).T
-    return grad, (hess + hess.T) / 2.0
+    ncell = len(x)
+    gr = cones.g / cones.rows(x)[:, :, None]
+    grad = -gr.sum(axis=1)
+    hess = gr.transpose(0, 2, 1) @ gr
+    if cones.dense:
+        _, vidx, vflat = cones.padded
+        sinv = _each(np.linalg.inv, cones.values(x))
+        grad[:, vidx] -= (vflat @ sinv.reshape(ncell, -1, 1))[:, :, 0]
+        for j, blk in enumerate(cones.dense):
+            d, k = blk.dim, len(blk.idx)
+            u = (blk.flat.reshape(ncell, k * d, d) @ sinv[:, j, :d, :d]).reshape(ncell, k, d * d)
+            hess[blk.ix] += u @ u[:, :, blk.tr].transpose(0, 2, 1)
+    return grad, (hess + hess.transpose(0, 2, 1)) / 2.0
 
 
-def _newton_center(cones, tvec, x, budget, stop_when=None):
-    """Damped Newton minimization of tvec @ x + barrier(x).
+def _newton(hess: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Newton steps dx = -H^-1 g and decrements -g . dx, one per cell.
 
-    Returns (x, steps_used, outcome) with outcome one of "centered",
-    "stopped" (the early-exit predicate fired), "budget", "stalled".
-    The iterate stays strictly feasible throughout.
+    A cell whose system is singular or indefinite retries with a small
+    ridge; if that fails too, its decrement is NaN.
     """
-    n = x.size
-    used = 0
-    f0 = None  # merit value at x, carried over from the accepted trial
-    while used < budget:
+    dx = _each(np.linalg.solve, hess, -g[:, :, None])[:, :, 0]
+    dec = -(g * dx).sum(axis=1)
+    if (dec >= 0.0).all() and (dec < np.inf).all():
+        return dx, dec
+    n = g.shape[1]
+    for c in (~((dec >= 0.0) & (dec < np.inf))).nonzero()[0]:
+        ridge = 1e-12 * max(float(np.trace(hess[c])) / n, 1.0)
         try:
-            g, hess = _derivatives(cones, x)
+            dx[c] = np.linalg.solve(hess[c] + ridge * np.eye(n), -g[c])
+            dec[c] = float(-g[c] @ dx[c])
         except np.linalg.LinAlgError:
-            return x, used, "stalled"
-        g += tvec
+            dec[c] = np.nan
+        if not (np.isfinite(dec[c]) and dec[c] >= 0.0):
+            dec[c] = np.nan
+    return dx, dec
 
-        dx = None
-        try:
-            dx = np.linalg.solve(hess, -g)
-        except np.linalg.LinAlgError:
-            pass
-        dec = float(-g @ dx) if dx is not None else -1.0
-        if dx is None or not np.isfinite(dec) or dec < 0.0:
-            ridge = 1e-12 * max(float(np.trace(hess)) / n, 1.0)
-            try:
-                dx = np.linalg.solve(hess + ridge * np.eye(n), -g)
-            except np.linalg.LinAlgError:
-                return x, used, "stalled"
-            dec = float(-g @ dx)
-            if not np.isfinite(dec) or dec < 0.0:
-                return x, used, "stalled"
-        if dec / 2.0 <= _NEWTON_TOL:
-            return x, used, "centered"
 
-        if f0 is None:
-            b0 = _barrier(cones, x)
-            if b0 is None:
-                return x, used, "stalled"
-            f0 = b0 + float(tvec @ x)
-        alpha = 1.0
-        accepted = False
-        while alpha > 1e-18:
-            xn = x + alpha * dx
-            bn = _barrier(cones, xn)
-            if bn is not None:
-                fn = bn + float(tvec @ xn)
-                if fn <= f0 - _ARMIJO * alpha * dec:
-                    accepted = True
+def _first_trial(r: np.ndarray, gdx: np.ndarray) -> np.ndarray:
+    """The longest step 2^-j <= 1 that keeps every row positive, per cell.
+
+    Rows reach zero at the fraction to the boundary, min over
+    (G dx)_i < 0 of -r_i / (G dx)_i; the first trial is the power of 1/2
+    just below it, times (1 - 1e-9), since every longer trial would leave
+    the rows.  With s the inverse of that bound, s = m 2^e and
+    1/2 <= m < 1, the step is 2^-e (and 1 when no row decreases, s = 0).
+    """
+    s = (gdx / r).min(axis=1, initial=0.0) * (-1.0 / (1.0 - 1e-9))
+    return np.minimum(1.0, np.ldexp(1.0, -np.frexp(s)[1]))
+
+
+def _line_search(cones: _Cones, x, dx, dec, tc, fb, move):
+    """Backtracking from x along dx for the cells `move`, on the merit
+    tc @ x + barrier(x) with the Armijo rule.
+
+    Every round is one stacked trial; each cell starts at its row-aware
+    first trial and halves its step on rejection, down to _MIN_STEP, and
+    a cell not searching (any more) stays at its point, where the barrier
+    is known to be finite.  fb is the barrier at x.  Returns the new x and
+    barrier values and which cells accepted a trial.
+    """
+    f0 = fb + (tc * x).sum(axis=1)
+    alpha = _first_trial(cones.rows(x), (cones.g @ dx[:, :, None])[:, :, 0])
+    live = move & (f0 < np.inf)
+    accepted = np.zeros(len(x), dtype=bool)
+    while True:
+        live &= alpha > _MIN_STEP
+        if not live.any():
+            return x, fb, accepted
+        xn = np.where(live[:, None], x + alpha[:, None] * dx, x)
+        bn = _barrier(cones, xn)
+        ok = live & (bn + (tc * xn).sum(axis=1) <= f0 - _ARMIJO * alpha * dec)
+        if ok.all():
+            return xn, bn, ok
+        x, fb = np.where(ok[:, None], xn, x), np.where(ok, bn, fb)
+        accepted |= ok
+        live &= ~ok
+        alpha[live] *= 0.5
+
+
+def _follow(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndarray,
+            opts: SolveOptions, phase1: bool):
+    """Follow the central paths of a stack of cells in lockstep.
+
+    Cell c minimizes t_c cvec_c @ x + barrier_c(x) by damped Newton steps
+    and multiplies t_c by opts.t_growth at each centered point, until its
+    phase ends or it has taken budget[c] steps.  In phase 1 the last entry
+    of x is the slack: the phase ends as soon as the slack is below
+    _EXIT_SLACK, or at a centered point with a negative slack (outcome
+    "feasible") or with a gap nu/t_c under opts.gap_tol
+    ("infeasible_candidate"); anything else is "stalled".  In phase 2 the
+    outcome is a Status: OPTIMAL once nu/t_c is under opts.gap_tol.
+
+    Every iteration is one stacked pass over the cells still running, and
+    a cell whose phase ends leaves the stack.  Each iterate stays strictly
+    feasible.  Returns (x, steps, outcomes).
+    """
+    nu = cones.nu
+    x_out = x.copy()
+    steps_out = np.zeros(len(x), dtype=int)
+    outcome: list = [None] * len(x)
+
+    # the cells still running, compacted whenever one ends
+    cell = np.arange(len(x))
+    x = x.copy()
+    t = np.full(len(x), opts.t_init)
+    steps = np.zeros(len(x), dtype=int)
+    achieved = np.full(len(x), np.inf)  # gap surrogate of the last centered stage
+    fb = _barrier(cones, x)             # barrier at x, carried over from the accepted trial
+    ended = np.zeros(len(x), dtype=bool)
+
+    def stage_end(i: int, how: str) -> bool:
+        """The centering of running cell i ended: "centered", "stalled", or
+        "stopped" (phase-1 early exit or step budget spent).  True if its
+        phase goes on at a larger t."""
+        if phase1:
+            if x[i, -1] < 0.0:
+                outcome[cell[i]] = "feasible"
+            elif how == "centered" and nu / t[i] >= opts.gap_tol:
+                t[i] *= opts.t_growth
+                return True
+            else:
+                outcome[cell[i]] = "infeasible_candidate" if how == "centered" else "stalled"
+        elif how == "centered":
+            achieved[i] = nu / t[i]
+            if nu != 0.0 and achieved[i] >= opts.gap_tol:
+                t[i] *= opts.t_growth
+                return True
+            outcome[cell[i]] = Status.OPTIMAL
+        elif how == "stalled" and achieved[i] <= 100.0 * opts.gap_tol:
+            # float exhaustion near the end of the path; accept the point
+            # since a previous stage already certified a gap close to target
+            outcome[cell[i]] = Status.OPTIMAL
+        else:
+            outcome[cell[i]] = Status.NUMERICAL_FAILURE
+        ended[i] = True
+        return False
+
+    exit_slack = _EXIT_SLACK if phase1 else -np.inf  # phase 2 has no early exit
+    for i in (budget <= 0).nonzero()[0]:
+        stage_end(i, "stopped")
+    while True:
+        if ended.any():
+            x_out[cell[ended]], steps_out[cell[ended]] = x[ended], steps[ended]
+            keep = ~ended
+            cell, x, t, steps, achieved, fb, cvec, budget = (
+                a[keep] for a in (cell, x, t, steps, achieved, fb, cvec, budget))
+            cones = cones.take(keep)
+            ended = ended[keep]
+        if not cell.size:
+            return x_out, steps_out, outcome
+
+        # Newton directions.  A cell already centered ends its stage and, if
+        # its phase goes on, takes the direction for its next t from the
+        # same derivatives.
+        grad, hess = _derivatives(cones, x)
+        tc = t[:, None] * cvec
+        dx, dec = _newton(hess, grad + tc)
+        move = dec > 2.0 * _NEWTON_TOL
+        if not move.all():
+            pending = (~move).nonzero()[0]
+            while pending.size:
+                again = np.array([i for i in pending if stage_end(
+                    i, "stalled" if np.isnan(dec[i]) else "centered")], dtype=int)
+                if not again.size:
                     break
-            alpha *= 0.5
-        if not accepted:
-            return x, used, "stalled"
-        x, f0 = xn, fn
-        used += 1
-        if stop_when is not None and stop_when(x):
-            return x, used, "stopped"
-    return x, used, "budget"
+                dx[again], dec[again] = _newton(
+                    hess[again], grad[again] + t[again, None] * cvec[again])
+                go = dec[again] > 2.0 * _NEWTON_TOL
+                move[again[go]] = True
+                pending = again[~go]
+            tc = t[:, None] * cvec
+
+        x, fb, accepted = _line_search(cones, x, dx, dec, tc, fb, move)
+        steps += accepted
+
+        end = (move & ~accepted) | (accepted & ((steps >= budget) | (x[:, -1] < exit_slack)))
+        if end.any():
+            for i in end.nonzero()[0]:
+                stage_end(i, "stopped" if accepted[i] else "stalled")
 
 
-def _phase1(cones, x0, opts):
+def _phase1(cones: _Cones, x0: np.ndarray, opts: SolveOptions):
     """Minimize a uniform slack added to every block until it goes negative.
 
     The search runs inside a large box |entry| < _PHASE1_BOX so the slack
@@ -272,107 +489,111 @@ def _phase1(cones, x0, opts):
     and the slack; the slack itself is a column of ones on the rows and
     the identity on every dense block.
 
-    Returns (x, slack, steps_used, outcome) with outcome "feasible",
-    "infeasible_candidate" (slack converged while positive), or "stalled".
+    Returns (x, slack, steps, outcomes) with an outcome per cell of
+    "feasible", "infeasible_candidate" (slack converged while positive),
+    or "stalled".
     """
-    n = x0.size
+    ncell, n = x0.shape
+    nrow = cones.b.shape[1]
     box = np.kron(np.eye(n + 1), [[-1.0], [1.0]])
     aug = _Cones(
-        np.concatenate([cones.b, np.full(2 * (n + 1), _PHASE1_BOX)]),
-        np.vstack([np.hstack([cones.g, np.ones((cones.b.size, 1))]), box]),
-        tuple(_Dense.make(blk.base, np.append(blk.idx, n),
-                          np.vstack([blk.flat, np.eye(blk.dim).reshape(1, -1)]))
+        np.concatenate([cones.b, np.full((ncell, 2 * (n + 1)), _PHASE1_BOX)], axis=1),
+        np.concatenate([np.concatenate([cones.g, np.ones((ncell, nrow, 1))], axis=2),
+                        np.broadcast_to(box, (ncell,) + box.shape)], axis=1),
+        tuple(_Dense.make(blk.base, np.append(blk.idx, n), np.concatenate(
+            [blk.flat, np.broadcast_to(np.eye(blk.dim).reshape(1, 1, -1),
+                                       (ncell, 1, blk.dim * blk.dim))], axis=1))
               for blk in cones.dense))
 
-    floor = max(0.0, -float(np.min(cones.rows(x0), initial=np.inf)))
-    for blk in cones.dense:
-        s = blk.value(x0)
-        floor = max(floor, -float(np.linalg.eigvalsh((s + s.T) / 2.0)[0]))
-    xs = np.append(x0, floor + 1.0)
+    # the start: slack 1 above the worst violation at x0, read off the
+    # augmented problem at slack 0 (the box rows are far from binding)
+    xs = np.concatenate([x0, np.zeros((ncell, 1))], axis=1)
+    floor = np.maximum(0.0, -aug.rows(xs).min(axis=1, initial=np.inf))
+    if cones.dense:
+        s = aug.values(xs)
+        eig = np.linalg.eigvalsh((s + s.transpose(0, 1, 3, 2)) / 2.0)
+        floor = np.maximum(floor, -eig.min(axis=(1, 2)))
+    xs[:, n] = floor + 1.0
 
-    nu = aug.nu
-    tvec_unit = np.zeros(n + 1)
-    tvec_unit[n] = 1.0
-    t = opts.t_init
-    used_total = 0
-    while used_total < opts.max_newton:
-        xs, used, outcome = _newton_center(
-            aug, t * tvec_unit, xs, opts.max_newton - used_total,
-            stop_when=lambda v: v[n] < _EXIT_SLACK)
-        used_total += used
-        if xs[n] < 0.0:
-            return xs[:n], float(xs[n]), used_total, "feasible"
-        if outcome == "stalled":
-            return xs[:n], float(xs[n]), used_total, "stalled"
-        if outcome == "centered" and nu / t < opts.gap_tol:
-            return xs[:n], float(xs[n]), used_total, "infeasible_candidate"
-        if outcome != "budget":
-            t *= opts.t_growth
-    return xs[:n], float(xs[n]), used_total, "stalled"
+    unit = np.zeros((ncell, n + 1))
+    unit[:, n] = 1.0
+    xs, steps, outcome = _follow(aug, unit, xs, np.full(ncell, opts.max_newton),
+                                 opts, phase1=True)
+    return xs[:, :n], xs[:, n], steps, outcome
 
 
-def _phase2(cones, cvec, x, opts, budget):
-    """Path-follow the objective from a strictly feasible start."""
-    nu = cones.nu
-    t = opts.t_init
-    used_total = 0
-    achieved = np.inf  # certified gap surrogate from the last centered stage
-    while used_total < budget:
-        x, used, outcome = _newton_center(cones, t * cvec, x, budget - used_total)
-        used_total += used
-        if outcome == "stalled":
-            # float exhaustion near the end of the path; accept the point if
-            # a previous stage already certified a gap close to the target
-            if achieved <= 100.0 * opts.gap_tol:
-                return x, used_total, Status.OPTIMAL
-            return x, used_total, Status.NUMERICAL_FAILURE
-        if outcome == "centered":
-            achieved = nu / t
-            if nu == 0.0 or achieved < opts.gap_tol:
-                return x, used_total, Status.OPTIMAL
-            t *= opts.t_growth
-    return x, used_total, Status.NUMERICAL_FAILURE
-
-
-def _finish(problem, sf, x, status, objective=None) -> Solution:
+def _finish(problem, sf, x, status, steps, objective=None) -> Solution:
     point = sf.point(x)
     margins = tuple(lmi.problem_margins(problem, point))
-    return Solution(status=status, point=point, objective=objective, margins=margins)
+    return Solution(status=status, point=point, objective=objective,
+                    margins=margins, newton_steps=steps)
+
+
+def _solve_stack(cones: _Cones, problems, sfs, opts: SolveOptions,
+                 minimizing: bool) -> list[Solution]:
+    """Phase 1 for every cell of the stack, then phase 2 for the cells it
+    found feasible when minimizing."""
+    x, slack, steps1, found = _phase1(cones, np.stack([sf.initial for sf in sfs]), opts)
+    status = [Status.FEASIBLE if o == "feasible"
+              else Status.INFEASIBLE if o == "infeasible_candidate"
+              and s > opts.infeasibility_threshold
+              else Status.NUMERICAL_FAILURE for o, s in zip(found, slack)]
+    steps2 = np.zeros(len(sfs), dtype=int)
+    go = [i for i, st in enumerate(status) if st is Status.FEASIBLE]
+    if minimizing and go:
+        cvec = np.stack([sfs[i].objective for i in go])
+        x[go], steps2[go], done = _follow(
+            cones.take(go), cvec, x[go], opts.max_newton - steps1[go], opts, phase1=False)
+        for i, st in zip(go, done):
+            status[i] = st
+    return [_finish(problem, sf, x[i], status[i], (int(steps1[i]), int(steps2[i])),
+                    float(sf.objective @ x[i]) if status[i] is Status.OPTIMAL else None)
+            for i, (problem, sf) in enumerate(zip(problems, sfs))]
+
+
+def _solve(problems, opts: SolveOptions, minimizing: bool) -> list[Solution]:
+    """Every problem, one stack per structure.  A structure with many cells
+    is split into stacks whose padded phase-1 coefficients stay under
+    _STACK_BYTES, so memory does not grow with the batch."""
+    sfs = [lmi.vectorize(p) for p in problems]
+    groups: dict[tuple, list] = {}
+    for c, sf in enumerate(sfs):
+        cones = _cones(sf)
+        groups.setdefault(_structure(sf, cones), []).append((c, cones))
+
+    out: list = [None] * len(problems)
+    for (refs, _, dims), members in groups.items():
+        cell_bytes = 8 * (len(refs) + 1) * len(dims) * max(dims, default=0) ** 2
+        size = max(1, _STACK_BYTES // max(cell_bytes, 1))
+        for start in range(0, len(members), size):
+            cells = [c for c, _ in members[start:start + size]]
+            stack = _stack([k for _, k in members[start:start + size]], refs)
+            for c, solution in zip(cells, _solve_stack(
+                    stack, [problems[c] for c in cells], [sfs[c] for c in cells],
+                    opts, minimizing)):
+                out[c] = solution
+    return out
 
 
 def solve_feasibility(problem: lmi.LmiProblem, options: SolveOptions | None = None) -> Solution:
     """Search for a strictly feasible point of a problem with no objective."""
     if problem.objective is not None:
         raise ValueError("solve_feasibility expects a problem without an objective")
-    opts = options or SolveOptions()
-    sf = lmi.vectorize(problem)
-    cones = _cones(sf)
-    if not sf.blocks:
-        return _finish(problem, sf, sf.initial.copy(), Status.FEASIBLE)
-    x, slack, _, outcome = _phase1(cones, sf.initial.copy(), opts)
-    if outcome == "feasible":
-        return _finish(problem, sf, x, Status.FEASIBLE)
-    if outcome == "infeasible_candidate" and slack > opts.infeasibility_threshold:
-        return _finish(problem, sf, x, Status.INFEASIBLE)
-    return _finish(problem, sf, x, Status.NUMERICAL_FAILURE)
+    if not problem.constraints:
+        sf = lmi.vectorize(problem)
+        return _finish(problem, sf, sf.initial.copy(), Status.FEASIBLE, (0, 0))
+    return _solve([problem], options or SolveOptions(), minimizing=False)[0]
+
+
+def minimize_batch(problems, options: SolveOptions | None = None) -> list[Solution]:
+    """Minimize each problem's linear objective over its feasible set, all
+    problems in lockstep; the solutions come in the order of `problems`."""
+    problems = list(problems)
+    if any(p.objective is None for p in problems):
+        raise ValueError("minimize expects problems with an objective")
+    return _solve(problems, options or SolveOptions(), minimizing=True)
 
 
 def minimize(problem: lmi.LmiProblem, options: SolveOptions | None = None) -> Solution:
     """Minimize the problem's linear objective over its feasible set."""
-    if problem.objective is None:
-        raise ValueError("minimize expects a problem with an objective")
-    opts = options or SolveOptions()
-    sf = lmi.vectorize(problem)
-    cones = _cones(sf)
-    cvec = sf.objective
-
-    x, slack, used, outcome = _phase1(cones, sf.initial.copy(), opts)
-    if outcome != "feasible":
-        if outcome == "infeasible_candidate" and slack > opts.infeasibility_threshold:
-            return _finish(problem, sf, x, Status.INFEASIBLE)
-        return _finish(problem, sf, x, Status.NUMERICAL_FAILURE)
-
-    x, _, status = _phase2(cones, cvec, x, opts, opts.max_newton - used)
-    if status is not Status.OPTIMAL:
-        return _finish(problem, sf, x, status)
-    return _finish(problem, sf, x, Status.OPTIMAL, objective=float(cvec @ x))
+    return minimize_batch([problem], options)[0]

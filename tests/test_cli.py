@@ -95,6 +95,9 @@ class TestSynth:
         assert len(report["config_digest"]) == 64
         assert "certificate.json" in report["manifest"]
         assert "synth_report.json" in report["manifest"]
+        steps = report["newton_steps"]
+        assert steps["phase1"] > 0 and steps["phase2"] > 0
+        assert "newton_steps" not in cert
 
     def test_grid_alpha_is_schema_error(self, tmp_path, capsys):
         cfg = _design_config()
@@ -175,18 +178,18 @@ class TestGrid:
         assert "best" not in report
 
     def test_failed_cell_reason_in_report(self, tmp_path, monkeypatch):
-        from hypiss import sdp
+        from hypiss import control
 
-        real = sdp.minimize
+        real = control.build_synthesis_lmis
         calls = []
 
-        def minimize(problem, options=None):
-            calls.append(problem)
+        def build(*args, **kwargs):
+            calls.append(args)
             if len(calls) == 1:
                 raise FloatingPointError("injected")
-            return real(problem, options)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(sdp, "minimize", minimize)
+        monkeypatch.setattr(control, "build_synthesis_lmis", build)
         cfg = self._grid_config({"min": 1.0, "max": 1.0, "count": 1},
                                 {"min": 0.25, "max": 0.5, "count": 2})
         out = tmp_path / "o"
@@ -199,6 +202,29 @@ class TestGrid:
         assert report["cells"] == {"feasible": 1, "infeasible": 0, "failed": 1}
         assert report["failed_cells"] == [
             {"mu": 1.0, "alpha": 0.25, "reason": "FloatingPointError: injected"}]
+
+    def test_demo_grid_gammas_of_the_best_cell(self, tmp_path, monkeypatch):
+        # feasibility.csv states sqrt(c) e^{mu/2} from the peak bound c, the
+        # certificate sqrt(max lyap_inv) e^{mu/2} with max lyap_inv <= c
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["--seed-configs"]) == 0
+        out = tmp_path / "o"
+        assert cli.main(["grid", "--config", "example_gridsearch.json",
+                         "--out", str(out)]) == 0
+        _, rows = _read_csv(out / "feasibility.csv")
+        report = json.loads((out / "grid_report.json").read_text())
+        best = report["certificate"]
+        assert (best["mu"], best["alpha"]) == (0.5, 0.1)
+        row = [r for r in rows if (float(r[0]), float(r[1])) == (0.5, 0.1)][0]
+        csv_gamma = float(row[4])
+        assert best["gamma"] <= csv_gamma * (1.0 + 1e-9)
+        assert best["gamma"] == pytest.approx(csv_gamma, rel=1e-8)
+        steps = report["newton_steps"]
+        assert [(c["mu"], c["alpha"]) for c in steps] == [
+            (float(r[0]), float(r[1])) for r in rows]
+        for cell, r in zip(steps, rows):
+            assert cell["steps"]["phase1"] > 0
+            assert (cell["steps"]["phase2"] > 0) == (r[2] == "feasible")
 
     def test_demo_grid_best_certificate_verifies(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

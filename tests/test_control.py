@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hypiss import lmi, sdp
+from hypiss import control, lmi, sdp
 from hypiss.control import (
     AnalysisCertificate,
     Controller,
@@ -274,16 +274,16 @@ class TestGridSearch:
         assert abs(cell.gamma - math.sqrt(cell.peak) * math.exp(0.5)) < 1e-12
 
     def test_failed_cell_keeps_its_reason(self, demo_plant, monkeypatch):
-        real = sdp.minimize
+        real = control.build_synthesis_lmis
         calls = []
 
-        def minimize(problem, options=None):
-            calls.append(problem)
+        def build(*args, **kwargs):
+            calls.append(args)
             if len(calls) == 2:  # the cell (0.5, 1.2); the sweep goes on
                 raise FloatingPointError("injected at one cell")
-            return real(problem, options)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(sdp, "minimize", minimize)
+        monkeypatch.setattr(control, "build_synthesis_lmis", build)
         fm = grid_search(demo_plant, [0.5, 1.0], [0.5, 1.2])
         reasons = {(c.mu, c.alpha): (c.status, c.reason) for c in fm.cells}
         assert reasons == {
@@ -293,6 +293,37 @@ class TestGridSearch:
             (1.0, 1.2): ("infeasible", None),
         }
         assert (fm.best.mu, fm.best.alpha) == (1.0, 0.5)
+
+    def test_failing_batch_fails_every_cell(self, demo_plant, monkeypatch):
+        def minimize_batch(problems, options=None):
+            raise FloatingPointError("injected in the batch")
+
+        monkeypatch.setattr(sdp, "minimize_batch", minimize_batch)
+        fm = grid_search(demo_plant, [0.5, 1.0], [0.5])
+        assert [(c.status, c.reason, c.newton_steps) for c in fm.cells] == [
+            ("failed", "FloatingPointError: injected in the batch", None)] * 2
+        assert fm.best is None
+
+    def test_matches_synthesize_cell_by_cell(self, demo_plant):
+        mus, alphas = [0.25, 0.5, 0.75], [0.1, 0.3, 0.5]
+        fm = grid_search(demo_plant, mus, alphas)
+        designs = {}
+        for cell in fm.cells:
+            assert cell.newton_steps[0] > 0
+            try:
+                cert = synthesize(demo_plant, cell.mu, cell.alpha)
+            except InfeasibleError:
+                assert cell.status == "infeasible"
+                assert cell.newton_steps[1] == 0
+                continue
+            assert cell.status == "feasible"
+            assert cell.peak == pytest.approx(cert.peak, rel=1e-9)
+            designs[(cell.mu, cell.alpha)] = cert
+        best = min(designs.values(), key=lambda c: (c.gamma, c.mu, c.alpha))
+        assert (best.mu, best.alpha) == (fm.best.mu, fm.best.alpha) == (0.5, 0.1)
+        assert fm.best.peak == pytest.approx(best.peak, rel=1e-9)
+        assert fm.best.gamma == pytest.approx(best.gamma, rel=1e-9)
+        assert sum(fm.best.newton_steps) > 0
 
     def test_grid_validation(self, demo_plant):
         with pytest.raises(ValueError):

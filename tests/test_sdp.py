@@ -226,8 +226,8 @@ class TestStructure:
         x = sf.vector(feas.point)
         cones = sdp._cones(sf)
         f, g, h = _reference_derivatives(sf, x)
-        grad, hess = sdp._derivatives(cones, x)
-        assert sdp._barrier(cones, x) == pytest.approx(f, rel=1e-12, abs=1e-12)
+        grad, hess = (a[0] for a in sdp._derivatives(cones, x[None]))
+        assert sdp._barrier(cones, x[None])[0] == pytest.approx(f, rel=1e-12, abs=1e-12)
         assert np.allclose(grad, g, rtol=1e-10, atol=1e-10 * np.max(np.abs(g)))
         assert np.allclose(hess, h, rtol=1e-10, atol=1e-10 * np.max(np.abs(h)))
         assert np.array_equal(hess, hess.T)
@@ -236,7 +236,7 @@ class TestStructure:
         sf = lmi.vectorize(_demo_synthesis_problem(1.0, 0.5))
         x = sf.initial.copy()
         x[0] = -1.0  # lyap_inv[0] < 0 breaks q_pos, a row
-        assert sdp._barrier(sdp._cones(sf), x) is None
+        assert sdp._barrier(sdp._cones(sf), x[None])[0] == np.inf
 
     def test_rows_and_dense_block_closed_form(self):
         # min c with [[c, 1], [1, y]] >= 0 and y <= 2: c y >= 1, optimum 1/2
@@ -282,3 +282,114 @@ class TestStructure:
         sol = sdp.minimize(build_synthesis_lmis(cli._build_plant(cfg), 1.0, alpha))
         assert sol.status is Status.OPTIMAL
         assert min(sol.margins) >= -1e-9
+
+
+_DEMO_MUS = np.linspace(0.25, 2.0, 8)
+_DEMO_ALPHAS = np.linspace(0.1, 1.5, 8)
+
+
+def _same_outcome(batched, single):
+    assert batched.status is single.status
+    if single.objective is None:
+        assert batched.objective is None
+    else:
+        assert batched.objective == pytest.approx(single.objective, rel=1e-9)
+
+
+class TestBatch:
+    def test_demo_grid_matches_one_cell_at_a_time(self):
+        problems = [_demo_synthesis_problem(mu, alpha)
+                    for mu in _DEMO_MUS for alpha in _DEMO_ALPHAS]
+        batched = sdp.minimize_batch(problems)
+        statuses = set()
+        for problem, sol in zip(problems, batched):
+            _same_outcome(sol, sdp.minimize(problem))
+            statuses.add(sol.status)
+            if sol.ok:
+                assert min(sol.margins) >= -1e-9
+        assert statuses == {Status.OPTIMAL, Status.INFEASIBLE}
+
+    def test_cells_of_different_structure_share_a_stack(self):
+        # at mu = alpha = 0.5 the decay block loses its lyap_inv[0] term
+        # (alpha - mu lambda_0 = 0), so its entries differ from the other
+        # cells of the same grid command
+        problems = [_demo_synthesis_problem(0.5, alpha) for alpha in (0.1, 0.3, 0.5, 0.7)]
+        sfs = [lmi.vectorize(p) for p in problems]
+        cells = [sdp._cones(sf) for sf in sfs]
+        sizes = [[len(blk.idx) for blk in c.dense] for c in cells]
+        assert sizes[2][2] == sizes[0][2] - 1
+        assert len({sdp._structure(sf, c) for sf, c in zip(sfs, cells)}) == 1
+        stacked = sdp._stack(cells, sfs[0].refs)
+        x = np.stack([sf.initial + 0.01 * np.arange(sf.n) for sf in sfs])
+        grad, hess = sdp._derivatives(stacked, x)
+        for c, cell in enumerate(cells):
+            g1, h1 = sdp._derivatives(cell, x[c:c + 1])
+            assert np.allclose(grad[c], g1[0], rtol=1e-12, atol=1e-12)
+            assert np.allclose(hess[c], h1[0], rtol=1e-12, atol=1e-12)
+        for sol, problem in zip(sdp.minimize_batch(problems), problems):
+            _same_outcome(sol, sdp.minimize(problem))
+
+    def test_failed_cholesky_in_one_cell_leaves_the_others(self):
+        sf = lmi.vectorize(_demo_synthesis_problem(1.0, 0.5))
+        cell = sdp._cones(sf)
+        stacked = sdp._stack([cell, cell, cell], sf.refs)
+        inside = sf.vector(sdp.minimize(_demo_synthesis_problem(1.0, 0.5)).point)
+        # gain_scaled far from zero breaks the boundary block but no row
+        outside = inside.copy()
+        outside[4:8] = 100.0
+        x = np.stack([inside, outside, inside])
+        assert np.all(stacked.rows(x) > 0.0)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(stacked.values(x))
+        f = sdp._barrier(stacked, x)
+        alone = sdp._barrier(cell, inside[None])[0]
+        assert np.isfinite(alone)
+        assert f[0] == alone and f[2] == alone and f[1] == np.inf
+        # in a line search from `inside`, the middle cell's first trial is
+        # that point; the other cells stand still and accept at once
+        here = np.stack([inside] * 3)
+        dx = x - here
+        x_new, fb, accepted = sdp._line_search(
+            stacked, here.copy(), dx, np.zeros(3), np.zeros_like(here),
+            sdp._barrier(stacked, here), np.ones(3, dtype=bool))
+        assert accepted[0] and accepted[2]
+        assert np.array_equal(x_new[0], inside) and fb[0] == alone
+
+    def test_stacks_split_under_the_memory_cap(self, monkeypatch):
+        problems = [_demo_synthesis_problem(0.5, alpha) for alpha in (0.1, 0.3, 0.5, 1.3)]
+        whole = sdp.minimize_batch(problems)
+        stacks = []
+        real = sdp._solve_stack
+
+        def solve_stack(cones, *args):
+            stacks.append(len(cones.b))
+            return real(cones, *args)
+
+        monkeypatch.setattr(sdp, "_STACK_BYTES", 1)
+        monkeypatch.setattr(sdp, "_solve_stack", solve_stack)
+        for sol, ref in zip(sdp.minimize_batch(problems), whole):
+            _same_outcome(sol, ref)
+        assert stacks == [1, 1, 1, 1]
+
+    def test_batch_of_one_is_minimize(self):
+        problem = _demo_synthesis_problem(1.0, 0.5)
+        a = sdp.minimize_batch([problem])[0]
+        b = sdp.minimize(problem)
+        assert a.status is b.status is Status.OPTIMAL
+        assert a.objective == b.objective
+        assert a.margins == b.margins
+        assert a.newton_steps == b.newton_steps
+        assert a.newton_steps[0] > 0 and a.newton_steps[1] > 0
+        for name in b.point.entries:
+            assert np.array_equal(a.point.entries[name], b.point.entries[name])
+
+    def test_empty_batch_and_missing_objective(self):
+        assert sdp.minimize_batch([]) == []
+        with pytest.raises(ValueError):
+            sdp.minimize_batch([_demo_synthesis_problem(1.0, 0.5), _scalar_pos_problem()])
+
+    def test_first_trial_stops_short_of_the_rows(self):
+        r = np.array([[1.0, 2.0], [1.0, 1.0], [4.0, 1.0]])
+        gdx = np.array([[-3.0, 1.0], [0.0, 2.0], [-1.0, -0.25]])
+        # fractions to the boundary 1/3, none, 4
+        assert sdp._first_trial(r, gdx).tolist() == [0.25, 1.0, 1.0]

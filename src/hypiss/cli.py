@@ -542,9 +542,7 @@ def cmd_verify(config_path: str, out_override: str | None,
         margins[f"synthesis.{con.label}"] = value
 
     # the analysis-side inequalities for the stored gain itself
-    lyap = invert_diag(stored["lyap_inv"])
-    pa = lyap.array
-    coupling = SymMatrix.symmetrized(pa @ stored["coupling"].array @ pa)
+    lyap, coupling = control.analysis_values(stored["lyap_inv"], stored["coupling"])
     analysis = verify_analysis(plant, stored["gain"], lyap, coupling,
                                stored["mu"], 1.0, stored["alpha"])
     for label, value in analysis.margins.items():

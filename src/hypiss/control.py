@@ -94,17 +94,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Controller:
-    """Static output-feedback gain applied to the outflow trace."""
-
-    gain: Matrix
-
-    @staticmethod
-    def zero(plant: Plant) -> "Controller":
-        return Controller(Matrix.zeros(plant.m, plant.n))
-
-
-@dataclass(frozen=True)
 class IssCoefficients:
     """Exponential decay rate, overshoot factor, and disturbance gain of the
     certified input-to-state-stability estimate."""
@@ -224,17 +213,6 @@ def deadzone(u, u_max) -> np.ndarray:
     return saturate(u, u_max) - u
 
 
-def sector_value(nu, u_max, sector: DiagMatrix) -> float:
-    """Quadratic form phi^T T (phi + nu) with phi the deadzone of nu.
-
-    Nonpositive for every nu and every positive diagonal T, which is the
-    global sector property the synthesis leans on.
-    """
-    nu = np.asarray(nu, dtype=float)
-    phi = deadzone(nu, u_max)
-    return float(phi @ (sector.diagonal * (phi + nu)))
-
-
 def closed_loop_boundary(plant: Plant, gain: Matrix, outflow) -> np.ndarray:
     """Inflow trace produced by reflecting the outflow and adding the
     saturated control: (H + B K) x + B * deadzone(K x)."""
@@ -284,17 +262,17 @@ def build_synthesis_lmis(plant: Plant, mu: float, alpha: float,
         [None, -math.exp(-mu) * (big_lam @ q), -(w.T)],
         [None, None, -2.0 * s]])
     coupling = lmi.sym_block([[g, nd], [None, np.eye(plant.q)]])
-    decay = lmi.symmetric_expr(q @ np.diag(alpha - mu * lam) + g)
-    cap = lmi.symmetric_expr(q - lmi.MatExpr.scalar_identity(_VC, n))
+    decay = q @ np.diag(alpha - mu * lam) + g
+    cap = q - lmi.MatExpr.scalar_identity(_VC, n)
 
     constraints = (
         lmi.Constraint(boundary, lmi.LEQ, "boundary_block"),
         lmi.Constraint(coupling, lmi.GEQ, "disturbance_block"),
         lmi.Constraint(decay, lmi.LEQ, "decay_block"),
         lmi.Constraint(cap, lmi.LEQ, "peak_cap", eps=0.0),
-        lmi.Constraint(lmi.symmetric_expr(q), lmi.GEQ, "q_pos"),
-        lmi.Constraint(lmi.symmetric_expr(s), lmi.GEQ, "s_pos"),
-        lmi.Constraint(lmi.symmetric_expr(g), lmi.GEQ, "coupling_pos"),
+        lmi.Constraint(q, lmi.GEQ, "q_pos"),
+        lmi.Constraint(s, lmi.GEQ, "s_pos"),
+        lmi.Constraint(g, lmi.GEQ, "coupling_pos"),
     )
     return lmi.LmiProblem((vq, vs, vw, vg, vc), constraints,
                           objective=(((_VC, 0), 1.0),), eps=eps)
@@ -372,18 +350,16 @@ def _certificate_from_solution(plant: Plant, problem: lmi.LmiProblem,
 
 
 def synthesize(plant: Plant, mu: float, alpha: float,
-               options: sdp.SolveOptions | None = None,
                eps: float = lmi.DEFAULT_EPS) -> SynthesisCertificate:
     """Design a saturated boundary gain minimizing the certified peak of the
     inverse Lyapunov weight; raises InfeasibleError when the inequalities
     admit no solution at these weights."""
     problem = build_synthesis_lmis(plant, mu, alpha, eps=eps)
-    return _certificate_from_solution(plant, problem, sdp.minimize(problem, options),
+    return _certificate_from_solution(plant, problem, sdp.minimize(problem),
                                       mu, alpha)
 
 
 def grid_search(plant: Plant, mu_grid, alpha_grid,
-                options: sdp.SolveOptions | None = None,
                 eps: float = lmi.DEFAULT_EPS) -> FeasibilityMap:
     """Run the design over a grid of (mu, alpha) weights.
 
@@ -413,7 +389,7 @@ def grid_search(plant: Plant, mu_grid, alpha_grid,
         except Exception as e:
             reasons[w] = _failure(e)
     try:
-        solutions = dict(zip(problems, sdp.minimize_batch(problems.values(), options)))
+        solutions = dict(zip(problems, sdp.minimize_batch(problems.values())))
     except Exception as e:
         reasons.update(dict.fromkeys(problems, _failure(e)))
         solutions = {}
@@ -451,7 +427,8 @@ def grid_search(plant: Plant, mu_grid, alpha_grid,
 
 def _analysis_blocks(plant: Plant, gain: Matrix, mu: float, alpha: float,
                      lyap_expr, sector_expr, coupling_expr, supply_sq_expr):
-    """The three analysis inequalities as expressions in P, T, Gamma, chi^2."""
+    """The three analysis inequalities as expressions in P, T, Gamma, chi^2,
+    each in canonical form."""
     lam = plant.speeds.diagonal
     big_lam = np.diag(lam)
     h_cl = plant.reflection.array + plant.input_map.array @ gain.array
@@ -470,7 +447,7 @@ def _analysis_blocks(plant: Plant, gain: Matrix, mu: float, alpha: float,
     boundary = lmi.sym_block([[a11, a12], [None, a22]])
 
     coupling = lmi.sym_block([[coupling_expr, p @ nd], [None, supply_sq_expr]])
-    decay = lmi.symmetric_expr(p @ np.diag(alpha - mu * lam) + coupling_expr)
+    decay = (p @ np.diag(alpha - mu * lam) + coupling_expr).canonical()
     return boundary, coupling, decay
 
 
@@ -494,26 +471,24 @@ def build_analysis_lmis(plant: Plant, gain: Matrix, mu: float, alpha: float,
         lmi.Constraint(boundary, lmi.LEQ, "boundary_block"),
         lmi.Constraint(coupling, lmi.GEQ, "disturbance_block"),
         lmi.Constraint(decay, lmi.LEQ, "decay_block"),
-        lmi.Constraint(lmi.symmetric_expr(lmi.MatExpr.from_var(vp)), lmi.GEQ, "p_pos"),
-        lmi.Constraint(lmi.symmetric_expr(lmi.MatExpr.from_var(vt)), lmi.GEQ, "t_pos"),
-        lmi.Constraint(lmi.symmetric_expr(lmi.MatExpr.from_var(vg)), lmi.GEQ, "coupling_pos"),
-        lmi.Constraint(lmi.symmetric_expr(lmi.MatExpr.scalar_identity(_VX, 1)),
-                       lmi.GEQ, "supply_pos"),
+        lmi.Constraint(lmi.MatExpr.from_var(vp), lmi.GEQ, "p_pos"),
+        lmi.Constraint(lmi.MatExpr.from_var(vt), lmi.GEQ, "t_pos"),
+        lmi.Constraint(lmi.MatExpr.from_var(vg), lmi.GEQ, "coupling_pos"),
+        lmi.Constraint(lmi.MatExpr.scalar_identity(_VX, 1), lmi.GEQ, "supply_pos"),
     )
     return lmi.LmiProblem((vp, vt, vg, vx), constraints, eps=eps)
 
 
 def verify_analysis(plant: Plant, gain: Matrix, lyap: DiagMatrix,
-                    coupling: SymMatrix, mu: float, supply: float, alpha: float,
-                    eps: float = lmi.DEFAULT_EPS,
-                    options: sdp.SolveOptions | None = None) -> AnalysisCertificate:
+                    coupling: SymMatrix, mu: float, supply: float,
+                    alpha: float) -> AnalysisCertificate:
     """Check the analysis inequalities at fixed (P, Gamma, chi, mu, alpha),
     searching only over the sector multiplier.
 
     The boundary inequality is the only one involving the multiplier; it is
     scanned by minimizing the largest eigenvalue of its block over diagonal
-    T >= eps I.  The reported margins may be negative; callers decide what
-    tolerance to accept.
+    T >= eps I, with eps = lmi.DEFAULT_EPS.  The reported margins may be
+    negative; callers decide what tolerance to accept.
     """
     if np.any(lyap.diagonal <= 0.0):
         raise ValueError("the Lyapunov weight must be positive")
@@ -535,16 +510,13 @@ def verify_analysis(plant: Plant, gain: Matrix, lyap: DiagMatrix,
     boundary, coupling_blk, decay = _analysis_blocks(
         plant, gain, mu, alpha, p_const, lmi.MatExpr.from_var(vt),
         g_const, x_const)
-    dim_b = plant.n + plant.m
-    shifted = lmi.AffineMatrixExpr.from_expr(
-        _expr_of(boundary) - lmi.MatExpr.scalar_identity("shift", dim_b))
+    shifted = boundary - lmi.MatExpr.scalar_identity("shift", plant.n + plant.m)
     problem = lmi.LmiProblem(
         (vt, vshift),
         (lmi.Constraint(shifted, lmi.LEQ, "shifted_boundary", eps=0.0),
-         lmi.Constraint(lmi.symmetric_expr(lmi.MatExpr.from_var(vt)),
-                        lmi.GEQ, "t_pos")),
-        objective=((("shift", 0), 1.0),), eps=eps)
-    solution = sdp.minimize(problem, options)
+         lmi.Constraint(lmi.MatExpr.from_var(vt), lmi.GEQ, "t_pos")),
+        objective=((("shift", 0), 1.0),))
+    solution = sdp.minimize(problem)
     if solution.status is not sdp.Status.OPTIMAL:
         raise SolverFailureError(
             f"sector-multiplier search reported {solution.status.value}", solution)
@@ -561,21 +533,13 @@ def verify_analysis(plant: Plant, gain: Matrix, lyap: DiagMatrix,
                                alpha=alpha, margins=margins)
 
 
-def _expr_of(e):
-    """AffineMatrixExpr back to a MatExpr for further arithmetic."""
-    if isinstance(e, lmi.MatExpr):
-        return e
-    out = lmi.MatExpr((e.dim, e.dim), e.constant.copy(),
-                      {r: c.copy() for r, c in e.terms})
-    return out
-
-
-def analysis_values(certificate: SynthesisCertificate) -> tuple[DiagMatrix, SymMatrix]:
-    """Map a synthesis certificate to the analysis-side weight and coupling:
-    P is the inverse of lyap_inv and Gamma = P * coupling * P."""
-    p = invert_diag(certificate.lyap_inv)
+def analysis_values(lyap_inv: DiagMatrix,
+                    coupling: SymMatrix) -> tuple[DiagMatrix, SymMatrix]:
+    """Map the synthesis-side weight and coupling of a certificate to the
+    analysis side: P is the inverse of lyap_inv and Gamma = P * coupling * P."""
+    p = invert_diag(lyap_inv)
     pa = p.array
-    return p, SymMatrix.symmetrized(pa @ certificate.coupling.array @ pa)
+    return p, SymMatrix.symmetrized(pa @ coupling.array @ pa)
 
 
 def wellposedness_certificate(plant: Plant, gain: Matrix,

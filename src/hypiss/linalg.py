@@ -67,15 +67,8 @@ class Matrix:
         return self._a.shape[1]
 
     @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls(np.eye(n))
-
-    @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
         return cls(np.zeros((rows, cols)))
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self._a.T)
 
     def __repr__(self):
         return f"{type(self).__name__}({self._a.tolist()!r})"
@@ -142,9 +135,6 @@ class DiagMatrix:
     @property
     def array(self) -> np.ndarray:
         return np.diag(self._d)
-
-    def as_sym(self) -> SymMatrix:
-        return SymMatrix(self.array)
 
     def __repr__(self):
         return f"{type(self).__name__}({self._d.tolist()!r})"
@@ -223,52 +213,21 @@ def sym_eig(a: SymMatrix, tol: float = DEFAULT_TOL,
     return w[order], V[:, order]
 
 
-def max_eig(a: SymMatrix, tol: float = DEFAULT_TOL) -> float:
-    w, _ = sym_eig(a, tol=tol)
+def max_eig(a: SymMatrix) -> float:
+    w, _ = sym_eig(a)
     return float(w[-1])
 
 
-def min_eig(a: SymMatrix, tol: float = DEFAULT_TOL) -> float:
-    w, _ = sym_eig(a, tol=tol)
+def min_eig(a: SymMatrix) -> float:
+    w, _ = sym_eig(a)
     return float(w[0])
 
 
-def spectral_norm(a: Matrix, tol: float = DEFAULT_TOL) -> float:
+def spectral_norm(a: Matrix) -> float:
     """Largest singular value, via the top eigenvalue of A^T A."""
     g = SymMatrix.symmetrized(a.array.T @ a.array)
-    top = max_eig(g, tol=tol)
+    top = max_eig(g)
     return float(np.sqrt(max(top, 0.0)))
-
-
-def solve_linear(a: Matrix, b) -> np.ndarray:
-    """Solve A x = b for square A.
-
-    The residual is checked after the fact; a solve whose residual exceeds
-    1e-10 * ||b|| is reported as numerically singular together with a
-    condition estimate.
-    """
-    if a.rows != a.cols:
-        raise ValueError(f"solve_linear needs a square matrix, got {a.rows}x{a.cols}")
-    rhs = np.asarray(b, dtype=float)
-    if rhs.shape[0] != a.rows:
-        raise ValueError(f"right-hand side has length {rhs.shape[0]}, expected {a.rows}")
-    try:
-        x = np.linalg.solve(a.array, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(
-            f"matrix is singular: {exc}", condition=float("inf")) from None
-    if not np.all(np.isfinite(x)):
-        raise SingularMatrixError("solve produced non-finite values",
-                                  condition=float("inf"))
-    residual = float(np.linalg.norm(a.array @ x - rhs))
-    limit = 1e-10 * float(np.linalg.norm(rhs))
-    if residual > limit:
-        cond = float(np.linalg.cond(a.array))
-        raise SingularMatrixError(
-            f"solve residual {residual:.3e} exceeds 1e-10*||b||; "
-            f"matrix is numerically singular (cond ~ {cond:.3e})",
-            condition=cond)
-    return x
 
 
 def invert_diag(d: DiagMatrix) -> DiagMatrix:

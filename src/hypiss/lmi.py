@@ -4,9 +4,12 @@ variables.
 A problem is a set of matrix expressions, affine in the scalar entries of
 scalar / diagonal / full / symmetric variables, each constrained to be
 negative semidefinite shifted by -eps*I or positive semidefinite shifted by
-+eps*I.  The module knows how to evaluate expressions at a point, compute
-signed feasibility margins, and flatten a whole problem into the dense
-standard form consumed by the barrier solver.
++eps*I.  There is one expression type, MatExpr: builders combine them with
++, -, scalar * and @, and a constraint keeps its expression in canonical
+form (exactly symmetric, terms sorted by entry, zero terms dropped).  The
+module knows how to evaluate expressions at a point, compute signed
+feasibility margins, and flatten a whole problem into the dense standard
+form consumed by the barrier solver.
 """
 
 from __future__ import annotations
@@ -139,13 +142,14 @@ class MatExpr:
 
     __array_ufunc__ = None  # keep numpy from consuming our operators
 
-    __slots__ = ("shape", "const", "coeffs")
+    __slots__ = ("shape", "const", "coeffs", "_canonical")
 
     def __init__(self, shape: tuple[int, int], const: np.ndarray,
                  coeffs: dict[EntryRef, np.ndarray]):
         self.shape = shape
         self.const = const
         self.coeffs = coeffs
+        self._canonical = False
 
     @staticmethod
     def constant(a) -> "MatExpr":
@@ -228,52 +232,33 @@ class MatExpr:
             out += point.entry(ref) * coeff
         return out
 
-
-@dataclass(frozen=True)
-class AffineMatrixExpr:
-    """Square symmetric-valued affine expression in canonical form.
-
-    The constant and every coefficient matrix are bitwise symmetric; terms
-    are sorted by (variable name, entry index) so identical expressions
-    compare and serialize identically.
-    """
-
-    dim: int
-    constant: np.ndarray
-    terms: tuple[tuple[EntryRef, np.ndarray], ...]
-
-    @staticmethod
-    def from_expr(e: MatExpr) -> "AffineMatrixExpr":
-        if e.shape[0] != e.shape[1]:
-            raise ValueError(f"constraint expression must be square, got {e.shape}")
-        const = _exact_sym(e.const)
-        terms = []
-        for ref in sorted(e.coeffs):
-            coeff = _exact_sym(e.coeffs[ref])
+    def canonical(self) -> "MatExpr":
+        """The same square expression in canonical form: the constant and
+        every coefficient exactly symmetric, (A + A^T)/2, terms sorted by
+        (variable name, entry index) and zero coefficients dropped, so
+        identical expressions evaluate and vectorize identically.  An
+        expression made by canonical() is returned as it is."""
+        if self._canonical:
+            return self
+        if self.shape[0] != self.shape[1]:
+            raise ValueError(f"constraint expression must be square, got {self.shape}")
+        coeffs = {}
+        for ref in sorted(self.coeffs):
+            coeff = _exact_sym(self.coeffs[ref])
             if np.any(coeff != 0.0):
-                terms.append((ref, coeff))
-        return AffineMatrixExpr(e.shape[0], const, tuple(terms))
-
-    def refs(self) -> list[EntryRef]:
-        return [r for r, _ in self.terms]
-
-
-def symmetric_expr(e) -> AffineMatrixExpr:
-    """Canonicalize a square MatExpr (or array) as a symmetric expression."""
-    if isinstance(e, AffineMatrixExpr):
-        return e
-    if not isinstance(e, MatExpr):
-        e = MatExpr.constant(e)
-    return AffineMatrixExpr.from_expr(e)
+                coeffs[ref] = coeff
+        out = MatExpr(self.shape, _exact_sym(self.const), coeffs)
+        out._canonical = True
+        return out
 
 
-def sym_block(rows: list[list]) -> AffineMatrixExpr:
-    """Assemble a symmetric block matrix from its upper triangle.
+def sym_block(rows: list[list]) -> MatExpr:
+    """Assemble a symmetric block matrix from its upper triangle, in
+    canonical form.
 
-    ``rows[i][j]`` for j >= i gives the (i, j) block as a MatExpr, array, or
-    scalar-diagonal shorthand is not supported: pass explicit blocks.  Lower
-    triangle entries must be None and are filled with the transposed mirror
-    blocks.
+    ``rows[i][j]`` for j >= i gives the (i, j) block as a MatExpr or an
+    array.  Lower triangle entries must be None and are filled with the
+    transposed mirror blocks.
     """
     nb = len(rows)
     if any(len(r) != nb for r in rows):
@@ -320,18 +305,19 @@ def sym_block(rows: list[list]) -> AffineMatrixExpr:
             acc = acc + embed(b, i, j)
             if i != j:
                 acc = acc + embed(b.T, j, i)
-    return AffineMatrixExpr.from_expr(acc)
+    return acc.canonical()
 
 
 @dataclass(frozen=True)
 class Constraint:
     """One semidefinite constraint: expr <= -eps*I or expr >= +eps*I.
 
-    ``eps=None`` defers to the problem-wide slack; an explicit value (0.0
-    included) overrides it for this constraint alone.
+    The expression is stored in canonical form (MatExpr.canonical), so it
+    must be square.  ``eps=None`` defers to the problem-wide slack; an
+    explicit value (0.0 included) overrides it for this constraint alone.
     """
 
-    expr: AffineMatrixExpr
+    expr: MatExpr
     sense: str
     label: str = ""
     eps: float | None = None
@@ -341,6 +327,7 @@ class Constraint:
             raise ValueError(f"unknown constraint sense {self.sense!r}")
         if self.eps is not None and self.eps < 0.0:
             raise ValueError("constraint eps must be nonnegative")
+        object.__setattr__(self, "expr", self.expr.canonical())
 
 
 @dataclass(frozen=True)
@@ -370,7 +357,7 @@ class LmiProblem:
 
         for k, con in enumerate(self.constraints):
             where = con.label or f"constraint {k}"
-            for ref in con.expr.refs():
+            for ref in con.expr.coeffs:
                 check_ref(ref, where)
         if self.objective is not None:
             obj = tuple(sorted(((r, float(w)) for r, w in dict(self.objective).items())))
@@ -434,15 +421,12 @@ class Point:
         return spec.matrix_from_entries(self.entries[spec.name])
 
 
-def evaluate(expr: AffineMatrixExpr, point: Point) -> linalg.SymMatrix:
+def evaluate(expr: MatExpr, point: Point) -> linalg.SymMatrix:
     """Value of the expression at the point, symmetrized exactly."""
-    m = expr.constant.copy()
-    for ref, coeff in expr.terms:
-        m += point.entry(ref) * coeff
-    return linalg.SymMatrix.symmetrized(m)
+    return linalg.SymMatrix.symmetrized(expr.value(point))
 
 
-def margin(expr: AffineMatrixExpr, sense: str, point: Point, eps: float = 0.0) -> float:
+def margin(expr: MatExpr, sense: str, point: Point, eps: float = 0.0) -> float:
     """Signed slack of the constraint at the point; positive means strictly
     satisfied.
 
@@ -534,15 +518,16 @@ def vectorize(problem: LmiProblem) -> StandardForm:
     blocks = []
     for k, con in enumerate(problem.constraints):
         e = con.expr
-        idx = np.array([index[r] for r in e.refs()], dtype=int)
-        coeffs = (np.stack([c for _, c in e.terms])
-                  if e.terms else np.zeros((0, e.dim, e.dim)))
+        dim = e.shape[0]
+        idx = np.array([index[r] for r in e.coeffs], dtype=int)
+        coeffs = (np.stack(list(e.coeffs.values()))
+                  if e.coeffs else np.zeros((0, dim, dim)))
         blocks.append(StandardBlock(
             label=con.label or f"constraint_{k}",
             sense=con.sense,
             eps=problem.resolved_eps(con),
-            dim=e.dim,
-            base=e.constant.copy(),
+            dim=dim,
+            base=e.const.copy(),
             idx=idx,
             coeffs=coeffs,
         ))

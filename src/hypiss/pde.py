@@ -252,31 +252,6 @@ def iss_rhs(t: float, params: IssBoundParams, disturbance_energy: float) -> floa
         disturbance_energy)
 
 
-def frechet_check(lyap: DiagMatrix, mu: float, state, direction,
-                  stepsize: float, grid: Grid) -> float:
-    """Relative gap between the central difference of the functional along
-    the direction and the closed-form derivative 2 int e^{-mu z} <PX, h> dz.
-
-    The functional is quadratic, so the gap is rounding noise for any
-    stepsize.  The scale for the relative error is max(|derivative|, V(h)),
-    which stays meaningful at X = 0.
-    """
-    if stepsize <= 0.0:
-        raise ValueError("stepsize must be positive")
-    x = np.atleast_2d(np.asarray(state, dtype=float))
-    h = np.atleast_2d(np.asarray(direction, dtype=float))
-    if not np.any(h != 0.0):
-        raise ValueError("direction must be nonzero")
-    plus = lyapunov_value(x + stepsize * h, lyap, mu, grid)
-    minus = lyapunov_value(x - stepsize * h, lyap, mu, grid)
-    fd = (plus - minus) / (2.0 * stepsize)
-    weight = np.exp(-mu * grid.centers)
-    exact = 2.0 * float(np.sum(weight * np.sum(
-        lyap.diagonal[:, None] * x * h, axis=0))) * grid.dz
-    scale = max(abs(exact), lyapunov_value(h, lyap, mu, grid))
-    return abs(fd - exact) / scale
-
-
 def disturbance_energy(spec: SignalSpec, times, grid: Grid) -> np.ndarray:
     """Cumulative int_0^t ||d(theta)||^2 dtheta at each time, trapezoid in
     time over the given instants, midpoint in space."""

@@ -30,8 +30,8 @@ there is one solver path.  Everything is numpy with fixed iteration order,
 so identical batches produce bit-identical outputs.
 
 Infeasibility is declared heuristically: when phase 1 converges with its
-slack optimum above the declaration threshold, no strictly feasible point
-exists up to solver accuracy.
+slack optimum above _INFEASIBLE_SLACK, no strictly feasible point exists
+up to solver accuracy.
 """
 
 from __future__ import annotations
@@ -44,6 +44,16 @@ import numpy as np
 
 from . import lmi
 
+# Path-following settings, sized for the synthesis problems of `control` up
+# to state dimension n = 10: dense blocks of dimension up to about 3n and a
+# few hundred entries.  Diagonal blocks and the phase-1 box cost one
+# elementwise row per diagonal entry, whatever their size.
+_MAX_NEWTON = 600         # total Newton step budget of one problem
+_T_INIT = 1.0             # initial barrier parameter
+_T_GROWTH = 10.0          # geometric growth factor of the barrier parameter
+_GAP_TOL = 1e-7           # stop when nu / t < _GAP_TOL
+_INFEASIBLE_SLACK = 1e-7  # declare infeasible when the phase-1 slack optimum
+                          # exceeds this
 _NEWTON_TOL = 1e-5        # threshold on the squared Newton decrement / 2;
                           # the decrement is affine-invariant, and the gap
                           # surrogate nu/t is valid once it is this small
@@ -64,30 +74,6 @@ class Status(enum.Enum):
 
 
 @dataclass(frozen=True)
-class SolveOptions:
-    """Tuning knobs.
-
-    The defaults are sized for the synthesis problems of `control` up to
-    state dimension n = 10: dense blocks of dimension up to about 3n and a
-    few hundred entries.  Diagonal blocks and the phase-1 box cost one
-    elementwise row per diagonal entry, whatever their size.
-    """
-
-    max_newton: int = 600                  # total Newton step budget
-    t_init: float = 1.0                    # initial barrier parameter
-    t_growth: float = 10.0                 # geometric growth factor
-    gap_tol: float = 1e-7                  # stop when nu / t < gap_tol
-    infeasibility_threshold: float = 1e-7  # declare infeasible when slack* exceeds this
-
-    def __post_init__(self):
-        if self.max_newton <= 0 or self.t_init <= 0.0 or self.gap_tol <= 0.0 \
-                or self.infeasibility_threshold <= 0.0:
-            raise ValueError("solver options must be positive")
-        if self.t_growth <= 1.0:
-            raise ValueError("barrier growth factor must exceed 1")
-
-
-@dataclass(frozen=True)
 class Solution:
     """Solver outcome.  `margins` re-checks every constraint of the original
     problem at the returned point through lmi.margin, eps folded in, so a
@@ -100,10 +86,6 @@ class Solution:
     objective: float | None
     margins: tuple[float, ...]
     newton_steps: tuple[int, int]
-
-    @property
-    def ok(self) -> bool:
-        return self.status in (Status.FEASIBLE, Status.OPTIMAL)
 
 
 @dataclass(frozen=True)
@@ -378,17 +360,17 @@ def _line_search(cones: _Cones, x, dx, dec, tc, fb, move):
 
 
 def _follow(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndarray,
-            opts: SolveOptions, phase1: bool):
+            phase1: bool):
     """Follow the central paths of a stack of cells in lockstep.
 
     Cell c minimizes t_c cvec_c @ x + barrier_c(x) by damped Newton steps
-    and multiplies t_c by opts.t_growth at each centered point, until its
+    and multiplies t_c by _T_GROWTH at each centered point, until its
     phase ends or it has taken budget[c] steps.  In phase 1 the last entry
     of x is the slack: the phase ends as soon as the slack is below
     _EXIT_SLACK, or at a centered point with a negative slack (outcome
-    "feasible") or with a gap nu/t_c under opts.gap_tol
+    "feasible") or with a gap nu/t_c under _GAP_TOL
     ("infeasible_candidate"); anything else is "stalled".  In phase 2 the
-    outcome is a Status: OPTIMAL once nu/t_c is under opts.gap_tol.
+    outcome is a Status: OPTIMAL once nu/t_c is under _GAP_TOL.
 
     Every iteration is one stacked pass over the cells still running, and
     a cell whose phase ends leaves the stack.  Each iterate stays strictly
@@ -402,7 +384,7 @@ def _follow(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndarray,
     # the cells still running, compacted whenever one ends
     cell = np.arange(len(x))
     x = x.copy()
-    t = np.full(len(x), opts.t_init)
+    t = np.full(len(x), _T_INIT)
     steps = np.zeros(len(x), dtype=int)
     achieved = np.full(len(x), np.inf)  # gap surrogate of the last centered stage
     fb = _barrier(cones, x)             # barrier at x, carried over from the accepted trial
@@ -415,18 +397,18 @@ def _follow(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndarray,
         if phase1:
             if x[i, -1] < 0.0:
                 outcome[cell[i]] = "feasible"
-            elif how == "centered" and nu / t[i] >= opts.gap_tol:
-                t[i] *= opts.t_growth
+            elif how == "centered" and nu / t[i] >= _GAP_TOL:
+                t[i] *= _T_GROWTH
                 return True
             else:
                 outcome[cell[i]] = "infeasible_candidate" if how == "centered" else "stalled"
         elif how == "centered":
             achieved[i] = nu / t[i]
-            if nu != 0.0 and achieved[i] >= opts.gap_tol:
-                t[i] *= opts.t_growth
+            if nu != 0.0 and achieved[i] >= _GAP_TOL:
+                t[i] *= _T_GROWTH
                 return True
             outcome[cell[i]] = Status.OPTIMAL
-        elif how == "stalled" and achieved[i] <= 100.0 * opts.gap_tol:
+        elif how == "stalled" and achieved[i] <= 100.0 * _GAP_TOL:
             # float exhaustion near the end of the path; accept the point
             # since a previous stage already certified a gap close to target
             outcome[cell[i]] = Status.OPTIMAL
@@ -479,7 +461,7 @@ def _follow(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndarray,
                 stage_end(i, "stopped" if accepted[i] else "stalled")
 
 
-def _phase1(cones: _Cones, x0: np.ndarray, opts: SolveOptions):
+def _phase1(cones: _Cones, x0: np.ndarray):
     """Minimize a uniform slack added to every block until it goes negative.
 
     The search runs inside a large box |entry| < _PHASE1_BOX so the slack
@@ -517,8 +499,7 @@ def _phase1(cones: _Cones, x0: np.ndarray, opts: SolveOptions):
 
     unit = np.zeros((ncell, n + 1))
     unit[:, n] = 1.0
-    xs, steps, outcome = _follow(aug, unit, xs, np.full(ncell, opts.max_newton),
-                                 opts, phase1=True)
+    xs, steps, outcome = _follow(aug, unit, xs, np.full(ncell, _MAX_NEWTON), phase1=True)
     return xs[:, :n], xs[:, n], steps, outcome
 
 
@@ -529,21 +510,20 @@ def _finish(problem, sf, x, status, steps, objective=None) -> Solution:
                     margins=margins, newton_steps=steps)
 
 
-def _solve_stack(cones: _Cones, problems, sfs, opts: SolveOptions,
-                 minimizing: bool) -> list[Solution]:
+def _solve_stack(cones: _Cones, problems, sfs, minimizing: bool) -> list[Solution]:
     """Phase 1 for every cell of the stack, then phase 2 for the cells it
     found feasible when minimizing."""
-    x, slack, steps1, found = _phase1(cones, np.stack([sf.initial for sf in sfs]), opts)
+    x, slack, steps1, found = _phase1(cones, np.stack([sf.initial for sf in sfs]))
     status = [Status.FEASIBLE if o == "feasible"
               else Status.INFEASIBLE if o == "infeasible_candidate"
-              and s > opts.infeasibility_threshold
+              and s > _INFEASIBLE_SLACK
               else Status.NUMERICAL_FAILURE for o, s in zip(found, slack)]
     steps2 = np.zeros(len(sfs), dtype=int)
     go = [i for i, st in enumerate(status) if st is Status.FEASIBLE]
     if minimizing and go:
         cvec = np.stack([sfs[i].objective for i in go])
         x[go], steps2[go], done = _follow(
-            cones.take(go), cvec, x[go], opts.max_newton - steps1[go], opts, phase1=False)
+            cones.take(go), cvec, x[go], _MAX_NEWTON - steps1[go], phase1=False)
         for i, st in zip(go, done):
             status[i] = st
     return [_finish(problem, sf, x[i], status[i], (int(steps1[i]), int(steps2[i])),
@@ -551,7 +531,7 @@ def _solve_stack(cones: _Cones, problems, sfs, opts: SolveOptions,
             for i, (problem, sf) in enumerate(zip(problems, sfs))]
 
 
-def _solve(problems, opts: SolveOptions, minimizing: bool) -> list[Solution]:
+def _solve(problems, minimizing: bool) -> list[Solution]:
     """Every problem, one stack per structure.  A structure with many cells
     is split into stacks whose padded phase-1 coefficients stay under
     _STACK_BYTES, so memory does not grow with the batch."""
@@ -570,30 +550,30 @@ def _solve(problems, opts: SolveOptions, minimizing: bool) -> list[Solution]:
             stack = _stack([k for _, k in members[start:start + size]], refs)
             for c, solution in zip(cells, _solve_stack(
                     stack, [problems[c] for c in cells], [sfs[c] for c in cells],
-                    opts, minimizing)):
+                    minimizing)):
                 out[c] = solution
     return out
 
 
-def solve_feasibility(problem: lmi.LmiProblem, options: SolveOptions | None = None) -> Solution:
+def solve_feasibility(problem: lmi.LmiProblem) -> Solution:
     """Search for a strictly feasible point of a problem with no objective."""
     if problem.objective is not None:
         raise ValueError("solve_feasibility expects a problem without an objective")
     if not problem.constraints:
         sf = lmi.vectorize(problem)
         return _finish(problem, sf, sf.initial.copy(), Status.FEASIBLE, (0, 0))
-    return _solve([problem], options or SolveOptions(), minimizing=False)[0]
+    return _solve([problem], minimizing=False)[0]
 
 
-def minimize_batch(problems, options: SolveOptions | None = None) -> list[Solution]:
+def minimize_batch(problems) -> list[Solution]:
     """Minimize each problem's linear objective over its feasible set, all
     problems in lockstep; the solutions come in the order of `problems`."""
     problems = list(problems)
     if any(p.objective is None for p in problems):
         raise ValueError("minimize expects problems with an objective")
-    return _solve(problems, options or SolveOptions(), minimizing=True)
+    return _solve(problems, minimizing=True)
 
 
-def minimize(problem: lmi.LmiProblem, options: SolveOptions | None = None) -> Solution:
+def minimize(problem: lmi.LmiProblem) -> Solution:
     """Minimize the problem's linear objective over its feasible set."""
-    return minimize_batch([problem], options)[0]
+    return minimize_batch([problem])[0]

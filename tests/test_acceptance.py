@@ -17,13 +17,13 @@ from hypiss.control import (
     grid_search,
     iss_coefficients,
     saturate,
-    sector_value,
     synthesize,
     verify_analysis,
     wellposedness_certificate,
 )
 from hypiss.linalg import DiagMatrix, Matrix, SymMatrix, invert_diag, min_eig
-from hypiss.pde import Grid, SignalSpec, SimConfig, frechet_check, l2_norm, simulate
+from hypiss.pde import Grid, SignalSpec, SimConfig, l2_norm, simulate
+from identities import frechet_check, sector_value
 
 LYAP_INV = np.array([12.5, 82.0])
 GAIN = np.array([[-0.24, 0.0], [0.33, -0.08]])

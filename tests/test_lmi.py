@@ -9,7 +9,6 @@ from hypiss import lmi
 from hypiss.lmi import (
     GEQ,
     LEQ,
-    AffineMatrixExpr,
     Constraint,
     IncompletePointError,
     LmiProblem,
@@ -19,7 +18,6 @@ from hypiss.lmi import (
     evaluate,
     margin,
     sym_block,
-    symmetric_expr,
     vectorize,
 )
 
@@ -72,7 +70,7 @@ class TestVarSpec:
 
 class TestExpressions:
     def test_constant_expr(self):
-        e = symmetric_expr(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        e = MatExpr.constant(np.array([[2.0, 1.0], [1.0, 2.0]]))
         m = evaluate(e, Point({}))
         assert np.array_equal(m.array, [[2.0, 1.0], [1.0, 2.0]])
 
@@ -93,7 +91,7 @@ class TestExpressions:
         specs = _demo_specs()
         q = MatExpr.from_var(specs[0])
         g = MatExpr.from_var(specs[3])
-        expr = symmetric_expr(q @ np.diag([0.5, -0.9]) + g)
+        expr = q @ np.diag([0.5, -0.9]) + g
         for _ in range(20):
             pa = Point.build(specs[:1] + specs[3:4], {
                 "q": rng.standard_normal(2), "g": rng.standard_normal((3,))})
@@ -111,7 +109,7 @@ class TestExpressions:
         rng = np.random.default_rng(5)
         spec = VarSpec.full("w", 3, 3)
         c = rng.standard_normal((3, 3))
-        e = symmetric_expr(c.T @ MatExpr.from_var(spec) @ c)
+        e = c.T @ MatExpr.from_var(spec) @ c
         p = Point.build([spec], {"w": rng.standard_normal((3, 3))})
         m = evaluate(e, p).array
         assert np.array_equal(m, m.T)
@@ -124,7 +122,7 @@ class TestExpressions:
         g = MatExpr.from_var(specs[3])
         lam = np.array([1.0, math.sqrt(2.0)])
         mu, alpha = 1.0, 0.5
-        expr = symmetric_expr(q @ np.diag(alpha - mu * lam) + g)
+        expr = q @ np.diag(alpha - mu * lam) + g
         got = evaluate(expr, _demo_point(specs)).array
         expected = np.array([
             [12.5 * (0.5 - 1.0) + 4.07, 0.195],
@@ -166,30 +164,73 @@ class TestSymBlock:
 
 class TestMargin:
     def test_scalar_leq_example(self):
-        expr = symmetric_expr(np.array([[1.0]]))
+        expr = MatExpr.constant(np.array([[1.0]]))
         eps = 1e-6
         assert margin(expr, LEQ, Point({}), eps=eps) == pytest.approx(-1.0 - eps, abs=1e-15)
 
     def test_zero_matrix_both_senses(self):
-        expr = symmetric_expr(np.zeros((2, 2)))
+        expr = MatExpr.constant(np.zeros((2, 2)))
         assert margin(expr, LEQ, Point({}), eps=0.0) == pytest.approx(0.0, abs=1e-15)
         assert margin(expr, GEQ, Point({}), eps=0.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_demo_margin_value(self):
         a = np.diag([6.25, 74.97]) - np.array([[4.07, 0.195], [0.195, 36.3]])
-        expr = symmetric_expr(a)
+        expr = MatExpr.constant(a)
         assert margin(expr, GEQ, Point({}), eps=0.0) == pytest.approx(2.17895, abs=5e-3)
 
     def test_negation_duality(self):
         rng = np.random.default_rng(7)
         spec = VarSpec.symmetric("g", 3)
         e = MatExpr.from_var(spec) + rng.standard_normal((3, 3)).round(3)
-        pos = symmetric_expr(e)
-        neg = symmetric_expr(-e)
         p = Point.build([spec], {"g": rng.standard_normal(6)})
         for eps in (0.0, 1e-6, 0.1):
-            assert margin(pos, LEQ, p, eps=eps) == pytest.approx(
-                margin(neg, GEQ, p, eps=eps), abs=1e-12)
+            assert margin(e, LEQ, p, eps=eps) == pytest.approx(
+                margin(-e, GEQ, p, eps=eps), abs=1e-12)
+
+
+class TestCanonicalForm:
+    def _raw(self):
+        # terms out of order, non-symmetric, and one with a zero coefficient
+        rng = np.random.default_rng(12)
+        coeffs = {("w", 1): rng.standard_normal((3, 3)),
+                  ("a", 0): np.zeros((3, 3)),
+                  ("g", 2): rng.standard_normal((3, 3)),
+                  ("g", 0): rng.standard_normal((3, 3))}
+        return MatExpr((3, 3), rng.standard_normal((3, 3)), coeffs)
+
+    def test_constraint_stores_canonical_form(self):
+        raw = self._raw()
+        expr = Constraint(raw, LEQ, "c").expr
+        assert list(expr.coeffs) == [("g", 0), ("g", 2), ("w", 1)]
+        assert np.array_equal(expr.const, expr.const.T)
+        assert np.array_equal(expr.const, (raw.const + raw.const.T) / 2.0)
+        for ref, coeff in expr.coeffs.items():
+            assert np.array_equal(coeff, coeff.T)
+            assert np.array_equal(coeff, (raw.coeffs[ref] + raw.coeffs[ref].T) / 2.0)
+
+    def test_evaluates_term_by_term_in_sorted_order(self):
+        raw = self._raw()
+        expr = Constraint(raw, LEQ, "c").expr
+        p = Point({"a": np.array([3.0]), "g": np.array([0.5, -1.0, 2.0]),
+                   "w": np.array([1.5, -0.25])})
+        m = (raw.const + raw.const.T) / 2.0
+        for ref in sorted(raw.coeffs):
+            m += p.entry(ref) * ((raw.coeffs[ref] + raw.coeffs[ref].T) / 2.0)
+        got = evaluate(expr, p).array
+        assert np.array_equal(got, (m + m.T) / 2.0)
+        assert np.allclose(got, evaluate(raw, p).array, rtol=0.0, atol=1e-12)
+
+    def test_canonical_form_is_a_fixed_point(self):
+        expr = Constraint(self._raw(), LEQ, "c").expr
+        again = Constraint(expr, LEQ, "c").expr
+        assert list(again.coeffs) == list(expr.coeffs)
+        assert np.array_equal(again.const, expr.const)
+        for ref, coeff in expr.coeffs.items():
+            assert np.array_equal(again.coeffs[ref], coeff)
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError):
+            Constraint(MatExpr.constant(np.ones((2, 3))), GEQ, "wide")
 
 
 class TestProblem:
@@ -198,9 +239,9 @@ class TestProblem:
         q = MatExpr.from_var(specs[0])
         g = MatExpr.from_var(specs[3])
         cons = (
-            Constraint(symmetric_expr(q @ np.diag([-0.5, -0.9]) + g), LEQ, "decay"),
-            Constraint(symmetric_expr(q), GEQ, "q_pos"),
-            Constraint(symmetric_expr(q - MatExpr.scalar_identity("c", 2)), LEQ,
+            Constraint(q @ np.diag([-0.5, -0.9]) + g, LEQ, "decay"),
+            Constraint(q, GEQ, "q_pos"),
+            Constraint(q - MatExpr.scalar_identity("c", 2), LEQ,
                        "peak_cap", eps=0.0),
         )
         return LmiProblem(specs, cons, objective=((("c", 0), 1.0),))
@@ -210,7 +251,7 @@ class TestProblem:
 
     def test_undeclared_reference_rejected(self):
         spec = VarSpec.diagonal("q", 2)
-        bad = Constraint(symmetric_expr(MatExpr.scalar_identity("zz", 2)), GEQ)
+        bad = Constraint(MatExpr.scalar_identity("zz", 2), GEQ)
         with pytest.raises(ValueError):
             LmiProblem((spec,), (bad,))
 
@@ -249,8 +290,8 @@ class TestVectorize:
         cons = (
             Constraint(sym_block([[q @ np.diag([-1.0, -2.0]), h @ w],
                                   [None, -2.0 * MatExpr.from_var(specs[1])]]), LEQ, "big"),
-            Constraint(symmetric_expr(g + np.eye(2)), GEQ, "g_shift"),
-            Constraint(symmetric_expr(q - MatExpr.scalar_identity("c", 2)), LEQ, "cap"),
+            Constraint(g + np.eye(2), GEQ, "g_shift"),
+            Constraint(q - MatExpr.scalar_identity("c", 2), LEQ, "cap"),
         )
         prob = LmiProblem(specs, cons, objective=((("c", 0), 1.0),))
         sf = vectorize(prob)

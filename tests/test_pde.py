@@ -13,7 +13,6 @@ from hypiss.pde import (
     SignalSpec,
     SimConfig,
     disturbance_energy,
-    frechet_check,
     iss_bound_params,
     iss_rhs,
     l2_norm,
@@ -21,6 +20,7 @@ from hypiss.pde import (
     simulate,
     step,
 )
+from identities import frechet_check
 
 INITIAL = SignalSpec.cosine_profile(10.0, (2.0, 1.0))
 DISTURBANCE = SignalSpec.sinusoidal_product(5.0, ("sin", "cos"))

@@ -348,12 +348,14 @@ def cmd_synth(config_path: str, out_override: str | None) -> int:
         cert = synthesize(plant, mu, alpha, eps=eps)
     except InfeasibleError as e:
         timing = time.perf_counter() - started
-        worst = min(e.solution.margins) if e.solution is not None else float("nan")
-        steps = e.solution.newton_steps if e.solution is not None else None
+        # the worst margin of the synthesis inequalities at phase 1's last
+        # point; synthesize raises InfeasibleError with the solver's outcome
+        problem = control.build_synthesis_lmis(plant, mu, alpha, eps=eps)
+        worst = min(lmi.problem_margins(problem, e.solution.point))
         _write_report(out_dir, "synth", digest,
                       {"worst_phase1_margin": worst}, timing, [],
                       extra={"status": "infeasible", "mu": mu, "alpha": alpha,
-                             "newton_steps": _newton_steps(steps)})
+                             "newton_steps": _newton_steps(e.solution.newton_steps)})
         print(f"infeasible at mu={mu:g}, alpha={alpha:g} "
               f"(worst margin {worst:.3e})", file=sys.stderr)
         return 2

@@ -299,9 +299,15 @@ def _failure(e: Exception) -> str:
     return f"{type(e).__name__}: {e}"
 
 
-def _check_outcome(solution: sdp.Solution, mu: float, alpha: float) -> None:
-    """Raise InfeasibleError or SolverFailureError unless the design
-    inequalities at (mu, alpha) were solved to optimality."""
+def _certificate_from_solution(problem: lmi.LmiProblem, solution: sdp.Solution,
+                               mu: float, alpha: float) -> SynthesisCertificate:
+    """The certificate of one design at (mu, alpha).
+
+    Raises InfeasibleError or SolverFailureError unless the solver reached
+    an optimum whose point passes the re-check: every inequality's margin
+    recomputed with the Jacobi eigensolver, and the peak bound.  This is
+    the one place the solver's answer is checked.
+    """
     if solution.status is sdp.Status.INFEASIBLE:
         raise InfeasibleError(
             f"synthesis inequalities are infeasible at mu={mu}, alpha={alpha}",
@@ -310,14 +316,6 @@ def _check_outcome(solution: sdp.Solution, mu: float, alpha: float) -> None:
         raise SolverFailureError(
             f"solver reported {solution.status.value} at mu={mu}, alpha={alpha}",
             solution)
-
-
-def _certificate_from_solution(plant: Plant, problem: lmi.LmiProblem,
-                               solution: sdp.Solution, mu: float,
-                               alpha: float) -> SynthesisCertificate:
-    """The certificate of one design: the solver outcome mapped through
-    _check_outcome, then its point re-checked and turned into a gain."""
-    _check_outcome(solution, mu, alpha)
     point = solution.point
     q = DiagMatrix(point.entries[_VQ])
     s = DiagMatrix(point.entries[_VS])
@@ -355,8 +353,7 @@ def synthesize(plant: Plant, mu: float, alpha: float,
     inverse Lyapunov weight; raises InfeasibleError when the inequalities
     admit no solution at these weights."""
     problem = build_synthesis_lmis(plant, mu, alpha, eps=eps)
-    return _certificate_from_solution(plant, problem, sdp.minimize(problem),
-                                      mu, alpha)
+    return _certificate_from_solution(problem, sdp.minimize(problem), mu, alpha)
 
 
 def grid_search(plant: Plant, mu_grid, alpha_grid,
@@ -364,13 +361,14 @@ def grid_search(plant: Plant, mu_grid, alpha_grid,
     """Run the design over a grid of (mu, alpha) weights.
 
     All cells are solved together, in one lockstep batch of
-    sdp.minimize_batch, and their outcomes are mapped as synthesize maps
-    its own.  Cells never abort the sweep: a cell whose inequalities cannot
-    be built or whose design fails is recorded as "failed", with the
-    exception type and message as reason; if the batch itself raises,
-    every cell in it fails with that reason.  The best cell minimizes the
-    disturbance gain gamma = sqrt(c) e^{mu/2}, with ties broken by smaller
-    mu then smaller alpha.
+    sdp.minimize_batch, and every solved cell goes through the certificate
+    check of synthesize, so a "feasible" cell is one whose design was
+    re-checked.  Cells never abort the sweep: a cell whose inequalities
+    cannot be built or whose design fails (its point included) is recorded
+    as "failed", with the exception type and message as reason; if the
+    batch itself raises, every cell in it fails with that reason.  The
+    best cell minimizes the disturbance gain gamma = sqrt(c) e^{mu/2}, with
+    ties broken by smaller mu then smaller alpha.
     """
     mus = tuple(float(v) for v in mu_grid)
     alphas = tuple(float(v) for v in alpha_grid)
@@ -394,35 +392,29 @@ def grid_search(plant: Plant, mu_grid, alpha_grid,
         reasons.update(dict.fromkeys(problems, _failure(e)))
         solutions = {}
 
-    cells = []
-    best_key = None
-    for mu, alpha in weights:
-        solution = solutions.get((mu, alpha))
+    cells, certificates = [], {}
+    for w in weights:
+        solution = solutions.get(w)
         if solution is None:
-            cells.append(GridCell(mu, alpha, "failed", None, None, reasons[(mu, alpha)]))
+            cells.append(GridCell(*w, "failed", None, None, reasons[w]))
             continue
         steps = solution.newton_steps
         try:
-            _check_outcome(solution, mu, alpha)
+            certificates[w] = _certificate_from_solution(problems[w], solution, *w)
         except InfeasibleError:
-            cells.append(GridCell(mu, alpha, "infeasible", None, None, newton_steps=steps))
+            cells.append(GridCell(*w, "infeasible", None, None, newton_steps=steps))
             continue
         except SolverFailureError as e:
-            cells.append(GridCell(mu, alpha, "failed", None, None,
-                                  _failure(e), steps))
+            cells.append(GridCell(*w, "failed", None, None, _failure(e), steps))
             continue
         peak = float(solution.objective)
-        gamma = math.sqrt(peak) * math.exp(mu / 2.0)
-        cells.append(GridCell(mu, alpha, "feasible", peak, gamma, newton_steps=steps))
-        if best_key is None or (gamma, mu, alpha) < best_key:
-            best_key = (gamma, mu, alpha)
+        gamma = math.sqrt(peak) * math.exp(w[0] / 2.0)
+        cells.append(GridCell(*w, "feasible", peak, gamma, newton_steps=steps))
 
-    best = None
-    if best_key is not None:
-        w = best_key[1:]
-        best = _certificate_from_solution(plant, problems[w], solutions[w], *w)
-    return FeasibilityMap(mu_grid=mus, alpha_grid=alphas,
-                          cells=tuple(cells), best=best)
+    best = min(((c.gamma, c.mu, c.alpha) for c in cells if c.status == "feasible"),
+               default=None)
+    return FeasibilityMap(mu_grid=mus, alpha_grid=alphas, cells=tuple(cells),
+                          best=None if best is None else certificates[best[1:]])
 
 
 def _analysis_blocks(plant: Plant, gain: Matrix, mu: float, alpha: float,

@@ -8,8 +8,8 @@ negative semidefinite shifted by -eps*I or positive semidefinite shifted by
 +, -, scalar * and @, and a constraint keeps its expression in canonical
 form (exactly symmetric, terms sorted by entry, zero terms dropped).  The
 module knows how to evaluate expressions at a point, compute signed
-feasibility margins, and flatten a whole problem into the dense standard
-form consumed by the barrier solver.
+feasibility margins, and flatten a whole problem into the standard form
+F(x) = F0 + sum_i x_i F_i > 0 consumed by the barrier solver.
 """
 
 from __future__ import annotations
@@ -453,23 +453,16 @@ def problem_margins(problem: LmiProblem, point: Point) -> list[float]:
 class StandardBlock:
     """One constraint flattened to dense stacked coefficients.
 
-    ``base + sum_k x[idx[k]] * coeffs[k]`` reproduces the raw expression
-    value; sense and the resolved eps say how to read it as a cone.
+    The constraint holds at x when ``base + sum_k x[idx[k]] * coeffs[k]``
+    is positive definite: the sense and the resolved eps are folded in, so
+    expr <= -eps*I arrives as -expr - eps*I > 0 and expr >= +eps*I as
+    expr - eps*I > 0.
     """
 
-    label: str
-    sense: str
-    eps: float
     dim: int
     base: np.ndarray
     idx: np.ndarray
     coeffs: np.ndarray
-
-    def value(self, x: np.ndarray) -> np.ndarray:
-        out = self.base.copy()
-        if len(self.idx):
-            out += np.tensordot(x[self.idx], self.coeffs, axes=1)
-        return out
 
 
 @dataclass(frozen=True)
@@ -496,12 +489,10 @@ class StandardForm:
             pos += spec.n_entries
         return Point(out)
 
-    def vector(self, point: Point) -> np.ndarray:
-        return np.array([point.entry(r) for r in self.refs])
-
 
 def vectorize(problem: LmiProblem) -> StandardForm:
-    """Flatten to dense per-constraint coefficient stacks.
+    """Flatten to dense per-constraint coefficient stacks, each block in
+    value(x) > 0 form (see StandardBlock).
 
     The suggested initial vector is 1 on entries of diagonal variables and
     0 elsewhere, which keeps the usual positivity blocks away from zero at
@@ -516,20 +507,17 @@ def vectorize(problem: LmiProblem) -> StandardForm:
     index = {r: i for i, r in enumerate(refs)}
 
     blocks = []
-    for k, con in enumerate(problem.constraints):
+    for con in problem.constraints:
         e = con.expr
         dim = e.shape[0]
-        idx = np.array([index[r] for r in e.coeffs], dtype=int)
+        sign = -1.0 if con.sense == LEQ else 1.0
         coeffs = (np.stack(list(e.coeffs.values()))
                   if e.coeffs else np.zeros((0, dim, dim)))
         blocks.append(StandardBlock(
-            label=con.label or f"constraint_{k}",
-            sense=con.sense,
-            eps=problem.resolved_eps(con),
             dim=dim,
-            base=e.const.copy(),
-            idx=idx,
-            coeffs=coeffs,
+            base=sign * e.const - problem.resolved_eps(con) * np.eye(dim),
+            idx=np.array([index[r] for r in e.coeffs], dtype=int),
+            coeffs=sign * coeffs,
         ))
 
     obj = None

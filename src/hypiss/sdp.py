@@ -1,10 +1,14 @@
 """Interior-point solver for the small LMI systems built by `lmi`.
 
-The method is a plain log-det barrier path-following scheme: a phase-1
-search drives a uniform slack below zero to find a strictly feasible point,
-then (for minimization) Newton centering follows the central path along a
-geometrically growing barrier parameter until the duality-gap surrogate
-nu / t drops under tolerance.
+The solver minimizes a linear objective over the standard form of
+`lmi.vectorize`, in which every block reads F(x) = F0 + sum_i x_i F_i > 0
+with the constraint's sense and eps already folded in.  The method is a
+plain log-det barrier path-following scheme: a phase-1 search drives a
+uniform slack below zero to find a strictly feasible point, then Newton
+centering follows the central path along a geometrically growing barrier
+parameter until the duality-gap surrogate nu / t drops under tolerance.
+The solver returns a point and does not audit it; `control` re-checks
+every design it certifies with the Jacobi eigensolver of `linalg`.
 
 The solver uses the structure of the problem.  Every block whose base and
 coefficients are all diagonal (positivity of diagonal variables, scalar
@@ -25,9 +29,9 @@ line-search trial of the cells still running.  Every cell keeps its own
 barrier parameter, step budget, outcome and step length, and leaves the
 stack when its phase ends.  Many cells of one structure are split into
 several stacks so that the padded coefficients of one stack stay under
-_STACK_BYTES.  `minimize` and `solve_feasibility` are batches of one, so
-there is one solver path.  Everything is numpy with fixed iteration order,
-so identical batches produce bit-identical outputs.
+_STACK_BYTES.  `minimize` is a batch of one, so there is one solver
+path.  Everything is numpy with fixed iteration order, so identical
+batches produce bit-identical outputs.
 
 Infeasibility is declared heuristically: when phase 1 converges with its
 slack optimum above _INFEASIBLE_SLACK, no strictly feasible point exists
@@ -67,7 +71,6 @@ _STACK_BYTES = 16 << 20   # cap on one stack's padded coefficients; about
 
 
 class Status(enum.Enum):
-    FEASIBLE = "feasible"
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
     NUMERICAL_FAILURE = "numerical_failure"
@@ -75,16 +78,15 @@ class Status(enum.Enum):
 
 @dataclass(frozen=True)
 class Solution:
-    """Solver outcome.  `margins` re-checks every constraint of the original
-    problem at the returned point through lmi.margin, eps folded in, so a
-    feasible/optimal claim can be audited independently of solver internals.
-    `newton_steps` counts the Newton steps taken in phase 1 and in phase 2.
+    """Solver outcome: the status, the last iterate as a point, the
+    objective there when OPTIMAL (else None), and the Newton steps taken in
+    phase 1 and in phase 2.  The point is the solver's claim only: a caller
+    that certifies it re-checks its margins, as `control` does.
     """
 
     status: Status
     point: lmi.Point
     objective: float | None
-    margins: tuple[float, ...]
     newton_steps: tuple[int, int]
 
 
@@ -176,23 +178,20 @@ class _Cones:
 
 
 def _cones(sf: lmi.StandardForm) -> _Cones:
-    """One problem as a stack of one cell: every block normalized to
-    value(x) > 0, sign and eps folded in."""
+    """One problem as a stack of one cell: its diagonal blocks as rows, the
+    others dense."""
     n = sf.n
     b, g, dense = [], [], []
     for blk in sf.blocks:
-        sign = -1.0 if blk.sense == lmi.LEQ else 1.0
-        base = sign * blk.base - blk.eps * np.eye(blk.dim)
-        coeffs = sign * blk.coeffs
         off = ~np.eye(blk.dim, dtype=bool)
-        if not (np.any(base[off]) or np.any(coeffs[:, off])):
+        if not (np.any(blk.base[off]) or np.any(blk.coeffs[:, off])):
             rows = np.zeros((blk.dim, n))
-            rows[:, blk.idx] = np.diagonal(coeffs, axis1=1, axis2=2).T
-            b.append(np.diagonal(base))
+            rows[:, blk.idx] = np.diagonal(blk.coeffs, axis1=1, axis2=2).T
+            b.append(np.diagonal(blk.base))
             g.append(rows)
         else:
-            dense.append(_Dense.make(base[None], blk.idx.copy(),
-                                     coeffs.reshape(1, len(blk.idx), blk.dim * blk.dim)))
+            dense.append(_Dense.make(blk.base[None], blk.idx, blk.coeffs.reshape(
+                1, len(blk.idx), blk.dim * blk.dim)))
     return _Cones((np.concatenate(b) if b else np.zeros(0))[None],
                   (np.vstack(g) if g else np.zeros((0, n)))[None], tuple(dense))
 
@@ -503,38 +502,39 @@ def _phase1(cones: _Cones, x0: np.ndarray):
     return xs[:, :n], xs[:, n], steps, outcome
 
 
-def _finish(problem, sf, x, status, steps, objective=None) -> Solution:
-    point = sf.point(x)
-    margins = tuple(lmi.problem_margins(problem, point))
-    return Solution(status=status, point=point, objective=objective,
-                    margins=margins, newton_steps=steps)
-
-
-def _solve_stack(cones: _Cones, problems, sfs, minimizing: bool) -> list[Solution]:
+def _solve_stack(cones: _Cones, sfs) -> list[Solution]:
     """Phase 1 for every cell of the stack, then phase 2 for the cells it
-    found feasible when minimizing."""
+    found feasible."""
     x, slack, steps1, found = _phase1(cones, np.stack([sf.initial for sf in sfs]))
-    status = [Status.FEASIBLE if o == "feasible"
+    status = [None if o == "feasible"
               else Status.INFEASIBLE if o == "infeasible_candidate"
               and s > _INFEASIBLE_SLACK
               else Status.NUMERICAL_FAILURE for o, s in zip(found, slack)]
     steps2 = np.zeros(len(sfs), dtype=int)
-    go = [i for i, st in enumerate(status) if st is Status.FEASIBLE]
-    if minimizing and go:
+    go = [i for i, st in enumerate(status) if st is None]
+    if go:
         cvec = np.stack([sfs[i].objective for i in go])
         x[go], steps2[go], done = _follow(
             cones.take(go), cvec, x[go], _MAX_NEWTON - steps1[go], phase1=False)
         for i, st in zip(go, done):
             status[i] = st
-    return [_finish(problem, sf, x[i], status[i], (int(steps1[i]), int(steps2[i])),
-                    float(sf.objective @ x[i]) if status[i] is Status.OPTIMAL else None)
-            for i, (problem, sf) in enumerate(zip(problems, sfs))]
+    return [Solution(status[i], sf.point(x[i]),
+                     float(sf.objective @ x[i]) if status[i] is Status.OPTIMAL else None,
+                     (int(steps1[i]), int(steps2[i])))
+            for i, sf in enumerate(sfs)]
 
 
-def _solve(problems, minimizing: bool) -> list[Solution]:
-    """Every problem, one stack per structure.  A structure with many cells
+def minimize_batch(problems) -> list[Solution]:
+    """Minimize each problem's linear objective over its feasible set, all
+    problems in lockstep; the solutions come in the order of `problems`.
+
+    Problems of one structure share a stack.  A structure with many cells
     is split into stacks whose padded phase-1 coefficients stay under
-    _STACK_BYTES, so memory does not grow with the batch."""
+    _STACK_BYTES, so memory does not grow with the batch.
+    """
+    problems = list(problems)
+    if any(p.objective is None for p in problems):
+        raise ValueError("minimize expects problems with an objective")
     sfs = [lmi.vectorize(p) for p in problems]
     groups: dict[tuple, list] = {}
     for c, sf in enumerate(sfs):
@@ -548,30 +548,9 @@ def _solve(problems, minimizing: bool) -> list[Solution]:
         for start in range(0, len(members), size):
             cells = [c for c, _ in members[start:start + size]]
             stack = _stack([k for _, k in members[start:start + size]], refs)
-            for c, solution in zip(cells, _solve_stack(
-                    stack, [problems[c] for c in cells], [sfs[c] for c in cells],
-                    minimizing)):
+            for c, solution in zip(cells, _solve_stack(stack, [sfs[c] for c in cells])):
                 out[c] = solution
     return out
-
-
-def solve_feasibility(problem: lmi.LmiProblem) -> Solution:
-    """Search for a strictly feasible point of a problem with no objective."""
-    if problem.objective is not None:
-        raise ValueError("solve_feasibility expects a problem without an objective")
-    if not problem.constraints:
-        sf = lmi.vectorize(problem)
-        return _finish(problem, sf, sf.initial.copy(), Status.FEASIBLE, (0, 0))
-    return _solve([problem], minimizing=False)[0]
-
-
-def minimize_batch(problems) -> list[Solution]:
-    """Minimize each problem's linear objective over its feasible set, all
-    problems in lockstep; the solutions come in the order of `problems`."""
-    problems = list(problems)
-    if any(p.objective is None for p in problems):
-        raise ValueError("minimize expects problems with an objective")
-    return _solve(problems, minimizing=True)
 
 
 def minimize(problem: lmi.LmiProblem) -> Solution:

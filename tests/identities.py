@@ -3,7 +3,9 @@
 They restate properties the theory guarantees (the global sector bound of
 the deadzone, the derivative of the quadratic Lyapunov functional) in
 terms of the library's public functions, so a test can sweep them over
-random inputs.
+random inputs.  The standard-form readers (`vector`, `block_value`) let a
+test evaluate what `lmi.vectorize` produced against the expressions it came
+from.
 """
 
 from __future__ import annotations
@@ -12,7 +14,22 @@ import numpy as np
 
 from hypiss.control import deadzone
 from hypiss.linalg import DiagMatrix
+from hypiss.lmi import Point, StandardBlock, StandardForm
 from hypiss.pde import Grid, lyapunov_value
+
+
+def vector(sf: StandardForm, point: Point) -> np.ndarray:
+    """The point as the flat entry vector of the standard form."""
+    return np.array([point.entry(r) for r in sf.refs])
+
+
+def block_value(blk: StandardBlock, x: np.ndarray) -> np.ndarray:
+    """base + sum_k x[idx[k]] coeffs[k], positive definite where the
+    constraint holds."""
+    out = blk.base.copy()
+    if len(blk.idx):
+        out += np.tensordot(x[blk.idx], blk.coeffs, axes=1)
+    return out
 
 
 def sector_value(nu, u_max, sector: DiagMatrix) -> float:

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from hypiss import cli
+from hypiss import cli, control, lmi
 
 PLANT = {
     "lambda": [1.0, math.sqrt(2.0)],
@@ -124,7 +124,14 @@ class TestSynth:
         assert code == 2
         report = json.loads((out / "synth_report.json").read_text())
         assert report["status"] == "infeasible"
-        assert report["margins"]["worst_phase1_margin"] < 0.0
+        # the worst synthesis margin at the solver's last point, recomputed
+        plant = cli._build_plant(cfg)
+        with pytest.raises(control.InfeasibleError) as exc:
+            control.synthesize(plant, 1.0, 1.2, eps=1e-6)
+        problem = control.build_synthesis_lmis(plant, 1.0, 1.2, eps=1e-6)
+        worst = min(lmi.problem_margins(problem, exc.value.solution.point))
+        assert worst < 0.0
+        assert report["margins"]["worst_phase1_margin"] == worst
 
     def test_invalid_json_exits_1(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

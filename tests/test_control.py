@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,11 +6,8 @@ import pytest
 
 from hypiss import control, lmi, sdp
 from hypiss.control import (
-    AnalysisCertificate,
-    FeasibilityMap,
     InfeasibleError,
     Plant,
-    SolverFailureError,
     analysis_values,
     build_analysis_lmis,
     build_synthesis_lmis,
@@ -22,7 +20,7 @@ from hypiss.control import (
     verify_analysis,
     wellposedness_certificate,
 )
-from hypiss.linalg import DiagMatrix, Matrix, SymMatrix, invert_diag, min_eig
+from hypiss.linalg import DiagMatrix, Matrix, SymMatrix, invert_diag
 from identities import sector_value
 
 # design values quoted for the demo plant at mu=1, alpha=0.5, used as a
@@ -288,6 +286,32 @@ class TestGridSearch:
         }
         assert (fm.best.mu, fm.best.alpha) == (1.0, 0.5)
 
+    def test_optimal_cell_whose_point_fails_the_recheck_fails(self, demo_plant,
+                                                              monkeypatch):
+        mus, alphas = [0.5, 1.0], [0.1, 0.5]
+        honest = grid_search(demo_plant, mus, alphas)
+        real = sdp.minimize_batch
+
+        def minimize_batch(problems):
+            solutions = real(problems)
+            # the solver claims the cell (1.0, 0.5) optimal at a point whose
+            # lyap_inv is negative, which breaks q_pos
+            sol = solutions[3]
+            entries = dict(sol.point.entries, lyap_inv=-sol.point.entries["lyap_inv"])
+            solutions[3] = dataclasses.replace(sol, point=lmi.Point(entries))
+            return solutions
+
+        monkeypatch.setattr(sdp, "minimize_batch", minimize_batch)
+        fm = grid_search(demo_plant, mus, alphas)
+        bad = fm.cells[3]
+        assert (bad.mu, bad.alpha, bad.status, bad.peak, bad.gamma) == (
+            1.0, 0.5, "failed", None, None)
+        assert bad.reason.startswith("SolverFailureError: re-checked margins dip")
+        assert bad.newton_steps == honest.cells[3].newton_steps
+        assert honest.cells[3].status == "feasible"
+        assert fm.cells[:3] == honest.cells[:3]
+        assert (fm.best.mu, fm.best.alpha) == (honest.best.mu, honest.best.alpha) == (0.5, 0.1)
+
     def test_failing_batch_fails_every_cell(self, demo_plant, monkeypatch):
         def minimize_batch(problems):
             raise FloatingPointError("injected in the batch")
@@ -377,9 +401,10 @@ class TestVerifyAnalysis:
 class TestAnalysisLmis:
     def test_feasible_for_certified_gain(self, demo_plant, demo_gain):
         prob = build_analysis_lmis(demo_plant, demo_gain, 1.0, 0.5)
-        sol = sdp.solve_feasibility(prob)
-        assert sol.status is sdp.Status.FEASIBLE
-        assert min(sol.margins) >= -1e-9
+        # the smallest supply gain the gain admits
+        sol = sdp.minimize(dataclasses.replace(prob, objective=((("supply_sq", 0), 1.0),)))
+        assert sol.status is sdp.Status.OPTIMAL
+        assert min(lmi.problem_margins(prob, sol.point)) >= -1e-9
 
     def test_reported_point_admissible(self, demo_plant, demo_gain):
         p = invert_diag(DiagMatrix(LYAP_INV))

@@ -20,6 +20,7 @@ from hypiss.lmi import (
     sym_block,
     vectorize,
 )
+from identities import block_value, vector
 
 
 def _demo_specs():
@@ -298,9 +299,13 @@ class TestVectorize:
         for _ in range(100):
             x = rng.standard_normal(sf.n)
             p = sf.point(x)
-            assert np.array_equal(sf.vector(p), x)
+            assert np.array_equal(vector(sf, p), x)
             for blk, con in zip(sf.blocks, prob.constraints):
-                assert np.allclose(blk.value(x), evaluate(con.expr, p).array, atol=1e-12)
+                # sense and eps are folded in: the block reads value(x) > 0
+                sign = -1.0 if con.sense == LEQ else 1.0
+                want = (sign * evaluate(con.expr, p).array
+                        - prob.resolved_eps(con) * np.eye(blk.dim))
+                assert np.allclose(block_value(blk, x), want, atol=1e-12)
 
     def test_objective_vector(self):
         specs = _demo_specs()

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from hypiss import pde
 from hypiss.control import Plant
 from hypiss.linalg import DiagMatrix, Matrix
 from hypiss.pde import (

@@ -18,6 +18,7 @@ from hypiss.lmi import (
     sym_block,
 )
 from hypiss.sdp import Status
+from identities import block_value, vector
 
 
 def _scalar_pos_problem():
@@ -60,37 +61,42 @@ def _demo_synthesis_problem(mu, alpha, eps=1e-6):
                       objective=((("c", 0), 1.0),), eps=eps)
 
 
+def _phase1(problem):
+    """Phase 1 alone on one problem: its outcome and its last point."""
+    sf = lmi.vectorize(problem)
+    x, _, _, outcome = sdp._phase1(sdp._cones(sf), sf.initial[None])
+    return outcome[0], sf.point(x[0])
+
+
+def _worst_margin(problem, point) -> float:
+    return min(lmi.problem_margins(problem, point))
+
+
 class TestFeasibility:
     def test_trivial_scalar(self):
-        sol = sdp.solve_feasibility(_scalar_pos_problem())
-        assert sol.status is Status.FEASIBLE
-        assert sol.point.entry(("x", 0)) > 0.0
-        assert min(sol.margins) >= -1e-9
+        prob = _scalar_pos_problem()
+        found, point = _phase1(prob)
+        assert found == "feasible"
+        assert point.entry(("x", 0)) > 0.0
+        assert _worst_margin(prob, point) >= -1e-9
 
     def test_contradictory_pair(self):
         x = MatExpr.scalar_identity("x", 1)
         prob = LmiProblem(
             (VarSpec.scalar("x"),),
             (Constraint(x, GEQ, "pos"),
-             Constraint(x + np.array([[1.0]]), LEQ, "neg")))
-        sol = sdp.solve_feasibility(prob)
+             Constraint(x + np.array([[1.0]]), LEQ, "neg")),
+            objective=((("x", 0), 1.0),))
+        sol = sdp.minimize(prob)
         assert sol.status is Status.INFEASIBLE
-        assert min(sol.margins) < 0.0
-
-    def test_rejects_objective(self):
-        prob = _demo_synthesis_problem(1.0, 0.5)
-        with pytest.raises(ValueError):
-            sdp.solve_feasibility(prob)
+        assert sol.newton_steps[1] == 0
+        assert _worst_margin(prob, sol.point) < 0.0
 
     def test_demo_synthesis_constraints_feasible(self):
         prob = dataclasses.replace(_demo_synthesis_problem(1.0, 0.5), objective=None)
-        sol = sdp.solve_feasibility(prob)
-        assert sol.status is Status.FEASIBLE
-        assert min(sol.margins) >= -1e-9
-
-    def test_no_constraints(self):
-        sol = sdp.solve_feasibility(LmiProblem((VarSpec.scalar("x"),), ()))
-        assert sol.status is Status.FEASIBLE
+        found, point = _phase1(prob)
+        assert found == "feasible"
+        assert _worst_margin(prob, point) >= -1e-9
 
 
 class TestMinimize:
@@ -141,25 +147,28 @@ class TestMinimize:
             sdp.minimize(_scalar_pos_problem())
 
     def test_demo_synthesis_minimize(self):
-        sol = sdp.minimize(_demo_synthesis_problem(1.0, 0.5))
+        prob = _demo_synthesis_problem(1.0, 0.5)
+        sol = sdp.minimize(prob)
         assert sol.status is Status.OPTIMAL
         # frozen from an independent convex solver run of the same constraints
         assert sol.objective == pytest.approx(11.1577, abs=5e-3)
-        assert min(sol.margins) >= -1e-9
+        assert _worst_margin(prob, sol.point) >= -1e-9
 
     def test_infeasible_detected(self):
-        sol = sdp.minimize(_demo_synthesis_problem(1.0, 1.2))
+        prob = _demo_synthesis_problem(1.0, 1.2)
+        sol = sdp.minimize(prob)
         assert sol.status is Status.INFEASIBLE
         assert sol.objective is None
-        assert min(sol.margins) < 0.0
+        assert _worst_margin(prob, sol.point) < 0.0
 
 
 class TestSolutionContract:
     def test_margins_rechecked_nonnegative(self):
         for mu, alpha in ((0.5, 0.1), (1.0, 0.5), (2.0, 1.5)):
-            sol = sdp.minimize(_demo_synthesis_problem(mu, alpha))
+            prob = _demo_synthesis_problem(mu, alpha)
+            sol = sdp.minimize(prob)
             assert sol.status is Status.OPTIMAL
-            assert min(sol.margins) >= -1e-9
+            assert _worst_margin(prob, sol.point) >= -1e-9
 
     def test_objective_monotone_in_eps(self):
         lo = sdp.minimize(_demo_synthesis_problem(1.0, 0.5, eps=1e-6))
@@ -172,27 +181,26 @@ class TestSolutionContract:
         b = sdp.minimize(_demo_synthesis_problem(1.0, 0.5))
         assert a.objective == b.objective
         assert a.status == b.status
+        assert a.newton_steps == b.newton_steps
         for name in a.point.entries:
             assert np.array_equal(a.point.entries[name], b.point.entries[name])
-        assert a.margins == b.margins
 
 
 def _reference_derivatives(sf, x):
     """Barrier, gradient and Hessian with every block read as a dense
-    matrix, by the textbook formulas: -log det S, -tr(S^-1 A_k) and
-    tr(S^-1 A_k S^-1 A_l)."""
+    matrix S = value(x), by the textbook formulas: -log det S,
+    -tr(S^-1 A_k) and tr(S^-1 A_k S^-1 A_l)."""
     n = x.size
     f, g, h = 0.0, np.zeros(n), np.zeros((n, n))
     for blk in sf.blocks:
-        sign = -1.0 if blk.sense == LEQ else 1.0
-        s = sign * blk.value(x) - blk.eps * np.eye(blk.dim)
+        s = block_value(blk, x)
         f -= np.linalg.slogdet(s)[1]
         sinv = np.linalg.inv(s)
         for a, i in enumerate(blk.idx):
-            ti = sinv @ (sign * blk.coeffs[a])
+            ti = sinv @ blk.coeffs[a]
             g[i] -= np.trace(ti)
             for b, j in enumerate(blk.idx):
-                h[i, j] += np.trace(ti @ sinv @ (sign * blk.coeffs[b]))
+                h[i, j] += np.trace(ti @ sinv @ blk.coeffs[b])
     return f, g, h
 
 
@@ -208,8 +216,9 @@ class TestStructure:
     def test_derivatives_match_dense_reference(self):
         prob = _demo_synthesis_problem(1.0, 0.5)
         sf = lmi.vectorize(prob)
-        feas = sdp.solve_feasibility(dataclasses.replace(prob, objective=None))
-        x = sf.vector(feas.point)
+        found, point = _phase1(prob)
+        assert found == "feasible"
+        x = vector(sf, point)
         cones = sdp._cones(sf)
         f, g, h = _reference_derivatives(sf, x)
         grad, hess = (a[0] for a in sdp._derivatives(cones, x[None]))
@@ -253,9 +262,9 @@ class TestStructure:
                            eps=0.0))
         feas = LmiProblem((vx, vy), cons)
         assert sdp._cones(lmi.vectorize(feas)).dense == ()
-        found = sdp.solve_feasibility(feas)
-        assert found.status is Status.FEASIBLE
-        assert min(found.margins) > 0.0
+        found, point = _phase1(feas)
+        assert found == "feasible"
+        assert _worst_margin(feas, point) > 0.0
         sol = sdp.minimize(dataclasses.replace(
             feas, objective=((("x", 0), 2.0), (("y", 0), 1.0))))
         assert sol.status is Status.OPTIMAL
@@ -265,9 +274,10 @@ class TestStructure:
     def test_random_plant_at_n8(self, random_plant_config):
         cfg = {"plant": random_plant_config(np.random.default_rng(8), 8, 1.0)}
         alpha = 0.5 * min(cfg["plant"]["lambda"])
-        sol = sdp.minimize(build_synthesis_lmis(cli._build_plant(cfg), 1.0, alpha))
+        prob = build_synthesis_lmis(cli._build_plant(cfg), 1.0, alpha)
+        sol = sdp.minimize(prob)
         assert sol.status is Status.OPTIMAL
-        assert min(sol.margins) >= -1e-9
+        assert _worst_margin(prob, sol.point) >= -1e-9
 
 
 _DEMO_MUS = np.linspace(0.25, 2.0, 8)
@@ -291,8 +301,8 @@ class TestBatch:
         for problem, sol in zip(problems, batched):
             _same_outcome(sol, sdp.minimize(problem))
             statuses.add(sol.status)
-            if sol.status in (Status.FEASIBLE, Status.OPTIMAL):
-                assert min(sol.margins) >= -1e-9
+            if sol.status is Status.OPTIMAL:
+                assert _worst_margin(problem, sol.point) >= -1e-9
         assert statuses == {Status.OPTIMAL, Status.INFEASIBLE}
 
     def test_cells_of_different_structure_share_a_stack(self):
@@ -319,7 +329,7 @@ class TestBatch:
         sf = lmi.vectorize(_demo_synthesis_problem(1.0, 0.5))
         cell = sdp._cones(sf)
         stacked = sdp._stack([cell, cell, cell], sf.refs)
-        inside = sf.vector(sdp.minimize(_demo_synthesis_problem(1.0, 0.5)).point)
+        inside = vector(sf, sdp.minimize(_demo_synthesis_problem(1.0, 0.5)).point)
         # gain_scaled far from zero breaks the boundary block but no row
         outside = inside.copy()
         outside[4:8] = 100.0
@@ -363,7 +373,6 @@ class TestBatch:
         b = sdp.minimize(problem)
         assert a.status is b.status is Status.OPTIMAL
         assert a.objective == b.objective
-        assert a.margins == b.margins
         assert a.newton_steps == b.newton_steps
         assert a.newton_steps[0] > 0 and a.newton_steps[1] > 0
         for name in b.point.entries:

@@ -17,7 +17,6 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -235,17 +234,42 @@ def _output_settings(cfg: dict, out_override: str | None) -> tuple[Path, dict]:
 # serialization
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+# a float cell: 17 significant digits read back to the same double
+_FLOAT = "%.17g"
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _line_format(cells: int, text: tuple[int, ...] = ()) -> str:
+    """The %-format of one CSV line: %.17g for a float cell, %s for the
+    cells at the indices in `text`, which are strings.  No cell this module
+    writes holds a comma, quote or newline, so none is quoted."""
+    return ",".join("%s" if i in text else _FLOAT for i in range(cells)) + "\n"
+
+
+def _lines(rows, cells: int, text: tuple[int, ...] = ()):
+    """One CSV line per row, a tuple of `cells` cells, each line made by one
+    % on the format of `_line_format`.  A numpy float is a float, so it
+    formats as one; rows are read one at a time, never as a whole table."""
+    line = _line_format(cells, text)
+    return (line % row for row in rows)
+
+
+def _snapshot_lines(times: np.ndarray, snapshots: np.ndarray, centers: np.ndarray):
+    """The lines of snapshots.csv, one string per record: a line (t, z,
+    x_1..x_n) per cell center.  z is formatted once per run and t once per
+    record, so one % formats only the record's n x M state values."""
+    state = _line_format(snapshots.shape[1])
+    # "\0" marks where t goes; no formatted number holds it or a "%"
+    block = "".join(f"\0,{_FLOAT % z},{state}" for z in centers.tolist())
+    for t, snap in zip(times, snapshots):
+        yield block.replace("\0", _FLOAT % t) % tuple(snap.T.ravel().tolist())
+
+
+def _write_csv(path: Path, header: list[str], lines) -> None:
+    """Write a CSV file: the header, then `lines`, each a str of one or more
+    whole lines."""
     with path.open("w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow([cell if isinstance(cell, str) else _fmt(cell)
-                        for cell in row])
+        fh.write(",".join(header) + "\n")
+        fh.writelines(lines)
 
 
 def _certificate_payload(cert: SynthesisCertificate) -> dict:
@@ -389,12 +413,12 @@ def cmd_grid(config_path: str, out_override: str | None) -> int:
     timing = time.perf_counter() - started
 
     csv_path = out_dir / "feasibility.csv"
-    rows = []
-    for cell in fmap.cells:
-        rows.append([cell.mu, cell.alpha, cell.status,
-                     "" if cell.peak is None else _fmt(cell.peak),
-                     "" if cell.gamma is None else _fmt(cell.gamma)])
-    _write_csv(csv_path, ["mu", "alpha", "status", "c", "gamma"], rows)
+    rows = [(cell.mu, cell.alpha, cell.status,
+             "" if cell.peak is None else _FLOAT % cell.peak,
+             "" if cell.gamma is None else _FLOAT % cell.gamma)
+            for cell in fmap.cells]
+    _write_csv(csv_path, ["mu", "alpha", "status", "c", "gamma"],
+               _lines(rows, 5, text=(2, 3, 4)))
 
     best = fmap.best
     extra = {
@@ -480,26 +504,19 @@ def cmd_simulate(config_path: str, out_override: str | None,
     if toggles["norms"]:
         path = out_dir / "norms.csv"
         _write_csv(path, ["t", "l2_norm", "iss_rhs", "lyapunov"],
-                   zip(traj.times, traj.l2_norms, rhs, lyap_col))
+                   _lines(zip(traj.times, traj.l2_norms, rhs, lyap_col), 4))
         manifest.append(path.name)
     if toggles["controls"]:
         path = out_dir / "controls.csv"
         m = traj.control_traces.shape[1]
         _write_csv(path, ["t"] + [f"u_{i + 1}" for i in range(m)],
-                   ([t, *row] for t, row in zip(traj.times, traj.control_traces)))
+                   _lines(((t, *row) for t, row in zip(traj.times, traj.control_traces)),
+                          m + 1))
         manifest.append(path.name)
     if toggles["snapshots"]:
         path = out_dir / "snapshots.csv"
-        n = plant.n
-        centers = sim_cfg.grid.centers
-
-        def snapshot_rows():
-            for t, snap in zip(traj.times, traj.snapshots):
-                for j, z in enumerate(centers):
-                    yield [t, z, *snap[:, j]]
-
-        _write_csv(path, ["t", "z"] + [f"x_{i + 1}" for i in range(n)],
-                   snapshot_rows())
+        _write_csv(path, ["t", "z"] + [f"x_{i + 1}" for i in range(plant.n)],
+                   _snapshot_lines(traj.times, traj.snapshots, sim_cfg.grid.centers))
         manifest.append(path.name)
 
     _write_report(out_dir, "simulate", digest, {}, timing, manifest,

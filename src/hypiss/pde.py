@@ -153,6 +153,16 @@ class Grid:
     def interfaces(self) -> np.ndarray:
         return _frozen(np.arange(self.cells + 1) * self.dz)
 
+    @cached_property
+    def staggered(self) -> np.ndarray:
+        """The 2M + 1 points of the staggered scheme: interfaces at even
+        indices and centers at odd ones, each bit-identical to its entry
+        in `interfaces` or `centers`."""
+        z = np.empty(2 * self.cells + 1)
+        z[0::2] = self.interfaces
+        z[1::2] = self.centers
+        return _frozen(z)
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -219,14 +229,27 @@ def l2_norm(state, grid: Grid) -> float:
 def lyapunov_value(state, lyap: DiagMatrix, mu: float, grid: Grid) -> float:
     """Exponentially weighted quadratic functional int e^{-mu z} <X, PX> dz
     by the midpoint rule."""
+    return _lyapunov_functional(lyap, mu, grid)(state)
+
+
+def _lyapunov_functional(lyap: DiagMatrix, mu: float, grid: Grid):
+    """`lyapunov_value` as a function of the state alone, with the checks on
+    mu and P and the weight e^{-mu z} done once, for a run that evaluates
+    it at every record."""
     if mu < 0.0:
         raise ValueError("mu must be nonnegative")
     if np.any(lyap.diagonal <= 0.0):
         raise ValueError("the Lyapunov weight must be positive")
-    state = np.atleast_2d(np.asarray(state, dtype=float))
     weight = np.exp(-mu * grid.centers)
-    quad = np.sum(lyap.diagonal[:, None] * state * state, axis=0)
-    return float(np.sum(weight * quad)) * grid.dz
+    p = lyap.diagonal[:, None]
+    dz = grid.dz
+
+    def value(state) -> float:
+        state = np.atleast_2d(np.asarray(state, dtype=float))
+        quad = np.sum(p * state * state, axis=0)
+        return float(np.sum(weight * quad)) * dz
+
+    return value
 
 
 def iss_bound_params(lyap: DiagMatrix, mu: float, alpha: float, supply: float,
@@ -274,14 +297,16 @@ def step(state: np.ndarray, plant: Plant, gain: Matrix, t: float, dt: float,
     Half-step states are formed on interfaces (boundary values from the
     feedback ghost cell at z=0 and constant extrapolation at z=1), then the
     centers take the conservative full step.  The disturbance enters both
-    stages at the half-step time.
+    stages at the half-step time, so one sample on `Grid.staggered` serves
+    both: its even points for the interfaces, its odd ones for the centers.
     """
     grid = config.grid
     lam = plant.speeds.diagonal[:, None]
     dz = grid.dz
-    if float(np.max(lam)) * dt > dz * (1.0 + 1e-12):
+    lam_max = float(lam.max())
+    if lam_max * dt > dz * (1.0 + 1e-12):
         raise ValueError(
-            f"CFL violation: max speed * dt / dz = {float(np.max(lam)) * dt / dz:.4g} > 1")
+            f"CFL violation: max speed * dt / dz = {lam_max * dt / dz:.4g} > 1")
 
     inflow = closed_loop_boundary(plant, gain, state[:, -1])
     ghosted = np.concatenate([inflow[:, None], state, state[:, -1:]], axis=1)
@@ -290,12 +315,16 @@ def step(state: np.ndarray, plant: Plant, gain: Matrix, t: float, dt: float,
     jump = ghosted[:, 1:] - ghosted[:, :-1]
     half = 0.5 * (ghosted[:, 1:] + ghosted[:, :-1]) - (0.5 * dt / dz) * lam * jump
     nd = plant.disturbance_map.array
-    if config.disturbance is not None and config.disturbance.kind != ZERO:
-        half += (0.5 * dt) * (nd @ config.disturbance.sample(half_t, grid.interfaces))
+    forced = config.disturbance is not None and config.disturbance.kind != ZERO
+    if forced:
+        # each half made contiguous, so its product is the same BLAS call on
+        # the same values as a sample on the interfaces or the centers alone
+        sample = config.disturbance.sample(half_t, grid.staggered)
+        half += (0.5 * dt) * (nd @ np.ascontiguousarray(sample[:, 0::2]))
 
     out = state - (dt / dz) * lam * (half[:, 1:] - half[:, :-1])
-    if config.disturbance is not None and config.disturbance.kind != ZERO:
-        out += dt * (nd @ config.disturbance.sample(half_t, grid.centers))
+    if forced:
+        out += dt * (nd @ np.ascontiguousarray(sample[:, 1::2]))
     return out
 
 
@@ -327,26 +356,30 @@ def simulate(plant: Plant, gain: Matrix, config: SimConfig,
     else:
         state = config.initial.sample(0.0, grid.centers)
 
-    times: list[float] = []
-    norms: list[float] = []
-    boundary: list[np.ndarray] = []
-    controls: list[np.ndarray] = []
-    lyap_vals: list[float] = []
-    snaps: list[np.ndarray] = []
+    # the record count is known before the first step, so every diagnostic
+    # is written in place into an array of its final size
+    records = 1 + n_steps // stride + (1 if n_steps % stride else 0)
+    times = np.empty(records)
+    norms = np.empty(records)
+    boundary = np.empty((records, plant.n))
+    controls = np.empty((records, plant.m))
+    lyap_vals = None if lyapunov is None else np.empty(records)
+    snaps = np.empty((records, plant.n, grid.cells)) if config.keep_snapshots else None
     k_arr = gain.array
+    lyap_value = None if lyapunov is None else _lyapunov_functional(*lyapunov, grid)
 
-    def record(t_now: float, x: np.ndarray):
-        times.append(t_now)
-        norms.append(l2_norm(x, grid))
-        trace = x[:, -1].copy()
-        boundary.append(trace)
-        controls.append(saturate(k_arr @ trace, plant.u_max))
-        if lyapunov is not None:
-            lyap_vals.append(lyapunov_value(x, lyapunov[0], lyapunov[1], grid))
-        if config.keep_snapshots:
-            snaps.append(x.copy())
+    def record(i: int, t_now: float, x: np.ndarray):
+        times[i] = t_now
+        norms[i] = l2_norm(x, grid)
+        boundary[i] = x[:, -1]
+        controls[i] = saturate(k_arr @ boundary[i], plant.u_max)
+        if lyap_vals is not None:
+            lyap_vals[i] = lyap_value(x)
+        if snaps is not None:
+            snaps[i] = x
 
-    record(0.0, state)
+    record(0, 0.0, state)
+    i = 1
     # overflow on the way to a detected blow-up is expected, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n_steps + 1):
@@ -358,12 +391,12 @@ def simulate(plant: Plant, gain: Matrix, config: SimConfig,
             if not np.all(np.isfinite(state)):
                 raise BlowUpError(t_now)
             if k % stride == 0 or k == n_steps:
-                record(t_now, state)
+                record(i, t_now, state)
+                i += 1
 
-    return Trajectory(
-        times=_frozen(np.array(times)),
-        l2_norms=_frozen(np.array(norms)),
-        boundary_traces=_frozen(np.array(boundary)),
-        control_traces=_frozen(np.array(controls)),
-        lyapunov_values=_frozen(np.array(lyap_vals)) if lyapunov is not None else None,
-        snapshots=_frozen(np.array(snaps)) if config.keep_snapshots else None)
+    for a in (times, norms, boundary, controls, lyap_vals, snaps):
+        if a is not None:
+            a.setflags(write=False)
+    return Trajectory(times=times, l2_norms=norms, boundary_traces=boundary,
+                      control_traces=controls, lyapunov_values=lyap_vals,
+                      snapshots=snaps)

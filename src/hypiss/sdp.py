@@ -35,7 +35,10 @@ batches produce bit-identical outputs.
 
 Infeasibility is declared heuristically: when phase 1 converges with its
 slack optimum above _INFEASIBLE_SLACK, no strictly feasible point exists
-up to solver accuracy.
+up to solver accuracy.  A phase-2 iterate with an entry outside the
+phase-1 box ends its cell at once as NUMERICAL_FAILURE: the objective
+looks unbounded below, and the rest of the step budget would only walk
+further out.
 """
 
 from __future__ import annotations
@@ -65,7 +68,8 @@ _ARMIJO = 0.25
 _MIN_STEP = 1e-18         # backtracking gives up below this step length
 _EXIT_SLACK = -1e-9       # phase-1 early exit once the slack is safely negative
 _PHASE1_BOX = 1e9         # phase-1 searches |entry| < this; keeps the slack
-                          # minimization bounded when the feasible set is not
+                          # minimization bounded when the feasible set is not;
+                          # phase 2 gives up on a cell whose iterate leaves it
 _STACK_BYTES = 16 << 20   # cap on one stack's padded coefficients; about
                           # 2.5 MB a cell at n = 10, 15 kB at n = 2
 
@@ -369,7 +373,9 @@ def _follow(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndarray,
     _EXIT_SLACK, or at a centered point with a negative slack (outcome
     "feasible") or with a gap nu/t_c under _GAP_TOL
     ("infeasible_candidate"); anything else is "stalled".  In phase 2 the
-    outcome is a Status: OPTIMAL once nu/t_c is under _GAP_TOL.
+    outcome is a Status: OPTIMAL once nu/t_c is under _GAP_TOL, and
+    NUMERICAL_FAILURE as soon as an accepted iterate leaves the phase-1
+    box, which it does where the objective is unbounded below.
 
     Every iteration is one stacked pass over the cells still running, and
     a cell whose phase ends leaves the stack.  Each iterate stays strictly
@@ -416,7 +422,6 @@ def _follow(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndarray,
         ended[i] = True
         return False
 
-    exit_slack = _EXIT_SLACK if phase1 else -np.inf  # phase 2 has no early exit
     for i in (budget <= 0).nonzero()[0]:
         stage_end(i, "stopped")
     while True:
@@ -454,7 +459,11 @@ def _follow(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndarray,
         x, fb, accepted = _line_search(cones, x, dx, dec, tc, fb, move)
         steps += accepted
 
-        end = (move & ~accepted) | (accepted & ((steps >= budget) | (x[:, -1] < exit_slack)))
+        # phase 1 exits early at a safely negative slack (its box rows keep
+        # every entry inside the box); phase 2 gives up once an entry
+        # reaches the box
+        exits = (x[:, -1] < _EXIT_SLACK) if phase1 else (np.abs(x) >= _PHASE1_BOX).any(axis=1)
+        end = (move & ~accepted) | (accepted & ((steps >= budget) | exits))
         if end.any():
             for i in end.nonzero()[0]:
                 stage_end(i, "stopped" if accepted[i] else "stalled")

@@ -5,17 +5,20 @@ the deadzone, the derivative of the quadratic Lyapunov functional) in
 terms of the library's public functions, so a test can sweep them over
 random inputs.  The standard-form readers (`vector`, `block_value`) let a
 test evaluate what `lmi.vectorize` produced against the expressions it came
-from.
+from.  `write_csv` and `two_sample_step` are the plain forms of the CSV
+writer and the simulator step that the faster ones must match byte for byte.
 """
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 
-from hypiss.control import deadzone
-from hypiss.linalg import DiagMatrix
+from hypiss.control import Plant, closed_loop_boundary, deadzone
+from hypiss.linalg import DiagMatrix, Matrix
 from hypiss.lmi import Point, StandardBlock, StandardForm
-from hypiss.pde import Grid, lyapunov_value
+from hypiss.pde import ZERO, Grid, SimConfig, lyapunov_value
 
 
 def vector(sf: StandardForm, point: Point) -> np.ndarray:
@@ -66,3 +69,37 @@ def frechet_check(lyap: DiagMatrix, mu: float, state, direction,
         lyap.diagonal[:, None] * x * h, axis=0))) * grid.dz
     scale = max(abs(exact), lyapunov_value(h, lyap, mu, grid))
     return abs(fd - exact) / scale
+
+
+def write_csv(path, header: list[str], rows) -> None:
+    """A CSV file through csv.writer, one cell at a time: str cells as they
+    are, every other cell as f"{float(cell):.17g}"."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        for row in rows:
+            w.writerow([cell if isinstance(cell, str) else f"{float(cell):.17g}"
+                        for cell in row])
+
+
+def two_sample_step(state: np.ndarray, plant: Plant, gain: Matrix, t: float,
+                    dt: float, config: SimConfig) -> np.ndarray:
+    """The staggered Lax-Friedrichs step with the disturbance sampled twice
+    at the half-step time, once on the interfaces and once on the centers."""
+    grid = config.grid
+    lam = plant.speeds.diagonal[:, None]
+    dz = grid.dz
+    if float(np.max(lam)) * dt > dz * (1.0 + 1e-12):
+        raise ValueError("CFL violation")
+    inflow = closed_loop_boundary(plant, gain, state[:, -1])
+    ghosted = np.concatenate([inflow[:, None], state, state[:, -1:]], axis=1)
+    half_t = t + 0.5 * dt
+    jump = ghosted[:, 1:] - ghosted[:, :-1]
+    half = 0.5 * (ghosted[:, 1:] + ghosted[:, :-1]) - (0.5 * dt / dz) * lam * jump
+    nd = plant.disturbance_map.array
+    if config.disturbance is not None and config.disturbance.kind != ZERO:
+        half += (0.5 * dt) * (nd @ config.disturbance.sample(half_t, grid.interfaces))
+    out = state - (dt / dz) * lam * (half[:, 1:] - half[:, :-1])
+    if config.disturbance is not None and config.disturbance.kind != ZERO:
+        out += dt * (nd @ config.disturbance.sample(half_t, grid.centers))
+    return out

@@ -5,6 +5,7 @@ checked exactly as a shell user would see them.
 """
 
 import csv
+import itertools
 import json
 import math
 import subprocess
@@ -14,6 +15,12 @@ import numpy as np
 import pytest
 
 from hypiss import cli, control, lmi
+from identities import write_csv
+
+# floats whose text is easy to get wrong: nan, both infinities, negative
+# zero, the smallest subnormal, a huge value, and a sum that is not 0.3
+AWKWARD = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e308,
+           0.1 + 0.2]
 
 PLANT = {
     "lambda": [1.0, math.sqrt(2.0)],
@@ -252,6 +259,44 @@ class TestGrid:
                          "--out", str(tmp_path / "o")])
         assert code == 1
         assert "design.mu" in capsys.readouterr().err
+
+
+class TestCsvWriter:
+    """`_write_csv` writes the same bytes as csv.writer with each float
+    cell formatted on its own."""
+
+    def test_float_rows(self, tmp_path):
+        rows = list(itertools.product(AWKWARD, AWKWARD, [1.5, -2.0]))
+        rows += [tuple(np.array(row)) for row in rows]  # numpy floats as cells
+        cli._write_csv(tmp_path / "a.csv", ["x", "y", "z"], cli._lines(rows, 3))
+        write_csv(tmp_path / "b.csv", ["x", "y", "z"], rows)
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_text_cells_as_feasibility_csv_has_them(self, tmp_path):
+        # (mu, alpha, status, c, gamma): c and gamma are formatted text, or
+        # empty for a cell with no design
+        rows = [(mu, alpha, status, "" if status != "feasible" else "%.17g" % mu,
+                 "" if status != "feasible" else "%.17g" % alpha)
+                for mu, alpha in itertools.product(AWKWARD, AWKWARD)
+                for status in ("feasible", "infeasible", "failed")]
+        header = ["mu", "alpha", "status", "c", "gamma"]
+        cli._write_csv(tmp_path / "a.csv", header, cli._lines(rows, 5, text=(2, 3, 4)))
+        write_csv(tmp_path / "b.csv", header, rows)
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_snapshot_blocks(self, tmp_path):
+        rng = np.random.default_rng(3)
+        times = np.concatenate([[0.0, 5e-324], np.cumsum(rng.random(5)) + 0.1])
+        snaps = rng.standard_normal((times.size, 3, 9))
+        snaps[1, :, :7] = np.reshape(AWKWARD * 3, (3, 7))
+        centers = (np.arange(9) + 0.5) / 9
+        header = ["t", "z", "x_1", "x_2", "x_3"]
+        cli._write_csv(tmp_path / "a.csv", header,
+                       cli._snapshot_lines(times, snaps, centers))
+        write_csv(tmp_path / "b.csv", header,
+                  ([t, z, *snap[:, j]] for t, snap in zip(times, snaps)
+                   for j, z in enumerate(centers)))
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 class TestSimulate:

@@ -19,7 +19,7 @@ from hypiss.pde import (
     simulate,
     step,
 )
-from identities import frechet_check
+from identities import frechet_check, two_sample_step
 
 INITIAL = SignalSpec.cosine_profile(10.0, (2.0, 1.0))
 DISTURBANCE = SignalSpec.sinusoidal_product(5.0, ("sin", "cos"))
@@ -96,6 +96,16 @@ class TestGrid:
     def test_minimum_resolution(self):
         with pytest.raises(ValueError):
             Grid(7)
+
+    def test_staggered_interleaves_interfaces_and_centers(self):
+        for m in (8, 25, 400):
+            g = Grid(m)
+            z = g.staggered
+            assert z.shape == (2 * m + 1,)
+            assert z[0::2].tobytes() == g.interfaces.tobytes()
+            assert z[1::2].tobytes() == g.centers.tobytes()
+            assert np.all(np.diff(z) > 0.0)
+            assert not z.flags.writeable
 
 
 class TestSimConfig:
@@ -253,6 +263,72 @@ class TestStep:
             step(np.zeros((1, 16)), plant, ZERO_GAIN_1, 0.0, 1.5 * g.dz, cfg)
 
 
+def _random_loop(random_plant_config, seed: int):
+    """A seeded n = 3 plant with a dense disturbance map N and a random gain
+    large enough to saturate, at weights mu = 1."""
+    rng = np.random.default_rng(seed)
+    cfg = random_plant_config(rng, 3, 1.0)
+    plant = Plant(DiagMatrix(np.array(cfg["lambda"])), Matrix(np.array(cfg["H"])),
+                  Matrix(np.array(cfg["B"])), Matrix(np.array(cfg["N"])),
+                  np.array(cfg["u_max"]))
+    gain = Matrix(rng.standard_normal((plant.m, plant.n)))
+    return plant, gain, rng
+
+
+def _tabulated_disturbance(q: int) -> SignalSpec:
+    z = np.linspace(0.0, 1.0, 13)
+    return SignalSpec.tabulated(z, np.stack([np.sin((k + 1) * 3.0 * z) + 0.1 * k
+                                             for k in range(q)]))
+
+
+class TestOneSampleStep:
+    """`step` samples the disturbance once on `Grid.staggered`; it must
+    match the two-sample step bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["sinusoidal", "tabulated"])
+    def test_matches_two_sample_step(self, random_plant_config, kind):
+        plant, gain, rng = _random_loop(random_plant_config, 5)
+        disturbance = (SignalSpec.sinusoidal_product(4.0, ("sin", "cos", "sin"))
+                       if kind == "sinusoidal" else _tabulated_disturbance(plant.q))
+        g = Grid(40)
+        cfg = SimConfig(g, t_final=1.0, disturbance=disturbance)
+        dt = 0.9 * g.dz / float(np.max(plant.speeds.diagonal))
+        state = rng.normal(scale=3.0, size=(plant.n, g.cells))
+        for k in range(60):
+            got = step(state, plant, gain, k * dt, dt, cfg)
+            want = two_sample_step(state, plant, gain, k * dt, dt, cfg)
+            assert got.tobytes() == want.tobytes()
+            state = got
+
+    def test_recorded_functionals_match_the_public_ones(self, random_plant_config):
+        plant, gain, rng = _random_loop(random_plant_config, 6)
+        g = Grid(30)
+        lyap, mu = DiagMatrix(rng.uniform(0.5, 2.0, plant.n)), 1.0
+        cfg = SimConfig(g, t_final=0.7, initial=SignalSpec.cosine_profile(3.0, (1.0, 2.0, 3.0)),
+                        disturbance=_tabulated_disturbance(plant.q),
+                        snapshot_stride=3, keep_snapshots=True)
+        traj = simulate(plant, gain, cfg, lyapunov=(lyap, mu))
+        assert traj.times.size > 10
+        weight = np.exp(-mu * g.centers)
+        for snap, norm, value in zip(traj.snapshots, traj.l2_norms, traj.lyapunov_values):
+            assert norm == l2_norm(snap, g)
+            assert value == lyapunov_value(snap, lyap, mu, g)
+            # the functional's own arithmetic, term by term
+            quad = np.sum(lyap.diagonal[:, None] * snap * snap, axis=0)
+            assert value == float(np.sum(weight * quad)) * g.dz
+        assert traj.boundary_traces.tobytes() == np.ascontiguousarray(
+            traj.snapshots[:, :, -1]).tobytes()
+
+    def test_lyapunov_checks_run_before_the_first_step(self, demo_plant, demo_gain):
+        cfg = SimConfig(Grid(16), t_final=1.0, initial=INITIAL)
+        with pytest.raises(ValueError, match="Lyapunov weight must be positive"):
+            simulate(demo_plant, demo_gain, cfg,
+                     lyapunov=(DiagMatrix(np.array([1.0, -1.0])), 1.0))
+        with pytest.raises(ValueError, match="mu must be nonnegative"):
+            simulate(demo_plant, demo_gain, cfg,
+                     lyapunov=(DiagMatrix(np.array([1.0, 1.0])), -0.5))
+
+
 class TestSimulate:
     def test_zero_data_stays_zero(self, demo_plant, demo_gain):
         traj = simulate(demo_plant, demo_gain, SimConfig(Grid(64), t_final=2.0))
@@ -272,6 +348,22 @@ class TestSimulate:
         assert traj.control_traces.shape == (n, 2)
         assert traj.snapshots.shape == (n, 2, 64)
         assert np.all(traj.l2_norms >= 0.0)
+
+    @pytest.mark.parametrize("t_final", [1.0, 0.37, 1e-3])
+    @pytest.mark.parametrize("stride", [1, 4, 7, None, 10 ** 9])
+    def test_every_preallocated_record_is_filled(self, demo_plant, demo_gain,
+                                                 t_final, stride):
+        # records at t = 0, every stride-th step and the final time, each
+        # exactly once: a miscounted record array shows as an IndexError or
+        # as a last time that is not t_final
+        cfg = SimConfig(Grid(16), t_final=t_final, initial=INITIAL,
+                        snapshot_stride=stride, keep_snapshots=True)
+        traj = simulate(demo_plant, demo_gain, cfg)
+        assert traj.times[0] == 0.0 and traj.times[-1] == t_final
+        assert np.all(np.diff(traj.times) > 0.0)
+        assert traj.snapshots.shape == (traj.times.size, 2, 16)
+        assert traj.l2_norms[-1] == l2_norm(traj.snapshots[-1], Grid(16))
+        assert not traj.snapshots.flags.writeable
 
     def test_transport_exits_the_domain(self):
         # everything rides the unit characteristic out by t = 1.2

@@ -146,6 +146,19 @@ class TestMinimize:
         with pytest.raises(ValueError):
             sdp.minimize(_scalar_pos_problem())
 
+    @pytest.mark.parametrize("bounded_above", [False, True])
+    def test_unbounded_objective_stops_at_the_box(self, bounded_above):
+        # min x alone, or with x <= 1: phase 2 heads for x = -inf and stops
+        # once x leaves the phase-1 box, not when the step budget runs out
+        x = MatExpr.scalar_identity("x", 1)
+        cons = (Constraint(x - np.array([[1.0]]), LEQ, "cap"),) if bounded_above else ()
+        prob = LmiProblem((VarSpec.scalar("x"),), cons, objective=((("x", 0), 1.0),))
+        sol = sdp.minimize(prob)
+        assert sol.status is Status.NUMERICAL_FAILURE
+        assert sol.objective is None
+        assert sum(sol.newton_steps) < 100
+        assert sol.point.entry(("x", 0)) <= -sdp._PHASE1_BOX
+
     def test_demo_synthesis_minimize(self):
         prob = _demo_synthesis_problem(1.0, 0.5)
         sol = sdp.minimize(prob)

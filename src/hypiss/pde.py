@@ -107,9 +107,18 @@ class SignalSpec:
         return SignalSpec(TABULATED, sample_grid=np.asarray(sample_grid),
                           sample_values=np.asarray(sample_values))
 
-    def sample(self, t: float, z) -> np.ndarray:
-        """Evaluate at time t on the positions z; shape (components, len(z))."""
+    def sample(self, t, z) -> np.ndarray:
+        """Evaluate at time t on the positions z; shape (components, len(z)).
+        A 1-D array of times gives one such sample per time, stacked along
+        a leading axis, each the same bytes as its own call."""
         z = np.atleast_1d(np.asarray(z, dtype=float))
+        if np.ndim(t):
+            if self.kind != SINUSOIDAL_PRODUCT:  # the only time-dependent kind
+                once = self.sample(0.0, z)
+                return np.broadcast_to(once, (len(t),) + once.shape)
+            arg = np.asarray(t, dtype=float)[:, None] * z
+            rows = [np.sin(arg) if p == "sin" else np.cos(arg) for p in self.phases]
+            return self.amplitude * np.stack(rows, axis=1)
         if self.kind == ZERO:
             return np.zeros((self.components, z.size))
         if self.kind == SINUSOIDAL_PRODUCT:
@@ -283,8 +292,15 @@ def disturbance_energy(spec: SignalSpec, times, grid: Grid) -> np.ndarray:
         raise ValueError("times must be a strictly increasing 1-D array")
     if spec is None or spec.kind == ZERO:
         return np.zeros(times.size)
-    sq = np.array([l2_norm(spec.sample(t, grid.centers), grid) ** 2
-                   for t in times])
+    # sampled a block of records at a time, each block's samples at most
+    # 64 kB; per record the square of the rounded norm, as
+    # l2_norm(spec.sample(t, grid.centers), grid) ** 2 gives it
+    per = max(1, 8192 // (spec.components * grid.cells))
+    sq = np.empty(times.size)
+    for start in range(0, times.size, per):
+        d = spec.sample(times[start:start + per], grid.centers)
+        sums = (d * d).reshape(len(d), -1).sum(axis=1)
+        sq[start:start + per] = [r ** 2 for r in np.sqrt(sums * grid.dz).tolist()]
     out = np.zeros(times.size)
     np.cumsum(0.5 * (sq[1:] + sq[:-1]) * np.diff(times), out=out[1:])
     return out

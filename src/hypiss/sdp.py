@@ -3,12 +3,18 @@
 The solver minimizes a linear objective over the standard form of
 `lmi.vectorize`, in which every block reads F(x) = F0 + sum_i x_i F_i > 0
 with the constraint's sense and eps already folded in.  The method is a
-plain log-det barrier path-following scheme: a phase-1 search drives a
-uniform slack below zero to find a strictly feasible point, then Newton
-centering follows the central path along a geometrically growing barrier
-parameter until the duality-gap surrogate nu / t drops under tolerance.
-The solver returns a point and does not audit it; `control` re-checks
-every design it certifies with the Jacobi eigensolver of `linalg`.
+plain log-det barrier path-following scheme: a phase-1 search minimizes
+a uniform slack to find a strictly feasible point, then Newton centering
+follows the central path along a geometrically growing barrier parameter
+until the duality-gap surrogate nu / t drops under tolerance.  Phase 1
+stops as soon as its verdict is known (Boyd & Vandenberghe, *Convex
+Optimization*, section 11.4): at the first accepted iterate where the
+slack could be _EXIT_SLACK with every block still positive definite, so
+that phase 2 starts with every block >= -_EXIT_SLACK I, or at the first
+centered point whose bound s - nu / t on the slack optimum exceeds
+_INFEASIBLE_SLACK.  The solver returns a point and does not audit it;
+`control` re-checks every design it certifies with the Jacobi eigensolver
+of `linalg`.
 
 The solver uses the structure of the problem.  Every block whose base and
 coefficients are all diagonal (positivity of diagonal variables, scalar
@@ -33,9 +39,10 @@ _STACK_BYTES.  `minimize` is a batch of one, so there is one solver
 path.  Everything is numpy with fixed iteration order, so identical
 batches produce bit-identical outputs.
 
-Infeasibility is declared heuristically: when phase 1 converges with its
-slack optimum above _INFEASIBLE_SLACK, no strictly feasible point exists
-up to solver accuracy.  A phase-2 iterate with an entry outside the
+Infeasibility is declared heuristically: when the phase-1 slack optimum,
+bounded below by s - nu / t at a centered point, is above
+_INFEASIBLE_SLACK, no strictly feasible point exists inside the phase-1
+box up to solver accuracy.  A phase-2 iterate with an entry outside the
 phase-1 box ends its cell at once as NUMERICAL_FAILURE: the objective
 looks unbounded below, and the rest of the step budget would only walk
 further out.
@@ -66,7 +73,7 @@ _NEWTON_TOL = 1e-5        # threshold on the squared Newton decrement / 2;
                           # surrogate nu/t is valid once it is this small
 _ARMIJO = 0.25
 _MIN_STEP = 1e-18         # backtracking gives up below this step length
-_EXIT_SLACK = -1e-9       # phase-1 early exit once the slack is safely negative
+_EXIT_SLACK = -1e-9       # phase 1 exits once its slack could be this
 _PHASE1_BOX = 1e9         # phase-1 searches |entry| < this; keeps the slack
                           # minimization bounded when the feasible set is not;
                           # phase 2 gives up on a cell whose iterate leaves it
@@ -369,13 +376,16 @@ def _follow(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndarray,
     Cell c minimizes t_c cvec_c @ x + barrier_c(x) by damped Newton steps
     and multiplies t_c by _T_GROWTH at each centered point, until its
     phase ends or it has taken budget[c] steps.  In phase 1 the last entry
-    of x is the slack: the phase ends as soon as the slack is below
-    _EXIT_SLACK, or at a centered point with a negative slack (outcome
-    "feasible") or with a gap nu/t_c under _GAP_TOL
-    ("infeasible_candidate"); anything else is "stalled".  In phase 2 the
-    outcome is a Status: OPTIMAL once nu/t_c is under _GAP_TOL, and
-    NUMERICAL_FAILURE as soon as an accepted iterate leaves the phase-1
-    box, which it does where the objective is unbounded below.
+    of x is the slack.  After each accepted step the cell's slack is pinned
+    to min(s, _EXIT_SLACK), and if the barrier is finite there the phase
+    ends at the pinned point as "feasible"; so does a stage that ends with
+    a negative slack.  At a centered point whose lower bound s - nu/t_c on
+    the slack optimum is above _INFEASIBLE_SLACK, or whose gap nu/t_c is
+    under _GAP_TOL, the phase ends as "infeasible_candidate"; anything
+    else is "stalled".  In phase 2 the outcome is a Status: OPTIMAL once
+    nu/t_c is under _GAP_TOL, and NUMERICAL_FAILURE as soon as an accepted
+    iterate leaves the phase-1 box, which it does where the objective is
+    unbounded below.
 
     Every iteration is one stacked pass over the cells still running, and
     a cell whose phase ends leaves the stack.  Each iterate stays strictly
@@ -402,6 +412,9 @@ def _follow(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndarray,
         if phase1:
             if x[i, -1] < 0.0:
                 outcome[cell[i]] = "feasible"
+            elif how == "centered" and x[i, -1] - nu / t[i] > _INFEASIBLE_SLACK:
+                # the slack optimum is at least s - nu/t, above the threshold
+                outcome[cell[i]] = "infeasible_candidate"
             elif how == "centered" and nu / t[i] >= _GAP_TOL:
                 t[i] *= _T_GROWTH
                 return True
@@ -459,10 +472,17 @@ def _follow(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndarray,
         x, fb, accepted = _line_search(cones, x, dx, dec, tc, fb, move)
         steps += accepted
 
-        # phase 1 exits early at a safely negative slack (its box rows keep
-        # every entry inside the box); phase 2 gives up once an entry
-        # reaches the box
-        exits = (x[:, -1] < _EXIT_SLACK) if phase1 else (np.abs(x) >= _PHASE1_BOX).any(axis=1)
+        if phase1:
+            # a cell exits as soon as its slack could be _EXIT_SLACK: at
+            # that pinned point every block is >= -_EXIT_SLACK I (and the
+            # box rows keep every entry inside the box)
+            pinned = x.copy()
+            np.minimum(pinned[:, -1], _EXIT_SLACK, out=pinned[:, -1])
+            exits = accepted & (_barrier(cones, pinned) < np.inf)
+            x[exits] = pinned[exits]
+        else:
+            # phase 2 gives up once an entry reaches the box
+            exits = (np.abs(x) >= _PHASE1_BOX).any(axis=1)
         end = (move & ~accepted) | (accepted & ((steps >= budget) | exits))
         if end.any():
             for i in end.nonzero()[0]:
@@ -479,9 +499,11 @@ def _phase1(cones: _Cones, x0: np.ndarray):
     and the slack; the slack itself is a column of ones on the rows and
     the identity on every dense block.
 
+    The search ends as soon as its verdict is known (see `_follow`).
     Returns (x, slack, steps, outcomes) with an outcome per cell of
-    "feasible", "infeasible_candidate" (slack converged while positive),
-    or "stalled".
+    "feasible" (as a rule with every block >= -_EXIT_SLACK I at x),
+    "infeasible_candidate" (the slack optimum is above _INFEASIBLE_SLACK or
+    converged while positive), or "stalled".
     """
     ncell, n = x0.shape
     nrow = cones.b.shape[1]

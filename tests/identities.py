@@ -5,8 +5,9 @@ the deadzone, the derivative of the quadratic Lyapunov functional) in
 terms of the library's public functions, so a test can sweep them over
 random inputs.  The standard-form readers (`vector`, `block_value`) let a
 test evaluate what `lmi.vectorize` produced against the expressions it came
-from.  `write_csv` and `two_sample_step` are the plain forms of the CSV
-writer and the simulator step that the faster ones must match byte for byte.
+from.  `write_csv`, `two_sample_step` and `record_by_record_energy` are
+the plain forms of the CSV writer, the simulator step and the disturbance
+energy that the faster ones must match byte for byte.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from hypiss.control import Plant, closed_loop_boundary, deadzone
 from hypiss.linalg import DiagMatrix, Matrix
 from hypiss.lmi import Point, StandardBlock, StandardForm
-from hypiss.pde import ZERO, Grid, SimConfig, lyapunov_value
+from hypiss.pde import ZERO, Grid, SignalSpec, SimConfig, l2_norm, lyapunov_value
 
 
 def vector(sf: StandardForm, point: Point) -> np.ndarray:
@@ -102,4 +103,14 @@ def two_sample_step(state: np.ndarray, plant: Plant, gain: Matrix, t: float,
     out = state - (dt / dz) * lam * (half[:, 1:] - half[:, :-1])
     if config.disturbance is not None and config.disturbance.kind != ZERO:
         out += dt * (nd @ config.disturbance.sample(half_t, grid.centers))
+    return out
+
+
+def record_by_record_energy(spec: SignalSpec, times, grid: Grid) -> np.ndarray:
+    """The cumulative disturbance energy with one sample and one norm per
+    record time, trapezoid in time."""
+    times = np.asarray(times, dtype=float)
+    sq = np.array([l2_norm(spec.sample(t, grid.centers), grid) ** 2 for t in times])
+    out = np.zeros(times.size)
+    np.cumsum(0.5 * (sq[1:] + sq[:-1]) * np.diff(times), out=out[1:])
     return out

@@ -64,6 +64,14 @@ class TestSaturation:
         out = saturate([0.1, -2.0, 5.0], [0.3, 0.3, 0.3])
         assert np.allclose(out, [0.1, -0.3, 0.3])
 
+    def test_clamp_matches_clip_bit_for_bit(self):
+        specials = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                    1e308, -1e308]
+        for lim in (0.3, 5e-324, 1e308, math.inf):
+            for u in specials + [lim, -lim]:
+                got = saturate([u], [lim])
+                assert got.tobytes() == np.clip([u], -lim, lim).tobytes(), (u, lim)
+
     def test_deadzone_vanishes_in_linear_range(self):
         rng = np.random.default_rng(3)
         u = rng.uniform(-0.3, 0.3, size=(200, 2))

@@ -19,7 +19,7 @@ from hypiss.pde import (
     simulate,
     step,
 )
-from identities import frechet_check, two_sample_step
+from identities import frechet_check, record_by_record_energy, two_sample_step
 
 INITIAL = SignalSpec.cosine_profile(10.0, (2.0, 1.0))
 DISTURBANCE = SignalSpec.sinusoidal_product(5.0, ("sin", "cos"))
@@ -456,3 +456,23 @@ class TestDisturbanceEnergy:
         g = Grid(16)
         with pytest.raises(ValueError):
             disturbance_energy(DISTURBANCE, [0.0, 1.0, 1.0], g)
+
+    @pytest.mark.parametrize("cells", [16, 200, 20000])
+    def test_blocks_match_record_by_record_bit_for_bit(self, cells):
+        # 20000 cells make blocks of a single record, 200 cells blocks of
+        # 20 records, 16 cells blocks of 256 records with a shorter last one
+        g = Grid(cells)
+        times = np.cumsum(np.random.default_rng(cells).uniform(0.001, 0.05, 300))
+        for spec in (DISTURBANCE, INITIAL):
+            got = disturbance_energy(spec, times, g)
+            assert got.tobytes() == record_by_record_energy(spec, times, g).tobytes()
+
+    def test_sample_at_many_times_matches_one_at_a_time(self):
+        z = np.linspace(0.0, 1.0, 33)
+        times = np.array([0.0, 0.3, 7.25])
+        bump = _bump_spec()
+        for spec in (DISTURBANCE, INITIAL, SignalSpec.zero(3), bump):
+            many = spec.sample(times, z)
+            assert many.shape == (3, spec.components, 33)
+            for t, one in zip(times, many):
+                assert one.tobytes() == spec.sample(float(t), z).tobytes()

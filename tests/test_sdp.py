@@ -90,6 +90,8 @@ class TestFeasibility:
         sol = sdp.minimize(prob)
         assert sol.status is Status.INFEASIBLE
         assert sol.newton_steps[1] == 0
+        # the duality bound s - nu/t clears the threshold early in the path
+        assert sol.newton_steps[0] < 20
         assert _worst_margin(prob, sol.point) < 0.0
 
     def test_demo_synthesis_constraints_feasible(self):
@@ -97,6 +99,16 @@ class TestFeasibility:
         found, point = _phase1(prob)
         assert found == "feasible"
         assert _worst_margin(prob, point) >= -1e-9
+
+    @pytest.mark.parametrize("mu, alpha", [(1.0, 0.5), (2.0, 1.5)])
+    def test_phase1_point_clears_every_block_by_the_exit_slack(self, mu, alpha):
+        sf = lmi.vectorize(_demo_synthesis_problem(mu, alpha))
+        x, slack, _, outcome = sdp._phase1(sdp._cones(sf), sf.initial[None])
+        assert outcome == ["feasible"] and slack[0] <= sdp._EXIT_SLACK
+        for blk in sf.blocks:
+            value = block_value(blk, x[0])
+            floor = -sdp._EXIT_SLACK - 1e-15 * np.abs(value).max()
+            assert np.linalg.eigvalsh(value).min() >= floor
 
 
 class TestMinimize:
@@ -166,6 +178,8 @@ class TestMinimize:
         # frozen from an independent convex solver run of the same constraints
         assert sol.objective == pytest.approx(11.1577, abs=5e-3)
         assert _worst_margin(prob, sol.point) >= -1e-9
+        # phase 1 ends at its first iterate that clears every block
+        assert sol.newton_steps[0] <= 12 and sum(sol.newton_steps) <= 80
 
     def test_infeasible_detected(self):
         prob = _demo_synthesis_problem(1.0, 1.2)
@@ -173,6 +187,12 @@ class TestMinimize:
         assert sol.status is Status.INFEASIBLE
         assert sol.objective is None
         assert _worst_margin(prob, sol.point) < 0.0
+
+    @pytest.mark.parametrize("mu, alpha", [(0.25, 0.3), (0.5, 1.3), (1.5, 1.5)])
+    def test_demo_infeasible_cells_end_on_the_duality_bound(self, mu, alpha):
+        sol = sdp.minimize(_demo_synthesis_problem(mu, alpha))
+        assert sol.status is Status.INFEASIBLE
+        assert sol.newton_steps[0] <= 60 and sol.newton_steps[1] == 0
 
 
 class TestSolutionContract:
@@ -291,6 +311,7 @@ class TestStructure:
         sol = sdp.minimize(prob)
         assert sol.status is Status.OPTIMAL
         assert _worst_margin(prob, sol.point) >= -1e-9
+        assert sol.newton_steps[0] <= 15
 
 
 _DEMO_MUS = np.linspace(0.25, 2.0, 8)

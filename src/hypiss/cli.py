@@ -109,19 +109,20 @@ def _matrix(d: dict, path: str, key: str) -> np.ndarray:
     return arr
 
 
-def _load_config(path: str) -> tuple[dict, str]:
-    p = Path(path)
+def _load_json(path: str) -> tuple[dict, str]:
+    """A JSON file whose top level is an object, a config or a certificate,
+    and the SHA-256 digest of its bytes."""
     try:
-        raw = p.read_bytes()
+        raw = Path(path).read_bytes()
     except OSError as e:
         raise ConfigError(f"{path}: {e.strerror or e}") from None
     try:
-        cfg = json.loads(raw)
+        data = json.loads(raw)
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: invalid JSON ({e.msg} at line {e.lineno})") from None
-    if not isinstance(cfg, dict):
+    if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be an object")
-    return cfg, hashlib.sha256(raw).hexdigest()
+    return data, hashlib.sha256(raw).hexdigest()
 
 
 def _build_plant(cfg: dict) -> Plant:
@@ -137,6 +138,13 @@ def _build_plant(cfg: dict) -> Plant:
         )
     except ValueError as e:
         raise ConfigError(f"plant: {e}") from None
+
+
+def _design(cfg: dict) -> tuple[float, float, float]:
+    """The scalar design weights mu and alpha and the slack eps."""
+    design = _section(cfg, "design")
+    return (_scalar_weight(design, "mu"), _scalar_weight(design, "alpha"),
+            _number(design, "design", "epsilon", positive=True, default=lmi.DEFAULT_EPS))
 
 
 def _scalar_weight(design: dict, key: str) -> float:
@@ -290,44 +298,41 @@ def _certificate_payload(cert: SynthesisCertificate) -> dict:
     }
 
 
-def _load_certificate(path: str, plant: Plant) -> dict:
-    p = Path(path)
+def _load_certificate(path: str, plant: Plant) -> SynthesisCertificate:
+    """The certificate stored at `path`, checked against the plant's
+    dimensions.  Its margins are empty and its newton_steps None: verify
+    recomputes the one, and the other is not part of the design."""
+    data, _ = _load_json(path)
     try:
-        data = json.loads(p.read_bytes())
-    except OSError as e:
-        raise ConfigError(f"{path}: {e.strerror or e}") from None
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{path}: invalid JSON ({e.msg} at line {e.lineno})") from None
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: top level must be an object")
-    out: dict = {}
-    try:
-        out["mu"] = _number(data, "certificate", "mu", positive=True)
-        out["alpha"] = _number(data, "certificate", "alpha", positive=True)
-        out["peak"] = _number(data, "certificate", "peak", positive=True)
-        out["eps"] = _number(data, "certificate", "epsilon", positive=True,
-                             default=lmi.DEFAULT_EPS)
-        out["gain"] = Matrix(_matrix(data, "certificate", "gain"))
-        out["lyap_inv"] = DiagMatrix(_vector(data, "certificate", "lyap_inv"))
-        out["sector_inv"] = DiagMatrix(_vector(data, "certificate", "sector_inv"))
-        out["gain_scaled"] = Matrix(_matrix(data, "certificate", "gain_scaled"))
-        out["coupling"] = SymMatrix.symmetrized(_matrix(data, "certificate", "coupling"))
-        for key in ("gamma", "omega", "kappa"):
-            out[key] = _number(data, "certificate", key, positive=True)
+        cert = SynthesisCertificate(
+            mu=_number(data, "certificate", "mu", positive=True),
+            alpha=_number(data, "certificate", "alpha", positive=True),
+            peak=_number(data, "certificate", "peak", positive=True),
+            eps=_number(data, "certificate", "epsilon", positive=True,
+                        default=lmi.DEFAULT_EPS),
+            gain=Matrix(_matrix(data, "certificate", "gain")),
+            lyap_inv=DiagMatrix(_vector(data, "certificate", "lyap_inv")),
+            sector_inv=DiagMatrix(_vector(data, "certificate", "sector_inv")),
+            gain_scaled=Matrix(_matrix(data, "certificate", "gain_scaled")),
+            coupling=SymMatrix.symmetrized(_matrix(data, "certificate", "coupling")),
+            gamma=_number(data, "certificate", "gamma", positive=True),
+            omega=_number(data, "certificate", "omega", positive=True),
+            kappa=_number(data, "certificate", "kappa", positive=True),
+            margins={}, newton_steps=None)
     except ValueError as e:
         if isinstance(e, ConfigError):
             raise
         raise ConfigError(f"certificate: {e}") from None
     n, m = plant.n, plant.m
-    if out["gain"].array.shape != (m, n):
+    if cert.gain.array.shape != (m, n):
         raise ConfigError(f"certificate.gain: expected shape {(m, n)} for this plant")
-    if out["lyap_inv"].dim != n or out["coupling"].array.shape != (n, n):
+    if cert.lyap_inv.dim != n or cert.coupling.array.shape != (n, n):
         raise ConfigError("certificate: weight dimensions do not match the plant")
-    if out["sector_inv"].dim != m or out["gain_scaled"].array.shape != (m, n):
+    if cert.sector_inv.dim != m or cert.gain_scaled.array.shape != (m, n):
         raise ConfigError("certificate: sector/gain dimensions do not match the plant")
-    if np.any(out["lyap_inv"].diagonal <= 0.0) or np.any(out["sector_inv"].diagonal <= 0.0):
+    if np.any(cert.lyap_inv.diagonal <= 0.0) or np.any(cert.sector_inv.diagonal <= 0.0):
         raise ConfigError("certificate: diagonal weights must be positive")
-    return out
+    return cert
 
 
 def _newton_steps(steps: tuple[int, int] | None) -> dict | None:
@@ -358,12 +363,9 @@ def _write_report(out_dir: Path, command: str, digest: str, margins: dict,
 
 
 def cmd_synth(config_path: str, out_override: str | None) -> int:
-    cfg, digest = _load_config(config_path)
+    cfg, digest = _load_json(config_path)
     plant = _build_plant(cfg)
-    design = _section(cfg, "design")
-    mu = _scalar_weight(design, "mu")
-    alpha = _scalar_weight(design, "alpha")
-    eps = _number(design, "design", "epsilon", positive=True, default=lmi.DEFAULT_EPS)
+    mu, alpha, eps = _design(cfg)
     out_dir, _ = _output_settings(cfg, out_override)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -399,7 +401,7 @@ def cmd_synth(config_path: str, out_override: str | None) -> int:
 
 
 def cmd_grid(config_path: str, out_override: str | None) -> int:
-    cfg, digest = _load_config(config_path)
+    cfg, digest = _load_json(config_path)
     plant = _build_plant(cfg)
     design = _section(cfg, "design")
     mu_grid = _grid_weight(design, "mu")
@@ -447,58 +449,48 @@ def cmd_grid(config_path: str, out_override: str | None) -> int:
     return 0
 
 
-def _gain_and_certificate(gain_source: str, cfg: dict, plant: Plant):
+def _gain_and_certificate(gain_source: str, cfg: dict, plant: Plant
+                          ) -> tuple[Matrix, SynthesisCertificate | None]:
     """Resolve --gain for simulate: designed, zero, or loaded from a file."""
-    if gain_source == "auto":
-        design = _section(cfg, "design")
-        cert = synthesize(plant, _scalar_weight(design, "mu"),
-                          _scalar_weight(design, "alpha"),
-                          eps=_number(design, "design", "epsilon",
-                                      positive=True, default=lmi.DEFAULT_EPS))
-        return cert.gain, {
-            "lyap": invert_diag(cert.lyap_inv), "mu": cert.mu,
-            "alpha": cert.alpha, "supply": 1.0}
     if gain_source == "zero":
         return Matrix(np.zeros((plant.m, plant.n))), None
-    stored = _load_certificate(gain_source, plant)
-    return stored["gain"], {
-        "lyap": invert_diag(stored["lyap_inv"]), "mu": stored["mu"],
-        "alpha": stored["alpha"], "supply": 1.0}
+    if gain_source == "auto":
+        mu, alpha, eps = _design(cfg)
+        cert = synthesize(plant, mu, alpha, eps=eps)
+    else:
+        cert = _load_certificate(gain_source, plant)
+    return cert.gain, cert
 
 
 def cmd_simulate(config_path: str, out_override: str | None,
                  gain_source: str) -> int:
-    cfg, digest = _load_config(config_path)
+    cfg, digest = _load_json(config_path)
     plant = _build_plant(cfg)
     out_dir, toggles = _output_settings(cfg, out_override)
     sim_cfg = _build_sim_config(cfg, keep_snapshots=toggles["snapshots"])
-    gain, constants = _gain_and_certificate(gain_source, cfg, plant)
+    gain, cert = _gain_and_certificate(gain_source, cfg, plant)
+    lyap = None if cert is None else invert_diag(cert.lyap_inv)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     started = time.perf_counter()
-    lyap_args = None
-    if constants is not None:
-        lyap_args = (constants["lyap"], constants["mu"])
     try:
-        traj = simulate(plant, gain, sim_cfg, lyapunov=lyap_args)
+        traj = simulate(plant, gain, sim_cfg,
+                        lyapunov=None if cert is None else (lyap, cert.mu))
     except BlowUpError as e:
         print(f"simulation blew up at t = {e.time:.6g}", file=sys.stderr)
         return 1
     timing = time.perf_counter() - started
 
-    if constants is not None:
-        params = pde.iss_bound_params(
-            constants["lyap"], constants["mu"], constants["alpha"],
-            constants["supply"], float(traj.l2_norms[0]))
+    if cert is not None:
+        params = pde.iss_bound_params(lyap, cert.mu, cert.alpha, 1.0,
+                                      float(traj.l2_norms[0]))
         energy = pde.disturbance_energy(sim_cfg.disturbance, traj.times,
                                         sim_cfg.grid)
         rhs = np.array([pde.iss_rhs(t, params, e)
                         for t, e in zip(traj.times, energy)])
         lyap_col = traj.lyapunov_values
     else:
-        nan = float("nan")
-        rhs = np.full(traj.times.size, nan)
-        lyap_col = np.full(traj.times.size, nan)
+        rhs = lyap_col = np.full(traj.times.size, np.nan)
 
     manifest: list[str] = []
     if toggles["norms"]:
@@ -534,48 +526,31 @@ def cmd_verify(config_path: str, out_override: str | None,
                cert_path: str | None, tolerance: float) -> int:
     if not cert_path or cert_path in ("auto", "zero"):
         raise ConfigError("--gain: verify needs a certificate file path")
-    cfg, digest = _load_config(config_path)
+    cfg, digest = _load_json(config_path)
     plant = _build_plant(cfg)
-    design = cfg.get("design", {})
-    delta = _number(design, "design", "delta", positive=True, default=0.01) \
-        if isinstance(design, dict) else 0.01
-    stored = _load_certificate(cert_path, plant)
+    design = _section(cfg, "design") if "design" in cfg else {}
+    delta = _number(design, "design", "delta", positive=True, default=0.01)
+    cert = _load_certificate(cert_path, plant)
     out_dir, _ = _output_settings(cfg, out_override)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     started = time.perf_counter()
-    margins: dict[str, float] = {}
-
-    # the design-side inequalities at the stored point
-    problem = control.build_synthesis_lmis(plant, stored["mu"], stored["alpha"],
-                                           eps=stored["eps"])
-    point = lmi.Point.build(problem.variables, {
-        "lyap_inv": stored["lyap_inv"].diagonal,
-        "sector_inv": stored["sector_inv"].diagonal,
-        "gain_scaled": stored["gain_scaled"].array,
-        "coupling": stored["coupling"].array,
-        "peak": np.array([stored["peak"]]),
-    })
-    for con, value in zip(problem.constraints,
-                          lmi.problem_margins(problem, point)):
-        margins[f"synthesis.{con.label}"] = value
-
-    # the analysis-side inequalities for the stored gain itself
-    lyap, coupling = control.analysis_values(stored["lyap_inv"], stored["coupling"])
-    analysis = verify_analysis(plant, stored["gain"], lyap, coupling,
-                               stored["mu"], 1.0, stored["alpha"])
-    for label, value in analysis.margins.items():
-        margins[f"analysis.{label}"] = value
-
-    wp = wellposedness_certificate(plant, stored["gain"], delta=delta)
-    for label, value in wp.slacks.items():
-        margins[f"wellposedness.{label}"] = value
-
-    coeffs = iss_coefficients(lyap, stored["mu"], stored["alpha"], 1.0)
-    drift = max(abs(coeffs.omega - stored["omega"]),
-                abs(coeffs.kappa - stored["kappa"]),
-                abs(coeffs.gamma - stored["gamma"]))
-    margins["certificate.iss_consistency"] = -drift
+    # the design-side inequalities at the stored point, the analysis-side
+    # ones for the stored gain itself, and the well-posedness slacks
+    synthesis = control.synthesis_margins(plant, cert)
+    lyap, coupling = control.analysis_values(cert.lyap_inv, cert.coupling)
+    analysis = verify_analysis(plant, cert.gain, lyap, coupling,
+                               cert.mu, 1.0, cert.alpha)
+    wp = wellposedness_certificate(plant, cert.gain, delta=delta)
+    margins = {f"{family}.{label}": value
+               for family, values in (("synthesis", synthesis),
+                                      ("analysis", analysis.margins),
+                                      ("wellposedness", wp.slacks))
+               for label, value in values.items()}
+    coeffs = iss_coefficients(lyap, cert.mu, cert.alpha, 1.0)
+    margins["certificate.iss_consistency"] = -max(
+        abs(coeffs.omega - cert.omega), abs(coeffs.kappa - cert.kappa),
+        abs(coeffs.gamma - cert.gamma))
     timing = time.perf_counter() - started
 
     worst_label = min(margins, key=margins.get)

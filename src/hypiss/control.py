@@ -112,7 +112,8 @@ class SynthesisCertificate:
     lyap_inv, coupling the disturbance-coupling bound, peak an upper
     bound on the largest eigenvalue of lyap_inv that the design minimized,
     eps the strictness slack the inequalities were posed with, and
-    newton_steps the solver's Newton steps in phase 1 and in phase 2.
+    newton_steps the solver's Newton steps in phase 1 and in phase 2.  A
+    certificate read back from a file has margins {} and newton_steps None.
     """
 
     lyap_inv: DiagMatrix
@@ -128,7 +129,7 @@ class SynthesisCertificate:
     kappa: float
     margins: dict[str, float]
     eps: float
-    newton_steps: tuple[int, int]
+    newton_steps: tuple[int, int] | None
 
 
 @dataclass(frozen=True)
@@ -300,6 +301,26 @@ def _failure(e: Exception) -> str:
     return f"{type(e).__name__}: {e}"
 
 
+def _margins_at(problem: lmi.LmiProblem, lyap_inv: DiagMatrix,
+                sector_inv: DiagMatrix, gain_scaled: Matrix, coupling: SymMatrix,
+                peak: float) -> dict[str, float]:
+    """The margin of each synthesis inequality, by label, at the point
+    (lyap_inv, sector_inv, gain_scaled, coupling, peak)."""
+    point = lmi.Point.build(problem.variables, {
+        _VQ: lyap_inv.diagonal, _VS: sector_inv.diagonal,
+        _VW: gain_scaled.array, _VG: coupling.array, _VC: np.array([peak])})
+    return {c.label: v for c, v in
+            zip(problem.constraints, lmi.problem_margins(problem, point))}
+
+
+def synthesis_margins(plant: Plant, cert: SynthesisCertificate) -> dict[str, float]:
+    """The margin of each synthesis inequality, posed at the certificate's
+    own mu, alpha and eps, at its point; synthesize's are the same bits."""
+    problem = build_synthesis_lmis(plant, cert.mu, cert.alpha, eps=cert.eps)
+    return _margins_at(problem, cert.lyap_inv, cert.sector_inv,
+                       cert.gain_scaled, cert.coupling, cert.peak)
+
+
 def _certificate_from_solution(problem: lmi.LmiProblem, solution: sdp.Solution,
                                mu: float, alpha: float) -> SynthesisCertificate:
     """The certificate of one design at (mu, alpha).
@@ -323,10 +344,9 @@ def _certificate_from_solution(problem: lmi.LmiProblem, solution: sdp.Solution,
     w = Matrix(point.matrix(problem.variable(_VW)))
     g = SymMatrix(point.matrix(problem.variable(_VG)))
     peak = point.entry((_VC, 0))
-    gain = Matrix(w.array @ invert_diag(q).array)
 
-    labels = [c.label for c in problem.constraints]
-    margins = dict(zip(labels, lmi.problem_margins(problem, point)))
+    # margins first: a point they reject may not have lyap_inv > 0
+    margins = _margins_at(problem, q, s, w, g, peak)
     worst = min(margins.values())
     if worst < -1e-9:
         raise SolverFailureError(
@@ -340,10 +360,11 @@ def _certificate_from_solution(problem: lmi.LmiProblem, solution: sdp.Solution,
 
     # gamma = sqrt(max lyap_inv) e^{mu/2}, taken from iss_coefficients so that
     # verify, which recomputes it there, finds exactly the stored value
-    coeffs = iss_coefficients(invert_diag(q), mu, alpha, 1.0)
+    lyap = invert_diag(q)
+    coeffs = iss_coefficients(lyap, mu, alpha, 1.0)
     return SynthesisCertificate(
         lyap_inv=q, sector_inv=s, gain_scaled=w, coupling=g,
-        mu=mu, alpha=alpha, peak=peak, gain=gain,
+        mu=mu, alpha=alpha, peak=peak, gain=Matrix(w.array @ lyap.array),
         gamma=coeffs.gamma, omega=coeffs.omega, kappa=coeffs.kappa,
         margins=margins, eps=problem.eps, newton_steps=solution.newton_steps)
 

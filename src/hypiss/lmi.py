@@ -157,10 +157,6 @@ class MatExpr:
         return MatExpr(arr.shape, arr.copy(), {})
 
     @staticmethod
-    def zeros(rows: int, cols: int) -> "MatExpr":
-        return MatExpr((rows, cols), np.zeros((rows, cols)), {})
-
-    @staticmethod
     def from_var(spec: VarSpec) -> "MatExpr":
         coeffs: dict[EntryRef, np.ndarray] = {}
         for k, (i, j) in enumerate(spec.entry_positions()):
@@ -283,17 +279,9 @@ def sym_block(rows: list[list]) -> MatExpr:
     offs = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
     total = int(offs[-1])
 
-    def embed(expr: MatExpr, i: int, j: int) -> MatExpr:
-        r0, c0 = offs[i], offs[j]
-
-        def place(m):
-            out = np.zeros((total, total))
-            out[r0:r0 + m.shape[0], c0:c0 + m.shape[1]] = m
-            return out
-
-        return expr._map(place)
-
-    acc = MatExpr.zeros(total, total)
+    # the constant (under None) and each coefficient, written into place
+    # block by block, the mirror below the diagonal as the transpose
+    parts: dict[EntryRef | None, np.ndarray] = {None: np.zeros((total, total))}
     for i in range(nb):
         for j in range(i, nb):
             if rows[i][j] is None:
@@ -302,10 +290,15 @@ def sym_block(rows: list[list]) -> MatExpr:
             if b.shape != (sizes[i], sizes[j]):
                 raise ValueError(
                     f"block ({i},{j}) has shape {b.shape}, expected {(sizes[i], sizes[j])}")
-            acc = acc + embed(b, i, j)
-            if i != j:
-                acc = acc + embed(b.T, j, i)
-    return acc.canonical()
+            r, c = slice(offs[i], offs[i + 1]), slice(offs[j], offs[j + 1])
+            for ref, m in ((None, b.const), *b.coeffs.items()):
+                if ref not in parts:
+                    parts[ref] = np.zeros((total, total))
+                parts[ref][r, c] = m
+                if i != j:
+                    parts[ref][c, r] = m.T
+    const = parts.pop(None)
+    return MatExpr((total, total), const, parts).canonical()
 
 
 @dataclass(frozen=True)

@@ -112,26 +112,21 @@ class SignalSpec:
         A 1-D array of times gives one such sample per time, stacked along
         a leading axis, each the same bytes as its own call."""
         z = np.atleast_1d(np.asarray(z, dtype=float))
-        if np.ndim(t):
-            if self.kind != SINUSOIDAL_PRODUCT:  # the only time-dependent kind
-                once = self.sample(0.0, z)
-                return np.broadcast_to(once, (len(t),) + once.shape)
-            arg = np.asarray(t, dtype=float)[:, None] * z
+        if self.kind == SINUSOIDAL_PRODUCT:  # the only time-dependent kind
+            arg = np.multiply.outer(t, z)
             rows = [np.sin(arg) if p == "sin" else np.cos(arg) for p in self.phases]
-            return self.amplitude * np.stack(rows, axis=1)
+            return self.amplitude * np.stack(rows, axis=-2)
         if self.kind == ZERO:
-            return np.zeros((self.components, z.size))
-        if self.kind == SINUSOIDAL_PRODUCT:
-            arg = z * t
-            rows = [np.sin(arg) if p == "sin" else np.cos(arg) for p in self.phases]
-            return self.amplitude * np.stack(rows)
-        if self.kind == COSINE_PROFILE:
+            once = np.zeros((self.components, z.size))
+        elif self.kind == COSINE_PROFILE:
             rows = [np.cos(2.0 * math.pi * k * z) - 1.0 for k in self.frequencies]
-            return self.amplitude * np.stack(rows)
-        g = self.sample_grid
-        if np.min(z) < g[0] or np.max(z) > g[-1]:
-            raise ValueError("tabulated signal queried outside its grid")
-        return np.stack([np.interp(z, g, row) for row in self.sample_values])
+            once = self.amplitude * np.stack(rows)
+        else:
+            g = self.sample_grid
+            if np.min(z) < g[0] or np.max(z) > g[-1]:
+                raise ValueError("tabulated signal queried outside its grid")
+            once = np.stack([np.interp(z, g, row) for row in self.sample_values])
+        return np.broadcast_to(once, (len(t),) + once.shape) if np.ndim(t) else once
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

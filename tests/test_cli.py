@@ -5,6 +5,7 @@ checked exactly as a shell user would see them.
 """
 
 import csv
+import dataclasses
 import itertools
 import json
 import math
@@ -366,6 +367,19 @@ class TestSimulate:
         _, rows = _read_csv(out / "norms.csv")
         assert all(np.isfinite(float(r[2])) for r in rows)
 
+    def test_certificate_file_simulates_as_the_auto_design(self, tmp_path):
+        # the stored certificate reads back to the design synthesize makes,
+        # so the closed loop and its envelope come out the same bytes
+        cfg_path = _write_config(tmp_path, _design_config())
+        assert cli.main(["synth", "--config", cfg_path,
+                         "--out", str(tmp_path / "s")]) == 0
+        auto, stored = tmp_path / "auto", tmp_path / "stored"
+        assert cli.main(["simulate", "--config", cfg_path, "--out", str(auto)]) == 0
+        assert cli.main(["simulate", "--config", cfg_path, "--out", str(stored),
+                         "--gain", str(tmp_path / "s" / "certificate.json")]) == 0
+        for name in ("norms.csv", "controls.csv"):
+            assert (auto / name).read_bytes() == (stored / name).read_bytes()
+
     def test_snapshot_toggle_writes_long_format(self, tmp_path):
         cfg = _design_config()
         cfg["simulation"]["M"] = 16
@@ -483,6 +497,36 @@ class TestVerify:
                          "--out", str(tmp_path / "v"),
                          "--tolerance", "-0.05"])
         assert code == 0
+
+    def test_loaded_certificate_is_the_synthesized_one(self, tmp_path):
+        cfg_path, cert_path = self._synth(tmp_path)
+        plant = cli._build_plant(_design_config())
+        fresh = control.synthesize(plant, 1.0, 0.5, eps=1e-6)
+        loaded = cli._load_certificate(str(cert_path), plant)
+        assert loaded.margins == {} and loaded.newton_steps is None
+        for field in dataclasses.fields(control.SynthesisCertificate):
+            if field.name in ("margins", "newton_steps"):
+                continue
+            a, b = getattr(fresh, field.name), getattr(loaded, field.name)
+            if isinstance(a, float):
+                assert a.hex() == b.hex(), field.name
+            else:
+                assert type(a) is type(b), field.name
+                assert a.array.shape == b.array.shape, field.name
+                assert a.array.tobytes() == b.array.tobytes(), field.name
+
+    def test_design_that_is_not_an_object_is_config_error(self, tmp_path, capsys):
+        cfg_path, cert_path = self._synth(tmp_path)
+        bad = _write_config(tmp_path, _design_config(design=[1, 2, 3]), "bad.json")
+        code = cli.main(["verify", "--config", bad, "--gain", str(cert_path),
+                         "--out", str(tmp_path / "v")])
+        assert code == 1
+        assert "config error: design: expected an object" in capsys.readouterr().err
+        # without a design section verify still runs, at delta 0.01
+        cfg = _design_config()
+        del cfg["design"]
+        assert cli.main(["verify", "--config", _write_config(tmp_path, cfg, "nod.json"),
+                         "--gain", str(cert_path), "--out", str(tmp_path / "v")]) == 0
 
     def test_missing_gain_is_operational_error(self, tmp_path, capsys):
         cfg_path = _write_config(tmp_path, _design_config())

@@ -206,6 +206,18 @@ class TestSynthesize:
         assert np.allclose(c.gain.array @ np.diag(c.lyap_inv.diagonal),
                            c.gain_scaled.array, atol=1e-9)
 
+    def test_synthesis_margins_are_the_certified_ones(self, demo_plant,
+                                                      demo_certificate):
+        # re-checking a fresh certificate poses the same inequalities at the
+        # same point, so every margin comes back to the bit
+        again = control.synthesis_margins(demo_plant, demo_certificate)
+        assert ({k: v.hex() for k, v in again.items()}
+                == {k: v.hex() for k, v in demo_certificate.margins.items()})
+        flipped = dataclasses.replace(
+            demo_certificate,
+            lyap_inv=DiagMatrix(-demo_certificate.lyap_inv.diagonal))
+        assert control.synthesis_margins(demo_plant, flipped)["q_pos"] < 0.0
+
     def test_infeasible_weights_raise(self, demo_plant):
         with pytest.raises(InfeasibleError) as exc:
             synthesize(demo_plant, 1.0, 1.2)

@@ -25,11 +25,14 @@ from .linalg import DiagMatrix, Matrix, SymMatrix, invert_diag, max_eig, spectra
 
 
 class SynthesisError(Exception):
-    """Base class for design failures; carries the solver's best effort."""
+    """Base class for design failures; carries the solver's best effort and
+    the problem it was solving, when there was one."""
 
-    def __init__(self, message: str, solution: sdp.Solution | None = None):
+    def __init__(self, message: str, solution: sdp.Solution | None = None,
+                 problem: lmi.LmiProblem | None = None):
         super().__init__(message)
         self.solution = solution
+        self.problem = problem
 
 
 class InfeasibleError(SynthesisError):
@@ -333,11 +336,11 @@ def _certificate_from_solution(problem: lmi.LmiProblem, solution: sdp.Solution,
     if solution.status is sdp.Status.INFEASIBLE:
         raise InfeasibleError(
             f"synthesis inequalities are infeasible at mu={mu}, alpha={alpha}",
-            solution)
+            solution, problem)
     if solution.status is not sdp.Status.OPTIMAL:
         raise SolverFailureError(
             f"solver reported {solution.status.value} at mu={mu}, alpha={alpha}",
-            solution)
+            solution, problem)
     point = solution.point
     q = DiagMatrix(point.entries[_VQ])
     s = DiagMatrix(point.entries[_VS])
@@ -351,12 +354,12 @@ def _certificate_from_solution(problem: lmi.LmiProblem, solution: sdp.Solution,
     if worst < -1e-9:
         raise SolverFailureError(
             f"re-checked margins dip to {worst:.3e}; refusing to certify",
-            solution)
+            solution, problem)
     qmax = float(np.max(q.diagonal))
     if qmax > peak + 1e-9 * max(1.0, abs(peak)):
         raise SolverFailureError(
             f"largest lyap_inv eigenvalue {qmax:.6g} exceeds peak bound {peak:.6g}",
-            solution)
+            solution, problem)
 
     # gamma = sqrt(max lyap_inv) e^{mu/2}, taken from iss_coefficients so that
     # verify, which recomputes it there, finds exactly the stored value
@@ -537,11 +540,12 @@ def verify_analysis(plant: Plant, gain: Matrix, lyap: DiagMatrix,
     sector = DiagMatrix(solution.point.entries[_VT])
 
     point = lmi.Point({**point_fixed.entries, _VT: sector.diagonal})
-    margins = {
-        "boundary_block": lmi.margin(boundary, lmi.LEQ, point, eps=0.0),
-        "disturbance_block": lmi.margin(coupling_blk, lmi.GEQ, point, eps=0.0),
-        "decay_block": lmi.margin(decay, lmi.LEQ, point, eps=0.0),
-    }
+    checks = lmi.LmiProblem((vt,), (
+        lmi.Constraint(boundary, lmi.LEQ, "boundary_block", eps=0.0),
+        lmi.Constraint(coupling_blk, lmi.GEQ, "disturbance_block", eps=0.0),
+        lmi.Constraint(decay, lmi.LEQ, "decay_block", eps=0.0)))
+    margins = {c.label: v for c, v in
+               zip(checks.constraints, lmi.problem_margins(checks, point))}
     return AnalysisCertificate(lyap=lyap, sector=sector,
                                coupling=coupling, mu=mu, supply=supply,
                                alpha=alpha, margins=margins)
@@ -574,7 +578,8 @@ def wellposedness_certificate(plant: Plant, gain: Matrix,
     h_cl = plant.reflection.array + b @ k
 
     btlb = SymMatrix.symmetrized(b.T @ big_lam @ b)
-    tau = 1.0 + max_eig(btlb) + delta
+    btlb_top = max_eig(btlb)
+    tau = 1.0 + btlb_top + delta
 
     cross = spectral_norm(Matrix(h_cl.T @ big_lam @ b))
     inner = (h_cl.T @ big_lam @ h_cl @ big_lam_inv
@@ -592,7 +597,7 @@ def wellposedness_certificate(plant: Plant, gain: Matrix,
     rho = min(-mu_wp / 2.0, contraction_rho) - delta
 
     slacks = {
-        "input_domination": tau - 1.0 - max_eig(btlb),
+        "input_domination": tau - 1.0 - btlb_top,
         "amplification_margin": mu_wp - amplification,
         "drift_margin": -mu_wp / 2.0 - rho,
         "boundary_contraction": 1.0 - math.exp(rho / lam_max) * norm_sum,

@@ -1,17 +1,24 @@
 """Small dense real linear algebra used by the synthesis and validation code.
 
 Everything here is sized for control-synthesis blocks (dimensions of a few
-to ~10), so the eigensolver is a plain cyclic Jacobi iteration: simple,
+to a few dozen), so the eigensolver is a Jacobi iteration: simple,
 deterministic, and accurate enough to trust certificate margins computed
-from it.  Tolerances are relative to the Frobenius norm of the input.
+from it.  It takes one matrix or a whole stack, such as every block of an
+LMI problem, and rotates all matrices at once in the parallel
+(round-robin) order, so a margin re-check is one call.  Tolerances are
+relative to the Frobenius norm of each input matrix.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
 DEFAULT_TOL = 1e-12
 _MAX_SWEEPS = 60
+_MINUS_PLUS = np.array([[-1.0], [1.0]])
+_TINY = 1e-300  # keeps 0/0 out of a padded or already-diagonal pair
 
 
 class LinalgError(Exception):
@@ -140,77 +147,101 @@ class DiagMatrix:
         return f"{type(self).__name__}({self._d.tolist()!r})"
 
 
-def frobenius(a: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(a * a)))
+def _round_robin(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Parallel (round-robin) Jacobi ordering of an even dimension: dim - 1
+    rounds of dim/2 disjoint pairs p < q, together covering every pair once.
 
-
-def sym_eig(a: SymMatrix, tol: float = DEFAULT_TOL,
-            max_sweeps: int = _MAX_SWEEPS) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
-
-    Returns ``(w, v)`` with eigenvalues ``w`` ascending and orthonormal
-    eigenvectors in the columns of ``v``.  Off-diagonal mass is annihilated
-    pairwise until it drops below ``tol`` times the Frobenius norm of the
-    input; a matrix that has not converged after ``max_sweeps`` sweeps
-    raises :class:`ConvergenceError`.
+    This is the circle method of Brent and Luk: index 0 stays put and the
+    others move one seat round the table after each round.
     """
-    A = a.array.copy()
-    n = a.dim
-    V = np.eye(n)
-    if n == 1:
-        return A[0, :1].copy(), V
+    seats = list(range(dim))
+    rounds = []
+    for _ in range(dim - 1):
+        rounds.append([sorted((seats[i], seats[dim - 1 - i])) for i in range(dim // 2)])
+        seats = [seats[0], seats[-1]] + seats[1:-1]
+    pairs = np.array(rounds)
+    return pairs[:, :, 0], pairs[:, :, 1]
 
-    fro = frobenius(A)
-    if fro == 0.0:
-        return np.zeros(n), V
-    off_target = tol * fro
-    rotate_floor = 1e-300  # only guards the division below
+
+def sym_eig(a: SymMatrix | Sequence[SymMatrix], tol: float = DEFAULT_TOL,
+            max_sweeps: int = _MAX_SWEEPS):
+    """Full eigendecomposition of one symmetric matrix, or of each matrix of
+    a sequence, by parallel-ordered Jacobi sweeps over the whole stack.
+
+    Returns ``(w, v)`` for a :class:`SymMatrix`, and a list of them for a
+    sequence: eigenvalues ``w`` ascending and orthonormal eigenvectors in
+    the columns of ``v``.  Every matrix is padded with zero rows and columns
+    to one even size; a pair that touches the padding has a_pq = 0, so its
+    rotation is the identity and the padding never mixes into a matrix.  A
+    sweep is the rounds of :func:`_round_robin`, each rotating all its
+    disjoint pairs of every matrix at once.  Sweeps continue until every
+    matrix's off-diagonal mass is at most ``tol`` times its own Frobenius
+    norm; a stack that has not converged after ``max_sweeps`` sweeps raises
+    :class:`ConvergenceError`.
+    """
+    mats = [a] if isinstance(a, SymMatrix) else list(a)
+    if not mats:
+        return []
+    count = len(mats)
+    dim = max(m.dim for m in mats)
+    dim += dim % 2
+    # each matrix A sits on top of its eigenvector columns V: a rotation
+    # G acts as A <- G A G^T and V <- V G^T, so [G A; V] @ G^T does both
+    # right-hand products in one matmul
+    W = np.zeros((count, 2 * dim, dim))
+    for k, m in enumerate(mats):
+        W[k, :m.dim, :m.dim] = m.array
+    W[:, dim:] = np.eye(dim)
+    A = W[:, :dim]
+    off_target = tol * np.sqrt(np.sum(A * A, axis=(1, 2)))
+    off_mask = 1.0 - np.eye(dim)
+
+    # flat positions of the (p, p), (q, q), (p, q), (q, p) entries of every
+    # round, in W (stride 2 dim^2 per matrix) and in G (stride dim^2)
+    P, Q = _round_robin(dim)
+    entries = np.stack([P * dim + P, Q * dim + Q, P * dim + Q, Q * dim + P], axis=1)
+    in_w = entries[:, None] + (2 * dim * dim * np.arange(count))[:, None, None]
+    in_g = entries[:, None] + (dim * dim * np.arange(count))[:, None, None]
+    # G's entries at those positions, (c, c, -s, s) = (1, 1, -t, t) * c
+    rot = np.ones((count, 4, dim // 2))
 
     for _ in range(max_sweeps):
-        off = np.sqrt(2.0 * np.sum(np.triu(A, 1) ** 2))
-        if off <= off_target:
+        off = np.sqrt(np.sum((A * off_mask) ** 2, axis=(1, 2)))
+        if np.all(off <= off_target):
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= rotate_floor:
-                    continue
-                # rotation angle chosen to zero the (p, q) entry
-                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-
-                app, aqq = A[p, p], A[q, q]
-                row_p = A[p, :].copy()
-                row_q = A[q, :].copy()
-                A[p, :] = c * row_p - s * row_q
-                A[q, :] = s * row_p + c * row_q
-                col_p = A[:, p].copy()
-                col_q = A[:, q].copy()
-                A[:, p] = c * col_p - s * col_q
-                A[:, q] = s * col_p + c * col_q
-                # stable closed forms for the rotated pair
-                A[p, p] = app - t * apq
-                A[q, q] = aqq + t * apq
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-
-                v_p = V[:, p].copy()
-                v_q = V[:, q].copy()
-                V[:, p] = c * v_p - s * v_q
-                V[:, q] = s * v_p + c * v_q
+        for at_w, at_g in zip(in_w, in_g):
+            pair = W.take(at_w[:, :3])
+            app, aqq, apq = pair[:, 0], pair[:, 1], pair[:, 2]
+            # t = sgn(tau) / (|tau| + sqrt(1 + tau^2)) with tau = (a_qq -
+            # a_pp) / (2 a_pq), multiplied through by |2 a_pq|: no quotient
+            # can overflow, and t = 0 where a_pq = 0
+            d = aqq - app
+            two = apq + apq
+            t = two / (d + np.copysign(np.hypot(d, two) + _TINY, d))
+            rot[:, 2] = -t
+            rot[:, 3] = t
+            G = np.zeros((count, dim, dim))
+            G.put(at_g, rot / np.hypot(1.0, t)[:, None])
+            W[:, :dim] = G @ A
+            W = W @ G.transpose(0, 2, 1)
+            # stable closed forms for the rotated pairs: a_pp - t a_pq and
+            # a_qq + t a_pq
+            W.put(at_w[:, :2], pair[:, :2] + _MINUS_PLUS * (t * apq)[:, None])
+            W.put(at_w[:, 2:], 0.0)
+            A = W[:, :dim]
     else:
+        worst = int(np.argmax(off / np.maximum(off_target, _TINY)))
         raise ConvergenceError(
             f"Jacobi eigensolver did not converge in {max_sweeps} sweeps "
-            f"(off-diagonal {off:.3e} vs target {off_target:.3e})")
+            f"(matrix {worst}: off-diagonal {off[worst]:.3e} "
+            f"vs target {off_target[worst]:.3e})")
 
-    w = np.diag(A).copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], V[:, order]
+    out = []
+    for k, m in enumerate(mats):
+        w = np.diagonal(A[k])[:m.dim].copy()
+        order = np.argsort(w, kind="stable")
+        out.append((w[order], W[k, dim:dim + m.dim, :m.dim][:, order]))
+    return out[0] if isinstance(a, SymMatrix) else out
 
 
 def max_eig(a: SymMatrix) -> float:

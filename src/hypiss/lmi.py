@@ -419,6 +419,15 @@ def evaluate(expr: MatExpr, point: Point) -> linalg.SymMatrix:
     return linalg.SymMatrix.symmetrized(expr.value(point))
 
 
+def _slack(sense: str, w: np.ndarray, eps: float) -> float:
+    """Signed slack of a constraint whose value has ascending eigenvalues w."""
+    if sense == LEQ:
+        return -float(w[-1]) - eps
+    if sense == GEQ:
+        return float(w[0]) - eps
+    raise ValueError(f"unknown constraint sense {sense!r}")
+
+
 def margin(expr: MatExpr, sense: str, point: Point, eps: float = 0.0) -> float:
     """Signed slack of the constraint at the point; positive means strictly
     satisfied.
@@ -426,20 +435,16 @@ def margin(expr: MatExpr, sense: str, point: Point, eps: float = 0.0) -> float:
     For expr <= -eps*I the margin is -max_eig(value) - eps; for
     expr >= +eps*I it is min_eig(value) - eps.
     """
-    value = evaluate(expr, point)
-    if sense == LEQ:
-        return -linalg.max_eig(value) - eps
-    if sense == GEQ:
-        return linalg.min_eig(value) - eps
-    raise ValueError(f"unknown constraint sense {sense!r}")
-
-
-def constraint_margin(problem: LmiProblem, con: Constraint, point: Point) -> float:
-    return margin(con.expr, con.sense, point, eps=problem.resolved_eps(con))
+    w, _ = linalg.sym_eig(evaluate(expr, point))
+    return _slack(sense, w, eps)
 
 
 def problem_margins(problem: LmiProblem, point: Point) -> list[float]:
-    return [constraint_margin(problem, c, point) for c in problem.constraints]
+    """The margin of every constraint at the point, in declaration order,
+    from one stacked eigendecomposition of all the blocks."""
+    values = [evaluate(c.expr, point) for c in problem.constraints]
+    return [_slack(c.sense, w, problem.resolved_eps(c))
+            for c, (w, _) in zip(problem.constraints, linalg.sym_eig(values))]
 
 
 @dataclass(frozen=True)

@@ -141,6 +141,21 @@ class TestSynth:
         assert worst < 0.0
         assert report["margins"]["worst_phase1_margin"] == worst
 
+    def test_infeasible_design_builds_its_inequalities_once(self, tmp_path, monkeypatch):
+        real = control.build_synthesis_lmis
+        calls = []
+
+        def build(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(control, "build_synthesis_lmis", build)
+        cfg = _design_config()
+        cfg["design"]["alpha"] = 1.2
+        assert cli.main(["synth", "--config", _write_config(tmp_path, cfg),
+                         "--out", str(tmp_path / "o")]) == 2
+        assert len(calls) == 1
+
     def test_invalid_json_exits_1(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -422,6 +437,23 @@ class TestVerify:
         assert report["status"] == "pass"
         for family in ("synthesis.", "analysis.", "wellposedness."):
             assert any(k.startswith(family) for k in report["margins"])
+
+    def test_summary_names_the_worst_real_inequality(self, tmp_path, capsys):
+        cfg_path, cert_path = self._synth(tmp_path)
+        out = tmp_path / "v"
+        capsys.readouterr()
+        assert cli.main(["verify", "--config", cfg_path,
+                         "--gain", str(cert_path), "--out", str(out)]) == 0
+        line = capsys.readouterr().out
+        report = json.loads((out / "verify_report.json").read_text())
+        margins = report["margins"]
+        # the stored ISS coefficients are exact, so their drift is 0 and the
+        # line names the smallest margin of the three inequality families
+        assert margins["certificate.iss_consistency"] == 0.0
+        label = min((k for k in margins if not k.startswith("certificate.")),
+                    key=margins.get)
+        assert margins[label] > 0.0
+        assert f"worst margin {margins[label]:.3e} at {label}," in line
 
     def test_certificate_made_at_small_eps_passes(self, tmp_path):
         cfg = _design_config()

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from hypiss import linalg
+from hypiss import lmi, sdp
+from hypiss.control import Plant, build_synthesis_lmis
 from hypiss.linalg import (
     ConvergenceError,
     DiagMatrix,
@@ -79,7 +80,7 @@ class TestSymEig:
             for _ in range(5):
                 s = _random_sym(rng, n)
                 w, v = sym_eig(s)
-                scale = max(linalg.frobenius(s.array), 1.0)
+                scale = max(np.linalg.norm(s.array), 1.0)
                 assert np.max(np.abs(v @ np.diag(w) @ v.T - s.array)) <= 1e-9 * scale
                 assert np.max(np.abs(v.T @ v - np.eye(n))) <= 1e-9
                 assert np.all(np.diff(w) >= -1e-12)
@@ -88,7 +89,7 @@ class TestSymEig:
         rng = np.random.default_rng(7)
         s = _random_sym(rng, 5)
         w, v = sym_eig(s)
-        fro = linalg.frobenius(s.array)
+        fro = np.linalg.norm(s.array)
         for i in range(5):
             res = np.linalg.norm(s.array @ v[:, i] - w[i] * v[:, i])
             assert res <= 1e-10 * fro
@@ -114,6 +115,80 @@ class TestSymEig:
         s = _random_sym(rng, 6)
         with pytest.raises(ConvergenceError):
             sym_eig(s, tol=1e-18, max_sweeps=1)
+
+
+class TestStackedEig:
+    """sym_eig on a sequence pads every matrix to one even size and runs
+    one parallel-ordered Jacobi over the stack."""
+
+    @staticmethod
+    def _mixed_stack():
+        rng = np.random.default_rng(20)
+        mats = [_random_sym(rng, n) for n in range(1, 11)]
+        mats += [SymMatrix(np.zeros((4, 4))),
+                 SymMatrix(DiagMatrix([2.0, -7.0, 0.5]).array),
+                 SymMatrix([[-3.0]]), _random_sym(rng, 8)]
+        return mats
+
+    def test_stack_agrees_with_stack_of_one_and_numpy(self):
+        mats = self._mixed_stack()
+        stacked = sym_eig(mats)
+        assert len(stacked) == len(mats)
+        for s, (w, v) in zip(mats, stacked):
+            scale = np.linalg.norm(s.array)
+            alone, _ = sym_eig(s)
+            assert w.shape == (s.dim,) and v.shape == (s.dim, s.dim)
+            assert np.max(np.abs(w - alone)) <= 1e-10 * scale
+            assert np.max(np.abs(w - np.linalg.eigvalsh(s.array))) <= 1e-10 * scale
+            assert np.max(np.abs(v @ np.diag(w) @ v.T - s.array)) <= 1e-10 * max(scale, 1.0)
+            assert np.max(np.abs(v.T @ v - np.eye(s.dim))) <= 1e-10
+
+    def test_padding_never_shows_up(self):
+        # a negative definite 3x3 padded to 10: a zero from the padding
+        # would be its largest eigenvalue; a positive definite 1x1 padded
+        # likewise would show it as its smallest
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((3, 3))
+        neg = SymMatrix.symmetrized(-(a @ a.T) - np.eye(3))
+        (w_neg, v_neg), (w_pos, _), _ = sym_eig(
+            [neg, SymMatrix([[2.5]]), _random_sym(rng, 9)])
+        assert w_neg.shape == (3,) and v_neg.shape == (3, 3)
+        assert w_neg[-1] < -0.5
+        assert np.allclose(w_neg, np.linalg.eigvalsh(neg.array), atol=1e-12)
+        assert w_pos.tolist() == [2.5]
+
+    def test_stack_iteration_cap_raises(self):
+        rng = np.random.default_rng(2)
+        with pytest.raises(ConvergenceError):
+            sym_eig([SymMatrix([[1.0]]), _random_sym(rng, 6)], max_sweeps=1)
+
+
+def _random_plant(cfg: dict) -> Plant:
+    return Plant(DiagMatrix(np.array(cfg["lambda"])), Matrix(np.array(cfg["H"])),
+                 Matrix(np.array(cfg["B"])), Matrix(np.array(cfg["N"])),
+                 np.array(cfg["u_max"]))
+
+
+class TestProblemMargins:
+    """problem_margins re-checks every block in one stacked call; each
+    margin equals the one-block margin of its constraint."""
+
+    @staticmethod
+    def _agree(problem):
+        point = sdp.minimize(problem).point
+        stacked = lmi.problem_margins(problem, point)
+        for c, m in zip(problem.constraints, stacked):
+            value = lmi.evaluate(c.expr, point).array
+            alone = lmi.margin(c.expr, c.sense, point, eps=problem.resolved_eps(c))
+            assert abs(m - alone) <= 1e-12 * np.linalg.norm(value), c.label
+
+    def test_demo_problem(self, demo_plant):
+        self._agree(build_synthesis_lmis(demo_plant, 1.0, 0.5))
+
+    def test_seeded_five_state_plant(self, random_plant_config):
+        cfg = random_plant_config(np.random.default_rng(5), 5, 1.0)
+        alpha = 0.5 * min(cfg["lambda"])
+        self._agree(build_synthesis_lmis(_random_plant(cfg), 1.0, alpha))
 
 
 class TestScalars:

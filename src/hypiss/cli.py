@@ -536,18 +536,17 @@ def cmd_verify(config_path: str, out_override: str | None,
 
     started = time.perf_counter()
     # the design-side inequalities at the stored point, the analysis-side
-    # ones for the stored gain itself, and the well-posedness slacks
+    # ones for the stored gain at the same point, and the well-posedness
+    # slacks; no solver is called
     synthesis = control.synthesis_margins(plant, cert)
-    lyap, coupling = control.analysis_values(cert.lyap_inv, cert.coupling)
-    analysis = verify_analysis(plant, cert.gain, lyap, coupling,
-                               cert.mu, 1.0, cert.alpha)
+    analysis = verify_analysis(plant, cert)
     wp = wellposedness_certificate(plant, cert.gain, delta=delta)
     margins = {f"{family}.{label}": value
                for family, values in (("synthesis", synthesis),
-                                      ("analysis", analysis.margins),
+                                      ("analysis", analysis),
                                       ("wellposedness", wp.slacks))
                for label, value in values.items()}
-    coeffs = iss_coefficients(lyap, cert.mu, cert.alpha, 1.0)
+    coeffs = iss_coefficients(invert_diag(cert.lyap_inv), cert.mu, cert.alpha, 1.0)
     margins["certificate.iss_consistency"] = -max(
         abs(coeffs.omega - cert.omega), abs(coeffs.kappa - cert.kappa),
         abs(coeffs.gamma - cert.gamma))

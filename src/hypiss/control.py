@@ -8,6 +8,12 @@ synthesis and gain analysis matrix inequalities, extracts certified
 input-to-state-stability coefficients, and computes the constants used to
 argue well-posedness of the saturated closed loop.
 
+The synthesis inequalities are the convexified analysis ones, under the
+change of variables lyap_inv = P^-1, sector_inv = T^-1, gain_scaled =
+K lyap_inv.  So a certificate is re-checked on both sides without a
+solver: its margins are evaluated at its own point in the synthesis
+problem, and at P = lyap_inv^-1, T = sector_inv^-1 in the analysis one.
+
 Convention for exponential weights: the certified Lyapunov density decays
 like exp(-mu z) across the domain, and alpha is the certified decay rate of
 the functional along solutions.
@@ -133,23 +139,6 @@ class SynthesisCertificate:
     margins: dict[str, float]
     eps: float
     newton_steps: tuple[int, int] | None
-
-
-@dataclass(frozen=True)
-class AnalysisCertificate:
-    """Certified check of a fixed gain: Lyapunov weight, sector multiplier,
-    disturbance coupling, and supply-rate gain, with inequality margins."""
-
-    lyap: DiagMatrix
-    sector: DiagMatrix
-    coupling: SymMatrix
-    mu: float
-    supply: float
-    alpha: float
-    margins: dict[str, float]
-
-    def is_valid(self, tolerance: float = 0.0) -> bool:
-        return all(m >= tolerance for m in self.margins.values())
 
 
 @dataclass(frozen=True)
@@ -304,16 +293,22 @@ def _failure(e: Exception) -> str:
     return f"{type(e).__name__}: {e}"
 
 
+def _labelled_margins(problem: lmi.LmiProblem, values: dict) -> dict[str, float]:
+    """The margin of each inequality of the problem, by label, at the point
+    given as per-variable values."""
+    point = lmi.Point.build(problem.variables, values)
+    return {c.label: v for c, v in
+            zip(problem.constraints, lmi.problem_margins(problem, point))}
+
+
 def _margins_at(problem: lmi.LmiProblem, lyap_inv: DiagMatrix,
                 sector_inv: DiagMatrix, gain_scaled: Matrix, coupling: SymMatrix,
                 peak: float) -> dict[str, float]:
     """The margin of each synthesis inequality, by label, at the point
     (lyap_inv, sector_inv, gain_scaled, coupling, peak)."""
-    point = lmi.Point.build(problem.variables, {
+    return _labelled_margins(problem, {
         _VQ: lyap_inv.diagonal, _VS: sector_inv.diagonal,
         _VW: gain_scaled.array, _VG: coupling.array, _VC: np.array([peak])})
-    return {c.label: v for c, v in
-            zip(problem.constraints, lmi.problem_margins(problem, point))}
 
 
 def synthesis_margins(plant: Plant, cert: SynthesisCertificate) -> dict[str, float]:
@@ -442,122 +437,72 @@ def grid_search(plant: Plant, mu_grid, alpha_grid,
                           best=None if best is None else certificates[best[1:]])
 
 
-def _analysis_blocks(plant: Plant, gain: Matrix, mu: float, alpha: float,
-                     lyap_expr, sector_expr, coupling_expr, supply_sq_expr):
-    """The three analysis inequalities as expressions in P, T, Gamma, chi^2,
-    each in canonical form."""
-    lam = plant.speeds.diagonal
-    big_lam = np.diag(lam)
-    h_cl = plant.reflection.array + plant.input_map.array @ gain.array
-    b = plant.input_map.array
-    nd = plant.disturbance_map.array
-    k = gain.array
-
-    lam_hcl = big_lam @ h_cl
-    lam_b = big_lam @ b
-    p = lyap_expr
-    t = sector_expr
-
-    a11 = h_cl.T @ (p @ lam_hcl) - math.exp(-mu) * (p @ big_lam)
-    a12 = h_cl.T @ (p @ lam_b) - k.T @ t
-    a22 = b.T @ (p @ lam_b) - 2.0 * t
-    boundary = lmi.sym_block([[a11, a12], [None, a22]])
-
-    coupling = lmi.sym_block([[coupling_expr, p @ nd], [None, supply_sq_expr]])
-    decay = (p @ np.diag(alpha - mu * lam) + coupling_expr).canonical()
-    return boundary, coupling, decay
-
-
 def build_analysis_lmis(plant: Plant, gain: Matrix, mu: float, alpha: float,
                         eps: float = lmi.DEFAULT_EPS) -> lmi.LmiProblem:
-    """Feasibility problem certifying a fixed gain: find a diagonal Lyapunov
-    weight, diagonal sector multiplier, symmetric coupling bound, and a
-    squared supply gain satisfying the dissipation inequalities."""
+    """Dissipation inequalities certifying a fixed gain, in a diagonal
+    Lyapunov weight P, diagonal sector multiplier T, symmetric coupling
+    bound Gamma and squared supply gain chi^2.
+
+    At P = lyap_inv^-1, T = sector_inv^-1 and Gamma = P coupling P the
+    boundary block is the congruence diag(P, T) of the Schur complement of
+    the synthesis boundary block at its -lyap_inv Lambda^-1 entry, so a
+    synthesis certificate is a point of this problem.
+    """
     if mu <= 0.0 or alpha <= 0.0:
         raise ValueError("mu and alpha must be positive")
     n, m = plant.n, plant.m
+    lam = plant.speeds.diagonal
+    big_lam = np.diag(lam)
+    k = gain.array
+    b = plant.input_map.array
+    h_cl = plant.reflection.array + b @ k
+    nd = plant.disturbance_map.array
+
     vp = lmi.VarSpec.diagonal(_VP, n)
     vt = lmi.VarSpec.diagonal(_VT, m)
     vg = lmi.VarSpec.symmetric(_VGA, n)
     vx = lmi.VarSpec.scalar(_VX)
-    boundary, coupling, decay = _analysis_blocks(
-        plant, gain, mu, alpha,
-        lmi.MatExpr.from_var(vp), lmi.MatExpr.from_var(vt),
-        lmi.MatExpr.from_var(vg), lmi.MatExpr.scalar_identity(_VX, plant.q))
+    p = lmi.MatExpr.from_var(vp)
+    t = lmi.MatExpr.from_var(vt)
+    g = lmi.MatExpr.from_var(vg)
+
+    lam_b = big_lam @ b
+    boundary = lmi.sym_block([
+        [h_cl.T @ (p @ (big_lam @ h_cl)) - math.exp(-mu) * (p @ big_lam),
+         h_cl.T @ (p @ lam_b) - k.T @ t],
+        [None, b.T @ (p @ lam_b) - 2.0 * t]])
+    coupling = lmi.sym_block([[g, p @ nd],
+                              [None, lmi.MatExpr.scalar_identity(_VX, plant.q)]])
+    decay = p @ np.diag(alpha - mu * lam) + g
+
     constraints = (
         lmi.Constraint(boundary, lmi.LEQ, "boundary_block"),
         lmi.Constraint(coupling, lmi.GEQ, "disturbance_block"),
         lmi.Constraint(decay, lmi.LEQ, "decay_block"),
-        lmi.Constraint(lmi.MatExpr.from_var(vp), lmi.GEQ, "p_pos"),
-        lmi.Constraint(lmi.MatExpr.from_var(vt), lmi.GEQ, "t_pos"),
-        lmi.Constraint(lmi.MatExpr.from_var(vg), lmi.GEQ, "coupling_pos"),
+        lmi.Constraint(p, lmi.GEQ, "p_pos"),
+        lmi.Constraint(t, lmi.GEQ, "t_pos"),
+        lmi.Constraint(g, lmi.GEQ, "coupling_pos"),
         lmi.Constraint(lmi.MatExpr.scalar_identity(_VX, 1), lmi.GEQ, "supply_pos"),
     )
     return lmi.LmiProblem((vp, vt, vg, vx), constraints, eps=eps)
 
 
-def verify_analysis(plant: Plant, gain: Matrix, lyap: DiagMatrix,
-                    coupling: SymMatrix, mu: float, supply: float,
-                    alpha: float) -> AnalysisCertificate:
-    """Check the analysis inequalities at fixed (P, Gamma, chi, mu, alpha),
-    searching only over the sector multiplier.
-
-    The boundary inequality is the only one involving the multiplier; it is
-    scanned by minimizing the largest eigenvalue of its block over diagonal
-    T >= eps I, with eps = lmi.DEFAULT_EPS.  The reported margins may be
-    negative; callers decide what tolerance to accept.
+def verify_analysis(plant: Plant, cert: SynthesisCertificate) -> dict[str, float]:
+    """The margin of each analysis inequality, by label, for the
+    certificate's gain at its own point: P = lyap_inv^-1, T = sector_inv^-1,
+    Gamma = P coupling P and chi^2 = 1, posed at its mu and alpha with
+    eps 0.  No solver is called; the margins may be negative, and callers
+    decide what tolerance to accept.
     """
-    if np.any(lyap.diagonal <= 0.0):
-        raise ValueError("the Lyapunov weight must be positive")
-    if supply <= 0.0:
-        raise ValueError("the supply gain must be positive")
-    point_fixed = lmi.Point({
-        _VP: _frozen(lyap.diagonal),
-        _VGA: _frozen(lmi.VarSpec.symmetric(_VGA, plant.n)
-                      .entries_from_matrix(coupling.array)),
-        _VX: _frozen(np.array([supply ** 2])),
-    })
-
-    # pose min shift s.t. boundary_block(T) <= shift*I, T >= eps I
-    vt = lmi.VarSpec.diagonal(_VT, plant.m)
-    vshift = lmi.VarSpec.scalar("shift")
-    p_const = lmi.MatExpr.constant(lyap.array)
-    g_const = lmi.MatExpr.constant(coupling.array)
-    x_const = lmi.MatExpr.constant(supply ** 2 * np.eye(plant.q))
-    boundary, coupling_blk, decay = _analysis_blocks(
-        plant, gain, mu, alpha, p_const, lmi.MatExpr.from_var(vt),
-        g_const, x_const)
-    shifted = boundary - lmi.MatExpr.scalar_identity("shift", plant.n + plant.m)
-    problem = lmi.LmiProblem(
-        (vt, vshift),
-        (lmi.Constraint(shifted, lmi.LEQ, "shifted_boundary", eps=0.0),
-         lmi.Constraint(lmi.MatExpr.from_var(vt), lmi.GEQ, "t_pos")),
-        objective=((("shift", 0), 1.0),))
-    solution = sdp.minimize(problem)
-    if solution.status is not sdp.Status.OPTIMAL:
-        raise SolverFailureError(
-            f"sector-multiplier search reported {solution.status.value}", solution)
-    sector = DiagMatrix(solution.point.entries[_VT])
-
-    point = lmi.Point({**point_fixed.entries, _VT: sector.diagonal})
-    checks = lmi.LmiProblem((vt,), (
-        lmi.Constraint(boundary, lmi.LEQ, "boundary_block", eps=0.0),
-        lmi.Constraint(coupling_blk, lmi.GEQ, "disturbance_block", eps=0.0),
-        lmi.Constraint(decay, lmi.LEQ, "decay_block", eps=0.0)))
-    margins = {c.label: v for c, v in
-               zip(checks.constraints, lmi.problem_margins(checks, point))}
-    return AnalysisCertificate(lyap=lyap, sector=sector,
-                               coupling=coupling, mu=mu, supply=supply,
-                               alpha=alpha, margins=margins)
-
-
-def analysis_values(lyap_inv: DiagMatrix,
-                    coupling: SymMatrix) -> tuple[DiagMatrix, SymMatrix]:
-    """Map the synthesis-side weight and coupling of a certificate to the
-    analysis side: P is the inverse of lyap_inv and Gamma = P * coupling * P."""
-    p = invert_diag(lyap_inv)
-    pa = p.array
-    return p, SymMatrix.symmetrized(pa @ coupling.array @ pa)
+    if np.any(cert.lyap_inv.diagonal <= 0.0) or np.any(cert.sector_inv.diagonal <= 0.0):
+        raise ValueError("lyap_inv and sector_inv must be positive")
+    problem = build_analysis_lmis(plant, cert.gain, cert.mu, cert.alpha, eps=0.0)
+    lyap = invert_diag(cert.lyap_inv)
+    pa = lyap.array
+    return _labelled_margins(problem, {
+        _VP: lyap.diagonal, _VT: invert_diag(cert.sector_inv).diagonal,
+        _VGA: SymMatrix.symmetrized(pa @ cert.coupling.array @ pa).array,
+        _VX: np.ones(1)})
 
 
 def wellposedness_certificate(plant: Plant, gain: Matrix,

@@ -73,10 +73,6 @@ class Matrix:
     def cols(self) -> int:
         return self._a.shape[1]
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls(np.zeros((rows, cols)))
-
     def __repr__(self):
         return f"{type(self).__name__}({self._a.tolist()!r})"
 
@@ -247,11 +243,6 @@ def sym_eig(a: SymMatrix | Sequence[SymMatrix], tol: float = DEFAULT_TOL,
 def max_eig(a: SymMatrix) -> float:
     w, _ = sym_eig(a)
     return float(w[-1])
-
-
-def min_eig(a: SymMatrix) -> float:
-    w, _ = sym_eig(a)
-    return float(w[0])
 
 
 def spectral_norm(a: Matrix) -> float:

@@ -197,7 +197,6 @@ class Trajectory:
 
     times: np.ndarray
     l2_norms: np.ndarray
-    boundary_traces: np.ndarray
     control_traces: np.ndarray
     lyapunov_values: np.ndarray | None = None
     snapshots: np.ndarray | None = None
@@ -372,7 +371,6 @@ def simulate(plant: Plant, gain: Matrix, config: SimConfig,
     records = 1 + n_steps // stride + (1 if n_steps % stride else 0)
     times = np.empty(records)
     norms = np.empty(records)
-    boundary = np.empty((records, plant.n))
     controls = np.empty((records, plant.m))
     lyap_vals = None if lyapunov is None else np.empty(records)
     snaps = np.empty((records, plant.n, grid.cells)) if config.keep_snapshots else None
@@ -382,8 +380,9 @@ def simulate(plant: Plant, gain: Matrix, config: SimConfig,
     def record(i: int, t_now: float, x: np.ndarray):
         times[i] = t_now
         norms[i] = l2_norm(x, grid)
-        boundary[i] = x[:, -1]
-        controls[i] = saturate(k_arr @ boundary[i], plant.u_max)
+        # K x on the strided outflow column rounds differently for some
+        # shapes (one input, n >= 4), so it is taken on a contiguous copy
+        controls[i] = saturate(k_arr @ np.ascontiguousarray(x[:, -1]), plant.u_max)
         if lyap_vals is not None:
             lyap_vals[i] = lyap_value(x)
         if snaps is not None:
@@ -405,9 +404,8 @@ def simulate(plant: Plant, gain: Matrix, config: SimConfig,
                 record(i, t_now, state)
                 i += 1
 
-    for a in (times, norms, boundary, controls, lyap_vals, snaps):
+    for a in (times, norms, controls, lyap_vals, snaps):
         if a is not None:
             a.setflags(write=False)
-    return Trajectory(times=times, l2_norms=norms, boundary_traces=boundary,
-                      control_traces=controls, lyapunov_values=lyap_vals,
-                      snapshots=snaps)
+    return Trajectory(times=times, l2_norms=norms, control_traces=controls,
+                      lyapunov_values=lyap_vals, snapshots=snaps)

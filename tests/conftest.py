@@ -32,6 +32,12 @@ def _random_plant_config(rng: np.random.Generator, n: int, mu: float) -> dict:
             "u_max": rng.uniform(0.2, 1.0, m).tolist()}
 
 
+def _plant(cfg: dict) -> Plant:
+    return Plant(DiagMatrix(np.array(cfg["lambda"])), Matrix(np.array(cfg["H"])),
+                 Matrix(np.array(cfg["B"])), Matrix(np.array(cfg["N"])),
+                 np.array(cfg["u_max"]))
+
+
 @pytest.fixture
 def random_plant_config():
     """Factory (rng, n, mu) -> plant config block of a random feasible plant."""
@@ -58,6 +64,17 @@ def demo_certificate():
     """Synthesized design for the demo plant at mu=1, alpha=0.5 (solved once
     per session; the solver is deterministic)."""
     return synthesize(_demo_plant(), 1.0, 0.5)
+
+
+@pytest.fixture(scope="session")
+def seeded_certificates():
+    """(plant, certificate) of the seeded random plants n = 2..5: the plant
+    rule above with default_rng(n), designed at mu = 1 and alpha = min(lambda)/2."""
+    out = []
+    for n in range(2, 6):
+        plant = _plant(_random_plant_config(np.random.default_rng(n), n, 1.0))
+        out.append((plant, synthesize(plant, 1.0, 0.5 * float(np.min(plant.speeds.diagonal)))))
+    return out
 
 
 @pytest.fixture(scope="session")

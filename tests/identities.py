@@ -1,8 +1,9 @@
 """Identities the tests check the library against.
 
 They restate properties the theory guarantees (the global sector bound of
-the deadzone, the derivative of the quadratic Lyapunov functional) in
-terms of the library's public functions, so a test can sweep them over
+the deadzone, the derivative of the quadratic Lyapunov functional, the
+congruence that carries the synthesis boundary block to the analysis one)
+in terms of the library's public functions, so a test can sweep them over
 random inputs.  The standard-form readers (`vector`, `block_value`) let a
 test evaluate what `lmi.vectorize` produced against the expressions it came
 from.  `write_csv`, `two_sample_step` and `record_by_record_energy` are
@@ -16,9 +17,15 @@ import csv
 
 import numpy as np
 
-from hypiss.control import Plant, closed_loop_boundary, deadzone
+from hypiss.control import (
+    Plant,
+    SynthesisCertificate,
+    build_synthesis_lmis,
+    closed_loop_boundary,
+    deadzone,
+)
 from hypiss.linalg import DiagMatrix, Matrix
-from hypiss.lmi import Point, StandardBlock, StandardForm
+from hypiss.lmi import LmiProblem, Point, StandardBlock, StandardForm, evaluate
 from hypiss.pde import ZERO, Grid, SignalSpec, SimConfig, l2_norm, lyapunov_value
 
 
@@ -45,6 +52,38 @@ def sector_value(nu, u_max, sector: DiagMatrix) -> float:
     nu = np.asarray(nu, dtype=float)
     phi = deadzone(nu, u_max)
     return float(phi @ (sector.diagonal * (phi + nu)))
+
+
+def analysis_point(problem: LmiProblem, cert: SynthesisCertificate) -> Point:
+    """The certificate as a point of the analysis problem: P = lyap_inv^-1,
+    T = sector_inv^-1, Gamma = P coupling P and chi^2 = 1."""
+    p = 1.0 / cert.lyap_inv.diagonal
+    return Point.build(problem.variables, {
+        "lyap": p, "sector": 1.0 / cert.sector_inv.diagonal,
+        "coupling": p[:, None] * cert.coupling.array * p[None, :],
+        "supply_sq": np.ones(1)})
+
+
+def congruent_boundary_block(plant: Plant, cert: SynthesisCertificate) -> np.ndarray:
+    """diag(P, T) (M / M11) diag(P, T), with M the synthesis boundary block at
+    the certificate's point, M11 = -lyap_inv Lambda^-1 its first diagonal
+    block, P = lyap_inv^-1 and T = sector_inv^-1.
+
+    With W = K lyap_inv this is the analysis boundary block at (P, T):
+    the generalized-sector congruence of the convexified inequality.
+    """
+    problem = build_synthesis_lmis(plant, cert.mu, cert.alpha, eps=cert.eps)
+    point = Point.build(problem.variables, {
+        "lyap_inv": cert.lyap_inv.diagonal, "sector_inv": cert.sector_inv.diagonal,
+        "gain_scaled": cert.gain_scaled.array, "coupling": cert.coupling.array,
+        "peak": np.array([cert.peak])})
+    boundary = next(c for c in problem.constraints if c.label == "boundary_block")
+    m = evaluate(boundary.expr, point).array
+    n = plant.n
+    m11, m12, m22 = m[:n, :n], m[:n, n:], m[n:, n:]
+    schur = m22 - m12.T @ np.linalg.solve(m11, m12)
+    d = np.concatenate([1.0 / cert.lyap_inv.diagonal, 1.0 / cert.sector_inv.diagonal])
+    return d[:, None] * schur * d[None, :]
 
 
 def frechet_check(lyap: DiagMatrix, mu: float, state, direction,

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 import pytest
 
-from hypiss import cli, control, lmi
+from hypiss import cli, control, lmi, sdp
 from identities import write_csv
 
 # floats whose text is easy to get wrong: nan, both infinities, negative
@@ -437,6 +437,39 @@ class TestVerify:
         assert report["status"] == "pass"
         for family in ("synthesis.", "analysis.", "wellposedness."):
             assert any(k.startswith(family) for k in report["margins"])
+
+    def test_passes_with_the_solver_refusing(self, tmp_path, monkeypatch):
+        cfg_path, cert_path = self._synth(tmp_path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify called the solver")
+
+        monkeypatch.setattr(sdp, "minimize", refuse)
+        monkeypatch.setattr(sdp, "minimize_batch", refuse)
+        out = tmp_path / "v"
+        assert cli.main(["verify", "--config", cfg_path,
+                         "--gain", str(cert_path), "--out", str(out)]) == 0
+        report = json.loads((out / "verify_report.json").read_text())
+        assert report["status"] == "pass"
+        # the analysis margins at the certificate's own sector multiplier,
+        # the four positivity margins of that problem included
+        analysis = {k for k in report["margins"] if k.startswith("analysis.")}
+        assert analysis == {f"analysis.{label}" for label in (
+            "boundary_block", "disturbance_block", "decay_block",
+            "p_pos", "t_pos", "coupling_pos", "supply_pos")}
+
+    def test_shrunken_sector_multiplier_fails(self, tmp_path):
+        cfg_path, cert_path = self._synth(tmp_path)
+        cert = json.loads(cert_path.read_text())
+        cert["sector_inv"] = [1e3 * v for v in cert["sector_inv"]]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cert))
+        out = tmp_path / "v"
+        assert cli.main(["verify", "--config", cfg_path, "--gain", str(bad),
+                         "--out", str(out)]) == 2
+        report = json.loads((out / "verify_report.json").read_text())
+        assert report["status"] == "fail"
+        assert report["margins"]["analysis.boundary_block"] < 0.0
 
     def test_summary_names_the_worst_real_inequality(self, tmp_path, capsys):
         cfg_path, cert_path = self._synth(tmp_path)

@@ -8,7 +8,6 @@ from hypiss import control, lmi, sdp
 from hypiss.control import (
     InfeasibleError,
     Plant,
-    analysis_values,
     build_analysis_lmis,
     build_synthesis_lmis,
     closed_loop_boundary,
@@ -21,12 +20,14 @@ from hypiss.control import (
     wellposedness_certificate,
 )
 from hypiss.linalg import DiagMatrix, Matrix, SymMatrix, invert_diag
-from identities import sector_value
+from identities import analysis_point, congruent_boundary_block, sector_value
 
 # design values quoted for the demo plant at mu=1, alpha=0.5, used as a
 # fixed admissibility point throughout
 LYAP_INV = np.array([12.5, 82.0])
 COUPLING_HAT = np.array([[4.07, 0.195], [0.195, 36.3]])
+REPORTED_GAIN = np.array([[-0.24, 0.0], [0.33, -0.08]])
+REPORTED_SECTOR_INV = np.array([11.767287269683061, 18.422264242336125])
 
 
 def _reflectionless_plant() -> Plant:
@@ -121,7 +122,8 @@ class TestClosedLoopBoundary:
 
     def test_zero_gain_is_pure_reflection(self, demo_plant):
         x = np.array([0.7, -1.3])
-        out = closed_loop_boundary(demo_plant, Matrix.zeros(demo_plant.m, demo_plant.n), x)
+        zero = Matrix(np.zeros((demo_plant.m, demo_plant.n)))
+        out = closed_loop_boundary(demo_plant, zero, x)
         assert np.array_equal(out, demo_plant.reflection.array @ x)
 
 
@@ -373,49 +375,59 @@ class TestGridSearch:
 
 
 class TestVerifyAnalysis:
-    def _reported_analysis_inputs(self):
-        p = invert_diag(DiagMatrix(LYAP_INV))
-        gamma = SymMatrix.symmetrized(p.array @ COUPLING_HAT @ p.array)
-        return p, gamma
+    @staticmethod
+    def _reported(cert, gain=REPORTED_GAIN):
+        # the quoted design values in the certificate form, at mu=1, alpha=0.5
+        return dataclasses.replace(
+            cert, lyap_inv=DiagMatrix(LYAP_INV), sector_inv=DiagMatrix(REPORTED_SECTOR_INV),
+            coupling=SymMatrix(COUPLING_HAT), gain=Matrix(gain), mu=1.0, alpha=0.5)
 
-    def test_reported_design_certifies(self, demo_plant, demo_gain):
-        p, gamma = self._reported_analysis_inputs()
-        cert = verify_analysis(demo_plant, demo_gain, p, gamma, 1.0, 1.0, 0.5)
-        assert cert.is_valid(-0.05)
+    def test_reported_design_certifies(self, demo_plant, demo_certificate):
+        margins = verify_analysis(demo_plant, self._reported(demo_certificate))
+        assert min(margins.values()) >= -0.05
         # margins frozen from an independent convex solver run
-        assert abs(cert.margins["boundary_block"] - 0.00165) < 5e-5
-        assert abs(cert.margins["disturbance_block"] - 0.005247) < 5e-5
-        assert abs(cert.margins["decay_block"] - 0.005746) < 5e-5
-        assert np.all(cert.sector.diagonal > 0.0)
+        assert abs(margins["boundary_block"] - 0.00165) < 5e-5
+        assert abs(margins["disturbance_block"] - 0.005247) < 5e-5
+        assert abs(margins["decay_block"] - 0.005746) < 5e-5
+        assert margins["t_pos"] > 0.0
 
-    def test_sector_multiplier_matches_reference(self, demo_plant, demo_gain):
-        p, gamma = self._reported_analysis_inputs()
-        cert = verify_analysis(demo_plant, demo_gain, p, gamma, 1.0, 1.0, 0.5)
-        assert np.allclose(cert.sector.diagonal, [0.08498, 0.05428], atol=5e-4)
-
-    def test_destabilizing_gain_fails(self, demo_plant):
-        p, gamma = self._reported_analysis_inputs()
-        bad = Matrix(np.array([[3.0, 0.0], [0.0, 3.0]]))
-        cert = verify_analysis(demo_plant, bad, p, gamma, 1.0, 1.0, 0.5)
-        assert not cert.is_valid(-0.05)
-        assert cert.margins["boundary_block"] < -0.05
+    def test_destabilizing_gain_fails(self, demo_plant, demo_certificate):
+        bad = self._reported(demo_certificate, np.array([[3.0, 0.0], [0.0, 3.0]]))
+        margins = verify_analysis(demo_plant, bad)
+        assert min(margins.values()) < -0.05
+        assert margins["boundary_block"] < -0.05
 
     def test_synthesized_design_certifies(self, demo_plant, demo_certificate):
-        p, gamma = analysis_values(demo_certificate.lyap_inv, demo_certificate.coupling)
-        cert = verify_analysis(demo_plant, demo_certificate.gain, p,
-                               gamma, demo_certificate.mu, 1.0,
-                               demo_certificate.alpha)
-        assert cert.is_valid(-1e-6)
+        # at the certificate's own sector multiplier, with no search
+        margins = verify_analysis(demo_plant, demo_certificate)
+        assert len(margins) == 7
+        assert min(margins.values()) > 0.0
 
-    def test_validation(self, demo_plant, demo_gain):
+    def test_small_eps_and_seeded_designs_certify(self, demo_plant, seeded_certificates):
+        designs = [(demo_plant, synthesize(demo_plant, 1.0, 0.5, eps=1e-9)),
+                   *seeded_certificates]
+        for plant, cert in designs:
+            assert min(verify_analysis(plant, cert).values()) > 0.0, (plant.n, cert.eps)
+
+    def test_validation(self, demo_plant, demo_certificate):
         with pytest.raises(ValueError):
-            verify_analysis(demo_plant, demo_gain,
-                            DiagMatrix(np.array([-1.0, 1.0])),
-                            SymMatrix(np.eye(2)), 1.0, 1.0, 0.5)
+            verify_analysis(demo_plant, dataclasses.replace(
+                demo_certificate, lyap_inv=DiagMatrix(np.array([-1.0, 1.0]))))
         with pytest.raises(ValueError):
-            verify_analysis(demo_plant, demo_gain,
-                            DiagMatrix(np.array([1.0, 1.0])),
-                            SymMatrix(np.eye(2)), 1.0, 0.0, 0.5)
+            verify_analysis(demo_plant, dataclasses.replace(
+                demo_certificate, sector_inv=DiagMatrix(np.array([1.0, 0.0]))))
+
+    def test_boundary_block_is_the_synthesis_congruence(self, demo_plant,
+                                                        demo_certificate,
+                                                        seeded_certificates):
+        # at T = S^-1 the analysis boundary block is diag(P, T) times the
+        # Schur complement of the synthesis block at its -Q Lambda^-1 entry
+        for plant, cert in [(demo_plant, demo_certificate), *seeded_certificates]:
+            want = congruent_boundary_block(plant, cert)
+            problem = build_analysis_lmis(plant, cert.gain, cert.mu, cert.alpha)
+            boundary = next(c for c in problem.constraints if c.label == "boundary_block")
+            got = lmi.evaluate(boundary.expr, analysis_point(problem, cert)).array
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestAnalysisLmis:
@@ -441,12 +453,21 @@ class TestAnalysisLmis:
 
 
 class TestAnalysisValues:
-    def test_inverse_and_congruence(self, demo_certificate):
-        p, gamma = analysis_values(demo_certificate.lyap_inv, demo_certificate.coupling)
-        assert np.allclose(p.array @ demo_certificate.lyap_inv.array, np.eye(2),
-                           atol=1e-12)
-        expect = p.array @ demo_certificate.coupling.array @ p.array
-        assert np.allclose(gamma.array, expect, atol=1e-12)
+    def test_inverse_and_congruence(self, demo_plant, demo_certificate):
+        # verify reads P = lyap_inv^-1, T = sector_inv^-1, Gamma = P coupling P
+        problem = build_analysis_lmis(demo_plant, demo_certificate.gain,
+                                      demo_certificate.mu, demo_certificate.alpha, eps=0.0)
+        point = analysis_point(problem, demo_certificate)
+        p = np.diag(point.entries["lyap"])
+        t = np.diag(point.entries["sector"])
+        gamma = point.matrix(problem.variable("coupling"))
+        assert np.allclose(p @ demo_certificate.lyap_inv.array, np.eye(2), atol=1e-12)
+        assert np.allclose(t @ demo_certificate.sector_inv.array, np.eye(2), atol=1e-12)
+        expect = p @ demo_certificate.coupling.array @ p
+        assert np.allclose(gamma, expect, atol=1e-12)
+        margins = dict(zip((c.label for c in problem.constraints),
+                           lmi.problem_margins(problem, point)))
+        assert margins == verify_analysis(demo_plant, demo_certificate)
 
 
 class TestWellPosedness:

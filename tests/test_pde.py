@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hypiss.control import Plant
+from hypiss.control import Plant, saturate
 from hypiss.linalg import DiagMatrix, Matrix
 from hypiss.pde import (
     BlowUpError,
@@ -275,6 +275,13 @@ def _random_loop(random_plant_config, seed: int):
     return plant, gain, rng
 
 
+def _outflow_controls(traj, plant: Plant, gain: Matrix) -> np.ndarray:
+    """saturate(K x(t, 1)) at every record, from the kept snapshots, one
+    record at a time on a contiguous outflow as the recorder computes it."""
+    return np.array([saturate(gain.array @ np.ascontiguousarray(snap[:, -1]), plant.u_max)
+                     for snap in traj.snapshots])
+
+
 def _tabulated_disturbance(q: int) -> SignalSpec:
     z = np.linspace(0.0, 1.0, 13)
     return SignalSpec.tabulated(z, np.stack([np.sin((k + 1) * 3.0 * z) + 0.1 * k
@@ -316,8 +323,7 @@ class TestOneSampleStep:
             # the functional's own arithmetic, term by term
             quad = np.sum(lyap.diagonal[:, None] * snap * snap, axis=0)
             assert value == float(np.sum(weight * quad)) * g.dz
-        assert traj.boundary_traces.tobytes() == np.ascontiguousarray(
-            traj.snapshots[:, :, -1]).tobytes()
+        assert _outflow_controls(traj, plant, gain).tobytes() == traj.control_traces.tobytes()
 
     def test_lyapunov_checks_run_before_the_first_step(self, demo_plant, demo_gain):
         cfg = SimConfig(Grid(16), t_final=1.0, initial=INITIAL)
@@ -331,10 +337,11 @@ class TestOneSampleStep:
 
 class TestSimulate:
     def test_zero_data_stays_zero(self, demo_plant, demo_gain):
-        traj = simulate(demo_plant, demo_gain, SimConfig(Grid(64), t_final=2.0))
+        traj = simulate(demo_plant, demo_gain,
+                        SimConfig(Grid(64), t_final=2.0, keep_snapshots=True))
         assert np.all(traj.l2_norms == 0.0)
         assert np.all(traj.control_traces == 0.0)
-        assert np.all(traj.boundary_traces == 0.0)
+        assert np.all(traj.snapshots[:, :, -1] == 0.0)
 
     def test_record_structure(self, demo_plant, demo_gain):
         cfg = SimConfig(Grid(64), t_final=1.0, disturbance=DISTURBANCE,
@@ -344,10 +351,26 @@ class TestSimulate:
         assert traj.times[0] == 0.0 and traj.times[-1] == 1.0
         assert np.all(np.diff(traj.times) > 0.0)
         assert traj.l2_norms.shape == (n,)
-        assert traj.boundary_traces.shape == (n, 2)
         assert traj.control_traces.shape == (n, 2)
+        assert (_outflow_controls(traj, demo_plant, demo_gain).tobytes()
+                == traj.control_traces.tobytes())
         assert traj.snapshots.shape == (n, 2, 64)
         assert np.all(traj.l2_norms >= 0.0)
+
+    def test_single_input_controls_match_bit_for_bit(self):
+        # with one input and n >= 4, K x is a dot product whose bits differ
+        # on a strided outflow column; the recorder must use a contiguous one
+        rng = np.random.default_rng(5)
+        n = 5
+        plant = Plant(DiagMatrix(rng.uniform(1.0, 2.0, n)), Matrix(0.3 * np.eye(n)),
+                      Matrix(rng.standard_normal((n, 1))), Matrix(np.eye(n)),
+                      np.array([0.5]))
+        gain = Matrix(rng.standard_normal((1, n)))
+        cfg = SimConfig(Grid(20), t_final=0.5, snapshot_stride=1, keep_snapshots=True,
+                        initial=SignalSpec.cosine_profile(3.0, (1.0, 2.0, 3.0, 4.0, 5.0)))
+        traj = simulate(plant, gain, cfg)
+        assert (_outflow_controls(traj, plant, gain).tobytes()
+                == traj.control_traces.tobytes())
 
     @pytest.mark.parametrize("t_final", [1.0, 0.37, 1e-3])
     @pytest.mark.parametrize("stride", [1, 4, 7, None, 10 ** 9])

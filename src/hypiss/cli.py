@@ -17,6 +17,7 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -514,7 +515,12 @@ def cmd_simulate(config_path: str, out_override: str | None,
     _write_report(out_dir, "simulate", digest, {}, timing, manifest,
                   extra={"status": "completed", "gain_source": gain_source,
                          "records": int(traj.times.size),
-                         "final_l2_norm": float(traj.l2_norms[-1])})
+                         "final_l2_norm": float(traj.l2_norms[-1]),
+                         "steps": traj.steps, "dt": traj.dt, "stride": traj.stride,
+                         "step_us": 1e6 * timing / traj.steps if traj.steps else None,
+                         # saturate returns the limit itself, so == finds it
+                         "saturated_record_fraction": float(np.mean(np.any(
+                             np.abs(traj.control_traces) == plant.u_max, axis=1)))})
     print(f"simulated to t={sim_cfg.t_final:g} "
           f"({traj.times.size} records, final norm {traj.l2_norms[-1]:.6g})")
     for name in manifest:
@@ -624,7 +630,10 @@ def _seed_configs(directory: Path) -> list[Path]:
 # entry point
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; each parse makes a
+    fresh namespace from the defaults, so nothing carries between calls."""
     parser = argparse.ArgumentParser(
         prog="hypiss",
         description="Design, verify, and simulate saturated boundary "

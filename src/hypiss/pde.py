@@ -8,10 +8,27 @@ the outflow trace, the outflow ghost by constant extrapolation, so the
 boundary coupling enters exactly once per step.  Alongside the solver sit
 the trajectory diagnostics: weighted norms, the exponential Lyapunov
 functional, and the input-to-state-stability envelope it certifies.
+
+`simulate` does each piece of work as seldom as it can:
+
+- per run, a `Scheme`: the speed coefficients (0.5 dt/dz) λ and
+  (dt/dz) λ, the CFL check, the disturbance map and the ghost-cell buffer
+  (a shorter last step gets a second one);
+- per block of steps, one disturbance sample at all of the block's
+  half-step times and its N·d products; per block of records, the norms,
+  Lyapunov values and saturated controls of the recorded states.  Every
+  block array is at most 64 kB;
+- per step, one `step` call (boundary law, half step, full step) and the
+  check that the state is finite.
+
+Each block computation is the same floating-point arithmetic, in the same
+order, as the step-at-a-time or record-at-a-time one, so the results are
+identical to the last bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -30,6 +47,8 @@ _KINDS = (ZERO, SINUSOIDAL_PRODUCT, COSINE_PROFILE, TABULATED)
 
 # default cap on recorded diagnostics per run
 _MAX_RECORDS = 2000
+# doubles in one block of samples, forcings or recorded states (64 kB)
+_BLOCK_FLOATS = 8192
 
 
 class BlowUpError(RuntimeError):
@@ -193,11 +212,16 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Diagnostics recorded along a run, one row per recorded time."""
+    """Diagnostics recorded along a run, one row per recorded time, and the
+    run's time stepping: the step count, the full step dt (the last step is
+    shorter when dt does not divide t_final) and the record stride."""
 
     times: np.ndarray
     l2_norms: np.ndarray
     control_traces: np.ndarray
+    steps: int
+    dt: float
+    stride: int
     lyapunov_values: np.ndarray | None = None
     snapshots: np.ndarray | None = None
 
@@ -223,36 +247,49 @@ class IssBoundParams:
             raise ValueError("x0_norm must be nonnegative")
 
 
+def _per_block(floats_each: int) -> int:
+    """How many items of floats_each doubles fill one 64 kB block (at least
+    one): the size of every block of samples, forcings and recorded states."""
+    return max(1, _BLOCK_FLOATS // floats_each)
+
+
+def _norms(states: np.ndarray, dz: float) -> np.ndarray:
+    """Midpoint-rule L2 norm of each state of a stack: one pairwise sum of
+    the squares per state, then sqrt(sum dz)."""
+    sums = (states * states).reshape(len(states), -1).sum(axis=1)
+    return np.sqrt(sums * dz)
+
+
+def _lyapunov_weight(lyap: DiagMatrix, mu: float, grid: Grid):
+    """P as a column and the weight e^{-mu z} on the centers, after the
+    checks on mu and P."""
+    if mu < 0.0:
+        raise ValueError("mu must be nonnegative")
+    if np.any(lyap.diagonal <= 0.0):
+        raise ValueError("the Lyapunov weight must be positive")
+    return lyap.diagonal[:, None], np.exp(-mu * grid.centers)
+
+
+def _lyapunov_values(states: np.ndarray, p: np.ndarray, weight: np.ndarray,
+                     dz: float) -> np.ndarray:
+    """int e^{-mu z} <X, PX> dz of each state of an (c, n, M) stack by the
+    midpoint rule."""
+    quad = np.sum(p * states * states, axis=1)
+    return np.sum(weight * quad, axis=1) * dz
+
+
 def l2_norm(state, grid: Grid) -> float:
     """Spatial L2 norm by the composite midpoint rule on cell centers."""
     state = np.atleast_2d(np.asarray(state, dtype=float))
-    return math.sqrt(float(np.sum(state * state)) * grid.dz)
+    return float(_norms(state[None], grid.dz)[0])
 
 
 def lyapunov_value(state, lyap: DiagMatrix, mu: float, grid: Grid) -> float:
     """Exponentially weighted quadratic functional int e^{-mu z} <X, PX> dz
     by the midpoint rule."""
-    return _lyapunov_functional(lyap, mu, grid)(state)
-
-
-def _lyapunov_functional(lyap: DiagMatrix, mu: float, grid: Grid):
-    """`lyapunov_value` as a function of the state alone, with the checks on
-    mu and P and the weight e^{-mu z} done once, for a run that evaluates
-    it at every record."""
-    if mu < 0.0:
-        raise ValueError("mu must be nonnegative")
-    if np.any(lyap.diagonal <= 0.0):
-        raise ValueError("the Lyapunov weight must be positive")
-    weight = np.exp(-mu * grid.centers)
-    p = lyap.diagonal[:, None]
-    dz = grid.dz
-
-    def value(state) -> float:
-        state = np.atleast_2d(np.asarray(state, dtype=float))
-        quad = np.sum(p * state * state, axis=0)
-        return float(np.sum(weight * quad)) * dz
-
-    return value
+    p, weight = _lyapunov_weight(lyap, mu, grid)
+    state = np.atleast_2d(np.asarray(state, dtype=float))
+    return float(_lyapunov_values(state[None], p, weight, grid.dz)[0])
 
 
 def iss_bound_params(lyap: DiagMatrix, mu: float, alpha: float, supply: float,
@@ -286,56 +323,132 @@ def disturbance_energy(spec: SignalSpec, times, grid: Grid) -> np.ndarray:
         raise ValueError("times must be a strictly increasing 1-D array")
     if spec is None or spec.kind == ZERO:
         return np.zeros(times.size)
-    # sampled a block of records at a time, each block's samples at most
-    # 64 kB; per record the square of the rounded norm, as
-    # l2_norm(spec.sample(t, grid.centers), grid) ** 2 gives it
-    per = max(1, 8192 // (spec.components * grid.cells))
+    # sampled a block of records at a time; per record the square of the
+    # rounded norm, as l2_norm(spec.sample(t, grid.centers), grid) ** 2 gives it
+    per = _per_block(spec.components * grid.cells)
     sq = np.empty(times.size)
     for start in range(0, times.size, per):
         d = spec.sample(times[start:start + per], grid.centers)
-        sums = (d * d).reshape(len(d), -1).sum(axis=1)
-        sq[start:start + per] = [r ** 2 for r in np.sqrt(sums * grid.dz).tolist()]
+        sq[start:start + per] = [r ** 2 for r in _norms(d, grid.dz).tolist()]
     out = np.zeros(times.size)
     np.cumsum(0.5 * (sq[1:] + sq[:-1]) * np.diff(times), out=out[1:])
     return out
 
 
-def step(state: np.ndarray, plant: Plant, gain: Matrix, t: float, dt: float,
-         config: SimConfig) -> np.ndarray:
-    """One staggered Lax-Friedrichs step of length dt starting at time t.
+class Scheme:
+    """The per-run constants of the staggered Lax-Friedrichs step of length
+    dt for one plant, gain and grid: the speed coefficients (0.5 dt/dz) λ
+    and (dt/dz) λ, the disturbance map N, and the (n, M + 2) ghost-cell
+    buffer that every step refills.  Raises ValueError when dt breaks the
+    CFL condition."""
+
+    def __init__(self, plant: Plant, gain: Matrix, grid: Grid, dt: float):
+        lam = plant.speeds.diagonal[:, None]
+        dz = grid.dz
+        lam_max = float(lam.max())
+        if lam_max * dt > dz * (1.0 + 1e-12):
+            raise ValueError(
+                f"CFL violation: max speed * dt / dz = {lam_max * dt / dz:.4g} > 1")
+        self.plant, self.gain, self.grid, self.dt = plant, gain, grid, dt
+        self.half_speed = (0.5 * dt / dz) * lam
+        self.full_speed = (dt / dz) * lam
+        self.disturbance_map = plant.disturbance_map.array
+        self.ghosted = np.empty((plant.n, grid.cells + 2))
+
+    def forcing(self, disturbance: SignalSpec, half_times: np.ndarray):
+        """The disturbance terms of a block of steps with the given half-step
+        times: (0.5 dt) N d on the interfaces, shape (B, n, M + 1), and
+        dt N d on the centers, shape (B, n, M), from one sample of the block
+        on `Grid.staggered` (its even points are the interfaces, its odd
+        ones the centers)."""
+        block = disturbance.sample(half_times, self.grid.staggered)
+        nd = self.disturbance_map
+        # each half made contiguous, so every step's product is the same BLAS
+        # call on the same values as a sample on the interfaces or the
+        # centers alone
+        even = np.ascontiguousarray(block[:, :, 0::2])
+        odd = np.ascontiguousarray(block[:, :, 1::2])
+        return (0.5 * self.dt) * (nd @ even), self.dt * (nd @ odd)
+
+
+def step(state: np.ndarray, scheme: Scheme, forcing=None) -> np.ndarray:
+    """One staggered Lax-Friedrichs step of the scheme's length.
 
     Half-step states are formed on interfaces (boundary values from the
     feedback ghost cell at z=0 and constant extrapolation at z=1), then the
     centers take the conservative full step.  The disturbance enters both
-    stages at the half-step time, so one sample on `Grid.staggered` serves
-    both: its even points for the interfaces, its odd ones for the centers.
+    stages at the half-step time: forcing is this step's pair of
+    `Scheme.forcing` terms (interfaces, centers), or None for a run without
+    one.  Only the boundary law and the two stages are per-step work.
     """
-    grid = config.grid
-    lam = plant.speeds.diagonal[:, None]
-    dz = grid.dz
-    lam_max = float(lam.max())
-    if lam_max * dt > dz * (1.0 + 1e-12):
-        raise ValueError(
-            f"CFL violation: max speed * dt / dz = {lam_max * dt / dz:.4g} > 1")
-
-    inflow = closed_loop_boundary(plant, gain, state[:, -1])
-    ghosted = np.concatenate([inflow[:, None], state, state[:, -1:]], axis=1)
-
-    half_t = t + 0.5 * dt
+    ghosted = scheme.ghosted
+    ghosted[:, 0] = closed_loop_boundary(scheme.plant, scheme.gain, state[:, -1])
+    ghosted[:, 1:-1] = state
+    ghosted[:, -1] = state[:, -1]
     jump = ghosted[:, 1:] - ghosted[:, :-1]
-    half = 0.5 * (ghosted[:, 1:] + ghosted[:, :-1]) - (0.5 * dt / dz) * lam * jump
-    nd = plant.disturbance_map.array
-    forced = config.disturbance is not None and config.disturbance.kind != ZERO
-    if forced:
-        # each half made contiguous, so its product is the same BLAS call on
-        # the same values as a sample on the interfaces or the centers alone
-        sample = config.disturbance.sample(half_t, grid.staggered)
-        half += (0.5 * dt) * (nd @ np.ascontiguousarray(sample[:, 0::2]))
-
-    out = state - (dt / dz) * lam * (half[:, 1:] - half[:, :-1])
-    if forced:
-        out += dt * (nd @ np.ascontiguousarray(sample[:, 1::2]))
+    half = 0.5 * (ghosted[:, 1:] + ghosted[:, :-1]) - scheme.half_speed * jump
+    if forcing is not None:
+        half += forcing[0]
+    out = state - scheme.full_speed * (half[:, 1:] - half[:, :-1])
+    if forcing is not None:
+        out += forcing[1]
     return out
+
+
+class _Recorder:
+    """The diagnostics of the recorded states, written into arrays sized
+    before the first step.  Each recorded state is copied into a buffer of
+    at most 64 kB; when it is full, and once at the end, the norms, the
+    Lyapunov values and the saturated controls of the whole block are
+    computed at once."""
+
+    def __init__(self, records: int, plant: Plant, gain: Matrix, grid: Grid,
+                 lyapunov: tuple[DiagMatrix, float] | None, keep_snapshots: bool):
+        shape = (plant.n, grid.cells)
+        self.times = np.empty(records)
+        self.norms = np.empty(records)
+        self.controls = np.empty((records, plant.m))
+        self.lyap = None if lyapunov is None else np.empty(records)
+        self.lyap_weight = None if lyapunov is None else _lyapunov_weight(*lyapunov, grid)
+        self.snaps = np.empty((records,) + shape) if keep_snapshots else None
+        self.buf = np.empty((min(records, _per_block(shape[0] * shape[1])),) + shape)
+        self.gain, self.u_max, self.dz = gain.array, plant.u_max, grid.dz
+        self.done = self.count = 0  # records flushed, records taken
+
+    def add(self, t: float, state: np.ndarray) -> None:
+        self.times[self.count] = t
+        self.buf[self.count - self.done] = state
+        self.count += 1
+        if self.count - self.done == len(self.buf):
+            self.flush()
+
+    def flush(self) -> None:
+        lo, hi = self.done, self.count
+        if hi == lo:
+            return
+        xs = self.buf[:hi - lo]
+        self.norms[lo:hi] = _norms(xs, self.dz)
+        # K x on a strided outflow column rounds differently for some shapes
+        # (one input, n >= 4), so it is taken on contiguous (n, 1) columns;
+        # outflow @ K.T would round differently again
+        outflow = np.ascontiguousarray(xs[:, :, -1])
+        self.controls[lo:hi] = saturate((self.gain @ outflow[:, :, None])[:, :, 0],
+                                        self.u_max)
+        if self.lyap is not None:
+            self.lyap[lo:hi] = _lyapunov_values(xs, *self.lyap_weight, self.dz)
+        if self.snaps is not None:
+            self.snaps[lo:hi] = xs
+        self.done = hi
+
+    def trajectory(self, steps: int, dt: float, stride: int) -> Trajectory:
+        self.flush()
+        for a in (self.times, self.norms, self.controls, self.lyap, self.snaps):
+            if a is not None:
+                a.setflags(write=False)
+        return Trajectory(times=self.times, l2_norms=self.norms,
+                          control_traces=self.controls, steps=steps, dt=dt,
+                          stride=stride, lyapunov_values=self.lyap,
+                          snapshots=self.snaps)
 
 
 def simulate(plant: Plant, gain: Matrix, config: SimConfig,
@@ -345,6 +458,12 @@ def simulate(plant: Plant, gain: Matrix, config: SimConfig,
 
     Pass lyapunov = (P, mu) to record the weighted functional along the
     run.  A non-finite state aborts with the first bad time.
+
+    Per run: the time step, the `Scheme` (a second one for a shorter last
+    step) and the record arrays.  Per block of at most 64 kB: one
+    disturbance sample at the block's half-step times (k - 1) dt + dt/2
+    with its N d products, and the diagnostics of a block of recorded
+    states.  Per step: one `step` call and the finiteness check.
     """
     grid = config.grid
     if config.initial is not None and config.initial.components != plant.n:
@@ -366,46 +485,35 @@ def simulate(plant: Plant, gain: Matrix, config: SimConfig,
     else:
         state = config.initial.sample(0.0, grid.centers)
 
-    # the record count is known before the first step, so every diagnostic
-    # is written in place into an array of its final size
     records = 1 + n_steps // stride + (1 if n_steps % stride else 0)
-    times = np.empty(records)
-    norms = np.empty(records)
-    controls = np.empty((records, plant.m))
-    lyap_vals = None if lyapunov is None else np.empty(records)
-    snaps = np.empty((records, plant.n, grid.cells)) if config.keep_snapshots else None
-    k_arr = gain.array
-    lyap_value = None if lyapunov is None else _lyapunov_functional(*lyapunov, grid)
+    recorder = _Recorder(records, plant, gain, grid, lyapunov, config.keep_snapshots)
+    recorder.add(0.0, state)
 
-    def record(i: int, t_now: float, x: np.ndarray):
-        times[i] = t_now
-        norms[i] = l2_norm(x, grid)
-        # K x on the strided outflow column rounds differently for some
-        # shapes (one input, n >= 4), so it is taken on a contiguous copy
-        controls[i] = saturate(k_arr @ np.ascontiguousarray(x[:, -1]), plant.u_max)
-        if lyap_vals is not None:
-            lyap_vals[i] = lyap_value(x)
-        if snaps is not None:
-            snaps[i] = x
-
-    record(0, 0.0, state)
-    i = 1
+    disturbance = config.disturbance
+    if disturbance is not None and disturbance.kind == ZERO:
+        disturbance = None
+    # steps first..last of length dt_k; step k starts at (k - 1) dt, the
+    # remainder step included
+    segments = [(1, full_steps, dt)]
+    if n_steps > full_steps:
+        segments.append((n_steps, n_steps, remainder))
+    per = _per_block(max(plant.n, plant.q) * grid.staggered.size)
     # overflow on the way to a detected blow-up is expected, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, n_steps + 1):
-            if k <= full_steps:
-                t_prev, dt_k, t_now = (k - 1) * dt, dt, k * dt if k < n_steps else config.t_final
-            else:
-                t_prev, dt_k, t_now = full_steps * dt, remainder, config.t_final
-            state = step(state, plant, gain, t_prev, dt_k, config)
-            if not np.all(np.isfinite(state)):
-                raise BlowUpError(t_now)
-            if k % stride == 0 or k == n_steps:
-                record(i, t_now, state)
-                i += 1
-
-    for a in (times, norms, controls, lyap_vals, snaps):
-        if a is not None:
-            a.setflags(write=False)
-    return Trajectory(times=times, l2_norms=norms, control_traces=controls,
-                      lyapunov_values=lyap_vals, snapshots=snaps)
+        for first, last, dt_k in segments:
+            scheme = Scheme(plant, gain, grid, dt_k)
+            for start in range(first, last + 1, per):
+                ks = range(start, min(start + per, last + 1))
+                if disturbance is None:
+                    forcings = itertools.repeat(None)
+                else:
+                    half_times = np.arange(start - 1, ks.stop - 1) * dt + 0.5 * dt_k
+                    forcings = zip(*scheme.forcing(disturbance, half_times))
+                for k, forcing in zip(ks, forcings):
+                    state = step(state, scheme, forcing)
+                    t_now = k * dt if k < n_steps else config.t_final
+                    if not np.isfinite(state).all():
+                        raise BlowUpError(t_now)
+                    if k % stride == 0 or k == n_steps:
+                        recorder.add(t_now, state)
+    return recorder.trajectory(n_steps, dt, stride)

@@ -6,14 +6,16 @@ congruence that carries the synthesis boundary block to the analysis one)
 in terms of the library's public functions, so a test can sweep them over
 random inputs.  The standard-form readers (`vector`, `block_value`) let a
 test evaluate what `lmi.vectorize` produced against the expressions it came
-from.  `write_csv`, `two_sample_step` and `record_by_record_energy` are
-the plain forms of the CSV writer, the simulator step and the disturbance
-energy that the faster ones must match byte for byte.
+from.  `write_csv`, `two_sample_step`, `step_by_step_simulate` and
+`record_by_record_energy` are the plain forms of the CSV writer, the
+simulator step, the simulator run and the disturbance energy that the
+faster ones must match byte for byte.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 
@@ -23,10 +25,19 @@ from hypiss.control import (
     build_synthesis_lmis,
     closed_loop_boundary,
     deadzone,
+    saturate,
 )
 from hypiss.linalg import DiagMatrix, Matrix
 from hypiss.lmi import LmiProblem, Point, StandardBlock, StandardForm, evaluate
-from hypiss.pde import ZERO, Grid, SignalSpec, SimConfig, l2_norm, lyapunov_value
+from hypiss.pde import (
+    ZERO,
+    BlowUpError,
+    Grid,
+    SignalSpec,
+    SimConfig,
+    l2_norm,
+    lyapunov_value,
+)
 
 
 def vector(sf: StandardForm, point: Point) -> np.ndarray:
@@ -143,6 +154,58 @@ def two_sample_step(state: np.ndarray, plant: Plant, gain: Matrix, t: float,
     if config.disturbance is not None and config.disturbance.kind != ZERO:
         out += dt * (nd @ config.disturbance.sample(half_t, grid.centers))
     return out
+
+
+def step_by_step_simulate(plant: Plant, gain: Matrix, config: SimConfig,
+                          lyapunov: tuple[DiagMatrix, float] | None = None):
+    """The closed-loop run one step and one record at a time: each step
+    samples the disturbance itself (`two_sample_step`), and each record
+    takes its norm, Lyapunov value and saturated control on its own.
+    Returns (times, l2_norms, control_traces, lyapunov_values, snapshots),
+    the last two None when not asked for; raises BlowUpError at the first
+    non-finite state."""
+    grid = config.grid
+    dz = grid.dz
+    dt = config.cfl * dz / float(np.max(plant.speeds.diagonal))
+    full_steps = int(math.floor(config.t_final / dt + 1e-12))
+    remainder = config.t_final - full_steps * dt
+    n_steps = full_steps + (1 if remainder > 1e-12 * dt else 0)
+    stride = config.snapshot_stride
+    if stride is None:
+        stride = max(1, math.ceil(n_steps / 2000))
+    if config.initial is None:
+        state = np.zeros((plant.n, grid.cells))
+    else:
+        state = config.initial.sample(0.0, grid.centers)
+    if lyapunov is not None:
+        p, weight = lyapunov[0].diagonal[:, None], np.exp(-lyapunov[1] * grid.centers)
+    rows = []
+
+    def record(t_now, x):
+        lyap = None
+        if lyapunov is not None:
+            quad = np.sum(p * x * x, axis=0)
+            lyap = float(np.sum(weight * quad)) * dz
+        control = saturate(gain.array @ np.ascontiguousarray(x[:, -1]), plant.u_max)
+        rows.append((t_now, math.sqrt(float(np.sum(x * x)) * dz), control, lyap, x))
+
+    record(0.0, state)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n_steps + 1):
+            if k <= full_steps:
+                t_prev, dt_k = (k - 1) * dt, dt
+                t_now = k * dt if k < n_steps else config.t_final
+            else:
+                t_prev, dt_k, t_now = full_steps * dt, remainder, config.t_final
+            state = two_sample_step(state, plant, gain, t_prev, dt_k, config)
+            if not np.all(np.isfinite(state)):
+                raise BlowUpError(t_now)
+            if k % stride == 0 or k == n_steps:
+                record(t_now, state)
+    times, norms, controls, lyap, snaps = zip(*rows)
+    return (np.array(times), np.array(norms), np.array(controls),
+            None if lyapunov is None else np.array(lyap),
+            np.array(snaps) if config.keep_snapshots else None)
 
 
 def record_by_record_energy(spec: SignalSpec, times, grid: Grid) -> np.ndarray:

@@ -410,6 +410,25 @@ class TestSimulate:
         zs = sorted({float(r[1]) for r in rows})
         assert len(zs) == 16 and abs(zs[0] - 1.0 / 32.0) < 1e-15
 
+    def test_report_describes_the_time_stepping(self, tmp_path):
+        cfg_path = _write_config(tmp_path, _design_config())
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
+        report = json.loads((out / "simulate_report.json").read_text())
+        # the demo: M = 100, cfl 0.9, fastest speed sqrt(2), t_final = 5
+        dt = 0.9 * 0.01 / math.sqrt(2.0)
+        assert report["dt"] == dt
+        assert report["steps"] == 786 == math.ceil(5.0 / dt)
+        assert report["stride"] == 1 and report["records"] == 787
+        assert report["step_us"] == pytest.approx(
+            1e6 * report["timing_seconds"] / 786, rel=1e-12)
+        # the share of records where some control sits at its limit,
+        # read back from controls.csv
+        _, rows = _read_csv(out / "controls.csv")
+        at_limit = [any(abs(float(c)) == 0.3 for c in r[1:]) for r in rows]
+        assert report["saturated_record_fraction"] == sum(at_limit) / len(rows)
+        assert 0.0 < report["saturated_record_fraction"] < 1.0
+
     def test_blowup_exits_1_with_time(self, tmp_path, capsys):
         cfg = _design_config()
         cfg["plant"]["H"] = [[0.0, 1000.0], [1000.0, 0.0]]
@@ -617,6 +636,24 @@ class TestUsage:
         assert cli.main([]) == 1
 
     def test_missing_required_flag_exits_1(self):
+        assert cli.main(["synth"]) == 1
+
+    def test_parser_is_built_once_and_defaults_do_not_carry(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_simulate",
+                            lambda config, out, gain: seen.append(gain) or 0)
+        monkeypatch.setattr(cli, "cmd_verify",
+                            lambda config, out, gain, tol: seen.append(tol) or 0)
+        parser = cli._build_parser()
+        assert cli.main(["simulate", "--config", "c.json", "--gain", "zero"]) == 0
+        assert cli.main(["simulate", "--config", "c.json"]) == 0
+        assert cli.main(["verify", "--config", "c.json", "--gain", "g.json",
+                         "--tolerance", "1e-3"]) == 0
+        assert cli.main(["verify", "--config", "c.json", "--gain", "g.json"]) == 0
+        assert seen == ["zero", "auto", 1e-3, 0.0]
+        assert cli._build_parser() is parser
+        # the usage exit codes after the parser has been used
+        assert cli.main(["--help"]) == 0
         assert cli.main(["synth"]) == 1
 
     def test_module_is_directly_runnable(self):

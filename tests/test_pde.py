@@ -14,12 +14,18 @@ from hypiss.pde import (
     disturbance_energy,
     iss_bound_params,
     iss_rhs,
+    Scheme,
     l2_norm,
     lyapunov_value,
     simulate,
     step,
 )
-from identities import frechet_check, record_by_record_energy, two_sample_step
+from identities import (
+    frechet_check,
+    record_by_record_energy,
+    step_by_step_simulate,
+    two_sample_step,
+)
 
 INITIAL = SignalSpec.cosine_profile(10.0, (2.0, 1.0))
 DISTURBANCE = SignalSpec.sinusoidal_product(5.0, ("sin", "cos"))
@@ -249,18 +255,17 @@ class TestStep:
         g = Grid(32)
         cfg = SimConfig(g, t_final=1.0)
         state = np.tile(np.array([[0.7], [-0.2]]), (1, 32))
+        scheme = Scheme(plant, Matrix(np.zeros((2, 2))), g, 0.9 * g.dz / 2.0)
         out = state
         for _ in range(25):
-            out = step(out, plant, Matrix(np.zeros((2, 2))), 0.0,
-                       0.9 * g.dz / 2.0, cfg)
+            out = step(out, scheme)
         assert np.array_equal(out, state)
 
     def test_cfl_violation_raises(self):
         plant = _free_transport()
         g = Grid(16)
-        cfg = SimConfig(g, t_final=1.0)
         with pytest.raises(ValueError):
-            step(np.zeros((1, 16)), plant, ZERO_GAIN_1, 0.0, 1.5 * g.dz, cfg)
+            Scheme(plant, ZERO_GAIN_1, g, 1.5 * g.dz)
 
 
 def _random_loop(random_plant_config, seed: int):
@@ -289,8 +294,9 @@ def _tabulated_disturbance(q: int) -> SignalSpec:
 
 
 class TestOneSampleStep:
-    """`step` samples the disturbance once on `Grid.staggered`; it must
-    match the two-sample step bit for bit."""
+    """`Scheme.forcing` samples the disturbance once on `Grid.staggered`
+    for a block of steps; `step` with that forcing must match the
+    two-sample step bit for bit."""
 
     @pytest.mark.parametrize("kind", ["sinusoidal", "tabulated"])
     def test_matches_two_sample_step(self, random_plant_config, kind):
@@ -300,9 +306,14 @@ class TestOneSampleStep:
         g = Grid(40)
         cfg = SimConfig(g, t_final=1.0, disturbance=disturbance)
         dt = 0.9 * g.dz / float(np.max(plant.speeds.diagonal))
+        scheme = Scheme(plant, gain, g, dt)
         state = rng.normal(scale=3.0, size=(plant.n, g.cells))
+        # the forcing of 60 steps, in blocks of 7 half-step times
+        half_times = np.arange(60) * dt + 0.5 * dt
+        forcings = [f for b in range(0, 60, 7)
+                    for f in zip(*scheme.forcing(disturbance, half_times[b:b + 7]))]
         for k in range(60):
-            got = step(state, plant, gain, k * dt, dt, cfg)
+            got = step(state, scheme, forcings[k])
             want = two_sample_step(state, plant, gain, k * dt, dt, cfg)
             assert got.tobytes() == want.tobytes()
             state = got
@@ -333,6 +344,106 @@ class TestOneSampleStep:
         with pytest.raises(ValueError, match="mu must be nonnegative"):
             simulate(demo_plant, demo_gain, cfg,
                      lyapunov=(DiagMatrix(np.array([1.0, 1.0])), -0.5))
+
+
+def _blocks(floats_each: int) -> int:
+    # items per 64 kB block, the rule the simulator sizes its blocks by
+    return max(1, 8192 // floats_each)
+
+
+# (seed, n, m, q, disturbance, stride, cells, t_final, keep snapshots)
+BLOCK_CASES = [
+    (1, 5, 1, 2, "sinusoidal", None, 37, 1.42, True),
+    (2, 4, 1, 3, "tabulated", 1, 23, 3.87, False),
+    (3, 6, 1, 1, "zero", 3, 11, 33.69, True),
+    (4, 2, 2, 2, "sinusoidal", 7, 61, 6.81, True),
+    (5, 3, 3, 4, "tabulated", 3, 19, 22.35, False),
+    (6, 1, 1, 1, None, 1, 29, 12.69, True),
+    (7, 7, 2, 5, "sinusoidal", 1, 9, 13.32, False),
+    (8, 2, 1, 2, "tabulated", None, 101, 0.86, True),
+]
+
+
+def _block_case(seed, n, m, q, kind, stride, cells, t_final, keep):
+    rng = np.random.default_rng(seed)
+    plant = Plant(DiagMatrix(rng.uniform(0.5, 2.0, n)),
+                  Matrix(rng.uniform(-0.4, 0.4, (n, n))),
+                  Matrix(rng.standard_normal((n, m))),
+                  Matrix(rng.standard_normal((n, q))), rng.uniform(0.2, 1.0, m))
+    gain = Matrix(2.0 * rng.standard_normal((m, n)))
+    disturbance = {
+        "sinusoidal": SignalSpec.sinusoidal_product(3.0, (("sin", "cos") * q)[:q]),
+        "tabulated": _tabulated_disturbance(q),
+        "zero": SignalSpec.zero(q),
+        None: None,
+    }[kind]
+    cfg = SimConfig(Grid(cells), t_final=t_final, cfl=0.85, disturbance=disturbance,
+                    initial=SignalSpec.cosine_profile(2.0, tuple(range(1, n + 1))),
+                    snapshot_stride=stride, keep_snapshots=keep)
+    lyapunov = (DiagMatrix(rng.uniform(0.2, 2.0, n)), 0.7)
+    return plant, gain, cfg, lyapunov
+
+
+class TestBlockedRun:
+    """`simulate` samples, forces and records a block at a time; every
+    recorded array must be the bytes of the step-by-step, record-by-record
+    run in `identities`."""
+
+    @pytest.mark.parametrize("case", BLOCK_CASES, ids=lambda c: f"seed{c[0]}")
+    def test_matches_step_by_step_run_bit_for_bit(self, case):
+        plant, gain, cfg, lyapunov = _block_case(*case)
+        traj = simulate(plant, gain, cfg, lyapunov=lyapunov)
+        want = step_by_step_simulate(plant, gain, cfg, lyapunov=lyapunov)
+        for name, ref in zip(("times", "l2_norms", "control_traces",
+                              "lyapunov_values", "snapshots"), want):
+            got = getattr(traj, name)
+            assert (got is None) == (ref is None), name
+            if ref is not None:
+                assert got.shape == ref.shape, name
+                assert got.tobytes() == ref.tobytes(), name
+        # the case runs past its second block, neither the steps nor the
+        # records fill a whole number of blocks, and t_final is no multiple
+        # of dt, so the last step is a shorter one
+        n, cells, records = plant.n, cfg.grid.cells, traj.times.size
+        per_step = _blocks(max(n, plant.q) * (2 * cells + 1))
+        per_record = _blocks(n * cells)
+        assert traj.steps > 2 * per_step and traj.steps % per_step
+        assert records > 2 * per_record and records % per_record
+        assert (traj.steps - 1) * traj.dt < cfg.t_final < traj.steps * traj.dt
+        assert traj.times[-1] == cfg.t_final
+
+    @pytest.mark.parametrize("disturbance", [None, DISTURBANCE])
+    def test_blow_up_time_matches_step_by_step_run(self, disturbance):
+        wild = Plant(DiagMatrix(np.array([1.0, 1.5])),
+                     Matrix(np.array([[0.0, 900.0], [800.0, 0.0]])),
+                     Matrix(np.zeros((2, 1))), Matrix(np.eye(2)), np.array([1.0]))
+        cfg = SimConfig(Grid(16), t_final=150.0, initial=INITIAL,
+                        disturbance=disturbance, snapshot_stride=5)
+        gain = Matrix(np.zeros((1, 2)))
+        with pytest.raises(BlowUpError) as got:
+            simulate(wild, gain, cfg)
+        with pytest.raises(BlowUpError) as want:
+            step_by_step_simulate(wild, gain, cfg)
+        assert 0.0 < got.value.time < 150.0
+        assert got.value.time == want.value.time
+
+    def test_samples_the_disturbance_once_per_block(self, demo_plant, demo_gain,
+                                                    monkeypatch):
+        # the demo at M = 100 to t = 5 takes 786 steps: sampled a step at a
+        # time, that is 787 calls with the initial state's
+        calls = []
+        sample = SignalSpec.sample
+
+        def counted(spec, t, z):
+            calls.append(t)
+            return sample(spec, t, z)
+
+        monkeypatch.setattr(SignalSpec, "sample", counted)
+        cfg = SimConfig(Grid(100), t_final=5.0, disturbance=DISTURBANCE, initial=INITIAL)
+        traj = simulate(demo_plant, demo_gain, cfg)
+        block = _blocks(2 * 201)
+        assert traj.steps == 786
+        assert len(calls) <= math.ceil(traj.steps / block) + 2
 
 
 class TestSimulate:

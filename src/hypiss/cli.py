@@ -76,6 +76,8 @@ def _number(d: dict, path: str, key: str, positive: bool = False,
     v = float(v)
     if positive and not (v > 0.0 and math.isfinite(v)):
         raise ConfigError(f"{path}.{key}: must be positive and finite")
+    if not math.isfinite(v):
+        raise ConfigError(f"{path}.{key}: must be finite")
     return v
 
 
@@ -96,7 +98,7 @@ def _vector(d: dict, path: str, key: str) -> np.ndarray:
         raise ConfigError(f"{path}.{key}: expected a numeric array") from None
     if arr.ndim != 1 or arr.size == 0:
         raise ConfigError(f"{path}.{key}: expected a nonempty 1-D array")
-    return arr
+    return _finite(arr, path, key)
 
 
 def _matrix(d: dict, path: str, key: str) -> np.ndarray:
@@ -107,6 +109,14 @@ def _matrix(d: dict, path: str, key: str) -> np.ndarray:
         raise ConfigError(f"{path}.{key}: expected a numeric matrix") from None
     if arr.ndim != 2 or arr.size == 0:
         raise ConfigError(f"{path}.{key}: expected a row-major 2-D array")
+    return _finite(arr, path, key)
+
+
+def _finite(arr: np.ndarray, path: str, key: str) -> np.ndarray:
+    """arr itself; a NaN or infinite entry, which JSON parsing lets
+    through, is a ConfigError."""
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{path}.{key}: entries must be finite")
     return arr
 
 
@@ -138,6 +148,8 @@ def _build_plant(cfg: dict) -> Plant:
             u_max=_vector(block, "plant", "u_max"),
         )
     except ValueError as e:
+        if isinstance(e, ConfigError):
+            raise
         raise ConfigError(f"plant: {e}") from None
 
 
@@ -152,8 +164,9 @@ def _scalar_weight(design: dict, key: str) -> float:
     v = _get(design, "design", key)
     if isinstance(v, dict):
         raise ConfigError(f"design.{key}: expected a scalar, got a grid")
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not v > 0.0:
-        raise ConfigError(f"design.{key}: expected a positive number")
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not (
+            v > 0.0 and math.isfinite(v)):
+        raise ConfigError(f"design.{key}: expected a positive finite number")
     return float(v)
 
 
@@ -377,8 +390,8 @@ def cmd_synth(config_path: str, out_override: str | None) -> int:
         timing = time.perf_counter() - started
         # the worst margin of the synthesis inequalities at phase 1's last
         # point; synthesize raises InfeasibleError with the solver's outcome
-        # and the problem it solved
-        worst = min(lmi.problem_margins(e.problem, e.solution.point))
+        # and the standard form it solved
+        worst = min(lmi.problem_margins(e.form, e.solution.x))
         _write_report(out_dir, "synth", digest,
                       {"worst_phase1_margin": worst}, timing, [],
                       extra={"status": "infeasible", "mu": mu, "alpha": alpha,

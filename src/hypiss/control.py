@@ -27,18 +27,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lmi, sdp
-from .linalg import DiagMatrix, Matrix, SymMatrix, invert_diag, max_eig, spectral_norm
+from .linalg import DiagMatrix, Matrix, SymMatrix, invert_diag, sym_eig
 
 
 class SynthesisError(Exception):
     """Base class for design failures; carries the solver's best effort and
-    the problem it was solving, when there was one."""
+    the standard form it was solving, when there was one."""
 
     def __init__(self, message: str, solution: sdp.Solution | None = None,
-                 problem: lmi.LmiProblem | None = None):
+                 form: lmi.StandardForm | None = None):
         super().__init__(message)
         self.solution = solution
-        self.problem = problem
+        self.form = form
 
 
 class InfeasibleError(SynthesisError):
@@ -293,68 +293,54 @@ def _failure(e: Exception) -> str:
     return f"{type(e).__name__}: {e}"
 
 
-def _labelled_margins(problem: lmi.LmiProblem, values: dict) -> dict[str, float]:
-    """The margin of each inequality of the problem, by label, at the point
-    given as per-variable values."""
-    point = lmi.Point.build(problem.variables, values)
-    return {c.label: v for c, v in
-            zip(problem.constraints, lmi.problem_margins(problem, point))}
-
-
-def _margins_at(problem: lmi.LmiProblem, lyap_inv: DiagMatrix,
-                sector_inv: DiagMatrix, gain_scaled: Matrix, coupling: SymMatrix,
-                peak: float) -> dict[str, float]:
-    """The margin of each synthesis inequality, by label, at the point
-    (lyap_inv, sector_inv, gain_scaled, coupling, peak)."""
-    return _labelled_margins(problem, {
-        _VQ: lyap_inv.diagonal, _VS: sector_inv.diagonal,
-        _VW: gain_scaled.array, _VG: coupling.array, _VC: np.array([peak])})
+def _margins(sf: lmi.StandardForm, x: np.ndarray) -> dict[str, float]:
+    """The margin of each inequality of the standard form, by label, at x."""
+    return {blk.label: v for blk, v in zip(sf.blocks, lmi.problem_margins(sf, x))}
 
 
 def synthesis_margins(plant: Plant, cert: SynthesisCertificate) -> dict[str, float]:
     """The margin of each synthesis inequality, posed at the certificate's
     own mu, alpha and eps, at its point; synthesize's are the same bits."""
-    problem = build_synthesis_lmis(plant, cert.mu, cert.alpha, eps=cert.eps)
-    return _margins_at(problem, cert.lyap_inv, cert.sector_inv,
-                       cert.gain_scaled, cert.coupling, cert.peak)
+    sf = lmi.vectorize(build_synthesis_lmis(plant, cert.mu, cert.alpha, eps=cert.eps))
+    return _margins(sf, sf.pack({
+        _VQ: cert.lyap_inv.diagonal, _VS: cert.sector_inv.diagonal,
+        _VW: cert.gain_scaled.array, _VG: cert.coupling.array, _VC: [cert.peak]}))
 
 
-def _certificate_from_solution(problem: lmi.LmiProblem, solution: sdp.Solution,
-                               mu: float, alpha: float) -> SynthesisCertificate:
-    """The certificate of one design at (mu, alpha).
+def _certificate_from_solution(sf: lmi.StandardForm, solution: sdp.Solution,
+                               mu: float, alpha: float, eps: float) -> SynthesisCertificate:
+    """The certificate of one design at (mu, alpha), posed with slack eps.
 
     Raises InfeasibleError or SolverFailureError unless the solver reached
-    an optimum whose point passes the re-check: every inequality's margin
+    an optimum whose x passes the re-check: every inequality's margin
     recomputed with the Jacobi eigensolver, and the peak bound.  This is
     the one place the solver's answer is checked.
     """
     if solution.status is sdp.Status.INFEASIBLE:
         raise InfeasibleError(
             f"synthesis inequalities are infeasible at mu={mu}, alpha={alpha}",
-            solution, problem)
+            solution, sf)
     if solution.status is not sdp.Status.OPTIMAL:
         raise SolverFailureError(
             f"solver reported {solution.status.value} at mu={mu}, alpha={alpha}",
-            solution, problem)
-    point = solution.point
-    q = DiagMatrix(point.entries[_VQ])
-    s = DiagMatrix(point.entries[_VS])
-    w = Matrix(point.matrix(problem.variable(_VW)))
-    g = SymMatrix(point.matrix(problem.variable(_VG)))
-    peak = point.entry((_VC, 0))
+            solution, sf)
 
     # margins first: a point they reject may not have lyap_inv > 0
-    margins = _margins_at(problem, q, s, w, g, peak)
+    margins = _margins(sf, solution.x)
     worst = min(margins.values())
     if worst < -1e-9:
         raise SolverFailureError(
             f"re-checked margins dip to {worst:.3e}; refusing to certify",
-            solution, problem)
+            solution, sf)
+    values = sf.unpack(solution.x)
+    q, s = (DiagMatrix(np.diagonal(values[v])) for v in (_VQ, _VS))
+    w, g = Matrix(values[_VW]), SymMatrix(values[_VG])
+    peak = float(values[_VC][0, 0])
     qmax = float(np.max(q.diagonal))
     if qmax > peak + 1e-9 * max(1.0, abs(peak)):
         raise SolverFailureError(
             f"largest lyap_inv eigenvalue {qmax:.6g} exceeds peak bound {peak:.6g}",
-            solution, problem)
+            solution, sf)
 
     # gamma = sqrt(max lyap_inv) e^{mu/2}, taken from iss_coefficients so that
     # verify, which recomputes it there, finds exactly the stored value
@@ -364,7 +350,7 @@ def _certificate_from_solution(problem: lmi.LmiProblem, solution: sdp.Solution,
         lyap_inv=q, sector_inv=s, gain_scaled=w, coupling=g,
         mu=mu, alpha=alpha, peak=peak, gain=Matrix(w.array @ lyap.array),
         gamma=coeffs.gamma, omega=coeffs.omega, kappa=coeffs.kappa,
-        margins=margins, eps=problem.eps, newton_steps=solution.newton_steps)
+        margins=margins, eps=eps, newton_steps=solution.newton_steps)
 
 
 def synthesize(plant: Plant, mu: float, alpha: float,
@@ -372,8 +358,8 @@ def synthesize(plant: Plant, mu: float, alpha: float,
     """Design a saturated boundary gain minimizing the certified peak of the
     inverse Lyapunov weight; raises InfeasibleError when the inequalities
     admit no solution at these weights."""
-    problem = build_synthesis_lmis(plant, mu, alpha, eps=eps)
-    return _certificate_from_solution(problem, sdp.minimize(problem), mu, alpha)
+    sf = lmi.vectorize(build_synthesis_lmis(plant, mu, alpha, eps=eps))
+    return _certificate_from_solution(sf, sdp.minimize(sf), mu, alpha, eps)
 
 
 def grid_search(plant: Plant, mu_grid, alpha_grid,
@@ -384,11 +370,12 @@ def grid_search(plant: Plant, mu_grid, alpha_grid,
     sdp.minimize_batch, and every solved cell goes through the certificate
     check of synthesize, so a "feasible" cell is one whose design was
     re-checked.  Cells never abort the sweep: a cell whose inequalities
-    cannot be built or whose design fails (its point included) is recorded
-    as "failed", with the exception type and message as reason; if the
-    batch itself raises, every cell in it fails with that reason.  The
-    best cell minimizes the disturbance gain gamma = sqrt(c) e^{mu/2}, with
-    ties broken by smaller mu then smaller alpha.
+    cannot be built or vectorized, or whose design fails (its point
+    included), is recorded as "failed", with the exception type and
+    message as reason; if the batch itself raises, every cell in it fails
+    with that reason.  The best cell minimizes the disturbance gain
+    gamma = sqrt(c) e^{mu/2}, with ties broken by smaller mu then smaller
+    alpha.
     """
     mus = tuple(float(v) for v in mu_grid)
     alphas = tuple(float(v) for v in alpha_grid)
@@ -400,16 +387,16 @@ def grid_search(plant: Plant, mu_grid, alpha_grid,
         raise ValueError("grids must be strictly increasing")
 
     weights = [(mu, alpha) for mu in mus for alpha in alphas]
-    problems, reasons = {}, {}
+    forms, reasons = {}, {}
     for w in weights:
         try:
-            problems[w] = build_synthesis_lmis(plant, *w, eps=eps)
+            forms[w] = lmi.vectorize(build_synthesis_lmis(plant, *w, eps=eps))
         except Exception as e:
             reasons[w] = _failure(e)
     try:
-        solutions = dict(zip(problems, sdp.minimize_batch(problems.values())))
+        solutions = dict(zip(forms, sdp.minimize_batch(forms.values())))
     except Exception as e:
-        reasons.update(dict.fromkeys(problems, _failure(e)))
+        reasons.update(dict.fromkeys(forms, _failure(e)))
         solutions = {}
 
     cells, certificates = [], {}
@@ -420,7 +407,7 @@ def grid_search(plant: Plant, mu_grid, alpha_grid,
             continue
         steps = solution.newton_steps
         try:
-            certificates[w] = _certificate_from_solution(problems[w], solution, *w)
+            certificates[w] = _certificate_from_solution(forms[w], solution, *w, eps)
         except InfeasibleError:
             cells.append(GridCell(*w, "infeasible", None, None, newton_steps=steps))
             continue
@@ -496,13 +483,23 @@ def verify_analysis(plant: Plant, cert: SynthesisCertificate) -> dict[str, float
     """
     if np.any(cert.lyap_inv.diagonal <= 0.0) or np.any(cert.sector_inv.diagonal <= 0.0):
         raise ValueError("lyap_inv and sector_inv must be positive")
-    problem = build_analysis_lmis(plant, cert.gain, cert.mu, cert.alpha, eps=0.0)
+    sf = lmi.vectorize(build_analysis_lmis(plant, cert.gain, cert.mu, cert.alpha, eps=0.0))
     lyap = invert_diag(cert.lyap_inv)
     pa = lyap.array
-    return _labelled_margins(problem, {
+    return _margins(sf, sf.pack({
         _VP: lyap.diagonal, _VT: invert_diag(cert.sector_inv).diagonal,
         _VGA: SymMatrix.symmetrized(pa @ cert.coupling.array @ pa).array,
-        _VX: np.ones(1)})
+        _VX: np.ones(1)}))
+
+
+def _gram(a: np.ndarray) -> SymMatrix:
+    """A^T A, whose top eigenvalue is the square of A's spectral norm."""
+    return SymMatrix.symmetrized(a.T @ a)
+
+
+def _norm(gram_top: float) -> float:
+    """The spectral norm of A from the top eigenvalue of A^T A."""
+    return math.sqrt(max(gram_top, 0.0))
 
 
 def wellposedness_certificate(plant: Plant, gain: Matrix,
@@ -522,19 +519,23 @@ def wellposedness_certificate(plant: Plant, gain: Matrix,
     k = gain.array
     h_cl = plant.reflection.array + b @ k
 
-    btlb = SymMatrix.symmetrized(b.T @ big_lam @ b)
-    btlb_top = max_eig(btlb)
+    # one stacked eigensolve for the top eigenvalue of B^T Lambda B and the
+    # spectral norms of H_cl^T Lambda B, H_cl and B K; a second one for the
+    # norm of `inner`, which depends on tau and on the cross norm
+    btlb_top, *gram_tops = (float(w[-1]) for w, _ in sym_eig([
+        SymMatrix.symmetrized(b.T @ big_lam @ b),
+        _gram(h_cl.T @ big_lam @ b), _gram(h_cl), _gram(b @ k)]))
+    cross, norm_h, norm_bk = (_norm(top) for top in gram_tops)
     tau = 1.0 + btlb_top + delta
 
-    cross = spectral_norm(Matrix(h_cl.T @ big_lam @ b))
     inner = (h_cl.T @ big_lam @ h_cl @ big_lam_inv
              + tau * (k.T @ k) @ big_lam_inv
              + cross ** 2 * big_lam_inv)
-    amplification = math.log(max(spectral_norm(Matrix(inner)), 1e-300))
+    amplification = math.log(max(_norm(float(sym_eig(_gram(inner))[0][-1])), 1e-300))
     mu_wp = max(amplification, 0.0) + delta
 
     lam_max = float(np.max(lam))
-    norm_sum = spectral_norm(Matrix(h_cl)) + spectral_norm(Matrix(b @ k))
+    norm_sum = norm_h + norm_bk
     if norm_sum > 0.0:
         contraction_rho = -lam_max * math.log(norm_sum)
     else:

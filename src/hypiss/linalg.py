@@ -240,18 +240,6 @@ def sym_eig(a: SymMatrix | Sequence[SymMatrix], tol: float = DEFAULT_TOL,
     return out[0] if isinstance(a, SymMatrix) else out
 
 
-def max_eig(a: SymMatrix) -> float:
-    w, _ = sym_eig(a)
-    return float(w[-1])
-
-
-def spectral_norm(a: Matrix) -> float:
-    """Largest singular value, via the top eigenvalue of A^T A."""
-    g = SymMatrix.symmetrized(a.array.T @ a.array)
-    top = max_eig(g)
-    return float(np.sqrt(max(top, 0.0)))
-
-
 def invert_diag(d: DiagMatrix) -> DiagMatrix:
     """Entrywise inverse of a diagonal matrix."""
     dd = d.diagonal

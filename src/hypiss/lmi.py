@@ -6,15 +6,20 @@ scalar / diagonal / full / symmetric variables, each constrained to be
 negative semidefinite shifted by -eps*I or positive semidefinite shifted by
 +eps*I.  There is one expression type, MatExpr: builders combine them with
 +, -, scalar * and @, and a constraint keeps its expression in canonical
-form (exactly symmetric, terms sorted by entry, zero terms dropped).  The
-module knows how to evaluate expressions at a point, compute signed
-feasibility margins, and flatten a whole problem into the standard form
-F(x) = F0 + sum_i x_i F_i > 0 consumed by the barrier solver.
+form (exactly symmetric, terms sorted by entry, zero terms dropped).
+
+`vectorize` compiles a problem into its one evaluated form, StandardForm:
+every constraint becomes a block F(x) = F0 + sum_i x_i F_i >= eps I over
+one flat entry vector x, the standard form of Boyd, El Ghaoui, Feron and
+Balakrishnan (*Linear Matrix Inequalities in System and Control Theory*,
+1994).  It is the only reader of a constraint's sense and eps.  The barrier
+solver and the margin re-check both read those blocks at the same x, and
+StandardForm.pack / unpack convert between x and per-variable matrices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,14 +37,6 @@ GEQ = "geq"  # expr >= +eps*I
 DEFAULT_EPS = 1e-6
 
 EntryRef = tuple[str, int]
-
-
-class LmiError(Exception):
-    pass
-
-
-class IncompletePointError(LmiError):
-    """A point is missing a value for a referenced variable entry."""
 
 
 @dataclass(frozen=True)
@@ -222,12 +219,6 @@ class MatExpr:
             raise ValueError(f"shape mismatch in @: {c.shape} vs {self.shape}")
         return self._map(lambda m: c @ m)
 
-    def value(self, point: "Point") -> np.ndarray:
-        out = self.const.copy()
-        for ref, coeff in self.coeffs.items():
-            out += point.entry(ref) * coeff
-        return out
-
     def canonical(self) -> "MatExpr":
         """The same square expression in canonical form: the constant and
         every coefficient exactly symmetric, (A + A^T)/2, terms sorted by
@@ -358,114 +349,37 @@ class LmiProblem:
             for ref, _ in obj:
                 check_ref(ref, "objective")
 
-    def variable(self, name: str) -> VarSpec:
-        for v in self.variables:
-            if v.name == name:
-                return v
-        raise KeyError(name)
-
-    def resolved_eps(self, con: Constraint) -> float:
-        return self.eps if con.eps is None else con.eps
-
-    @property
-    def n_entries(self) -> int:
-        return sum(v.n_entries for v in self.variables)
-
-
-@dataclass(frozen=True)
-class Point:
-    """Values for every entry of some set of variables, keyed by name."""
-
-    entries: dict[str, np.ndarray] = field(default_factory=dict)
-
-    @staticmethod
-    def build(variables, values: dict) -> "Point":
-        """Build from per-variable matrices (or flat entry arrays)."""
-        out: dict[str, np.ndarray] = {}
-        for spec in variables:
-            if spec.name not in values:
-                raise IncompletePointError(f"no value given for variable {spec.name!r}")
-            v = np.asarray(values[spec.name], dtype=float)
-            if v.ndim <= 1 and spec.kind != FULL:
-                flat = np.atleast_1d(v)
-                if flat.shape != (spec.n_entries,):
-                    raise ValueError(
-                        f"variable {spec.name}: expected {spec.n_entries} entries, "
-                        f"got shape {v.shape}")
-            else:
-                flat = spec.entries_from_matrix(v)
-            if not np.all(np.isfinite(flat)):
-                raise ValueError(f"variable {spec.name}: non-finite entries")
-            arr = flat.copy()
-            arr.setflags(write=False)
-            out[spec.name] = arr
-        return Point(out)
-
-    def entry(self, ref: EntryRef) -> float:
-        name, idx = ref
-        try:
-            return float(self.entries[name][idx])
-        except (KeyError, IndexError):
-            raise IncompletePointError(f"point has no value for entry {name}[{idx}]") from None
-
-    def matrix(self, spec: VarSpec) -> np.ndarray:
-        if spec.name not in self.entries:
-            raise IncompletePointError(f"point has no value for variable {spec.name!r}")
-        return spec.matrix_from_entries(self.entries[spec.name])
-
-
-def evaluate(expr: MatExpr, point: Point) -> linalg.SymMatrix:
-    """Value of the expression at the point, symmetrized exactly."""
-    return linalg.SymMatrix.symmetrized(expr.value(point))
-
-
-def _slack(sense: str, w: np.ndarray, eps: float) -> float:
-    """Signed slack of a constraint whose value has ascending eigenvalues w."""
-    if sense == LEQ:
-        return -float(w[-1]) - eps
-    if sense == GEQ:
-        return float(w[0]) - eps
-    raise ValueError(f"unknown constraint sense {sense!r}")
-
-
-def margin(expr: MatExpr, sense: str, point: Point, eps: float = 0.0) -> float:
-    """Signed slack of the constraint at the point; positive means strictly
-    satisfied.
-
-    For expr <= -eps*I the margin is -max_eig(value) - eps; for
-    expr >= +eps*I it is min_eig(value) - eps.
-    """
-    w, _ = linalg.sym_eig(evaluate(expr, point))
-    return _slack(sense, w, eps)
-
-
-def problem_margins(problem: LmiProblem, point: Point) -> list[float]:
-    """The margin of every constraint at the point, in declaration order,
-    from one stacked eigendecomposition of all the blocks."""
-    values = [evaluate(c.expr, point) for c in problem.constraints]
-    return [_slack(c.sense, w, problem.resolved_eps(c))
-            for c, (w, _) in zip(problem.constraints, linalg.sym_eig(values))]
-
 
 @dataclass(frozen=True)
 class StandardBlock:
-    """One constraint flattened to dense stacked coefficients.
+    """One constraint over the flat entry vector x: it holds at x when
+    value(x) = base + sum_k x[idx[k]] coeffs[k] >= eps I.
 
-    The constraint holds at x when ``base + sum_k x[idx[k]] * coeffs[k]``
-    is positive definite: the sense and the resolved eps are folded in, so
-    expr <= -eps*I arrives as -expr - eps*I > 0 and expr >= +eps*I as
-    expr - eps*I > 0.
+    The sense is folded into the sign of base and coeffs, so expr <= -eps I
+    arrives as -expr >= eps I; eps stays a field of its own.
     """
 
+    label: str
     dim: int
     base: np.ndarray
     idx: np.ndarray
     coeffs: np.ndarray
+    eps: float
+
+    def value(self, x: np.ndarray) -> np.ndarray:
+        """base + sum_k x[idx[k]] coeffs[k], summed term by term in
+        coefficient order; exactly symmetric, like base and coeffs."""
+        out = self.base.copy()
+        for k, coeff in zip(self.idx.tolist(), self.coeffs):
+            out += x[k] * coeff
+        return out
 
 
 @dataclass(frozen=True)
 class StandardForm:
-    """Whole problem over one flat entry vector, in declaration order."""
+    """A whole problem over one flat entry vector x: the variables' entries
+    in declaration order, one block per constraint in declaration order,
+    and the objective as a vector over x (None without one)."""
 
     refs: tuple[EntryRef, ...]
     initial: np.ndarray
@@ -477,20 +391,40 @@ class StandardForm:
     def n(self) -> int:
         return len(self.refs)
 
-    def point(self, x: np.ndarray) -> Point:
-        out: dict[str, np.ndarray] = {}
-        pos = 0
+    def pack(self, values: dict) -> np.ndarray:
+        """The entry vector of per-variable values, by name: a matrix of the
+        variable's shape or, for all but full variables, its flat entries.
+        A missing variable, a wrong shape or a non-finite entry raises
+        ValueError."""
+        parts = []
         for spec in self.variables:
-            arr = np.array(x[pos:pos + spec.n_entries])
-            arr.setflags(write=False)
-            out[spec.name] = arr
+            if spec.name not in values:
+                raise ValueError(f"no value given for variable {spec.name!r}")
+            v = np.asarray(values[spec.name], dtype=float)
+            if v.ndim <= 1 and spec.kind != FULL:
+                flat = np.atleast_1d(v)
+                if flat.shape != (spec.n_entries,):
+                    raise ValueError(
+                        f"variable {spec.name}: expected {spec.n_entries} entries, "
+                        f"got shape {v.shape}")
+            else:
+                flat = spec.entries_from_matrix(v)
+            if not np.all(np.isfinite(flat)):
+                raise ValueError(f"variable {spec.name}: non-finite entries")
+            parts.append(flat)
+        return np.concatenate(parts) if parts else np.zeros(0)
+
+    def unpack(self, x: np.ndarray) -> dict[str, np.ndarray]:
+        """The entry vector as one matrix per variable, by name."""
+        out, pos = {}, 0
+        for spec in self.variables:
+            out[spec.name] = spec.matrix_from_entries(x[pos:pos + spec.n_entries])
             pos += spec.n_entries
-        return Point(out)
+        return out
 
 
 def vectorize(problem: LmiProblem) -> StandardForm:
-    """Flatten to dense per-constraint coefficient stacks, each block in
-    value(x) > 0 form (see StandardBlock).
+    """Compile the problem to its standard form (see StandardBlock).
 
     The suggested initial vector is 1 on entries of diagonal variables and
     0 elsewhere, which keeps the usual positivity blocks away from zero at
@@ -512,10 +446,12 @@ def vectorize(problem: LmiProblem) -> StandardForm:
         coeffs = (np.stack(list(e.coeffs.values()))
                   if e.coeffs else np.zeros((0, dim, dim)))
         blocks.append(StandardBlock(
+            label=con.label,
             dim=dim,
-            base=sign * e.const - problem.resolved_eps(con) * np.eye(dim),
+            base=sign * e.const,
             idx=np.array([index[r] for r in e.coeffs], dtype=int),
             coeffs=sign * coeffs,
+            eps=problem.eps if con.eps is None else con.eps,
         ))
 
     obj = None
@@ -531,3 +467,17 @@ def vectorize(problem: LmiProblem) -> StandardForm:
         blocks=tuple(blocks),
         variables=problem.variables,
     )
+
+
+def margin(block: StandardBlock, x: np.ndarray) -> float:
+    """Signed slack of one block at x, min_eig(value(x)) - eps by the Jacobi
+    eigensolver; positive means strictly satisfied."""
+    w, _ = linalg.sym_eig(linalg.SymMatrix(block.value(x)))
+    return float(w[0]) - block.eps
+
+
+def problem_margins(sf: StandardForm, x: np.ndarray) -> list[float]:
+    """The margin of every block at x, in declaration order, from one
+    stacked eigendecomposition of all the values."""
+    values = [linalg.SymMatrix(blk.value(x)) for blk in sf.blocks]
+    return [float(w[0]) - blk.eps for blk, (w, _) in zip(sf.blocks, linalg.sym_eig(values))]

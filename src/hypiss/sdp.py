@@ -1,20 +1,21 @@
 """Interior-point solver for the small LMI systems built by `lmi`.
 
 The solver minimizes a linear objective over the standard form of
-`lmi.vectorize`, in which every block reads F(x) = F0 + sum_i x_i F_i > 0
-with the constraint's sense and eps already folded in.  The method is a
-plain log-det barrier path-following scheme: a phase-1 search minimizes
-a uniform slack to find a strictly feasible point, then Newton centering
-follows the central path along a geometrically growing barrier parameter
-until the duality-gap surrogate nu / t drops under tolerance.  Phase 1
+`lmi.vectorize`, in which every block reads F(x) = F0 + sum_i x_i F_i >=
+eps I with the constraint's sense already folded in; the barrier sees each
+block as F(x) - eps I > 0.  The method is a plain log-det barrier
+path-following scheme: a phase-1 search minimizes a uniform slack to find
+a strictly feasible point, then Newton centering follows the central path
+along a geometrically growing barrier parameter until the duality-gap
+surrogate nu / t drops under tolerance.  Phase 1
 stops as soon as its verdict is known (Boyd & Vandenberghe, *Convex
 Optimization*, section 11.4): at the first accepted iterate where the
 slack could be _EXIT_SLACK with every block still positive definite, so
 that phase 2 starts with every block >= -_EXIT_SLACK I, or at the first
 centered point whose bound s - nu / t on the slack optimum exceeds
-_INFEASIBLE_SLACK.  The solver returns a point and does not audit it;
-`control` re-checks every design it certifies with the Jacobi eigensolver
-of `linalg`.
+_INFEASIBLE_SLACK.  The solver returns the flat entry vector x and does
+not audit it; `control` re-checks every design it certifies at that x,
+with `lmi.problem_margins` and the Jacobi eigensolver of `linalg`.
 
 The solver uses the structure of the problem.  Every block whose base and
 coefficients are all diagonal (positivity of diagonal variables, scalar
@@ -89,14 +90,15 @@ class Status(enum.Enum):
 
 @dataclass(frozen=True)
 class Solution:
-    """Solver outcome: the status, the last iterate as a point, the
-    objective there when OPTIMAL (else None), and the Newton steps taken in
-    phase 1 and in phase 2.  The point is the solver's claim only: a caller
-    that certifies it re-checks its margins, as `control` does.
+    """Solver outcome: the status, the last iterate x over the problem's
+    flat entry vector, the objective there when OPTIMAL (else None), and
+    the Newton steps taken in phase 1 and in phase 2.  x is the solver's
+    claim only: a caller that certifies it re-checks its margins, as
+    `control` does.
     """
 
     status: Status
-    point: lmi.Point
+    x: np.ndarray
     objective: float | None
     newton_steps: tuple[int, int]
 
@@ -190,18 +192,19 @@ class _Cones:
 
 def _cones(sf: lmi.StandardForm) -> _Cones:
     """One problem as a stack of one cell: its diagonal blocks as rows, the
-    others dense."""
+    others dense, each with the base F0 - eps I."""
     n = sf.n
     b, g, dense = [], [], []
     for blk in sf.blocks:
+        base = blk.base - blk.eps * np.eye(blk.dim)
         off = ~np.eye(blk.dim, dtype=bool)
-        if not (np.any(blk.base[off]) or np.any(blk.coeffs[:, off])):
+        if not (np.any(base[off]) or np.any(blk.coeffs[:, off])):
             rows = np.zeros((blk.dim, n))
             rows[:, blk.idx] = np.diagonal(blk.coeffs, axis1=1, axis2=2).T
-            b.append(np.diagonal(blk.base))
+            b.append(np.diagonal(base))
             g.append(rows)
         else:
-            dense.append(_Dense.make(blk.base[None], blk.idx, blk.coeffs.reshape(
+            dense.append(_Dense.make(base[None], blk.idx, blk.coeffs.reshape(
                 1, len(blk.idx), blk.dim * blk.dim)))
     return _Cones((np.concatenate(b) if b else np.zeros(0))[None],
                   (np.vstack(g) if g else np.zeros((0, n)))[None], tuple(dense))
@@ -549,30 +552,30 @@ def _solve_stack(cones: _Cones, sfs) -> list[Solution]:
             cones.take(go), cvec, x[go], _MAX_NEWTON - steps1[go], phase1=False)
         for i, st in zip(go, done):
             status[i] = st
-    return [Solution(status[i], sf.point(x[i]),
+    x.setflags(write=False)
+    return [Solution(status[i], x[i],
                      float(sf.objective @ x[i]) if status[i] is Status.OPTIMAL else None,
                      (int(steps1[i]), int(steps2[i])))
             for i, sf in enumerate(sfs)]
 
 
-def minimize_batch(problems) -> list[Solution]:
-    """Minimize each problem's linear objective over its feasible set, all
-    problems in lockstep; the solutions come in the order of `problems`.
+def minimize_batch(forms) -> list[Solution]:
+    """Minimize each standard form's linear objective over its feasible
+    set, all forms in lockstep; the solutions come in the order of `forms`.
 
-    Problems of one structure share a stack.  A structure with many cells
-    is split into stacks whose padded phase-1 coefficients stay under
+    Forms of one structure share a stack.  A structure with many cells is
+    split into stacks whose padded phase-1 coefficients stay under
     _STACK_BYTES, so memory does not grow with the batch.
     """
-    problems = list(problems)
-    if any(p.objective is None for p in problems):
+    sfs = list(forms)
+    if any(sf.objective is None for sf in sfs):
         raise ValueError("minimize expects problems with an objective")
-    sfs = [lmi.vectorize(p) for p in problems]
     groups: dict[tuple, list] = {}
     for c, sf in enumerate(sfs):
         cones = _cones(sf)
         groups.setdefault(_structure(sf, cones), []).append((c, cones))
 
-    out: list = [None] * len(problems)
+    out: list = [None] * len(sfs)
     for (refs, _, dims), members in groups.items():
         cell_bytes = 8 * (len(refs) + 1) * len(dims) * max(dims, default=0) ** 2
         size = max(1, _STACK_BYTES // max(cell_bytes, 1))
@@ -584,6 +587,6 @@ def minimize_batch(problems) -> list[Solution]:
     return out
 
 
-def minimize(problem: lmi.LmiProblem) -> Solution:
-    """Minimize the problem's linear objective over its feasible set."""
-    return minimize_batch([problem])[0]
+def minimize(sf: lmi.StandardForm) -> Solution:
+    """Minimize the standard form's linear objective over its feasible set."""
+    return minimize_batch([sf])[0]

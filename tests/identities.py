@@ -4,12 +4,15 @@ They restate properties the theory guarantees (the global sector bound of
 the deadzone, the derivative of the quadratic Lyapunov functional, the
 congruence that carries the synthesis boundary block to the analysis one)
 in terms of the library's public functions, so a test can sweep them over
-random inputs.  The standard-form readers (`vector`, `block_value`) let a
-test evaluate what `lmi.vectorize` produced against the expressions it came
-from.  `write_csv`, `two_sample_step`, `step_by_step_simulate` and
-`record_by_record_energy` are the plain forms of the CSV writer, the
-simulator step, the simulator run and the disturbance energy that the
-faster ones must match byte for byte.
+random inputs.  `expr_value` and `reference_margins` evaluate a problem's
+own expressions, each constraint's sense read from the constraint, so a
+test can hold what `lmi.vectorize` compiled against the expressions it
+came from; `barrier_value` is the matrix the solver's barrier keeps
+positive definite, and `synthesis_point` and `analysis_point` pack a
+certificate into a problem's entry vector.  `write_csv`, `two_sample_step`,
+`step_by_step_simulate` and `record_by_record_energy` are the plain forms
+of the CSV writer, the simulator step, the simulator run and the
+disturbance energy that the faster ones must match byte for byte.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ from hypiss.control import (
     deadzone,
     saturate,
 )
-from hypiss.linalg import DiagMatrix, Matrix
-from hypiss.lmi import LmiProblem, Point, StandardBlock, StandardForm, evaluate
+from hypiss.linalg import DiagMatrix, Matrix, SymMatrix, sym_eig
+from hypiss.lmi import LEQ, LmiProblem, MatExpr, StandardBlock, StandardForm, vectorize
 from hypiss.pde import (
     ZERO,
     BlowUpError,
@@ -40,18 +43,30 @@ from hypiss.pde import (
 )
 
 
-def vector(sf: StandardForm, point: Point) -> np.ndarray:
-    """The point as the flat entry vector of the standard form."""
-    return np.array([point.entry(r) for r in sf.refs])
-
-
-def block_value(blk: StandardBlock, x: np.ndarray) -> np.ndarray:
-    """base + sum_k x[idx[k]] coeffs[k], positive definite where the
-    constraint holds."""
-    out = blk.base.copy()
-    if len(blk.idx):
-        out += np.tensordot(x[blk.idx], blk.coeffs, axes=1)
+def expr_value(expr: MatExpr, sf: StandardForm, x: np.ndarray) -> np.ndarray:
+    """The expression's value at the entry vector x of the standard form:
+    its constant plus entry times coefficient for each term, summed term by
+    term in the expression's order."""
+    index = {r: i for i, r in enumerate(sf.refs)}
+    out = expr.const.copy()
+    for ref, coeff in expr.coeffs.items():
+        out += float(x[index[ref]]) * coeff
     return out
+
+
+def reference_margins(problem: LmiProblem, sf: StandardForm, x: np.ndarray) -> list[float]:
+    """The margin of each constraint at x from its own expression: the
+    values by `expr_value`, one stacked Jacobi call, then -max_eig - eps for
+    expr <= -eps I and min_eig - eps for expr >= eps I, with the eps that
+    `vectorize` resolved."""
+    values = [SymMatrix(expr_value(c.expr, sf, x)) for c in problem.constraints]
+    return [-float(w[-1]) - blk.eps if c.sense == LEQ else float(w[0]) - blk.eps
+            for c, blk, (w, _) in zip(problem.constraints, sf.blocks, sym_eig(values))]
+
+
+def barrier_value(blk: StandardBlock, x: np.ndarray) -> np.ndarray:
+    """value(x) - eps I, positive definite where the block holds strictly."""
+    return blk.value(x) - blk.eps * np.eye(blk.dim)
 
 
 def sector_value(nu, u_max, sector: DiagMatrix) -> float:
@@ -65,14 +80,24 @@ def sector_value(nu, u_max, sector: DiagMatrix) -> float:
     return float(phi @ (sector.diagonal * (phi + nu)))
 
 
-def analysis_point(problem: LmiProblem, cert: SynthesisCertificate) -> Point:
-    """The certificate as a point of the analysis problem: P = lyap_inv^-1,
-    T = sector_inv^-1, Gamma = P coupling P and chi^2 = 1."""
+def analysis_point(sf: StandardForm, cert: SynthesisCertificate) -> np.ndarray:
+    """The certificate as the entry vector of the analysis problem's
+    standard form: P = lyap_inv^-1, T = sector_inv^-1, Gamma = P coupling P
+    and chi^2 = 1."""
     p = 1.0 / cert.lyap_inv.diagonal
-    return Point.build(problem.variables, {
+    return sf.pack({
         "lyap": p, "sector": 1.0 / cert.sector_inv.diagonal,
         "coupling": p[:, None] * cert.coupling.array * p[None, :],
         "supply_sq": np.ones(1)})
+
+
+def synthesis_point(sf: StandardForm, cert: SynthesisCertificate) -> np.ndarray:
+    """The certificate as the entry vector of the synthesis problem's
+    standard form."""
+    return sf.pack({
+        "lyap_inv": cert.lyap_inv.diagonal, "sector_inv": cert.sector_inv.diagonal,
+        "gain_scaled": cert.gain_scaled.array, "coupling": cert.coupling.array,
+        "peak": [cert.peak]})
 
 
 def congruent_boundary_block(plant: Plant, cert: SynthesisCertificate) -> np.ndarray:
@@ -84,12 +109,9 @@ def congruent_boundary_block(plant: Plant, cert: SynthesisCertificate) -> np.nda
     the generalized-sector congruence of the convexified inequality.
     """
     problem = build_synthesis_lmis(plant, cert.mu, cert.alpha, eps=cert.eps)
-    point = Point.build(problem.variables, {
-        "lyap_inv": cert.lyap_inv.diagonal, "sector_inv": cert.sector_inv.diagonal,
-        "gain_scaled": cert.gain_scaled.array, "coupling": cert.coupling.array,
-        "peak": np.array([cert.peak])})
+    sf = vectorize(problem)
     boundary = next(c for c in problem.constraints if c.label == "boundary_block")
-    m = evaluate(boundary.expr, point).array
+    m = expr_value(boundary.expr, sf, synthesis_point(sf, cert))
     n = plant.n
     m11, m12, m22 = m[:n, :n], m[:n, n:], m[n:, n:]
     schur = m22 - m12.T @ np.linalg.solve(m11, m12)

@@ -32,8 +32,8 @@ COUPLING_HAT = np.array([[4.07, 0.195], [0.195, 36.3]])
 SECTOR_INV = np.array([11.767287269683061, 18.422264242336125])
 
 
-def _reported_point(problem: lmi.LmiProblem) -> lmi.Point:
-    return lmi.Point.build(problem.variables, {
+def _reported_point(sf: lmi.StandardForm) -> np.ndarray:
+    return sf.pack({
         "lyap_inv": LYAP_INV,
         "sector_inv": SECTOR_INV,
         "gain_scaled": GAIN @ np.diag(LYAP_INV),
@@ -54,15 +54,14 @@ def test_01_design_is_feasible_at_demo_weights(demo_plant):
 
 def test_02_reported_design_values_certify(demo_plant, demo_certificate):
     """previously reported design weights satisfy every certified inequality"""
-    problem = build_synthesis_lmis(demo_plant, 1.0, 0.5)
-    point = _reported_point(problem)
+    sf = lmi.vectorize(build_synthesis_lmis(demo_plant, 1.0, 0.5, eps=0.0))
+    x = _reported_point(sf)
 
-    decay = next(c for c in problem.constraints if c.label == "decay_block")
-    assert abs(lmi.margin(decay.expr, decay.sense, point) - 2.18) < 0.1
+    decay = next(blk for blk in sf.blocks if blk.label == "decay_block")
+    assert abs(lmi.margin(decay, x) - 2.18) < 0.1
 
-    dist = next(c for c in problem.constraints
-                if c.label == "disturbance_block")
-    assert sym_eig(lmi.evaluate(dist.expr, point))[0][0] > 0.0
+    dist = next(blk for blk in sf.blocks if blk.label == "disturbance_block")
+    assert sym_eig(SymMatrix(dist.value(x)))[0][0] > 0.0
 
     reported = dataclasses.replace(
         demo_certificate, lyap_inv=DiagMatrix(LYAP_INV), sector_inv=DiagMatrix(SECTOR_INV),

@@ -136,8 +136,8 @@ class TestSynth:
         plant = cli._build_plant(cfg)
         with pytest.raises(control.InfeasibleError) as exc:
             control.synthesize(plant, 1.0, 1.2, eps=1e-6)
-        problem = control.build_synthesis_lmis(plant, 1.0, 1.2, eps=1e-6)
-        worst = min(lmi.problem_margins(problem, exc.value.solution.point))
+        sf = lmi.vectorize(control.build_synthesis_lmis(plant, 1.0, 1.2, eps=1e-6))
+        worst = min(lmi.problem_margins(sf, exc.value.solution.x))
         assert worst < 0.0
         assert report["margins"]["worst_phase1_margin"] == worst
 
@@ -438,6 +438,25 @@ class TestSimulate:
                          "--out", str(tmp_path / "o"), "--gain", "zero"])
         assert code == 1
         assert "blew up at t" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path, value", [
+        (("simulation", "disturbance", "amplitude"), math.nan),
+        (("simulation", "initial", "frequencies"), [math.inf, 1.0]),
+        (("plant", "H"), [[0.25, 0.0], [-math.inf, 0.25]]),
+    ])
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys, path, value):
+        # json.loads reads NaN and Infinity; the config readers refuse them
+        cfg = _design_config()
+        block = cfg
+        for key in path[:-1]:
+            block = block[key]
+        block[path[-1]] = value
+        out = tmp_path / "o"
+        code = cli.main(["simulate", "--config", _write_config(tmp_path, cfg),
+                         "--out", str(out), "--gain", "zero"])
+        assert code == 1
+        assert f"config error: {'.'.join(path)}: " in capsys.readouterr().err
+        assert not (out / "norms.csv").exists()
 
 
 class TestVerify:

@@ -20,7 +20,13 @@ from hypiss.control import (
     wellposedness_certificate,
 )
 from hypiss.linalg import DiagMatrix, Matrix, SymMatrix, invert_diag
-from identities import analysis_point, congruent_boundary_block, sector_value
+from identities import (
+    analysis_point,
+    congruent_boundary_block,
+    reference_margins,
+    sector_value,
+    synthesis_point,
+)
 
 # design values quoted for the demo plant at mu=1, alpha=0.5, used as a
 # fixed admissibility point throughout
@@ -137,21 +143,21 @@ class TestSynthesisLmis:
     def test_reported_point_satisfies_decay_block(self, demo_plant, demo_gain):
         # hand expansion of the decay inequality at the quoted design values:
         # eigenvalues of [[12.5(0.5-1)+4.07, 0.195], [0.195, 82(0.5-sqrt2)+36.3]]
-        prob = build_synthesis_lmis(demo_plant, 1.0, 0.5)
-        point = lmi.Point.build(prob.variables, {
+        sf = lmi.vectorize(build_synthesis_lmis(demo_plant, 1.0, 0.5, eps=0.0))
+        x = sf.pack({
             "lyap_inv": LYAP_INV,
             "sector_inv": np.array([1.0, 1.0]),
             "gain_scaled": demo_gain.array @ np.diag(LYAP_INV),
             "coupling": COUPLING_HAT,
             "peak": np.array([82.0]),
         })
-        decay = next(c for c in prob.constraints if c.label == "decay_block")
-        m = lmi.margin(decay.expr, decay.sense, point)
+        decay = next(blk for blk in sf.blocks if blk.label == "decay_block")
+        m = lmi.margin(decay, x)
         assert abs(m - 2.1789) < 1e-3
 
     def test_reported_point_satisfies_all_blocks(self, demo_plant, demo_gain):
-        prob = build_synthesis_lmis(demo_plant, 1.0, 0.5)
-        point = lmi.Point.build(prob.variables, {
+        sf = lmi.vectorize(build_synthesis_lmis(demo_plant, 1.0, 0.5))
+        x = sf.pack({
             "lyap_inv": LYAP_INV,
             # inverse of the certified sector multiplier diag(0.085, 0.0543)
             "sector_inv": np.array([11.77, 18.42]),
@@ -159,23 +165,22 @@ class TestSynthesisLmis:
             "coupling": COUPLING_HAT,
             "peak": np.array([82.0]),
         })
-        margins = dict(zip((c.label for c in prob.constraints),
-                           lmi.problem_margins(prob, point)))
+        margins = dict(zip((blk.label for blk in sf.blocks), lmi.problem_margins(sf, x)))
         # the quoted values are rounded to three figures, so allow a small dip
         assert all(v >= -0.05 for v in margins.values()), margins
 
     def test_zero_gain_point_admissible_without_reflection(self):
         # with no reflection the plant is already decaying, so Q = 3I,
         # S = I, W = 0, coupling 2I is an explicit feasible point
-        prob = build_synthesis_lmis(_reflectionless_plant(), 1.0, 0.1)
-        point = lmi.Point.build(prob.variables, {
+        sf = lmi.vectorize(build_synthesis_lmis(_reflectionless_plant(), 1.0, 0.1))
+        x = sf.pack({
             "lyap_inv": np.array([3.0, 3.0]),
             "sector_inv": np.array([1.0, 1.0]),
             "gain_scaled": np.zeros((2, 2)),
             "coupling": 2.0 * np.eye(2),
             "peak": np.array([3.5]),
         })
-        assert min(lmi.problem_margins(prob, point)) >= 0.0
+        assert min(lmi.problem_margins(sf, x)) >= 0.0
 
 
 class TestSynthesize:
@@ -314,13 +319,15 @@ class TestGridSearch:
         honest = grid_search(demo_plant, mus, alphas)
         real = sdp.minimize_batch
 
-        def minimize_batch(problems):
-            solutions = real(problems)
+        def minimize_batch(forms):
+            forms = list(forms)
+            solutions = real(forms)
             # the solver claims the cell (1.0, 0.5) optimal at a point whose
             # lyap_inv is negative, which breaks q_pos
-            sol = solutions[3]
-            entries = dict(sol.point.entries, lyap_inv=-sol.point.entries["lyap_inv"])
-            solutions[3] = dataclasses.replace(sol, point=lmi.Point(entries))
+            sol, sf = solutions[3], forms[3]
+            values = sf.unpack(sol.x)
+            values["lyap_inv"] = -values["lyap_inv"]
+            solutions[3] = dataclasses.replace(sol, x=sf.pack(values))
             return solutions
 
         monkeypatch.setattr(sdp, "minimize_batch", minimize_batch)
@@ -335,7 +342,7 @@ class TestGridSearch:
         assert (fm.best.mu, fm.best.alpha) == (honest.best.mu, honest.best.alpha) == (0.5, 0.1)
 
     def test_failing_batch_fails_every_cell(self, demo_plant, monkeypatch):
-        def minimize_batch(problems):
+        def minimize_batch(forms):
             raise FloatingPointError("injected in the batch")
 
         monkeypatch.setattr(sdp, "minimize_batch", minimize_batch)
@@ -424,9 +431,10 @@ class TestVerifyAnalysis:
         # Schur complement of the synthesis block at its -Q Lambda^-1 entry
         for plant, cert in [(demo_plant, demo_certificate), *seeded_certificates]:
             want = congruent_boundary_block(plant, cert)
-            problem = build_analysis_lmis(plant, cert.gain, cert.mu, cert.alpha)
-            boundary = next(c for c in problem.constraints if c.label == "boundary_block")
-            got = lmi.evaluate(boundary.expr, analysis_point(problem, cert)).array
+            sf = lmi.vectorize(build_analysis_lmis(plant, cert.gain, cert.mu, cert.alpha))
+            boundary = next(blk for blk in sf.blocks if blk.label == "boundary_block")
+            # a <= block: its value is the negated expression
+            got = -boundary.value(analysis_point(sf, cert))
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -434,40 +442,76 @@ class TestAnalysisLmis:
     def test_feasible_for_certified_gain(self, demo_plant, demo_gain):
         prob = build_analysis_lmis(demo_plant, demo_gain, 1.0, 0.5)
         # the smallest supply gain the gain admits
-        sol = sdp.minimize(dataclasses.replace(prob, objective=((("supply_sq", 0), 1.0),)))
+        sf = lmi.vectorize(dataclasses.replace(prob, objective=((("supply_sq", 0), 1.0),)))
+        sol = sdp.minimize(sf)
         assert sol.status is sdp.Status.OPTIMAL
-        assert min(lmi.problem_margins(prob, sol.point)) >= -1e-9
+        assert min(lmi.problem_margins(sf, sol.x)) >= -1e-9
 
     def test_reported_point_admissible(self, demo_plant, demo_gain):
         p = invert_diag(DiagMatrix(LYAP_INV))
         gamma = SymMatrix.symmetrized(p.array @ COUPLING_HAT @ p.array)
-        prob = build_analysis_lmis(demo_plant, demo_gain, 1.0, 0.5)
-        point = lmi.Point.build(prob.variables, {
+        sf = lmi.vectorize(build_analysis_lmis(demo_plant, demo_gain, 1.0, 0.5))
+        x = sf.pack({
             "lyap": p.diagonal,
             "sector": np.array([0.08498, 0.05428]),
             "coupling": gamma.array,
             "supply_sq": np.array([1.0]),
         })
-        margins = lmi.problem_margins(prob, point)
+        margins = lmi.problem_margins(sf, x)
         assert min(margins) >= -0.05
 
 
 class TestAnalysisValues:
     def test_inverse_and_congruence(self, demo_plant, demo_certificate):
         # verify reads P = lyap_inv^-1, T = sector_inv^-1, Gamma = P coupling P
-        problem = build_analysis_lmis(demo_plant, demo_certificate.gain,
-                                      demo_certificate.mu, demo_certificate.alpha, eps=0.0)
-        point = analysis_point(problem, demo_certificate)
-        p = np.diag(point.entries["lyap"])
-        t = np.diag(point.entries["sector"])
-        gamma = point.matrix(problem.variable("coupling"))
+        sf = lmi.vectorize(build_analysis_lmis(demo_plant, demo_certificate.gain,
+                                               demo_certificate.mu, demo_certificate.alpha,
+                                               eps=0.0))
+        x = analysis_point(sf, demo_certificate)
+        values = sf.unpack(x)
+        p, t, gamma = values["lyap"], values["sector"], values["coupling"]
         assert np.allclose(p @ demo_certificate.lyap_inv.array, np.eye(2), atol=1e-12)
         assert np.allclose(t @ demo_certificate.sector_inv.array, np.eye(2), atol=1e-12)
         expect = p @ demo_certificate.coupling.array @ p
         assert np.allclose(gamma, expect, atol=1e-12)
-        margins = dict(zip((c.label for c in problem.constraints),
-                           lmi.problem_margins(problem, point)))
+        margins = dict(zip((blk.label for blk in sf.blocks), lmi.problem_margins(sf, x)))
         assert margins == verify_analysis(demo_plant, demo_certificate)
+
+
+def _bits(values) -> list[int]:
+    return np.array(values, dtype=float).view(np.int64).tolist()
+
+
+class TestMarginsMatchReference:
+    """The re-check reads the sign-folded blocks of lmi.vectorize, and its
+    margins are bit for bit those of each constraint's own expression
+    evaluated term by term, -max_eig - eps or min_eig - eps by its sense
+    (identities.reference_margins)."""
+
+    def test_certificates_and_their_analysis_points(self, demo_plant, demo_certificate,
+                                                    seeded_certificates):
+        for plant, cert in [(demo_plant, demo_certificate), *seeded_certificates]:
+            for problem, point in (
+                    (build_synthesis_lmis(plant, cert.mu, cert.alpha, eps=cert.eps),
+                     synthesis_point),
+                    (build_analysis_lmis(plant, cert.gain, cert.mu, cert.alpha, eps=0.0),
+                     analysis_point)):
+                sf = lmi.vectorize(problem)
+                x = point(sf, cert)
+                assert _bits(lmi.problem_margins(sf, x)) == _bits(
+                    reference_margins(problem, sf, x)), (plant.n, point.__name__)
+
+    def test_every_demo_grid_point(self, demo_plant):
+        # the solver's last x in each of the 64 cells, the infeasible cells'
+        # phase-1 points included
+        problems = [build_synthesis_lmis(demo_plant, mu, alpha)
+                    for mu in np.linspace(0.25, 2.0, 8) for alpha in np.linspace(0.1, 1.5, 8)]
+        forms = [lmi.vectorize(p) for p in problems]
+        solutions = sdp.minimize_batch(forms)
+        assert {sol.status for sol in solutions} == {sdp.Status.OPTIMAL, sdp.Status.INFEASIBLE}
+        for problem, sf, sol in zip(problems, forms, solutions):
+            assert _bits(lmi.problem_margins(sf, sol.x)) == _bits(
+                reference_margins(problem, sf, sol.x))
 
 
 class TestWellPosedness:

@@ -14,8 +14,6 @@ from hypiss.linalg import (
     SingularMatrixError,
     SymMatrix,
     invert_diag,
-    max_eig,
-    spectral_norm,
     sym_eig,
 )
 
@@ -103,7 +101,7 @@ class TestSymEig:
     def test_rayleigh_quotient_bounds(self):
         rng = np.random.default_rng(3)
         s = _random_sym(rng, 5)
-        lo, hi = sym_eig(s)[0][0], max_eig(s)
+        lo, hi = sym_eig(s)[0][[0, -1]]
         for _ in range(100):
             x = rng.standard_normal(5)
             r = float(x @ s.array @ x) / float(x @ x)
@@ -174,12 +172,12 @@ class TestProblemMargins:
 
     @staticmethod
     def _agree(problem):
-        point = sdp.minimize(problem).point
-        stacked = lmi.problem_margins(problem, point)
-        for c, m in zip(problem.constraints, stacked):
-            value = lmi.evaluate(c.expr, point).array
-            alone = lmi.margin(c.expr, c.sense, point, eps=problem.resolved_eps(c))
-            assert abs(m - alone) <= 1e-12 * np.linalg.norm(value), c.label
+        sf = lmi.vectorize(problem)
+        x = sdp.minimize(sf).x
+        stacked = lmi.problem_margins(sf, x)
+        for blk, m in zip(sf.blocks, stacked):
+            alone = lmi.margin(blk, x)
+            assert abs(m - alone) <= 1e-12 * np.linalg.norm(blk.value(x)), blk.label
 
     def test_demo_problem(self, demo_plant):
         self._agree(build_synthesis_lmis(demo_plant, 1.0, 0.5))
@@ -190,9 +188,15 @@ class TestProblemMargins:
         self._agree(build_synthesis_lmis(_random_plant(cfg), 1.0, alpha))
 
 
+def _spectral_norm(a) -> float:
+    """The largest singular value of A, from the top eigenvalue of A^T A."""
+    a = np.asarray(a, dtype=float)
+    return math.sqrt(max(float(sym_eig(SymMatrix.symmetrized(a.T @ a))[0][-1]), 0.0))
+
+
 class TestScalars:
     def test_spectral_norm_diag(self):
-        assert spectral_norm(Matrix([[3.0, 0.0], [0.0, -4.0]])) == pytest.approx(4.0, abs=1e-12)
+        assert _spectral_norm([[3.0, 0.0], [0.0, -4.0]]) == pytest.approx(4.0, abs=1e-12)
 
     def test_spectral_norm_demo_closed_loop(self):
         # reflection + gain of the bundled demo system; oracle is the top
@@ -201,15 +205,14 @@ class TestScalars:
         k = np.array([[-0.24, 0.0], [0.33, -0.08]])
         a = h + k
         oracle = math.sqrt(np.linalg.eigvalsh(a.T @ a).max())
-        got = spectral_norm(Matrix(a))
+        got = _spectral_norm(a)
         assert got == pytest.approx(oracle, abs=1e-12)
         assert got == pytest.approx(0.6912987434049391, abs=1e-9)
 
     def test_spectral_norm_transpose(self):
         rng = np.random.default_rng(8)
         a = rng.standard_normal((3, 5))
-        m = Matrix(a)
-        assert spectral_norm(m) == pytest.approx(spectral_norm(Matrix(a.T)), abs=1e-12)
+        assert _spectral_norm(a) == pytest.approx(_spectral_norm(a.T), abs=1e-12)
 
     def test_min_eig_demo_block(self):
         # diag(6.25, 74.97) minus the symmetrized demo coupling matrix

@@ -10,17 +10,14 @@ from hypiss.lmi import (
     GEQ,
     LEQ,
     Constraint,
-    IncompletePointError,
     LmiProblem,
     MatExpr,
-    Point,
     VarSpec,
-    evaluate,
     margin,
     sym_block,
     vectorize,
 )
-from identities import block_value, vector
+from identities import expr_value
 
 
 def _demo_specs():
@@ -33,14 +30,31 @@ def _demo_specs():
     )
 
 
-def _demo_point(specs):
-    return Point.build(specs, {
-        "q": [12.5, 82.0],
-        "s": [1.0, 1.0],
-        "w": np.array([[-0.24, 0.0], [0.33, -0.08]]) @ np.diag([12.5, 82.0]),
-        "g": np.array([[4.07, 0.195], [0.195, 36.3]]),
-        "c": [82.0],
-    })
+_DEMO_VALUES = {
+    "q": [12.5, 82.0],
+    "s": [1.0, 1.0],
+    "w": np.array([[-0.24, 0.0], [0.33, -0.08]]) @ np.diag([12.5, 82.0]),
+    "g": np.array([[4.07, 0.195], [0.195, 36.3]]),
+    "c": [82.0],
+}
+
+
+def _block(expr, sense=GEQ, specs=(), eps=0.0):
+    """The standard-form block of the one constraint `expr sense eps I`."""
+    return vectorize(LmiProblem(specs, (Constraint(expr, sense, eps=eps),))).blocks[0]
+
+
+def _value(expr, specs=(), values=None):
+    """The value of a square expression at the point, as the library
+    evaluates it: the block of `expr >= 0` at the packed entry vector."""
+    sf = vectorize(LmiProblem(specs, (Constraint(expr, GEQ),)))
+    return sf.blocks[0].value(sf.pack(values or {}))
+
+
+def _expr_at(expr, specs, values):
+    """The reference value of any expression at the point."""
+    sf = vectorize(LmiProblem(specs, ()))
+    return expr_value(expr, sf, sf.pack(values))
 
 
 class TestVarSpec:
@@ -72,8 +86,8 @@ class TestVarSpec:
 class TestExpressions:
     def test_constant_expr(self):
         e = MatExpr.constant(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        m = evaluate(e, Point({}))
-        assert np.array_equal(m.array, [[2.0, 1.0], [1.0, 2.0]])
+        m = _value(e)
+        assert np.array_equal(m, [[2.0, 1.0], [1.0, 2.0]])
 
     def test_affine_algebra_matches_dense(self):
         # random affine pipeline evaluated two ways
@@ -84,26 +98,20 @@ class TestExpressions:
         shift = rng.standard_normal((4, 4))
         e = left @ MatExpr.from_var(spec) @ right + shift
         w = rng.standard_normal((2, 3))
-        p = Point.build([spec], {"w": w})
-        assert np.allclose(e.value(p), left @ w @ right + shift, atol=1e-13)
+        assert np.allclose(_expr_at(e, [spec], {"w": w}), left @ w @ right + shift,
+                           atol=1e-13)
 
     def test_affinity_property(self):
         rng = np.random.default_rng(4)
         specs = _demo_specs()
         q = MatExpr.from_var(specs[0])
         g = MatExpr.from_var(specs[3])
-        expr = q @ np.diag([0.5, -0.9]) + g
+        blk = _block(q @ np.diag([0.5, -0.9]) + g, LEQ, specs[:1] + specs[3:4])
         for _ in range(20):
-            pa = Point.build(specs[:1] + specs[3:4], {
-                "q": rng.standard_normal(2), "g": rng.standard_normal((3,))})
-            pb = Point.build(specs[:1] + specs[3:4], {
-                "q": rng.standard_normal(2), "g": rng.standard_normal((3,))})
+            xa, xb = rng.standard_normal(5), rng.standard_normal(5)
             th = rng.uniform()
-            mix = Point({
-                "q": th * pa.entries["q"] + (1 - th) * pb.entries["q"],
-                "g": th * pa.entries["g"] + (1 - th) * pb.entries["g"]})
-            lhs = evaluate(expr, mix).array
-            rhs = th * evaluate(expr, pa).array + (1 - th) * evaluate(expr, pb).array
+            lhs = blk.value(th * xa + (1 - th) * xb)
+            rhs = th * blk.value(xa) + (1 - th) * blk.value(xb)
             assert np.allclose(lhs, rhs, atol=1e-12)
 
     def test_evaluate_is_exactly_symmetric(self):
@@ -111,8 +119,7 @@ class TestExpressions:
         spec = VarSpec.full("w", 3, 3)
         c = rng.standard_normal((3, 3))
         e = c.T @ MatExpr.from_var(spec) @ c
-        p = Point.build([spec], {"w": rng.standard_normal((3, 3))})
-        m = evaluate(e, p).array
+        m = _value(e, [spec], {"w": rng.standard_normal((3, 3))})
         assert np.array_equal(m, m.T)
 
     def test_decay_block_demo_values(self):
@@ -124,7 +131,7 @@ class TestExpressions:
         lam = np.array([1.0, math.sqrt(2.0)])
         mu, alpha = 1.0, 0.5
         expr = q @ np.diag(alpha - mu * lam) + g
-        got = evaluate(expr, _demo_point(specs)).array
+        got = _value(expr, specs, _DEMO_VALUES)
         expected = np.array([
             [12.5 * (0.5 - 1.0) + 4.07, 0.195],
             [0.195, 82.0 * (0.5 - math.sqrt(2.0)) + 36.3],
@@ -148,8 +155,7 @@ class TestSymBlock:
         d2 = rng.standard_normal((2, 2))
         d2 = d2 + d2.T
         expr = sym_block([[d1, MatExpr.from_var(spec) + a], [None, d2]])
-        p = Point.build([spec], {"w": w})
-        got = evaluate(expr, p).array
+        got = _value(expr, [spec], {"w": w})
         top = w + a
         expected = np.block([[d1, top], [top.T, d2]])
         assert np.allclose(got, expected, atol=1e-13)
@@ -167,26 +173,27 @@ class TestMargin:
     def test_scalar_leq_example(self):
         expr = MatExpr.constant(np.array([[1.0]]))
         eps = 1e-6
-        assert margin(expr, LEQ, Point({}), eps=eps) == pytest.approx(-1.0 - eps, abs=1e-15)
+        blk = _block(expr, LEQ, eps=eps)
+        assert margin(blk, np.zeros(0)) == pytest.approx(-1.0 - eps, abs=1e-15)
 
     def test_zero_matrix_both_senses(self):
         expr = MatExpr.constant(np.zeros((2, 2)))
-        assert margin(expr, LEQ, Point({}), eps=0.0) == pytest.approx(0.0, abs=1e-15)
-        assert margin(expr, GEQ, Point({}), eps=0.0) == pytest.approx(0.0, abs=1e-15)
+        assert margin(_block(expr, LEQ), np.zeros(0)) == pytest.approx(0.0, abs=1e-15)
+        assert margin(_block(expr, GEQ), np.zeros(0)) == pytest.approx(0.0, abs=1e-15)
 
     def test_demo_margin_value(self):
         a = np.diag([6.25, 74.97]) - np.array([[4.07, 0.195], [0.195, 36.3]])
         expr = MatExpr.constant(a)
-        assert margin(expr, GEQ, Point({}), eps=0.0) == pytest.approx(2.17895, abs=5e-3)
+        assert margin(_block(expr), np.zeros(0)) == pytest.approx(2.17895, abs=5e-3)
 
     def test_negation_duality(self):
         rng = np.random.default_rng(7)
         spec = VarSpec.symmetric("g", 3)
         e = MatExpr.from_var(spec) + rng.standard_normal((3, 3)).round(3)
-        p = Point.build([spec], {"g": rng.standard_normal(6)})
+        x = rng.standard_normal(6)
         for eps in (0.0, 1e-6, 0.1):
-            assert margin(e, LEQ, p, eps=eps) == pytest.approx(
-                margin(-e, GEQ, p, eps=eps), abs=1e-12)
+            assert margin(_block(e, LEQ, [spec], eps), x) == pytest.approx(
+                margin(_block(-e, GEQ, [spec], eps), x), abs=1e-12)
 
 
 class TestCanonicalForm:
@@ -211,15 +218,18 @@ class TestCanonicalForm:
 
     def test_evaluates_term_by_term_in_sorted_order(self):
         raw = self._raw()
-        expr = Constraint(raw, LEQ, "c").expr
-        p = Point({"a": np.array([3.0]), "g": np.array([0.5, -1.0, 2.0]),
-                   "w": np.array([1.5, -0.25])})
+        specs = (VarSpec.scalar("a"), VarSpec.diagonal("g", 3), VarSpec.full("w", 1, 2))
+        sf = vectorize(LmiProblem(specs, (Constraint(raw, GEQ, "c"),)))
+        values = {"a": [3.0], "g": [0.5, -1.0, 2.0], "w": np.array([[1.5, -0.25]])}
+        x = sf.pack(values)
         m = (raw.const + raw.const.T) / 2.0
         for ref in sorted(raw.coeffs):
-            m += p.entry(ref) * ((raw.coeffs[ref] + raw.coeffs[ref].T) / 2.0)
-        got = evaluate(expr, p).array
+            m += x[sf.refs.index(ref)] * ((raw.coeffs[ref] + raw.coeffs[ref].T) / 2.0)
+        got = sf.blocks[0].value(x)
+        assert np.array_equal(got, m)
         assert np.array_equal(got, (m + m.T) / 2.0)
-        assert np.allclose(got, evaluate(raw, p).array, rtol=0.0, atol=1e-12)
+        ref = expr_value(raw, sf, x)
+        assert np.allclose(got, (ref + ref.T) / 2.0, rtol=0.0, atol=1e-12)
 
     def test_canonical_form_is_a_fixed_point(self):
         expr = Constraint(self._raw(), LEQ, "c").expr
@@ -248,7 +258,7 @@ class TestProblem:
         return LmiProblem(specs, cons, objective=((("c", 0), 1.0),))
 
     def test_entry_count(self):
-        assert self._problem().n_entries == 12
+        assert vectorize(self._problem()).n == 12
 
     def test_undeclared_reference_rejected(self):
         spec = VarSpec.diagonal("q", 2)
@@ -261,15 +271,27 @@ class TestProblem:
             LmiProblem((VarSpec.scalar("a"), VarSpec.diagonal("a", 2)), ())
 
     def test_eps_override(self):
-        prob = self._problem()
-        assert prob.resolved_eps(prob.constraints[0]) == lmi.DEFAULT_EPS
-        assert prob.resolved_eps(prob.constraints[2]) == 0.0
+        blocks = vectorize(self._problem()).blocks
+        assert blocks[0].eps == lmi.DEFAULT_EPS
+        assert blocks[2].eps == 0.0
 
     def test_missing_point_entry(self):
-        prob = self._problem()
-        p = Point({"q": np.array([1.0, 1.0])})
-        with pytest.raises(IncompletePointError):
-            lmi.problem_margins(prob, p)
+        sf = vectorize(self._problem())
+        with pytest.raises(ValueError, match="no value given for variable 's'"):
+            sf.pack({"q": np.array([1.0, 1.0])})
+
+    def test_pack_checks_shapes_and_finiteness(self):
+        sf = vectorize(self._problem())
+        good = dict(_DEMO_VALUES)
+        assert sf.pack(good).shape == (12,)
+        with pytest.raises(ValueError, match="expected 2 entries"):
+            sf.pack(dict(good, q=[1.0, 2.0, 3.0]))
+        with pytest.raises(ValueError, match="expected a 2x2 matrix"):
+            sf.pack(dict(good, w=np.ones((2, 3))))
+        with pytest.raises(ValueError, match="non-finite"):
+            sf.pack(dict(good, g=[[1.0, np.nan], [np.nan, 1.0]]))
+        with pytest.raises(ValueError, match="non-finite"):
+            sf.pack(dict(good, c=[np.inf]))
 
 
 class TestVectorize:
@@ -294,18 +316,17 @@ class TestVectorize:
             Constraint(g + np.eye(2), GEQ, "g_shift"),
             Constraint(q - MatExpr.scalar_identity("c", 2), LEQ, "cap"),
         )
-        prob = LmiProblem(specs, cons, objective=((("c", 0), 1.0),))
+        prob = LmiProblem(specs, cons, objective=((("c", 0), 1.0),), eps=1e-3)
         sf = vectorize(prob)
+        assert [blk.label for blk in sf.blocks] == ["big", "g_shift", "cap"]
+        assert [blk.eps for blk in sf.blocks] == [1e-3, 1e-3, 1e-3]
         for _ in range(100):
             x = rng.standard_normal(sf.n)
-            p = sf.point(x)
-            assert np.array_equal(vector(sf, p), x)
+            assert np.array_equal(sf.pack(sf.unpack(x)), x)
             for blk, con in zip(sf.blocks, prob.constraints):
-                # sense and eps are folded in: the block reads value(x) > 0
+                # the sense is folded into the sign, bit for bit
                 sign = -1.0 if con.sense == LEQ else 1.0
-                want = (sign * evaluate(con.expr, p).array
-                        - prob.resolved_eps(con) * np.eye(blk.dim))
-                assert np.allclose(block_value(blk, x), want, atol=1e-12)
+                assert np.array_equal(blk.value(x), sign * expr_value(con.expr, sf, x))
 
     def test_objective_vector(self):
         specs = _demo_specs()

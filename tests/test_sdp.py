@@ -18,17 +18,18 @@ from hypiss.lmi import (
     sym_block,
 )
 from hypiss.sdp import Status
-from identities import block_value, vector
+from identities import barrier_value
 
 
 def _scalar_pos_problem():
-    return LmiProblem(
+    return lmi.vectorize(LmiProblem(
         (VarSpec.scalar("x"),),
-        (Constraint(MatExpr.scalar_identity("x", 1), GEQ, "pos"),))
+        (Constraint(MatExpr.scalar_identity("x", 1), GEQ, "pos"),)))
 
 
 def _demo_synthesis_problem(mu, alpha, eps=1e-6):
-    """Gain synthesis constraints for the bundled two-channel demo plant."""
+    """Gain synthesis constraints for the bundled two-channel demo plant, in
+    standard form."""
     lam = np.array([1.0, math.sqrt(2.0)])
     big_lam = np.diag(lam)
     big_lam_inv = np.diag(1.0 / lam)
@@ -57,56 +58,55 @@ def _demo_synthesis_problem(mu, alpha, eps=1e-6):
         Constraint(s, GEQ, "s_pos"),
         Constraint(g, GEQ, "coupling_pos"),
     )
-    return LmiProblem((vq, vs, vw, vg, vc), cons,
-                      objective=((("c", 0), 1.0),), eps=eps)
+    return lmi.vectorize(LmiProblem((vq, vs, vw, vg, vc), cons,
+                                    objective=((("c", 0), 1.0),), eps=eps))
 
 
-def _phase1(problem):
-    """Phase 1 alone on one problem: its outcome and its last point."""
-    sf = lmi.vectorize(problem)
+def _phase1(sf):
+    """Phase 1 alone on one standard form: its outcome and its last x."""
     x, _, _, outcome = sdp._phase1(sdp._cones(sf), sf.initial[None])
-    return outcome[0], sf.point(x[0])
+    return outcome[0], x[0]
 
 
-def _worst_margin(problem, point) -> float:
-    return min(lmi.problem_margins(problem, point))
+def _worst_margin(sf, x) -> float:
+    return min(lmi.problem_margins(sf, x))
 
 
 class TestFeasibility:
     def test_trivial_scalar(self):
         prob = _scalar_pos_problem()
-        found, point = _phase1(prob)
+        found, x = _phase1(prob)
         assert found == "feasible"
-        assert point.entry(("x", 0)) > 0.0
-        assert _worst_margin(prob, point) >= -1e-9
+        assert x[0] > 0.0
+        assert _worst_margin(prob, x) >= -1e-9
 
     def test_contradictory_pair(self):
         x = MatExpr.scalar_identity("x", 1)
-        prob = LmiProblem(
+        prob = lmi.vectorize(LmiProblem(
             (VarSpec.scalar("x"),),
             (Constraint(x, GEQ, "pos"),
              Constraint(x + np.array([[1.0]]), LEQ, "neg")),
-            objective=((("x", 0), 1.0),))
+            objective=((("x", 0), 1.0),)))
         sol = sdp.minimize(prob)
         assert sol.status is Status.INFEASIBLE
         assert sol.newton_steps[1] == 0
         # the duality bound s - nu/t clears the threshold early in the path
         assert sol.newton_steps[0] < 20
-        assert _worst_margin(prob, sol.point) < 0.0
+        assert _worst_margin(prob, sol.x) < 0.0
 
     def test_demo_synthesis_constraints_feasible(self):
         prob = dataclasses.replace(_demo_synthesis_problem(1.0, 0.5), objective=None)
-        found, point = _phase1(prob)
+        found, x = _phase1(prob)
         assert found == "feasible"
-        assert _worst_margin(prob, point) >= -1e-9
+        assert _worst_margin(prob, x) >= -1e-9
 
     @pytest.mark.parametrize("mu, alpha", [(1.0, 0.5), (2.0, 1.5)])
     def test_phase1_point_clears_every_block_by_the_exit_slack(self, mu, alpha):
-        sf = lmi.vectorize(_demo_synthesis_problem(mu, alpha))
+        sf = _demo_synthesis_problem(mu, alpha)
         x, slack, _, outcome = sdp._phase1(sdp._cones(sf), sf.initial[None])
         assert outcome == ["feasible"] and slack[0] <= sdp._EXIT_SLACK
         for blk in sf.blocks:
-            value = block_value(blk, x[0])
+            value = barrier_value(blk, x[0])
             floor = -sdp._EXIT_SLACK - 1e-15 * np.abs(value).max()
             assert np.linalg.eigvalsh(value).min() >= floor
 
@@ -116,12 +116,12 @@ class TestMinimize:
         # min c with q >= I and q <= c I: optimum c = 1
         vq, vc = VarSpec.diagonal("q", 2), VarSpec.scalar("c")
         q = MatExpr.from_var(vq)
-        prob = LmiProblem(
+        prob = lmi.vectorize(LmiProblem(
             (vq, vc),
             (Constraint(q - np.eye(2), GEQ, "floor"),
              Constraint(q - MatExpr.scalar_identity("c", 2), LEQ,
                         "cap", eps=0.0)),
-            objective=((("c", 0), 1.0),))
+            objective=((("c", 0), 1.0),)))
         sol = sdp.minimize(prob)
         assert sol.status is Status.OPTIMAL
         assert sol.objective == pytest.approx(1.0, abs=1e-5)
@@ -130,9 +130,9 @@ class TestMinimize:
         # min x with [[1, x], [x, 1]] >= eps I: optimum -1
         x = MatExpr.from_var(VarSpec.scalar("x"))
         e = sym_block([[np.array([[1.0]]), x], [None, np.array([[1.0]])]])
-        prob = LmiProblem((VarSpec.scalar("x"),),
-                          (Constraint(e, GEQ, "corr"),),
-                          objective=((("x", 0), 1.0),))
+        prob = lmi.vectorize(LmiProblem((VarSpec.scalar("x"),),
+                                        (Constraint(e, GEQ, "corr"),),
+                                        objective=((("x", 0), 1.0),)))
         sol = sdp.minimize(prob)
         assert sol.status is Status.OPTIMAL
         assert sol.objective == pytest.approx(-1.0, abs=1e-4)
@@ -147,9 +147,9 @@ class TestMinimize:
         assert oracle == pytest.approx(3.0, abs=1e-4)
 
         e = MatExpr.scalar_identity("lam", 2) + a
-        prob = LmiProblem((VarSpec.scalar("lam"),),
-                          (Constraint(e, GEQ, "shift", eps=0.0),),
-                          objective=((("lam", 0), 1.0),))
+        prob = lmi.vectorize(LmiProblem((VarSpec.scalar("lam"),),
+                                        (Constraint(e, GEQ, "shift", eps=0.0),),
+                                        objective=((("lam", 0), 1.0),)))
         sol = sdp.minimize(prob)
         assert sol.status is Status.OPTIMAL
         assert sol.objective == pytest.approx(oracle, abs=1e-4)
@@ -165,11 +165,11 @@ class TestMinimize:
         x = MatExpr.scalar_identity("x", 1)
         cons = (Constraint(x - np.array([[1.0]]), LEQ, "cap"),) if bounded_above else ()
         prob = LmiProblem((VarSpec.scalar("x"),), cons, objective=((("x", 0), 1.0),))
-        sol = sdp.minimize(prob)
+        sol = sdp.minimize(lmi.vectorize(prob))
         assert sol.status is Status.NUMERICAL_FAILURE
         assert sol.objective is None
         assert sum(sol.newton_steps) < 100
-        assert sol.point.entry(("x", 0)) <= -sdp._PHASE1_BOX
+        assert sol.x[0] <= -sdp._PHASE1_BOX
 
     def test_demo_synthesis_minimize(self):
         prob = _demo_synthesis_problem(1.0, 0.5)
@@ -177,7 +177,7 @@ class TestMinimize:
         assert sol.status is Status.OPTIMAL
         # frozen from an independent convex solver run of the same constraints
         assert sol.objective == pytest.approx(11.1577, abs=5e-3)
-        assert _worst_margin(prob, sol.point) >= -1e-9
+        assert _worst_margin(prob, sol.x) >= -1e-9
         # phase 1 ends at its first iterate that clears every block
         assert sol.newton_steps[0] <= 12 and sum(sol.newton_steps) <= 80
 
@@ -186,7 +186,7 @@ class TestMinimize:
         sol = sdp.minimize(prob)
         assert sol.status is Status.INFEASIBLE
         assert sol.objective is None
-        assert _worst_margin(prob, sol.point) < 0.0
+        assert _worst_margin(prob, sol.x) < 0.0
 
     @pytest.mark.parametrize("mu, alpha", [(0.25, 0.3), (0.5, 1.3), (1.5, 1.5)])
     def test_demo_infeasible_cells_end_on_the_duality_bound(self, mu, alpha):
@@ -201,7 +201,7 @@ class TestSolutionContract:
             prob = _demo_synthesis_problem(mu, alpha)
             sol = sdp.minimize(prob)
             assert sol.status is Status.OPTIMAL
-            assert _worst_margin(prob, sol.point) >= -1e-9
+            assert _worst_margin(prob, sol.x) >= -1e-9
 
     def test_objective_monotone_in_eps(self):
         lo = sdp.minimize(_demo_synthesis_problem(1.0, 0.5, eps=1e-6))
@@ -215,8 +215,7 @@ class TestSolutionContract:
         assert a.objective == b.objective
         assert a.status == b.status
         assert a.newton_steps == b.newton_steps
-        for name in a.point.entries:
-            assert np.array_equal(a.point.entries[name], b.point.entries[name])
+        assert np.array_equal(a.x, b.x)
 
 
 def _reference_derivatives(sf, x):
@@ -226,7 +225,7 @@ def _reference_derivatives(sf, x):
     n = x.size
     f, g, h = 0.0, np.zeros(n), np.zeros((n, n))
     for blk in sf.blocks:
-        s = block_value(blk, x)
+        s = barrier_value(blk, x)
         f -= np.linalg.slogdet(s)[1]
         sinv = np.linalg.inv(s)
         for a, i in enumerate(blk.idx):
@@ -239,7 +238,7 @@ def _reference_derivatives(sf, x):
 
 class TestStructure:
     def test_diagonal_blocks_become_rows(self):
-        sf = lmi.vectorize(_demo_synthesis_problem(1.0, 0.5))
+        sf = _demo_synthesis_problem(1.0, 0.5)
         cones = sdp._cones(sf)
         # peak_cap, q_pos and s_pos are diagonal: 2 + 2 + 2 rows
         assert cones.b.size == 6
@@ -247,11 +246,9 @@ class TestStructure:
         assert cones.nu == sum(blk.dim for blk in sf.blocks)
 
     def test_derivatives_match_dense_reference(self):
-        prob = _demo_synthesis_problem(1.0, 0.5)
-        sf = lmi.vectorize(prob)
-        found, point = _phase1(prob)
+        sf = _demo_synthesis_problem(1.0, 0.5)
+        found, x = _phase1(sf)
         assert found == "feasible"
-        x = vector(sf, point)
         cones = sdp._cones(sf)
         f, g, h = _reference_derivatives(sf, x)
         grad, hess = (a[0] for a in sdp._derivatives(cones, x[None]))
@@ -261,7 +258,7 @@ class TestStructure:
         assert np.array_equal(hess, hess.T)
 
     def test_barrier_rejects_point_outside_rows(self):
-        sf = lmi.vectorize(_demo_synthesis_problem(1.0, 0.5))
+        sf = _demo_synthesis_problem(1.0, 0.5)
         x = sf.initial.copy()
         x[0] = -1.0  # lyap_inv[0] < 0 breaks q_pos, a row
         assert sdp._barrier(sdp._cones(sf), x[None])[0] == np.inf
@@ -271,18 +268,18 @@ class TestStructure:
         vc, vy = VarSpec.scalar("c"), VarSpec.scalar("y")
         c = MatExpr.from_var(vc)
         y = MatExpr.from_var(vy)
-        prob = LmiProblem(
+        prob = lmi.vectorize(LmiProblem(
             (vc, vy),
             (Constraint(sym_block([[c, np.array([[1.0]])], [None, y]]), GEQ,
                         "hyperbola", eps=0.0),
              Constraint(y - np.array([[2.0]]), LEQ, "cap", eps=0.0)),
-            objective=((("c", 0), 1.0),))
-        cones = sdp._cones(lmi.vectorize(prob))
+            objective=((("c", 0), 1.0),)))
+        cones = sdp._cones(prob)
         assert cones.b.size == 1 and len(cones.dense) == 1
         sol = sdp.minimize(prob)
         assert sol.status is Status.OPTIMAL
         assert sol.objective == pytest.approx(0.5, abs=1e-6)
-        assert sol.point.entry(("y", 0)) == pytest.approx(2.0, abs=1e-5)
+        assert sol.x[prob.refs.index(("y", 0))] == pytest.approx(2.0, abs=1e-5)
 
     def test_rows_only_problem(self):
         # min 2x + y with x >= 1, y >= 0, x + y >= 3: optimum 4 at (1, 2)
@@ -293,24 +290,23 @@ class TestStructure:
                 Constraint(y, GEQ, "y", eps=0.0),
                 Constraint(x + y - np.array([[3.0]]), GEQ, "sum",
                            eps=0.0))
-        feas = LmiProblem((vx, vy), cons)
-        assert sdp._cones(lmi.vectorize(feas)).dense == ()
-        found, point = _phase1(feas)
+        feas = lmi.vectorize(LmiProblem((vx, vy), cons))
+        assert sdp._cones(feas).dense == ()
+        found, x = _phase1(feas)
         assert found == "feasible"
-        assert _worst_margin(feas, point) > 0.0
-        sol = sdp.minimize(dataclasses.replace(
-            feas, objective=((("x", 0), 2.0), (("y", 0), 1.0))))
+        assert _worst_margin(feas, x) > 0.0
+        sol = sdp.minimize(dataclasses.replace(feas, objective=np.array([2.0, 1.0])))
         assert sol.status is Status.OPTIMAL
         assert sol.objective == pytest.approx(4.0, abs=1e-6)
-        assert sol.point.entry(("x", 0)) == pytest.approx(1.0, abs=1e-5)
+        assert sol.x[feas.refs.index(("x", 0))] == pytest.approx(1.0, abs=1e-5)
 
     def test_random_plant_at_n8(self, random_plant_config):
         cfg = {"plant": random_plant_config(np.random.default_rng(8), 8, 1.0)}
         alpha = 0.5 * min(cfg["plant"]["lambda"])
-        prob = build_synthesis_lmis(cli._build_plant(cfg), 1.0, alpha)
+        prob = lmi.vectorize(build_synthesis_lmis(cli._build_plant(cfg), 1.0, alpha))
         sol = sdp.minimize(prob)
         assert sol.status is Status.OPTIMAL
-        assert _worst_margin(prob, sol.point) >= -1e-9
+        assert _worst_margin(prob, sol.x) >= -1e-9
         assert sol.newton_steps[0] <= 15
 
 
@@ -336,15 +332,14 @@ class TestBatch:
             _same_outcome(sol, sdp.minimize(problem))
             statuses.add(sol.status)
             if sol.status is Status.OPTIMAL:
-                assert _worst_margin(problem, sol.point) >= -1e-9
+                assert _worst_margin(problem, sol.x) >= -1e-9
         assert statuses == {Status.OPTIMAL, Status.INFEASIBLE}
 
     def test_cells_of_different_structure_share_a_stack(self):
         # at mu = alpha = 0.5 the decay block loses its lyap_inv[0] term
         # (alpha - mu lambda_0 = 0), so its entries differ from the other
         # cells of the same grid command
-        problems = [_demo_synthesis_problem(0.5, alpha) for alpha in (0.1, 0.3, 0.5, 0.7)]
-        sfs = [lmi.vectorize(p) for p in problems]
+        sfs = [_demo_synthesis_problem(0.5, alpha) for alpha in (0.1, 0.3, 0.5, 0.7)]
         cells = [sdp._cones(sf) for sf in sfs]
         sizes = [[len(blk.idx) for blk in c.dense] for c in cells]
         assert sizes[2][2] == sizes[0][2] - 1
@@ -356,14 +351,14 @@ class TestBatch:
             g1, h1 = sdp._derivatives(cell, x[c:c + 1])
             assert np.allclose(grad[c], g1[0], rtol=1e-12, atol=1e-12)
             assert np.allclose(hess[c], h1[0], rtol=1e-12, atol=1e-12)
-        for sol, problem in zip(sdp.minimize_batch(problems), problems):
-            _same_outcome(sol, sdp.minimize(problem))
+        for sol, sf in zip(sdp.minimize_batch(sfs), sfs):
+            _same_outcome(sol, sdp.minimize(sf))
 
     def test_failed_cholesky_in_one_cell_leaves_the_others(self):
-        sf = lmi.vectorize(_demo_synthesis_problem(1.0, 0.5))
+        sf = _demo_synthesis_problem(1.0, 0.5)
         cell = sdp._cones(sf)
         stacked = sdp._stack([cell, cell, cell], sf.refs)
-        inside = vector(sf, sdp.minimize(_demo_synthesis_problem(1.0, 0.5)).point)
+        inside = sdp.minimize(sf).x
         # gain_scaled far from zero breaks the boundary block but no row
         outside = inside.copy()
         outside[4:8] = 100.0
@@ -409,8 +404,7 @@ class TestBatch:
         assert a.objective == b.objective
         assert a.newton_steps == b.newton_steps
         assert a.newton_steps[0] > 0 and a.newton_steps[1] > 0
-        for name in b.point.entries:
-            assert np.array_equal(a.point.entries[name], b.point.entries[name])
+        assert np.array_equal(a.x, b.x)
 
     def test_empty_batch_and_missing_objective(self):
         assert sdp.minimize_batch([]) == []

@@ -314,8 +314,9 @@ def _certificate_payload(cert: SynthesisCertificate) -> dict:
 
 def _load_certificate(path: str, plant: Plant) -> SynthesisCertificate:
     """The certificate stored at `path`, checked against the plant's
-    dimensions.  Its margins are empty and its newton_steps None: verify
-    recomputes the one, and the other is not part of the design."""
+    dimensions.  Its margins are empty and its newton_steps and
+    duality_gap None: verify recomputes the margins, and the solver's
+    figures are not part of the design."""
     data, _ = _load_json(path)
     try:
         cert = SynthesisCertificate(
@@ -332,7 +333,7 @@ def _load_certificate(path: str, plant: Plant) -> SynthesisCertificate:
             gamma=_number(data, "certificate", "gamma", positive=True),
             omega=_number(data, "certificate", "omega", positive=True),
             kappa=_number(data, "certificate", "kappa", positive=True),
-            margins={}, newton_steps=None)
+            margins={}, newton_steps=None, duality_gap=None)
     except ValueError as e:
         if isinstance(e, ConfigError):
             raise
@@ -395,7 +396,8 @@ def cmd_synth(config_path: str, out_override: str | None) -> int:
         _write_report(out_dir, "synth", digest,
                       {"worst_phase1_margin": worst}, timing, [],
                       extra={"status": "infeasible", "mu": mu, "alpha": alpha,
-                             "newton_steps": _newton_steps(e.solution.newton_steps)})
+                             "newton_steps": _newton_steps(e.solution.newton_steps),
+                             "duality_gap": e.solution.gap})
         print(f"infeasible at mu={mu:g}, alpha={alpha:g} "
               f"(worst margin {worst:.3e})", file=sys.stderr)
         return 2
@@ -407,7 +409,8 @@ def cmd_synth(config_path: str, out_override: str | None) -> int:
     _write_report(out_dir, "synth", digest, dict(cert.margins), timing,
                   [cert_path.name], certificate=_certificate_payload(cert),
                   extra={"status": "feasible",
-                         "newton_steps": _newton_steps(cert.newton_steps)})
+                         "newton_steps": _newton_steps(cert.newton_steps),
+                         "duality_gap": cert.duality_gap})
     print(f"feasible: peak={cert.peak:.6g} gamma={cert.gamma:.6g} "
           f"omega={cert.omega:g} kappa={cert.kappa:.6g}")
     print(f"wrote {cert_path}")
@@ -643,6 +646,18 @@ def _seed_configs(directory: Path) -> list[Path]:
 # entry point
 
 
+def _finite_float(text: str) -> float:
+    """An option's number; anything that is not a finite float is a usage
+    error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process; each parse makes a
@@ -671,7 +686,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "verify":
             cmd.add_argument("--gain", default=None,
                              help="path to the certificate to verify")
-            cmd.add_argument("--tolerance", type=float, default=0.0,
+            cmd.add_argument("--tolerance", type=_finite_float, default=0.0,
                              help="smallest acceptable margin (default 0)")
     return parser
 

@@ -120,9 +120,10 @@ class SynthesisCertificate:
     the inverse of the sector multiplier, gain_scaled the gain times
     lyap_inv, coupling the disturbance-coupling bound, peak an upper
     bound on the largest eigenvalue of lyap_inv that the design minimized,
-    eps the strictness slack the inequalities were posed with, and
-    newton_steps the solver's Newton steps in phase 1 and in phase 2.  A
-    certificate read back from a file has margins {} and newton_steps None.
+    eps the strictness slack the inequalities were posed with,
+    newton_steps the solver's steps in phase 1 and in phase 2, and
+    duality_gap the solver's final gap.  A certificate read back from a
+    file has margins {} and newton_steps and duality_gap None.
     """
 
     lyap_inv: DiagMatrix
@@ -139,6 +140,7 @@ class SynthesisCertificate:
     margins: dict[str, float]
     eps: float
     newton_steps: tuple[int, int] | None
+    duality_gap: float | None
 
 
 @dataclass(frozen=True)
@@ -350,7 +352,8 @@ def _certificate_from_solution(sf: lmi.StandardForm, solution: sdp.Solution,
         lyap_inv=q, sector_inv=s, gain_scaled=w, coupling=g,
         mu=mu, alpha=alpha, peak=peak, gain=Matrix(w.array @ lyap.array),
         gamma=coeffs.gamma, omega=coeffs.omega, kappa=coeffs.kappa,
-        margins=margins, eps=eps, newton_steps=solution.newton_steps)
+        margins=margins, eps=eps, newton_steps=solution.newton_steps,
+        duality_gap=solution.gap)
 
 
 def synthesize(plant: Plant, mu: float, alpha: float,

@@ -1,21 +1,30 @@
 """Interior-point solver for the small LMI systems built by `lmi`.
 
-The solver minimizes a linear objective over the standard form of
+The solver minimizes a linear objective c @ x over the standard form of
 `lmi.vectorize`, in which every block reads F(x) = F0 + sum_i x_i F_i >=
 eps I with the constraint's sense already folded in; the barrier sees each
-block as F(x) - eps I > 0.  The method is a plain log-det barrier
-path-following scheme: a phase-1 search minimizes a uniform slack to find
-a strictly feasible point, then Newton centering follows the central path
-along a geometrically growing barrier parameter until the duality-gap
-surrogate nu / t drops under tolerance.  Phase 1
+block as S(x) = F(x) - eps I > 0.  Phase 1 is a plain log-det barrier
+path-following search for a strictly feasible point: it minimizes a
+uniform slack along a geometrically growing barrier parameter t.  It
 stops as soon as its verdict is known (Boyd & Vandenberghe, *Convex
 Optimization*, section 11.4): at the first accepted iterate where the
 slack could be _EXIT_SLACK with every block still positive definite, so
 that phase 2 starts with every block >= -_EXIT_SLACK I, or at the first
 centered point whose bound s - nu / t on the slack optimum exceeds
-_INFEASIBLE_SLACK.  The solver returns the flat entry vector x and does
-not audit it; `control` re-checks every design it certifies at that x,
-with `lmi.problem_margins` and the Jacobi eigensolver of `linalg`.
+_INFEASIBLE_SLACK.
+
+Phase 2 centers once, at t = _T_INIT, by the same damped Newton steps,
+and starts the dual there on the central path: Z_j = S_j^-1 / t for every
+dense block and z = 1 / (t r) for the rows r.  From that point Mehrotra
+predictor-corrector steps (Mehrotra, SIAM J. Optim. 2(4), 1992) along
+the HKM direction (Helmberg, Rendl, Vanderbei & Wolkowicz, SIAM J.
+Optim. 6(2), 1996) drive the gap <Z, S> + z . r under _GAP_TOL, each
+with one Schur-complement factorization.  The primal iterate stays
+strictly feasible, with S = S(x) formed from x at every step; the dual
+residual c - A*(Z) - G^T z, small at the centered start, is driven
+under _GAP_TOL as well.  The solver returns the flat entry vector x and the final gap, and does not
+audit x; `control` re-checks every design it certifies at that x, with
+`lmi.problem_margins` and the Jacobi eigensolver of `linalg`.
 
 The solver uses the structure of the problem.  Every block whose base and
 coefficients are all diagonal (positivity of diagonal variables, scalar
@@ -30,15 +39,14 @@ block sizes) share one stack: a dense block whose entries differ from cell
 to cell depends on their union in every cell, with zero coefficients where
 a cell has none, and the dense blocks of a cell are padded with identity
 to one size, so that one call evaluates, factors or inverts all of them.
-Newton then runs over the stack in lockstep: each iteration is one stacked
-pass for the barrier, the derivatives, the Newton systems and each
-line-search trial of the cells still running.  Every cell keeps its own
-barrier parameter, step budget, outcome and step length, and leaves the
-stack when its phase ends.  Many cells of one structure are split into
-several stacks so that the padded coefficients of one stack stay under
-_STACK_BYTES.  `minimize` is a batch of one, so there is one solver
-path.  Everything is numpy with fixed iteration order, so identical
-batches produce bit-identical outputs.
+The iterations run over the stack in lockstep: each is one stacked pass
+for the cells still running.  Every cell keeps its own barrier parameter,
+step budget, outcome and step lengths, and leaves the stack when its
+phase ends; no cell's arithmetic reads another's.  Many cells of one
+structure are split into several stacks so that the padded coefficients
+of one stack stay under _STACK_BYTES.  `minimize` is a batch of one, so
+there is one solver path.  Everything is numpy with fixed iteration
+order, so identical batches produce bit-identical outputs.
 
 Infeasibility is declared heuristically: when the phase-1 slack optimum,
 bounded below by s - nu / t at a centered point, is above
@@ -46,7 +54,8 @@ _INFEASIBLE_SLACK, no strictly feasible point exists inside the phase-1
 box up to solver accuracy.  A phase-2 iterate with an entry outside the
 phase-1 box ends its cell at once as NUMERICAL_FAILURE: the objective
 looks unbounded below, and the rest of the step budget would only walk
-further out.
+further out.  So does a Schur complement or a factor that is singular,
+indefinite or not finite; a cell never raises.
 """
 
 from __future__ import annotations
@@ -63,10 +72,18 @@ from . import lmi
 # to state dimension n = 10: dense blocks of dimension up to about 3n and a
 # few hundred entries.  Diagonal blocks and the phase-1 box cost one
 # elementwise row per diagonal entry, whatever their size.
-_MAX_NEWTON = 600         # total Newton step budget of one problem
-_T_INIT = 1.0             # initial barrier parameter
-_T_GROWTH = 10.0          # geometric growth factor of the barrier parameter
-_GAP_TOL = 1e-7           # stop when nu / t < _GAP_TOL
+_MAX_NEWTON = 600         # total step budget of one problem, Newton and
+                          # primal-dual steps alike
+_T_INIT = 1.0             # initial barrier parameter; phase 2 centers here
+_T_GROWTH = 10.0          # phase-1 growth factor of the barrier parameter
+_GAP_TOL = 1e-7           # phase 1 stops when nu / t < _GAP_TOL; phase 2
+                          # when <Z, S> + z . r < _GAP_TOL and
+                          # max |c - A*(Z) - G^T z| < _GAP_TOL max(1, max |c|)
+_GAP_FLOOR = 0.1          # the corrector never aims at a gap under this
+                          # times _GAP_TOL
+_RIDGE = 1e-13            # the Schur complement is factored with its
+                          # diagonal times 1 + _RIDGE
+_STEP_FRACTION = 0.98     # primal-dual steps go this far to the boundary
 _INFEASIBLE_SLACK = 1e-7  # declare infeasible when the phase-1 slack optimum
                           # exceeds this
 _NEWTON_TOL = 1e-5        # threshold on the squared Newton decrement / 2;
@@ -91,16 +108,19 @@ class Status(enum.Enum):
 @dataclass(frozen=True)
 class Solution:
     """Solver outcome: the status, the last iterate x over the problem's
-    flat entry vector, the objective there when OPTIMAL (else None), and
-    the Newton steps taken in phase 1 and in phase 2.  x is the solver's
-    claim only: a caller that certifies it re-checks its margins, as
-    `control` does.
+    flat entry vector, the objective there when OPTIMAL (else None), the
+    steps taken in phase 1 and in phase 2 (its centering Newton steps plus
+    its primal-dual steps), and gap, the duality gap <Z, S> + z . r at the
+    last primal-dual iterate, or None when phase 2 reached none.  x is the
+    solver's claim only: a caller that certifies it re-checks its margins,
+    as `control` does.
     """
 
     status: Status
     x: np.ndarray
     objective: float | None
     newton_steps: tuple[int, int]
+    gap: float | None
 
 
 @dataclass(frozen=True)
@@ -186,8 +206,22 @@ class _Cones:
     def values(self, x: np.ndarray) -> np.ndarray:
         """The padded dense blocks S(x), (cells, J, D, D), one row of x per
         cell."""
+        return self.padded[0] + self.span(x)
+
+    def span(self, x: np.ndarray) -> np.ndarray:
+        """sum_k x_k A_k for every padded dense block, zero in the padding."""
         base, vidx, vflat = self.padded
-        return base + (x[:, None, vidx] @ vflat).reshape(base.shape)
+        return (x[:, None, vidx] @ vflat).reshape(base.shape)
+
+    def adjoint(self, mats: np.ndarray, rowvals: np.ndarray) -> np.ndarray:
+        """A*(mats) + G^T rowvals: entry k gets sum_j <A_jk, mats_j> plus
+        sum_i G_ik rowvals_i, one row per cell.  The padding of mats is
+        never read, and neither is its antisymmetric part."""
+        out = (rowvals[:, None, :] @ self.g)[:, 0]
+        if self.dense:
+            _, vidx, vflat = self.padded
+            out[:, vidx] += (vflat @ mats.reshape(len(out), -1, 1))[:, :, 0]
+        return out
 
 
 def _cones(sf: lmi.StandardForm) -> _Cones:
@@ -377,18 +411,19 @@ def _follow(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndarray,
     """Follow the central paths of a stack of cells in lockstep.
 
     Cell c minimizes t_c cvec_c @ x + barrier_c(x) by damped Newton steps
-    and multiplies t_c by _T_GROWTH at each centered point, until its
-    phase ends or it has taken budget[c] steps.  In phase 1 the last entry
-    of x is the slack.  After each accepted step the cell's slack is pinned
-    to min(s, _EXIT_SLACK), and if the barrier is finite there the phase
-    ends at the pinned point as "feasible"; so does a stage that ends with
-    a negative slack.  At a centered point whose lower bound s - nu/t_c on
-    the slack optimum is above _INFEASIBLE_SLACK, or whose gap nu/t_c is
-    under _GAP_TOL, the phase ends as "infeasible_candidate"; anything
-    else is "stalled".  In phase 2 the outcome is a Status: OPTIMAL once
-    nu/t_c is under _GAP_TOL, and NUMERICAL_FAILURE as soon as an accepted
-    iterate leaves the phase-1 box, which it does where the objective is
-    unbounded below.
+    from t_c = _T_INIT until its phase ends or it has taken budget[c]
+    steps.  In phase 1 the last entry of x is the slack, and t_c grows by
+    _T_GROWTH at each centered point.  After each accepted step the cell's
+    slack is pinned to min(s, _EXIT_SLACK), and if the barrier is finite
+    there the phase ends at the pinned point as "feasible"; so does a
+    stage that ends with a negative slack.  At a centered point whose
+    lower bound s - nu/t_c on the slack optimum is above
+    _INFEASIBLE_SLACK, or whose gap nu/t_c is under _GAP_TOL, the phase
+    ends as "infeasible_candidate"; anything else is "stalled".  Phase 2
+    only centers: its outcome is "centered" at the first centered point,
+    and NUMERICAL_FAILURE otherwise, at once when an accepted iterate
+    leaves the phase-1 box, which it does where the objective is unbounded
+    below.
 
     Every iteration is one stacked pass over the cells still running, and
     a cell whose phase ends leaves the stack.  Each iterate stays strictly
@@ -404,7 +439,6 @@ def _follow(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndarray,
     x = x.copy()
     t = np.full(len(x), _T_INIT)
     steps = np.zeros(len(x), dtype=int)
-    achieved = np.full(len(x), np.inf)  # gap surrogate of the last centered stage
     fb = _barrier(cones, x)             # barrier at x, carried over from the accepted trial
     ended = np.zeros(len(x), dtype=bool)
 
@@ -424,15 +458,7 @@ def _follow(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndarray,
             else:
                 outcome[cell[i]] = "infeasible_candidate" if how == "centered" else "stalled"
         elif how == "centered":
-            achieved[i] = nu / t[i]
-            if nu != 0.0 and achieved[i] >= _GAP_TOL:
-                t[i] *= _T_GROWTH
-                return True
-            outcome[cell[i]] = Status.OPTIMAL
-        elif how == "stalled" and achieved[i] <= 100.0 * _GAP_TOL:
-            # float exhaustion near the end of the path; accept the point
-            # since a previous stage already certified a gap close to target
-            outcome[cell[i]] = Status.OPTIMAL
+            outcome[cell[i]] = "centered"
         else:
             outcome[cell[i]] = Status.NUMERICAL_FAILURE
         ended[i] = True
@@ -444,8 +470,8 @@ def _follow(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndarray,
         if ended.any():
             x_out[cell[ended]], steps_out[cell[ended]] = x[ended], steps[ended]
             keep = ~ended
-            cell, x, t, steps, achieved, fb, cvec, budget = (
-                a[keep] for a in (cell, x, t, steps, achieved, fb, cvec, budget))
+            cell, x, t, steps, fb, cvec, budget = (
+                a[keep] for a in (cell, x, t, steps, fb, cvec, budget))
             cones = cones.take(keep)
             ended = ended[keep]
         if not cell.size:
@@ -536,26 +562,232 @@ def _phase1(cones: _Cones, x0: np.ndarray):
     return xs[:, :n], xs[:, n], steps, outcome
 
 
+def _hkm(cones: _Cones, zr: np.ndarray, lsi: np.ndarray | None,
+         lz: np.ndarray | None) -> np.ndarray:
+    """The HKM Schur complement M_kl = sum_j tr(A_jk S_j^-1 A_jl Z_j)
+    + sum_i G_ik (z_i / r_i) G_il, one matrix per cell, with zr = z / r,
+    lsi = L_S^-1 and lz = L_Z for the Cholesky factors of S and Z.
+
+    M is formed as a Gram matrix: of the rows of G sqrt(z/r), and of
+    V_k = L_S^-1 A_k L_Z over each block, since with S^-1 = L_S^-T L_S^-1
+    and Z = L_Z L_Z^T the trace is <V_k, V_l>.  A Gram matrix keeps its
+    rounding relative to its diagonal.  The product of A_k S^-1 and A_l Z,
+    whose terms grow like 1/mu where M's smallest diagonal entries shrink
+    like mu, makes M numerically indefinite at gaps around 1e-6 on the
+    demo design.
+    """
+    gw = cones.g * np.sqrt(zr)[:, :, None]
+    m = gw.transpose(0, 2, 1) @ gw
+    ncell = len(m)
+    for j, blk in enumerate(cones.dense):
+        d, k = blk.dim, len(blk.idx)
+        y = (blk.flat.reshape(ncell, k * d, d) @ lz[:, j, :d, :d]).reshape(ncell, k, d, d)
+        v = (lsi[:, j, None, :d, :d] @ y).reshape(ncell, k, d * d)
+        m[blk.ix] += v @ v.transpose(0, 2, 1)
+    return (m + m.transpose(0, 2, 1)) / 2.0
+
+
+def _lowest(m: np.ndarray) -> np.ndarray:
+    """The smallest eigenvalue of each cell's stack of symmetric matrices,
+    NaN for a cell with an entry that is not finite."""
+    ok = np.isfinite(m).all(axis=(1, 2, 3))
+    low = np.linalg.eigvalsh(np.where(ok[:, None, None, None], m, 0.0)).min(axis=(1, 2))
+    return np.where(ok, low, np.nan)
+
+
+def _reach(li: np.ndarray | None, dmat: np.ndarray | None, v: np.ndarray,
+           dv: np.ndarray) -> np.ndarray:
+    """1 / alpha_max per cell, where alpha_max is the longest step that keeps
+    the rows v + alpha dv and the blocks L L^T + alpha dmat positive
+    semidefinite, with li = L^-1 (no dense blocks: None); 0 where no step
+    leaves them.  A block reaches its boundary at -1 / min eig(li dmat
+    li^T).  NaN for a cell with a factor or a direction that is not
+    finite."""
+    s = (dv / v).min(axis=1, initial=0.0) * -1.0
+    if li is not None:
+        s = np.maximum(s, -_lowest(li @ dmat @ li.transpose(0, 1, 3, 2)))
+    return s
+
+
+def _primal_dual(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndarray):
+    """Mehrotra predictor-corrector steps from points centered at
+    t = _T_INIT, over a stack of cells in lockstep.
+
+    The dual starts on the central path, Z = S^-1 / t and z = 1 / (t r).
+    Each step solves the HKM Schur complement system M dx = rhs (see
+    `_hkm`) twice with one Cholesky factor.  The predictor has rhs = -c.
+    The corrector aims at sigma mu, with mu = gap / nu and
+    sigma = (gap_aff / gap)^3 from the gap after the predictor's step, but
+    never at a gap under _GAP_FLOOR _GAP_TOL; it adds the centering and
+    second-order terms to rhs.  Then dS = A(dx), dr = G dx and
+    dZ = sigma mu S^-1 - Z - sym(S^-1 dS Z) - sym(S^-1 dS_a dZ_a),
+    dz = sigma mu / r - z - z dr / r - dr_a dz_a / r, with the predictor's
+    directions _a.  The primal and dual parts step _STEP_FRACTION of the
+    way to their boundaries, capped at 1.  S = S(x) and r = r(x) are
+    formed from x at every step, never updated.  Each padded block keeps
+    identity in the padding of Z, and dZ is zero there.
+
+    M's smallest eigenvalues, relative to its diagonal, shrink like mu^2
+    in the directions the optimal face leaves free, so M is factored with
+    its diagonal scaled by 1 + _RIDGE, which tells only near the end.  The
+    error this leaves in dx feeds the dual residual, and the floor on the
+    aim keeps it from growing once the gap is near _GAP_TOL.
+
+    A cell ends OPTIMAL once the gap <Z, S> + z . r is under _GAP_TOL and
+    its dual residual c - A*(Z) - G^T z is under _GAP_TOL max(1, max |c|).
+    It ends NUMERICAL_FAILURE at its last iterate when its Schur
+    complement, a factor or a direction is not finite (an indefinite M
+    has no Cholesky factor), when an iterate leaves the phase-1 box, or
+    when it has taken budget[c] steps.  Returns (x, steps, outcomes,
+    gaps), with the gap at each cell's last iterate.
+    """
+    ncell, nu = len(x), cones.nu
+    x_out, gap_out = x.copy(), np.full(ncell, np.nan)
+    steps_out = np.zeros(ncell, dtype=int)
+    outcome: list = [None] * ncell
+    dual_tol = _GAP_TOL * np.maximum(1.0, np.abs(cvec).max(axis=1, initial=0.0))
+
+    zrow = 1.0 / (_T_INIT * cones.rows(x))
+    zmat = inner = None
+    if cones.dense:
+        base = cones.padded[0]
+        inner = np.zeros(base.shape[1:], dtype=bool)
+        for j, blk in enumerate(cones.dense):
+            inner[j, :blk.dim, :blk.dim] = True
+        zmat = np.where(inner, _each(np.linalg.inv, cones.values(x)) / _T_INIT, base)
+
+    def measure(x, zmat, zrow):
+        """r(x) (NaN where a row is not positive), S(x), the gap, and
+        whether the cell is optimal there."""
+        r = cones.rows(x)
+        r = np.where(r > 0.0, r, np.nan)
+        gap = (r * zrow).sum(axis=1)
+        smat = None
+        if cones.dense:
+            smat = cones.values(x)
+            gap += (smat * zmat)[:, inner].sum(axis=1)
+        resid = np.abs(cvec - cones.adjoint(zmat, zrow)).max(axis=1, initial=0.0)
+        return r, smat, gap, (gap < _GAP_TOL) & (resid < dual_tol)
+
+    def failure(bad):
+        """Which cells failed: no step, or an iterate outside the phase-1
+        box, or, short of optimal, a gap that is not positive and finite or
+        the budget spent."""
+        return bad | (np.abs(x) >= _PHASE1_BOX).any(axis=1) | ~optimal & (
+            ~((0.0 < gap) & (gap < np.inf)) | (steps >= budget))
+
+    # the cells still running, compacted whenever one ends
+    cell = np.arange(ncell)
+    steps = np.zeros(ncell, dtype=int)
+    r, smat, gap, optimal = measure(x, zmat, zrow)
+    failed = failure(np.zeros(ncell, dtype=bool))
+    while True:
+        ended = optimal | failed
+        if ended.any():
+            for i in ended.nonzero()[0]:
+                c = cell[i]
+                x_out[c], steps_out[c], gap_out[c] = x[i], steps[i], gap[i]
+                outcome[c] = Status.NUMERICAL_FAILURE if failed[i] else Status.OPTIMAL
+            keep = ~ended
+            cell, x, zrow, r, gap, steps, cvec, budget, dual_tol = (
+                a[keep] for a in (cell, x, zrow, r, gap, steps, cvec, budget, dual_tol))
+            cones = cones.take(keep)
+            if cones.dense:
+                zmat, smat = zmat[keep], smat[keep]
+        if not cell.size:
+            return x_out, steps_out, outcome, [
+                float(v) if np.isfinite(v) else None for v in gap_out]
+
+        g, rinv = cones.g, 1.0 / r
+        lsi = lz = lzi = sinv = None
+        if cones.dense:
+            lsi = _each(np.linalg.inv, _each(np.linalg.cholesky, smat))
+            lz = _each(np.linalg.cholesky, zmat)
+            lzi = _each(np.linalg.inv, lz)
+            sinv = lsi.transpose(0, 1, 3, 2) @ lsi
+        m = _hkm(cones, zrow * rinv, lsi, lz)
+        k = np.arange(m.shape[1])
+        m[:, k, k] *= 1.0 + _RIDGE
+        lm = _each(np.linalg.inv, _each(np.linalg.cholesky, m))
+
+        def direction(rhs, smu, crow, cmat):
+            """dx = M^-1 rhs and the directions that go with it, aiming at
+            smu with the second-order terms crow (rows) and cmat (blocks)."""
+            dx = (lm.transpose(0, 2, 1) @ (lm @ rhs[:, :, None]))[:, :, 0]
+            dr = (g @ dx[:, :, None])[:, :, 0]
+            dz = (smu[:, None] - zrow * dr - crow) * rinv - zrow
+            ds = dzm = None
+            if cones.dense:
+                ds = cones.span(dx)
+                t = sinv @ ds @ zmat + cmat
+                dzm = smu[:, None, None, None] * sinv - zmat - (t + t.transpose(0, 1, 3, 2)) / 2.0
+                dzm[:, ~inner] = 0.0
+            return dx, dr, ds, dz, dzm
+
+        def lengths(dr, ds, dz, dzm, frac):
+            """The primal and dual step lengths: frac of the way to the
+            boundary, at most 1."""
+            return (frac / np.maximum(_reach(lsi, ds, r, dr), frac),
+                    frac / np.maximum(_reach(lzi, dzm, zrow, dz), frac))
+
+        # predictor: the affine-scaling direction, aiming at mu = 0
+        dx, dr, ds, dz, dzm = direction(-cvec, np.zeros(len(x)), 0.0, 0.0)
+        ap, ad = lengths(dr, ds, dz, dzm, 1.0)
+        gap_aff = ((r + ap[:, None] * dr) * (zrow + ad[:, None] * dz)).sum(axis=1)
+        if cones.dense:
+            gap_aff += ((smat + ap[:, None, None, None] * ds)
+                        * (zmat + ad[:, None, None, None] * dzm))[:, inner].sum(axis=1)
+        smu = np.maximum((gap_aff / gap) ** 3 * gap, _GAP_FLOOR * _GAP_TOL) / nu
+
+        # corrector: aim at sigma mu, with the predictor's second-order terms
+        crow = dr * dz
+        cmat = None if sinv is None else sinv @ ds @ dzm
+        dx, dr, ds, dz, dzm = direction(
+            smu[:, None] * cones.adjoint(sinv, rinv) - cvec - cones.adjoint(cmat, crow * rinv),
+            smu, crow, cmat)
+        ap, ad = lengths(dr, ds, dz, dzm, _STEP_FRACTION)
+
+        xn = x + ap[:, None] * dx
+        move = np.isfinite(ad) & np.isfinite(xn).all(axis=1)
+        x = np.where(move[:, None], xn, x)
+        zrow = np.where(move[:, None], zrow + ad[:, None] * dz, zrow)
+        if cones.dense:
+            zmat = np.where(move[:, None, None, None], zmat + ad[:, None, None, None] * dzm, zmat)
+        steps += move
+        r, smat, gap, optimal = measure(x, zmat, zrow)
+        failed = failure(~move)
+
+
 def _solve_stack(cones: _Cones, sfs) -> list[Solution]:
-    """Phase 1 for every cell of the stack, then phase 2 for the cells it
-    found feasible."""
+    """Phase 1 for every cell of the stack, then phase 2, centering and
+    primal-dual steps, for the cells it found feasible."""
     x, slack, steps1, found = _phase1(cones, np.stack([sf.initial for sf in sfs]))
     status = [None if o == "feasible"
               else Status.INFEASIBLE if o == "infeasible_candidate"
               and s > _INFEASIBLE_SLACK
               else Status.NUMERICAL_FAILURE for o, s in zip(found, slack)]
     steps2 = np.zeros(len(sfs), dtype=int)
+    gaps: list = [None] * len(sfs)
     go = [i for i, st in enumerate(status) if st is None]
     if go:
         cvec = np.stack([sfs[i].objective for i in go])
-        x[go], steps2[go], done = _follow(
-            cones.take(go), cvec, x[go], _MAX_NEWTON - steps1[go], phase1=False)
-        for i, st in zip(go, done):
-            status[i] = st
+        budget = _MAX_NEWTON - steps1[go]
+        x[go], steps2[go], centered = _follow(cones.take(go), cvec, x[go], budget,
+                                              phase1=False)
+        for i, o in zip(go, centered):
+            status[i] = o
+        go = [i for i in go if status[i] == "centered"]
+    if go:
+        x[go], steps, done, gap = _primal_dual(
+            cones.take(go), np.stack([sfs[i].objective for i in go]), x[go],
+            _MAX_NEWTON - steps1[go] - steps2[go])
+        steps2[go] += steps
+        for i, st, g in zip(go, done, gap):
+            status[i], gaps[i] = st, g
     x.setflags(write=False)
     return [Solution(status[i], x[i],
                      float(sf.objective @ x[i]) if status[i] is Status.OPTIMAL else None,
-                     (int(steps1[i]), int(steps2[i])))
+                     (int(steps1[i]), int(steps2[i])), gaps[i])
             for i, sf in enumerate(sfs)]
 
 

@@ -13,6 +13,8 @@ certificate into a problem's entry vector.  `write_csv`, `two_sample_step`,
 `step_by_step_simulate` and `record_by_record_energy` are the plain forms
 of the CSV writer, the simulator step, the simulator run and the
 disturbance energy that the faster ones must match byte for byte.
+`BARRIER_DEMO_GRID` and `BARRIER_SEEDED` are the designs of the
+log-barrier phase 2 that the primal-dual one replaced, frozen.
 """
 
 from __future__ import annotations
@@ -238,3 +240,90 @@ def record_by_record_energy(spec: SignalSpec, times, grid: Grid) -> np.ndarray:
     out = np.zeros(times.size)
     np.cumsum(0.5 * (sq[1:] + sq[:-1]) * np.diff(times), out=out[1:])
     return out
+
+
+# The designs of the solver whose phase 2 followed the log-barrier path over
+# t = 1, 10, ..., 1e9, frozen: (mu, alpha, status, peak, phase-1 Newton
+# steps) of the demo plant's synthesis inequalities over the demo 8x8 grid,
+# solved in one `sdp.minimize_batch` as `control.grid_search` solves them,
+# and (n, status, peak, phase-1 Newton steps) of the seeded random plants
+# n = 2..10 (the `conftest` rule, default_rng(n), mu = 1, alpha =
+# min(lambda) / 2), each solved by `sdp.minimize`.
+BARRIER_DEMO_GRID = (
+    (0.25, 0.1, 'optimal', 14.31069637265344, 6),
+    (0.25, 0.3, 'infeasible', None, 48),
+    (0.25, 0.5, 'infeasible', None, 44),
+    (0.25, 0.7, 'infeasible', None, 53),
+    (0.25, 0.8999999999999999, 'infeasible', None, 50),
+    (0.25, 1.0999999999999999, 'infeasible', None, 50),
+    (0.25, 1.3, 'infeasible', None, 50),
+    (0.25, 1.5, 'infeasible', None, 52),
+    (0.5, 0.1, 'optimal', 7.245408453403299, 6),
+    (0.5, 0.3, 'optimal', 14.490807622418307, 6),
+    (0.5, 0.5, 'infeasible', None, 48),
+    (0.5, 0.7, 'infeasible', None, 50),
+    (0.5, 0.8999999999999999, 'infeasible', None, 50),
+    (0.5, 1.0999999999999999, 'infeasible', None, 55),
+    (0.5, 1.3, 'infeasible', None, 50),
+    (0.5, 1.5, 'infeasible', None, 50),
+    (0.75, 0.1, 'optimal', 6.117840458777599, 7),
+    (0.75, 0.3, 'optimal', 8.836874259603611, 7),
+    (0.75, 0.5, 'optimal', 15.906362141761637, 7),
+    (0.75, 0.7, 'optimal', 79.53175308123569, 7),
+    (0.75, 0.8999999999999999, 'infeasible', None, 51),
+    (0.75, 1.0999999999999999, 'infeasible', None, 44),
+    (0.75, 1.3, 'infeasible', None, 51),
+    (0.75, 1.5, 'infeasible', None, 49),
+    (1.0, 0.1, 'optimal', 6.198711498384917, 8),
+    (1.0, 0.3, 'optimal', 7.969764967410093, 8),
+    (1.0, 0.5, 'optimal', 11.157661211668277, 8),
+    (1.0, 0.7, 'optimal', 18.596085781625455, 8),
+    (1.0, 0.8999999999999999, 'optimal', 55.788208631475754, 8),
+    (1.0, 1.0999999999999999, 'infeasible', None, 51),
+    (1.0, 1.3, 'infeasible', None, 48),
+    (1.0, 1.5, 'infeasible', None, 49),
+    (1.25, 0.1, 'optimal', 7.021638974219016, 10),
+    (1.25, 0.3, 'optimal', 8.499869313197683, 10),
+    (1.25, 0.5, 'optimal', 10.766489166321014, 10),
+    (1.25, 0.7, 'optimal', 14.681559821746822, 10),
+    (1.25, 0.8999999999999999, 'optimal', 23.070996940565063, 10),
+    (1.25, 1.0999999999999999, 'optimal', 53.832266376345515, 9),
+    (1.25, 1.3, 'infeasible', None, 50),
+    (1.25, 1.5, 'infeasible', None, 48),
+    (1.5, 0.1, 'optimal', 8.73568313351926, 12),
+    (1.5, 0.3, 'optimal', 10.19161518560802, 12),
+    (1.5, 0.5, 'optimal', 12.229920058581826, 12),
+    (1.5, 0.7, 'optimal', 15.28737736810445, 12),
+    (1.5, 0.8999999999999999, 'optimal', 20.383139550724728, 12),
+    (1.5, 1.0999999999999999, 'optimal', 30.57466391608915, 12),
+    (1.5, 1.3, 'optimal', 61.149237012430106, 11),
+    (1.5, 1.5, 'infeasible', None, 48),
+    (1.75, 0.1, 'optimal', 12.02922204427967, 20),
+    (1.75, 0.3, 'optimal', 13.688396480994356, 20),
+    (1.75, 0.5, 'optimal', 15.878506737590474, 20),
+    (1.75, 0.7, 'optimal', 18.902944711143114, 20),
+    (1.75, 0.8999999999999999, 'optimal', 23.350647613621625, 19),
+    (1.75, 1.0999999999999999, 'optimal', 30.53539845634212, 18),
+    (1.75, 1.3, 'optimal', 44.10659449296069, 17),
+    (1.75, 1.5, 'optimal', 79.39170418883255, 15),
+    (2.0, 0.1, 'optimal', 18.98904297462874, 70),
+    (2.0, 0.3, 'optimal', 21.22298132125741, 66),
+    (2.0, 0.5, 'optimal', 24.052636560786134, 66),
+    (2.0, 0.7, 'optimal', 27.75295495147646, 66),
+    (2.0, 0.8999999999999999, 'optimal', 32.79884366668922, 66),
+    (2.0, 1.0999999999999999, 'optimal', 40.08734958943939, 67),
+    (2.0, 1.3, 'optimal', 51.540716040473406, 60),
+    (2.0, 1.5, 'optimal', 72.15677565373161, 69),
+)
+
+BARRIER_SEEDED = (
+    (2, 'optimal', 0.9671196521020414, 2),
+    (3, 'optimal', 1.9792567868948125, 3),
+    (4, 'optimal', 2.076575636317762, 6),
+    (5, 'optimal', 2.564674869762461, 5),
+    (6, 'optimal', 2.481905977636422, 5),
+    (7, 'optimal', 3.462963247137746, 6),
+    (8, 'optimal', 4.264678086132562, 7),
+    (9, 'optimal', 2.5210186337205713, 8),
+    (10, 'optimal', 4.433461341718731, 7),
+)

@@ -105,7 +105,8 @@ class TestSynth:
         assert "synth_report.json" in report["manifest"]
         steps = report["newton_steps"]
         assert steps["phase1"] > 0 and steps["phase2"] > 0
-        assert "newton_steps" not in cert
+        assert 0.0 < report["duality_gap"] < 1e-7
+        assert "newton_steps" not in cert and "duality_gap" not in cert
 
     def test_grid_alpha_is_schema_error(self, tmp_path, capsys):
         cfg = _design_config()
@@ -132,6 +133,7 @@ class TestSynth:
         assert code == 2
         report = json.loads((out / "synth_report.json").read_text())
         assert report["status"] == "infeasible"
+        assert report["duality_gap"] is None
         # the worst synthesis margin at the solver's last point, recomputed
         plant = cli._build_plant(cfg)
         with pytest.raises(control.InfeasibleError) as exc:
@@ -601,14 +603,23 @@ class TestVerify:
                          "--tolerance", "-0.05"])
         assert code == 0
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_tolerance_is_a_usage_error(self, tmp_path, value):
+        cfg_path, cert_path = self._synth(tmp_path)
+        out = tmp_path / "v"
+        assert cli.main(["verify", "--config", cfg_path, "--gain", str(cert_path),
+                         "--out", str(out), f"--tolerance={value}"]) == 1
+        assert not (out / "verify_report.json").exists()
+
     def test_loaded_certificate_is_the_synthesized_one(self, tmp_path):
         cfg_path, cert_path = self._synth(tmp_path)
         plant = cli._build_plant(_design_config())
         fresh = control.synthesize(plant, 1.0, 0.5, eps=1e-6)
         loaded = cli._load_certificate(str(cert_path), plant)
         assert loaded.margins == {} and loaded.newton_steps is None
+        assert loaded.duality_gap is None
         for field in dataclasses.fields(control.SynthesisCertificate):
-            if field.name in ("margins", "newton_steps"):
+            if field.name in ("margins", "newton_steps", "duality_gap"):
                 continue
             a, b = getattr(fresh, field.name), getattr(loaded, field.name)
             if isinstance(a, float):

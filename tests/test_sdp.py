@@ -18,7 +18,7 @@ from hypiss.lmi import (
     sym_block,
 )
 from hypiss.sdp import Status
-from identities import barrier_value
+from identities import BARRIER_DEMO_GRID, BARRIER_SEEDED, barrier_value
 
 
 def _scalar_pos_problem():
@@ -60,6 +60,32 @@ def _demo_synthesis_problem(mu, alpha, eps=1e-6):
     )
     return lmi.vectorize(LmiProblem((vq, vs, vw, vg, vc), cons,
                                     objective=((("c", 0), 1.0),), eps=eps))
+
+
+def _free_entry_problem(objective: str):
+    """min c or min y with [[c, 1], [1, c]] >= 0 and c <= 2: no constraint
+    touches y.  Its structure is the one of `_hyperbola_problem`."""
+    vc, vy = VarSpec.scalar("c"), VarSpec.scalar("y")
+    c = MatExpr.from_var(vc)
+    one = np.array([[1.0]])
+    return lmi.vectorize(LmiProblem(
+        (vc, vy),
+        (Constraint(sym_block([[c, one], [None, c]]), GEQ, "hyperbola", eps=0.0),
+         Constraint(c - 2.0 * one, LEQ, "cap", eps=0.0)),
+        objective=(((objective, 0), 1.0),)))
+
+
+def _hyperbola_problem():
+    """min c with [[c, 1], [1, y]] >= 0 and y <= 2: c y >= 1, optimum 1/2."""
+    vc, vy = VarSpec.scalar("c"), VarSpec.scalar("y")
+    c = MatExpr.from_var(vc)
+    y = MatExpr.from_var(vy)
+    one = np.array([[1.0]])
+    return lmi.vectorize(LmiProblem(
+        (vc, vy),
+        (Constraint(sym_block([[c, one], [None, y]]), GEQ, "hyperbola", eps=0.0),
+         Constraint(y - 2.0 * one, LEQ, "cap", eps=0.0)),
+        objective=((("c", 0), 1.0),)))
 
 
 def _phase1(sf):
@@ -171,6 +197,20 @@ class TestMinimize:
         assert sum(sol.newton_steps) < 100
         assert sol.x[0] <= -sdp._PHASE1_BOX
 
+    @pytest.mark.parametrize("objective", ["y", "c"])
+    def test_free_entry_ends_numerical_failure(self, objective):
+        # min y walks y out of the phase-1 box while centering; min c leaves
+        # y free, so the Schur complement of the primal-dual steps has a
+        # zero row and no Cholesky factor
+        sol = sdp.minimize(_free_entry_problem(objective))
+        assert sol.status is Status.NUMERICAL_FAILURE
+        assert sol.objective is None
+        assert sum(sol.newton_steps) < 100
+        if objective == "y":
+            assert sol.x[1] <= -sdp._PHASE1_BOX and sol.gap is None
+        else:
+            assert sol.gap is not None and np.all(np.isfinite(sol.x))
+
     def test_demo_synthesis_minimize(self):
         prob = _demo_synthesis_problem(1.0, 0.5)
         sol = sdp.minimize(prob)
@@ -180,12 +220,15 @@ class TestMinimize:
         assert _worst_margin(prob, sol.x) >= -1e-9
         # phase 1 ends at its first iterate that clears every block
         assert sol.newton_steps[0] <= 12 and sum(sol.newton_steps) <= 80
+        # one centering at t = 1, then primal-dual steps down to the gap
+        assert sol.newton_steps[1] <= 25
+        assert 0.0 < sol.gap < sdp._GAP_TOL
 
     def test_infeasible_detected(self):
         prob = _demo_synthesis_problem(1.0, 1.2)
         sol = sdp.minimize(prob)
         assert sol.status is Status.INFEASIBLE
-        assert sol.objective is None
+        assert sol.objective is None and sol.gap is None
         assert _worst_margin(prob, sol.x) < 0.0
 
     @pytest.mark.parametrize("mu, alpha", [(0.25, 0.3), (0.5, 1.3), (1.5, 1.5)])
@@ -264,16 +307,7 @@ class TestStructure:
         assert sdp._barrier(sdp._cones(sf), x[None])[0] == np.inf
 
     def test_rows_and_dense_block_closed_form(self):
-        # min c with [[c, 1], [1, y]] >= 0 and y <= 2: c y >= 1, optimum 1/2
-        vc, vy = VarSpec.scalar("c"), VarSpec.scalar("y")
-        c = MatExpr.from_var(vc)
-        y = MatExpr.from_var(vy)
-        prob = lmi.vectorize(LmiProblem(
-            (vc, vy),
-            (Constraint(sym_block([[c, np.array([[1.0]])], [None, y]]), GEQ,
-                        "hyperbola", eps=0.0),
-             Constraint(y - np.array([[2.0]]), LEQ, "cap", eps=0.0)),
-            objective=((("c", 0), 1.0),)))
+        prob = _hyperbola_problem()
         cones = sdp._cones(prob)
         assert cones.b.size == 1 and len(cones.dense) == 1
         sol = sdp.minimize(prob)
@@ -406,6 +440,22 @@ class TestBatch:
         assert a.newton_steps[0] > 0 and a.newton_steps[1] > 0
         assert np.array_equal(a.x, b.x)
 
+    @pytest.mark.parametrize("objective", ["y", "c"])
+    def test_failing_cell_leaves_its_stack_mates_alone(self, objective):
+        healthy, failing = _hyperbola_problem(), _free_entry_problem(objective)
+        assert sdp._structure(healthy, sdp._cones(healthy)) == \
+            sdp._structure(failing, sdp._cones(failing))
+        alone = sdp.minimize(healthy)
+        assert alone.status is Status.OPTIMAL
+        batch = sdp.minimize_batch([failing, healthy, failing, healthy])
+        assert [sol.status for sol in batch[::2]] == [Status.NUMERICAL_FAILURE] * 2
+        for sol in batch[1::2]:
+            assert sol.status is alone.status
+            assert sol.objective == alone.objective
+            assert sol.newton_steps == alone.newton_steps
+            assert sol.gap == alone.gap
+            assert sol.x.tobytes() == alone.x.tobytes()
+
     def test_empty_batch_and_missing_objective(self):
         assert sdp.minimize_batch([]) == []
         with pytest.raises(ValueError):
@@ -416,3 +466,37 @@ class TestBatch:
         gdx = np.array([[-3.0, 1.0], [0.0, 2.0], [-1.0, -0.25]])
         # fractions to the boundary 1/3, none, 4
         assert sdp._first_trial(r, gdx).tolist() == [0.25, 1.0, 1.0]
+
+
+def _against_the_barrier_path(sf, sol, status, peak, steps1):
+    """A design held to the log-barrier phase 2's: the same status and
+    phase-1 steps, the peak within 1e-6 relative, no negative margin."""
+    assert sol.status.value == status
+    assert sol.newton_steps[0] == steps1
+    if peak is None:
+        assert sol.objective is None
+    else:
+        assert sol.objective == pytest.approx(peak, rel=1e-6)
+        assert min(lmi.problem_margins(sf, sol.x)) >= 0.0
+
+
+class TestAgainstTheBarrierPath:
+    def test_demo_grid(self, demo_plant):
+        weights = [(mu, alpha) for mu in _DEMO_MUS for alpha in _DEMO_ALPHAS]
+        assert weights == [row[:2] for row in BARRIER_DEMO_GRID]
+        forms = [lmi.vectorize(build_synthesis_lmis(demo_plant, *w)) for w in weights]
+        solutions = sdp.minimize_batch(forms)
+        for sf, sol, row in zip(forms, solutions, BARRIER_DEMO_GRID):
+            _against_the_barrier_path(sf, sol, *row[2:])
+        # 2550 phase-2 Newton steps on the barrier path
+        assert sum(sol.newton_steps[1] for sol in solutions) <= 1000
+
+    @pytest.mark.parametrize("n, status, peak, steps1", BARRIER_SEEDED)
+    def test_seeded_design(self, random_plant_config, n, status, peak, steps1):
+        plant = cli._build_plant({"plant": random_plant_config(np.random.default_rng(n), n, 1.0)})
+        sf = lmi.vectorize(build_synthesis_lmis(
+            plant, 1.0, 0.5 * float(np.min(plant.speeds.diagonal))))
+        sol = sdp.minimize(sf)
+        _against_the_barrier_path(sf, sol, status, peak, steps1)
+        # 51-61 phase-2 Newton steps on the barrier path
+        assert sol.newton_steps[1] <= 35

@@ -314,9 +314,9 @@ def _certificate_payload(cert: SynthesisCertificate) -> dict:
 
 def _load_certificate(path: str, plant: Plant) -> SynthesisCertificate:
     """The certificate stored at `path`, checked against the plant's
-    dimensions.  Its margins are empty and its newton_steps and
-    duality_gap None: verify recomputes the margins, and the solver's
-    figures are not part of the design."""
+    dimensions.  Its margins are empty and its newton_steps, duality_gap
+    and phase1_slack None: verify recomputes the margins, and the
+    solver's figures are not part of the design."""
     data, _ = _load_json(path)
     try:
         cert = SynthesisCertificate(
@@ -333,7 +333,7 @@ def _load_certificate(path: str, plant: Plant) -> SynthesisCertificate:
             gamma=_number(data, "certificate", "gamma", positive=True),
             omega=_number(data, "certificate", "omega", positive=True),
             kappa=_number(data, "certificate", "kappa", positive=True),
-            margins={}, newton_steps=None, duality_gap=None)
+            margins={}, newton_steps=None, duality_gap=None, phase1_slack=None)
     except ValueError as e:
         if isinstance(e, ConfigError):
             raise
@@ -397,7 +397,8 @@ def cmd_synth(config_path: str, out_override: str | None) -> int:
                       {"worst_phase1_margin": worst}, timing, [],
                       extra={"status": "infeasible", "mu": mu, "alpha": alpha,
                              "newton_steps": _newton_steps(e.solution.newton_steps),
-                             "duality_gap": e.solution.gap})
+                             "duality_gap": e.solution.gap,
+                             "phase1_slack": e.solution.phase1_slack})
         print(f"infeasible at mu={mu:g}, alpha={alpha:g} "
               f"(worst margin {worst:.3e})", file=sys.stderr)
         return 2
@@ -410,7 +411,8 @@ def cmd_synth(config_path: str, out_override: str | None) -> int:
                   [cert_path.name], certificate=_certificate_payload(cert),
                   extra={"status": "feasible",
                          "newton_steps": _newton_steps(cert.newton_steps),
-                         "duality_gap": cert.duality_gap})
+                         "duality_gap": cert.duality_gap,
+                         "phase1_slack": cert.phase1_slack})
     print(f"feasible: peak={cert.peak:.6g} gamma={cert.gamma:.6g} "
           f"omega={cert.omega:g} kappa={cert.kappa:.6g}")
     print(f"wrote {cert_path}")
@@ -448,6 +450,8 @@ def cmd_grid(config_path: str, out_override: str | None) -> int:
                          for c in fmap.cells if c.status == "failed"],
         "newton_steps": [{"mu": c.mu, "alpha": c.alpha,
                           "steps": _newton_steps(c.newton_steps)} for c in fmap.cells],
+        "phase1_slack": [{"mu": c.mu, "alpha": c.alpha, "slack": c.phase1_slack}
+                         for c in fmap.cells],
     }
     if best is not None:
         extra["best"] = {"mu": best.mu, "alpha": best.alpha,

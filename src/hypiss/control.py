@@ -121,9 +121,10 @@ class SynthesisCertificate:
     lyap_inv, coupling the disturbance-coupling bound, peak an upper
     bound on the largest eigenvalue of lyap_inv that the design minimized,
     eps the strictness slack the inequalities were posed with,
-    newton_steps the solver's steps in phase 1 and in phase 2, and
-    duality_gap the solver's final gap.  A certificate read back from a
-    file has margins {} and newton_steps and duality_gap None.
+    newton_steps the solver's steps in phase 1 and in phase 2,
+    duality_gap the solver's final gap and phase1_slack its slack at the
+    end of phase 1.  A certificate read back from a file has margins {}
+    and newton_steps, duality_gap and phase1_slack None.
     """
 
     lyap_inv: DiagMatrix
@@ -141,6 +142,7 @@ class SynthesisCertificate:
     eps: float
     newton_steps: tuple[int, int] | None
     duality_gap: float | None
+    phase1_slack: float | None
 
 
 @dataclass(frozen=True)
@@ -169,7 +171,8 @@ class GridCell:
     at most 1e-9 max(1, c), so for c >= 1/2 that gamma is at most this one
     times 1 + 1e-9; on the demo grid the two agree to about 1e-10
     relative.  newton_steps holds the solver's Newton steps in phase 1
-    and in phase 2, or None for a cell that never reached the solver.
+    and in phase 2 and phase1_slack its slack at the end of phase 1, both
+    None for a cell that never reached the solver.
     """
 
     mu: float
@@ -179,6 +182,7 @@ class GridCell:
     gamma: float | None
     reason: str | None = None  # why a "failed" cell failed
     newton_steps: tuple[int, int] | None = None
+    phase1_slack: float | None = None
 
 
 @dataclass(frozen=True)
@@ -353,7 +357,7 @@ def _certificate_from_solution(sf: lmi.StandardForm, solution: sdp.Solution,
         mu=mu, alpha=alpha, peak=peak, gain=Matrix(w.array @ lyap.array),
         gamma=coeffs.gamma, omega=coeffs.omega, kappa=coeffs.kappa,
         margins=margins, eps=eps, newton_steps=solution.newton_steps,
-        duality_gap=solution.gap)
+        duality_gap=solution.gap, phase1_slack=solution.phase1_slack)
 
 
 def synthesize(plant: Plant, mu: float, alpha: float,
@@ -408,18 +412,19 @@ def grid_search(plant: Plant, mu_grid, alpha_grid,
         if solution is None:
             cells.append(GridCell(*w, "failed", None, None, reasons[w]))
             continue
-        steps = solution.newton_steps
+        trace = {"newton_steps": solution.newton_steps,
+                 "phase1_slack": solution.phase1_slack}
         try:
             certificates[w] = _certificate_from_solution(forms[w], solution, *w, eps)
         except InfeasibleError:
-            cells.append(GridCell(*w, "infeasible", None, None, newton_steps=steps))
+            cells.append(GridCell(*w, "infeasible", None, None, **trace))
             continue
         except SolverFailureError as e:
-            cells.append(GridCell(*w, "failed", None, None, _failure(e), steps))
+            cells.append(GridCell(*w, "failed", None, None, _failure(e), **trace))
             continue
         peak = float(solution.objective)
         gamma = math.sqrt(peak) * math.exp(w[0] / 2.0)
-        cells.append(GridCell(*w, "feasible", peak, gamma, newton_steps=steps))
+        cells.append(GridCell(*w, "feasible", peak, gamma, **trace))
 
     best = min(((c.gamma, c.mu, c.alpha) for c in cells if c.status == "feasible"),
                default=None)

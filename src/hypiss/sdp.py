@@ -2,29 +2,29 @@
 
 The solver minimizes a linear objective c @ x over the standard form of
 `lmi.vectorize`, in which every block reads F(x) = F0 + sum_i x_i F_i >=
-eps I with the constraint's sense already folded in; the barrier sees each
-block as S(x) = F(x) - eps I > 0.  Phase 1 is a plain log-det barrier
-path-following search for a strictly feasible point: it minimizes a
-uniform slack along a geometrically growing barrier parameter t.  It
-stops as soon as its verdict is known (Boyd & Vandenberghe, *Convex
-Optimization*, section 11.4): at the first accepted iterate where the
-slack could be _EXIT_SLACK with every block still positive definite, so
-that phase 2 starts with every block >= -_EXIT_SLACK I, or at the first
-centered point whose bound s - nu / t on the slack optimum exceeds
-_INFEASIBLE_SLACK.
+eps I with the constraint's sense already folded in; the solver sees each
+block as S(x) = F(x) - eps I > 0.  Both phases take Mehrotra
+predictor-corrector steps (Mehrotra, SIAM J. Optim. 2(4), 1992) along the
+HKM direction (Helmberg, Rendl, Vanderbei & Wolkowicz, SIAM J. Optim.
+6(2), 1996), each with one Schur-complement factorization.  The primal
+iterate stays strictly feasible, with S = S(x) formed from x at every
+step, and the steps drive the gap <Z, S> + z . r and the dual residual
+c - A*(Z) - G^T z under _GAP_TOL.
 
-Phase 2 centers once, at t = _T_INIT, by the same damped Newton steps,
-and starts the dual there on the central path: Z_j = S_j^-1 / t for every
-dense block and z = 1 / (t r) for the rows r.  From that point Mehrotra
-predictor-corrector steps (Mehrotra, SIAM J. Optim. 2(4), 1992) along
-the HKM direction (Helmberg, Rendl, Vanderbei & Wolkowicz, SIAM J.
-Optim. 6(2), 1996) drive the gap <Z, S> + z . r under _GAP_TOL, each
-with one Schur-complement factorization.  The primal iterate stays
-strictly feasible, with S = S(x) formed from x at every step; the dual
-residual c - A*(Z) - G^T z, small at the centered start, is driven
-under _GAP_TOL as well.  The solver returns the flat entry vector x and the final gap, and does not
-audit x; `control` re-checks every design it certifies at that x, with
-`lmi.problem_margins` and the Jacobi eigensolver of `linalg`.
+Phase 1 minimizes a uniform slack s, F(x) + s I >= 0, from the start
+point with the dual at Z = S^-1 / t and z = 1 / (t r), t = _T_INIT, not
+centered.  It stops as soon as its verdict is known (Boyd &
+Vandenberghe, *Convex Optimization*, section 11.4): after the first step
+where the slack could be _EXIT_SLACK with every block still positive
+definite, so that phase 2 starts with every block >= -_EXIT_SLACK I, or
+once the dual residual is under tolerance and the lower bound s - gap
+on the slack optimum exceeds _INFEASIBLE_SLACK.  Phase 2 centers once,
+at t = _T_INIT, by damped Newton steps on the log-det barrier, and starts
+the dual there on the central path before its primal-dual steps.  The
+solver returns the flat entry vector x, the final gap and the phase-1
+slack, and does not audit x; `control` re-checks every design it
+certifies at that x, with `lmi.problem_margins` and the Jacobi
+eigensolver of `linalg`.
 
 The solver uses the structure of the problem.  Every block whose base and
 coefficients are all diagonal (positivity of diagonal variables, scalar
@@ -40,22 +40,22 @@ to cell depends on their union in every cell, with zero coefficients where
 a cell has none, and the dense blocks of a cell are padded with identity
 to one size, so that one call evaluates, factors or inverts all of them.
 The iterations run over the stack in lockstep: each is one stacked pass
-for the cells still running.  Every cell keeps its own barrier parameter,
-step budget, outcome and step lengths, and leaves the stack when its
-phase ends; no cell's arithmetic reads another's.  Many cells of one
-structure are split into several stacks so that the padded coefficients
-of one stack stay under _STACK_BYTES.  `minimize` is a batch of one, so
-there is one solver path.  Everything is numpy with fixed iteration
-order, so identical batches produce bit-identical outputs.
+for the cells still running.  Every cell keeps its own step budget,
+outcome and step lengths, and leaves the stack when its phase ends; no
+cell's arithmetic reads another's.  Many cells of one structure are split
+into several stacks so that the padded coefficients of one stack stay
+under _STACK_BYTES.  `minimize` is a batch of one, so there is one solver
+path.  Everything is numpy with fixed iteration order, so identical
+batches produce bit-identical outputs.
 
 Infeasibility is declared heuristically: when the phase-1 slack optimum,
-bounded below by s - nu / t at a centered point, is above
-_INFEASIBLE_SLACK, no strictly feasible point exists inside the phase-1
-box up to solver accuracy.  A phase-2 iterate with an entry outside the
-phase-1 box ends its cell at once as NUMERICAL_FAILURE: the objective
-looks unbounded below, and the rest of the step budget would only walk
-further out.  So does a Schur complement or a factor that is singular,
-indefinite or not finite; a cell never raises.
+bounded below by s - gap once the dual residual is under tolerance, is
+above _INFEASIBLE_SLACK, no strictly feasible point exists inside the
+phase-1 box up to solver accuracy.  A phase-2 iterate with an entry
+outside the phase-1 box ends its cell at once as NUMERICAL_FAILURE: the
+objective looks unbounded below, and the rest of the step budget would
+only walk further out.  So does a Schur complement or a factor that is
+singular, indefinite or not finite; a cell never raises.
 """
 
 from __future__ import annotations
@@ -74,10 +74,9 @@ from . import lmi
 # elementwise row per diagonal entry, whatever their size.
 _MAX_NEWTON = 600         # total step budget of one problem, Newton and
                           # primal-dual steps alike
-_T_INIT = 1.0             # initial barrier parameter; phase 2 centers here
-_T_GROWTH = 10.0          # phase-1 growth factor of the barrier parameter
-_GAP_TOL = 1e-7           # phase 1 stops when nu / t < _GAP_TOL; phase 2
-                          # when <Z, S> + z . r < _GAP_TOL and
+_T_INIT = 1.0             # barrier parameter of both dual starts; phase 2
+                          # centers here
+_GAP_TOL = 1e-7           # optimal when <Z, S> + z . r < _GAP_TOL and
                           # max |c - A*(Z) - G^T z| < _GAP_TOL max(1, max |c|)
 _GAP_FLOOR = 0.1          # the corrector never aims at a gap under this
                           # times _GAP_TOL
@@ -86,9 +85,8 @@ _RIDGE = 1e-13            # the Schur complement is factored with its
 _STEP_FRACTION = 0.98     # primal-dual steps go this far to the boundary
 _INFEASIBLE_SLACK = 1e-7  # declare infeasible when the phase-1 slack optimum
                           # exceeds this
-_NEWTON_TOL = 1e-5        # threshold on the squared Newton decrement / 2;
-                          # the decrement is affine-invariant, and the gap
-                          # surrogate nu/t is valid once it is this small
+_NEWTON_TOL = 1e-5        # phase 2's centering ends when the squared
+                          # Newton decrement / 2 is under this
 _ARMIJO = 0.25
 _MIN_STEP = 1e-18         # backtracking gives up below this step length
 _EXIT_SLACK = -1e-9       # phase 1 exits once its slack could be this
@@ -109,9 +107,11 @@ class Status(enum.Enum):
 class Solution:
     """Solver outcome: the status, the last iterate x over the problem's
     flat entry vector, the objective there when OPTIMAL (else None), the
-    steps taken in phase 1 and in phase 2 (its centering Newton steps plus
-    its primal-dual steps), and gap, the duality gap <Z, S> + z . r at the
-    last primal-dual iterate, or None when phase 2 reached none.  x is the
+    steps taken in phase 1 (primal-dual steps) and in phase 2 (its
+    centering Newton steps plus its primal-dual steps), gap, the duality
+    gap <Z, S> + z . r at the last phase-2 primal-dual iterate, or None
+    when phase 2 reached none, and phase1_slack, the slack s at phase 1's
+    exit (at most _EXIT_SLACK when phase 1 found x feasible).  x is the
     solver's claim only: a caller that certifies it re-checks its margins,
     as `control` does.
     """
@@ -121,6 +121,7 @@ class Solution:
     objective: float | None
     newton_steps: tuple[int, int]
     gap: float | None
+    phase1_slack: float
 
 
 @dataclass(frozen=True)
@@ -406,133 +407,73 @@ def _line_search(cones: _Cones, x, dx, dec, tc, fb, move):
         alpha[live] *= 0.5
 
 
-def _follow(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndarray,
-            phase1: bool):
-    """Follow the central paths of a stack of cells in lockstep.
+def _follow(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndarray):
+    """Phase 2's centering: center a stack of cells at t = _T_INIT in
+    lockstep.
 
-    Cell c minimizes t_c cvec_c @ x + barrier_c(x) by damped Newton steps
-    from t_c = _T_INIT until its phase ends or it has taken budget[c]
-    steps.  In phase 1 the last entry of x is the slack, and t_c grows by
-    _T_GROWTH at each centered point.  After each accepted step the cell's
-    slack is pinned to min(s, _EXIT_SLACK), and if the barrier is finite
-    there the phase ends at the pinned point as "feasible"; so does a
-    stage that ends with a negative slack.  At a centered point whose
-    lower bound s - nu/t_c on the slack optimum is above
-    _INFEASIBLE_SLACK, or whose gap nu/t_c is under _GAP_TOL, the phase
-    ends as "infeasible_candidate"; anything else is "stalled".  Phase 2
-    only centers: its outcome is "centered" at the first centered point,
-    and NUMERICAL_FAILURE otherwise, at once when an accepted iterate
-    leaves the phase-1 box, which it does where the objective is unbounded
-    below.
+    Cell c minimizes _T_INIT cvec_c @ x + barrier_c(x) by damped Newton
+    steps.  Its outcome is "centered" at the first point whose squared
+    Newton decrement / 2 is under _NEWTON_TOL, and NUMERICAL_FAILURE when
+    its Newton system has no solution, its line search finds no step, it
+    has taken budget[c] steps, or an accepted iterate leaves the phase-1
+    box, which it does where the objective is unbounded below.
 
     Every iteration is one stacked pass over the cells still running, and
-    a cell whose phase ends leaves the stack.  Each iterate stays strictly
-    feasible.  Returns (x, steps, outcomes).
+    a cell whose centering ends leaves the stack.  Each iterate stays
+    strictly feasible.  Returns (x, steps, outcomes).
     """
-    nu = cones.nu
     x_out = x.copy()
     steps_out = np.zeros(len(x), dtype=int)
     outcome: list = [None] * len(x)
 
     # the cells still running, compacted whenever one ends
     cell = np.arange(len(x))
-    x = x.copy()
-    t = np.full(len(x), _T_INIT)
+    x, tc = x.copy(), _T_INIT * cvec
     steps = np.zeros(len(x), dtype=int)
     fb = _barrier(cones, x)             # barrier at x, carried over from the accepted trial
-    ended = np.zeros(len(x), dtype=bool)
-
-    def stage_end(i: int, how: str) -> bool:
-        """The centering of running cell i ended: "centered", "stalled", or
-        "stopped" (phase-1 early exit or step budget spent).  True if its
-        phase goes on at a larger t."""
-        if phase1:
-            if x[i, -1] < 0.0:
-                outcome[cell[i]] = "feasible"
-            elif how == "centered" and x[i, -1] - nu / t[i] > _INFEASIBLE_SLACK:
-                # the slack optimum is at least s - nu/t, above the threshold
-                outcome[cell[i]] = "infeasible_candidate"
-            elif how == "centered" and nu / t[i] >= _GAP_TOL:
-                t[i] *= _T_GROWTH
-                return True
-            else:
-                outcome[cell[i]] = "infeasible_candidate" if how == "centered" else "stalled"
-        elif how == "centered":
-            outcome[cell[i]] = "centered"
-        else:
-            outcome[cell[i]] = Status.NUMERICAL_FAILURE
-        ended[i] = True
-        return False
-
-    for i in (budget <= 0).nonzero()[0]:
-        stage_end(i, "stopped")
+    centered, failed = np.zeros(len(x), dtype=bool), budget <= 0
     while True:
+        ended = centered | failed
         if ended.any():
+            for i in ended.nonzero()[0]:
+                outcome[cell[i]] = "centered" if centered[i] else Status.NUMERICAL_FAILURE
             x_out[cell[ended]], steps_out[cell[ended]] = x[ended], steps[ended]
             keep = ~ended
-            cell, x, t, steps, fb, cvec, budget = (
-                a[keep] for a in (cell, x, t, steps, fb, cvec, budget))
+            cell, x, tc, steps, fb, budget = (
+                a[keep] for a in (cell, x, tc, steps, fb, budget))
             cones = cones.take(keep)
-            ended = ended[keep]
         if not cell.size:
             return x_out, steps_out, outcome
 
-        # Newton directions.  A cell already centered ends its stage and, if
-        # its phase goes on, takes the direction for its next t from the
-        # same derivatives.
         grad, hess = _derivatives(cones, x)
-        tc = t[:, None] * cvec
         dx, dec = _newton(hess, grad + tc)
         move = dec > 2.0 * _NEWTON_TOL
-        if not move.all():
-            pending = (~move).nonzero()[0]
-            while pending.size:
-                again = np.array([i for i in pending if stage_end(
-                    i, "stalled" if np.isnan(dec[i]) else "centered")], dtype=int)
-                if not again.size:
-                    break
-                dx[again], dec[again] = _newton(
-                    hess[again], grad[again] + t[again, None] * cvec[again])
-                go = dec[again] > 2.0 * _NEWTON_TOL
-                move[again[go]] = True
-                pending = again[~go]
-            tc = t[:, None] * cvec
-
+        centered = dec <= 2.0 * _NEWTON_TOL
         x, fb, accepted = _line_search(cones, x, dx, dec, tc, fb, move)
         steps += accepted
-
-        if phase1:
-            # a cell exits as soon as its slack could be _EXIT_SLACK: at
-            # that pinned point every block is >= -_EXIT_SLACK I (and the
-            # box rows keep every entry inside the box)
-            pinned = x.copy()
-            np.minimum(pinned[:, -1], _EXIT_SLACK, out=pinned[:, -1])
-            exits = accepted & (_barrier(cones, pinned) < np.inf)
-            x[exits] = pinned[exits]
-        else:
-            # phase 2 gives up once an entry reaches the box
-            exits = (np.abs(x) >= _PHASE1_BOX).any(axis=1)
-        end = (move & ~accepted) | (accepted & ((steps >= budget) | exits))
-        if end.any():
-            for i in end.nonzero()[0]:
-                stage_end(i, "stopped" if accepted[i] else "stalled")
+        failed = np.isnan(dec) | (move & ~accepted) | (accepted & (
+            (steps >= budget) | (np.abs(x) >= _PHASE1_BOX).any(axis=1)))
 
 
 def _phase1(cones: _Cones, x0: np.ndarray):
-    """Minimize a uniform slack added to every block until it goes negative.
+    """Minimize a uniform slack s added to every block, min s subject to
+    S(x) + s I > 0 and r(x) + s > 0, by the primal-dual steps of phase 2
+    (`_primal_dual`), until the verdict is known.
 
     The search runs inside a large box |entry| < _PHASE1_BOX so the slack
     minimization stays bounded even when the feasible set has unbounded
     directions (monotone slack-type variables usually give it some).  The
     box is 2(n+1) more rows, R - x_i > 0 and R + x_i > 0 for every entry
     and the slack; the slack itself is a column of ones on the rows and
-    the identity on every dense block.
+    the identity on every dense block.  The search starts at x0 with s
+    one above the worst violation there, and its dual at Z = S^-1 / t and
+    z = 1 / (t r), t = _T_INIT, without centering: the primal-dual steps
+    drive the dual residual down from there.
 
-    The search ends as soon as its verdict is known (see `_follow`).
     Returns (x, slack, steps, outcomes) with an outcome per cell of
     "feasible" (as a rule with every block >= -_EXIT_SLACK I at x),
     "infeasible_candidate" (the slack optimum is above _INFEASIBLE_SLACK or
-    converged while positive), or "stalled".
+    converged while nonnegative), or "stalled".
     """
     ncell, n = x0.shape
     nrow = cones.b.shape[1]
@@ -558,7 +499,8 @@ def _phase1(cones: _Cones, x0: np.ndarray):
 
     unit = np.zeros((ncell, n + 1))
     unit[:, n] = 1.0
-    xs, steps, outcome = _follow(aug, unit, xs, np.full(ncell, _MAX_NEWTON), phase1=True)
+    xs, steps, outcome, _ = _primal_dual(aug, unit, xs, np.full(ncell, _MAX_NEWTON),
+                                         phase1=True)
     return xs[:, :n], xs[:, n], steps, outcome
 
 
@@ -609,11 +551,12 @@ def _reach(li: np.ndarray | None, dmat: np.ndarray | None, v: np.ndarray,
     return s
 
 
-def _primal_dual(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndarray):
-    """Mehrotra predictor-corrector steps from points centered at
-    t = _T_INIT, over a stack of cells in lockstep.
+def _primal_dual(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndarray,
+                 phase1: bool = False):
+    """Mehrotra predictor-corrector steps over a stack of cells in lockstep.
 
-    The dual starts on the central path, Z = S^-1 / t and z = 1 / (t r).
+    The dual starts at Z = S^-1 / t and z = 1 / (t r), t = _T_INIT: on the
+    central path when x is centered there, as in phase 2.
     Each step solves the HKM Schur complement system M dx = rhs (see
     `_hkm`) twice with one Cholesky factor.  The predictor has rhs = -c.
     The corrector aims at sigma mu, with mu = gap / nu and
@@ -631,15 +574,31 @@ def _primal_dual(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndar
     in the directions the optimal face leaves free, so M is factored with
     its diagonal scaled by 1 + _RIDGE, which tells only near the end.  The
     error this leaves in dx feeds the dual residual, and the floor on the
-    aim keeps it from growing once the gap is near _GAP_TOL.
+    aim keeps it from growing once the gap is near _GAP_TOL.  Phase 1
+    refines the corrector once, solving again with the same factor for
+    the part of the dual residual that A*(dZ) + G^T dz misses: where the
+    slack optimum is approached only as x walks out, S grows
+    ill-conditioned and M and the dZ formed from S^-1 part, enough to
+    stall the residual above tolerance (seeded n = 8 plant at alpha =
+    min lambda).  Phase 2 is not refined, since near its optimum that
+    would undo the ridge.
 
-    A cell ends OPTIMAL once the gap <Z, S> + z . r is under _GAP_TOL and
+    A cell is optimal once the gap <Z, S> + z . r is under _GAP_TOL and
     its dual residual c - A*(Z) - G^T z is under _GAP_TOL max(1, max |c|).
-    It ends NUMERICAL_FAILURE at its last iterate when its Schur
-    complement, a factor or a direction is not finite (an indefinite M
-    has no Cholesky factor), when an iterate leaves the phase-1 box, or
-    when it has taken budget[c] steps.  Returns (x, steps, outcomes,
-    gaps), with the gap at each cell's last iterate.
+    It fails at its last iterate when its Schur complement, a factor or a
+    direction is not finite (an indefinite M has no Cholesky factor), when
+    an iterate leaves the phase-1 box, or when it has taken budget[c]
+    steps.  In phase 2 the outcomes are OPTIMAL and NUMERICAL_FAILURE.  In
+    phase 1 (see `_phase1`) the last entry of x is the slack s, and a cell
+    ends "feasible" after the first step where the point with its slack
+    pinned to min(s, _EXIT_SLACK) is strictly inside, as the smallest
+    eigenvalues of the step's S(x) and r(x) with the slack's share moved
+    tell; x is then that point.  It also ends "feasible" when optimal with
+    s < 0, and "infeasible_candidate" when optimal otherwise or when its
+    dual residual is under tolerance and s - gap, a lower bound on the
+    slack optimum, is above _INFEASIBLE_SLACK; a failure is "stalled".
+    Returns (x, steps, outcomes, gaps), with the gap at each cell's last
+    iterate.
     """
     ncell, nu = len(x), cones.nu
     x_out, gap_out = x.copy(), np.full(ncell, np.nan)
@@ -655,10 +614,13 @@ def _primal_dual(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndar
         for j, blk in enumerate(cones.dense):
             inner[j, :blk.dim, :blk.dim] = True
         zmat = np.where(inner, _each(np.linalg.inv, cones.values(x)) / _T_INIT, base)
+        slack_eye = np.where(inner, np.eye(base.shape[-1]), 0.0)
 
-    def measure(x, zmat, zrow):
-        """r(x) (NaN where a row is not positive), S(x), the gap, and
-        whether the cell is optimal there."""
+    def measure(x, zmat, zrow, bad):
+        """r(x) (NaN where a row is not positive), S(x), the gap, and the
+        ways a cell can end there, (cells, outcome) in order of precedence;
+        bad marks the cells that took no step.  In phase 1 this pins the
+        slack of the cells that end "feasible" at the pinned point."""
         r = cones.rows(x)
         r = np.where(r > 0.0, r, np.nan)
         gap = (r * zrow).sum(axis=1)
@@ -666,31 +628,39 @@ def _primal_dual(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndar
         if cones.dense:
             smat = cones.values(x)
             gap += (smat * zmat)[:, inner].sum(axis=1)
-        resid = np.abs(cvec - cones.adjoint(zmat, zrow)).max(axis=1, initial=0.0)
-        return r, smat, gap, (gap < _GAP_TOL) & (resid < dual_tol)
-
-    def failure(bad):
-        """Which cells failed: no step, or an iterate outside the phase-1
-        box, or, short of optimal, a gap that is not positive and finite or
-        the budget spent."""
-        return bad | (np.abs(x) >= _PHASE1_BOX).any(axis=1) | ~optimal & (
+        rd = cvec - cones.adjoint(zmat, zrow)
+        dual = np.abs(rd).max(axis=1, initial=0.0) < dual_tol
+        optimal = dual & (gap < _GAP_TOL)
+        failed = bad | (np.abs(x) >= _PHASE1_BOX).any(axis=1) | ~optimal & (
             ~((0.0 < gap) & (gap < np.inf)) | (steps >= budget))
+        if not phase1:
+            return r, smat, gap, rd, ((failed, Status.NUMERICAL_FAILURE),
+                                      (optimal, Status.OPTIMAL))
+        s = x[:, -1]
+        shift = np.minimum(s, _EXIT_SLACK) - s
+        pinned = (steps > 0) & (r + cones.g[:, :, -1] * shift[:, None] > 0.0).all(axis=1)
+        if cones.dense:
+            pinned &= _lowest(smat + shift[:, None, None, None] * slack_eye) > 0.0
+        feasible = pinned | optimal & (s < 0.0)
+        infeasible = optimal | dual & (s - gap > _INFEASIBLE_SLACK)
+        x[pinned, -1] = np.minimum(s[pinned], _EXIT_SLACK)
+        return r, smat, gap, rd, ((feasible, "feasible"),
+                                  (infeasible, "infeasible_candidate"), (failed, "stalled"))
 
     # the cells still running, compacted whenever one ends
     cell = np.arange(ncell)
     steps = np.zeros(ncell, dtype=int)
-    r, smat, gap, optimal = measure(x, zmat, zrow)
-    failed = failure(np.zeros(ncell, dtype=bool))
+    r, smat, gap, rd, ends = measure(x, zmat, zrow, np.zeros(ncell, dtype=bool))
     while True:
-        ended = optimal | failed
+        ended = np.logical_or.reduce([hit for hit, _ in ends])
         if ended.any():
             for i in ended.nonzero()[0]:
                 c = cell[i]
                 x_out[c], steps_out[c], gap_out[c] = x[i], steps[i], gap[i]
-                outcome[c] = Status.NUMERICAL_FAILURE if failed[i] else Status.OPTIMAL
+                outcome[c] = next(how for hit, how in ends if hit[i])
             keep = ~ended
-            cell, x, zrow, r, gap, steps, cvec, budget, dual_tol = (
-                a[keep] for a in (cell, x, zrow, r, gap, steps, cvec, budget, dual_tol))
+            cell, x, zrow, r, gap, rd, steps, cvec, budget, dual_tol = (
+                a[keep] for a in (cell, x, zrow, r, gap, rd, steps, cvec, budget, dual_tol))
             cones = cones.take(keep)
             if cones.dense:
                 zmat, smat = zmat[keep], smat[keep]
@@ -742,9 +712,12 @@ def _primal_dual(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndar
         # corrector: aim at sigma mu, with the predictor's second-order terms
         crow = dr * dz
         cmat = None if sinv is None else sinv @ ds @ dzm
-        dx, dr, ds, dz, dzm = direction(
-            smu[:, None] * cones.adjoint(sinv, rinv) - cvec - cones.adjoint(cmat, crow * rinv),
-            smu, crow, cmat)
+        rhs = smu[:, None] * cones.adjoint(sinv, rinv) - cvec - cones.adjoint(cmat, crow * rinv)
+        dx, dr, ds, dz, dzm = direction(rhs, smu, crow, cmat)
+        if phase1:
+            # one step of iterative refinement: solve again for what the
+            # directions miss of the dual residual, so A*(dZ) + G^T dz = rd
+            dx, dr, ds, dz, dzm = direction(rhs + cones.adjoint(dzm, dz) - rd, smu, crow, cmat)
         ap, ad = lengths(dr, ds, dz, dzm, _STEP_FRACTION)
 
         xn = x + ap[:, None] * dx
@@ -754,8 +727,7 @@ def _primal_dual(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndar
         if cones.dense:
             zmat = np.where(move[:, None, None, None], zmat + ad[:, None, None, None] * dzm, zmat)
         steps += move
-        r, smat, gap, optimal = measure(x, zmat, zrow)
-        failed = failure(~move)
+        r, smat, gap, rd, ends = measure(x, zmat, zrow, ~move)
 
 
 def _solve_stack(cones: _Cones, sfs) -> list[Solution]:
@@ -772,8 +744,7 @@ def _solve_stack(cones: _Cones, sfs) -> list[Solution]:
     if go:
         cvec = np.stack([sfs[i].objective for i in go])
         budget = _MAX_NEWTON - steps1[go]
-        x[go], steps2[go], centered = _follow(cones.take(go), cvec, x[go], budget,
-                                              phase1=False)
+        x[go], steps2[go], centered = _follow(cones.take(go), cvec, x[go], budget)
         for i, o in zip(go, centered):
             status[i] = o
         go = [i for i in go if status[i] == "centered"]
@@ -787,7 +758,7 @@ def _solve_stack(cones: _Cones, sfs) -> list[Solution]:
     x.setflags(write=False)
     return [Solution(status[i], x[i],
                      float(sf.objective @ x[i]) if status[i] is Status.OPTIMAL else None,
-                     (int(steps1[i]), int(steps2[i])), gaps[i])
+                     (int(steps1[i]), int(steps2[i])), gaps[i], float(slack[i]))
             for i, sf in enumerate(sfs)]
 
 

@@ -13,8 +13,9 @@ certificate into a problem's entry vector.  `write_csv`, `two_sample_step`,
 `step_by_step_simulate` and `record_by_record_energy` are the plain forms
 of the CSV writer, the simulator step, the simulator run and the
 disturbance energy that the faster ones must match byte for byte.
-`BARRIER_DEMO_GRID` and `BARRIER_SEEDED` are the designs of the
-log-barrier phase 2 that the primal-dual one replaced, frozen.
+`BARRIER_DEMO_GRID`, `BARRIER_SEEDED` and `BARRIER_SEEDED_INFEASIBLE` are
+the verdicts and designs of the solver whose phases followed the log-barrier
+path, frozen.
 """
 
 from __future__ import annotations
@@ -242,13 +243,14 @@ def record_by_record_energy(spec: SignalSpec, times, grid: Grid) -> np.ndarray:
     return out
 
 
-# The designs of the solver whose phase 2 followed the log-barrier path over
-# t = 1, 10, ..., 1e9, frozen: (mu, alpha, status, peak, phase-1 Newton
-# steps) of the demo plant's synthesis inequalities over the demo 8x8 grid,
-# solved in one `sdp.minimize_batch` as `control.grid_search` solves them,
-# and (n, status, peak, phase-1 Newton steps) of the seeded random plants
-# n = 2..10 (the `conftest` rule, default_rng(n), mu = 1, alpha =
-# min(lambda) / 2), each solved by `sdp.minimize`.
+# The designs of the solver whose phases 1 and 2 followed the log-barrier
+# path over t = 1, 10, ..., 1e9, frozen: (mu, alpha, status, peak, phase-1
+# Newton steps) of the demo plant's synthesis inequalities over the demo 8x8
+# grid, solved in one `sdp.minimize_batch` as `control.grid_search` solves
+# them, and (n, status, peak, phase-1 Newton steps) of the seeded random
+# plants n = 2..10 (the `conftest` rule, default_rng(n), mu = 1, alpha =
+# min(lambda) / 2), each solved by `sdp.minimize`.  The phase-1 steps are
+# the barrier path's; the tests hold the solver to them as upper bounds.
 BARRIER_DEMO_GRID = (
     (0.25, 0.1, 'optimal', 14.31069637265344, 6),
     (0.25, 0.3, 'infeasible', None, 48),
@@ -327,3 +329,11 @@ BARRIER_SEEDED = (
     (9, 'optimal', 2.5210186337205713, 8),
     (10, 'optimal', 4.433461341718731, 7),
 )
+
+# The verdicts of the barrier-path solver on the same seeded plants at
+# mu = 1 past their feasibility edge, frozen: (n, alpha / min(lambda),
+# status).  The edge lies at 0.9985-1.0 min(lambda) on these plants, where
+# the decay block's weakest diagonal coefficient alpha - mu min(lambda)
+# reaches zero; 1.5 min(lambda) is far past it.
+BARRIER_SEEDED_INFEASIBLE = tuple(
+    (n, ratio, 'infeasible') for n in range(2, 11) for ratio in (1.0, 1.5))

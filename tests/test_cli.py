@@ -106,7 +106,10 @@ class TestSynth:
         steps = report["newton_steps"]
         assert steps["phase1"] > 0 and steps["phase2"] > 0
         assert 0.0 < report["duality_gap"] < 1e-7
+        # phase 1 ended at a point where every block holds with slack -1e-9
+        assert report["phase1_slack"] <= -1e-9
         assert "newton_steps" not in cert and "duality_gap" not in cert
+        assert "phase1_slack" not in cert
 
     def test_grid_alpha_is_schema_error(self, tmp_path, capsys):
         cfg = _design_config()
@@ -134,6 +137,7 @@ class TestSynth:
         report = json.loads((out / "synth_report.json").read_text())
         assert report["status"] == "infeasible"
         assert report["duality_gap"] is None
+        assert report["phase1_slack"] > 1e-7
         # the worst synthesis margin at the solver's last point, recomputed
         plant = cli._build_plant(cfg)
         with pytest.raises(control.InfeasibleError) as exc:
@@ -257,6 +261,11 @@ class TestGrid:
         for cell, r in zip(steps, rows):
             assert cell["steps"]["phase1"] > 0
             assert (cell["steps"]["phase2"] > 0) == (r[2] == "feasible")
+        slacks = report["phase1_slack"]
+        assert [(c["mu"], c["alpha"]) for c in slacks] == [
+            (float(r[0]), float(r[1])) for r in rows]
+        for cell, r in zip(slacks, rows):
+            assert (cell["slack"] <= -1e-9) if r[2] == "feasible" else (cell["slack"] > 1e-7)
 
     def test_demo_grid_best_certificate_verifies(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -617,9 +626,9 @@ class TestVerify:
         fresh = control.synthesize(plant, 1.0, 0.5, eps=1e-6)
         loaded = cli._load_certificate(str(cert_path), plant)
         assert loaded.margins == {} and loaded.newton_steps is None
-        assert loaded.duality_gap is None
+        assert loaded.duality_gap is None and loaded.phase1_slack is None
         for field in dataclasses.fields(control.SynthesisCertificate):
-            if field.name in ("margins", "newton_steps", "duality_gap"):
+            if field.name in ("margins", "newton_steps", "duality_gap", "phase1_slack"):
                 continue
             a, b = getattr(fresh, field.name), getattr(loaded, field.name)
             if isinstance(a, float):

@@ -170,9 +170,10 @@ class GridCell:
     sqrt(max lyap_inv) e^{mu/2}.  Its check lets max lyap_inv exceed c by
     at most 1e-9 max(1, c), so for c >= 1/2 that gamma is at most this one
     times 1 + 1e-9; on the demo grid the two agree to about 1e-10
-    relative.  newton_steps holds the solver's Newton steps in phase 1
-    and in phase 2 and phase1_slack its slack at the end of phase 1, both
-    None for a cell that never reached the solver.
+    relative.  newton_steps holds the solver's primal-dual steps in phase
+    1 and in phase 2, phase 2's centering steps included, and
+    phase1_slack its slack at the end of phase 1, both None for a cell
+    that never reached the solver.
     """
 
     mu: float

@@ -12,9 +12,10 @@ form (exactly symmetric, terms sorted by entry, zero terms dropped).
 every constraint becomes a block F(x) = F0 + sum_i x_i F_i >= eps I over
 one flat entry vector x, the standard form of Boyd, El Ghaoui, Feron and
 Balakrishnan (*Linear Matrix Inequalities in System and Control Theory*,
-1994).  It is the only reader of a constraint's sense and eps.  The barrier
-solver and the margin re-check both read those blocks at the same x, and
-StandardForm.pack / unpack convert between x and per-variable matrices.
+1994).  It is the only reader of a constraint's sense and eps.  The
+interior-point solver and the margin re-check both read those blocks at
+the same x, and StandardForm.pack / unpack convert between x and
+per-variable matrices.
 """
 
 from __future__ import annotations

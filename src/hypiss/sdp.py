@@ -18,18 +18,19 @@ Vandenberghe, *Convex Optimization*, section 11.4): after the first step
 where the slack could be _EXIT_SLACK with every block still positive
 definite, so that phase 2 starts with every block >= -_EXIT_SLACK I, or
 once the dual residual is under tolerance and the lower bound s - gap
-on the slack optimum exceeds _INFEASIBLE_SLACK.  Phase 2 centers once,
-at t = _T_INIT, by damped Newton steps on the log-det barrier, and starts
-the dual there on the central path before its primal-dual steps.  The
-solver returns the flat entry vector x, the final gap and the phase-1
-slack, and does not audit x; `control` re-checks every design it
-certifies at that x, with `lmi.problem_margins` and the Jacobi
-eigensolver of `linalg`.
+on the slack optimum exceeds _INFEASIBLE_SLACK.  Phase 2 starts its dual
+the same way at phase 1's point and centers first: each cell takes HKM
+steps aimed at mu = 1 / _T_INIT, with no predictor, until its dual
+residual is all but gone and its point is near the central path, and
+Mehrotra steps from then on.  The solver returns the flat entry vector x,
+the final gap and the phase-1 slack, and does not audit x; `control`
+re-checks every design it certifies at that x, with
+`lmi.problem_margins` and the Jacobi eigensolver of `linalg`.
 
 The solver uses the structure of the problem.  Every block whose base and
 coefficients are all diagonal (positivity of diagonal variables, scalar
 bounds, the peak cap) is a set of elementwise linear rows b + G x > 0 with
-the barrier -sum log r, and so is the phase-1 box.  The remaining blocks
+a dual z > 0 of their own, and so is the phase-1 box.  The remaining blocks
 are dense, with their coefficients stacked flat so that evaluating a block
 or assembling its Hessian is one matrix product.
 
@@ -72,10 +73,9 @@ from . import lmi
 # to state dimension n = 10: dense blocks of dimension up to about 3n and a
 # few hundred entries.  Diagonal blocks and the phase-1 box cost one
 # elementwise row per diagonal entry, whatever their size.
-_MAX_NEWTON = 600         # total step budget of one problem, Newton and
-                          # primal-dual steps alike
-_T_INIT = 1.0             # barrier parameter of both dual starts; phase 2
-                          # centers here
+_MAX_NEWTON = 600         # total step budget of one problem, both phases
+_T_INIT = 1.0             # both dual starts are Z = S^-1 / t, z = 1 / (t r)
+                          # at t = _T_INIT; phase 2 centers at mu = 1 / t
 _GAP_TOL = 1e-7           # optimal when <Z, S> + z . r < _GAP_TOL and
                           # max |c - A*(Z) - G^T z| < _GAP_TOL max(1, max |c|)
 _GAP_FLOOR = 0.1          # the corrector never aims at a gap under this
@@ -83,12 +83,11 @@ _GAP_FLOOR = 0.1          # the corrector never aims at a gap under this
 _RIDGE = 1e-13            # the Schur complement is factored with its
                           # diagonal times 1 + _RIDGE
 _STEP_FRACTION = 0.98     # primal-dual steps go this far to the boundary
+_CENTERED = 0.9           # phase 2 centers until every z_i r_i and eigenvalue
+                          # of L_S^T Z L_S is at least this times mu, and
+_CENTERED_DUAL = 1e-3     # its dual residual is under this times tolerance
 _INFEASIBLE_SLACK = 1e-7  # declare infeasible when the phase-1 slack optimum
                           # exceeds this
-_NEWTON_TOL = 1e-5        # phase 2's centering ends when the squared
-                          # Newton decrement / 2 is under this
-_ARMIJO = 0.25
-_MIN_STEP = 1e-18         # backtracking gives up below this step length
 _EXIT_SLACK = -1e-9       # phase 1 exits once its slack could be this
 _PHASE1_BOX = 1e9         # phase-1 searches |entry| < this; keeps the slack
                           # minimization bounded when the feasible set is not;
@@ -107,13 +106,12 @@ class Status(enum.Enum):
 class Solution:
     """Solver outcome: the status, the last iterate x over the problem's
     flat entry vector, the objective there when OPTIMAL (else None), the
-    steps taken in phase 1 (primal-dual steps) and in phase 2 (its
-    centering Newton steps plus its primal-dual steps), gap, the duality
-    gap <Z, S> + z . r at the last phase-2 primal-dual iterate, or None
-    when phase 2 reached none, and phase1_slack, the slack s at phase 1's
-    exit (at most _EXIT_SLACK when phase 1 found x feasible).  x is the
-    solver's claim only: a caller that certifies it re-checks its margins,
-    as `control` does.
+    primal-dual steps taken in phase 1 and in phase 2 (its centering steps
+    included), gap, the duality gap <Z, S> + z . r at the last phase-2
+    iterate, None exactly when phase 1 did not end feasible, and
+    phase1_slack, the slack s at phase 1's exit (at most _EXIT_SLACK when
+    phase 1 found x feasible).  x is the solver's claim only: a caller
+    that certifies it re-checks its margins, as `control` does.
     """
 
     status: Status
@@ -161,9 +159,9 @@ class _Cones:
 
     Every constraint block whose base and coefficients are all diagonal
     becomes d elementwise rows of (b, G); the remaining blocks stay dense.
-    The log barrier is the same either way, since -log det of a diagonal
-    matrix is -sum log of its diagonal, and so is its parameter count nu:
-    one per row, d per dense block.
+    The cone is the same either way, since a diagonal matrix is positive
+    definite when its diagonal is positive, and so is its degree nu, which
+    divides the gap into mu: one per row, d per dense block.
     """
 
     b: np.ndarray                 # (cells, r)
@@ -174,7 +172,7 @@ class _Cones:
     def padded(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(base, vidx, vflat), built on first use: the dense blocks of a
         cell as one stack of J matrices padded to the largest block size D,
-        identity in the padding (which adds nothing to the barrier), and
+        identity in the padding (which no gap or residual reads), and
         their coefficients padded the same way over the entries vidx any
         block depends on.  One call then factors or inverts every block,
         and one product gives every value.  base is (cells, J, D, D),
@@ -291,170 +289,6 @@ def _each(f, *stacks):
         return out
 
 
-def _barrier(cones: _Cones, x: np.ndarray) -> np.ndarray:
-    """-sum log r - sum log det S_j at x, one row per cell; inf where x is
-    not strictly inside.
-
-    The rows are checked first, so a cell whose point leaves them costs no
-    factorization.
-    """
-    f = np.full(len(x), np.inf)
-    r = cones.rows(x)
-    inside = ((r > 0.0) & (r < np.inf)).all(axis=1)
-    whole = inside.all()
-    total = -np.log(r if whole else r[inside]).sum(axis=1)
-    if cones.dense:
-        s = cones.values(x)
-        if not whole:
-            s = s[inside]
-        d = np.diagonal(_each(np.linalg.cholesky, s), axis1=2, axis2=3)
-        ok = np.isfinite(s).all(axis=(1, 2, 3)) & (d > 0.0).all(axis=(1, 2))
-        if not ok.all():
-            inside[inside] = ok
-            total, d = total[ok], d[ok]
-        total -= 2.0 * np.log(d).sum(axis=(1, 2))
-    f[inside] = total
-    return f
-
-
-def _derivatives(cones: _Cones, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients and Hessians of the barrier at strictly feasible points,
-    one row of x per cell.
-
-    Rows give -G^T (1/r) and (G/r)^T (G/r).  A dense block gives
-    -tr(S^-1 A_k) = -<A_k, S^-1>, one product for all blocks, and
-    tr(S^-1 A_k S^-1 A_l); with U_k = A_k S^-1 (one product over the
-    block's stacked coefficients) that is vec(U_k) . vec(U_l^T).  A cell
-    with a singular dense block gets NaN.
-    """
-    ncell = len(x)
-    gr = cones.g / cones.rows(x)[:, :, None]
-    grad = -gr.sum(axis=1)
-    hess = gr.transpose(0, 2, 1) @ gr
-    if cones.dense:
-        _, vidx, vflat = cones.padded
-        sinv = _each(np.linalg.inv, cones.values(x))
-        grad[:, vidx] -= (vflat @ sinv.reshape(ncell, -1, 1))[:, :, 0]
-        for j, blk in enumerate(cones.dense):
-            d, k = blk.dim, len(blk.idx)
-            u = (blk.flat.reshape(ncell, k * d, d) @ sinv[:, j, :d, :d]).reshape(ncell, k, d * d)
-            hess[blk.ix] += u @ u[:, :, blk.tr].transpose(0, 2, 1)
-    return grad, (hess + hess.transpose(0, 2, 1)) / 2.0
-
-
-def _newton(hess: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Newton steps dx = -H^-1 g and decrements -g . dx, one per cell.
-
-    A cell whose system is singular or indefinite retries with a small
-    ridge; if that fails too, its decrement is NaN.
-    """
-    dx = _each(np.linalg.solve, hess, -g[:, :, None])[:, :, 0]
-    dec = -(g * dx).sum(axis=1)
-    if (dec >= 0.0).all() and (dec < np.inf).all():
-        return dx, dec
-    n = g.shape[1]
-    for c in (~((dec >= 0.0) & (dec < np.inf))).nonzero()[0]:
-        ridge = 1e-12 * max(float(np.trace(hess[c])) / n, 1.0)
-        try:
-            dx[c] = np.linalg.solve(hess[c] + ridge * np.eye(n), -g[c])
-            dec[c] = float(-g[c] @ dx[c])
-        except np.linalg.LinAlgError:
-            dec[c] = np.nan
-        if not (np.isfinite(dec[c]) and dec[c] >= 0.0):
-            dec[c] = np.nan
-    return dx, dec
-
-
-def _first_trial(r: np.ndarray, gdx: np.ndarray) -> np.ndarray:
-    """The longest step 2^-j <= 1 that keeps every row positive, per cell.
-
-    Rows reach zero at the fraction to the boundary, min over
-    (G dx)_i < 0 of -r_i / (G dx)_i; the first trial is the power of 1/2
-    just below it, times (1 - 1e-9), since every longer trial would leave
-    the rows.  With s the inverse of that bound, s = m 2^e and
-    1/2 <= m < 1, the step is 2^-e (and 1 when no row decreases, s = 0).
-    """
-    s = (gdx / r).min(axis=1, initial=0.0) * (-1.0 / (1.0 - 1e-9))
-    return np.minimum(1.0, np.ldexp(1.0, -np.frexp(s)[1]))
-
-
-def _line_search(cones: _Cones, x, dx, dec, tc, fb, move):
-    """Backtracking from x along dx for the cells `move`, on the merit
-    tc @ x + barrier(x) with the Armijo rule.
-
-    Every round is one stacked trial; each cell starts at its row-aware
-    first trial and halves its step on rejection, down to _MIN_STEP, and
-    a cell not searching (any more) stays at its point, where the barrier
-    is known to be finite.  fb is the barrier at x.  Returns the new x and
-    barrier values and which cells accepted a trial.
-    """
-    f0 = fb + (tc * x).sum(axis=1)
-    alpha = _first_trial(cones.rows(x), (cones.g @ dx[:, :, None])[:, :, 0])
-    live = move & (f0 < np.inf)
-    accepted = np.zeros(len(x), dtype=bool)
-    while True:
-        live &= alpha > _MIN_STEP
-        if not live.any():
-            return x, fb, accepted
-        xn = np.where(live[:, None], x + alpha[:, None] * dx, x)
-        bn = _barrier(cones, xn)
-        ok = live & (bn + (tc * xn).sum(axis=1) <= f0 - _ARMIJO * alpha * dec)
-        if ok.all():
-            return xn, bn, ok
-        x, fb = np.where(ok[:, None], xn, x), np.where(ok, bn, fb)
-        accepted |= ok
-        live &= ~ok
-        alpha[live] *= 0.5
-
-
-def _follow(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndarray):
-    """Phase 2's centering: center a stack of cells at t = _T_INIT in
-    lockstep.
-
-    Cell c minimizes _T_INIT cvec_c @ x + barrier_c(x) by damped Newton
-    steps.  Its outcome is "centered" at the first point whose squared
-    Newton decrement / 2 is under _NEWTON_TOL, and NUMERICAL_FAILURE when
-    its Newton system has no solution, its line search finds no step, it
-    has taken budget[c] steps, or an accepted iterate leaves the phase-1
-    box, which it does where the objective is unbounded below.
-
-    Every iteration is one stacked pass over the cells still running, and
-    a cell whose centering ends leaves the stack.  Each iterate stays
-    strictly feasible.  Returns (x, steps, outcomes).
-    """
-    x_out = x.copy()
-    steps_out = np.zeros(len(x), dtype=int)
-    outcome: list = [None] * len(x)
-
-    # the cells still running, compacted whenever one ends
-    cell = np.arange(len(x))
-    x, tc = x.copy(), _T_INIT * cvec
-    steps = np.zeros(len(x), dtype=int)
-    fb = _barrier(cones, x)             # barrier at x, carried over from the accepted trial
-    centered, failed = np.zeros(len(x), dtype=bool), budget <= 0
-    while True:
-        ended = centered | failed
-        if ended.any():
-            for i in ended.nonzero()[0]:
-                outcome[cell[i]] = "centered" if centered[i] else Status.NUMERICAL_FAILURE
-            x_out[cell[ended]], steps_out[cell[ended]] = x[ended], steps[ended]
-            keep = ~ended
-            cell, x, tc, steps, fb, budget = (
-                a[keep] for a in (cell, x, tc, steps, fb, budget))
-            cones = cones.take(keep)
-        if not cell.size:
-            return x_out, steps_out, outcome
-
-        grad, hess = _derivatives(cones, x)
-        dx, dec = _newton(hess, grad + tc)
-        move = dec > 2.0 * _NEWTON_TOL
-        centered = dec <= 2.0 * _NEWTON_TOL
-        x, fb, accepted = _line_search(cones, x, dx, dec, tc, fb, move)
-        steps += accepted
-        failed = np.isnan(dec) | (move & ~accepted) | (accepted & (
-            (steps >= budget) | (np.abs(x) >= _PHASE1_BOX).any(axis=1)))
-
-
 def _phase1(cones: _Cones, x0: np.ndarray):
     """Minimize a uniform slack s added to every block, min s subject to
     S(x) + s I > 0 and r(x) + s > 0, by the primal-dual steps of phase 2
@@ -553,22 +387,30 @@ def _reach(li: np.ndarray | None, dmat: np.ndarray | None, v: np.ndarray,
 
 def _primal_dual(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndarray,
                  phase1: bool = False):
-    """Mehrotra predictor-corrector steps over a stack of cells in lockstep.
+    """Primal-dual steps along the HKM direction over a stack of cells in
+    lockstep: centering steps, then Mehrotra predictor-corrector steps.
 
-    The dual starts at Z = S^-1 / t and z = 1 / (t r), t = _T_INIT: on the
-    central path when x is centered there, as in phase 2.
-    Each step solves the HKM Schur complement system M dx = rhs (see
-    `_hkm`) twice with one Cholesky factor.  The predictor has rhs = -c.
-    The corrector aims at sigma mu, with mu = gap / nu and
-    sigma = (gap_aff / gap)^3 from the gap after the predictor's step, but
-    never at a gap under _GAP_FLOOR _GAP_TOL; it adds the centering and
-    second-order terms to rhs.  Then dS = A(dx), dr = G dx and
+    The dual starts at Z = S^-1 / t and z = 1 / (t r), t = _T_INIT.  Each
+    step factors the HKM Schur complement M (see `_hkm`) once and solves
+    M dx = rhs with that factor.  In phase 2 every cell is centering at
+    first: it aims at mu = 1 / _T_INIT with no second-order terms, so that
+    its dual residual falls and its point nears the central path at t.  It
+    switches to Mehrotra steps at the first step where its dual residual
+    is under _CENTERED_DUAL of its tolerance and every z_i r_i and every
+    eigenvalue of L_S^T Z L_S (S = L_S L_S^T) is at least _CENTERED mu.
+    Phase 1 takes Mehrotra steps from its uncentered start.  A Mehrotra
+    step first solves for the predictor, rhs = -c; the corrector aims at
+    sigma mu, with mu = gap / nu and sigma = (gap_aff / gap)^3 from the gap
+    after the predictor's step, but never at a gap under
+    _GAP_FLOOR _GAP_TOL, and adds the second-order terms.  A step with
+    every cell centering skips the predictor.  Then dS = A(dx), dr = G dx and
     dZ = sigma mu S^-1 - Z - sym(S^-1 dS Z) - sym(S^-1 dS_a dZ_a),
     dz = sigma mu / r - z - z dr / r - dr_a dz_a / r, with the predictor's
-    directions _a.  The primal and dual parts step _STEP_FRACTION of the
-    way to their boundaries, capped at 1.  S = S(x) and r = r(x) are
-    formed from x at every step, never updated.  Each padded block keeps
-    identity in the padding of Z, and dZ is zero there.
+    directions _a (zero while centering).  The primal and dual parts step
+    _STEP_FRACTION of the way to their boundaries, capped at 1.
+    S = S(x) and r = r(x) are formed from x at every step, never updated.
+    Each padded block keeps I / t in the padding of Z, so L_S^T Z L_S is
+    mu I there, and dZ is zero there.
 
     M's smallest eigenvalues, relative to its diagonal, shrink like mu^2
     in the directions the optimal face leaves free, so M is factored with
@@ -613,7 +455,7 @@ def _primal_dual(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndar
         inner = np.zeros(base.shape[1:], dtype=bool)
         for j, blk in enumerate(cones.dense):
             inner[j, :blk.dim, :blk.dim] = True
-        zmat = np.where(inner, _each(np.linalg.inv, cones.values(x)) / _T_INIT, base)
+        zmat = np.where(inner, _each(np.linalg.inv, cones.values(x)), base) / _T_INIT
         slack_eye = np.where(inner, np.eye(base.shape[-1]), 0.0)
 
     def measure(x, zmat, zrow, bad):
@@ -650,6 +492,7 @@ def _primal_dual(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndar
     # the cells still running, compacted whenever one ends
     cell = np.arange(ncell)
     steps = np.zeros(ncell, dtype=int)
+    centering = np.full(ncell, not phase1)
     r, smat, gap, rd, ends = measure(x, zmat, zrow, np.zeros(ncell, dtype=bool))
     while True:
         ended = np.logical_or.reduce([hit for hit, _ in ends])
@@ -659,8 +502,9 @@ def _primal_dual(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndar
                 x_out[c], steps_out[c], gap_out[c] = x[i], steps[i], gap[i]
                 outcome[c] = next(how for hit, how in ends if hit[i])
             keep = ~ended
-            cell, x, zrow, r, gap, rd, steps, cvec, budget, dual_tol = (
-                a[keep] for a in (cell, x, zrow, r, gap, rd, steps, cvec, budget, dual_tol))
+            cell, x, zrow, r, gap, rd, steps, cvec, budget, dual_tol, centering = (
+                a[keep] for a in (cell, x, zrow, r, gap, rd, steps, cvec, budget, dual_tol,
+                                  centering))
             cones = cones.take(keep)
             if cones.dense:
                 zmat, smat = zmat[keep], smat[keep]
@@ -669,9 +513,10 @@ def _primal_dual(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndar
                 float(v) if np.isfinite(v) else None for v in gap_out]
 
         g, rinv = cones.g, 1.0 / r
-        lsi = lz = lzi = sinv = None
+        ls = lsi = lz = lzi = sinv = None
         if cones.dense:
-            lsi = _each(np.linalg.inv, _each(np.linalg.cholesky, smat))
+            ls = _each(np.linalg.cholesky, smat)
+            lsi = _each(np.linalg.inv, ls)
             lz = _each(np.linalg.cholesky, zmat)
             lzi = _each(np.linalg.inv, lz)
             sinv = lsi.transpose(0, 1, 3, 2) @ lsi
@@ -700,18 +545,33 @@ def _primal_dual(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndar
             return (frac / np.maximum(_reach(lsi, ds, r, dr), frac),
                     frac / np.maximum(_reach(lzi, dzm, zrow, dz), frac))
 
-        # predictor: the affine-scaling direction, aiming at mu = 0
-        dx, dr, ds, dz, dzm = direction(-cvec, np.zeros(len(x)), 0.0, 0.0)
-        ap, ad = lengths(dr, ds, dz, dzm, 1.0)
-        gap_aff = ((r + ap[:, None] * dr) * (zrow + ad[:, None] * dz)).sum(axis=1)
-        if cones.dense:
-            gap_aff += ((smat + ap[:, None, None, None] * ds)
-                        * (zmat + ad[:, None, None, None] * dzm))[:, inner].sum(axis=1)
-        smu = np.maximum((gap_aff / gap) ** 3 * gap, _GAP_FLOOR * _GAP_TOL) / nu
+        if centering.any():
+            near = centering & (
+                np.abs(rd).max(axis=1, initial=0.0) < _CENTERED_DUAL * dual_tol) & (
+                (zrow * r).min(axis=1, initial=np.inf) >= _CENTERED / _T_INIT)
+            if cones.dense and near.any():
+                lzl = ls[near].transpose(0, 1, 3, 2) @ zmat[near] @ ls[near]
+                near[near] = _lowest(lzl) >= _CENTERED / _T_INIT
+            centering &= ~near
 
-        # corrector: aim at sigma mu, with the predictor's second-order terms
-        crow = dr * dz
-        cmat = None if sinv is None else sinv @ ds @ dzm
+        # a centering cell aims at mu = 1 / _T_INIT with no second-order terms
+        smu, crow = np.full(len(x), 1.0 / _T_INIT), np.zeros_like(r)
+        cmat = None if sinv is None else np.zeros_like(sinv)
+        if not centering.all():
+            # predictor: the affine-scaling direction, aiming at mu = 0
+            dx, dr, ds, dz, dzm = direction(-cvec, np.zeros(len(x)), 0.0, 0.0)
+            ap, ad = lengths(dr, ds, dz, dzm, 1.0)
+            gap_aff = ((r + ap[:, None] * dr) * (zrow + ad[:, None] * dz)).sum(axis=1)
+            if cones.dense:
+                gap_aff += ((smat + ap[:, None, None, None] * ds)
+                            * (zmat + ad[:, None, None, None] * dzm))[:, inner].sum(axis=1)
+            aim = np.maximum((gap_aff / gap) ** 3 * gap, _GAP_FLOOR * _GAP_TOL) / nu
+
+            # corrector: aim at sigma mu, with the predictor's second-order terms
+            smu = np.where(centering, smu, aim)
+            crow = np.where(centering[:, None], 0.0, dr * dz)
+            if cones.dense:
+                cmat = np.where(centering[:, None, None, None], 0.0, sinv @ ds @ dzm)
         rhs = smu[:, None] * cones.adjoint(sinv, rinv) - cvec - cones.adjoint(cmat, crow * rinv)
         dx, dr, ds, dz, dzm = direction(rhs, smu, crow, cmat)
         if phase1:
@@ -731,8 +591,8 @@ def _primal_dual(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndar
 
 
 def _solve_stack(cones: _Cones, sfs) -> list[Solution]:
-    """Phase 1 for every cell of the stack, then phase 2, centering and
-    primal-dual steps, for the cells it found feasible."""
+    """Phase 1 for every cell of the stack, then phase 2's primal-dual steps
+    for the cells it found feasible."""
     x, slack, steps1, found = _phase1(cones, np.stack([sf.initial for sf in sfs]))
     status = [None if o == "feasible"
               else Status.INFEASIBLE if o == "infeasible_candidate"
@@ -742,17 +602,9 @@ def _solve_stack(cones: _Cones, sfs) -> list[Solution]:
     gaps: list = [None] * len(sfs)
     go = [i for i, st in enumerate(status) if st is None]
     if go:
-        cvec = np.stack([sfs[i].objective for i in go])
-        budget = _MAX_NEWTON - steps1[go]
-        x[go], steps2[go], centered = _follow(cones.take(go), cvec, x[go], budget)
-        for i, o in zip(go, centered):
-            status[i] = o
-        go = [i for i in go if status[i] == "centered"]
-    if go:
-        x[go], steps, done, gap = _primal_dual(
+        x[go], steps2[go], done, gap = _primal_dual(
             cones.take(go), np.stack([sfs[i].objective for i in go]), x[go],
-            _MAX_NEWTON - steps1[go] - steps2[go])
-        steps2[go] += steps
+            _MAX_NEWTON - steps1[go])
         for i, st, g in zip(go, done, gap):
             status[i], gaps[i] = st, g
     x.setflags(write=False)

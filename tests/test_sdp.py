@@ -132,13 +132,7 @@ class TestFeasibility:
         assert _worst_margin(prob, x) >= -1e-9
 
     @pytest.mark.parametrize("mu, alpha", [(1.0, 0.5), (2.0, 1.5)])
-    def test_phase1_point_clears_every_block_by_the_exit_slack(self, mu, alpha, monkeypatch):
-        def barrier(*args):
-            raise AssertionError("phase 1 reads its exit off its own step")
-
-        # phase 1 tests the pinned point by eigenvalues, not by a barrier
-        # whose stacked Cholesky raises for the whole stack
-        monkeypatch.setattr(sdp, "_barrier", barrier)
+    def test_phase1_point_clears_every_block_by_the_exit_slack(self, mu, alpha):
         sf = _demo_synthesis_problem(mu, alpha)
         x, slack, _, outcome = sdp._phase1(sdp._cones(sf), sf.initial[None])
         assert outcome == ["feasible"] and slack[0] <= sdp._EXIT_SLACK
@@ -197,8 +191,10 @@ class TestMinimize:
 
     @pytest.mark.parametrize("bounded_above", [False, True])
     def test_unbounded_objective_stops_at_the_box(self, bounded_above):
-        # min x alone, or with x <= 1: phase 2 heads for x = -inf and stops
-        # once x leaves the phase-1 box, not when the step budget runs out
+        # min x with x <= 1: phase 2 heads for x = -inf and stops once x
+        # leaves the phase-1 box, not when the step budget runs out; min x
+        # alone constrains nothing, so phase 2 has no cone to step in and
+        # ends where it starts, with a zero gap
         x = MatExpr.scalar_identity("x", 1)
         cons = (Constraint(x - np.array([[1.0]]), LEQ, "cap"),) if bounded_above else ()
         prob = LmiProblem((VarSpec.scalar("x"),), cons, objective=((("x", 0), 1.0),))
@@ -206,21 +202,20 @@ class TestMinimize:
         assert sol.status is Status.NUMERICAL_FAILURE
         assert sol.objective is None
         assert sum(sol.newton_steps) < 100
-        assert sol.x[0] <= -sdp._PHASE1_BOX
+        if bounded_above:
+            assert sol.x[0] <= -sdp._PHASE1_BOX
+        else:
+            assert sol.gap is not None and np.all(np.isfinite(sol.x))
 
     @pytest.mark.parametrize("objective", ["y", "c"])
     def test_free_entry_ends_numerical_failure(self, objective):
-        # min y walks y out of the phase-1 box while centering; min c leaves
-        # y free, so the Schur complement of the primal-dual steps has a
-        # zero row and no Cholesky factor
+        # no constraint touches y, so the Schur complement of phase 2's
+        # first step has a zero row and no Cholesky factor
         sol = sdp.minimize(_free_entry_problem(objective))
         assert sol.status is Status.NUMERICAL_FAILURE
         assert sol.objective is None
         assert sum(sol.newton_steps) < 100
-        if objective == "y":
-            assert sol.x[1] <= -sdp._PHASE1_BOX and sol.gap is None
-        else:
-            assert sol.gap is not None and np.all(np.isfinite(sol.x))
+        assert sol.gap is not None and np.all(np.isfinite(sol.x))
 
     def test_demo_synthesis_minimize(self):
         prob = _demo_synthesis_problem(1.0, 0.5)
@@ -272,24 +267,6 @@ class TestSolutionContract:
         assert np.array_equal(a.x, b.x)
 
 
-def _reference_derivatives(sf, x):
-    """Barrier, gradient and Hessian with every block read as a dense
-    matrix S = value(x), by the textbook formulas: -log det S,
-    -tr(S^-1 A_k) and tr(S^-1 A_k S^-1 A_l)."""
-    n = x.size
-    f, g, h = 0.0, np.zeros(n), np.zeros((n, n))
-    for blk in sf.blocks:
-        s = barrier_value(blk, x)
-        f -= np.linalg.slogdet(s)[1]
-        sinv = np.linalg.inv(s)
-        for a, i in enumerate(blk.idx):
-            ti = sinv @ blk.coeffs[a]
-            g[i] -= np.trace(ti)
-            for b, j in enumerate(blk.idx):
-                h[i, j] += np.trace(ti @ sinv @ blk.coeffs[b])
-    return f, g, h
-
-
 class TestStructure:
     def test_diagonal_blocks_become_rows(self):
         sf = _demo_synthesis_problem(1.0, 0.5)
@@ -298,24 +275,6 @@ class TestStructure:
         assert cones.b.size == 6
         assert [blk.dim for blk in cones.dense] == [6, 4, 2, 2]
         assert cones.nu == sum(blk.dim for blk in sf.blocks)
-
-    def test_derivatives_match_dense_reference(self):
-        sf = _demo_synthesis_problem(1.0, 0.5)
-        found, x = _phase1(sf)
-        assert found == "feasible"
-        cones = sdp._cones(sf)
-        f, g, h = _reference_derivatives(sf, x)
-        grad, hess = (a[0] for a in sdp._derivatives(cones, x[None]))
-        assert sdp._barrier(cones, x[None])[0] == pytest.approx(f, rel=1e-12, abs=1e-12)
-        assert np.allclose(grad, g, rtol=1e-10, atol=1e-10 * np.max(np.abs(g)))
-        assert np.allclose(hess, h, rtol=1e-10, atol=1e-10 * np.max(np.abs(h)))
-        assert np.array_equal(hess, hess.T)
-
-    def test_barrier_rejects_point_outside_rows(self):
-        sf = _demo_synthesis_problem(1.0, 0.5)
-        x = sf.initial.copy()
-        x[0] = -1.0  # lyap_inv[0] < 0 breaks q_pos, a row
-        assert sdp._barrier(sdp._cones(sf), x[None])[0] == np.inf
 
     def test_rows_and_dense_block_closed_form(self):
         prob = _hyperbola_problem()
@@ -391,11 +350,14 @@ class TestBatch:
         assert len({sdp._structure(sf, c) for sf, c in zip(sfs, cells)}) == 1
         stacked = sdp._stack(cells, sfs[0].refs)
         x = np.stack([sf.initial + 0.01 * np.arange(sf.n) for sf in sfs])
-        grad, hess = sdp._derivatives(stacked, x)
+        span = stacked.span(x)
+        mats, rowvals = stacked.values(x), stacked.rows(x)
+        adjoint = stacked.adjoint(mats, rowvals)
         for c, cell in enumerate(cells):
-            g1, h1 = sdp._derivatives(cell, x[c:c + 1])
-            assert np.allclose(grad[c], g1[0], rtol=1e-12, atol=1e-12)
-            assert np.allclose(hess[c], h1[0], rtol=1e-12, atol=1e-12)
+            one = slice(c, c + 1)
+            assert np.allclose(span[c], cell.span(x[one])[0], rtol=1e-12, atol=1e-12)
+            assert np.allclose(adjoint[c], cell.adjoint(mats[one], rowvals[one])[0],
+                               rtol=1e-12, atol=1e-12)
         for sol, sf in zip(sdp.minimize_batch(sfs), sfs):
             _same_outcome(sol, sdp.minimize(sf))
 
@@ -411,19 +373,31 @@ class TestBatch:
         assert np.all(stacked.rows(x) > 0.0)
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(stacked.values(x))
-        f = sdp._barrier(stacked, x)
-        alone = sdp._barrier(cell, inside[None])[0]
-        assert np.isfinite(alone)
-        assert f[0] == alone and f[2] == alone and f[1] == np.inf
-        # in a line search from `inside`, the middle cell's first trial is
-        # that point; the other cells stand still and accept at once
-        here = np.stack([inside] * 3)
-        dx = x - here
-        x_new, fb, accepted = sdp._line_search(
-            stacked, here.copy(), dx, np.zeros(3), np.zeros_like(here),
-            sdp._barrier(stacked, here), np.ones(3, dtype=bool))
-        assert accepted[0] and accepted[2]
-        assert np.array_equal(x_new[0], inside) and fb[0] == alone
+        factors = sdp._each(np.linalg.cholesky, stacked.values(x))
+        alone = np.linalg.cholesky(cell.values(inside[None]))[0]
+        assert np.all(np.isnan(factors[1]))
+        assert np.array_equal(factors[0], alone) and np.array_equal(factors[2], alone)
+
+    def test_demo_grid_factors_every_stack_whole(self, demo_plant, monkeypatch):
+        # every stacked Cholesky factor succeeds, so no stack is redone
+        # cell by cell
+        calls, raised = [], []
+        real = np.linalg.cholesky
+
+        def cholesky(a):
+            calls.append(a.shape)
+            try:
+                return real(a)
+            except np.linalg.LinAlgError:
+                raised.append(a.shape)
+                raise
+
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+        forms = [lmi.vectorize(build_synthesis_lmis(demo_plant, mu, alpha))
+                 for mu in _DEMO_MUS for alpha in _DEMO_ALPHAS]
+        solutions = sdp.minimize_batch(forms)
+        assert len(solutions) == 64 and calls
+        assert raised == []
 
     def test_stacks_split_under_the_memory_cap(self, monkeypatch):
         problems = [_demo_synthesis_problem(0.5, alpha) for alpha in (0.1, 0.3, 0.5, 1.3)]
@@ -472,12 +446,6 @@ class TestBatch:
         with pytest.raises(ValueError):
             sdp.minimize_batch([_demo_synthesis_problem(1.0, 0.5), _scalar_pos_problem()])
 
-    def test_first_trial_stops_short_of_the_rows(self):
-        r = np.array([[1.0, 2.0], [1.0, 1.0], [4.0, 1.0]])
-        gdx = np.array([[-3.0, 1.0], [0.0, 2.0], [-1.0, -0.25]])
-        # fractions to the boundary 1/3, none, 4
-        assert sdp._first_trial(r, gdx).tolist() == [0.25, 1.0, 1.0]
-
 
 def _against_the_barrier_path(sf, sol, status, peak):
     """A design held to the barrier path's: the same status, the peak
@@ -504,7 +472,7 @@ class TestAgainstTheBarrierPath:
             _against_the_barrier_path(sf, sol, *row[2:4])
         # 2046 phase-1 and 2550 phase-2 Newton steps on the barrier path
         assert sum(sol.newton_steps[0] for sol in solutions) <= 600
-        assert sum(sol.newton_steps[1] for sol in solutions) <= 600
+        assert sum(sol.newton_steps[1] for sol in solutions) <= 480
         # the barrier phase 1 walked every mu = 2 cell out to the box for
         # 60-70 steps
         last_row = [sol.newton_steps[0] for (mu, _), sol in zip(weights, solutions)

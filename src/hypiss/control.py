@@ -214,13 +214,30 @@ def deadzone(u, u_max) -> np.ndarray:
     return saturate(u, u_max) - u
 
 
-def closed_loop_boundary(plant: Plant, gain: Matrix, outflow) -> np.ndarray:
-    """Inflow trace produced by reflecting the outflow and adding the
-    saturated control: (H + B K) x + B * deadzone(K x)."""
+@dataclass(frozen=True)
+class BoundaryLaw:
+    """The saturated boundary law of one plant and gain, formed once so that
+    a simulation applies it at every step without re-forming it:
+    closed_loop = H + B K, input_map B, gain K and the saturation levels
+    u_max, each a read-only array.  `closed_loop_boundary` applies it."""
+
+    closed_loop: np.ndarray
+    input_map: np.ndarray
+    gain: np.ndarray
+    u_max: np.ndarray
+
+    @staticmethod
+    def of(plant: Plant, gain: Matrix) -> "BoundaryLaw":
+        b, k = plant.input_map.array, gain.array
+        return BoundaryLaw(_frozen(plant.reflection.array + b @ k), b, k, plant.u_max)
+
+
+def closed_loop_boundary(law: BoundaryLaw, outflow) -> np.ndarray:
+    """Inflow trace produced by reflecting the outflow x and adding the
+    saturated control: (H + B K) x + B * deadzone(K x), with H + B K the
+    law's, formed once."""
     x = np.asarray(outflow, dtype=float)
-    k = gain.array
-    h_cl = plant.reflection.array + plant.input_map.array @ k
-    return h_cl @ x + plant.input_map.array @ deadzone(k @ x, plant.u_max)
+    return law.closed_loop @ x + law.input_map @ deadzone(law.gain @ x, law.u_max)
 
 
 # variable names used in the synthesis problem

@@ -11,15 +11,17 @@ functional, and the input-to-state-stability envelope it certifies.
 
 `simulate` does each piece of work as seldom as it can:
 
-- per run, a `Scheme`: the speed coefficients (0.5 dt/dz) λ and
+- per run, a `Scheme`: the boundary law (`control.BoundaryLaw`, with
+  H + B K formed once), the speed coefficients (0.5 dt/dz) λ and
   (dt/dz) λ, the CFL check, the disturbance map and the ghost-cell buffer
-  (a shorter last step gets a second one);
+  with its two shifted views (a shorter last step gets a second one);
 - per block of steps, one disturbance sample at all of the block's
-  half-step times and its N·d products; per block of records, the norms,
-  Lyapunov values and saturated controls of the recorded states.  Every
-  block array is at most 64 kB;
-- per step, one `step` call (boundary law, half step, full step) and the
-  check that the state is finite.
+  half-step times and its N·d products, and one check that the block's
+  last state is finite; per block of records, the norms, Lyapunov values
+  and saturated controls of the recorded states.  Every block array is at
+  most 64 kB;
+- per step, one `step` call: the boundary law, the half step and the full
+  step.
 
 Each block computation is the same floating-point arithmetic, in the same
 order, as the step-at-a-time or record-at-a-time one, so the results are
@@ -35,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .control import Plant, closed_loop_boundary, saturate
+from .control import BoundaryLaw, Plant, closed_loop_boundary, saturate
 from .linalg import DiagMatrix, Matrix
 
 ZERO = "zero"
@@ -337,10 +339,11 @@ def disturbance_energy(spec: SignalSpec, times, grid: Grid) -> np.ndarray:
 
 class Scheme:
     """The per-run constants of the staggered Lax-Friedrichs step of length
-    dt for one plant, gain and grid: the speed coefficients (0.5 dt/dz) λ
-    and (dt/dz) λ, the disturbance map N, and the (n, M + 2) ghost-cell
-    buffer that every step refills.  Raises ValueError when dt breaks the
-    CFL condition."""
+    dt for one plant, gain and grid: the boundary law, the speed
+    coefficients (0.5 dt/dz) λ and (dt/dz) λ, the disturbance map N, and
+    the (n, M + 2) ghost-cell buffer that every step refills, with its
+    views `left` (all but the last column) and `right` (all but the first).
+    Raises ValueError when dt breaks the CFL condition."""
 
     def __init__(self, plant: Plant, gain: Matrix, grid: Grid, dt: float):
         lam = plant.speeds.diagonal[:, None]
@@ -349,11 +352,12 @@ class Scheme:
         if lam_max * dt > dz * (1.0 + 1e-12):
             raise ValueError(
                 f"CFL violation: max speed * dt / dz = {lam_max * dt / dz:.4g} > 1")
-        self.plant, self.gain, self.grid, self.dt = plant, gain, grid, dt
+        self.law, self.grid, self.dt = BoundaryLaw.of(plant, gain), grid, dt
         self.half_speed = (0.5 * dt / dz) * lam
         self.full_speed = (dt / dz) * lam
         self.disturbance_map = plant.disturbance_map.array
         self.ghosted = np.empty((plant.n, grid.cells + 2))
+        self.left, self.right = self.ghosted[:, :-1], self.ghosted[:, 1:]
 
     def forcing(self, disturbance: SignalSpec, half_times: np.ndarray):
         """The disturbance terms of a block of steps with the given half-step
@@ -379,14 +383,17 @@ def step(state: np.ndarray, scheme: Scheme, forcing=None) -> np.ndarray:
     centers take the conservative full step.  The disturbance enters both
     stages at the half-step time: forcing is this step's pair of
     `Scheme.forcing` terms (interfaces, centers), or None for a run without
-    one.  Only the boundary law and the two stages are per-step work.
+    one.  Only applying the scheme's boundary law and the two stages are
+    per-step work; the law, the coefficients and the ghost buffer's views
+    are the scheme's.
     """
-    ghosted = scheme.ghosted
-    ghosted[:, 0] = closed_loop_boundary(scheme.plant, scheme.gain, state[:, -1])
+    ghosted, left, right = scheme.ghosted, scheme.left, scheme.right
+    outflow = state[:, -1]
+    ghosted[:, 0] = closed_loop_boundary(scheme.law, outflow)
     ghosted[:, 1:-1] = state
-    ghosted[:, -1] = state[:, -1]
-    jump = ghosted[:, 1:] - ghosted[:, :-1]
-    half = 0.5 * (ghosted[:, 1:] + ghosted[:, :-1]) - scheme.half_speed * jump
+    ghosted[:, -1] = outflow
+    jump = right - left
+    half = 0.5 * (right + left) - scheme.half_speed * jump
     if forcing is not None:
         half += forcing[0]
     out = state - scheme.full_speed * (half[:, 1:] - half[:, :-1])
@@ -459,11 +466,20 @@ def simulate(plant: Plant, gain: Matrix, config: SimConfig,
     Pass lyapunov = (P, mu) to record the weighted functional along the
     run.  A non-finite state aborts with the first bad time.
 
-    Per run: the time step, the `Scheme` (a second one for a shorter last
-    step) and the record arrays.  Per block of at most 64 kB: one
-    disturbance sample at the block's half-step times (k - 1) dt + dt/2
-    with its N d products, and the diagnostics of a block of recorded
-    states.  Per step: one `step` call and the finiteness check.
+    Per run: the time step, the `Scheme` with its boundary law (a second
+    one for a shorter last step) and the record arrays.  Per block of at
+    most 64 kB: one disturbance sample at the block's half-step times
+    (k - 1) dt + dt/2 with its N d products, the diagnostics of a block of
+    recorded states, and one finiteness check of the block's last state.
+    Per step: one `step` call, and the time of a step that records.
+
+    A non-finite entry never turns finite again in this scheme: each new
+    center value is its old value plus the flux and forcing terms, and a sum
+    with a non-finite term is never finite (inf - inf gives NaN, and every
+    operation on NaN gives NaN).  So a block whose last state is finite had
+    no bad step.  Otherwise the block is replayed from its first state with
+    a check after every step, which finds the same first bad time as
+    checking every step all along.
     """
     grid = config.grid
     if config.initial is not None and config.initial.components != plant.n:
@@ -498,22 +514,35 @@ def simulate(plant: Plant, gain: Matrix, config: SimConfig,
     if n_steps > full_steps:
         segments.append((n_steps, n_steps, remainder))
     per = _per_block(max(plant.n, plant.q) * grid.staggered.size)
+
+    def time_of(k: int) -> float:
+        return k * dt if k < n_steps else config.t_final
+
     # overflow on the way to a detected blow-up is expected, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for first, last, dt_k in segments:
             scheme = Scheme(plant, gain, grid, dt_k)
             for start in range(first, last + 1, per):
                 ks = range(start, min(start + per, last + 1))
-                if disturbance is None:
-                    forcings = itertools.repeat(None)
-                else:
+                forcing = None
+                if disturbance is not None:
                     half_times = np.arange(start - 1, ks.stop - 1) * dt + 0.5 * dt_k
-                    forcings = zip(*scheme.forcing(disturbance, half_times))
-                for k, forcing in zip(ks, forcings):
-                    state = step(state, scheme, forcing)
-                    t_now = k * dt if k < n_steps else config.t_final
-                    if not np.isfinite(state).all():
-                        raise BlowUpError(t_now)
+                    forcing = scheme.forcing(disturbance, half_times)
+                block_first = state
+                for k, f in zip(ks, _per_step(forcing)):
+                    state = step(state, scheme, f)
                     if k % stride == 0 or k == n_steps:
-                        recorder.add(t_now, state)
+                        recorder.add(time_of(k), state)
+                if not np.isfinite(state).all():
+                    state = block_first
+                    for k, f in zip(ks, _per_step(forcing)):
+                        state = step(state, scheme, f)
+                        if not np.isfinite(state).all():
+                            raise BlowUpError(time_of(k))
     return recorder.trajectory(n_steps, dt, stride)
+
+
+def _per_step(forcing):
+    """The forcing pairs of a block's steps, one per step: None for a run
+    without disturbance."""
+    return itertools.repeat(None) if forcing is None else zip(*forcing)

@@ -29,7 +29,6 @@ from hypiss.control import (
     Plant,
     SynthesisCertificate,
     build_synthesis_lmis,
-    closed_loop_boundary,
     deadzone,
     saturate,
 )
@@ -161,13 +160,16 @@ def write_csv(path, header: list[str], rows) -> None:
 def two_sample_step(state: np.ndarray, plant: Plant, gain: Matrix, t: float,
                     dt: float, config: SimConfig) -> np.ndarray:
     """The staggered Lax-Friedrichs step with the disturbance sampled twice
-    at the half-step time, once on the interfaces and once on the centers."""
+    at the half-step time, once on the interfaces and once on the centers,
+    and the boundary law (H + B K) x + B deadzone(K x) formed afresh from
+    the plant and gain at every step."""
     grid = config.grid
     lam = plant.speeds.diagonal[:, None]
     dz = grid.dz
     if float(np.max(lam)) * dt > dz * (1.0 + 1e-12):
         raise ValueError("CFL violation")
-    inflow = closed_loop_boundary(plant, gain, state[:, -1])
+    x, b, k = state[:, -1], plant.input_map.array, gain.array
+    inflow = (plant.reflection.array + b @ k) @ x + b @ deadzone(k @ x, plant.u_max)
     ghosted = np.concatenate([inflow[:, None], state, state[:, -1:]], axis=1)
     half_t = t + 0.5 * dt
     jump = ghosted[:, 1:] - ghosted[:, :-1]

@@ -6,6 +6,7 @@ import pytest
 
 from hypiss import control, lmi, sdp
 from hypiss.control import (
+    BoundaryLaw,
     InfeasibleError,
     Plant,
     build_analysis_lmis,
@@ -120,17 +121,42 @@ class TestClosedLoopBoundary:
         rng = np.random.default_rng(7)
         h = demo_plant.reflection.array
         k = demo_gain.array
+        law = BoundaryLaw.of(demo_plant, demo_gain)
         for _ in range(300):
             x = rng.uniform(-4.0, 4.0, size=2)
-            got = closed_loop_boundary(demo_plant, demo_gain, x)
+            got = closed_loop_boundary(law, x)
             want = h @ x + saturate(k @ x, demo_plant.u_max)
             assert np.max(np.abs(got - want)) < 1e-13
 
     def test_zero_gain_is_pure_reflection(self, demo_plant):
         x = np.array([0.7, -1.3])
         zero = Matrix(np.zeros((demo_plant.m, demo_plant.n)))
-        out = closed_loop_boundary(demo_plant, zero, x)
+        out = closed_loop_boundary(BoundaryLaw.of(demo_plant, zero), x)
         assert np.array_equal(out, demo_plant.reflection.array @ x)
+
+    def test_law_formed_once_matches_the_formula_bit_for_bit(self):
+        # H + B K formed once per run must give the bytes of forming it at
+        # every call, on the strided outflow column a simulation passes,
+        # for every shape including one input with n >= 4
+        rng = np.random.default_rng(17)
+        for n in range(1, 7):
+            for m in range(1, 4):
+                plant = Plant(DiagMatrix(rng.uniform(0.5, 2.0, n)),
+                              Matrix(rng.uniform(-0.5, 0.5, (n, n))),
+                              Matrix(rng.standard_normal((n, m))),
+                              Matrix(np.eye(n)), rng.uniform(0.2, 1.0, m))
+                gain = Matrix(rng.standard_normal((m, n)))
+                law = BoundaryLaw.of(plant, gain)
+                h, b, k = plant.reflection.array, plant.input_map.array, gain.array
+                # the second outflow lies along K's first row, so that
+                # channel saturates
+                for last, saturating in ((rng.uniform(-0.01, 0.01, n), False),
+                                         (50.0 * k[0], True)):
+                    state = np.column_stack([rng.uniform(-1.0, 1.0, (n, 8)), last])
+                    x = state[:, -1]
+                    assert np.any(np.abs(k @ x) > plant.u_max) == saturating
+                    want = (h + b @ k) @ x + b @ deadzone(k @ x, plant.u_max)
+                    assert np.array_equal(closed_loop_boundary(law, x), want)
 
 
 class TestSynthesisLmis:

@@ -412,12 +412,23 @@ class TestBlockedRun:
         assert (traj.steps - 1) * traj.dt < cfg.t_final < traj.steps * traj.dt
         assert traj.times[-1] == cfg.t_final
 
-    @pytest.mark.parametrize("disturbance", [None, DISTURBANCE])
-    def test_blow_up_time_matches_step_by_step_run(self, disturbance):
+    # the simulator checks finiteness once per block of steps and replays a
+    # bad block step by step; the amplitudes put the first non-finite step
+    # at a block's first step, at its last step, and in the shorter last step
+    @pytest.mark.parametrize("disturbance, amplitude, t_final, place", [
+        (None, 10.0, 150.0, None),
+        (DISTURBANCE, 10.0, 150.0, None),
+        (DISTURBANCE, 7.5e8, 150.0, "block-first"),
+        (None, 3.2e-8, 150.0, "block-last"),
+        (None, 2.4e-8, 88.36875, "remainder"),
+    ], ids=["None", "disturbance1", "block-first", "block-last", "remainder"])
+    def test_blow_up_time_matches_step_by_step_run(self, disturbance, amplitude,
+                                                   t_final, place):
         wild = Plant(DiagMatrix(np.array([1.0, 1.5])),
                      Matrix(np.array([[0.0, 900.0], [800.0, 0.0]])),
                      Matrix(np.zeros((2, 1))), Matrix(np.eye(2)), np.array([1.0]))
-        cfg = SimConfig(Grid(16), t_final=150.0, initial=INITIAL,
+        cfg = SimConfig(Grid(16), t_final=t_final,
+                        initial=SignalSpec.cosine_profile(amplitude, (2.0, 1.0)),
                         disturbance=disturbance, snapshot_stride=5)
         gain = Matrix(np.zeros((1, 2)))
         with pytest.raises(BlowUpError) as got:
@@ -426,6 +437,15 @@ class TestBlockedRun:
             step_by_step_simulate(wild, gain, cfg)
         assert 0.0 < got.value.time < 150.0
         assert got.value.time == want.value.time
+        dt, per = cfg.cfl * cfg.grid.dz / 1.5, _blocks(2 * (2 * 16 + 1))
+        steps = got.value.time / dt
+        if place == "block-first":
+            assert round(steps) % per == 1
+        elif place == "block-last":
+            assert round(steps) % per == 0
+        elif place == "remainder":
+            assert got.value.time == t_final
+            assert math.floor(steps) * dt < t_final < math.ceil(steps) * dt
 
     def test_samples_the_disturbance_once_per_block(self, demo_plant, demo_gain,
                                                     monkeypatch):

@@ -17,6 +17,7 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -46,6 +47,18 @@ _DEFAULT_OUT = "out"
 
 class ConfigError(ValueError):
     """Malformed config or certificate; the message names the bad path."""
+
+
+@contextlib.contextmanager
+def _as_config_error(path: str):
+    """A ValueError raised inside becomes a ConfigError that names path; a
+    ConfigError passes through as it is."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as e:
+        raise ConfigError(f"{path}: {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +152,7 @@ def _load_json(path: str) -> tuple[dict, str]:
 def _build_plant(cfg: dict) -> Plant:
     block = _section(cfg, "plant")
     speeds = _vector(block, "plant", "lambda")
-    try:
+    with _as_config_error("plant"):
         return Plant(
             speeds=DiagMatrix(speeds),
             reflection=Matrix(_matrix(block, "plant", "H")),
@@ -147,10 +160,6 @@ def _build_plant(cfg: dict) -> Plant:
             disturbance_map=Matrix(_matrix(block, "plant", "N")),
             u_max=_vector(block, "plant", "u_max"),
         )
-    except ValueError as e:
-        if isinstance(e, ConfigError):
-            raise
-        raise ConfigError(f"plant: {e}") from None
 
 
 def _design(cfg: dict) -> tuple[float, float, float]:
@@ -184,7 +193,7 @@ def _grid_weight(design: dict, key: str) -> np.ndarray:
 
 def _signal(block: dict, path: str) -> SignalSpec:
     kind = _get(block, path, "kind")
-    try:
+    with _as_config_error(path):
         if kind == pde.ZERO:
             return SignalSpec.zero(_integer(block, path, "components", 1))
         if kind == pde.SINUSOIDAL_PRODUCT:
@@ -200,10 +209,6 @@ def _signal(block: dict, path: str) -> SignalSpec:
         if kind == pde.TABULATED:
             return SignalSpec.tabulated(_vector(block, path, "grid"),
                                         _matrix(block, path, "values"))
-    except ValueError as e:
-        if isinstance(e, ConfigError):
-            raise
-        raise ConfigError(f"{path}: {e}") from None
     raise ConfigError(f"{path}.kind: unknown signal kind {kind!r}")
 
 
@@ -221,7 +226,7 @@ def _build_sim_config(cfg: dict, keep_snapshots: bool) -> SimConfig:
     stride = block.get("snapshot_stride")
     if stride is not None:
         stride = _integer(block, "simulation", "snapshot_stride", 1)
-    try:
+    with _as_config_error("simulation"):
         return SimConfig(
             grid=Grid(_integer(block, "simulation", "M", 8)),
             t_final=_number(block, "simulation", "t_final", positive=True),
@@ -231,10 +236,6 @@ def _build_sim_config(cfg: dict, keep_snapshots: bool) -> SimConfig:
             snapshot_stride=stride,
             keep_snapshots=keep_snapshots,
         )
-    except ValueError as e:
-        if isinstance(e, ConfigError):
-            raise
-        raise ConfigError(f"simulation: {e}") from None
 
 
 def _output_settings(cfg: dict, out_override: str | None) -> tuple[Path, dict]:
@@ -318,7 +319,7 @@ def _load_certificate(path: str, plant: Plant) -> SynthesisCertificate:
     and phase1_slack None: verify recomputes the margins, and the
     solver's figures are not part of the design."""
     data, _ = _load_json(path)
-    try:
+    with _as_config_error("certificate"):
         cert = SynthesisCertificate(
             mu=_number(data, "certificate", "mu", positive=True),
             alpha=_number(data, "certificate", "alpha", positive=True),
@@ -334,10 +335,6 @@ def _load_certificate(path: str, plant: Plant) -> SynthesisCertificate:
             omega=_number(data, "certificate", "omega", positive=True),
             kappa=_number(data, "certificate", "kappa", positive=True),
             margins={}, newton_steps=None, duality_gap=None, phase1_slack=None)
-    except ValueError as e:
-        if isinstance(e, ConfigError):
-            raise
-        raise ConfigError(f"certificate: {e}") from None
     n, m = plant.n, plant.m
     if cert.gain.array.shape != (m, n):
         raise ConfigError(f"certificate.gain: expected shape {(m, n)} for this plant")

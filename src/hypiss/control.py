@@ -466,9 +466,8 @@ def build_analysis_lmis(plant: Plant, gain: Matrix, mu: float, alpha: float,
     n, m = plant.n, plant.m
     lam = plant.speeds.diagonal
     big_lam = np.diag(lam)
-    k = gain.array
-    b = plant.input_map.array
-    h_cl = plant.reflection.array + b @ k
+    law = BoundaryLaw.of(plant, gain)
+    h_cl, b, k = law.closed_loop, law.input_map, law.gain
     nd = plant.disturbance_map.array
 
     vp = lmi.VarSpec.diagonal(_VP, n)
@@ -541,14 +540,13 @@ def wellposedness_certificate(plant: Plant, gain: Matrix,
     lam = plant.speeds.diagonal
     big_lam = np.diag(lam)
     big_lam_inv = np.diag(1.0 / lam)
-    b = plant.input_map.array
-    k = gain.array
-    h_cl = plant.reflection.array + b @ k
+    law = BoundaryLaw.of(plant, gain)
+    h_cl, b, k = law.closed_loop, law.input_map, law.gain
 
     # one stacked eigensolve for the top eigenvalue of B^T Lambda B and the
     # spectral norms of H_cl^T Lambda B, H_cl and B K; a second one for the
     # norm of `inner`, which depends on tau and on the cross norm
-    btlb_top, *gram_tops = (float(w[-1]) for w, _ in sym_eig([
+    btlb_top, *gram_tops = (float(w[-1]) for w in sym_eig([
         SymMatrix.symmetrized(b.T @ big_lam @ b),
         _gram(h_cl.T @ big_lam @ b), _gram(h_cl), _gram(b @ k)]))
     cross, norm_h, norm_bk = (_norm(top) for top in gram_tops)
@@ -557,7 +555,7 @@ def wellposedness_certificate(plant: Plant, gain: Matrix,
     inner = (h_cl.T @ big_lam @ h_cl @ big_lam_inv
              + tau * (k.T @ k) @ big_lam_inv
              + cross ** 2 * big_lam_inv)
-    amplification = math.log(max(_norm(float(sym_eig(_gram(inner))[0][-1])), 1e-300))
+    amplification = math.log(max(_norm(float(sym_eig([_gram(inner)])[0][-1])), 1e-300))
     mu_wp = max(amplification, 0.0) + delta
 
     lam_max = float(np.max(lam))

@@ -3,9 +3,9 @@
 Everything here is sized for control-synthesis blocks (dimensions of a few
 to a few dozen), so the eigensolver is a Jacobi iteration: simple,
 deterministic, and accurate enough to trust certificate margins computed
-from it.  It takes one matrix or a whole stack, such as every block of an
-LMI problem, and rotates all matrices at once in the parallel
-(round-robin) order, so a margin re-check is one call.  Tolerances are
+from it.  It takes a whole stack, such as every block of an LMI problem,
+and rotates all matrices at once in the parallel (round-robin) order, so a
+margin re-check is one call.  It returns eigenvalues only.  Tolerances are
 relative to the Frobenius norm of each input matrix.
 """
 
@@ -159,54 +159,45 @@ def _round_robin(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs[:, :, 0], pairs[:, :, 1]
 
 
-def sym_eig(a: SymMatrix | Sequence[SymMatrix], tol: float = DEFAULT_TOL,
-            max_sweeps: int = _MAX_SWEEPS):
-    """Full eigendecomposition of one symmetric matrix, or of each matrix of
-    a sequence, by parallel-ordered Jacobi sweeps over the whole stack.
+def sym_eig(mats: Sequence[SymMatrix]) -> list[np.ndarray]:
+    """Eigenvalues of each symmetric matrix of a sequence, ascending, by
+    parallel-ordered Jacobi sweeps over the whole stack.
 
-    Returns ``(w, v)`` for a :class:`SymMatrix`, and a list of them for a
-    sequence: eigenvalues ``w`` ascending and orthonormal eigenvectors in
-    the columns of ``v``.  Every matrix is padded with zero rows and columns
-    to one even size; a pair that touches the padding has a_pq = 0, so its
-    rotation is the identity and the padding never mixes into a matrix.  A
-    sweep is the rounds of :func:`_round_robin`, each rotating all its
-    disjoint pairs of every matrix at once.  Sweeps continue until every
-    matrix's off-diagonal mass is at most ``tol`` times its own Frobenius
-    norm; a stack that has not converged after ``max_sweeps`` sweeps raises
-    :class:`ConvergenceError`.
+    Every matrix is padded with zero rows and columns to one even size; a
+    pair that touches the padding has a_pq = 0, so its rotation is the
+    identity and the padding never mixes into a matrix.  A sweep is the
+    rounds of :func:`_round_robin`, each rotating all its disjoint pairs of
+    every matrix at once, A <- (G A) G^T.  Sweeps continue until every
+    matrix's off-diagonal mass is at most DEFAULT_TOL times its own
+    Frobenius norm; a stack that has not converged after _MAX_SWEEPS sweeps
+    raises :class:`ConvergenceError`.
     """
-    mats = [a] if isinstance(a, SymMatrix) else list(a)
+    mats = list(mats)
     if not mats:
         return []
     count = len(mats)
     dim = max(m.dim for m in mats)
     dim += dim % 2
-    # each matrix A sits on top of its eigenvector columns V: a rotation
-    # G acts as A <- G A G^T and V <- V G^T, so [G A; V] @ G^T does both
-    # right-hand products in one matmul
-    W = np.zeros((count, 2 * dim, dim))
+    A = np.zeros((count, dim, dim))
     for k, m in enumerate(mats):
-        W[k, :m.dim, :m.dim] = m.array
-    W[:, dim:] = np.eye(dim)
-    A = W[:, :dim]
-    off_target = tol * np.sqrt(np.sum(A * A, axis=(1, 2)))
+        A[k, :m.dim, :m.dim] = m.array
+    off_target = DEFAULT_TOL * np.sqrt(np.sum(A * A, axis=(1, 2)))
     off_mask = 1.0 - np.eye(dim)
 
     # flat positions of the (p, p), (q, q), (p, q), (q, p) entries of every
-    # round, in W (stride 2 dim^2 per matrix) and in G (stride dim^2)
+    # round, the same in A and in G (stride dim^2 per matrix)
     P, Q = _round_robin(dim)
     entries = np.stack([P * dim + P, Q * dim + Q, P * dim + Q, Q * dim + P], axis=1)
-    in_w = entries[:, None] + (2 * dim * dim * np.arange(count))[:, None, None]
-    in_g = entries[:, None] + (dim * dim * np.arange(count))[:, None, None]
+    at = entries[:, None] + (dim * dim * np.arange(count))[:, None, None]
     # G's entries at those positions, (c, c, -s, s) = (1, 1, -t, t) * c
     rot = np.ones((count, 4, dim // 2))
 
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         off = np.sqrt(np.sum((A * off_mask) ** 2, axis=(1, 2)))
         if np.all(off <= off_target):
             break
-        for at_w, at_g in zip(in_w, in_g):
-            pair = W.take(at_w[:, :3])
+        for at_r in at:
+            pair = A.take(at_r[:, :3])
             app, aqq, apq = pair[:, 0], pair[:, 1], pair[:, 2]
             # t = sgn(tau) / (|tau| + sqrt(1 + tau^2)) with tau = (a_qq -
             # a_pp) / (2 a_pq), multiplied through by |2 a_pq|: no quotient
@@ -217,27 +208,20 @@ def sym_eig(a: SymMatrix | Sequence[SymMatrix], tol: float = DEFAULT_TOL,
             rot[:, 2] = -t
             rot[:, 3] = t
             G = np.zeros((count, dim, dim))
-            G.put(at_g, rot / np.hypot(1.0, t)[:, None])
-            W[:, :dim] = G @ A
-            W = W @ G.transpose(0, 2, 1)
+            G.put(at_r, rot / np.hypot(1.0, t)[:, None])
+            A = (G @ A) @ G.transpose(0, 2, 1)
             # stable closed forms for the rotated pairs: a_pp - t a_pq and
             # a_qq + t a_pq
-            W.put(at_w[:, :2], pair[:, :2] + _MINUS_PLUS * (t * apq)[:, None])
-            W.put(at_w[:, 2:], 0.0)
-            A = W[:, :dim]
+            A.put(at_r[:, :2], pair[:, :2] + _MINUS_PLUS * (t * apq)[:, None])
+            A.put(at_r[:, 2:], 0.0)
     else:
         worst = int(np.argmax(off / np.maximum(off_target, _TINY)))
         raise ConvergenceError(
-            f"Jacobi eigensolver did not converge in {max_sweeps} sweeps "
+            f"Jacobi eigensolver did not converge in {_MAX_SWEEPS} sweeps "
             f"(matrix {worst}: off-diagonal {off[worst]:.3e} "
             f"vs target {off_target[worst]:.3e})")
 
-    out = []
-    for k, m in enumerate(mats):
-        w = np.diagonal(A[k])[:m.dim].copy()
-        order = np.argsort(w, kind="stable")
-        out.append((w[order], W[k, dim:dim + m.dim, :m.dim][:, order]))
-    return out[0] if isinstance(a, SymMatrix) else out
+    return [np.sort(np.diagonal(A[k])[:m.dim], kind="stable") for k, m in enumerate(mats)]
 
 
 def invert_diag(d: DiagMatrix) -> DiagMatrix:

@@ -473,12 +473,11 @@ def vectorize(problem: LmiProblem) -> StandardForm:
 def margin(block: StandardBlock, x: np.ndarray) -> float:
     """Signed slack of one block at x, min_eig(value(x)) - eps by the Jacobi
     eigensolver; positive means strictly satisfied."""
-    w, _ = linalg.sym_eig(linalg.SymMatrix(block.value(x)))
-    return float(w[0]) - block.eps
+    return float(linalg.sym_eig([linalg.SymMatrix(block.value(x))])[0][0]) - block.eps
 
 
 def problem_margins(sf: StandardForm, x: np.ndarray) -> list[float]:
     """The margin of every block at x, in declaration order, from one
     stacked eigendecomposition of all the values."""
     values = [linalg.SymMatrix(blk.value(x)) for blk in sf.blocks]
-    return [float(w[0]) - blk.eps for blk, (w, _) in zip(sf.blocks, linalg.sym_eig(values))]
+    return [float(w[0]) - blk.eps for blk, w in zip(sf.blocks, linalg.sym_eig(values))]

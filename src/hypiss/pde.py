@@ -464,7 +464,9 @@ def simulate(plant: Plant, gain: Matrix, config: SimConfig,
     every snapshot stride, and the final time.
 
     Pass lyapunov = (P, mu) to record the weighted functional along the
-    run.  A non-finite state aborts with the first bad time.
+    run.  A non-finite state aborts with the first bad time.  A finite
+    state whose squared norm overflows records an infinite norm, without a
+    warning, wherever it falls in the run.
 
     Per run: the time step, the `Scheme` with its boundary law (a second
     one for a shorter last step) and the record arrays.  Per block of at
@@ -539,7 +541,7 @@ def simulate(plant: Plant, gain: Matrix, config: SimConfig,
                         state = step(state, scheme, f)
                         if not np.isfinite(state).all():
                             raise BlowUpError(time_of(k))
-    return recorder.trajectory(n_steps, dt, stride)
+        return recorder.trajectory(n_steps, dt, stride)
 
 
 def _per_step(forcing):

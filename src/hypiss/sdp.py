@@ -12,20 +12,20 @@ step, and the steps drive the gap <Z, S> + z . r and the dual residual
 c - A*(Z) - G^T z under _GAP_TOL.
 
 Phase 1 minimizes a uniform slack s, F(x) + s I >= 0, from the start
-point with the dual at Z = S^-1 / t and z = 1 / (t r), t = _T_INIT, not
-centered.  It stops as soon as its verdict is known (Boyd &
-Vandenberghe, *Convex Optimization*, section 11.4): after the first step
-where the slack could be _EXIT_SLACK with every block still positive
-definite, so that phase 2 starts with every block >= -_EXIT_SLACK I, or
-once the dual residual is under tolerance and the lower bound s - gap
-on the slack optimum exceeds _INFEASIBLE_SLACK.  Phase 2 starts its dual
+point with the dual at Z = S^-1 and z = 1 / r, not centered.  It stops as
+soon as its verdict is known (Boyd & Vandenberghe, *Convex Optimization*,
+section 11.4): after the first step where the slack could be _EXIT_SLACK
+with every block still positive definite, so that phase 2 starts with
+every block >= -_EXIT_SLACK I; INFEASIBLE once the dual residual is under
+tolerance and the lower bound s - gap on the slack optimum exceeds
+_INFEASIBLE_SLACK; NUMERICAL_FAILURE otherwise.  Phase 2 starts its dual
 the same way at phase 1's point and centers first: each cell takes HKM
-steps aimed at mu = 1 / _T_INIT, with no predictor, until its dual
-residual is all but gone and its point is near the central path, and
-Mehrotra steps from then on.  The solver returns the flat entry vector x,
-the final gap and the phase-1 slack, and does not audit x; `control`
-re-checks every design it certifies at that x, with
-`lmi.problem_margins` and the Jacobi eigensolver of `linalg`.
+steps aimed at mu = 1, with no predictor, until its dual residual is all
+but gone and its point is near the central path, and Mehrotra steps from
+then on.  The solver returns the flat entry vector x, the final gap and
+the phase-1 slack, and does not audit x; `control` re-checks every design
+it certifies at that x, with `lmi.problem_margins` and the Jacobi
+eigensolver of `linalg`.
 
 The solver uses the structure of the problem.  Every block whose base and
 coefficients are all diagonal (positivity of diagonal variables, scalar
@@ -74,8 +74,6 @@ from . import lmi
 # few hundred entries.  Diagonal blocks and the phase-1 box cost one
 # elementwise row per diagonal entry, whatever their size.
 _MAX_NEWTON = 600         # total step budget of one problem, both phases
-_T_INIT = 1.0             # both dual starts are Z = S^-1 / t, z = 1 / (t r)
-                          # at t = _T_INIT; phase 2 centers at mu = 1 / t
 _GAP_TOL = 1e-7           # optimal when <Z, S> + z . r < _GAP_TOL and
                           # max |c - A*(Z) - G^T z| < _GAP_TOL max(1, max |c|)
 _GAP_FLOOR = 0.1          # the corrector never aims at a gap under this
@@ -136,20 +134,17 @@ class _Dense:
     idx: np.ndarray    # (k,) entries of x the block depends on, in every cell
     flat: np.ndarray   # (cells, k, d*d)
     ix: tuple          # where the block's Hessian lands in a stacked Hessian
-    tr: np.ndarray     # (d*d,) where vec(X^T) takes its entries from vec(X)
 
     @staticmethod
     def make(base, idx, flat) -> "_Dense":
-        d = base.shape[-1]
-        return _Dense(base, idx, flat, (slice(None),) + np.ix_(idx, idx),
-                      np.arange(d * d).reshape(d, d).T.ravel())
+        return _Dense(base, idx, flat, (slice(None),) + np.ix_(idx, idx))
 
     @property
     def dim(self) -> int:
         return self.base.shape[-1]
 
     def take(self, sel) -> "_Dense":
-        return _Dense(self.base[sel], self.idx, self.flat[sel], self.ix, self.tr)
+        return _Dense(self.base[sel], self.idx, self.flat[sel], self.ix)
 
 
 @dataclass(frozen=True)
@@ -300,14 +295,13 @@ def _phase1(cones: _Cones, x0: np.ndarray):
     box is 2(n+1) more rows, R - x_i > 0 and R + x_i > 0 for every entry
     and the slack; the slack itself is a column of ones on the rows and
     the identity on every dense block.  The search starts at x0 with s
-    one above the worst violation there, and its dual at Z = S^-1 / t and
-    z = 1 / (t r), t = _T_INIT, without centering: the primal-dual steps
-    drive the dual residual down from there.
+    one above the worst violation there, and its dual at Z = S^-1 and
+    z = 1 / r, without centering: the primal-dual steps drive the dual
+    residual down from there.
 
-    Returns (x, slack, steps, outcomes) with an outcome per cell of
-    "feasible" (as a rule with every block >= -_EXIT_SLACK I at x),
-    "infeasible_candidate" (the slack optimum is above _INFEASIBLE_SLACK or
-    converged while nonnegative), or "stalled".
+    Returns (x, slack, steps, outcomes) with an outcome per cell of None
+    when x is feasible (as a rule with every block >= -_EXIT_SLACK I at x),
+    Status.INFEASIBLE or Status.NUMERICAL_FAILURE (see `_primal_dual`).
     """
     ncell, n = x0.shape
     nrow = cones.b.shape[1]
@@ -390,14 +384,14 @@ def _primal_dual(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndar
     """Primal-dual steps along the HKM direction over a stack of cells in
     lockstep: centering steps, then Mehrotra predictor-corrector steps.
 
-    The dual starts at Z = S^-1 / t and z = 1 / (t r), t = _T_INIT.  Each
-    step factors the HKM Schur complement M (see `_hkm`) once and solves
-    M dx = rhs with that factor.  In phase 2 every cell is centering at
-    first: it aims at mu = 1 / _T_INIT with no second-order terms, so that
-    its dual residual falls and its point nears the central path at t.  It
-    switches to Mehrotra steps at the first step where its dual residual
-    is under _CENTERED_DUAL of its tolerance and every z_i r_i and every
-    eigenvalue of L_S^T Z L_S (S = L_S L_S^T) is at least _CENTERED mu.
+    The dual starts at Z = S^-1 and z = 1 / r.  Each step factors the HKM
+    Schur complement M (see `_hkm`) once and solves M dx = rhs with that
+    factor.  In phase 2 every cell is centering at first: it aims at mu = 1
+    with no second-order terms, so that its dual residual falls and its
+    point nears the central path there.  It switches to Mehrotra steps at
+    the first step where its dual residual is under _CENTERED_DUAL of its
+    tolerance and every z_i r_i and every eigenvalue of L_S^T Z L_S
+    (S = L_S L_S^T) is at least _CENTERED mu.
     Phase 1 takes Mehrotra steps from its uncentered start.  A Mehrotra
     step first solves for the predictor, rhs = -c; the corrector aims at
     sigma mu, with mu = gap / nu and sigma = (gap_aff / gap)^3 from the gap
@@ -409,8 +403,8 @@ def _primal_dual(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndar
     directions _a (zero while centering).  The primal and dual parts step
     _STEP_FRACTION of the way to their boundaries, capped at 1.
     S = S(x) and r = r(x) are formed from x at every step, never updated.
-    Each padded block keeps I / t in the padding of Z, so L_S^T Z L_S is
-    mu I there, and dZ is zero there.
+    Each padded block keeps I in the padding of Z, so L_S^T Z L_S is I
+    there, and dZ is zero there.
 
     M's smallest eigenvalues, relative to its diagonal, shrink like mu^2
     in the directions the optimal face leaves free, so M is factored with
@@ -432,15 +426,16 @@ def _primal_dual(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndar
     an iterate leaves the phase-1 box, or when it has taken budget[c]
     steps.  In phase 2 the outcomes are OPTIMAL and NUMERICAL_FAILURE.  In
     phase 1 (see `_phase1`) the last entry of x is the slack s, and a cell
-    ends "feasible" after the first step where the point with its slack
-    pinned to min(s, _EXIT_SLACK) is strictly inside, as the smallest
-    eigenvalues of the step's S(x) and r(x) with the slack's share moved
-    tell; x is then that point.  It also ends "feasible" when optimal with
-    s < 0, and "infeasible_candidate" when optimal otherwise or when its
-    dual residual is under tolerance and s - gap, a lower bound on the
-    slack optimum, is above _INFEASIBLE_SLACK; a failure is "stalled".
-    Returns (x, steps, outcomes, gaps), with the gap at each cell's last
-    iterate.
+    ends feasible, with outcome None, after the first step where the point
+    with its slack pinned to min(s, _EXIT_SLACK) is strictly inside, as the
+    smallest eigenvalues of the step's S(x) and r(x) with the slack's share
+    moved tell; x is then that point.  It also ends feasible when optimal
+    with s < 0.  It is settled when optimal otherwise or when its dual
+    residual is under tolerance and s - gap, a lower bound on the slack
+    optimum, is above _INFEASIBLE_SLACK; a settled cell with s above
+    _INFEASIBLE_SLACK ends INFEASIBLE, and any other settled or failed cell
+    NUMERICAL_FAILURE.  Returns (x, steps, outcomes, gaps), with the gap at
+    each cell's last iterate.
     """
     ncell, nu = len(x), cones.nu
     x_out, gap_out = x.copy(), np.full(ncell, np.nan)
@@ -448,21 +443,21 @@ def _primal_dual(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndar
     outcome: list = [None] * ncell
     dual_tol = _GAP_TOL * np.maximum(1.0, np.abs(cvec).max(axis=1, initial=0.0))
 
-    zrow = 1.0 / (_T_INIT * cones.rows(x))
+    zrow = 1.0 / cones.rows(x)
     zmat = inner = None
     if cones.dense:
         base = cones.padded[0]
         inner = np.zeros(base.shape[1:], dtype=bool)
         for j, blk in enumerate(cones.dense):
             inner[j, :blk.dim, :blk.dim] = True
-        zmat = np.where(inner, _each(np.linalg.inv, cones.values(x)), base) / _T_INIT
+        zmat = np.where(inner, _each(np.linalg.inv, cones.values(x)), base)
         slack_eye = np.where(inner, np.eye(base.shape[-1]), 0.0)
 
     def measure(x, zmat, zrow, bad):
         """r(x) (NaN where a row is not positive), S(x), the gap, and the
         ways a cell can end there, (cells, outcome) in order of precedence;
         bad marks the cells that took no step.  In phase 1 this pins the
-        slack of the cells that end "feasible" at the pinned point."""
+        slack of the cells that end feasible at the pinned point."""
         r = cones.rows(x)
         r = np.where(r > 0.0, r, np.nan)
         gap = (r * zrow).sum(axis=1)
@@ -484,10 +479,11 @@ def _primal_dual(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndar
         if cones.dense:
             pinned &= _lowest(smat + shift[:, None, None, None] * slack_eye) > 0.0
         feasible = pinned | optimal & (s < 0.0)
-        infeasible = optimal | dual & (s - gap > _INFEASIBLE_SLACK)
+        settled = optimal | dual & (s - gap > _INFEASIBLE_SLACK)
+        ends = ((feasible, None), (settled & (s > _INFEASIBLE_SLACK), Status.INFEASIBLE),
+                (failed | settled, Status.NUMERICAL_FAILURE))
         x[pinned, -1] = np.minimum(s[pinned], _EXIT_SLACK)
-        return r, smat, gap, rd, ((feasible, "feasible"),
-                                  (infeasible, "infeasible_candidate"), (failed, "stalled"))
+        return r, smat, gap, rd, ends
 
     # the cells still running, compacted whenever one ends
     cell = np.arange(ncell)
@@ -548,14 +544,14 @@ def _primal_dual(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndar
         if centering.any():
             near = centering & (
                 np.abs(rd).max(axis=1, initial=0.0) < _CENTERED_DUAL * dual_tol) & (
-                (zrow * r).min(axis=1, initial=np.inf) >= _CENTERED / _T_INIT)
+                (zrow * r).min(axis=1, initial=np.inf) >= _CENTERED)
             if cones.dense and near.any():
                 lzl = ls[near].transpose(0, 1, 3, 2) @ zmat[near] @ ls[near]
-                near[near] = _lowest(lzl) >= _CENTERED / _T_INIT
+                near[near] = _lowest(lzl) >= _CENTERED
             centering &= ~near
 
-        # a centering cell aims at mu = 1 / _T_INIT with no second-order terms
-        smu, crow = np.full(len(x), 1.0 / _T_INIT), np.zeros_like(r)
+        # a centering cell aims at mu = 1 with no second-order terms
+        smu, crow = np.ones(len(x)), np.zeros_like(r)
         cmat = None if sinv is None else np.zeros_like(sinv)
         if not centering.all():
             # predictor: the affine-scaling direction, aiming at mu = 0
@@ -593,11 +589,7 @@ def _primal_dual(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndar
 def _solve_stack(cones: _Cones, sfs) -> list[Solution]:
     """Phase 1 for every cell of the stack, then phase 2's primal-dual steps
     for the cells it found feasible."""
-    x, slack, steps1, found = _phase1(cones, np.stack([sf.initial for sf in sfs]))
-    status = [None if o == "feasible"
-              else Status.INFEASIBLE if o == "infeasible_candidate"
-              and s > _INFEASIBLE_SLACK
-              else Status.NUMERICAL_FAILURE for o, s in zip(found, slack)]
+    x, slack, steps1, status = _phase1(cones, np.stack([sf.initial for sf in sfs]))
     steps2 = np.zeros(len(sfs), dtype=int)
     gaps: list = [None] * len(sfs)
     go = [i for i, st in enumerate(status) if st is None]

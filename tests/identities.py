@@ -63,7 +63,7 @@ def reference_margins(problem: LmiProblem, sf: StandardForm, x: np.ndarray) -> l
     `vectorize` resolved."""
     values = [SymMatrix(expr_value(c.expr, sf, x)) for c in problem.constraints]
     return [-float(w[-1]) - blk.eps if c.sense == LEQ else float(w[0]) - blk.eps
-            for c, blk, (w, _) in zip(problem.constraints, sf.blocks, sym_eig(values))]
+            for c, blk, w in zip(problem.constraints, sf.blocks, sym_eig(values))]
 
 
 def barrier_value(blk: StandardBlock, x: np.ndarray) -> np.ndarray:

@@ -61,7 +61,7 @@ def test_02_reported_design_values_certify(demo_plant, demo_certificate):
     assert abs(lmi.margin(decay, x) - 2.18) < 0.1
 
     dist = next(blk for blk in sf.blocks if blk.label == "disturbance_block")
-    assert sym_eig(SymMatrix(dist.value(x)))[0][0] > 0.0
+    assert sym_eig([SymMatrix(dist.value(x))])[0][0] > 0.0
 
     reported = dataclasses.replace(
         demo_certificate, lyap_inv=DiagMatrix(LYAP_INV), sector_inv=DiagMatrix(SECTOR_INV),

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -384,6 +385,19 @@ def _block_case(seed, n, m, q, kind, stride, cells, t_final, keep):
     return plant, gain, cfg, lyapunov
 
 
+def _wild_run(amplitude: float, t_final: float, disturbance=None):
+    """(plant, gain, config) of a zero-gain closed loop whose boundary
+    reflects each outflow into the other channel with a gain of 900 or
+    800, started from a cosine profile of the given amplitude."""
+    wild = Plant(DiagMatrix(np.array([1.0, 1.5])),
+                 Matrix(np.array([[0.0, 900.0], [800.0, 0.0]])),
+                 Matrix(np.zeros((2, 1))), Matrix(np.eye(2)), np.array([1.0]))
+    cfg = SimConfig(Grid(16), t_final=t_final,
+                    initial=SignalSpec.cosine_profile(amplitude, (2.0, 1.0)),
+                    disturbance=disturbance, snapshot_stride=5)
+    return wild, Matrix(np.zeros((1, 2))), cfg
+
+
 class TestBlockedRun:
     """`simulate` samples, forces and records a block at a time; every
     recorded array must be the bytes of the step-by-step, record-by-record
@@ -424,13 +438,7 @@ class TestBlockedRun:
     ], ids=["None", "disturbance1", "block-first", "block-last", "remainder"])
     def test_blow_up_time_matches_step_by_step_run(self, disturbance, amplitude,
                                                    t_final, place):
-        wild = Plant(DiagMatrix(np.array([1.0, 1.5])),
-                     Matrix(np.array([[0.0, 900.0], [800.0, 0.0]])),
-                     Matrix(np.zeros((2, 1))), Matrix(np.eye(2)), np.array([1.0]))
-        cfg = SimConfig(Grid(16), t_final=t_final,
-                        initial=SignalSpec.cosine_profile(amplitude, (2.0, 1.0)),
-                        disturbance=disturbance, snapshot_stride=5)
-        gain = Matrix(np.zeros((1, 2)))
+        wild, gain, cfg = _wild_run(amplitude, t_final, disturbance)
         with pytest.raises(BlowUpError) as got:
             simulate(wild, gain, cfg)
         with pytest.raises(BlowUpError) as want:
@@ -446,6 +454,21 @@ class TestBlockedRun:
         elif place == "remainder":
             assert got.value.time == t_final
             assert math.floor(steps) * dt < t_final < math.ceil(steps) * dt
+
+    def test_overflowing_norm_in_the_last_flush_records_inf(self):
+        # finite states above about 1.3e154 overflow their squared norm; the
+        # last records are flushed after the stepping loop, and must be
+        # recorded the same way as those of the blocks before
+        wild, gain, cfg = _wild_run(9.09e-12, 88.36875)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            traj = simulate(wild, gain, cfg)
+        with np.errstate(over="ignore"):
+            want = step_by_step_simulate(wild, gain, cfg)
+        assert np.isinf(traj.l2_norms[-1]) and np.isfinite(traj.l2_norms[0])
+        assert np.isinf(traj.l2_norms).sum() < traj.l2_norms.size
+        for name, ref in zip(("times", "l2_norms", "control_traces"), want):
+            assert getattr(traj, name).tobytes() == ref.tobytes(), name
 
     def test_samples_the_disturbance_once_per_block(self, demo_plant, demo_gain,
                                                     monkeypatch):

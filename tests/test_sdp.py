@@ -94,7 +94,8 @@ def _hyperbola_problem():
 
 
 def _phase1(sf):
-    """Phase 1 alone on one standard form: its outcome and its last x."""
+    """Phase 1 alone on one standard form: its outcome (None when it found a
+    feasible point) and its last x."""
     x, _, _, outcome = sdp._phase1(sdp._cones(sf), sf.initial[None])
     return outcome[0], x[0]
 
@@ -107,7 +108,7 @@ class TestFeasibility:
     def test_trivial_scalar(self):
         prob = _scalar_pos_problem()
         found, x = _phase1(prob)
-        assert found == "feasible"
+        assert found is None
         assert x[0] > 0.0
         assert _worst_margin(prob, x) >= -1e-9
 
@@ -125,17 +126,40 @@ class TestFeasibility:
         assert sol.newton_steps[0] < 20
         assert _worst_margin(prob, sol.x) < 0.0
 
+    @pytest.mark.parametrize("problem", ["rows", "dense"])
+    def test_feasible_set_without_interior_ends_numerical_failure(self, problem):
+        # x >= 0 and x <= 0, or [[x, 1], [1, y]] >= 0 with x + y <= 2 (only
+        # x = y = 1): phase 1 settles at a slack optimum of 0, which is no
+        # verdict either way
+        vx, vy = VarSpec.scalar("x"), VarSpec.scalar("y")
+        x, y = MatExpr.from_var(vx), MatExpr.from_var(vy)
+        one = np.array([[1.0]])
+        if problem == "rows":
+            specs = (vx,)
+            cons = (Constraint(x, GEQ, "pos", eps=0.0), Constraint(x, LEQ, "neg", eps=0.0))
+        else:
+            specs = (vx, vy)
+            cons = (Constraint(sym_block([[x, one], [None, y]]), GEQ, "hyperbola", eps=0.0),
+                    Constraint(x + y - 2.0 * one, LEQ, "sum", eps=0.0))
+        prob = lmi.vectorize(LmiProblem(specs, cons, objective=((("x", 0), 1.0),)))
+        assert (sdp._cones(prob).dense == ()) == (problem == "rows")
+        sol = sdp.minimize(prob)
+        assert sol.status is Status.NUMERICAL_FAILURE
+        assert 0.0 <= sol.phase1_slack <= sdp._INFEASIBLE_SLACK
+        assert sol.newton_steps[0] < 20 and sol.newton_steps[1] == 0
+        assert sol.gap is None
+
     def test_demo_synthesis_constraints_feasible(self):
         prob = dataclasses.replace(_demo_synthesis_problem(1.0, 0.5), objective=None)
         found, x = _phase1(prob)
-        assert found == "feasible"
+        assert found is None
         assert _worst_margin(prob, x) >= -1e-9
 
     @pytest.mark.parametrize("mu, alpha", [(1.0, 0.5), (2.0, 1.5)])
     def test_phase1_point_clears_every_block_by_the_exit_slack(self, mu, alpha):
         sf = _demo_synthesis_problem(mu, alpha)
         x, slack, _, outcome = sdp._phase1(sdp._cones(sf), sf.initial[None])
-        assert outcome == ["feasible"] and slack[0] <= sdp._EXIT_SLACK
+        assert outcome == [None] and slack[0] <= sdp._EXIT_SLACK
         for blk in sf.blocks:
             value = barrier_value(blk, x[0])
             floor = -sdp._EXIT_SLACK - 1e-15 * np.abs(value).max()
@@ -297,7 +321,7 @@ class TestStructure:
         feas = lmi.vectorize(LmiProblem((vx, vy), cons))
         assert sdp._cones(feas).dense == ()
         found, x = _phase1(feas)
-        assert found == "feasible"
+        assert found is None
         assert _worst_margin(feas, x) > 0.0
         sol = sdp.minimize(dataclasses.replace(feas, objective=np.array([2.0, 1.0])))
         assert sol.status is Status.OPTIMAL

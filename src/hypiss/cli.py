@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import control, lmi, pde
+from . import control, lmi, pde, sdp
 from .control import (
     InfeasibleError,
     Plant,
@@ -245,11 +245,11 @@ def _output_settings(cfg: dict, out_override: str | None) -> tuple[Path, dict]:
     directory = out_override or block.get("directory", _DEFAULT_OUT)
     if not isinstance(directory, str) or not directory:
         raise ConfigError("output.directory: expected a nonempty string")
-    toggles = {
-        "norms": bool(block.get("norms", True)),
-        "controls": bool(block.get("controls", True)),
-        "snapshots": bool(block.get("snapshots", False)),
-    }
+    toggles = {key: block.get(key, default) for key, default in
+               (("norms", True), ("controls", True), ("snapshots", False))}
+    for key, value in toggles.items():
+        if not isinstance(value, bool):
+            raise ConfigError(f"output.{key}: expected true or false")
     return Path(directory), toggles
 
 
@@ -315,10 +315,14 @@ def _certificate_payload(cert: SynthesisCertificate) -> dict:
 
 def _load_certificate(path: str, plant: Plant) -> SynthesisCertificate:
     """The certificate stored at `path`, checked against the plant's
-    dimensions.  Its margins are empty and its newton_steps, duality_gap
-    and phase1_slack None: verify recomputes the margins, and the
-    solver's figures are not part of the design."""
+    dimensions.  Its margins are empty and its solution None: verify
+    recomputes the margins, and the solver's outcome is not part of the
+    design.  A genuine certificate's coupling is exactly symmetric, so one
+    that is not is refused rather than symmetrized."""
     data, _ = _load_json(path)
+    coupling = _matrix(data, "certificate", "coupling")
+    if not np.array_equal(coupling, coupling.T):
+        raise ConfigError("certificate.coupling: expected a symmetric matrix")
     with _as_config_error("certificate"):
         cert = SynthesisCertificate(
             mu=_number(data, "certificate", "mu", positive=True),
@@ -330,11 +334,11 @@ def _load_certificate(path: str, plant: Plant) -> SynthesisCertificate:
             lyap_inv=DiagMatrix(_vector(data, "certificate", "lyap_inv")),
             sector_inv=DiagMatrix(_vector(data, "certificate", "sector_inv")),
             gain_scaled=Matrix(_matrix(data, "certificate", "gain_scaled")),
-            coupling=SymMatrix.symmetrized(_matrix(data, "certificate", "coupling")),
+            coupling=SymMatrix(coupling),
             gamma=_number(data, "certificate", "gamma", positive=True),
             omega=_number(data, "certificate", "omega", positive=True),
             kappa=_number(data, "certificate", "kappa", positive=True),
-            margins={}, newton_steps=None, duality_gap=None, phase1_slack=None)
+            margins={}, solution=None)
     n, m = plant.n, plant.m
     if cert.gain.array.shape != (m, n):
         raise ConfigError(f"certificate.gain: expected shape {(m, n)} for this plant")
@@ -347,9 +351,15 @@ def _load_certificate(path: str, plant: Plant) -> SynthesisCertificate:
     return cert
 
 
-def _newton_steps(steps: tuple[int, int] | None) -> dict | None:
-    """The solver's Newton steps per phase, as the reports record them."""
-    return None if steps is None else {"phase1": steps[0], "phase2": steps[1]}
+def _solver_trace(solution: sdp.Solution | None) -> dict:
+    """What the reports record of the solver's outcome: its Newton steps
+    per phase, its final duality gap and its slack at the end of phase 1,
+    each None without an outcome."""
+    if solution is None:
+        return dict.fromkeys(("newton_steps", "duality_gap", "phase1_slack"))
+    phase1, phase2 = solution.newton_steps
+    return {"newton_steps": {"phase1": phase1, "phase2": phase2},
+            "duality_gap": solution.gap, "phase1_slack": solution.phase1_slack}
 
 
 def _write_report(out_dir: Path, command: str, digest: str, margins: dict,
@@ -393,9 +403,7 @@ def cmd_synth(config_path: str, out_override: str | None) -> int:
         _write_report(out_dir, "synth", digest,
                       {"worst_phase1_margin": worst}, timing, [],
                       extra={"status": "infeasible", "mu": mu, "alpha": alpha,
-                             "newton_steps": _newton_steps(e.solution.newton_steps),
-                             "duality_gap": e.solution.gap,
-                             "phase1_slack": e.solution.phase1_slack})
+                             **_solver_trace(e.solution)})
         print(f"infeasible at mu={mu:g}, alpha={alpha:g} "
               f"(worst margin {worst:.3e})", file=sys.stderr)
         return 2
@@ -406,10 +414,7 @@ def cmd_synth(config_path: str, out_override: str | None) -> int:
         json.dumps(_certificate_payload(cert), indent=2, sort_keys=True) + "\n")
     _write_report(out_dir, "synth", digest, dict(cert.margins), timing,
                   [cert_path.name], certificate=_certificate_payload(cert),
-                  extra={"status": "feasible",
-                         "newton_steps": _newton_steps(cert.newton_steps),
-                         "duality_gap": cert.duality_gap,
-                         "phase1_slack": cert.phase1_slack})
+                  extra={"status": "feasible", **_solver_trace(cert.solution)})
     print(f"feasible: peak={cert.peak:.6g} gamma={cert.gamma:.6g} "
           f"omega={cert.omega:g} kappa={cert.kappa:.6g}")
     print(f"wrote {cert_path}")
@@ -439,16 +444,17 @@ def cmd_grid(config_path: str, out_override: str | None) -> int:
                _lines(rows, 5, text=(2, 3, 4)))
 
     best = fmap.best
+    traces = [_solver_trace(c.solution) for c in fmap.cells]
     extra = {
         "status": "feasible" if best is not None else "infeasible",
         "cells": {s: sum(1 for c in fmap.cells if c.status == s)
                   for s in ("feasible", "infeasible", "failed")},
         "failed_cells": [{"mu": c.mu, "alpha": c.alpha, "reason": c.reason}
                          for c in fmap.cells if c.status == "failed"],
-        "newton_steps": [{"mu": c.mu, "alpha": c.alpha,
-                          "steps": _newton_steps(c.newton_steps)} for c in fmap.cells],
-        "phase1_slack": [{"mu": c.mu, "alpha": c.alpha, "slack": c.phase1_slack}
-                         for c in fmap.cells],
+        "newton_steps": [{"mu": c.mu, "alpha": c.alpha, "steps": t["newton_steps"]}
+                         for c, t in zip(fmap.cells, traces)],
+        "phase1_slack": [{"mu": c.mu, "alpha": c.alpha, "slack": t["phase1_slack"]}
+                         for c, t in zip(fmap.cells, traces)],
     }
     if best is not None:
         extra["best"] = {"mu": best.mu, "alpha": best.alpha,
@@ -500,7 +506,7 @@ def cmd_simulate(config_path: str, out_override: str | None,
     timing = time.perf_counter() - started
 
     if cert is not None:
-        params = pde.iss_bound_params(lyap, cert.mu, cert.alpha, 1.0,
+        params = pde.iss_bound_params(lyap, cert.mu, cert.alpha,
                                       float(traj.l2_norms[0]))
         energy = pde.disturbance_energy(sim_cfg.disturbance, traj.times,
                                         sim_cfg.grid)
@@ -569,7 +575,7 @@ def cmd_verify(config_path: str, out_override: str | None,
                                       ("analysis", analysis),
                                       ("wellposedness", wp.slacks))
                for label, value in values.items()}
-    coeffs = iss_coefficients(invert_diag(cert.lyap_inv), cert.mu, cert.alpha, 1.0)
+    coeffs = iss_coefficients(invert_diag(cert.lyap_inv), cert.mu, cert.alpha)
     margins["certificate.iss_consistency"] = -max(
         abs(coeffs.omega - cert.omega), abs(coeffs.kappa - cert.kappa),
         abs(coeffs.gamma - cert.gamma))

@@ -120,11 +120,9 @@ class SynthesisCertificate:
     the inverse of the sector multiplier, gain_scaled the gain times
     lyap_inv, coupling the disturbance-coupling bound, peak an upper
     bound on the largest eigenvalue of lyap_inv that the design minimized,
-    eps the strictness slack the inequalities were posed with,
-    newton_steps the solver's steps in phase 1 and in phase 2,
-    duality_gap the solver's final gap and phase1_slack its slack at the
-    end of phase 1.  A certificate read back from a file has margins {}
-    and newton_steps, duality_gap and phase1_slack None.
+    eps the strictness slack the inequalities were posed with, and
+    solution the solver's outcome the certificate was read from.  A
+    certificate read back from a file has margins {} and solution None.
     """
 
     lyap_inv: DiagMatrix
@@ -140,9 +138,7 @@ class SynthesisCertificate:
     kappa: float
     margins: dict[str, float]
     eps: float
-    newton_steps: tuple[int, int] | None
-    duality_gap: float | None
-    phase1_slack: float | None
+    solution: sdp.Solution | None
 
 
 @dataclass(frozen=True)
@@ -170,10 +166,8 @@ class GridCell:
     sqrt(max lyap_inv) e^{mu/2}.  Its check lets max lyap_inv exceed c by
     at most 1e-9 max(1, c), so for c >= 1/2 that gamma is at most this one
     times 1 + 1e-9; on the demo grid the two agree to about 1e-10
-    relative.  newton_steps holds the solver's primal-dual steps in phase
-    1 and in phase 2, phase 2's centering steps included, and
-    phase1_slack its slack at the end of phase 1, both None for a cell
-    that never reached the solver.
+    relative.  solution is the solver's outcome at the cell, None for a
+    cell that never reached the solver.
     """
 
     mu: float
@@ -182,8 +176,7 @@ class GridCell:
     peak: float | None
     gamma: float | None
     reason: str | None = None  # why a "failed" cell failed
-    newton_steps: tuple[int, int] | None = None
-    phase1_slack: float | None = None
+    solution: sdp.Solution | None = None
 
 
 @dataclass(frozen=True)
@@ -296,19 +289,18 @@ def build_synthesis_lmis(plant: Plant, mu: float, alpha: float,
                           objective=(((_VC, 0), 1.0),), eps=eps)
 
 
-def iss_coefficients(lyap: DiagMatrix, mu: float, alpha: float,
-                     supply: float) -> IssCoefficients:
+def iss_coefficients(lyap: DiagMatrix, mu: float, alpha: float) -> IssCoefficients:
     """Decay rate, overshoot, and disturbance gain implied by a Lyapunov
-    weight P, domain weight mu, decay rate alpha, and supply gain."""
-    if mu <= 0.0 or alpha <= 0.0 or supply <= 0.0:
-        raise ValueError("mu, alpha, and the supply gain must be positive")
+    weight P, domain weight mu and decay rate alpha, at unit supply gain."""
+    if mu <= 0.0 or alpha <= 0.0:
+        raise ValueError("mu and alpha must be positive")
     p = lyap.diagonal
     if np.any(p <= 0.0):
         raise ValueError("the Lyapunov weight must be positive")
     pmin, pmax = float(np.min(p)), float(np.max(p))
     omega = alpha / 2.0
     kappa = math.sqrt(pmax / pmin) * math.exp(mu / 2.0)
-    gamma = supply * math.exp(mu / 2.0) / math.sqrt(pmin)
+    gamma = math.exp(mu / 2.0) / math.sqrt(pmin)
     return IssCoefficients(omega=omega, kappa=kappa, gamma=gamma)
 
 
@@ -369,13 +361,12 @@ def _certificate_from_solution(sf: lmi.StandardForm, solution: sdp.Solution,
     # gamma = sqrt(max lyap_inv) e^{mu/2}, taken from iss_coefficients so that
     # verify, which recomputes it there, finds exactly the stored value
     lyap = invert_diag(q)
-    coeffs = iss_coefficients(lyap, mu, alpha, 1.0)
+    coeffs = iss_coefficients(lyap, mu, alpha)
     return SynthesisCertificate(
         lyap_inv=q, sector_inv=s, gain_scaled=w, coupling=g,
         mu=mu, alpha=alpha, peak=peak, gain=Matrix(w.array @ lyap.array),
         gamma=coeffs.gamma, omega=coeffs.omega, kappa=coeffs.kappa,
-        margins=margins, eps=eps, newton_steps=solution.newton_steps,
-        duality_gap=solution.gap, phase1_slack=solution.phase1_slack)
+        margins=margins, eps=eps, solution=solution)
 
 
 def synthesize(plant: Plant, mu: float, alpha: float,
@@ -430,19 +421,17 @@ def grid_search(plant: Plant, mu_grid, alpha_grid,
         if solution is None:
             cells.append(GridCell(*w, "failed", None, None, reasons[w]))
             continue
-        trace = {"newton_steps": solution.newton_steps,
-                 "phase1_slack": solution.phase1_slack}
         try:
             certificates[w] = _certificate_from_solution(forms[w], solution, *w, eps)
         except InfeasibleError:
-            cells.append(GridCell(*w, "infeasible", None, None, **trace))
+            cells.append(GridCell(*w, "infeasible", None, None, solution=solution))
             continue
         except SolverFailureError as e:
-            cells.append(GridCell(*w, "failed", None, None, _failure(e), **trace))
+            cells.append(GridCell(*w, "failed", None, None, _failure(e), solution))
             continue
         peak = float(solution.objective)
         gamma = math.sqrt(peak) * math.exp(w[0] / 2.0)
-        cells.append(GridCell(*w, "feasible", peak, gamma, **trace))
+        cells.append(GridCell(*w, "feasible", peak, gamma, solution=solution))
 
     best = min(((c.gamma, c.mu, c.alpha) for c in cells if c.status == "feasible"),
                default=None)

@@ -231,20 +231,19 @@ class Trajectory:
 @dataclass(frozen=True)
 class IssBoundParams:
     """Constants of the certified envelope: lower/upper Lyapunov sandwich
-    constants c1 <= c2, decay rate c3, supply gain chi, and the initial
-    norm the envelope starts from."""
+    constants c1 <= c2, decay rate c3, and the initial norm the envelope
+    starts from; the supply gain is 1."""
 
     c1: float
     c2: float
     c3: float
-    chi: float
     x0_norm: float
 
     def __post_init__(self):
         if not (0.0 < self.c1 <= self.c2):
             raise ValueError("need 0 < c1 <= c2")
-        if self.c3 <= 0.0 or self.chi <= 0.0:
-            raise ValueError("c3 and chi must be positive")
+        if self.c3 <= 0.0:
+            raise ValueError("c3 must be positive")
         if self.x0_norm < 0.0:
             raise ValueError("x0_norm must be nonnegative")
 
@@ -294,7 +293,7 @@ def lyapunov_value(state, lyap: DiagMatrix, mu: float, grid: Grid) -> float:
     return float(_lyapunov_values(state[None], p, weight, grid.dz)[0])
 
 
-def iss_bound_params(lyap: DiagMatrix, mu: float, alpha: float, supply: float,
+def iss_bound_params(lyap: DiagMatrix, mu: float, alpha: float,
                      x0_norm: float) -> IssBoundParams:
     """Envelope constants implied by a Lyapunov weight: c1 = e^{-mu} min(P),
     c2 = max(P), c3 = alpha."""
@@ -304,16 +303,16 @@ def iss_bound_params(lyap: DiagMatrix, mu: float, alpha: float, supply: float,
     return IssBoundParams(
         c1=math.exp(-mu) * float(np.min(p)),
         c2=float(np.max(p)),
-        c3=alpha, chi=supply, x0_norm=x0_norm)
+        c3=alpha, x0_norm=x0_norm)
 
 
 def iss_rhs(t: float, params: IssBoundParams, disturbance_energy: float) -> float:
     """Certified envelope at time t given the accumulated disturbance energy
-    int_0^t ||d||^2: decaying term plus the gain times the energy root."""
+    int_0^t ||d||^2: decaying term plus 1/sqrt(c1) times the energy root."""
     if disturbance_energy < 0.0:
         raise ValueError("disturbance energy must be nonnegative")
     decay = math.exp(-0.5 * params.c3 * t) * math.sqrt(params.c2 / params.c1)
-    return decay * params.x0_norm + params.chi / math.sqrt(params.c1) * math.sqrt(
+    return decay * params.x0_norm + 1.0 / math.sqrt(params.c1) * math.sqrt(
         disturbance_energy)
 
 

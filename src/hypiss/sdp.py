@@ -100,7 +100,7 @@ class Status(enum.Enum):
     NUMERICAL_FAILURE = "numerical_failure"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Solution:
     """Solver outcome: the status, the last iterate x over the problem's
     flat entry vector, the objective there when OPTIMAL (else None), the
@@ -109,7 +109,9 @@ class Solution:
     iterate, None exactly when phase 1 did not end feasible, and
     phase1_slack, the slack s at phase 1's exit (at most _EXIT_SLACK when
     phase 1 found x feasible).  x is the solver's claim only: a caller
-    that certifies it re-checks its margins, as `control` does.
+    that certifies it re-checks its margins, as `control` does.  Like the
+    matrix types, an outcome compares and hashes by identity, so the
+    grid cells and certificates that hold one do too.
     """
 
     status: Status

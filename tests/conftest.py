@@ -93,7 +93,7 @@ def demo_trajectories(demo_certificate):
                           lyapunov=(lyap, demo_certificate.mu))
     open_loop = pde.simulate(plant, Matrix(np.zeros((2, 2))), cfg)
     params = pde.iss_bound_params(lyap, demo_certificate.mu,
-                                  demo_certificate.alpha, 1.0,
+                                  demo_certificate.alpha,
                                   float(closed.l2_norms[0]))
     energy = pde.disturbance_energy(cfg.disturbance, closed.times, grid)
     return {"config": cfg, "closed": closed, "open": open_loop,

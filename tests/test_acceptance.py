@@ -73,7 +73,7 @@ def test_02_reported_design_values_certify(demo_plant, demo_certificate):
 
 def test_03_iss_coefficients_match_reported_values():
     """decay rate, overshoot, and disturbance gain come out as reported"""
-    coeffs = iss_coefficients(invert_diag(DiagMatrix(LYAP_INV)), 1.0, 0.5, 1.0)
+    coeffs = iss_coefficients(invert_diag(DiagMatrix(LYAP_INV)), 1.0, 0.5)
     assert coeffs.omega == 0.25
     assert abs(coeffs.kappa - 4.2229) < 1e-3
     assert abs(coeffs.gamma - 14.9298) < 1e-3

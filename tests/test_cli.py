@@ -469,6 +469,29 @@ class TestSimulate:
         assert f"config error: {'.'.join(path)}: " in capsys.readouterr().err
         assert not (out / "norms.csv").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("snapshots", "false"), ("norms", "no"), ("controls", 0), ("norms", 1)])
+    def test_non_boolean_toggle_is_config_error(self, tmp_path, capsys, key, value):
+        # bool() would read "false" and "no" as true and 0 as false
+        cfg = _design_config()
+        cfg["output"][key] = value
+        out = tmp_path / "o"
+        code = cli.main(["simulate", "--config", _write_config(tmp_path, cfg),
+                         "--out", str(out), "--gain", "zero"])
+        assert code == 1
+        assert f"config error: output.{key}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_boolean_toggles_pick_the_files(self, tmp_path):
+        cfg = _design_config()
+        cfg["simulation"].update(M=16, t_final=0.5)
+        cfg["output"].update(norms=False, snapshots=True)  # controls by default
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--config", _write_config(tmp_path, cfg),
+                         "--out", str(out), "--gain", "zero"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "controls.csv", "simulate_report.json", "snapshots.csv"]
+
 
 class TestVerify:
     def _synth(self, tmp_path):
@@ -587,6 +610,22 @@ class TestVerify:
         assert report["status"] == "fail"
         assert min(report["margins"].values()) < -1e-3
 
+    def test_asymmetric_coupling_is_config_error(self, tmp_path, capsys):
+        # a genuine coupling is exactly symmetric; symmetrizing this one
+        # would cancel the doctoring and let it pass
+        cfg_path, cert_path = self._synth(tmp_path)
+        cert = json.loads(cert_path.read_text())
+        cert["coupling"][0][1] += 1000.0
+        cert["coupling"][1][0] -= 1000.0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cert))
+        out = tmp_path / "v"
+        code = cli.main(["verify", "--config", cfg_path, "--gain", str(bad),
+                         "--out", str(out)])
+        assert code == 1
+        assert "config error: certificate.coupling: " in capsys.readouterr().err
+        assert not (out / "verify_report.json").exists()
+
     def test_hand_entered_design_at_loose_tolerance(self, tmp_path):
         # weights copied from an external design run, so individual numbers
         # carry print-precision error; a loose tolerance absorbs it
@@ -625,10 +664,9 @@ class TestVerify:
         plant = cli._build_plant(_design_config())
         fresh = control.synthesize(plant, 1.0, 0.5, eps=1e-6)
         loaded = cli._load_certificate(str(cert_path), plant)
-        assert loaded.margins == {} and loaded.newton_steps is None
-        assert loaded.duality_gap is None and loaded.phase1_slack is None
+        assert loaded.margins == {} and loaded.solution is None
         for field in dataclasses.fields(control.SynthesisCertificate):
-            if field.name in ("margins", "newton_steps", "duality_gap", "phase1_slack"):
+            if field.name in ("margins", "solution"):
                 continue
             a, b = getattr(fresh, field.name), getattr(loaded, field.name)
             if isinstance(a, float):

@@ -223,14 +223,14 @@ class TestSynthesize:
         qmax = float(np.max(c.lyap_inv.diagonal))
         assert c.omega == c.alpha / 2.0
         assert abs(c.gamma - math.sqrt(qmax) * math.exp(c.mu / 2.0)) < 1e-12
-        ref = iss_coefficients(invert_diag(c.lyap_inv), c.mu, c.alpha, 1.0)
+        ref = iss_coefficients(invert_diag(c.lyap_inv), c.mu, c.alpha)
         assert abs(c.kappa - ref.kappa) < 1e-12
 
     def test_gamma_is_the_iss_coefficient(self, demo_certificate):
         # verify recomputes gamma through iss_coefficients; the stored value
         # must be that number exactly, not an algebraically equal one
         c = demo_certificate
-        ref = iss_coefficients(invert_diag(c.lyap_inv), c.mu, c.alpha, 1.0)
+        ref = iss_coefficients(invert_diag(c.lyap_inv), c.mu, c.alpha)
         assert c.gamma == ref.gamma
         assert c.eps == lmi.DEFAULT_EPS
 
@@ -261,7 +261,7 @@ class TestIssCoefficients:
     def test_reported_design_values(self):
         # hand-computed from the quoted design: sqrt(82/12.5) e^{1/2} and
         # sqrt(82) e^{1/2}
-        co = iss_coefficients(invert_diag(DiagMatrix(LYAP_INV)), 1.0, 0.5, 1.0)
+        co = iss_coefficients(invert_diag(DiagMatrix(LYAP_INV)), 1.0, 0.5)
         assert co.omega == 0.25
         assert abs(co.kappa - 4.2229) < 1e-3
         assert abs(co.gamma - 14.930) < 1e-3
@@ -270,23 +270,27 @@ class TestIssCoefficients:
 
     def test_scaling_invariance(self):
         p = DiagMatrix(np.array([0.4, 1.9, 0.02]))
-        a = iss_coefficients(p, 0.7, 0.3, 2.0)
-        b = iss_coefficients(DiagMatrix(4.0 * p.diagonal), 0.7, 0.3, 2.0)
+        a = iss_coefficients(p, 0.7, 0.3)
+        b = iss_coefficients(DiagMatrix(4.0 * p.diagonal), 0.7, 0.3)
         assert abs(a.kappa - b.kappa) < 1e-12  # overshoot ignores scale
         assert abs(b.gamma - a.gamma / 2.0) < 1e-12
 
-    def test_supply_scales_gain_linearly(self):
-        p = DiagMatrix(np.array([1.0, 2.0]))
-        a = iss_coefficients(p, 1.0, 0.5, 1.0)
-        b = iss_coefficients(p, 1.0, 0.5, 3.0)
-        assert abs(b.gamma - 3.0 * a.gamma) < 1e-12
-        assert b.kappa == a.kappa and b.omega == a.omega
-
     def test_validation(self):
         with pytest.raises(ValueError):
-            iss_coefficients(DiagMatrix(np.array([1.0])), 0.0, 0.5, 1.0)
+            iss_coefficients(DiagMatrix(np.array([1.0])), 0.0, 0.5)
         with pytest.raises(ValueError):
-            iss_coefficients(DiagMatrix(np.array([-1.0])), 1.0, 0.5, 1.0)
+            iss_coefficients(DiagMatrix(np.array([-1.0])), 1.0, 0.5)
+
+
+def _same_cells(cells, others) -> bool:
+    """Cells that agree in every field and in every field of the solver's
+    outcome, its point x byte for byte."""
+    def key(cell):
+        sol = cell.solution
+        return (dataclasses.replace(cell, solution=None), None if sol is None else [
+            getattr(sol, f.name) for f in dataclasses.fields(sol) if f.name != "x"]
+            + [sol.x.tobytes()])
+    return [key(c) for c in cells] == [key(c) for c in others]
 
 
 class TestGridSearch:
@@ -362,9 +366,9 @@ class TestGridSearch:
         assert (bad.mu, bad.alpha, bad.status, bad.peak, bad.gamma) == (
             1.0, 0.5, "failed", None, None)
         assert bad.reason.startswith("SolverFailureError: re-checked margins dip")
-        assert bad.newton_steps == honest.cells[3].newton_steps
+        assert bad.solution.newton_steps == honest.cells[3].solution.newton_steps
         assert honest.cells[3].status == "feasible"
-        assert fm.cells[:3] == honest.cells[:3]
+        assert _same_cells(fm.cells[:3], honest.cells[:3])
         assert (fm.best.mu, fm.best.alpha) == (honest.best.mu, honest.best.alpha) == (0.5, 0.1)
 
     def test_failing_batch_fails_every_cell(self, demo_plant, monkeypatch):
@@ -373,7 +377,7 @@ class TestGridSearch:
 
         monkeypatch.setattr(sdp, "minimize_batch", minimize_batch)
         fm = grid_search(demo_plant, [0.5, 1.0], [0.5])
-        assert [(c.status, c.reason, c.newton_steps) for c in fm.cells] == [
+        assert [(c.status, c.reason, c.solution) for c in fm.cells] == [
             ("failed", "FloatingPointError: injected in the batch", None)] * 2
         assert fm.best is None
 
@@ -382,12 +386,12 @@ class TestGridSearch:
         fm = grid_search(demo_plant, mus, alphas)
         designs = {}
         for cell in fm.cells:
-            assert cell.newton_steps[0] > 0
+            assert cell.solution.newton_steps[0] > 0
             try:
                 cert = synthesize(demo_plant, cell.mu, cell.alpha)
             except InfeasibleError:
                 assert cell.status == "infeasible"
-                assert cell.newton_steps[1] == 0
+                assert cell.solution.newton_steps[1] == 0
                 continue
             assert cell.status == "feasible"
             assert cell.peak == pytest.approx(cert.peak, rel=1e-9)
@@ -396,7 +400,9 @@ class TestGridSearch:
         assert (best.mu, best.alpha) == (fm.best.mu, fm.best.alpha) == (0.5, 0.1)
         assert fm.best.peak == pytest.approx(best.peak, rel=1e-9)
         assert fm.best.gamma == pytest.approx(best.gamma, rel=1e-9)
-        assert sum(fm.best.newton_steps) > 0
+        assert sum(fm.best.solution.newton_steps) > 0
+        # the best certificate carries its cell's outcome, not a copy
+        assert fm.best.solution is fm.cells[3].solution
 
     def test_grid_validation(self, demo_plant):
         with pytest.raises(ValueError):

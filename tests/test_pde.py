@@ -192,26 +192,26 @@ class TestLyapunovValue:
 class TestIssBound:
     def test_params_validation(self):
         with pytest.raises(ValueError):
-            IssBoundParams(c1=2.0, c2=1.0, c3=0.5, chi=1.0, x0_norm=1.0)
+            IssBoundParams(c1=2.0, c2=1.0, c3=0.5, x0_norm=1.0)
         with pytest.raises(ValueError):
-            IssBoundParams(c1=1.0, c2=1.0, c3=0.0, chi=1.0, x0_norm=1.0)
+            IssBoundParams(c1=1.0, c2=1.0, c3=0.0, x0_norm=1.0)
 
     def test_initial_point(self):
-        params = IssBoundParams(c1=0.5, c2=2.0, c3=0.5, chi=1.0, x0_norm=3.0)
+        params = IssBoundParams(c1=0.5, c2=2.0, c3=0.5, x0_norm=3.0)
         assert abs(iss_rhs(0.0, params, 0.0) - 2.0 * 3.0) < 1e-14
 
     def test_pure_disturbance_closed_form(self):
-        params = IssBoundParams(c1=0.25, c2=1.0, c3=1.0, chi=2.0, x0_norm=0.0)
+        params = IssBoundParams(c1=0.25, c2=1.0, c3=1.0, x0_norm=0.0)
         for t in (0.5, 2.0, 9.0):
-            want = 2.0 / 0.5 * math.sqrt(t)  # chi/sqrt(c1) * sqrt(t)
+            want = 1.0 / 0.5 * math.sqrt(t)  # sqrt(t) / sqrt(c1)
             assert abs(iss_rhs(t, params, t) - want) < 1e-12
 
     def test_bound_params_from_weight(self):
         p = DiagMatrix(np.array([0.08, 1.0 / 82.0]))
-        params = iss_bound_params(p, 1.0, 0.5, 1.0, 17.3)
+        params = iss_bound_params(p, 1.0, 0.5, 17.3)
         assert abs(params.c1 - math.exp(-1.0) / 82.0) < 1e-15
         assert params.c2 == 0.08
-        assert params.c3 == 0.5 and params.chi == 1.0
+        assert params.c3 == 0.5 and params.x0_norm == 17.3
 
 
 class TestFrechetCheck:

@@ -32,6 +32,7 @@ from . import control, lmi, pde, sdp
 from .control import (
     InfeasibleError,
     Plant,
+    SolverFailureError,
     SynthesisCertificate,
     SynthesisError,
     iss_coefficients,
@@ -385,6 +386,11 @@ def _write_report(out_dir: Path, command: str, digest: str, margins: dict,
 
 
 def cmd_synth(config_path: str, out_override: str | None) -> int:
+    """Design the gain at the config's (mu, alpha) and write certificate.json
+    and synth_report.json, or only the report when the design is infeasible
+    (exit 2) or the solver fails.  A failure's report has status "failed",
+    the reason, mu, alpha, the solver trace and no margins; the error then
+    propagates to `main`, which exits 1."""
     cfg, digest = _load_json(config_path)
     plant = _build_plant(cfg)
     mu, alpha, eps = _design(cfg)
@@ -407,6 +413,11 @@ def cmd_synth(config_path: str, out_override: str | None) -> int:
         print(f"infeasible at mu={mu:g}, alpha={alpha:g} "
               f"(worst margin {worst:.3e})", file=sys.stderr)
         return 2
+    except SolverFailureError as e:
+        _write_report(out_dir, "synth", digest, {}, time.perf_counter() - started, [],
+                      extra={"status": "failed", "reason": str(e), "mu": mu, "alpha": alpha,
+                             **_solver_trace(e.solution)})
+        raise
     timing = time.perf_counter() - started
 
     cert_path = out_dir / "certificate.json"

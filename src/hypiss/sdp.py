@@ -32,7 +32,8 @@ coefficients are all diagonal (positivity of diagonal variables, scalar
 bounds, the peak cap) is a set of elementwise linear rows b + G x > 0 with
 a dual z > 0 of their own, and so is the phase-1 box.  The remaining blocks
 are dense, with their coefficients stacked flat so that evaluating a block
-or assembling its Hessian is one matrix product.
+or assembling its Hessian is one matrix product.  A problem with no dense
+block runs the same steps over an empty stack of them.
 
 Problems are solved as a batch along a leading axis, one cell per
 problem.  Problems of the same structure (entry vector, row count, dense
@@ -173,7 +174,8 @@ class _Cones:
         their coefficients padded the same way over the entries vidx any
         block depends on.  One call then factors or inverts every block,
         and one product gives every value.  base is (cells, J, D, D),
-        vflat (cells, m, J*D*D)."""
+        vflat (cells, m, J*D*D); with no dense block J = D = m = 0, and
+        every product over the stack is empty."""
         ncell, size = len(self.b), max((blk.dim for blk in self.dense), default=0)
         base = np.zeros((ncell, len(self.dense), size, size))
         base[:, :] = np.eye(size)
@@ -211,12 +213,12 @@ class _Cones:
 
     def adjoint(self, mats: np.ndarray, rowvals: np.ndarray) -> np.ndarray:
         """A*(mats) + G^T rowvals: entry k gets sum_j <A_jk, mats_j> plus
-        sum_i G_ik rowvals_i, one row per cell.  The padding of mats is
-        never read, and neither is its antisymmetric part."""
+        sum_i G_ik rowvals_i, one row per cell, with mats padded as
+        `values` is.  The padding of mats is never read, and neither is its
+        antisymmetric part."""
         out = (rowvals[:, None, :] @ self.g)[:, 0]
-        if self.dense:
-            _, vidx, vflat = self.padded
-            out[:, vidx] += (vflat @ mats.reshape(len(out), -1, 1))[:, :, 0]
+        _, vidx, vflat = self.padded
+        out[:, vidx] += (vflat @ mats.reshape(len(out), vflat.shape[2], 1))[:, :, 0]
         return out
 
 
@@ -251,20 +253,14 @@ def _stack(cells: list[_Cones], refs: tuple) -> _Cones:
     differ between cells depends on their union in every cell, ordered by
     entry reference as lmi orders terms, with zero coefficients where a
     cell has none."""
-    if len(cells) == 1:
-        return cells[0]
     dense = []
     for blocks in zip(*(c.dense for c in cells)):
-        idx = blocks[0].idx
-        if all(np.array_equal(blk.idx, idx) for blk in blocks):
-            flat = np.concatenate([blk.flat for blk in blocks])
-        else:
-            union = set().union(*(blk.idx.tolist() for blk in blocks))
-            idx = np.array(sorted(union, key=refs.__getitem__))
-            where = {v: k for k, v in enumerate(idx.tolist())}
-            flat = np.zeros((len(blocks), idx.size, blocks[0].flat.shape[2]))
-            for c, blk in enumerate(blocks):
-                flat[c, [where[v] for v in blk.idx.tolist()]] = blk.flat[0]
+        union = set().union(*(blk.idx.tolist() for blk in blocks))
+        idx = np.array(sorted(union, key=refs.__getitem__), dtype=int)
+        where = {v: k for k, v in enumerate(idx.tolist())}
+        flat = np.zeros((len(blocks), idx.size, blocks[0].flat.shape[2]))
+        for c, blk in enumerate(blocks):
+            flat[c, [where[v] for v in blk.idx.tolist()]] = blk.flat[0]
         dense.append(_Dense.make(np.concatenate([blk.base for blk in blocks]), idx, flat))
     return _Cones(np.concatenate([c.b for c in cells]),
                   np.concatenate([c.g for c in cells]), tuple(dense))
@@ -321,11 +317,7 @@ def _phase1(cones: _Cones, x0: np.ndarray):
     # augmented problem at slack 0 (the box rows are far from binding)
     xs = np.concatenate([x0, np.zeros((ncell, 1))], axis=1)
     floor = np.maximum(0.0, -aug.rows(xs).min(axis=1, initial=np.inf))
-    if cones.dense:
-        s = aug.values(xs)
-        eig = np.linalg.eigvalsh((s + s.transpose(0, 1, 3, 2)) / 2.0)
-        floor = np.maximum(floor, -eig.min(axis=(1, 2)))
-    xs[:, n] = floor + 1.0
+    xs[:, n] = np.maximum(floor, -_lowest(aug.values(xs))) + 1.0
 
     unit = np.zeros((ncell, n + 1))
     unit[:, n] = 1.0
@@ -334,8 +326,7 @@ def _phase1(cones: _Cones, x0: np.ndarray):
     return xs[:, :n], xs[:, n], steps, outcome
 
 
-def _hkm(cones: _Cones, zr: np.ndarray, lsi: np.ndarray | None,
-         lz: np.ndarray | None) -> np.ndarray:
+def _hkm(cones: _Cones, zr: np.ndarray, lsi: np.ndarray, lz: np.ndarray) -> np.ndarray:
     """The HKM Schur complement M_kl = sum_j tr(A_jk S_j^-1 A_jl Z_j)
     + sum_i G_ik (z_i / r_i) G_il, one matrix per cell, with zr = z / r,
     lsi = L_S^-1 and lz = L_Z for the Cholesky factors of S and Z.
@@ -361,24 +352,22 @@ def _hkm(cones: _Cones, zr: np.ndarray, lsi: np.ndarray | None,
 
 def _lowest(m: np.ndarray) -> np.ndarray:
     """The smallest eigenvalue of each cell's stack of symmetric matrices,
-    NaN for a cell with an entry that is not finite."""
+    +inf for an empty stack and NaN for a cell with an entry that is not
+    finite."""
     ok = np.isfinite(m).all(axis=(1, 2, 3))
-    low = np.linalg.eigvalsh(np.where(ok[:, None, None, None], m, 0.0)).min(axis=(1, 2))
+    low = np.linalg.eigvalsh(np.where(ok[:, None, None, None], m, 0.0)).min(
+        axis=(1, 2), initial=np.inf)
     return np.where(ok, low, np.nan)
 
 
-def _reach(li: np.ndarray | None, dmat: np.ndarray | None, v: np.ndarray,
-           dv: np.ndarray) -> np.ndarray:
+def _reach(li: np.ndarray, dmat: np.ndarray, v: np.ndarray, dv: np.ndarray) -> np.ndarray:
     """1 / alpha_max per cell, where alpha_max is the longest step that keeps
     the rows v + alpha dv and the blocks L L^T + alpha dmat positive
-    semidefinite, with li = L^-1 (no dense blocks: None); 0 where no step
-    leaves them.  A block reaches its boundary at -1 / min eig(li dmat
-    li^T).  NaN for a cell with a factor or a direction that is not
-    finite."""
+    semidefinite, with li = L^-1; 0 where no step leaves them.  A block
+    reaches its boundary at -1 / min eig(li dmat li^T).  NaN for a cell
+    with a factor or a direction that is not finite."""
     s = (dv / v).min(axis=1, initial=0.0) * -1.0
-    if li is not None:
-        s = np.maximum(s, -_lowest(li @ dmat @ li.transpose(0, 1, 3, 2)))
-    return s
+    return np.maximum(s, -_lowest(li @ dmat @ li.transpose(0, 1, 3, 2)))
 
 
 def _primal_dual(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndarray,
@@ -406,7 +395,8 @@ def _primal_dual(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndar
     _STEP_FRACTION of the way to their boundaries, capped at 1.
     S = S(x) and r = r(x) are formed from x at every step, never updated.
     Each padded block keeps I in the padding of Z, so L_S^T Z L_S is I
-    there, and dZ is zero there.
+    there, and dZ is zero there.  With no dense block, S, Z and their
+    factors are empty stacks, whose smallest eigenvalue reads +inf.
 
     M's smallest eigenvalues, relative to its diagonal, shrink like mu^2
     in the directions the optimal face leaves free, so M is factored with
@@ -446,14 +436,12 @@ def _primal_dual(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndar
     dual_tol = _GAP_TOL * np.maximum(1.0, np.abs(cvec).max(axis=1, initial=0.0))
 
     zrow = 1.0 / cones.rows(x)
-    zmat = inner = None
-    if cones.dense:
-        base = cones.padded[0]
-        inner = np.zeros(base.shape[1:], dtype=bool)
-        for j, blk in enumerate(cones.dense):
-            inner[j, :blk.dim, :blk.dim] = True
-        zmat = np.where(inner, _each(np.linalg.inv, cones.values(x)), base)
-        slack_eye = np.where(inner, np.eye(base.shape[-1]), 0.0)
+    base = cones.padded[0]
+    inner = np.zeros(base.shape[1:], dtype=bool)
+    for j, blk in enumerate(cones.dense):
+        inner[j, :blk.dim, :blk.dim] = True
+    zmat = np.where(inner, _each(np.linalg.inv, cones.values(x)), base)
+    slack_eye = np.where(inner, np.eye(base.shape[-1]), 0.0)
 
     def measure(x, zmat, zrow, bad):
         """r(x) (NaN where a row is not positive), S(x), the gap, and the
@@ -462,11 +450,8 @@ def _primal_dual(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndar
         slack of the cells that end feasible at the pinned point."""
         r = cones.rows(x)
         r = np.where(r > 0.0, r, np.nan)
-        gap = (r * zrow).sum(axis=1)
-        smat = None
-        if cones.dense:
-            smat = cones.values(x)
-            gap += (smat * zmat)[:, inner].sum(axis=1)
+        smat = cones.values(x)
+        gap = (r * zrow).sum(axis=1) + (smat * zmat)[:, inner].sum(axis=1)
         rd = cvec - cones.adjoint(zmat, zrow)
         dual = np.abs(rd).max(axis=1, initial=0.0) < dual_tol
         optimal = dual & (gap < _GAP_TOL)
@@ -477,9 +462,8 @@ def _primal_dual(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndar
                                       (optimal, Status.OPTIMAL))
         s = x[:, -1]
         shift = np.minimum(s, _EXIT_SLACK) - s
-        pinned = (steps > 0) & (r + cones.g[:, :, -1] * shift[:, None] > 0.0).all(axis=1)
-        if cones.dense:
-            pinned &= _lowest(smat + shift[:, None, None, None] * slack_eye) > 0.0
+        pinned = (steps > 0) & (r + cones.g[:, :, -1] * shift[:, None] > 0.0).all(axis=1) & (
+            _lowest(smat + shift[:, None, None, None] * slack_eye) > 0.0)
         feasible = pinned | optimal & (s < 0.0)
         settled = optimal | dual & (s - gap > _INFEASIBLE_SLACK)
         ends = ((feasible, None), (settled & (s > _INFEASIBLE_SLACK), Status.INFEASIBLE),
@@ -500,24 +484,20 @@ def _primal_dual(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndar
                 x_out[c], steps_out[c], gap_out[c] = x[i], steps[i], gap[i]
                 outcome[c] = next(how for hit, how in ends if hit[i])
             keep = ~ended
-            cell, x, zrow, r, gap, rd, steps, cvec, budget, dual_tol, centering = (
-                a[keep] for a in (cell, x, zrow, r, gap, rd, steps, cvec, budget, dual_tol,
-                                  centering))
+            cell, x, zrow, zmat, r, smat, gap, rd, steps, cvec, budget, dual_tol, centering = (
+                a[keep] for a in (cell, x, zrow, zmat, r, smat, gap, rd, steps, cvec, budget,
+                                  dual_tol, centering))
             cones = cones.take(keep)
-            if cones.dense:
-                zmat, smat = zmat[keep], smat[keep]
         if not cell.size:
             return x_out, steps_out, outcome, [
                 float(v) if np.isfinite(v) else None for v in gap_out]
 
         g, rinv = cones.g, 1.0 / r
-        ls = lsi = lz = lzi = sinv = None
-        if cones.dense:
-            ls = _each(np.linalg.cholesky, smat)
-            lsi = _each(np.linalg.inv, ls)
-            lz = _each(np.linalg.cholesky, zmat)
-            lzi = _each(np.linalg.inv, lz)
-            sinv = lsi.transpose(0, 1, 3, 2) @ lsi
+        ls = _each(np.linalg.cholesky, smat)
+        lsi = _each(np.linalg.inv, ls)
+        lz = _each(np.linalg.cholesky, zmat)
+        lzi = _each(np.linalg.inv, lz)
+        sinv = lsi.transpose(0, 1, 3, 2) @ lsi
         m = _hkm(cones, zrow * rinv, lsi, lz)
         k = np.arange(m.shape[1])
         m[:, k, k] *= 1.0 + _RIDGE
@@ -529,12 +509,10 @@ def _primal_dual(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndar
             dx = (lm.transpose(0, 2, 1) @ (lm @ rhs[:, :, None]))[:, :, 0]
             dr = (g @ dx[:, :, None])[:, :, 0]
             dz = (smu[:, None] - zrow * dr - crow) * rinv - zrow
-            ds = dzm = None
-            if cones.dense:
-                ds = cones.span(dx)
-                t = sinv @ ds @ zmat + cmat
-                dzm = smu[:, None, None, None] * sinv - zmat - (t + t.transpose(0, 1, 3, 2)) / 2.0
-                dzm[:, ~inner] = 0.0
+            ds = cones.span(dx)
+            t = sinv @ ds @ zmat + cmat
+            dzm = smu[:, None, None, None] * sinv - zmat - (t + t.transpose(0, 1, 3, 2)) / 2.0
+            dzm[:, ~inner] = 0.0
             return dx, dr, ds, dz, dzm
 
         def lengths(dr, ds, dz, dzm, frac):
@@ -547,29 +525,27 @@ def _primal_dual(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndar
             near = centering & (
                 np.abs(rd).max(axis=1, initial=0.0) < _CENTERED_DUAL * dual_tol) & (
                 (zrow * r).min(axis=1, initial=np.inf) >= _CENTERED)
-            if cones.dense and near.any():
+            if near.any():
                 lzl = ls[near].transpose(0, 1, 3, 2) @ zmat[near] @ ls[near]
                 near[near] = _lowest(lzl) >= _CENTERED
             centering &= ~near
 
         # a centering cell aims at mu = 1 with no second-order terms
         smu, crow = np.ones(len(x)), np.zeros_like(r)
-        cmat = None if sinv is None else np.zeros_like(sinv)
+        cmat = np.zeros_like(sinv)
         if not centering.all():
             # predictor: the affine-scaling direction, aiming at mu = 0
             dx, dr, ds, dz, dzm = direction(-cvec, np.zeros(len(x)), 0.0, 0.0)
             ap, ad = lengths(dr, ds, dz, dzm, 1.0)
-            gap_aff = ((r + ap[:, None] * dr) * (zrow + ad[:, None] * dz)).sum(axis=1)
-            if cones.dense:
-                gap_aff += ((smat + ap[:, None, None, None] * ds)
-                            * (zmat + ad[:, None, None, None] * dzm))[:, inner].sum(axis=1)
+            gap_aff = ((r + ap[:, None] * dr) * (zrow + ad[:, None] * dz)).sum(axis=1) + (
+                (smat + ap[:, None, None, None] * ds)
+                * (zmat + ad[:, None, None, None] * dzm))[:, inner].sum(axis=1)
             aim = np.maximum((gap_aff / gap) ** 3 * gap, _GAP_FLOOR * _GAP_TOL) / nu
 
             # corrector: aim at sigma mu, with the predictor's second-order terms
             smu = np.where(centering, smu, aim)
             crow = np.where(centering[:, None], 0.0, dr * dz)
-            if cones.dense:
-                cmat = np.where(centering[:, None, None, None], 0.0, sinv @ ds @ dzm)
+            cmat = np.where(centering[:, None, None, None], 0.0, sinv @ ds @ dzm)
         rhs = smu[:, None] * cones.adjoint(sinv, rinv) - cvec - cones.adjoint(cmat, crow * rinv)
         dx, dr, ds, dz, dzm = direction(rhs, smu, crow, cmat)
         if phase1:
@@ -582,8 +558,7 @@ def _primal_dual(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndar
         move = np.isfinite(ad) & np.isfinite(xn).all(axis=1)
         x = np.where(move[:, None], xn, x)
         zrow = np.where(move[:, None], zrow + ad[:, None] * dz, zrow)
-        if cones.dense:
-            zmat = np.where(move[:, None, None, None], zmat + ad[:, None, None, None] * dzm, zmat)
+        zmat = np.where(move[:, None, None, None], zmat + ad[:, None, None, None] * dzm, zmat)
         steps += move
         r, smat, gap, rd, ends = measure(x, zmat, zrow, ~move)
 

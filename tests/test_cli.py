@@ -162,6 +162,34 @@ class TestSynth:
                          "--out", str(tmp_path / "o")]) == 2
         assert len(calls) == 1
 
+    def test_solver_failure_writes_a_report_and_exits_1(self, tmp_path, monkeypatch, capsys):
+        real, failed = sdp.minimize, []
+
+        def fail(sf):
+            failed.append(dataclasses.replace(
+                real(sf), status=sdp.Status.NUMERICAL_FAILURE, objective=None))
+            return failed[-1]
+
+        monkeypatch.setattr(sdp, "minimize", fail)
+        out = tmp_path / "o"
+        code = cli.main(["synth", "--config", _write_config(tmp_path, _design_config()),
+                         "--out", str(out)])
+        assert code == 1
+        reason = "solver reported numerical_failure at mu=1.0, alpha=0.5"
+        assert capsys.readouterr().err == f"solver error: {reason}\n"
+        assert [p.name for p in out.iterdir()] == ["synth_report.json"]
+        report = json.loads((out / "synth_report.json").read_text())
+        assert report["status"] == "failed"
+        assert report["reason"] == reason
+        assert (report["mu"], report["alpha"]) == (1.0, 0.5)
+        assert report["margins"] == {}
+        assert report["certificate"] is None
+        assert report["manifest"] == ["synth_report.json"]
+        [solution] = failed
+        trace = cli._solver_trace(solution)
+        assert {k: report[k] for k in trace} == trace
+        assert report["duality_gap"] is not None
+
     def test_invalid_json_exits_1(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -93,6 +93,16 @@ def _hyperbola_problem():
         objective=((("c", 0), 1.0),)))
 
 
+def _rows_only_problem(objective):
+    """x >= 1, y >= 0 and x + y >= 3: rows only, no dense block."""
+    vx, vy = VarSpec.scalar("x"), VarSpec.scalar("y")
+    x, y = MatExpr.from_var(vx), MatExpr.from_var(vy)
+    return lmi.vectorize(LmiProblem((vx, vy), (
+        Constraint(x - np.array([[1.0]]), GEQ, "x", eps=0.0),
+        Constraint(y, GEQ, "y", eps=0.0),
+        Constraint(x + y - np.array([[3.0]]), GEQ, "sum", eps=0.0)), objective=objective))
+
+
 def _phase1(sf):
     """Phase 1 alone on one standard form: its outcome (None when it found a
     feasible point) and its last x."""
@@ -311,19 +321,12 @@ class TestStructure:
 
     def test_rows_only_problem(self):
         # min 2x + y with x >= 1, y >= 0, x + y >= 3: optimum 4 at (1, 2)
-        vx, vy = VarSpec.scalar("x"), VarSpec.scalar("y")
-        x = MatExpr.from_var(vx)
-        y = MatExpr.from_var(vy)
-        cons = (Constraint(x - np.array([[1.0]]), GEQ, "x", eps=0.0),
-                Constraint(y, GEQ, "y", eps=0.0),
-                Constraint(x + y - np.array([[3.0]]), GEQ, "sum",
-                           eps=0.0))
-        feas = lmi.vectorize(LmiProblem((vx, vy), cons))
+        feas = _rows_only_problem(((("x", 0), 2.0), (("y", 0), 1.0)))
         assert sdp._cones(feas).dense == ()
         found, x = _phase1(feas)
         assert found is None
         assert _worst_margin(feas, x) > 0.0
-        sol = sdp.minimize(dataclasses.replace(feas, objective=np.array([2.0, 1.0])))
+        sol = sdp.minimize(feas)
         assert sol.status is Status.OPTIMAL
         assert sol.objective == pytest.approx(4.0, abs=1e-6)
         assert sol.x[feas.refs.index(("x", 0))] == pytest.approx(1.0, abs=1e-5)
@@ -449,15 +452,25 @@ class TestBatch:
         assert a.newton_steps[0] > 0 and a.newton_steps[1] > 0
         assert np.array_equal(a.x, b.x)
 
-    @pytest.mark.parametrize("objective", ["y", "c"])
-    def test_failing_cell_leaves_its_stack_mates_alone(self, objective):
-        healthy, failing = _hyperbola_problem(), _free_entry_problem(objective)
+    @pytest.mark.parametrize("case", ["y", "c", "rows"])
+    def test_failing_cell_leaves_its_stack_mates_alone(self, case):
+        # min y or min c beside a dense block, or min -x with rows only: the
+        # failing cells leave the phase-1 box and the stack before the
+        # healthy ones end, so the stack, an empty block stack included, is
+        # compacted mid-run
+        if case == "rows":
+            healthy = _rows_only_problem(((("x", 0), 2.0), (("y", 0), 1.0)))
+            failing = _rows_only_problem(((("x", 0), -1.0),))
+            assert sdp._cones(healthy).dense == ()
+        else:
+            healthy, failing = _hyperbola_problem(), _free_entry_problem(case)
         assert sdp._structure(healthy, sdp._cones(healthy)) == \
             sdp._structure(failing, sdp._cones(failing))
         alone = sdp.minimize(healthy)
         assert alone.status is Status.OPTIMAL
         batch = sdp.minimize_batch([failing, healthy, failing, healthy])
         assert [sol.status for sol in batch[::2]] == [Status.NUMERICAL_FAILURE] * 2
+        assert sum(batch[0].newton_steps) < sum(alone.newton_steps)
         for sol in batch[1::2]:
             assert sol.status is alone.status
             assert sol.objective == alone.objective

@@ -5,8 +5,10 @@ gain for the plant in a JSON config and writes the certificate, ``grid``
 sweeps the design over (mu, alpha) weight grids into a feasibility map CSV,
 ``simulate`` runs the closed loop and writes trajectory CSVs, and
 ``verify`` recomputes every certified inequality for a stored certificate.
-Every command writes a JSON run report with a config digest and a manifest
-of the files it produced.
+Every command writes a JSON run report with a config digest, a status and
+a manifest of the files it produced, also when a design is infeasible, the
+solver fails or a simulation blows up.  A config error is found before the
+output directory is made, so it writes nothing.
 
 Exit status is 0 on success, 2 when a design is infeasible or a
 verification fails, and 1 on any operational error.  CSV output is
@@ -104,31 +106,16 @@ def _integer(d: dict, path: str, key: str, minimum: int) -> int:
     return v
 
 
-def _vector(d: dict, path: str, key: str) -> np.ndarray:
+def _array(d: dict, path: str, key: str, ndim: int) -> np.ndarray:
+    """A nonempty numeric array of `ndim` dimensions.  A NaN or infinite
+    entry, which JSON parsing lets through, is a ConfigError."""
     v = _get(d, path, key)
     try:
         arr = np.asarray(v, dtype=float)
     except (TypeError, ValueError):
         raise ConfigError(f"{path}.{key}: expected a numeric array") from None
-    if arr.ndim != 1 or arr.size == 0:
-        raise ConfigError(f"{path}.{key}: expected a nonempty 1-D array")
-    return _finite(arr, path, key)
-
-
-def _matrix(d: dict, path: str, key: str) -> np.ndarray:
-    v = _get(d, path, key)
-    try:
-        arr = np.asarray(v, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path}.{key}: expected a numeric matrix") from None
-    if arr.ndim != 2 or arr.size == 0:
-        raise ConfigError(f"{path}.{key}: expected a row-major 2-D array")
-    return _finite(arr, path, key)
-
-
-def _finite(arr: np.ndarray, path: str, key: str) -> np.ndarray:
-    """arr itself; a NaN or infinite entry, which JSON parsing lets
-    through, is a ConfigError."""
+    if arr.ndim != ndim or arr.size == 0:
+        raise ConfigError(f"{path}.{key}: expected a nonempty {ndim}-D array")
     if not np.all(np.isfinite(arr)):
         raise ConfigError(f"{path}.{key}: entries must be finite")
     return arr
@@ -152,32 +139,29 @@ def _load_json(path: str) -> tuple[dict, str]:
 
 def _build_plant(cfg: dict) -> Plant:
     block = _section(cfg, "plant")
-    speeds = _vector(block, "plant", "lambda")
+    speeds = _array(block, "plant", "lambda", 1)
     with _as_config_error("plant"):
         return Plant(
             speeds=DiagMatrix(speeds),
-            reflection=Matrix(_matrix(block, "plant", "H")),
-            input_map=Matrix(_matrix(block, "plant", "B")),
-            disturbance_map=Matrix(_matrix(block, "plant", "N")),
-            u_max=_vector(block, "plant", "u_max"),
+            reflection=Matrix(_array(block, "plant", "H", 2)),
+            input_map=Matrix(_array(block, "plant", "B", 2)),
+            disturbance_map=Matrix(_array(block, "plant", "N", 2)),
+            u_max=_array(block, "plant", "u_max", 1),
         )
 
 
-def _design(cfg: dict) -> tuple[float, float, float]:
-    """The scalar design weights mu and alpha and the slack eps."""
+def _design(cfg: dict, weight) -> tuple:
+    """The design weights mu and alpha, each read by `weight`
+    (`_scalar_weight` or `_grid_weight`), and the slack eps."""
     design = _section(cfg, "design")
-    return (_scalar_weight(design, "mu"), _scalar_weight(design, "alpha"),
+    return (weight(design, "mu"), weight(design, "alpha"),
             _number(design, "design", "epsilon", positive=True, default=lmi.DEFAULT_EPS))
 
 
 def _scalar_weight(design: dict, key: str) -> float:
-    v = _get(design, "design", key)
-    if isinstance(v, dict):
+    if isinstance(design.get(key), dict):
         raise ConfigError(f"design.{key}: expected a scalar, got a grid")
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not (
-            v > 0.0 and math.isfinite(v)):
-        raise ConfigError(f"design.{key}: expected a positive finite number")
-    return float(v)
+    return _number(design, "design", key, positive=True)
 
 
 def _grid_weight(design: dict, key: str) -> np.ndarray:
@@ -192,7 +176,14 @@ def _grid_weight(design: dict, key: str) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
-def _signal(block: dict, path: str) -> SignalSpec:
+def _signal(parent: dict, key: str) -> SignalSpec | None:
+    """The signal in parent[key], None when it is missing or null."""
+    block = parent.get(key)
+    if block is None:
+        return None
+    path = f"simulation.{key}"
+    if not isinstance(block, dict):
+        raise ConfigError(f"{path}: expected a signal object")
     kind = _get(block, path, "kind")
     with _as_config_error(path):
         if kind == pde.ZERO:
@@ -206,37 +197,36 @@ def _signal(block: dict, path: str) -> SignalSpec:
         if kind == pde.COSINE_PROFILE:
             return SignalSpec.cosine_profile(
                 _number(block, path, "amplitude"),
-                _vector(block, path, "frequencies"))
+                _array(block, path, "frequencies", 1))
         if kind == pde.TABULATED:
-            return SignalSpec.tabulated(_vector(block, path, "grid"),
-                                        _matrix(block, path, "values"))
+            return SignalSpec.tabulated(_array(block, path, "grid", 1),
+                                        _array(block, path, "values", 2))
     raise ConfigError(f"{path}.kind: unknown signal kind {kind!r}")
 
 
-def _optional_signal(block: dict, path: str, key: str) -> SignalSpec | None:
-    if key not in block or block[key] is None:
-        return None
-    v = block[key]
-    if not isinstance(v, dict):
-        raise ConfigError(f"{path}.{key}: expected a signal object")
-    return _signal(v, f"{path}.{key}")
-
-
-def _build_sim_config(cfg: dict, keep_snapshots: bool) -> SimConfig:
+def _build_sim_config(cfg: dict, plant: Plant, keep_snapshots: bool) -> SimConfig:
+    """The simulation section; a disturbance must have the plant's q
+    components and an initial state its n."""
     block = _section(cfg, "simulation")
     stride = block.get("snapshot_stride")
     if stride is not None:
         stride = _integer(block, "simulation", "snapshot_stride", 1)
     with _as_config_error("simulation"):
-        return SimConfig(
+        sim_cfg = SimConfig(
             grid=Grid(_integer(block, "simulation", "M", 8)),
             t_final=_number(block, "simulation", "t_final", positive=True),
             cfl=_number(block, "simulation", "cfl", positive=True, default=0.9),
-            disturbance=_optional_signal(block, "simulation", "disturbance"),
-            initial=_optional_signal(block, "simulation", "initial"),
+            disturbance=_signal(block, "disturbance"),
+            initial=_signal(block, "initial"),
             snapshot_stride=stride,
             keep_snapshots=keep_snapshots,
         )
+    for key, count in (("disturbance", plant.q), ("initial", plant.n)):
+        spec = getattr(sim_cfg, key)
+        if spec is not None and spec.components != count:
+            raise ConfigError(f"simulation.{key}: expected {count} components "
+                              f"for this plant, got {spec.components}")
+    return sim_cfg
 
 
 def _output_settings(cfg: dict, out_override: str | None) -> tuple[Path, dict]:
@@ -321,7 +311,7 @@ def _load_certificate(path: str, plant: Plant) -> SynthesisCertificate:
     design.  A genuine certificate's coupling is exactly symmetric, so one
     that is not is refused rather than symmetrized."""
     data, _ = _load_json(path)
-    coupling = _matrix(data, "certificate", "coupling")
+    coupling = _array(data, "certificate", "coupling", 2)
     if not np.array_equal(coupling, coupling.T):
         raise ConfigError("certificate.coupling: expected a symmetric matrix")
     with _as_config_error("certificate"):
@@ -331,10 +321,10 @@ def _load_certificate(path: str, plant: Plant) -> SynthesisCertificate:
             peak=_number(data, "certificate", "peak", positive=True),
             eps=_number(data, "certificate", "epsilon", positive=True,
                         default=lmi.DEFAULT_EPS),
-            gain=Matrix(_matrix(data, "certificate", "gain")),
-            lyap_inv=DiagMatrix(_vector(data, "certificate", "lyap_inv")),
-            sector_inv=DiagMatrix(_vector(data, "certificate", "sector_inv")),
-            gain_scaled=Matrix(_matrix(data, "certificate", "gain_scaled")),
+            gain=Matrix(_array(data, "certificate", "gain", 2)),
+            lyap_inv=DiagMatrix(_array(data, "certificate", "lyap_inv", 1)),
+            sector_inv=DiagMatrix(_array(data, "certificate", "sector_inv", 1)),
+            gain_scaled=Matrix(_array(data, "certificate", "gain_scaled", 2)),
             coupling=SymMatrix(coupling),
             gamma=_number(data, "certificate", "gamma", positive=True),
             omega=_number(data, "certificate", "omega", positive=True),
@@ -393,7 +383,7 @@ def cmd_synth(config_path: str, out_override: str | None) -> int:
     propagates to `main`, which exits 1."""
     cfg, digest = _load_json(config_path)
     plant = _build_plant(cfg)
-    mu, alpha, eps = _design(cfg)
+    mu, alpha, eps = _design(cfg, _scalar_weight)
     out_dir, _ = _output_settings(cfg, out_override)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -435,10 +425,7 @@ def cmd_synth(config_path: str, out_override: str | None) -> int:
 def cmd_grid(config_path: str, out_override: str | None) -> int:
     cfg, digest = _load_json(config_path)
     plant = _build_plant(cfg)
-    design = _section(cfg, "design")
-    mu_grid = _grid_weight(design, "mu")
-    alpha_grid = _grid_weight(design, "alpha")
-    eps = _number(design, "design", "epsilon", positive=True, default=lmi.DEFAULT_EPS)
+    mu_grid, alpha_grid, eps = _design(cfg, _grid_weight)
     out_dir, _ = _output_settings(cfg, out_override)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -490,7 +477,7 @@ def _gain_and_certificate(gain_source: str, cfg: dict, plant: Plant
     if gain_source == "zero":
         return Matrix(np.zeros((plant.m, plant.n))), None
     if gain_source == "auto":
-        mu, alpha, eps = _design(cfg)
+        mu, alpha, eps = _design(cfg, _scalar_weight)
         cert = synthesize(plant, mu, alpha, eps=eps)
     else:
         cert = _load_certificate(gain_source, plant)
@@ -502,7 +489,7 @@ def cmd_simulate(config_path: str, out_override: str | None,
     cfg, digest = _load_json(config_path)
     plant = _build_plant(cfg)
     out_dir, toggles = _output_settings(cfg, out_override)
-    sim_cfg = _build_sim_config(cfg, keep_snapshots=toggles["snapshots"])
+    sim_cfg = _build_sim_config(cfg, plant, keep_snapshots=toggles["snapshots"])
     gain, cert = _gain_and_certificate(gain_source, cfg, plant)
     lyap = None if cert is None else invert_diag(cert.lyap_inv)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -512,6 +499,9 @@ def cmd_simulate(config_path: str, out_override: str | None,
         traj = simulate(plant, gain, sim_cfg,
                         lyapunov=None if cert is None else (lyap, cert.mu))
     except BlowUpError as e:
+        _write_report(out_dir, "simulate", digest, {}, time.perf_counter() - started, [],
+                      extra={"status": "blew_up", "blowup_time": e.time,
+                             "gain_source": gain_source})
         print(f"simulation blew up at t = {e.time:.6g}", file=sys.stderr)
         return 1
     timing = time.perf_counter() - started

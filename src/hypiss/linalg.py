@@ -21,24 +21,12 @@ _MINUS_PLUS = np.array([[-1.0], [1.0]])
 _TINY = 1e-300  # keeps 0/0 out of a padded or already-diagonal pair
 
 
-class LinalgError(Exception):
-    """Base class for numerical failures raised by this module."""
-
-
-class ConvergenceError(LinalgError):
+class ConvergenceError(Exception):
     """Iteration cap reached before the requested accuracy."""
 
 
-class SingularMatrixError(LinalgError):
-    """Singular or numerically singular input.
-
-    ``condition`` carries a condition-number estimate when one is available
-    (may be ``inf``).
-    """
-
-    def __init__(self, message: str, condition: float | None = None):
-        super().__init__(message)
-        self.condition = condition
+class SingularMatrixError(Exception):
+    """Singular or numerically singular input."""
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -228,6 +216,5 @@ def invert_diag(d: DiagMatrix) -> DiagMatrix:
     """Entrywise inverse of a diagonal matrix."""
     dd = d.diagonal
     if np.any(dd == 0.0):
-        raise SingularMatrixError("diagonal matrix has a zero entry",
-                                  condition=float("inf"))
+        raise SingularMatrixError("diagonal matrix has a zero entry")
     return DiagMatrix(1.0 / dd)

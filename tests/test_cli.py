@@ -473,10 +473,47 @@ class TestSimulate:
         cfg["plant"]["H"] = [[0.0, 1000.0], [1000.0, 0.0]]
         cfg["simulation"]["M"] = 16
         cfg["simulation"]["t_final"] = 150.0
+        out = tmp_path / "o"
         code = cli.main(["simulate", "--config", _write_config(tmp_path, cfg),
-                         "--out", str(tmp_path / "o"), "--gain", "zero"])
+                         "--out", str(out), "--gain", "zero"])
         assert code == 1
-        assert "blew up at t" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "blew up at t" in err
+        # the run still says why it ended, with the time at full precision
+        report = json.loads((out / "simulate_report.json").read_text())
+        assert report["status"] == "blew_up"
+        assert report["gain_source"] == "zero"
+        assert f"blew up at t = {report['blowup_time']:.6g}" in err
+        assert 0.0 < report["blowup_time"] < 150.0
+        assert report["manifest"] == ["simulate_report.json"]
+        assert sorted(p.name for p in out.iterdir()) == ["simulate_report.json"]
+
+    @pytest.mark.parametrize("path, value", [
+        (("plant", "lambda"), [[1.0, 2.0]]),
+        (("plant", "H"), [0.25, 0.0]),
+        (("plant", "B"), []),
+        (("plant", "N"), "x"),
+        (("design", "mu"), True),
+        (("design", "mu"), -1),
+        (("simulation", "initial"), "zero"),
+        (("simulation", "disturbance", "kind"), "square_wave"),
+        (("simulation", "disturbance"), {"kind": "zero", "components": 3}),
+        (("simulation", "initial"), {"kind": "zero", "components": 3}),
+    ])
+    def test_malformed_value_is_config_error(self, tmp_path, capsys, path, value):
+        # each is found before the auto gain is designed and the output made,
+        # a signal whose component count does not fit the plant included
+        cfg = _design_config()
+        block = cfg
+        for key in path[:-1]:
+            block = block[key]
+        block[path[-1]] = value
+        out = tmp_path / "o"
+        code = cli.main(["simulate", "--config", _write_config(tmp_path, cfg),
+                         "--out", str(out)])
+        assert code == 1
+        assert f"config error: {'.'.join(path)}: " in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("path, value", [
         (("simulation", "disturbance", "amplitude"), math.nan),

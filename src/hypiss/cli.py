@@ -5,15 +5,15 @@ gain for the plant in a JSON config and writes the certificate, ``grid``
 sweeps the design over (mu, alpha) weight grids into a feasibility map CSV,
 ``simulate`` runs the closed loop and writes trajectory CSVs, and
 ``verify`` recomputes every certified inequality for a stored certificate.
-Every command writes a JSON run report with a config digest, a status and
-a manifest of the files it produced, also when a design is infeasible, the
-solver fails or a simulation blows up.  A config error is found before the
-output directory is made, so it writes nothing.
-
-Exit status is 0 on success, 2 when a design is infeasible or a
-verification fails, and 1 on any operational error.  CSV output is
-deterministic: rerunning a command with the same config yields
-byte-identical files.
+A command reads its whole config before it makes the output directory, so
+a config error writes nothing.  Every command then ends in `_finish`: it
+writes a JSON run report with a config digest, a status and a manifest of
+the files made, also when a design is infeasible, the solver fails or a
+simulation blows up, and returns the exit code of that status from
+`_EXIT_CODES`: 0 on success, 2 for an infeasible design or a failed
+verification, 1 for a solver failure or a blow-up.  Any other error exits
+1.  CSV output is deterministic: rerunning a command with the same config
+yields byte-identical files.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from . import control, lmi, pde, sdp
 from .control import (
     InfeasibleError,
     Plant,
-    SolverFailureError,
     SynthesisCertificate,
     SynthesisError,
     iss_coefficients,
@@ -173,7 +172,10 @@ def _grid_weight(design: dict, key: str) -> np.ndarray:
     count = _integer(v, f"design.{key}", "count", 1)
     if count > 1 and hi <= lo:
         raise ConfigError(f"design.{key}.max: must exceed min")
-    return np.linspace(lo, hi, count)
+    grid = np.linspace(lo, hi, count)
+    if np.any(np.diff(grid) <= 0.0):
+        raise ConfigError(f"design.{key}: {count} points from min to max repeat a value")
+    return grid
 
 
 def _signal(parent: dict, key: str) -> SignalSpec | None:
@@ -199,8 +201,11 @@ def _signal(parent: dict, key: str) -> SignalSpec | None:
                 _number(block, path, "amplitude"),
                 _array(block, path, "frequencies", 1))
         if kind == pde.TABULATED:
-            return SignalSpec.tabulated(_array(block, path, "grid", 1),
+            spec = SignalSpec.tabulated(_array(block, path, "grid", 1),
                                         _array(block, path, "values", 2))
+            if spec.sample_grid[0] > 0.0 or spec.sample_grid[-1] < 1.0:
+                raise ConfigError(f"{path}: tabulated grid must cover [0, 1]")
+            return spec
     raise ConfigError(f"{path}.kind: unknown signal kind {kind!r}")
 
 
@@ -353,22 +358,38 @@ def _solver_trace(solution: sdp.Solution | None) -> dict:
             "duality_gap": solution.gap, "phase1_slack": solution.phase1_slack}
 
 
-def _write_report(out_dir: Path, command: str, digest: str, margins: dict,
-                  timing: float, manifest: list[str], certificate=None,
-                  extra: dict | None = None) -> Path:
+_EXIT_CODES = {"feasible": 0, "completed": 0, "pass": 0,
+               "infeasible": 2, "fail": 2, "failed": 1, "blew_up": 1}
+
+
+def _finish(out_dir: Path, command: str, digest: str, status: str, timing: float,
+            manifest=(), certificate: dict | None = None, margins=None, **fields) -> int:
+    """Write `<command>_report.json`, with `fields` as the command's own
+    entries, and return the exit code of `status`."""
     path = out_dir / f"{command}_report.json"
-    report = {
-        "command": command,
-        "config_digest": digest,
-        "certificate": certificate,
-        "margins": margins,
-        "timing_seconds": timing,
-        "manifest": sorted(manifest + [path.name]),
-    }
-    if extra:
-        report.update(extra)
+    report = {"command": command, "config_digest": digest, "status": status,
+              "certificate": certificate, "margins": dict(margins or {}),
+              "timing_seconds": timing, "manifest": sorted([*manifest, path.name]),
+              **fields}
     path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return path
+    return _EXIT_CODES[status]
+
+
+def _uncertified(e: SynthesisError, out_dir: Path, command: str, digest: str,
+                 timing: float, mu: float, alpha: float, **fields) -> int:
+    """Report a design that synthesize did not certify, with mu, alpha and
+    the solver trace: an InfeasibleError as "infeasible" with the worst
+    synthesis margin at phase 1's last point, any other as "failed"."""
+    if isinstance(e, InfeasibleError):
+        worst = min(lmi.problem_margins(e.form, e.solution.x))
+        print(f"infeasible at mu={mu:g}, alpha={alpha:g} "
+              f"(worst margin {worst:.3e})", file=sys.stderr)
+        fields.update(status="infeasible", margins={"worst_phase1_margin": worst})
+    else:
+        print(f"solver error: {e}", file=sys.stderr)
+        fields.update(status="failed", reason=str(e))
+    return _finish(out_dir, command, digest, timing=timing, mu=mu, alpha=alpha,
+                   **_solver_trace(e.solution), **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -377,10 +398,8 @@ def _write_report(out_dir: Path, command: str, digest: str, margins: dict,
 
 def cmd_synth(config_path: str, out_override: str | None) -> int:
     """Design the gain at the config's (mu, alpha) and write certificate.json
-    and synth_report.json, or only the report when the design is infeasible
-    (exit 2) or the solver fails.  A failure's report has status "failed",
-    the reason, mu, alpha, the solver trace and no margins; the error then
-    propagates to `main`, which exits 1."""
+    and synth_report.json, or only the report when the design is not
+    certified (`_uncertified`)."""
     cfg, digest = _load_json(config_path)
     plant = _build_plant(cfg)
     mu, alpha, eps = _design(cfg, _scalar_weight)
@@ -390,36 +409,20 @@ def cmd_synth(config_path: str, out_override: str | None) -> int:
     started = time.perf_counter()
     try:
         cert = synthesize(plant, mu, alpha, eps=eps)
-    except InfeasibleError as e:
-        timing = time.perf_counter() - started
-        # the worst margin of the synthesis inequalities at phase 1's last
-        # point; synthesize raises InfeasibleError with the solver's outcome
-        # and the standard form it solved
-        worst = min(lmi.problem_margins(e.form, e.solution.x))
-        _write_report(out_dir, "synth", digest,
-                      {"worst_phase1_margin": worst}, timing, [],
-                      extra={"status": "infeasible", "mu": mu, "alpha": alpha,
-                             **_solver_trace(e.solution)})
-        print(f"infeasible at mu={mu:g}, alpha={alpha:g} "
-              f"(worst margin {worst:.3e})", file=sys.stderr)
-        return 2
-    except SolverFailureError as e:
-        _write_report(out_dir, "synth", digest, {}, time.perf_counter() - started, [],
-                      extra={"status": "failed", "reason": str(e), "mu": mu, "alpha": alpha,
-                             **_solver_trace(e.solution)})
-        raise
+    except SynthesisError as e:
+        return _uncertified(e, out_dir, "synth", digest,
+                            time.perf_counter() - started, mu, alpha)
     timing = time.perf_counter() - started
 
     cert_path = out_dir / "certificate.json"
-    cert_path.write_text(
-        json.dumps(_certificate_payload(cert), indent=2, sort_keys=True) + "\n")
-    _write_report(out_dir, "synth", digest, dict(cert.margins), timing,
-                  [cert_path.name], certificate=_certificate_payload(cert),
-                  extra={"status": "feasible", **_solver_trace(cert.solution)})
+    payload = _certificate_payload(cert)
+    cert_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"feasible: peak={cert.peak:.6g} gamma={cert.gamma:.6g} "
           f"omega={cert.omega:g} kappa={cert.kappa:.6g}")
     print(f"wrote {cert_path}")
-    return 0
+    return _finish(out_dir, "synth", digest, "feasible", timing, [cert_path.name],
+                   certificate=payload, margins=cert.margins,
+                   **_solver_trace(cert.solution))
 
 
 def cmd_grid(config_path: str, out_override: str | None) -> int:
@@ -433,77 +436,69 @@ def cmd_grid(config_path: str, out_override: str | None) -> int:
     fmap = control.grid_search(plant, mu_grid, alpha_grid, eps=eps)
     timing = time.perf_counter() - started
 
+    rows = []
+    extra = {"cells": dict.fromkeys(("feasible", "infeasible", "failed"), 0),
+             "failed_cells": [], "newton_steps": [], "phase1_slack": []}
+    for c in fmap.cells:
+        at, trace = {"mu": c.mu, "alpha": c.alpha}, _solver_trace(c.solution)
+        rows.append((c.mu, c.alpha, c.status, "" if c.peak is None else _FLOAT % c.peak,
+                     "" if c.gamma is None else _FLOAT % c.gamma))
+        extra["cells"][c.status] += 1
+        if c.status == "failed":
+            extra["failed_cells"].append({**at, "reason": c.reason})
+        extra["newton_steps"].append({**at, "steps": trace["newton_steps"]})
+        extra["phase1_slack"].append({**at, "slack": trace["phase1_slack"]})
     csv_path = out_dir / "feasibility.csv"
-    rows = [(cell.mu, cell.alpha, cell.status,
-             "" if cell.peak is None else _FLOAT % cell.peak,
-             "" if cell.gamma is None else _FLOAT % cell.gamma)
-            for cell in fmap.cells]
     _write_csv(csv_path, ["mu", "alpha", "status", "c", "gamma"],
                _lines(rows, 5, text=(2, 3, 4)))
-
     best = fmap.best
-    traces = [_solver_trace(c.solution) for c in fmap.cells]
-    extra = {
-        "status": "feasible" if best is not None else "infeasible",
-        "cells": {s: sum(1 for c in fmap.cells if c.status == s)
-                  for s in ("feasible", "infeasible", "failed")},
-        "failed_cells": [{"mu": c.mu, "alpha": c.alpha, "reason": c.reason}
-                         for c in fmap.cells if c.status == "failed"],
-        "newton_steps": [{"mu": c.mu, "alpha": c.alpha, "steps": t["newton_steps"]}
-                         for c, t in zip(fmap.cells, traces)],
-        "phase1_slack": [{"mu": c.mu, "alpha": c.alpha, "slack": t["phase1_slack"]}
-                         for c, t in zip(fmap.cells, traces)],
-    }
-    if best is not None:
-        extra["best"] = {"mu": best.mu, "alpha": best.alpha,
-                         "gamma": best.gamma, "peak": best.peak}
-    _write_report(out_dir, "grid", digest,
-                  dict(best.margins) if best is not None else {}, timing,
-                  [csv_path.name],
-                  certificate=_certificate_payload(best) if best is not None else None,
-                  extra=extra)
     print(f"wrote {csv_path} ({len(rows)} cells, "
           f"{extra['cells']['feasible']} feasible)")
     if best is None:
         print("no feasible cell", file=sys.stderr)
-        return 2
-    print(f"best: mu={best.mu:g} alpha={best.alpha:g} gamma={best.gamma:.6g}")
-    return 0
-
-
-def _gain_and_certificate(gain_source: str, cfg: dict, plant: Plant
-                          ) -> tuple[Matrix, SynthesisCertificate | None]:
-    """Resolve --gain for simulate: designed, zero, or loaded from a file."""
-    if gain_source == "zero":
-        return Matrix(np.zeros((plant.m, plant.n))), None
-    if gain_source == "auto":
-        mu, alpha, eps = _design(cfg, _scalar_weight)
-        cert = synthesize(plant, mu, alpha, eps=eps)
     else:
-        cert = _load_certificate(gain_source, plant)
-    return cert.gain, cert
+        extra.update(certificate=_certificate_payload(best), margins=best.margins,
+                     best={"mu": best.mu, "alpha": best.alpha,
+                           "gamma": best.gamma, "peak": best.peak})
+        print(f"best: mu={best.mu:g} alpha={best.alpha:g} gamma={best.gamma:.6g}")
+    return _finish(out_dir, "grid", digest, "infeasible" if best is None else "feasible",
+                   timing, [csv_path.name], **extra)
 
 
 def cmd_simulate(config_path: str, out_override: str | None,
                  gain_source: str) -> int:
+    """Run the closed loop under the --gain source: "zero", a certificate
+    file, or "auto", the design at the config's weights."""
     cfg, digest = _load_json(config_path)
     plant = _build_plant(cfg)
     out_dir, toggles = _output_settings(cfg, out_override)
     sim_cfg = _build_sim_config(cfg, plant, keep_snapshots=toggles["snapshots"])
-    gain, cert = _gain_and_certificate(gain_source, cfg, plant)
-    lyap = None if cert is None else invert_diag(cert.lyap_inv)
+    cert = (None if gain_source in ("auto", "zero")
+            else _load_certificate(gain_source, plant))
+    if gain_source == "auto":
+        mu, alpha, eps = _design(cfg, _scalar_weight)
     out_dir.mkdir(parents=True, exist_ok=True)
+
+    if gain_source == "auto":
+        started = time.perf_counter()
+        try:
+            cert = synthesize(plant, mu, alpha, eps=eps)
+        except SynthesisError as e:
+            return _uncertified(e, out_dir, "simulate", digest,
+                                time.perf_counter() - started, mu, alpha,
+                                gain_source=gain_source)
+    gain = Matrix(np.zeros((plant.m, plant.n))) if cert is None else cert.gain
+    lyap = None if cert is None else invert_diag(cert.lyap_inv)
 
     started = time.perf_counter()
     try:
         traj = simulate(plant, gain, sim_cfg,
                         lyapunov=None if cert is None else (lyap, cert.mu))
     except BlowUpError as e:
-        _write_report(out_dir, "simulate", digest, {}, time.perf_counter() - started, [],
-                      extra={"status": "blew_up", "blowup_time": e.time,
-                             "gain_source": gain_source})
         print(f"simulation blew up at t = {e.time:.6g}", file=sys.stderr)
-        return 1
+        return _finish(out_dir, "simulate", digest, "blew_up",
+                       time.perf_counter() - started, blowup_time=e.time,
+                       gain_source=gain_source)
     timing = time.perf_counter() - started
 
     if cert is not None:
@@ -517,39 +512,33 @@ def cmd_simulate(config_path: str, out_override: str | None,
     else:
         rhs = lyap_col = np.full(traj.times.size, np.nan)
 
+    # (toggle, header, lines); the lines are lazy, so a file toggled off formats nothing
+    m = traj.control_traces.shape[1]
     manifest: list[str] = []
-    if toggles["norms"]:
-        path = out_dir / "norms.csv"
-        _write_csv(path, ["t", "l2_norm", "iss_rhs", "lyapunov"],
-                   _lines(zip(traj.times, traj.l2_norms, rhs, lyap_col), 4))
-        manifest.append(path.name)
-    if toggles["controls"]:
-        path = out_dir / "controls.csv"
-        m = traj.control_traces.shape[1]
-        _write_csv(path, ["t"] + [f"u_{i + 1}" for i in range(m)],
-                   _lines(((t, *row) for t, row in zip(traj.times, traj.control_traces)),
-                          m + 1))
-        manifest.append(path.name)
-    if toggles["snapshots"]:
-        path = out_dir / "snapshots.csv"
-        _write_csv(path, ["t", "z"] + [f"x_{i + 1}" for i in range(plant.n)],
-                   _snapshot_lines(traj.times, traj.snapshots, sim_cfg.grid.centers))
-        manifest.append(path.name)
+    for toggle, header, lines in (
+            ("norms", ["t", "l2_norm", "iss_rhs", "lyapunov"],
+             _lines(zip(traj.times, traj.l2_norms, rhs, lyap_col), 4)),
+            ("controls", ["t"] + [f"u_{i + 1}" for i in range(m)],
+             _lines(((t, *row) for t, row in zip(traj.times, traj.control_traces)),
+                    m + 1)),
+            ("snapshots", ["t", "z"] + [f"x_{i + 1}" for i in range(plant.n)],
+             _snapshot_lines(traj.times, traj.snapshots, sim_cfg.grid.centers))):
+        if toggles[toggle]:
+            manifest.append(f"{toggle}.csv")
+            _write_csv(out_dir / manifest[-1], header, lines)
 
-    _write_report(out_dir, "simulate", digest, {}, timing, manifest,
-                  extra={"status": "completed", "gain_source": gain_source,
-                         "records": int(traj.times.size),
-                         "final_l2_norm": float(traj.l2_norms[-1]),
-                         "steps": traj.steps, "dt": traj.dt, "stride": traj.stride,
-                         "step_us": 1e6 * timing / traj.steps if traj.steps else None,
-                         # saturate returns the limit itself, so == finds it
-                         "saturated_record_fraction": float(np.mean(np.any(
-                             np.abs(traj.control_traces) == plant.u_max, axis=1)))})
     print(f"simulated to t={sim_cfg.t_final:g} "
           f"({traj.times.size} records, final norm {traj.l2_norms[-1]:.6g})")
     for name in manifest:
         print(f"wrote {out_dir / name}")
-    return 0
+    return _finish(out_dir, "simulate", digest, "completed", timing, manifest,
+                   gain_source=gain_source, records=int(traj.times.size),
+                   final_l2_norm=float(traj.l2_norms[-1]),
+                   steps=traj.steps, dt=traj.dt, stride=traj.stride,
+                   step_us=1e6 * timing / traj.steps if traj.steps else None,
+                   # saturate returns the limit itself, so == finds it
+                   saturated_record_fraction=float(np.mean(np.any(
+                       np.abs(traj.control_traces) == plant.u_max, axis=1))))
 
 
 def cmd_verify(config_path: str, out_override: str | None,
@@ -587,18 +576,14 @@ def cmd_verify(config_path: str, out_override: str | None,
     worst_label = min((k for k, v in margins.items()
                        if v != 0.0 or k != "certificate.iss_consistency"),
                       key=margins.get)
-    passed = all(v >= tolerance for v in margins.values())
-    _write_report(out_dir, "verify", digest, margins, timing, [],
-                  extra={"status": "pass" if passed else "fail",
-                         "tolerance": tolerance,
-                         "wellposedness": {"tau": wp.tau, "mu_wp": wp.mu_wp,
-                                           "rho": wp.rho},
-                         "iss": {"omega": coeffs.omega, "kappa": coeffs.kappa,
-                                 "gamma": coeffs.gamma}})
-    status = "PASS" if passed else "FAIL"
-    print(f"verify: {status} (worst margin {margins[worst_label]:.3e} "
+    status = "pass" if all(v >= tolerance for v in margins.values()) else "fail"
+    print(f"verify: {status.upper()} (worst margin {margins[worst_label]:.3e} "
           f"at {worst_label}, tolerance {tolerance:g})")
-    return 0 if passed else 2
+    return _finish(out_dir, "verify", digest, status, timing, margins=margins,
+                   tolerance=tolerance,
+                   wellposedness={"tau": wp.tau, "mu_wp": wp.mu_wp, "rho": wp.rho},
+                   iss={"omega": coeffs.omega, "kappa": coeffs.kappa,
+                        "gamma": coeffs.gamma})
 
 
 # ---------------------------------------------------------------------------
@@ -725,12 +710,6 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_verify(args.config, args.out, args.gain, args.tolerance)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
-        return 1
-    except InfeasibleError as e:
-        print(f"infeasible: {e}", file=sys.stderr)
-        return 2
-    except SynthesisError as e:
-        print(f"solver error: {e}", file=sys.stderr)
         return 1
     except Exception as e:  # keep the exit contract: never a raw traceback
         print(f"error: {e}", file=sys.stderr)

@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .control import BoundaryLaw, Plant, closed_loop_boundary, saturate
+from .control import BoundaryLaw, Plant, _frozen, closed_loop_boundary, saturate
 from .linalg import DiagMatrix, Matrix
 
 ZERO = "zero"
@@ -148,12 +148,6 @@ class SignalSpec:
                 raise ValueError("tabulated signal queried outside its grid")
             once = np.stack([np.interp(z, g, row) for row in self.sample_values])
         return np.broadcast_to(once, (len(t),) + once.shape) if np.ndim(t) else once
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 import pytest
 
-from hypiss import cli, control, lmi, sdp
+from hypiss import cli, control, lmi, pde, sdp
 from identities import write_csv
 
 # floats whose text is easy to get wrong: nan, both infinities, negative
@@ -308,6 +308,17 @@ class TestGrid:
         assert cli.main(["verify", "--config", "example_gridsearch.json",
                          "--gain", str(cert), "--out", str(out)]) == 0
 
+    def test_repeated_weight_is_config_error(self, tmp_path, capsys):
+        # linspace(1, 1 + 2**-52, 3) is [1.0, 1.0, 1.0000000000000002]
+        cfg = self._grid_config({"min": 1.0, "max": 1.0000000000000002, "count": 3},
+                                {"min": 0.5, "max": 1.0, "count": 2})
+        out = tmp_path / "o"
+        code = cli.main(["grid", "--config", _write_config(tmp_path, cfg),
+                         "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("config error: design.mu: ")
+        assert not out.exists()
+
     def test_scalar_mu_is_schema_error(self, tmp_path, capsys):
         cfg = self._grid_config(1.0, {"min": 0.5, "max": 1.0, "count": 2})
         code = cli.main(["grid", "--config", _write_config(tmp_path, cfg),
@@ -410,6 +421,63 @@ class TestSimulate:
         _, rows = _read_csv(out / "norms.csv")
         assert all(float(r[1]) == 0.0 for r in rows)
 
+    def test_tabulated_signals_on_the_whole_domain(self, tmp_path):
+        cfg = _design_config()
+        cfg["simulation"].update(M=16, t_final=0.5, initial={
+            "kind": "tabulated", "grid": [0.0, 1.0], "values": [[0.0, 1.0], [1.0, 0.0]]},
+            disturbance={"kind": "tabulated", "grid": [0.0, 1.0],
+                         "values": [[0.0, 0.0], [0.0, 0.0]]})
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--config", _write_config(tmp_path, cfg),
+                         "--out", str(out), "--gain", "zero"]) == 0
+        _, rows = _read_csv(out / "norms.csv")
+        grid = pde.Grid(16)
+        z = grid.centers
+        assert float(rows[0][1]) == pde.l2_norm(np.stack([z, 1.0 - z]), grid)
+
+    def test_infeasible_auto_design_is_reported_as_synth_reports_it(self, tmp_path, capsys):
+        cfg = _design_config()
+        cfg["design"]["alpha"] = 1.2
+        cfg_path = _write_config(tmp_path, cfg)
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("infeasible at mu=1, alpha=1.2 (worst margin -")
+        assert sorted(p.name for p in out.iterdir()) == ["simulate_report.json"]
+        report = json.loads((out / "simulate_report.json").read_text())
+        assert report["status"] == "infeasible"
+        assert report["gain_source"] == "auto"
+        assert report["manifest"] == ["simulate_report.json"]
+        assert report["newton_steps"]["phase1"] > 0
+        # the same solver trace, margin, weights and digest as synth's report
+        assert cli.main(["synth", "--config", cfg_path, "--out", str(tmp_path / "s")]) == 2
+        assert capsys.readouterr().err == err
+        synth = json.loads((tmp_path / "s" / "synth_report.json").read_text())
+        for r in (report, synth):
+            for key in ("command", "gain_source", "manifest", "timing_seconds"):
+                r.pop(key, None)
+        assert report == synth
+
+    def test_auto_design_solver_failure_writes_a_report_and_exits_1(
+            self, tmp_path, monkeypatch, capsys):
+        real = sdp.minimize
+        monkeypatch.setattr(sdp, "minimize", lambda sf: dataclasses.replace(
+            real(sf), status=sdp.Status.NUMERICAL_FAILURE, objective=None))
+        out = tmp_path / "o"
+        code = cli.main(["simulate", "--config", _write_config(tmp_path, _design_config()),
+                         "--out", str(out)])
+        assert code == 1
+        reason = "solver reported numerical_failure at mu=1.0, alpha=0.5"
+        assert capsys.readouterr().err == f"solver error: {reason}\n"
+        assert sorted(p.name for p in out.iterdir()) == ["simulate_report.json"]
+        report = json.loads((out / "simulate_report.json").read_text())
+        assert report["status"] == "failed"
+        assert report["reason"] == reason
+        assert report["gain_source"] == "auto"
+        assert report["manifest"] == ["simulate_report.json"]
+        assert (report["mu"], report["alpha"]) == (1.0, 0.5)
+        assert report["duality_gap"] is not None
+
     def test_certificate_file_as_gain_source(self, tmp_path):
         cfg_path = _write_config(tmp_path, _design_config())
         synth_out = tmp_path / "s"
@@ -499,6 +567,10 @@ class TestSimulate:
         (("simulation", "disturbance", "kind"), "square_wave"),
         (("simulation", "disturbance"), {"kind": "zero", "components": 3}),
         (("simulation", "initial"), {"kind": "zero", "components": 3}),
+        (("simulation", "initial"),
+         {"kind": "tabulated", "grid": [0.1, 1.0], "values": [[0.0, 0.0], [0.0, 0.0]]}),
+        (("simulation", "disturbance"),
+         {"kind": "tabulated", "grid": [0.0, 0.9], "values": [[0.0, 0.0], [0.0, 0.0]]}),
     ])
     def test_malformed_value_is_config_error(self, tmp_path, capsys, path, value):
         # each is found before the auto gain is designed and the output made,

@@ -309,13 +309,14 @@ def _certificate_payload(cert: SynthesisCertificate) -> dict:
     }
 
 
-def _load_certificate(path: str, plant: Plant) -> SynthesisCertificate:
+def _load_certificate(path: str, plant: Plant) -> tuple[SynthesisCertificate, str]:
     """The certificate stored at `path`, checked against the plant's
-    dimensions.  Its margins are empty and its solution None: verify
-    recomputes the margins, and the solver's outcome is not part of the
-    design.  A genuine certificate's coupling is exactly symmetric, so one
-    that is not is refused rather than symmetrized."""
-    data, _ = _load_json(path)
+    dimensions, and the SHA-256 digest of the file's bytes.  Its margins
+    are empty and its solution None: verify recomputes the margins, and the
+    solver's outcome is not part of the design.  A genuine certificate's
+    coupling is exactly symmetric, so one that is not is refused rather
+    than symmetrized."""
+    data, digest = _load_json(path)
     coupling = _array(data, "certificate", "coupling", 2)
     if not np.array_equal(coupling, coupling.T):
         raise ConfigError("certificate.coupling: expected a symmetric matrix")
@@ -344,7 +345,7 @@ def _load_certificate(path: str, plant: Plant) -> SynthesisCertificate:
         raise ConfigError("certificate: sector/gain dimensions do not match the plant")
     if np.any(cert.lyap_inv.diagonal <= 0.0) or np.any(cert.sector_inv.diagonal <= 0.0):
         raise ConfigError("certificate: diagonal weights must be positive")
-    return cert
+    return cert, digest
 
 
 def _solver_trace(solution: sdp.Solution | None) -> dict:
@@ -468,13 +469,16 @@ def cmd_grid(config_path: str, out_override: str | None) -> int:
 def cmd_simulate(config_path: str, out_override: str | None,
                  gain_source: str) -> int:
     """Run the closed loop under the --gain source: "zero", a certificate
-    file, or "auto", the design at the config's weights."""
+    file, or "auto", the design at the config's weights.  The report names
+    the source, and the digest of a certificate file's bytes."""
     cfg, digest = _load_json(config_path)
     plant = _build_plant(cfg)
     out_dir, toggles = _output_settings(cfg, out_override)
     sim_cfg = _build_sim_config(cfg, plant, keep_snapshots=toggles["snapshots"])
-    cert = (None if gain_source in ("auto", "zero")
-            else _load_certificate(gain_source, plant))
+    source = {"gain_source": gain_source}
+    cert = None
+    if gain_source not in ("auto", "zero"):
+        cert, source["certificate_digest"] = _load_certificate(gain_source, plant)
     if gain_source == "auto":
         mu, alpha, eps = _design(cfg, _scalar_weight)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -485,8 +489,7 @@ def cmd_simulate(config_path: str, out_override: str | None,
             cert = synthesize(plant, mu, alpha, eps=eps)
         except SynthesisError as e:
             return _uncertified(e, out_dir, "simulate", digest,
-                                time.perf_counter() - started, mu, alpha,
-                                gain_source=gain_source)
+                                time.perf_counter() - started, mu, alpha, **source)
     gain = Matrix(np.zeros((plant.m, plant.n))) if cert is None else cert.gain
     lyap = None if cert is None else invert_diag(cert.lyap_inv)
 
@@ -497,8 +500,7 @@ def cmd_simulate(config_path: str, out_override: str | None,
     except BlowUpError as e:
         print(f"simulation blew up at t = {e.time:.6g}", file=sys.stderr)
         return _finish(out_dir, "simulate", digest, "blew_up",
-                       time.perf_counter() - started, blowup_time=e.time,
-                       gain_source=gain_source)
+                       time.perf_counter() - started, blowup_time=e.time, **source)
     timing = time.perf_counter() - started
 
     if cert is not None:
@@ -532,7 +534,7 @@ def cmd_simulate(config_path: str, out_override: str | None,
     for name in manifest:
         print(f"wrote {out_dir / name}")
     return _finish(out_dir, "simulate", digest, "completed", timing, manifest,
-                   gain_source=gain_source, records=int(traj.times.size),
+                   **source, records=int(traj.times.size),
                    final_l2_norm=float(traj.l2_norms[-1]),
                    steps=traj.steps, dt=traj.dt, stride=traj.stride,
                    step_us=1e6 * timing / traj.steps if traj.steps else None,
@@ -549,7 +551,7 @@ def cmd_verify(config_path: str, out_override: str | None,
     plant = _build_plant(cfg)
     design = _section(cfg, "design") if "design" in cfg else {}
     delta = _number(design, "design", "delta", positive=True, default=0.01)
-    cert = _load_certificate(cert_path, plant)
+    cert, cert_digest = _load_certificate(cert_path, plant)
     out_dir, _ = _output_settings(cfg, out_override)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -580,7 +582,8 @@ def cmd_verify(config_path: str, out_override: str | None,
     print(f"verify: {status.upper()} (worst margin {margins[worst_label]:.3e} "
           f"at {worst_label}, tolerance {tolerance:g})")
     return _finish(out_dir, "verify", digest, status, timing, margins=margins,
-                   tolerance=tolerance,
+                   tolerance=tolerance, certificate_path=cert_path,
+                   certificate_digest=cert_digest,
                    wellposedness={"tau": wp.tau, "mu_wp": wp.mu_wp, "rho": wp.rho},
                    iss={"omega": coeffs.omega, "kappa": coeffs.kappa,
                         "gamma": coeffs.gamma})

@@ -323,14 +323,14 @@ def synthesis_margins(plant: Plant, cert: SynthesisCertificate) -> dict[str, flo
         _VW: cert.gain_scaled.array, _VG: cert.coupling.array, _VC: [cert.peak]}))
 
 
-def _certificate_from_solution(sf: lmi.StandardForm, solution: sdp.Solution,
-                               mu: float, alpha: float, eps: float) -> SynthesisCertificate:
-    """The certificate of one design at (mu, alpha), posed with slack eps.
+def _certificate(sf: lmi.StandardForm, solution: sdp.Solution, mu: float, alpha: float,
+                 eps: float, rechecked: list[float] | None) -> SynthesisCertificate:
+    """The certificate of one design at (mu, alpha), posed with slack eps,
+    with the re-checked margins of its point (None unless it is OPTIMAL).
 
     Raises InfeasibleError or SolverFailureError unless the solver reached
-    an optimum whose x passes the re-check: every inequality's margin
-    recomputed with the Jacobi eigensolver, and the peak bound.  This is
-    the one place the solver's answer is checked.
+    an optimum whose x passes the re-check: every inequality's margin, and
+    the peak bound.
     """
     if solution.status is sdp.Status.INFEASIBLE:
         raise InfeasibleError(
@@ -342,7 +342,7 @@ def _certificate_from_solution(sf: lmi.StandardForm, solution: sdp.Solution,
             solution, sf)
 
     # margins first: a point they reject may not have lyap_inv > 0
-    margins = _margins(sf, solution.x)
+    margins = {blk.label: v for blk, v in zip(sf.blocks, rechecked)}
     worst = min(margins.values())
     if worst < -1e-9:
         raise SolverFailureError(
@@ -369,13 +369,41 @@ def _certificate_from_solution(sf: lmi.StandardForm, solution: sdp.Solution,
         margins=margins, eps=eps, solution=solution)
 
 
+def _certify(designs, eps: float) -> list:
+    """The certificate of each solved design (sf, solution, mu, alpha),
+    posed with slack eps, or the SynthesisError that refuses it (see
+    `_certificate`).  The margins of every OPTIMAL design are recomputed
+    at its x in one stacked call, `lmi.margins_batch`, by the Jacobi
+    eigensolver of `linalg` started from LAPACK's eigenbasis, each the
+    same bits as `lmi.problem_margins` of its own design when the designs
+    share their block sizes, as the cells of a grid do.  This is the one
+    place the solver's answer is checked.
+    """
+    designs = list(designs)
+    optimal = [sol.status is sdp.Status.OPTIMAL for _, sol, _, _ in designs]
+    rechecked = iter(lmi.margins_batch(
+        (sf, sol.x) for (sf, sol, _, _), ok in zip(designs, optimal) if ok))
+    out = []
+    for (sf, solution, mu, alpha), ok in zip(designs, optimal):
+        try:
+            out.append(_certificate(sf, solution, mu, alpha, eps,
+                                    next(rechecked) if ok else None))
+        except SynthesisError as e:
+            out.append(e)
+    return out
+
+
 def synthesize(plant: Plant, mu: float, alpha: float,
                eps: float = lmi.DEFAULT_EPS) -> SynthesisCertificate:
     """Design a saturated boundary gain minimizing the certified peak of the
     inverse Lyapunov weight; raises InfeasibleError when the inequalities
-    admit no solution at these weights."""
+    admit no solution at these weights.  The design is checked as a grid
+    of one (`_certify`)."""
     sf = lmi.vectorize(build_synthesis_lmis(plant, mu, alpha, eps=eps))
-    return _certificate_from_solution(sf, sdp.minimize(sf), mu, alpha, eps)
+    [outcome] = _certify([(sf, sdp.minimize(sf), mu, alpha)], eps)
+    if isinstance(outcome, SynthesisError):
+        raise outcome
+    return outcome
 
 
 def grid_search(plant: Plant, mu_grid, alpha_grid,
@@ -384,14 +412,14 @@ def grid_search(plant: Plant, mu_grid, alpha_grid,
 
     All cells are solved together, in one lockstep batch of
     sdp.minimize_batch, and every solved cell goes through the certificate
-    check of synthesize, so a "feasible" cell is one whose design was
-    re-checked.  Cells never abort the sweep: a cell whose inequalities
-    cannot be built or vectorized, or whose design fails (its point
-    included), is recorded as "failed", with the exception type and
-    message as reason; if the batch itself raises, every cell in it fails
-    with that reason.  The best cell minimizes the disturbance gain
-    gamma = sqrt(c) e^{mu/2}, with ties broken by smaller mu then smaller
-    alpha.
+    check of synthesize, the margins of all of them in one stacked call,
+    so a "feasible" cell is one whose design was re-checked.  Cells never
+    abort the sweep: a cell whose inequalities cannot be built or
+    vectorized, or whose design fails (its point included), is recorded
+    as "failed", with the exception type and message as reason; if the
+    batch itself raises, every cell in it fails with that reason.  The
+    best cell minimizes the disturbance gain gamma = sqrt(c) e^{mu/2},
+    with ties broken by smaller mu then smaller alpha.
     """
     mus = tuple(float(v) for v in mu_grid)
     alphas = tuple(float(v) for v in alpha_grid)
@@ -414,24 +442,23 @@ def grid_search(plant: Plant, mu_grid, alpha_grid,
     except Exception as e:
         reasons.update(dict.fromkeys(forms, _failure(e)))
         solutions = {}
+    outcomes = dict(zip(solutions, _certify(
+        ((forms[w], sol, *w) for w, sol in solutions.items()), eps)))
 
     cells, certificates = [], {}
     for w in weights:
-        solution = solutions.get(w)
+        solution, outcome = solutions.get(w), outcomes.get(w)
         if solution is None:
             cells.append(GridCell(*w, "failed", None, None, reasons[w]))
-            continue
-        try:
-            certificates[w] = _certificate_from_solution(forms[w], solution, *w, eps)
-        except InfeasibleError:
+        elif isinstance(outcome, InfeasibleError):
             cells.append(GridCell(*w, "infeasible", None, None, solution=solution))
-            continue
-        except SolverFailureError as e:
-            cells.append(GridCell(*w, "failed", None, None, _failure(e), solution))
-            continue
-        peak = float(solution.objective)
-        gamma = math.sqrt(peak) * math.exp(w[0] / 2.0)
-        cells.append(GridCell(*w, "feasible", peak, gamma, solution=solution))
+        elif isinstance(outcome, SolverFailureError):
+            cells.append(GridCell(*w, "failed", None, None, _failure(outcome), solution))
+        else:
+            certificates[w] = outcome
+            peak = float(solution.objective)
+            gamma = math.sqrt(peak) * math.exp(w[0] / 2.0)
+            cells.append(GridCell(*w, "feasible", peak, gamma, solution=solution))
 
     best = min(((c.gamma, c.mu, c.alpha) for c in cells if c.status == "feasible"),
                default=None)

@@ -471,13 +471,23 @@ def vectorize(problem: LmiProblem) -> StandardForm:
 
 
 def margin(block: StandardBlock, x: np.ndarray) -> float:
-    """Signed slack of one block at x, min_eig(value(x)) - eps by the Jacobi
-    eigensolver; positive means strictly satisfied."""
+    """Signed slack of one block at x, min_eig(value(x)) - eps by
+    `linalg.sym_eig`; positive means strictly satisfied."""
     return float(linalg.sym_eig([linalg.SymMatrix(block.value(x))])[0][0]) - block.eps
 
 
+def margins_batch(points) -> list[list[float]]:
+    """The margin of every block of each (standard form, x) pair, in
+    declaration order, from one stacked eigendecomposition of all the
+    values.  A block's margin depends on the other pairs only through the
+    padded size of that stack (see `linalg.sym_eig`)."""
+    points = list(points)
+    lows = iter(linalg.sym_eig([linalg.SymMatrix(blk.value(x))
+                                for sf, x in points for blk in sf.blocks]))
+    return [[float(next(lows)[0]) - blk.eps for blk in sf.blocks] for sf, _ in points]
+
+
 def problem_margins(sf: StandardForm, x: np.ndarray) -> list[float]:
-    """The margin of every block at x, in declaration order, from one
-    stacked eigendecomposition of all the values."""
-    values = [linalg.SymMatrix(blk.value(x)) for blk in sf.blocks]
-    return [float(w[0]) - blk.eps for blk, w in zip(sf.blocks, linalg.sym_eig(values))]
+    """The margin of every block at x, in declaration order: margins_batch
+    of one pair."""
+    return margins_batch([(sf, x)])[0]

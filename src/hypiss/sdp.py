@@ -24,8 +24,8 @@ steps aimed at mu = 1, with no predictor, until its dual residual is all
 but gone and its point is near the central path, and Mehrotra steps from
 then on.  The solver returns the flat entry vector x, the final gap and
 the phase-1 slack, and does not audit x; `control` re-checks every design
-it certifies at that x, with `lmi.problem_margins` and the Jacobi
-eigensolver of `linalg`.
+it certifies at that x, with `lmi.margins_batch` and the eigensolver of
+`linalg`, a Jacobi iteration started from LAPACK's eigenbasis.
 
 The solver uses the structure of the problem.  Every block whose base and
 coefficients are all diagonal (positivity of diagonal variables, scalar
@@ -195,7 +195,16 @@ class _Cones:
         return float(self.b.shape[1] + sum(blk.dim for blk in self.dense))
 
     def take(self, sel) -> "_Cones":
-        return _Cones(self.b[sel], self.g[sel], tuple(blk.take(sel) for blk in self.dense))
+        """The cells sel of the stack.  A padded stack already built moves
+        to them, taken along the cell axis rather than built again, and
+        leaves this stack, which builds it again if it is used again; so a
+        compaction holds at most two padded stacks at once, as building
+        the taken one anew would."""
+        out = _Cones(self.b[sel], self.g[sel], tuple(blk.take(sel) for blk in self.dense))
+        if "padded" in self.__dict__:
+            base, vidx, vflat = self.__dict__.pop("padded")
+            out.__dict__["padded"] = base[sel], vidx, vflat[sel]
+        return out
 
     def rows(self, x: np.ndarray) -> np.ndarray:
         """b + G x, one row of x per cell."""

@@ -6,6 +6,7 @@ checked exactly as a shell user would see them.
 
 import csv
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -488,6 +489,12 @@ class TestSimulate:
                          "--gain", str(synth_out / "certificate.json")]) == 0
         _, rows = _read_csv(out / "norms.csv")
         assert all(np.isfinite(float(r[2])) for r in rows)
+        # the report ties the run to the bytes of the certificate it read
+        report = json.loads((out / "simulate_report.json").read_text())
+        cert_path = synth_out / "certificate.json"
+        assert report["gain_source"] == str(cert_path)
+        assert report["certificate_digest"] == hashlib.sha256(
+            cert_path.read_bytes()).hexdigest()
 
     def test_certificate_file_simulates_as_the_auto_design(self, tmp_path):
         # the stored certificate reads back to the design synthesize makes,
@@ -551,6 +558,7 @@ class TestSimulate:
         report = json.loads((out / "simulate_report.json").read_text())
         assert report["status"] == "blew_up"
         assert report["gain_source"] == "zero"
+        assert "certificate_digest" not in report
         assert f"blew up at t = {report['blowup_time']:.6g}" in err
         assert 0.0 < report["blowup_time"] < 150.0
         assert report["manifest"] == ["simulate_report.json"]
@@ -646,6 +654,16 @@ class TestVerify:
         assert report["status"] == "pass"
         for family in ("synthesis.", "analysis.", "wellposedness."):
             assert any(k.startswith(family) for k in report["margins"])
+
+    def test_report_names_the_certificate_file(self, tmp_path):
+        cfg_path, cert_path = self._synth(tmp_path)
+        out = tmp_path / "v"
+        assert cli.main(["verify", "--config", cfg_path,
+                         "--gain", str(cert_path), "--out", str(out)]) == 0
+        report = json.loads((out / "verify_report.json").read_text())
+        assert report["certificate_path"] == str(cert_path)
+        assert report["certificate_digest"] == hashlib.sha256(
+            cert_path.read_bytes()).hexdigest()
 
     def test_passes_with_the_solver_refusing(self, tmp_path, monkeypatch):
         cfg_path, cert_path = self._synth(tmp_path)
@@ -800,7 +818,8 @@ class TestVerify:
         cfg_path, cert_path = self._synth(tmp_path)
         plant = cli._build_plant(_design_config())
         fresh = control.synthesize(plant, 1.0, 0.5, eps=1e-6)
-        loaded = cli._load_certificate(str(cert_path), plant)
+        loaded, digest = cli._load_certificate(str(cert_path), plant)
+        assert digest == hashlib.sha256(cert_path.read_bytes()).hexdigest()
         assert loaded.margins == {} and loaded.solution is None
         for field in dataclasses.fields(control.SynthesisCertificate):
             if field.name in ("margins", "solution"):

@@ -404,6 +404,26 @@ class TestGridSearch:
         # the best certificate carries its cell's outcome, not a copy
         assert fm.best.solution is fm.cells[3].solution
 
+    def test_one_call_recheck_matches_each_cell_alone(self, demo_plant, monkeypatch):
+        # the demo grid re-checks its 41 optimal cells in one stacked call,
+        # and every margin is the same bits as the cell's own re-check
+        real, calls = lmi.margins_batch, []
+
+        def margins_batch(points):
+            points = list(points)
+            calls.append((points, real(points)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(lmi, "margins_batch", margins_batch)
+        fm = grid_search(demo_plant, np.linspace(0.25, 2.0, 8), np.linspace(0.1, 1.5, 8))
+        monkeypatch.undo()
+        [(points, margins)] = calls
+        feasible = [c for c in fm.cells if c.status == "feasible"]
+        assert len(points) == len(feasible) == 41
+        for (sf, x), got, cell in zip(points, margins, feasible):
+            assert x is cell.solution.x
+            assert _bits(got) == _bits(lmi.problem_margins(sf, x)), (cell.mu, cell.alpha)
+
     def test_grid_validation(self, demo_plant):
         with pytest.raises(ValueError):
             grid_search(demo_plant, [], [0.5])

@@ -100,8 +100,11 @@ class TestSymEig:
             assert lo - 1e-9 <= r <= hi + 1e-9
 
     def test_iteration_cap_raises(self, monkeypatch):
+        # the proposed basis leaves no sweep to do; rejecting it makes the
+        # sweeps start from the matrix itself
         rng = np.random.default_rng(1)
         s = _random_sym(rng, 6)
+        monkeypatch.setattr(linalg, "_ORTHO_ULPS", -1.0)
         monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
         with pytest.raises(ConvergenceError):
             sym_eig([s])
@@ -146,9 +149,85 @@ class TestStackedEig:
 
     def test_stack_iteration_cap_raises(self, monkeypatch):
         rng = np.random.default_rng(2)
+        monkeypatch.setattr(linalg, "_ORTHO_ULPS", -1.0)
         monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
         with pytest.raises(ConvergenceError):
             sym_eig([SymMatrix([[1.0]]), _random_sym(rng, 6)])
+
+
+def _bits(values) -> list[bytes]:
+    return [np.asarray(w, dtype=float).tobytes() for w in values]
+
+
+@pytest.fixture(params=["seeded", "identity"])
+def start(request, monkeypatch):
+    """The proposed basis kept, or rejected so that the sweeps do the work."""
+    if request.param == "identity":
+        monkeypatch.setattr(linalg, "_ORTHO_ULPS", -1.0)
+
+
+class TestSeededEig:
+    """sym_eig starts its sweeps from the basis np.linalg.eigh proposes,
+    and each matrix's eigenvalues are the same bits whatever its signed
+    zeros, its sign and the rest of the stack, from either start."""
+
+    def test_signed_zeros_give_the_same_bits(self, start):
+        # about half the entries zero, as in the blocks of an LMI; LAPACK's
+        # basis for some of these depends on the signs of their zeros
+        rng = np.random.default_rng(6)
+        for n in [2, 3, 4, 5, 6] * 4:
+            a = _random_sym(rng, n).array.copy()
+            zero = rng.random((n, n)) < 0.5
+            zero |= zero.T
+            a[zero] = 0.0
+            b = a.copy()
+            b[zero] = -0.0
+            assert _bits(sym_eig([SymMatrix(a)])) == _bits(sym_eig([SymMatrix(b)]))
+
+    def test_converged_matrices_are_not_swept(self, monkeypatch):
+        # from the identity start the identity and the diagonal matrix are
+        # converged, so every sweep rotates the random matrix alone
+        monkeypatch.setattr(linalg, "_ORTHO_ULPS", -1.0)
+        real, swept = linalg._sweep, []
+        monkeypatch.setattr(linalg, "_sweep", lambda A: swept.append(len(A)) or real(A))
+        rng = np.random.default_rng(10)
+        sym_eig([SymMatrix(np.eye(6)), _random_sym(rng, 6), SymMatrix(np.diag([3.0, 1.0, 2.0]))])
+        assert len(swept) > 1 and set(swept) == {1}
+
+    def test_negation_mirrors_bit_for_bit(self, start):
+        rng = np.random.default_rng(7)
+        traceless = _random_sym(rng, 4).array.copy()
+        traceless[3, 3] = -np.trace(traceless[:3, :3])
+        assert np.trace(traceless) == 0.0
+        for a in (_random_sym(rng, 6).array, traceless, np.diag([0.0, -2.0, 3.0])):
+            [w] = sym_eig([SymMatrix(a)])
+            [mirror] = sym_eig([SymMatrix(-a)])
+            assert _bits([mirror]) == _bits([-w[::-1]])
+
+    def test_alone_and_in_a_stack_give_the_same_bits(self, start):
+        # the stack pads every matrix to 6; alone, the 5x5 and the 6x6 pad
+        # to 6 too, and each of the others does beside an identity of 6
+        rng = np.random.default_rng(8)
+        mats = [_random_sym(rng, n) for n in (5, 6, 2, 6, 1, 3, 4)]
+        for s, w in zip(mats, sym_eig(mats)):
+            alone = sym_eig([s] if s.dim >= 5 else [s, SymMatrix(np.eye(6))])[0]
+            assert _bits([w]) == _bits([alone]), s.dim
+
+    def test_rejected_basis_falls_back_to_plain_sweeps(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        mats = [_random_sym(rng, n) for n in (2, 3, 6, 9)]
+        seeded = sym_eig(mats)
+        monkeypatch.setattr(linalg, "_ORTHO_ULPS", -1.0)
+        plain = sym_eig(mats)
+        monkeypatch.undo()
+
+        def no_basis(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_basis)
+        for s, w, p, q in zip(mats, seeded, plain, sym_eig(mats)):
+            assert np.max(np.abs(p - w)) <= 1e-12 * np.linalg.norm(s.array)
+            assert p.tobytes() == q.tobytes()
 
 
 def _random_plant(cfg: dict) -> Plant:

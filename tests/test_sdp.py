@@ -388,6 +388,21 @@ class TestBatch:
         for sol, sf in zip(sdp.minimize_batch(sfs), sfs):
             _same_outcome(sol, sdp.minimize(sf))
 
+    def test_taken_stack_carries_the_padded_stack(self):
+        # a compaction moves the parent's padded stack, sliced, to the
+        # taken cells; it is the same bits as the padded stack built from
+        # the taken blocks
+        sfs = [_demo_synthesis_problem(0.5, alpha) for alpha in (0.1, 0.3, 0.5, 0.7)]
+        stacked = sdp._stack([sdp._cones(sf) for sf in sfs], sfs[0].refs)
+        assert "padded" not in stacked.take([0]).__dict__
+        for sel in (np.array([True, False, True, True]), [3, 1]):
+            stacked.padded
+            taken = stacked.take(sel)
+            assert "padded" in taken.__dict__ and "padded" not in stacked.__dict__
+            rebuilt = sdp._Cones(taken.b, taken.g, taken.dense).padded
+            for a, b in zip(taken.padded, rebuilt):
+                assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
+
     def test_failed_cholesky_in_one_cell_leaves_the_others(self):
         sf = _demo_synthesis_problem(1.0, 0.5)
         cell = sdp._cones(sf)

@@ -366,13 +366,15 @@ _EXIT_CODES = {"feasible": 0, "completed": 0, "pass": 0,
 def _finish(out_dir: Path, command: str, digest: str, status: str, timing: float,
             manifest=(), certificate: dict | None = None, margins=None, **fields) -> int:
     """Write `<command>_report.json`, with `fields` as the command's own
-    entries, and return the exit code of `status`."""
+    entries, and return the exit code of `status`.  The report is strict
+    JSON: a NaN or an infinity in it raises ValueError."""
     path = out_dir / f"{command}_report.json"
     report = {"command": command, "config_digest": digest, "status": status,
               "certificate": certificate, "margins": dict(margins or {}),
               "timing_seconds": timing, "manifest": sorted([*manifest, path.name]),
               **fields}
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+                    + "\n")
     return _EXIT_CODES[status]
 
 
@@ -529,13 +531,15 @@ def cmd_simulate(config_path: str, out_override: str | None,
             manifest.append(f"{toggle}.csv")
             _write_csv(out_dir / manifest[-1], header, lines)
 
+    # the last state is finite, but its squared norm may overflow
+    final_norm = float(traj.l2_norms[-1])
     print(f"simulated to t={sim_cfg.t_final:g} "
-          f"({traj.times.size} records, final norm {traj.l2_norms[-1]:.6g})")
+          f"({traj.times.size} records, final norm {final_norm:.6g})")
     for name in manifest:
         print(f"wrote {out_dir / name}")
     return _finish(out_dir, "simulate", digest, "completed", timing, manifest,
                    **source, records=int(traj.times.size),
-                   final_l2_norm=float(traj.l2_norms[-1]),
+                   final_l2_norm=final_norm if math.isfinite(final_norm) else None,
                    steps=traj.steps, dt=traj.dt, stride=traj.stride,
                    step_us=1e6 * timing / traj.steps if traj.steps else None,
                    # saturate returns the limit itself, so == finds it

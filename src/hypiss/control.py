@@ -21,13 +21,21 @@ the functional along solutions.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import lmi, sdp
-from .linalg import DiagMatrix, Matrix, SymMatrix, invert_diag, sym_eig
+from .linalg import (
+    ConvergenceError,
+    DiagMatrix,
+    Matrix,
+    SymMatrix,
+    invert_diag,
+    sym_eig,
+)
 
 
 class SynthesisError(Exception):
@@ -324,9 +332,11 @@ def synthesis_margins(plant: Plant, cert: SynthesisCertificate) -> dict[str, flo
 
 
 def _certificate(sf: lmi.StandardForm, solution: sdp.Solution, mu: float, alpha: float,
-                 eps: float, rechecked: list[float] | None) -> SynthesisCertificate:
+                 eps: float, rechecked: list[float] | ConvergenceError | None
+                 ) -> SynthesisCertificate:
     """The certificate of one design at (mu, alpha), posed with slack eps,
-    with the re-checked margins of its point (None unless it is OPTIMAL).
+    with the re-checked margins of its point (None unless it is OPTIMAL),
+    or the error that stopped the re-check.
 
     Raises InfeasibleError or SolverFailureError unless the solver reached
     an optimum whose x passes the re-check: every inequality's margin, and
@@ -341,6 +351,10 @@ def _certificate(sf: lmi.StandardForm, solution: sdp.Solution, mu: float, alpha:
             f"solver reported {solution.status.value} at mu={mu}, alpha={alpha}",
             solution, sf)
 
+    if isinstance(rechecked, ConvergenceError):
+        raise SolverFailureError(
+            f"margins could not be re-checked at mu={mu}, alpha={alpha}: "
+            f"{_failure(rechecked)}", solution, sf) from rechecked
     # margins first: a point they reject may not have lyap_inv > 0
     margins = {blk.label: v for blk, v in zip(sf.blocks, rechecked)}
     worst = min(margins.values())
@@ -373,16 +387,19 @@ def _certify(designs, eps: float) -> list:
     """The certificate of each solved design (sf, solution, mu, alpha),
     posed with slack eps, or the SynthesisError that refuses it (see
     `_certificate`).  The margins of every OPTIMAL design are recomputed
-    at its x in one stacked call, `lmi.margins_batch`, by the Jacobi
-    eigensolver of `linalg` started from LAPACK's eigenbasis, each the
-    same bits as `lmi.problem_margins` of its own design when the designs
-    share their block sizes, as the cells of a grid do.  This is the one
-    place the solver's answer is checked.
+    at its x in one stacked call, `lmi.margins_batch`, each the same bits
+    as `lmi.problem_margins` of its own design.  A re-check that raises
+    ConvergenceError fails every OPTIMAL design of the batch with a
+    SolverFailureError that carries its message.  This is the one place
+    the solver's answer is checked.
     """
     designs = list(designs)
     optimal = [sol.status is sdp.Status.OPTIMAL for _, sol, _, _ in designs]
-    rechecked = iter(lmi.margins_batch(
-        (sf, sol.x) for (sf, sol, _, _), ok in zip(designs, optimal) if ok))
+    try:
+        rechecked = iter(lmi.margins_batch(
+            (sf, sol.x) for (sf, sol, _, _), ok in zip(designs, optimal) if ok))
+    except ConvergenceError as e:
+        rechecked = itertools.repeat(e)
     out = []
     for (sf, solution, mu, alpha), ok in zip(designs, optimal):
         try:
@@ -417,7 +434,8 @@ def grid_search(plant: Plant, mu_grid, alpha_grid,
     abort the sweep: a cell whose inequalities cannot be built or
     vectorized, or whose design fails (its point included), is recorded
     as "failed", with the exception type and message as reason; if the
-    batch itself raises, every cell in it fails with that reason.  The
+    batch itself raises, every cell in it fails with that reason, and if
+    the margin re-check raises, every OPTIMAL cell does.  The
     best cell minimizes the disturbance gain gamma = sqrt(c) e^{mu/2},
     with ties broken by smaller mu then smaller alpha.
     """

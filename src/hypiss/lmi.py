@@ -479,8 +479,9 @@ def margin(block: StandardBlock, x: np.ndarray) -> float:
 def margins_batch(points) -> list[list[float]]:
     """The margin of every block of each (standard form, x) pair, in
     declaration order, from one stacked eigendecomposition of all the
-    values.  A block's margin depends on the other pairs only through the
-    padded size of that stack (see `linalg.sym_eig`)."""
+    values (`linalg.sym_eig`); a block's margin does not depend on the
+    other pairs.  Raises `linalg.ConvergenceError` when a value fails the
+    eigensolver's in-package checks."""
     points = list(points)
     lows = iter(linalg.sym_eig([linalg.SymMatrix(blk.value(x))
                                 for sf, x in points for blk in sf.blocks]))

@@ -25,7 +25,7 @@ but gone and its point is near the central path, and Mehrotra steps from
 then on.  The solver returns the flat entry vector x, the final gap and
 the phase-1 slack, and does not audit x; `control` re-checks every design
 it certifies at that x, with `lmi.margins_batch` and the eigensolver of
-`linalg`, a Jacobi iteration started from LAPACK's eigenbasis.
+`linalg`, which keeps LAPACK's eigenbasis once its in-package checks pass.
 
 The solver uses the structure of the problem.  Every block whose base and
 coefficients are all diagonal (positivity of diagonal variables, scalar

@@ -58,9 +58,9 @@ def expr_value(expr: MatExpr, sf: StandardForm, x: np.ndarray) -> np.ndarray:
 
 def reference_margins(problem: LmiProblem, sf: StandardForm, x: np.ndarray) -> list[float]:
     """The margin of each constraint at x from its own expression: the
-    values by `expr_value`, one stacked Jacobi call, then -max_eig - eps for
-    expr <= -eps I and min_eig - eps for expr >= eps I, with the eps that
-    `vectorize` resolved."""
+    values by `expr_value`, one stacked `sym_eig` call, then -max_eig - eps
+    for expr <= -eps I and min_eig - eps for expr >= eps I, with the eps
+    that `vectorize` resolved."""
     values = [SymMatrix(expr_value(c.expr, sf, x)) for c in problem.constraints]
     return [-float(w[-1]) - blk.eps if c.sense == LEQ else float(w[0]) - blk.eps
             for c, blk, w in zip(problem.constraints, sf.blocks, sym_eig(values))]

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 import pytest
 
-from hypiss import cli, control, lmi, pde, sdp
+from hypiss import cli, control, linalg, lmi, pde, sdp
 from identities import write_csv
 
 # floats whose text is easy to get wrong: nan, both infinities, negative
@@ -191,6 +191,22 @@ class TestSynth:
         assert {k: report[k] for k in trace} == trace
         assert report["duality_gap"] is not None
 
+    def test_recheck_error_writes_a_report_and_exits_1(self, tmp_path, monkeypatch):
+        # every basis fails the orthonormality test, so the margin re-check
+        # raises ConvergenceError
+        monkeypatch.setattr(linalg, "_ORTHO_ULPS", -1.0)
+        out = tmp_path / "o"
+        code = cli.main(["synth", "--config", _write_config(tmp_path, _design_config()),
+                         "--out", str(out)])
+        assert code == 1
+        assert [p.name for p in out.iterdir()] == ["synth_report.json"]
+        report = json.loads((out / "synth_report.json").read_text())
+        assert report["status"] == "failed"
+        assert report["reason"].startswith(
+            "margins could not be re-checked at mu=1.0, alpha=0.5: ConvergenceError: ")
+        assert "orthonormality test" in report["reason"]
+        assert report["certificate"] is None
+
     def test_invalid_json_exits_1(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -309,6 +325,30 @@ class TestGrid:
         assert cli.main(["verify", "--config", "example_gridsearch.json",
                          "--gain", str(cert), "--out", str(out)]) == 0
 
+    def test_recheck_error_fails_the_optimal_cells(self, tmp_path, monkeypatch):
+        # a re-check that raises fails the cells it would have certified,
+        # not the command: the infeasible cells stand as they were
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["--seed-configs"]) == 0
+        assert cli.main(["grid", "--config", "example_gridsearch.json",
+                         "--out", "ok"]) == 0
+        monkeypatch.setattr(linalg, "_ORTHO_ULPS", -1.0)
+        assert cli.main(["grid", "--config", "example_gridsearch.json",
+                         "--out", "o"]) == 2
+        _, before = _read_csv(tmp_path / "ok" / "feasibility.csv")
+        _, after = _read_csv(tmp_path / "o" / "feasibility.csv")
+        assert [r[:2] for r in after] == [r[:2] for r in before]
+        assert [r for r in after if r[2] == "infeasible"] == [
+            r for r in before if r[2] == "infeasible"]
+        assert len([r for r in before if r[2] == "infeasible"]) == 23
+        failed = [r for r, b in zip(after, before) if b[2] == "feasible"]
+        assert len(failed) == 41
+        assert all(r[2:] == ["failed", "", ""] for r in failed)
+        report = json.loads((tmp_path / "o" / "grid_report.json").read_text())
+        assert report["cells"] == {"feasible": 0, "infeasible": 23, "failed": 41}
+        assert report["certificate"] is None
+        assert all("ConvergenceError: " in c["reason"] for c in report["failed_cells"])
+
     def test_repeated_weight_is_config_error(self, tmp_path, capsys):
         # linspace(1, 1 + 2**-52, 3) is [1.0, 1.0, 1.0000000000000002]
         cfg = self._grid_config({"min": 1.0, "max": 1.0000000000000002, "count": 3},
@@ -411,6 +451,33 @@ class TestSimulate:
         # no certificate, so no envelope or functional columns
         _, rows = _read_csv(out / "norms.csv")
         assert all(r[2] == "nan" and r[3] == "nan" for r in rows)
+
+    def test_report_is_strict_json_when_the_norm_overflows(self, tmp_path):
+        # the last state is finite but its squared norm overflows: the
+        # report says null where norms.csv says inf
+        cfg = _design_config()
+        cfg["plant"]["H"] = [[0.0, 1000.0], [1000.0, 0.0]]
+        cfg["simulation"]["M"] = 16
+        cfg["simulation"]["t_final"] = 60.0
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--config", _write_config(tmp_path, cfg),
+                         "--out", str(out), "--gain", "zero"]) == 0
+
+        def refuse(name):
+            raise ValueError(f"not strict JSON: {name}")
+
+        report = json.loads((out / "simulate_report.json").read_text(),
+                            parse_constant=refuse)
+        assert report["status"] == "completed"
+        assert report["final_l2_norm"] is None
+        _, rows = _read_csv(out / "norms.csv")
+        assert rows[-1][1] == "inf"
+
+    def test_report_writer_refuses_non_finite_numbers(self, tmp_path):
+        with pytest.raises(ValueError):
+            cli._finish(tmp_path, "simulate", "digest", "completed", 0.0,
+                        final_l2_norm=math.inf)
+        assert not (tmp_path / "simulate_report.json").exists()
 
     def test_zero_data_stays_zero(self, tmp_path):
         cfg = _design_config()

@@ -99,20 +99,27 @@ class TestSymEig:
             r = float(x @ s.array @ x) / float(x @ x)
             assert lo - 1e-9 <= r <= hi + 1e-9
 
-    def test_iteration_cap_raises(self, monkeypatch):
-        # the proposed basis leaves no sweep to do; rejecting it makes the
-        # sweeps start from the matrix itself
+    def test_rejected_basis_raises(self, monkeypatch):
         rng = np.random.default_rng(1)
         s = _random_sym(rng, 6)
         monkeypatch.setattr(linalg, "_ORTHO_ULPS", -1.0)
-        monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError, match=r"matrix 0 \(6x6\) fails the orthonormality"):
             sym_eig([s])
+
+    def test_off_diagonal_mass_over_tolerance_raises(self, monkeypatch):
+        # with no tolerance a random matrix keeps some rounding off the
+        # diagonal of V^T A V; a diagonal one keeps none
+        rng = np.random.default_rng(1)
+        monkeypatch.setattr(linalg, "DEFAULT_TOL", 0.0)
+        with pytest.raises(ConvergenceError, match=r"matrix 0 \(6x6\) fails the off-diagonal"):
+            sym_eig([_random_sym(rng, 6)])
+        [w] = sym_eig([SymMatrix(np.diag([3.0, -1.0, 2.0, 0.0, 5.0, -4.0]))])
+        assert w.tolist() == [-4.0, -1.0, 0.0, 2.0, 3.0, 5.0]
 
 
 class TestStackedEig:
-    """sym_eig on a sequence pads every matrix to one even size and runs
-    one parallel-ordered Jacobi over the stack."""
+    """sym_eig on a sequence takes its matrices one size at a time and
+    returns the eigenvalues of each in the order of the sequence."""
 
     @staticmethod
     def _mixed_stack():
@@ -135,9 +142,9 @@ class TestStackedEig:
             assert np.max(np.abs(w - np.linalg.eigvalsh(s.array))) <= 1e-10 * scale
 
     def test_padding_never_shows_up(self):
-        # a negative definite 3x3 padded to 10: a zero from the padding
-        # would be its largest eigenvalue; a positive definite 1x1 padded
-        # likewise would show it as its smallest
+        # a negative definite 3x3 beside a 9x9: a zero from padding it to
+        # the 9x9's size would be its largest eigenvalue; a positive
+        # definite 1x1 padded likewise would show it as its smallest
         rng = np.random.default_rng(4)
         a = rng.standard_normal((3, 3))
         neg = SymMatrix.symmetrized(-(a @ a.T) - np.eye(3))
@@ -147,11 +154,11 @@ class TestStackedEig:
         assert np.allclose(w_neg, np.linalg.eigvalsh(neg.array), atol=1e-12)
         assert w_pos.tolist() == [2.5]
 
-    def test_stack_iteration_cap_raises(self, monkeypatch):
+    def test_stack_with_rejected_basis_raises(self, monkeypatch):
+        # even the 1x1, whose basis is [[1.0]], goes through the test
         rng = np.random.default_rng(2)
         monkeypatch.setattr(linalg, "_ORTHO_ULPS", -1.0)
-        monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError, match=r"matrix 0 \(1x1\) fails the orthonormality"):
             sym_eig([SymMatrix([[1.0]]), _random_sym(rng, 6)])
 
 
@@ -159,19 +166,12 @@ def _bits(values) -> list[bytes]:
     return [np.asarray(w, dtype=float).tobytes() for w in values]
 
 
-@pytest.fixture(params=["seeded", "identity"])
-def start(request, monkeypatch):
-    """The proposed basis kept, or rejected so that the sweeps do the work."""
-    if request.param == "identity":
-        monkeypatch.setattr(linalg, "_ORTHO_ULPS", -1.0)
-
-
 class TestSeededEig:
-    """sym_eig starts its sweeps from the basis np.linalg.eigh proposes,
-    and each matrix's eigenvalues are the same bits whatever its signed
-    zeros, its sign and the rest of the stack, from either start."""
+    """sym_eig keeps the basis np.linalg.eigh proposes, and each matrix's
+    eigenvalues are the same bits whatever its signed zeros, its sign and
+    the rest of the stack."""
 
-    def test_signed_zeros_give_the_same_bits(self, start):
+    def test_signed_zeros_give_the_same_bits(self):
         # about half the entries zero, as in the blocks of an LMI; LAPACK's
         # basis for some of these depends on the signs of their zeros
         rng = np.random.default_rng(6)
@@ -184,17 +184,7 @@ class TestSeededEig:
             b[zero] = -0.0
             assert _bits(sym_eig([SymMatrix(a)])) == _bits(sym_eig([SymMatrix(b)]))
 
-    def test_converged_matrices_are_not_swept(self, monkeypatch):
-        # from the identity start the identity and the diagonal matrix are
-        # converged, so every sweep rotates the random matrix alone
-        monkeypatch.setattr(linalg, "_ORTHO_ULPS", -1.0)
-        real, swept = linalg._sweep, []
-        monkeypatch.setattr(linalg, "_sweep", lambda A: swept.append(len(A)) or real(A))
-        rng = np.random.default_rng(10)
-        sym_eig([SymMatrix(np.eye(6)), _random_sym(rng, 6), SymMatrix(np.diag([3.0, 1.0, 2.0]))])
-        assert len(swept) > 1 and set(swept) == {1}
-
-    def test_negation_mirrors_bit_for_bit(self, start):
+    def test_negation_mirrors_bit_for_bit(self):
         rng = np.random.default_rng(7)
         traceless = _random_sym(rng, 4).array.copy()
         traceless[3, 3] = -np.trace(traceless[:3, :3])
@@ -204,30 +194,19 @@ class TestSeededEig:
             [mirror] = sym_eig([SymMatrix(-a)])
             assert _bits([mirror]) == _bits([-w[::-1]])
 
-    def test_alone_and_in_a_stack_give_the_same_bits(self, start):
-        # the stack pads every matrix to 6; alone, the 5x5 and the 6x6 pad
-        # to 6 too, and each of the others does beside an identity of 6
+    def test_alone_and_in_a_stack_give_the_same_bits(self):
         rng = np.random.default_rng(8)
-        mats = [_random_sym(rng, n) for n in (5, 6, 2, 6, 1, 3, 4)]
+        mats = [_random_sym(rng, n) for n in (5, 6, 2, 10, 6, 1, 3, 8, 4, 9, 7)]
         for s, w in zip(mats, sym_eig(mats)):
-            alone = sym_eig([s] if s.dim >= 5 else [s, SymMatrix(np.eye(6))])[0]
-            assert _bits([w]) == _bits([alone]), s.dim
+            assert _bits([w]) == _bits(sym_eig([s])), s.dim
 
-    def test_rejected_basis_falls_back_to_plain_sweeps(self, monkeypatch):
-        rng = np.random.default_rng(9)
-        mats = [_random_sym(rng, n) for n in (2, 3, 6, 9)]
-        seeded = sym_eig(mats)
-        monkeypatch.setattr(linalg, "_ORTHO_ULPS", -1.0)
-        plain = sym_eig(mats)
-        monkeypatch.undo()
-
+    def test_failed_eigh_raises(self, monkeypatch):
         def no_basis(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eigh", no_basis)
-        for s, w, p, q in zip(mats, seeded, plain, sym_eig(mats)):
-            assert np.max(np.abs(p - w)) <= 1e-12 * np.linalg.norm(s.array)
-            assert p.tobytes() == q.tobytes()
+        with pytest.raises(ConvergenceError, match=r"no eigenbasis for the 3x3"):
+            sym_eig([_random_sym(np.random.default_rng(9), 3)])
 
 
 def _random_plant(cfg: dict) -> Plant:

@@ -11,9 +11,10 @@ writes a JSON run report with a config digest, a status and a manifest of
 the files made, also when a design is infeasible, the solver fails or a
 simulation blows up, and returns the exit code of that status from
 `_EXIT_CODES`: 0 on success, 2 for an infeasible design or a failed
-verification, 1 for a solver failure or a blow-up.  Any other error exits
-1.  CSV output is deterministic: rerunning a command with the same config
-yields byte-identical files.
+verification, 1 for a solver failure, a grid whose every cell failed, a
+certificate whose margins could not be computed, or a blow-up.  Any other
+error exits 1.  CSV output is deterministic: rerunning a command with the
+same config yields byte-identical files.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .control import (
     verify_analysis,
     wellposedness_certificate,
 )
-from .linalg import DiagMatrix, Matrix, SymMatrix, invert_diag
+from .linalg import ConvergenceError, DiagMatrix, Matrix, SymMatrix, invert_diag
 from .pde import BlowUpError, Grid, SignalSpec, SimConfig, simulate
 
 _DEFAULT_OUT = "out"
@@ -381,9 +382,14 @@ def _finish(out_dir: Path, command: str, digest: str, status: str, timing: float
 def _uncertified(e: SynthesisError, out_dir: Path, command: str, digest: str,
                  timing: float, mu: float, alpha: float, **fields) -> int:
     """Report a design that synthesize did not certify, with mu, alpha and
-    the solver trace: an InfeasibleError as "infeasible" with the worst
-    synthesis margin at phase 1's last point, any other as "failed"."""
-    if isinstance(e, InfeasibleError):
+    the solver trace.  An InfeasibleError is "infeasible": with the worst
+    synthesis margin at phase 1's last point when the solver decided it,
+    and with its closed-form reason and a null trace when no solver ran.
+    Any other error is "failed"."""
+    if isinstance(e, InfeasibleError) and e.solution is None:
+        print(f"infeasible at mu={mu:g}, alpha={alpha:g} ({e})", file=sys.stderr)
+        fields.update(status="infeasible", reason=str(e))
+    elif isinstance(e, InfeasibleError):
         worst = min(lmi.problem_margins(e.form, e.solution.x))
         print(f"infeasible at mu={mu:g}, alpha={alpha:g} "
               f"(worst margin {worst:.3e})", file=sys.stderr)
@@ -441,14 +447,15 @@ def cmd_grid(config_path: str, out_override: str | None) -> int:
 
     rows = []
     extra = {"cells": dict.fromkeys(("feasible", "infeasible", "failed"), 0),
-             "failed_cells": [], "newton_steps": [], "phase1_slack": []}
+             "failed_cells": [], "infeasible_cells": [], "newton_steps": [],
+             "phase1_slack": []}
     for c in fmap.cells:
         at, trace = {"mu": c.mu, "alpha": c.alpha}, _solver_trace(c.solution)
         rows.append((c.mu, c.alpha, c.status, "" if c.peak is None else _FLOAT % c.peak,
                      "" if c.gamma is None else _FLOAT % c.gamma))
         extra["cells"][c.status] += 1
-        if c.status == "failed":
-            extra["failed_cells"].append({**at, "reason": c.reason})
+        if c.status != "feasible":
+            extra[f"{c.status}_cells"].append({**at, "reason": c.reason})
         extra["newton_steps"].append({**at, "steps": trace["newton_steps"]})
         extra["phase1_slack"].append({**at, "slack": trace["phase1_slack"]})
     csv_path = out_dir / "feasibility.csv"
@@ -459,13 +466,15 @@ def cmd_grid(config_path: str, out_override: str | None) -> int:
           f"{extra['cells']['feasible']} feasible)")
     if best is None:
         print("no feasible cell", file=sys.stderr)
+        # a grid whose every cell failed says so, not "infeasible"
+        status = "infeasible" if extra["cells"]["infeasible"] else "failed"
     else:
         extra.update(certificate=_certificate_payload(best), margins=best.margins,
                      best={"mu": best.mu, "alpha": best.alpha,
                            "gamma": best.gamma, "peak": best.peak})
         print(f"best: mu={best.mu:g} alpha={best.alpha:g} gamma={best.gamma:.6g}")
-    return _finish(out_dir, "grid", digest, "infeasible" if best is None else "feasible",
-                   timing, [csv_path.name], **extra)
+        status = "feasible"
+    return _finish(out_dir, "grid", digest, status, timing, [csv_path.name], **extra)
 
 
 def cmd_simulate(config_path: str, out_override: str | None,
@@ -560,12 +569,20 @@ def cmd_verify(config_path: str, out_override: str | None,
     out_dir.mkdir(parents=True, exist_ok=True)
 
     started = time.perf_counter()
+    source = {"tolerance": tolerance, "certificate_path": cert_path,
+              "certificate_digest": cert_digest}
     # the design-side inequalities at the stored point, the analysis-side
     # ones for the stored gain at the same point, and the well-posedness
     # slacks; no solver is called
-    synthesis = control.synthesis_margins(plant, cert)
-    analysis = verify_analysis(plant, cert)
-    wp = wellposedness_certificate(plant, cert.gain, delta=delta)
+    try:
+        synthesis = control.synthesis_margins(plant, cert)
+        analysis = verify_analysis(plant, cert)
+        wp = wellposedness_certificate(plant, cert.gain, delta=delta)
+    except ConvergenceError as e:
+        reason = f"margins could not be computed: {type(e).__name__}: {e}"
+        print(f"verify error: {reason}", file=sys.stderr)
+        return _finish(out_dir, "verify", digest, "failed",
+                       time.perf_counter() - started, reason=reason, **source)
     margins = {f"{family}.{label}": value
                for family, values in (("synthesis", synthesis),
                                       ("analysis", analysis),
@@ -585,9 +602,7 @@ def cmd_verify(config_path: str, out_override: str | None,
     status = "pass" if all(v >= tolerance for v in margins.values()) else "fail"
     print(f"verify: {status.upper()} (worst margin {margins[worst_label]:.3e} "
           f"at {worst_label}, tolerance {tolerance:g})")
-    return _finish(out_dir, "verify", digest, status, timing, margins=margins,
-                   tolerance=tolerance, certificate_path=cert_path,
-                   certificate_digest=cert_digest,
+    return _finish(out_dir, "verify", digest, status, timing, margins=margins, **source,
                    wellposedness={"tau": wp.tau, "mu_wp": wp.mu_wp, "rho": wp.rho},
                    iss={"omega": coeffs.omega, "kappa": coeffs.kappa,
                         "gamma": coeffs.gamma})

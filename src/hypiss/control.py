@@ -14,6 +14,15 @@ K lyap_inv.  So a certificate is re-checked on both sides without a
 solver: its margins are evaluated at its own point in the synthesis
 problem, and at P = lyap_inv^-1, T = sector_inv^-1 in the analysis one.
 
+One verdict needs no solver: posed with eps > 0, the synthesis
+inequalities are infeasible once alpha >= mu min(lambda), the known ceiling
+on the decay rate of the exp(-mu z)-weighted L2 functional (Bastin & Coron,
+*Stability and Boundary Stabilization of 1-D Hyperbolic Systems*, 2016).
+`_decay_bound` proves it from the decay block alone, and `synthesize` and
+`grid_search` report such designs infeasible, with that reason, without
+building or solving their inequalities.  Every other verdict is the
+solver's.
+
 Convention for exponential weights: the certified Lyapunov density decays
 like exp(-mu z) across the domain, and alpha is the certified decay rate of
 the functional along solutions.
@@ -175,7 +184,9 @@ class GridCell:
     at most 1e-9 max(1, c), so for c >= 1/2 that gamma is at most this one
     times 1 + 1e-9; on the demo grid the two agree to about 1e-10
     relative.  solution is the solver's outcome at the cell, None for a
-    cell that never reached the solver.
+    cell that never reached the solver.  reason says why a "failed" cell
+    failed, and why an "infeasible" cell past the decay bound
+    (`_decay_bound`) is infeasible; it is None for the solver's verdicts.
     """
 
     mu: float
@@ -183,7 +194,7 @@ class GridCell:
     status: str  # "feasible" | "infeasible" | "failed"
     peak: float | None
     gamma: float | None
-    reason: str | None = None  # why a "failed" cell failed
+    reason: str | None = None
     solution: sdp.Solution | None = None
 
 
@@ -297,6 +308,30 @@ def build_synthesis_lmis(plant: Plant, mu: float, alpha: float,
                           objective=(((_VC, 0), 1.0),), eps=eps)
 
 
+def _decay_bound(plant: Plant, mu: float, alpha: float, eps: float) -> str | None:
+    """Why the synthesis inequalities posed with slack eps > 0 cannot hold
+    at (mu, alpha), or None when the solver must decide.
+
+    Entry i of the decay block Q diag(alpha - mu lambda) + G <= -eps I is
+    q_i (alpha - mu lambda_i) + G_ii.  q_pos gives q_i >= eps > 0 and
+    coupling_pos gives G_ii >= eps, so once alpha - mu lambda_i >= 0 that
+    entry is at least eps > -eps, and no point satisfies all three.
+
+    alpha - mu lambda is computed as build_synthesis_lmis computes it.  With
+    eps = 0 the argument fails (q_i = G_ii = 0 is allowed), and a weight
+    mu <= 0 is left to build_synthesis_lmis to refuse.
+    """
+    if not (eps > 0.0 and mu > 0.0):
+        return None
+    lam = plant.speeds.diagonal
+    rates = alpha - mu * lam
+    i = int(np.argmax(rates))
+    if not rates[i] >= 0.0:
+        return None
+    return (f"alpha={alpha} >= mu*lambda_{i + 1}={float(mu * lam[i])}, so q_pos and "
+            f"coupling_pos keep entry {i + 1} of decay_block at eps or above")
+
+
 def iss_coefficients(lyap: DiagMatrix, mu: float, alpha: float) -> IssCoefficients:
     """Decay rate, overshoot, and disturbance gain implied by a Lyapunov
     weight P, domain weight mu and decay rate alpha, at unit supply gain."""
@@ -388,16 +423,16 @@ def _certify(designs, eps: float) -> list:
     posed with slack eps, or the SynthesisError that refuses it (see
     `_certificate`).  The margins of every OPTIMAL design are recomputed
     at its x in one stacked call, `lmi.margins_batch`, each the same bits
-    as `lmi.problem_margins` of its own design.  A re-check that raises
-    ConvergenceError fails every OPTIMAL design of the batch with a
-    SolverFailureError that carries its message.  This is the one place
-    the solver's answer is checked.
+    as `lmi.problem_margins` of its own design; with no OPTIMAL design
+    there is no call.  A re-check that raises ConvergenceError fails every
+    OPTIMAL design of the batch with a SolverFailureError that carries its
+    message.  This is the one place the solver's answer is checked.
     """
     designs = list(designs)
     optimal = [sol.status is sdp.Status.OPTIMAL for _, sol, _, _ in designs]
+    points = [(sf, sol.x) for (sf, sol, _, _), ok in zip(designs, optimal) if ok]
     try:
-        rechecked = iter(lmi.margins_batch(
-            (sf, sol.x) for (sf, sol, _, _), ok in zip(designs, optimal) if ok))
+        rechecked = iter(lmi.margins_batch(points) if points else ())
     except ConvergenceError as e:
         rechecked = itertools.repeat(e)
     out = []
@@ -414,8 +449,13 @@ def synthesize(plant: Plant, mu: float, alpha: float,
                eps: float = lmi.DEFAULT_EPS) -> SynthesisCertificate:
     """Design a saturated boundary gain minimizing the certified peak of the
     inverse Lyapunov weight; raises InfeasibleError when the inequalities
-    admit no solution at these weights.  The design is checked as a grid
-    of one (`_certify`)."""
+    admit no solution at these weights.  A design that `_decay_bound`
+    proves infeasible raises InfeasibleError with that reason, with no
+    solution and no form, before anything is built; any other is solved
+    and checked as a grid of one (`_certify`)."""
+    reason = _decay_bound(plant, mu, alpha, eps)
+    if reason is not None:
+        raise InfeasibleError(reason)
     sf = lmi.vectorize(build_synthesis_lmis(plant, mu, alpha, eps=eps))
     [outcome] = _certify([(sf, sdp.minimize(sf), mu, alpha)], eps)
     if isinstance(outcome, SynthesisError):
@@ -427,17 +467,20 @@ def grid_search(plant: Plant, mu_grid, alpha_grid,
                 eps: float = lmi.DEFAULT_EPS) -> FeasibilityMap:
     """Run the design over a grid of (mu, alpha) weights.
 
-    All cells are solved together, in one lockstep batch of
-    sdp.minimize_batch, and every solved cell goes through the certificate
-    check of synthesize, the margins of all of them in one stacked call,
-    so a "feasible" cell is one whose design was re-checked.  Cells never
-    abort the sweep: a cell whose inequalities cannot be built or
-    vectorized, or whose design fails (its point included), is recorded
-    as "failed", with the exception type and message as reason; if the
-    batch itself raises, every cell in it fails with that reason, and if
-    the margin re-check raises, every OPTIMAL cell does.  The
-    best cell minimizes the disturbance gain gamma = sqrt(c) e^{mu/2},
-    with ties broken by smaller mu then smaller alpha.
+    A cell past the decay bound is recorded as "infeasible" with the
+    reason of `_decay_bound` and solution None; it is never built,
+    vectorized, solved or re-checked.  All other cells are solved together,
+    in one lockstep batch of sdp.minimize_batch (no call when there is
+    none), and every solved cell goes through the certificate check of
+    synthesize, the margins of all of them in one stacked call, so a
+    "feasible" cell is one whose design was re-checked.  Cells never abort
+    the sweep: a cell whose inequalities cannot be built or vectorized, or
+    whose design fails (its point included), is recorded as "failed", with
+    the exception type and message as reason; if the batch itself raises,
+    every cell in it fails with that reason, and if the margin re-check
+    raises, every OPTIMAL cell does.  The best cell minimizes the
+    disturbance gain gamma = sqrt(c) e^{mu/2}, with ties broken by smaller
+    mu then smaller alpha.
     """
     mus = tuple(float(v) for v in mu_grid)
     alphas = tuple(float(v) for v in alpha_grid)
@@ -449,24 +492,31 @@ def grid_search(plant: Plant, mu_grid, alpha_grid,
         raise ValueError("grids must be strictly increasing")
 
     weights = [(mu, alpha) for mu in mus for alpha in alphas]
-    forms, reasons = {}, {}
+    forms, reasons, implied = {}, {}, {}
     for w in weights:
+        bound = _decay_bound(plant, *w, eps)
+        if bound is not None:
+            implied[w] = bound
+            continue
         try:
             forms[w] = lmi.vectorize(build_synthesis_lmis(plant, *w, eps=eps))
         except Exception as e:
             reasons[w] = _failure(e)
-    try:
-        solutions = dict(zip(forms, sdp.minimize_batch(forms.values())))
-    except Exception as e:
-        reasons.update(dict.fromkeys(forms, _failure(e)))
-        solutions = {}
+    solutions = {}
+    if forms:
+        try:
+            solutions = dict(zip(forms, sdp.minimize_batch(forms.values())))
+        except Exception as e:
+            reasons.update(dict.fromkeys(forms, _failure(e)))
     outcomes = dict(zip(solutions, _certify(
         ((forms[w], sol, *w) for w, sol in solutions.items()), eps)))
 
     cells, certificates = [], {}
     for w in weights:
         solution, outcome = solutions.get(w), outcomes.get(w)
-        if solution is None:
+        if w in implied:
+            cells.append(GridCell(*w, "infeasible", None, None, implied[w]))
+        elif solution is None:
             cells.append(GridCell(*w, "failed", None, None, reasons[w]))
         elif isinstance(outcome, InfeasibleError):
             cells.append(GridCell(*w, "infeasible", None, None, solution=solution))

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -36,6 +37,31 @@ def _plant(cfg: dict) -> Plant:
     return Plant(DiagMatrix(np.array(cfg["lambda"])), Matrix(np.array(cfg["H"])),
                  Matrix(np.array(cfg["B"])), Matrix(np.array(cfg["N"])),
                  np.array(cfg["u_max"]))
+
+
+# no gain stabilizes this plant: its one control drives only the first
+# channel, and the second reflects into itself with gain 1.5, so the solver
+# finds the synthesis inequalities infeasible also where alpha < mu min(lambda)
+_UNCONTROLLED_REFLECTION = {
+    "lambda": [1.0, math.sqrt(2.0)],
+    "H": [[0.25, 0.0], [-1.0, 1.5]],
+    "B": [[1.0], [0.0]],
+    "N": [[1.0, 0.0], [0.0, 1.0]],
+    "u_max": [0.3],
+}
+
+
+@pytest.fixture
+def reflection_plant_config() -> dict:
+    """Plant block of the uncontrolled reflection, a fresh copy."""
+    return copy.deepcopy(_UNCONTROLLED_REFLECTION)
+
+
+@pytest.fixture
+def reflection_plant() -> Plant:
+    """The uncontrolled reflection: a plant whose synthesis inequalities
+    the solver finds infeasible at (0.5, 0.1), (1.0, 0.5) and (2.0, 0.5)."""
+    return _plant(_UNCONTROLLED_REFLECTION)
 
 
 @pytest.fixture

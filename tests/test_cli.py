@@ -128,9 +128,9 @@ class TestSynth:
         assert code == 1
         assert "plant.lambda" in capsys.readouterr().err
 
-    def test_infeasible_design_exits_2(self, tmp_path):
-        cfg = _design_config()
-        cfg["design"]["alpha"] = 1.2
+    def test_infeasible_design_exits_2(self, tmp_path, reflection_plant_config):
+        # the solver finds the uncontrolled reflection infeasible at (1.0, 0.5)
+        cfg = _design_config(plant=reflection_plant_config)
         out = tmp_path / "o"
         code = cli.main(["synth", "--config", _write_config(tmp_path, cfg),
                          "--out", str(out)])
@@ -139,16 +139,36 @@ class TestSynth:
         assert report["status"] == "infeasible"
         assert report["duality_gap"] is None
         assert report["phase1_slack"] > 1e-7
+        assert "reason" not in report
         # the worst synthesis margin at the solver's last point, recomputed
         plant = cli._build_plant(cfg)
         with pytest.raises(control.InfeasibleError) as exc:
-            control.synthesize(plant, 1.0, 1.2, eps=1e-6)
-        sf = lmi.vectorize(control.build_synthesis_lmis(plant, 1.0, 1.2, eps=1e-6))
+            control.synthesize(plant, 1.0, 0.5, eps=1e-6)
+        sf = lmi.vectorize(control.build_synthesis_lmis(plant, 1.0, 0.5, eps=1e-6))
         worst = min(lmi.problem_margins(sf, exc.value.solution.x))
         assert worst < 0.0
         assert report["margins"]["worst_phase1_margin"] == worst
 
-    def test_infeasible_design_builds_its_inequalities_once(self, tmp_path, monkeypatch):
+    def test_design_past_the_decay_bound_reports_its_reason(self, tmp_path, capsys):
+        # alpha = 1.2 >= mu min(lambda) = 1: infeasible with no solver trace
+        cfg = _design_config()
+        cfg["design"]["alpha"] = 1.2
+        out = tmp_path / "o"
+        code = cli.main(["synth", "--config", _write_config(tmp_path, cfg),
+                         "--out", str(out)])
+        assert code == 2
+        reason = control._decay_bound(cli._build_plant(cfg), 1.0, 1.2, 1e-6)
+        assert capsys.readouterr().err == f"infeasible at mu=1, alpha=1.2 ({reason})\n"
+        report = json.loads((out / "synth_report.json").read_text())
+        assert report["status"] == "infeasible"
+        assert report["reason"] == reason
+        assert report["margins"] == {}
+        assert report["certificate"] is None
+        assert [report[k] for k in ("newton_steps", "duality_gap", "phase1_slack")] == [
+            None] * 3
+
+    def test_infeasible_design_builds_its_inequalities_once(
+            self, tmp_path, monkeypatch, reflection_plant_config):
         real = control.build_synthesis_lmis
         calls = []
 
@@ -157,10 +177,15 @@ class TestSynth:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(control, "build_synthesis_lmis", build)
+        cfg = _design_config(plant=reflection_plant_config)
+        assert cli.main(["synth", "--config", _write_config(tmp_path, cfg),
+                         "--out", str(tmp_path / "o")]) == 2
+        assert len(calls) == 1
+        # a design past the decay bound builds nothing
         cfg = _design_config()
         cfg["design"]["alpha"] = 1.2
         assert cli.main(["synth", "--config", _write_config(tmp_path, cfg),
-                         "--out", str(tmp_path / "o")]) == 2
+                         "--out", str(tmp_path / "p")]) == 2
         assert len(calls) == 1
 
     def test_solver_failure_writes_a_report_and_exits_1(self, tmp_path, monkeypatch, capsys):
@@ -284,7 +309,8 @@ class TestGrid:
         assert report["failed_cells"] == [
             {"mu": 1.0, "alpha": 0.25, "reason": "FloatingPointError: injected"}]
 
-    def test_demo_grid_gammas_of_the_best_cell(self, tmp_path, monkeypatch):
+    def test_demo_grid_gammas_of_the_best_cell(self, tmp_path, monkeypatch,
+                                               reflection_plant_config):
         # feasibility.csv states sqrt(c) e^{mu/2} from the peak bound c, the
         # certificate sqrt(max lyap_inv) e^{mu/2} with max lyap_inv <= c
         monkeypatch.chdir(tmp_path)
@@ -300,17 +326,46 @@ class TestGrid:
         csv_gamma = float(row[4])
         assert best["gamma"] <= csv_gamma * (1.0 + 1e-9)
         assert best["gamma"] == pytest.approx(csv_gamma, rel=1e-8)
-        steps = report["newton_steps"]
-        assert [(c["mu"], c["alpha"]) for c in steps] == [
-            (float(r[0]), float(r[1])) for r in rows]
-        for cell, r in zip(steps, rows):
+        self._check_traces(rows, report)
+        # the 23 infeasible demo cells are past the decay bound: no solver
+        # trace, and the reason in infeasible_cells
+        assert [(c["mu"], c["alpha"]) for c in report["infeasible_cells"]] == [
+            (float(r[0]), float(r[1])) for r in rows if r[2] == "infeasible"]
+        assert len(report["infeasible_cells"]) == 23
+        assert all(c["reason"].startswith(f"alpha={c['alpha']} >= mu*lambda_1=")
+                   for c in report["infeasible_cells"])
+        # the solver's infeasible verdicts keep their trace and carry no reason
+        cfg = self._grid_config({"min": 0.5, "max": 2.0, "count": 3},
+                                {"min": 0.1, "max": 0.5, "count": 2})
+        cfg["plant"] = reflection_plant_config
+        assert cli.main(["grid", "--config", _write_config(tmp_path, cfg),
+                         "--out", str(tmp_path / "r")]) == 2
+        _, rows = _read_csv(tmp_path / "r" / "feasibility.csv")
+        report = json.loads((tmp_path / "r" / "grid_report.json").read_text())
+        self._check_traces(rows, report)
+        assert [(c["mu"], c["alpha"], c["reason"] is None)
+                for c in report["infeasible_cells"]] == [
+            (0.5, 0.1, True), (0.5, 0.5, False), (1.25, 0.1, True), (1.25, 0.5, True),
+            (2.0, 0.1, True), (2.0, 0.5, True)]
+
+    @staticmethod
+    def _check_traces(rows, report):
+        """Every cell's solver trace in the report, in the CSV's order: both
+        phases of a feasible cell, phase 1 only of one the solver found
+        infeasible, null for one past the decay bound."""
+        implied = {(c["mu"], c["alpha"]) for c in report["infeasible_cells"]
+                   if c["reason"] is not None}
+        steps, slacks = report["newton_steps"], report["phase1_slack"]
+        for traces in (steps, slacks):
+            assert [(c["mu"], c["alpha"]) for c in traces] == [
+                (float(r[0]), float(r[1])) for r in rows]
+        for cell, slack, r in zip(steps, slacks, rows):
+            if (cell["mu"], cell["alpha"]) in implied:
+                assert (cell["steps"], slack["slack"]) == (None, None)
+                continue
             assert cell["steps"]["phase1"] > 0
             assert (cell["steps"]["phase2"] > 0) == (r[2] == "feasible")
-        slacks = report["phase1_slack"]
-        assert [(c["mu"], c["alpha"]) for c in slacks] == [
-            (float(r[0]), float(r[1])) for r in rows]
-        for cell, r in zip(slacks, rows):
-            assert (cell["slack"] <= -1e-9) if r[2] == "feasible" else (cell["slack"] > 1e-7)
+            assert (slack["slack"] <= -1e-9) if r[2] == "feasible" else (slack["slack"] > 1e-7)
 
     def test_demo_grid_best_certificate_verifies(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -348,6 +403,23 @@ class TestGrid:
         assert report["cells"] == {"feasible": 0, "infeasible": 23, "failed": 41}
         assert report["certificate"] is None
         assert all("ConvergenceError: " in c["reason"] for c in report["failed_cells"])
+
+    def test_grid_whose_every_cell_failed_exits_1(self, tmp_path, monkeypatch, capsys):
+        # no cell is feasible and none is infeasible: the grid failed
+        monkeypatch.setattr(linalg, "_ORTHO_ULPS", -1.0)
+        cfg = self._grid_config({"min": 1.0, "max": 1.0, "count": 1},
+                                {"min": 0.5, "max": 0.5, "count": 1})
+        out = tmp_path / "o"
+        assert cli.main(["grid", "--config", _write_config(tmp_path, cfg),
+                         "--out", str(out)]) == 1
+        assert "no feasible cell" in capsys.readouterr().err
+        report = json.loads((out / "grid_report.json").read_text())
+        assert report["status"] == "failed"
+        assert report["cells"] == {"feasible": 0, "infeasible": 0, "failed": 1}
+        assert report["infeasible_cells"] == []
+        [cell] = report["failed_cells"]
+        assert "ConvergenceError: " in cell["reason"]
+        assert report["certificate"] is None
 
     def test_repeated_weight_is_config_error(self, tmp_path, capsys):
         # linspace(1, 1 + 2**-52, 3) is [1.0, 1.0, 1.0000000000000002]
@@ -503,28 +575,41 @@ class TestSimulate:
         z = grid.centers
         assert float(rows[0][1]) == pde.l2_norm(np.stack([z, 1.0 - z]), grid)
 
-    def test_infeasible_auto_design_is_reported_as_synth_reports_it(self, tmp_path, capsys):
-        cfg = _design_config()
-        cfg["design"]["alpha"] = 1.2
-        cfg_path = _write_config(tmp_path, cfg)
-        out = tmp_path / "o"
-        assert cli.main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("infeasible at mu=1, alpha=1.2 (worst margin -")
-        assert sorted(p.name for p in out.iterdir()) == ["simulate_report.json"]
-        report = json.loads((out / "simulate_report.json").read_text())
-        assert report["status"] == "infeasible"
-        assert report["gain_source"] == "auto"
-        assert report["manifest"] == ["simulate_report.json"]
-        assert report["newton_steps"]["phase1"] > 0
-        # the same solver trace, margin, weights and digest as synth's report
-        assert cli.main(["synth", "--config", cfg_path, "--out", str(tmp_path / "s")]) == 2
-        assert capsys.readouterr().err == err
-        synth = json.loads((tmp_path / "s" / "synth_report.json").read_text())
-        for r in (report, synth):
-            for key in ("command", "gain_source", "manifest", "timing_seconds"):
-                r.pop(key, None)
-        assert report == synth
+    def test_infeasible_auto_design_is_reported_as_synth_reports_it(
+            self, tmp_path, capsys, reflection_plant_config):
+        # the solver's verdict on the uncontrolled reflection at (1.0, 0.5), and
+        # the demo at alpha = 1.2, past the decay bound, where no solver runs
+        past_bound = _design_config()
+        past_bound["design"]["alpha"] = 1.2
+        for name, cfg, alpha, detail in (
+                ("solved", _design_config(plant=reflection_plant_config), 0.5,
+                 "(worst margin -"),
+                ("implied", past_bound, 1.2, "(alpha=1.2 >= mu*lambda_1=1.0, ")):
+            cfg_path = _write_config(tmp_path, cfg, f"{name}.json")
+            out = tmp_path / name
+            assert cli.main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"infeasible at mu=1, alpha={alpha} {detail}")
+            assert sorted(p.name for p in out.iterdir()) == ["simulate_report.json"]
+            report = json.loads((out / "simulate_report.json").read_text())
+            assert report["status"] == "infeasible"
+            assert report["gain_source"] == "auto"
+            assert report["manifest"] == ["simulate_report.json"]
+            if name == "solved":
+                assert report["newton_steps"]["phase1"] > 0
+            else:
+                assert report["newton_steps"] is None
+                assert err == f"infeasible at mu=1, alpha=1.2 ({report['reason']})\n"
+            # the same solver trace, margin or reason, weights and digest as
+            # synth's report
+            synth_out = tmp_path / f"{name}-synth"
+            assert cli.main(["synth", "--config", cfg_path, "--out", str(synth_out)]) == 2
+            assert capsys.readouterr().err == err
+            synth = json.loads((synth_out / "synth_report.json").read_text())
+            for r in (report, synth):
+                for key in ("command", "gain_source", "manifest", "timing_seconds"):
+                    r.pop(key, None)
+            assert report == synth
 
     def test_auto_design_solver_failure_writes_a_report_and_exits_1(
             self, tmp_path, monkeypatch, capsys):
@@ -751,6 +836,28 @@ class TestVerify:
         assert analysis == {f"analysis.{label}" for label in (
             "boundary_block", "disturbance_block", "decay_block",
             "p_pos", "t_pos", "coupling_pos", "supply_pos")}
+
+    def test_recheck_error_writes_a_failed_report_and_exits_1(
+            self, tmp_path, monkeypatch, capsys):
+        cfg_path, cert_path = self._synth(tmp_path)
+        # every basis fails the orthonormality test, so recomputing the
+        # margins raises ConvergenceError
+        monkeypatch.setattr(linalg, "_ORTHO_ULPS", -1.0)
+        out = tmp_path / "v"
+        assert cli.main(["verify", "--config", cfg_path,
+                         "--gain", str(cert_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("verify error: margins could not be computed: "
+                              "ConvergenceError: ")
+        assert [p.name for p in out.iterdir()] == ["verify_report.json"]
+        report = json.loads((out / "verify_report.json").read_text())
+        assert report["status"] == "failed"
+        assert err == f"verify error: {report['reason']}\n"
+        assert "orthonormality test" in report["reason"]
+        assert report["margins"] == {}
+        assert report["certificate_path"] == str(cert_path)
+        assert report["certificate_digest"] == hashlib.sha256(
+            cert_path.read_bytes()).hexdigest()
 
     def test_shrunken_sector_multiplier_fails(self, tmp_path):
         cfg_path, cert_path = self._synth(tmp_path)

@@ -251,10 +251,20 @@ class TestSynthesize:
             lyap_inv=DiagMatrix(-demo_certificate.lyap_inv.diagonal))
         assert control.synthesis_margins(demo_plant, flipped)["q_pos"] < 0.0
 
-    def test_infeasible_weights_raise(self, demo_plant):
+    def test_infeasible_weights_raise(self, reflection_plant):
+        # alpha < mu min(lambda): the solver decides, and its verdict comes back
+        with pytest.raises(InfeasibleError) as exc:
+            synthesize(reflection_plant, 1.0, 0.5)
+        assert exc.value.solution.status is sdp.Status.INFEASIBLE
+        assert exc.value.form is not None
+
+    def test_weights_past_the_decay_bound_raise_with_the_reason(self, demo_plant):
+        # alpha = 1.2 >= mu min(lambda) = 1: no solver trace, and the reason
         with pytest.raises(InfeasibleError) as exc:
             synthesize(demo_plant, 1.0, 1.2)
-        assert exc.value.solution.status is sdp.Status.INFEASIBLE
+        assert (exc.value.solution, exc.value.form) == (None, None)
+        assert str(exc.value) == control._decay_bound(demo_plant, 1.0, 1.2, lmi.DEFAULT_EPS)
+        assert str(exc.value).startswith("alpha=1.2 >= mu*lambda_1=1.0, ")
 
 
 class TestIssCoefficients:
@@ -322,37 +332,49 @@ class TestGridSearch:
         assert cell.status == "feasible"
         assert abs(cell.gamma - math.sqrt(cell.peak) * math.exp(0.5)) < 1e-12
 
-    def test_failed_cell_keeps_its_reason(self, demo_plant, monkeypatch):
+    def test_failed_cell_keeps_its_reason(self, demo_plant, reflection_plant,
+                                          monkeypatch):
+        # (0.5, 0.5) is past the decay bound, so the second cell built is
+        # (1.0, 0.1); on the demo the solver finds the other cells feasible,
+        # on the uncontrolled reflection infeasible
         real = control.build_synthesis_lmis
         calls = []
 
         def build(*args, **kwargs):
             calls.append(args)
-            if len(calls) == 2:  # the cell (0.5, 1.2); the sweep goes on
+            if len(calls) % 3 == 2:  # the cell (1.0, 0.1); the sweep goes on
                 raise FloatingPointError("injected at one cell")
             return real(*args, **kwargs)
 
         monkeypatch.setattr(control, "build_synthesis_lmis", build)
-        fm = grid_search(demo_plant, [0.5, 1.0], [0.5, 1.2])
-        reasons = {(c.mu, c.alpha): (c.status, c.reason) for c in fm.cells}
-        assert reasons == {
-            (0.5, 0.5): ("infeasible", None),
-            (0.5, 1.2): ("failed", "FloatingPointError: injected at one cell"),
-            (1.0, 0.5): ("feasible", None),
-            (1.0, 1.2): ("infeasible", None),
-        }
-        assert (fm.best.mu, fm.best.alpha) == (1.0, 0.5)
+        failed = ("failed", "FloatingPointError: injected at one cell")
+        bests = []
+        for plant, verdict in ((demo_plant, "feasible"), (reflection_plant, "infeasible")):
+            fm = grid_search(plant, [0.5, 1.0], [0.1, 0.5])
+            reasons = {(c.mu, c.alpha): (c.status, c.reason) for c in fm.cells}
+            assert reasons == {
+                (0.5, 0.1): (verdict, None),
+                (0.5, 0.5): ("infeasible",
+                             control._decay_bound(plant, 0.5, 0.5, lmi.DEFAULT_EPS)),
+                (1.0, 0.1): failed,
+                (1.0, 0.5): (verdict, None),
+            }
+            assert reasons[(0.5, 0.5)][1] is not None
+            bests.append(fm.best and (fm.best.mu, fm.best.alpha))
+        assert len(calls) == 6
+        assert bests == [(0.5, 0.1), None]
 
     def test_optimal_cell_whose_point_fails_the_recheck_fails(self, demo_plant,
                                                               monkeypatch):
-        mus, alphas = [0.5, 1.0], [0.1, 0.5]
+        # every cell is below the decay bound, so all four reach the solver
+        mus, alphas = [0.5, 1.0], [0.1, 0.4]
         honest = grid_search(demo_plant, mus, alphas)
         real = sdp.minimize_batch
 
         def minimize_batch(forms):
             forms = list(forms)
             solutions = real(forms)
-            # the solver claims the cell (1.0, 0.5) optimal at a point whose
+            # the solver claims the cell (1.0, 0.4) optimal at a point whose
             # lyap_inv is negative, which breaks q_pos
             sol, sf = solutions[3], forms[3]
             values = sf.unpack(sol.x)
@@ -364,7 +386,7 @@ class TestGridSearch:
         fm = grid_search(demo_plant, mus, alphas)
         bad = fm.cells[3]
         assert (bad.mu, bad.alpha, bad.status, bad.peak, bad.gamma) == (
-            1.0, 0.5, "failed", None, None)
+            1.0, 0.4, "failed", None, None)
         assert bad.reason.startswith("SolverFailureError: re-checked margins dip")
         assert bad.solution.newton_steps == honest.cells[3].solution.newton_steps
         assert honest.cells[3].status == "feasible"
@@ -376,26 +398,43 @@ class TestGridSearch:
             raise FloatingPointError("injected in the batch")
 
         monkeypatch.setattr(sdp, "minimize_batch", minimize_batch)
-        fm = grid_search(demo_plant, [0.5, 1.0], [0.5])
+        fm = grid_search(demo_plant, [0.5, 1.0], [0.25])
         assert [(c.status, c.reason, c.solution) for c in fm.cells] == [
             ("failed", "FloatingPointError: injected in the batch", None)] * 2
         assert fm.best is None
+        # a cell past the decay bound never joins the batch, so it stands
+        fm = grid_search(demo_plant, [0.5], [0.25, 0.5])
+        assert [(c.status, c.solution) for c in fm.cells] == [
+            ("failed", None), ("infeasible", None)]
+        assert fm.cells[1].reason == control._decay_bound(
+            demo_plant, 0.5, 0.5, lmi.DEFAULT_EPS)
 
-    def test_matches_synthesize_cell_by_cell(self, demo_plant):
-        mus, alphas = [0.25, 0.5, 0.75], [0.1, 0.3, 0.5]
-        fm = grid_search(demo_plant, mus, alphas)
-        designs = {}
-        for cell in fm.cells:
-            assert cell.solution.newton_steps[0] > 0
-            try:
-                cert = synthesize(demo_plant, cell.mu, cell.alpha)
-            except InfeasibleError:
-                assert cell.status == "infeasible"
-                assert cell.solution.newton_steps[1] == 0
-                continue
-            assert cell.status == "feasible"
-            assert cell.peak == pytest.approx(cert.peak, rel=1e-9)
-            designs[(cell.mu, cell.alpha)] = cert
+    def test_matches_synthesize_cell_by_cell(self, demo_plant, reflection_plant):
+        def compare(plant, mus, alphas):
+            fm = grid_search(plant, mus, alphas)
+            designs, implied = {}, []
+            for cell in fm.cells:
+                try:
+                    cert = synthesize(plant, cell.mu, cell.alpha)
+                except InfeasibleError as e:
+                    assert cell.status == "infeasible"
+                    if e.solution is None:  # past the decay bound: no solver ran
+                        assert (cell.solution, cell.reason) == (None, str(e))
+                        implied.append((cell.mu, cell.alpha))
+                    else:
+                        assert cell.reason is None
+                        assert cell.solution.newton_steps[0] > 0
+                        assert cell.solution.newton_steps[1] == 0
+                    continue
+                assert cell.solution.newton_steps[0] > 0
+                assert cell.status == "feasible"
+                assert cell.peak == pytest.approx(cert.peak, rel=1e-9)
+                designs[(cell.mu, cell.alpha)] = cert
+            return fm, designs, implied
+
+        # demo cells the solver finds feasible, and (0.25, 0.3) past the bound
+        fm, designs, implied = compare(demo_plant, [0.25, 0.5, 0.75], [0.1, 0.2, 0.3])
+        assert (len(designs), implied) == (8, [(0.25, 0.3)])
         best = min(designs.values(), key=lambda c: (c.gamma, c.mu, c.alpha))
         assert (best.mu, best.alpha) == (fm.best.mu, fm.best.alpha) == (0.5, 0.1)
         assert fm.best.peak == pytest.approx(best.peak, rel=1e-9)
@@ -403,6 +442,9 @@ class TestGridSearch:
         assert sum(fm.best.solution.newton_steps) > 0
         # the best certificate carries its cell's outcome, not a copy
         assert fm.best.solution is fm.cells[3].solution
+        # cells the solver finds infeasible, and (0.5, 0.5) past the bound
+        fm, designs, implied = compare(reflection_plant, [0.5, 1.0], [0.1, 0.5])
+        assert (designs, implied, fm.best) == ({}, [(0.5, 0.5)], None)
 
     def test_one_call_recheck_matches_each_cell_alone(self, demo_plant, monkeypatch):
         # the demo grid re-checks its 41 optimal cells in one stacked call,
@@ -431,6 +473,81 @@ class TestGridSearch:
             grid_search(demo_plant, [1.0, 0.5], [0.5])
         with pytest.raises(ValueError):
             grid_search(demo_plant, [1.0], [-0.5])
+
+
+class TestDecayBound:
+    """Past alpha = mu min(lambda) the decay block cannot hold with q_pos and
+    coupling_pos (control._decay_bound); such designs never reach the
+    builder or the solver."""
+
+    DEMO_MU, DEMO_ALPHA = np.linspace(0.25, 2.0, 8), np.linspace(0.1, 1.5, 8)
+
+    def test_implied_cells_never_reach_the_builder_or_the_solver(self, demo_plant,
+                                                                   monkeypatch):
+        calls = {"build": [], "vectorize": [], "solve": [], "recheck": []}
+
+        def counted(name, real, count):
+            def wrapper(*args, **kwargs):
+                calls[name].append(count(*args))
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(control, "build_synthesis_lmis", counted(
+            "build", control.build_synthesis_lmis, lambda plant, mu, alpha: (mu, alpha)))
+        monkeypatch.setattr(lmi, "vectorize", counted("vectorize", lmi.vectorize,
+                                                      lambda problem: 1))
+        monkeypatch.setattr(sdp, "minimize_batch", counted("solve", sdp.minimize_batch, len))
+        monkeypatch.setattr(lmi, "margins_batch", counted("recheck", lmi.margins_batch, len))
+        fm = grid_search(demo_plant, self.DEMO_MU, self.DEMO_ALPHA)
+        below = [(c.mu, c.alpha) for c in fm.cells if c.alpha < c.mu]
+        assert len(below) == 41
+        assert calls == {"build": below, "vectorize": [1] * 41, "solve": [41],
+                         "recheck": [41]}
+        assert sorted(c.status for c in fm.cells if c.alpha >= c.mu) == ["infeasible"] * 23
+        assert all(c.solution is None and c.reason is not None
+                   for c in fm.cells if c.alpha >= c.mu)
+        for made in calls.values():
+            made.clear()
+        fm = grid_search(demo_plant, [0.25], [0.3, 1.4])
+        assert [c.status for c in fm.cells] == ["infeasible"] * 2
+        with pytest.raises(InfeasibleError):
+            synthesize(demo_plant, 1.0, 1.2)
+        assert all(made == [] for made in calls.values())
+
+    def test_the_bound_is_tight(self, demo_plant):
+        plant = dataclasses.replace(
+            demo_plant, speeds=DiagMatrix(np.array([math.sqrt(3.0), math.sqrt(2.0)])))
+        mu = 0.7
+        edge = mu * math.sqrt(2.0)
+        below = float(np.nextafter(edge, 0.0))
+        eps = lmi.DEFAULT_EPS
+        assert control._decay_bound(plant, mu, edge, eps) == (
+            f"alpha={edge} >= mu*lambda_2={edge}, so q_pos and coupling_pos keep "
+            f"entry 2 of decay_block at eps or above")
+        assert control._decay_bound(plant, mu, below, eps) is None
+        fm = grid_search(plant, [mu], [below, edge])
+        assert fm.cells[0].solution is not None
+        assert fm.cells[0].solution.newton_steps[0] > 0
+        assert (fm.cells[1].status, fm.cells[1].solution) == ("infeasible", None)
+
+    def test_eps_zero_reaches_the_solver(self, demo_plant):
+        # with eps = 0, q_1 = G_11 = 0 leaves the decay block's entry at 0
+        assert control._decay_bound(demo_plant, 1.0, 1.2, 0.0) is None
+        [cell] = grid_search(demo_plant, [1.0], [1.2], eps=0.0).cells
+        assert cell.solution.newton_steps[0] > 0
+        assert cell.reason is None
+        with pytest.raises(InfeasibleError) as exc:
+            synthesize(demo_plant, 1.0, 1.2, eps=0.0)
+        assert exc.value.solution.status is sdp.Status.INFEASIBLE
+
+    def test_solver_agrees_on_every_implied_demo_cell(self, demo_plant):
+        # the solver's own infeasible path still reaches the demo's 23 cells
+        implied = [(mu, alpha) for mu in self.DEMO_MU for alpha in self.DEMO_ALPHA
+                   if control._decay_bound(demo_plant, mu, alpha, lmi.DEFAULT_EPS)]
+        assert len(implied) == 23
+        for mu, alpha in implied:
+            sf = lmi.vectorize(build_synthesis_lmis(demo_plant, mu, alpha))
+            assert sdp.minimize(sf).status is sdp.Status.INFEASIBLE, (mu, alpha)
 
 
 class TestVerifyAnalysis:

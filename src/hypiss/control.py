@@ -14,11 +14,15 @@ K lyap_inv.  So a certificate is re-checked on both sides without a
 solver: its margins are evaluated at its own point in the synthesis
 problem, and at P = lyap_inv^-1, T = sector_inv^-1 in the analysis one.
 
+Both problems are posed without the paper's coupling matrix (G, Gamma),
+whose disturbance and decay blocks merge into one (`build_synthesis_lmis`);
+a certificate carries a closed-form G that no check reads (`_certificate`).
+
 One verdict needs no solver: posed with eps > 0, the synthesis
 inequalities are infeasible once alpha >= mu min(lambda), the known ceiling
 on the decay rate of the exp(-mu z)-weighted L2 functional (Bastin & Coron,
 *Stability and Boundary Stabilization of 1-D Hyperbolic Systems*, 2016).
-`_decay_bound` proves it from the decay block alone, and `synthesize` and
+`_decay_bound` proves it from the merged block alone, and `synthesize` and
 `grid_search` report such designs infeasible, with that reason, without
 building or solving their inequalities.  Every other verdict is the
 solver's.
@@ -135,9 +139,10 @@ class SynthesisCertificate:
 
     lyap_inv is the inverse of the (diagonal) Lyapunov weight, sector_inv
     the inverse of the sector multiplier, gain_scaled the gain times
-    lyap_inv, coupling the disturbance-coupling bound, peak an upper
-    bound on the largest eigenvalue of lyap_inv that the design minimized,
-    eps the strictness slack the inequalities were posed with, and
+    lyap_inv, coupling the paper's disturbance-coupling bound G, rebuilt in
+    closed form from the point (`_certificate`) and read by no check, peak
+    an upper bound on the largest eigenvalue of lyap_inv that the design
+    minimized, eps the strictness slack the inequalities were posed with, and
     solution the solver's outcome the certificate was read from.  A
     certificate read back from a file has margins {} and solution None.
     """
@@ -253,9 +258,9 @@ def closed_loop_boundary(law: BoundaryLaw, outflow) -> np.ndarray:
 
 
 # variable names used in the synthesis problem
-_VQ, _VS, _VW, _VG, _VC = "lyap_inv", "sector_inv", "gain_scaled", "coupling", "peak"
+_VQ, _VS, _VW, _VC = "lyap_inv", "sector_inv", "gain_scaled", "peak"
 # and in the analysis problem
-_VP, _VT, _VGA, _VX = "lyap", "sector", "coupling", "supply_sq"
+_VP, _VT, _VX = "lyap", "sector", "supply_sq"
 
 
 def build_synthesis_lmis(plant: Plant, mu: float, alpha: float,
@@ -264,8 +269,18 @@ def build_synthesis_lmis(plant: Plant, mu: float, alpha: float,
 
     Decision variables: diagonal lyap_inv (inverse Lyapunov weight),
     diagonal sector_inv (inverse sector multiplier), full gain_scaled
-    (gain times lyap_inv), symmetric coupling, and the scalar peak bounding
-    lyap_inv's largest eigenvalue, which is also the objective.
+    (gain times lyap_inv), and the scalar peak bounding lyap_inv's largest
+    eigenvalue, which is also the objective.
+
+    The paper's coupling G enters only the disturbance block [[G, N],
+    [N^T, I]] >= eps I, the decay block Q diag(alpha - mu lambda) + G <=
+    -eps I and G >= eps I, and is eliminated (Boyd, El Ghaoui, Feron &
+    Balakrishnan, *Linear Matrix Inequalities in System and Control
+    Theory*, 1994, sections 2.1 and 2.6.2): some G meets all three exactly
+    when disturbance_decay_block [[Q diag(mu lambda - alpha) - eps I, N],
+    [N^T, I]] >= eps I does.  Given G, that block is the disturbance block
+    plus diag(-decay - eps I, 0) >= 0; given the block, G = Q diag(mu lambda
+    - alpha) - eps I meets all three.
     """
     if mu <= 0.0 or alpha <= 0.0:
         raise ValueError("mu and alpha must be positive")
@@ -280,31 +295,28 @@ def build_synthesis_lmis(plant: Plant, mu: float, alpha: float,
     vq = lmi.VarSpec.diagonal(_VQ, n)
     vs = lmi.VarSpec.diagonal(_VS, m)
     vw = lmi.VarSpec.full(_VW, m, n)
-    vg = lmi.VarSpec.symmetric(_VG, n)
     vc = lmi.VarSpec.scalar(_VC)
     q = lmi.MatExpr.from_var(vq)
     s = lmi.MatExpr.from_var(vs)
     w = lmi.MatExpr.from_var(vw)
-    g = lmi.MatExpr.from_var(vg)
 
     boundary = lmi.sym_block([
         [-(q @ big_lam_inv), h @ q + b @ w, b @ s],
         [None, -math.exp(-mu) * (big_lam @ q), -(w.T)],
         [None, None, -2.0 * s]])
-    coupling = lmi.sym_block([[g, nd], [None, np.eye(plant.q)]])
-    decay = q @ np.diag(alpha - mu * lam) + g
+    # mu lambda - alpha, the negation of _decay_bound's alpha - mu lambda
+    rate = np.diag(-(alpha - mu * lam))
+    merged = lmi.sym_block([[q @ rate - eps * np.eye(n), nd], [None, np.eye(plant.q)]])
     cap = q - lmi.MatExpr.scalar_identity(_VC, n)
 
     constraints = (
         lmi.Constraint(boundary, lmi.LEQ, "boundary_block"),
-        lmi.Constraint(coupling, lmi.GEQ, "disturbance_block"),
-        lmi.Constraint(decay, lmi.LEQ, "decay_block"),
+        lmi.Constraint(merged, lmi.GEQ, "disturbance_decay_block"),
         lmi.Constraint(cap, lmi.LEQ, "peak_cap", eps=0.0),
         lmi.Constraint(q, lmi.GEQ, "q_pos"),
         lmi.Constraint(s, lmi.GEQ, "s_pos"),
-        lmi.Constraint(g, lmi.GEQ, "coupling_pos"),
     )
-    return lmi.LmiProblem((vq, vs, vw, vg, vc), constraints,
+    return lmi.LmiProblem((vq, vs, vw, vc), constraints,
                           objective=(((_VC, 0), 1.0),), eps=eps)
 
 
@@ -312,14 +324,14 @@ def _decay_bound(plant: Plant, mu: float, alpha: float, eps: float) -> str | Non
     """Why the synthesis inequalities posed with slack eps > 0 cannot hold
     at (mu, alpha), or None when the solver must decide.
 
-    Entry i of the decay block Q diag(alpha - mu lambda) + G <= -eps I is
-    q_i (alpha - mu lambda_i) + G_ii.  q_pos gives q_i >= eps > 0 and
-    coupling_pos gives G_ii >= eps, so once alpha - mu lambda_i >= 0 that
-    entry is at least eps > -eps, and no point satisfies all three.
+    Diagonal entry i of disturbance_decay_block >= eps I is
+    q_i (mu lambda_i - alpha) - eps, and it must be at least eps.  q_pos
+    gives q_i >= eps > 0, so once alpha - mu lambda_i >= 0 that entry is at
+    most -eps < eps, and no point satisfies both.
 
-    alpha - mu lambda is computed as build_synthesis_lmis computes it.  With
-    eps = 0 the argument fails (q_i = G_ii = 0 is allowed), and a weight
-    mu <= 0 is left to build_synthesis_lmis to refuse.
+    alpha - mu lambda is computed as build_synthesis_lmis negates it.  With
+    eps = 0 the argument fails (q_i = 0 is allowed), and a weight mu <= 0 is
+    left to build_synthesis_lmis to refuse.
     """
     if not (eps > 0.0 and mu > 0.0):
         return None
@@ -328,8 +340,8 @@ def _decay_bound(plant: Plant, mu: float, alpha: float, eps: float) -> str | Non
     i = int(np.argmax(rates))
     if not rates[i] >= 0.0:
         return None
-    return (f"alpha={alpha} >= mu*lambda_{i + 1}={float(mu * lam[i])}, so q_pos and "
-            f"coupling_pos keep entry {i + 1} of decay_block at eps or above")
+    return (f"alpha={alpha} >= mu*lambda_{i + 1}={float(mu * lam[i])}, so q_pos keeps "
+            f"entry {i + 1} of disturbance_decay_block at -eps or below")
 
 
 def iss_coefficients(lyap: DiagMatrix, mu: float, alpha: float) -> IssCoefficients:
@@ -363,19 +375,27 @@ def synthesis_margins(plant: Plant, cert: SynthesisCertificate) -> dict[str, flo
     sf = lmi.vectorize(build_synthesis_lmis(plant, cert.mu, cert.alpha, eps=cert.eps))
     return _margins(sf, sf.pack({
         _VQ: cert.lyap_inv.diagonal, _VS: cert.sector_inv.diagonal,
-        _VW: cert.gain_scaled.array, _VG: cert.coupling.array, _VC: [cert.peak]}))
+        _VW: cert.gain_scaled.array, _VC: [cert.peak]}))
 
 
-def _certificate(sf: lmi.StandardForm, solution: sdp.Solution, mu: float, alpha: float,
-                 eps: float, rechecked: list[float] | ConvergenceError | None
-                 ) -> SynthesisCertificate:
-    """The certificate of one design at (mu, alpha), posed with slack eps,
-    with the re-checked margins of its point (None unless it is OPTIMAL),
-    or the error that stopped the re-check.
+def _certificate(plant: Plant, sf: lmi.StandardForm, solution: sdp.Solution,
+                 mu: float, alpha: float, eps: float,
+                 rechecked: list[float] | ConvergenceError | None) -> SynthesisCertificate:
+    """The certificate of one design of the plant at (mu, alpha), posed
+    with slack eps, with the re-checked margins of its point (None unless
+    it is OPTIMAL), or the error that stopped the re-check.
 
     Raises InfeasibleError or SolverFailureError unless the solver reached
     an optimum whose x passes the re-check: every inequality's margin, and
     the peak bound.
+
+    The paper's coupling is rebuilt as G = diag(q (mu lambda - alpha)) -
+    (eps + m/2) I, m the re-checked margin of disturbance_decay_block (so
+    that block is >= (eps + m) I).  The decay block is then -(eps + m/2) I,
+    margin m/2; the disturbance block is the merged block minus
+    diag((m/2) I, 0), and G the merged block's top-left block (>= (eps + m) I
+    by interlacing) minus (m/2) I, so each keeps a margin of at least m/2,
+    up to the rounding of forming G.
     """
     if solution.status is sdp.Status.INFEASIBLE:
         raise InfeasibleError(
@@ -399,7 +419,10 @@ def _certificate(sf: lmi.StandardForm, solution: sdp.Solution, mu: float, alpha:
             solution, sf)
     values = sf.unpack(solution.x)
     q, s = (DiagMatrix(np.diagonal(values[v])) for v in (_VQ, _VS))
-    w, g = Matrix(values[_VW]), SymMatrix(values[_VG])
+    w = Matrix(values[_VW])
+    rate = -(alpha - mu * plant.speeds.diagonal)
+    slack = eps + margins["disturbance_decay_block"] / 2.0
+    g = SymMatrix(np.diag(q.diagonal * rate - slack))
     peak = float(values[_VC][0, 0])
     qmax = float(np.max(q.diagonal))
     if qmax > peak + 1e-9 * max(1.0, abs(peak)):
@@ -418,10 +441,10 @@ def _certificate(sf: lmi.StandardForm, solution: sdp.Solution, mu: float, alpha:
         margins=margins, eps=eps, solution=solution)
 
 
-def _certify(designs, eps: float) -> list:
-    """The certificate of each solved design (sf, solution, mu, alpha),
-    posed with slack eps, or the SynthesisError that refuses it (see
-    `_certificate`).  The margins of every OPTIMAL design are recomputed
+def _certify(plant: Plant, designs, eps: float) -> list:
+    """The certificate of each solved design (sf, solution, mu, alpha) of
+    the plant, posed with slack eps, or the SynthesisError that refuses it
+    (see `_certificate`).  The margins of every OPTIMAL design are recomputed
     at its x in one stacked call, `lmi.margins_batch`, each the same bits
     as `lmi.problem_margins` of its own design; with no OPTIMAL design
     there is no call.  A re-check that raises ConvergenceError fails every
@@ -438,7 +461,7 @@ def _certify(designs, eps: float) -> list:
     out = []
     for (sf, solution, mu, alpha), ok in zip(designs, optimal):
         try:
-            out.append(_certificate(sf, solution, mu, alpha, eps,
+            out.append(_certificate(plant, sf, solution, mu, alpha, eps,
                                     next(rechecked) if ok else None))
         except SynthesisError as e:
             out.append(e)
@@ -457,7 +480,7 @@ def synthesize(plant: Plant, mu: float, alpha: float,
     if reason is not None:
         raise InfeasibleError(reason)
     sf = lmi.vectorize(build_synthesis_lmis(plant, mu, alpha, eps=eps))
-    [outcome] = _certify([(sf, sdp.minimize(sf), mu, alpha)], eps)
+    [outcome] = _certify(plant, [(sf, sdp.minimize(sf), mu, alpha)], eps)
     if isinstance(outcome, SynthesisError):
         raise outcome
     return outcome
@@ -509,7 +532,7 @@ def grid_search(plant: Plant, mu_grid, alpha_grid,
         except Exception as e:
             reasons.update(dict.fromkeys(forms, _failure(e)))
     outcomes = dict(zip(solutions, _certify(
-        ((forms[w], sol, *w) for w, sol in solutions.items()), eps)))
+        plant, ((forms[w], sol, *w) for w, sol in solutions.items()), eps)))
 
     cells, certificates = [], {}
     for w in weights:
@@ -537,13 +560,18 @@ def grid_search(plant: Plant, mu_grid, alpha_grid,
 def build_analysis_lmis(plant: Plant, gain: Matrix, mu: float, alpha: float,
                         eps: float = lmi.DEFAULT_EPS) -> lmi.LmiProblem:
     """Dissipation inequalities certifying a fixed gain, in a diagonal
-    Lyapunov weight P, diagonal sector multiplier T, symmetric coupling
-    bound Gamma and squared supply gain chi^2.
+    Lyapunov weight P, diagonal sector multiplier T and squared supply
+    gain chi^2.
 
-    At P = lyap_inv^-1, T = sector_inv^-1 and Gamma = P coupling P the
-    boundary block is the congruence diag(P, T) of the Schur complement of
-    the synthesis boundary block at its -lyap_inv Lambda^-1 entry, so a
-    synthesis certificate is a point of this problem.
+    The paper's coupling Gamma is eliminated as build_synthesis_lmis
+    eliminates G, leaving disturbance_decay_block
+    [[P diag(mu lambda - alpha) - eps I, P N], [N^T P, chi^2 I]] >= eps I.
+
+    At P = lyap_inv^-1 and T = sector_inv^-1 the boundary block is the
+    congruence diag(P, T) of the Schur complement of the synthesis
+    boundary block at its -lyap_inv Lambda^-1 entry, and the merged block
+    at eps 0 and chi^2 = 1 is at least the congruence diag(P, I) of the
+    synthesis one, so a synthesis certificate is a point of this problem.
     """
     if mu <= 0.0 or alpha <= 0.0:
         raise ValueError("mu and alpha must be positive")
@@ -556,49 +584,42 @@ def build_analysis_lmis(plant: Plant, gain: Matrix, mu: float, alpha: float,
 
     vp = lmi.VarSpec.diagonal(_VP, n)
     vt = lmi.VarSpec.diagonal(_VT, m)
-    vg = lmi.VarSpec.symmetric(_VGA, n)
     vx = lmi.VarSpec.scalar(_VX)
     p = lmi.MatExpr.from_var(vp)
     t = lmi.MatExpr.from_var(vt)
-    g = lmi.MatExpr.from_var(vg)
 
     lam_b = big_lam @ b
     boundary = lmi.sym_block([
         [h_cl.T @ (p @ (big_lam @ h_cl)) - math.exp(-mu) * (p @ big_lam),
          h_cl.T @ (p @ lam_b) - k.T @ t],
         [None, b.T @ (p @ lam_b) - 2.0 * t]])
-    coupling = lmi.sym_block([[g, p @ nd],
-                              [None, lmi.MatExpr.scalar_identity(_VX, plant.q)]])
-    decay = p @ np.diag(alpha - mu * lam) + g
+    rate = np.diag(-(alpha - mu * lam))
+    merged = lmi.sym_block([[p @ rate - eps * np.eye(n), p @ nd],
+                            [None, lmi.MatExpr.scalar_identity(_VX, plant.q)]])
 
     constraints = (
         lmi.Constraint(boundary, lmi.LEQ, "boundary_block"),
-        lmi.Constraint(coupling, lmi.GEQ, "disturbance_block"),
-        lmi.Constraint(decay, lmi.LEQ, "decay_block"),
+        lmi.Constraint(merged, lmi.GEQ, "disturbance_decay_block"),
         lmi.Constraint(p, lmi.GEQ, "p_pos"),
         lmi.Constraint(t, lmi.GEQ, "t_pos"),
-        lmi.Constraint(g, lmi.GEQ, "coupling_pos"),
         lmi.Constraint(lmi.MatExpr.scalar_identity(_VX, 1), lmi.GEQ, "supply_pos"),
     )
-    return lmi.LmiProblem((vp, vt, vg, vx), constraints, eps=eps)
+    return lmi.LmiProblem((vp, vt, vx), constraints, eps=eps)
 
 
 def verify_analysis(plant: Plant, cert: SynthesisCertificate) -> dict[str, float]:
     """The margin of each analysis inequality, by label, for the
-    certificate's gain at its own point: P = lyap_inv^-1, T = sector_inv^-1,
-    Gamma = P coupling P and chi^2 = 1, posed at its mu and alpha with
-    eps 0.  No solver is called; the margins may be negative, and callers
-    decide what tolerance to accept.
+    certificate's gain at its own point: P = lyap_inv^-1, T = sector_inv^-1
+    and chi^2 = 1, posed at its mu and alpha with eps 0.  No solver is
+    called; the margins may be negative, and callers decide what tolerance
+    to accept.
     """
     if np.any(cert.lyap_inv.diagonal <= 0.0) or np.any(cert.sector_inv.diagonal <= 0.0):
         raise ValueError("lyap_inv and sector_inv must be positive")
     sf = lmi.vectorize(build_analysis_lmis(plant, cert.gain, cert.mu, cert.alpha, eps=0.0))
-    lyap = invert_diag(cert.lyap_inv)
-    pa = lyap.array
     return _margins(sf, sf.pack({
-        _VP: lyap.diagonal, _VT: invert_diag(cert.sector_inv).diagonal,
-        _VGA: SymMatrix.symmetrized(pa @ cert.coupling.array @ pa).array,
-        _VX: np.ones(1)}))
+        _VP: invert_diag(cert.lyap_inv).diagonal,
+        _VT: invert_diag(cert.sector_inv).diagonal, _VX: np.ones(1)}))
 
 
 def _gram(a: np.ndarray) -> SymMatrix:

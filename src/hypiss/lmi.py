@@ -2,7 +2,7 @@
 variables.
 
 A problem is a set of matrix expressions, affine in the scalar entries of
-scalar / diagonal / full / symmetric variables, each constrained to be
+scalar / diagonal / full variables, each constrained to be
 negative semidefinite shifted by -eps*I or positive semidefinite shifted by
 +eps*I.  There is one expression type, MatExpr: builders combine them with
 +, -, scalar * and @, and a constraint keeps its expression in canonical
@@ -29,8 +29,7 @@ from . import linalg
 SCALAR = "scalar"
 DIAGONAL = "diagonal"
 FULL = "full"
-SYMMETRIC = "symmetric"
-_KINDS = (SCALAR, DIAGONAL, FULL, SYMMETRIC)
+_KINDS = (SCALAR, DIAGONAL, FULL)
 
 LEQ = "leq"  # expr <= -eps*I
 GEQ = "geq"  # expr >= +eps*I
@@ -45,8 +44,7 @@ class VarSpec:
     """Shape declaration for one decision variable.
 
     Entry order: scalar has the single entry 0; diagonal variables list the
-    diagonal; full variables are row-major; symmetric variables list the
-    upper triangle row-major, one entry per unordered index pair.
+    diagonal; full variables are row-major.
     """
 
     name: str
@@ -61,7 +59,7 @@ class VarSpec:
             raise ValueError(f"unknown variable kind {self.kind!r}")
         if self.rows < 1 or self.cols < 1:
             raise ValueError(f"variable {self.name}: dimensions must be positive")
-        if self.kind in (SCALAR, DIAGONAL, SYMMETRIC) and self.rows != self.cols:
+        if self.kind in (SCALAR, DIAGONAL) and self.rows != self.cols:
             raise ValueError(f"variable {self.name}: {self.kind} variables are square")
         if self.kind == SCALAR and self.rows != 1:
             raise ValueError(f"variable {self.name}: scalar variables are 1x1")
@@ -78,41 +76,16 @@ class VarSpec:
     def full(name: str, rows: int, cols: int) -> "VarSpec":
         return VarSpec(name, FULL, rows, cols)
 
-    @staticmethod
-    def symmetric(name: str, n: int) -> "VarSpec":
-        return VarSpec(name, SYMMETRIC, n, n)
-
     @property
     def n_entries(self) -> int:
-        if self.kind == SCALAR:
-            return 1
-        if self.kind == DIAGONAL:
-            return self.rows
-        if self.kind == FULL:
-            return self.rows * self.cols
-        return self.rows * (self.rows + 1) // 2
-
-    def entry_positions(self) -> list[tuple[int, int]]:
-        """(row, col) owning each entry, in entry order."""
-        if self.kind == SCALAR:
-            return [(0, 0)]
-        if self.kind == DIAGONAL:
-            return [(i, i) for i in range(self.rows)]
-        if self.kind == FULL:
-            return [(i, j) for i in range(self.rows) for j in range(self.cols)]
-        return [(i, j) for i in range(self.rows) for j in range(i, self.rows)]
+        return self.rows if self.kind == DIAGONAL else self.rows * self.cols
 
     def matrix_from_entries(self, entries) -> np.ndarray:
         e = np.asarray(entries, dtype=float)
         if e.shape != (self.n_entries,):
             raise ValueError(
                 f"variable {self.name}: expected {self.n_entries} entries, got {e.shape}")
-        out = np.zeros((self.rows, self.cols))
-        for k, (i, j) in enumerate(self.entry_positions()):
-            out[i, j] = e[k]
-            if self.kind == SYMMETRIC:
-                out[j, i] = e[k]
-        return out
+        return np.diag(e) if self.kind == DIAGONAL else e.reshape(self.rows, self.cols).copy()
 
     def entries_from_matrix(self, a) -> np.ndarray:
         m = np.asarray(a, dtype=float)
@@ -120,9 +93,7 @@ class VarSpec:
             raise ValueError(
                 f"variable {self.name}: expected a {self.rows}x{self.cols} matrix, "
                 f"got shape {m.shape}")
-        if self.kind == SYMMETRIC:
-            m = (m + m.T) / 2.0
-        return np.array([m[i, j] for (i, j) in self.entry_positions()])
+        return np.diagonal(m).copy() if self.kind == DIAGONAL else m.flatten()
 
 
 def _exact_sym(a: np.ndarray) -> np.ndarray:
@@ -156,13 +127,9 @@ class MatExpr:
 
     @staticmethod
     def from_var(spec: VarSpec) -> "MatExpr":
-        coeffs: dict[EntryRef, np.ndarray] = {}
-        for k, (i, j) in enumerate(spec.entry_positions()):
-            c = np.zeros((spec.rows, spec.cols))
-            c[i, j] = 1.0
-            if spec.kind == SYMMETRIC:
-                c[j, i] = 1.0
-            coeffs[(spec.name, k)] = c
+        unit = np.eye(spec.n_entries)
+        coeffs = {(spec.name, k): spec.matrix_from_entries(unit[k])
+                  for k in range(spec.n_entries)}
         return MatExpr((spec.rows, spec.cols), np.zeros((spec.rows, spec.cols)), coeffs)
 
     @staticmethod
@@ -310,7 +277,8 @@ class Constraint:
     def __post_init__(self):
         if self.sense not in (LEQ, GEQ):
             raise ValueError(f"unknown constraint sense {self.sense!r}")
-        if self.eps is not None and self.eps < 0.0:
+        # not >=, so that a NaN slack is refused too
+        if self.eps is not None and not self.eps >= 0.0:
             raise ValueError("constraint eps must be nonnegative")
         object.__setattr__(self, "expr", self.expr.canonical())
 
@@ -325,7 +293,7 @@ class LmiProblem:
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
         object.__setattr__(self, "constraints", tuple(self.constraints))
-        if self.eps < 0.0:
+        if not self.eps >= 0.0:
             raise ValueError("problem eps must be nonnegative")
         names = [v.name for v in self.variables]
         if len(set(names)) != len(names):
@@ -395,8 +363,11 @@ class StandardForm:
     def pack(self, values: dict) -> np.ndarray:
         """The entry vector of per-variable values, by name: a matrix of the
         variable's shape or, for all but full variables, its flat entries.
-        A missing variable, a wrong shape or a non-finite entry raises
-        ValueError."""
+        A missing or unknown variable, a wrong shape or a non-finite entry
+        raises ValueError."""
+        unknown = sorted(set(values) - {spec.name for spec in self.variables})
+        if unknown:
+            raise ValueError(f"no variable named {unknown[0]!r} in this form")
         parts = []
         for spec in self.variables:
             if spec.name not in values:

@@ -9,7 +9,10 @@ own expressions, each constraint's sense read from the constraint, so a
 test can hold what `lmi.vectorize` compiled against the expressions it
 came from; `barrier_value` is the matrix the solver's barrier keeps
 positive definite, and `synthesis_point` and `analysis_point` pack a
-certificate into a problem's entry vector.  `write_csv`, `two_sample_step`,
+certificate into a problem's entry vector.  `paper_synthesis_margins` and
+`paper_analysis_margins` evaluate the paper's seven inequalities of each
+problem, with the coupling G (Gamma = P G P on the analysis side) that the
+library eliminates, in plain numpy.  `write_csv`, `two_sample_step`,
 `step_by_step_simulate` and `record_by_record_energy` are the plain forms
 of the CSV writer, the simulator step, the simulator run and the
 disturbance energy that the faster ones must match byte for byte.
@@ -84,12 +87,9 @@ def sector_value(nu, u_max, sector: DiagMatrix) -> float:
 
 def analysis_point(sf: StandardForm, cert: SynthesisCertificate) -> np.ndarray:
     """The certificate as the entry vector of the analysis problem's
-    standard form: P = lyap_inv^-1, T = sector_inv^-1, Gamma = P coupling P
-    and chi^2 = 1."""
-    p = 1.0 / cert.lyap_inv.diagonal
+    standard form: P = lyap_inv^-1, T = sector_inv^-1 and chi^2 = 1."""
     return sf.pack({
-        "lyap": p, "sector": 1.0 / cert.sector_inv.diagonal,
-        "coupling": p[:, None] * cert.coupling.array * p[None, :],
+        "lyap": 1.0 / cert.lyap_inv.diagonal, "sector": 1.0 / cert.sector_inv.diagonal,
         "supply_sq": np.ones(1)})
 
 
@@ -98,8 +98,75 @@ def synthesis_point(sf: StandardForm, cert: SynthesisCertificate) -> np.ndarray:
     standard form."""
     return sf.pack({
         "lyap_inv": cert.lyap_inv.diagonal, "sector_inv": cert.sector_inv.diagonal,
-        "gain_scaled": cert.gain_scaled.array, "coupling": cert.coupling.array,
-        "peak": [cert.peak]})
+        "gain_scaled": cert.gain_scaled.array, "peak": [cert.peak]})
+
+
+def _leq(a: np.ndarray, eps: float) -> float:
+    """Margin of a <= -eps I: -max_eig(a) - eps, a symmetrized first."""
+    return -float(np.linalg.eigvalsh((a + a.T) / 2.0)[-1]) - eps
+
+
+def _geq(a: np.ndarray, eps: float) -> float:
+    """Margin of a >= eps I: min_eig(a) - eps, a symmetrized first."""
+    return float(np.linalg.eigvalsh((a + a.T) / 2.0)[0]) - eps
+
+
+def paper_synthesis_margins(plant: Plant, cert: SynthesisCertificate,
+                            eps: float) -> dict[str, float]:
+    """The margin of each of the paper's seven synthesis inequalities at
+    the certificate's point, its coupling G included, posed at its mu and
+    alpha with slack eps (none on the peak cap):
+    boundary_block, disturbance_block [[G, N], [N^T, I]] >= eps I,
+    decay_block Q diag(alpha - mu lambda) + G <= -eps I, peak_cap, q_pos,
+    s_pos and coupling_pos G >= eps I."""
+    lam = plant.speeds.diagonal
+    h, b, nd = plant.reflection.array, plant.input_map.array, plant.disturbance_map.array
+    q, s = np.diag(cert.lyap_inv.diagonal), np.diag(cert.sector_inv.diagonal)
+    w, g = cert.gain_scaled.array, cert.coupling.array
+    boundary = np.block([
+        [-q @ np.diag(1.0 / lam), h @ q + b @ w, b @ s],
+        [(h @ q + b @ w).T, -math.exp(-cert.mu) * np.diag(lam) @ q, -w.T],
+        [(b @ s).T, -w, -2.0 * s]])
+    return {
+        "boundary_block": _leq(boundary, eps),
+        "disturbance_block": _geq(np.block([[g, nd], [nd.T, np.eye(plant.q)]]), eps),
+        "decay_block": _leq(q @ np.diag(cert.alpha - cert.mu * lam) + g, eps),
+        "peak_cap": _leq(q - cert.peak * np.eye(plant.n), 0.0),
+        "q_pos": _geq(q, eps),
+        "s_pos": _geq(s, eps),
+        "coupling_pos": _geq(g, eps),
+    }
+
+
+def paper_analysis_margins(plant: Plant, cert: SynthesisCertificate,
+                           eps: float = 0.0) -> dict[str, float]:
+    """The margin of each of the paper's seven analysis inequalities for
+    the certificate's gain at P = lyap_inv^-1, T = sector_inv^-1,
+    Gamma = P coupling P and chi^2 = 1, posed at its mu and alpha with
+    slack eps: boundary_block, disturbance_block
+    [[Gamma, P N], [N^T P, I]] >= eps I, decay_block
+    P diag(alpha - mu lambda) + Gamma <= -eps I, p_pos, t_pos,
+    coupling_pos Gamma >= eps I and supply_pos."""
+    lam = np.diag(plant.speeds.diagonal)
+    b, k, nd = plant.input_map.array, cert.gain.array, plant.disturbance_map.array
+    h_cl = plant.reflection.array + b @ k
+    p, t = np.diag(1.0 / cert.lyap_inv.diagonal), np.diag(1.0 / cert.sector_inv.diagonal)
+    gamma = p @ cert.coupling.array @ p
+    cross = h_cl.T @ p @ lam @ b - k.T @ t
+    boundary = np.block([
+        [h_cl.T @ p @ lam @ h_cl - math.exp(-cert.mu) * p @ lam, cross],
+        [cross.T, b.T @ p @ lam @ b - 2.0 * t]])
+    decay = p @ np.diag(cert.alpha - cert.mu * plant.speeds.diagonal) + gamma
+    return {
+        "boundary_block": _leq(boundary, eps),
+        "disturbance_block": _geq(np.block([[gamma, p @ nd], [(p @ nd).T, np.eye(plant.q)]]),
+                                  eps),
+        "decay_block": _leq(decay, eps),
+        "p_pos": _geq(p, eps),
+        "t_pos": _geq(t, eps),
+        "coupling_pos": _geq(gamma, eps),
+        "supply_pos": 1.0 - eps,
+    }
 
 
 def congruent_boundary_block(plant: Plant, cert: SynthesisCertificate) -> np.ndarray:

@@ -831,11 +831,10 @@ class TestVerify:
         report = json.loads((out / "verify_report.json").read_text())
         assert report["status"] == "pass"
         # the analysis margins at the certificate's own sector multiplier,
-        # the four positivity margins of that problem included
+        # the three positivity margins of that problem included
         analysis = {k for k in report["margins"] if k.startswith("analysis.")}
         assert analysis == {f"analysis.{label}" for label in (
-            "boundary_block", "disturbance_block", "decay_block",
-            "p_pos", "t_pos", "coupling_pos", "supply_pos")}
+            "boundary_block", "disturbance_decay_block", "p_pos", "t_pos", "supply_pos")}
 
     def test_recheck_error_writes_a_failed_report_and_exits_1(
             self, tmp_path, monkeypatch, capsys):

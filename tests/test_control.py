@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hypiss import control, lmi, sdp
+from hypiss import cli, control, lmi, sdp
 from hypiss.control import (
     BoundaryLaw,
     InfeasibleError,
@@ -24,6 +24,8 @@ from hypiss.linalg import DiagMatrix, Matrix, SymMatrix, invert_diag
 from identities import (
     analysis_point,
     congruent_boundary_block,
+    paper_analysis_margins,
+    paper_synthesis_margins,
     reference_margins,
     sector_value,
     synthesis_point,
@@ -166,20 +168,22 @@ class TestSynthesisLmis:
         with pytest.raises(ValueError):
             build_synthesis_lmis(demo_plant, 1.0, -0.5)
 
-    def test_reported_point_satisfies_decay_block(self, demo_plant, demo_gain):
-        # hand expansion of the decay inequality at the quoted design values:
-        # eigenvalues of [[12.5(0.5-1)+4.07, 0.195], [0.195, 82(0.5-sqrt2)+36.3]]
-        sf = lmi.vectorize(build_synthesis_lmis(demo_plant, 1.0, 0.5, eps=0.0))
-        x = sf.pack({
-            "lyap_inv": LYAP_INV,
-            "sector_inv": np.array([1.0, 1.0]),
-            "gain_scaled": demo_gain.array @ np.diag(LYAP_INV),
-            "coupling": COUPLING_HAT,
-            "peak": np.array([82.0]),
-        })
-        decay = next(blk for blk in sf.blocks if blk.label == "decay_block")
-        m = lmi.margin(decay, x)
-        assert abs(m - 2.1789) < 1e-3
+    def test_reported_point_satisfies_decay_block(self, demo_plant, demo_gain,
+                                                  demo_certificate):
+        # hand expansion of the paper's decay inequality at the quoted design
+        # values: eigenvalues of
+        # [[12.5(0.5-1)+4.07, 0.195], [0.195, 82(0.5-sqrt2)+36.3]]
+        reported = dataclasses.replace(
+            demo_certificate, lyap_inv=DiagMatrix(LYAP_INV),
+            sector_inv=DiagMatrix(np.array([1.0, 1.0])),
+            gain_scaled=Matrix(demo_gain.array @ np.diag(LYAP_INV)),
+            coupling=SymMatrix(COUPLING_HAT), peak=82.0, mu=1.0, alpha=0.5, eps=0.0)
+        paper = paper_synthesis_margins(demo_plant, reported, eps=0.0)
+        assert abs(paper["decay_block"] - 2.1789) < 1e-3
+        # the coupling meets the decay block, so the merged block holds with
+        # at least the disturbance block's margin
+        merged = control.synthesis_margins(demo_plant, reported)
+        assert merged["disturbance_decay_block"] >= paper["disturbance_block"] > 0.0
 
     def test_reported_point_satisfies_all_blocks(self, demo_plant, demo_gain):
         sf = lmi.vectorize(build_synthesis_lmis(demo_plant, 1.0, 0.5))
@@ -188,7 +192,6 @@ class TestSynthesisLmis:
             # inverse of the certified sector multiplier diag(0.085, 0.0543)
             "sector_inv": np.array([11.77, 18.42]),
             "gain_scaled": demo_gain.array @ np.diag(LYAP_INV),
-            "coupling": COUPLING_HAT,
             "peak": np.array([82.0]),
         })
         margins = dict(zip((blk.label for blk in sf.blocks), lmi.problem_margins(sf, x)))
@@ -197,13 +200,13 @@ class TestSynthesisLmis:
 
     def test_zero_gain_point_admissible_without_reflection(self):
         # with no reflection the plant is already decaying, so Q = 3I,
-        # S = I, W = 0, coupling 2I is an explicit feasible point
+        # S = I, W = 0 is an explicit feasible point (with coupling 2I in the
+        # paper's form)
         sf = lmi.vectorize(build_synthesis_lmis(_reflectionless_plant(), 1.0, 0.1))
         x = sf.pack({
             "lyap_inv": np.array([3.0, 3.0]),
             "sector_inv": np.array([1.0, 1.0]),
             "gain_scaled": np.zeros((2, 2)),
-            "coupling": 2.0 * np.eye(2),
             "peak": np.array([3.5]),
         })
         assert min(lmi.problem_margins(sf, x)) >= 0.0
@@ -265,6 +268,52 @@ class TestSynthesize:
         assert (exc.value.solution, exc.value.form) == (None, None)
         assert str(exc.value) == control._decay_bound(demo_plant, 1.0, 1.2, lmi.DEFAULT_EPS)
         assert str(exc.value).startswith("alpha=1.2 >= mu*lambda_1=1.0, ")
+
+    def test_nan_eps_is_refused(self, demo_plant):
+        # not a solver failure: the problem itself refuses the slack
+        with pytest.raises(ValueError, match="problem eps"):
+            synthesize(demo_plant, 1.0, 0.5, eps=float("nan"))
+
+    @pytest.mark.parametrize("n, ratio", [(3, 0.9999), (5, 0.9999), (7, 0.9999),
+                                          (9, 0.999), (9, 0.9999)])
+    def test_seeded_designs_at_the_decay_edge_certify(self, random_plant_config,
+                                                      n, ratio):
+        # with the coupling as a variable, each of these ended
+        # NUMERICAL_FAILURE, its phase-2 residual stalled
+        plant = cli._build_plant({"plant": random_plant_config(np.random.default_rng(n), n, 1.0)})
+        cert = synthesize(plant, 1.0, ratio * float(np.min(plant.speeds.diagonal)))
+        assert min(verify_analysis(plant, cert).values()) >= 0.0
+
+
+class TestClosedFormCoupling:
+    """A certificate's coupling is the closed-form witness of
+    control._certificate, G = diag(q (mu lambda - alpha)) - (eps + m/2) I
+    with m the margin of disturbance_decay_block, and the paper's three
+    inequalities in G, evaluated apart from the library
+    (identities.paper_synthesis_margins), each keep m/2 of it."""
+
+    # forming G and the paper's blocks rounds: allow 8 ulps of max(1, |G|)
+    ULPS = 8
+
+    def test_demo_seeded_and_demo_grid_certificates(self, demo_plant, demo_certificate,
+                                                    seeded_certificates):
+        fm = grid_search(demo_plant, np.linspace(0.25, 2.0, 8), np.linspace(0.1, 1.5, 8))
+        grid = [(demo_plant, synthesize(demo_plant, c.mu, c.alpha))
+                for c in fm.cells if c.status == "feasible"]
+        assert len(grid) == 41
+        designs = [(demo_plant, demo_certificate),
+                   (demo_plant, synthesize(demo_plant, 1.0, 0.5, eps=1e-9)),
+                   *seeded_certificates, *grid]
+        for plant, cert in designs:
+            m = cert.margins["disturbance_decay_block"]
+            rate = -(cert.alpha - cert.mu * plant.speeds.diagonal)
+            g = np.diag(cert.lyap_inv.diagonal * rate - (cert.eps + m / 2.0))
+            assert np.array_equal(cert.coupling.array, g)
+            allowance = self.ULPS * np.finfo(float).eps * max(1.0, float(np.max(np.abs(g))))
+            paper = paper_synthesis_margins(plant, cert, cert.eps)
+            for label in ("decay_block", "disturbance_block", "coupling_pos"):
+                assert paper[label] >= m / 2.0 - allowance, (plant.n, cert.mu, cert.alpha,
+                                                             label)
 
 
 class TestIssCoefficients:
@@ -476,9 +525,9 @@ class TestGridSearch:
 
 
 class TestDecayBound:
-    """Past alpha = mu min(lambda) the decay block cannot hold with q_pos and
-    coupling_pos (control._decay_bound); such designs never reach the
-    builder or the solver."""
+    """Past alpha = mu min(lambda) the merged disturbance-decay block
+    cannot hold with q_pos (control._decay_bound); such designs never reach
+    the builder or the solver."""
 
     DEMO_MU, DEMO_ALPHA = np.linspace(0.25, 2.0, 8), np.linspace(0.1, 1.5, 8)
 
@@ -522,8 +571,8 @@ class TestDecayBound:
         below = float(np.nextafter(edge, 0.0))
         eps = lmi.DEFAULT_EPS
         assert control._decay_bound(plant, mu, edge, eps) == (
-            f"alpha={edge} >= mu*lambda_2={edge}, so q_pos and coupling_pos keep "
-            f"entry 2 of decay_block at eps or above")
+            f"alpha={edge} >= mu*lambda_2={edge}, so q_pos keeps "
+            f"entry 2 of disturbance_decay_block at -eps or below")
         assert control._decay_bound(plant, mu, below, eps) is None
         fm = grid_search(plant, [mu], [below, edge])
         assert fm.cells[0].solution is not None
@@ -531,7 +580,7 @@ class TestDecayBound:
         assert (fm.cells[1].status, fm.cells[1].solution) == ("infeasible", None)
 
     def test_eps_zero_reaches_the_solver(self, demo_plant):
-        # with eps = 0, q_1 = G_11 = 0 leaves the decay block's entry at 0
+        # with eps = 0, q_1 = 0 leaves the merged block's entry at 0
         assert control._decay_bound(demo_plant, 1.0, 1.2, 0.0) is None
         [cell] = grid_search(demo_plant, [1.0], [1.2], eps=0.0).cells
         assert cell.solution.newton_steps[0] > 0
@@ -559,13 +608,19 @@ class TestVerifyAnalysis:
             coupling=SymMatrix(COUPLING_HAT), gain=Matrix(gain), mu=1.0, alpha=0.5)
 
     def test_reported_design_certifies(self, demo_plant, demo_certificate):
-        margins = verify_analysis(demo_plant, self._reported(demo_certificate))
+        reported = self._reported(demo_certificate)
+        margins = verify_analysis(demo_plant, reported)
+        paper = paper_analysis_margins(demo_plant, reported)
         assert min(margins.values()) >= -0.05
-        # margins frozen from an independent convex solver run
+        # margins frozen from an independent convex solver run; the
+        # disturbance and decay blocks are the paper's, at Gamma = P G P
         assert abs(margins["boundary_block"] - 0.00165) < 5e-5
-        assert abs(margins["disturbance_block"] - 0.005247) < 5e-5
-        assert abs(margins["decay_block"] - 0.005746) < 5e-5
+        assert abs(paper["disturbance_block"] - 0.005247) < 5e-5
+        assert abs(paper["decay_block"] - 0.005746) < 5e-5
         assert margins["t_pos"] > 0.0
+        # that Gamma meets the decay block, so the merged block holds with at
+        # least the disturbance block's margin
+        assert margins["disturbance_decay_block"] >= paper["disturbance_block"]
 
     def test_destabilizing_gain_fails(self, demo_plant, demo_certificate):
         bad = self._reported(demo_certificate, np.array([[3.0, 0.0], [0.0, 3.0]]))
@@ -576,7 +631,7 @@ class TestVerifyAnalysis:
     def test_synthesized_design_certifies(self, demo_plant, demo_certificate):
         # at the certificate's own sector multiplier, with no search
         margins = verify_analysis(demo_plant, demo_certificate)
-        assert len(margins) == 7
+        assert len(margins) == 5
         assert min(margins.values()) > 0.0
 
     def test_small_eps_and_seeded_designs_certify(self, demo_plant, seeded_certificates):
@@ -618,12 +673,10 @@ class TestAnalysisLmis:
 
     def test_reported_point_admissible(self, demo_plant, demo_gain):
         p = invert_diag(DiagMatrix(LYAP_INV))
-        gamma = SymMatrix.symmetrized(p.array @ COUPLING_HAT @ p.array)
         sf = lmi.vectorize(build_analysis_lmis(demo_plant, demo_gain, 1.0, 0.5))
         x = sf.pack({
             "lyap": p.diagonal,
             "sector": np.array([0.08498, 0.05428]),
-            "coupling": gamma.array,
             "supply_sq": np.array([1.0]),
         })
         margins = lmi.problem_margins(sf, x)
@@ -632,17 +685,15 @@ class TestAnalysisLmis:
 
 class TestAnalysisValues:
     def test_inverse_and_congruence(self, demo_plant, demo_certificate):
-        # verify reads P = lyap_inv^-1, T = sector_inv^-1, Gamma = P coupling P
+        # verify reads P = lyap_inv^-1 and T = sector_inv^-1
         sf = lmi.vectorize(build_analysis_lmis(demo_plant, demo_certificate.gain,
                                                demo_certificate.mu, demo_certificate.alpha,
                                                eps=0.0))
         x = analysis_point(sf, demo_certificate)
         values = sf.unpack(x)
-        p, t, gamma = values["lyap"], values["sector"], values["coupling"]
+        p, t = values["lyap"], values["sector"]
         assert np.allclose(p @ demo_certificate.lyap_inv.array, np.eye(2), atol=1e-12)
         assert np.allclose(t @ demo_certificate.sector_inv.array, np.eye(2), atol=1e-12)
-        expect = p @ demo_certificate.coupling.array @ p
-        assert np.allclose(gamma, expect, atol=1e-12)
         margins = dict(zip((blk.label for blk in sf.blocks), lmi.problem_margins(sf, x)))
         assert margins == verify_analysis(demo_plant, demo_certificate)
 

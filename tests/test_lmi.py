@@ -25,16 +25,25 @@ def _demo_specs():
         VarSpec.diagonal("q", 2),
         VarSpec.diagonal("s", 2),
         VarSpec.full("w", 2, 2),
-        VarSpec.symmetric("g", 2),
+        VarSpec.diagonal("g", 2),
+        VarSpec.scalar("g12"),
         VarSpec.scalar("c"),
     )
+
+
+def _coupling(specs):
+    """The symmetric 2x2 coupling of the demo specs: its diagonal g and
+    its off-diagonal entry g12."""
+    return (MatExpr.from_var(specs[3])
+            + MatExpr.scalar_identity("g12", 2) @ np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 _DEMO_VALUES = {
     "q": [12.5, 82.0],
     "s": [1.0, 1.0],
     "w": np.array([[-0.24, 0.0], [0.33, -0.08]]) @ np.diag([12.5, 82.0]),
-    "g": np.array([[4.07, 0.195], [0.195, 36.3]]),
+    "g": [4.07, 36.3],
+    "g12": [0.195],
     "c": [82.0],
 }
 
@@ -62,15 +71,6 @@ class TestVarSpec:
         assert VarSpec.scalar("a").n_entries == 1
         assert VarSpec.diagonal("b", 4).n_entries == 4
         assert VarSpec.full("c", 2, 3).n_entries == 6
-        assert VarSpec.symmetric("d", 3).n_entries == 6
-
-    def test_symmetric_round_trip(self):
-        spec = VarSpec.symmetric("g", 3)
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((3, 3))
-        a = (a + a.T) / 2.0
-        e = spec.entries_from_matrix(a)
-        assert np.array_equal(spec.matrix_from_entries(e), a)
 
     def test_full_row_major(self):
         spec = VarSpec.full("w", 2, 3)
@@ -105,8 +105,7 @@ class TestExpressions:
         rng = np.random.default_rng(4)
         specs = _demo_specs()
         q = MatExpr.from_var(specs[0])
-        g = MatExpr.from_var(specs[3])
-        blk = _block(q @ np.diag([0.5, -0.9]) + g, LEQ, specs[:1] + specs[3:4])
+        blk = _block(q @ np.diag([0.5, -0.9]) + _coupling(specs), LEQ, specs[:1] + specs[3:5])
         for _ in range(20):
             xa, xb = rng.standard_normal(5), rng.standard_normal(5)
             th = rng.uniform()
@@ -127,10 +126,9 @@ class TestExpressions:
         # hand expansion with plain scalar arithmetic
         specs = _demo_specs()
         q = MatExpr.from_var(specs[0])
-        g = MatExpr.from_var(specs[3])
         lam = np.array([1.0, math.sqrt(2.0)])
         mu, alpha = 1.0, 0.5
-        expr = q @ np.diag(alpha - mu * lam) + g
+        expr = q @ np.diag(alpha - mu * lam) + _coupling(specs)
         got = _value(expr, specs, _DEMO_VALUES)
         expected = np.array([
             [12.5 * (0.5 - 1.0) + 4.07, 0.195],
@@ -188,9 +186,9 @@ class TestMargin:
 
     def test_negation_duality(self):
         rng = np.random.default_rng(7)
-        spec = VarSpec.symmetric("g", 3)
+        spec = VarSpec.full("g", 3, 3)
         e = MatExpr.from_var(spec) + rng.standard_normal((3, 3)).round(3)
-        x = rng.standard_normal(6)
+        x = rng.standard_normal(9)
         for eps in (0.0, 1e-6, 0.1):
             assert margin(_block(e, LEQ, [spec], eps), x) == pytest.approx(
                 margin(_block(-e, GEQ, [spec], eps), x), abs=1e-12)
@@ -248,9 +246,8 @@ class TestProblem:
     def _problem(self):
         specs = _demo_specs()
         q = MatExpr.from_var(specs[0])
-        g = MatExpr.from_var(specs[3])
         cons = (
-            Constraint(q @ np.diag([-0.5, -0.9]) + g, LEQ, "decay"),
+            Constraint(q @ np.diag([-0.5, -0.9]) + _coupling(specs), LEQ, "decay"),
             Constraint(q, GEQ, "q_pos"),
             Constraint(q - MatExpr.scalar_identity("c", 2), LEQ,
                        "peak_cap", eps=0.0),
@@ -275,6 +272,17 @@ class TestProblem:
         assert blocks[0].eps == lmi.DEFAULT_EPS
         assert blocks[2].eps == 0.0
 
+    def test_nan_eps_rejected(self):
+        with pytest.raises(ValueError, match="constraint eps"):
+            Constraint(MatExpr.constant(np.eye(1)), GEQ, eps=float("nan"))
+        with pytest.raises(ValueError, match="problem eps"):
+            LmiProblem((), (), eps=float("nan"))
+
+    def test_pack_rejects_an_unknown_variable(self):
+        sf = vectorize(self._problem())
+        with pytest.raises(ValueError, match="no variable named 'coupling'"):
+            sf.pack(dict(_DEMO_VALUES, coupling=np.eye(2)))
+
     def test_missing_point_entry(self):
         sf = vectorize(self._problem())
         with pytest.raises(ValueError, match="no value given for variable 's'"):
@@ -289,7 +297,7 @@ class TestProblem:
         with pytest.raises(ValueError, match="expected a 2x2 matrix"):
             sf.pack(dict(good, w=np.ones((2, 3))))
         with pytest.raises(ValueError, match="non-finite"):
-            sf.pack(dict(good, g=[[1.0, np.nan], [np.nan, 1.0]]))
+            sf.pack(dict(good, g12=[np.nan]))
         with pytest.raises(ValueError, match="non-finite"):
             sf.pack(dict(good, c=[np.inf]))
 
@@ -300,7 +308,7 @@ class TestVectorize:
         assert len(sf.refs) == 12
         assert [r for r in sf.refs[:2]] == [("q", 0), ("q", 1)]
         # diagonal variables start at 1, everything else at 0
-        expected = [1.0] * 4 + [0.0] * 8
+        expected = [1.0] * 4 + [0.0] * 4 + [1.0] * 2 + [0.0] * 2
         assert np.array_equal(sf.initial, expected)
 
     def test_round_trip_blockwise(self):
@@ -308,7 +316,7 @@ class TestVectorize:
         specs = _demo_specs()
         q = MatExpr.from_var(specs[0])
         w = MatExpr.from_var(specs[2])
-        g = MatExpr.from_var(specs[3])
+        g = _coupling(specs)
         h = rng.standard_normal((2, 2))
         cons = (
             Constraint(sym_block([[q @ np.diag([-1.0, -2.0]), h @ w],

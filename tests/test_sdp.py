@@ -44,9 +44,11 @@ def _demo_synthesis_problem(mu, alpha, eps=1e-6):
     vq = VarSpec.diagonal("q", 2)
     vs = VarSpec.diagonal("s", 2)
     vw = VarSpec.full("w", 2, 2)
-    vg = VarSpec.symmetric("g", 2)
+    # the symmetric coupling as its diagonal g and its off-diagonal entry g12
+    vg, vg12 = VarSpec.diagonal("g", 2), VarSpec.scalar("g12")
     vc = VarSpec.scalar("c")
-    q, s, w, g = (MatExpr.from_var(v) for v in (vq, vs, vw, vg))
+    q, s, w = (MatExpr.from_var(v) for v in (vq, vs, vw))
+    g = MatExpr.from_var(vg) + MatExpr.scalar_identity("g12", 2) @ [[0.0, 1.0], [1.0, 0.0]]
     boundary = sym_block([
         [-(q @ big_lam_inv), h @ q + b @ w, b @ s],
         [None, -math.exp(-mu) * (big_lam @ q), -(w.T)],
@@ -63,7 +65,7 @@ def _demo_synthesis_problem(mu, alpha, eps=1e-6):
         Constraint(s, GEQ, "s_pos"),
         Constraint(g, GEQ, "coupling_pos"),
     )
-    return lmi.vectorize(LmiProblem((vq, vs, vw, vg, vc), cons,
+    return lmi.vectorize(LmiProblem((vq, vs, vw, vg, vg12, vc), cons,
                                     objective=((("c", 0), 1.0),), eps=eps))
 
 

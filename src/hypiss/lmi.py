@@ -93,7 +93,13 @@ class VarSpec:
             raise ValueError(
                 f"variable {self.name}: expected a {self.rows}x{self.cols} matrix, "
                 f"got shape {m.shape}")
-        return np.diagonal(m).copy() if self.kind == DIAGONAL else m.flatten()
+        if self.kind != DIAGONAL:
+            return m.flatten()
+        # not == 0, so that a NaN off the diagonal is refused too
+        if not np.all(m[~np.eye(self.rows, dtype=bool)] == 0.0):
+            raise ValueError(f"variable {self.name}: diagonal, but an entry off the "
+                             "diagonal is not 0")
+        return np.diagonal(m).copy()
 
 
 def _exact_sym(a: np.ndarray) -> np.ndarray:
@@ -363,8 +369,9 @@ class StandardForm:
     def pack(self, values: dict) -> np.ndarray:
         """The entry vector of per-variable values, by name: a matrix of the
         variable's shape or, for all but full variables, its flat entries.
-        A missing or unknown variable, a wrong shape or a non-finite entry
-        raises ValueError."""
+        A missing or unknown variable, a wrong shape, a non-finite entry or
+        an entry off a diagonal variable's diagonal that is not 0 raises
+        ValueError."""
         unknown = sorted(set(values) - {spec.name for spec in self.variables})
         if unknown:
             raise ValueError(f"no variable named {unknown[0]!r} in this form")

@@ -31,23 +31,26 @@ The solver uses the structure of the problem.  Every block whose base and
 coefficients are all diagonal (positivity of diagonal variables, scalar
 bounds, the peak cap) is a set of elementwise linear rows b + G x > 0 with
 a dual z > 0 of their own, and so is the phase-1 box.  The remaining blocks
-are dense, with their coefficients stacked flat so that evaluating a block
-or assembling its Hessian is one matrix product.  A problem with no dense
-block runs the same steps over an empty stack of them.
+are dense.  A problem with no dense block runs the same steps over an
+empty stack of them.
 
 Problems are solved as a batch along a leading axis, one cell per
-problem.  Problems of the same structure (entry vector, row count, dense
-block sizes) share one stack: a dense block whose entries differ from cell
-to cell depends on their union in every cell, with zero coefficients where
-a cell has none, and the dense blocks of a cell are padded with identity
-to one size, so that one call evaluates, factors or inverts all of them.
-The iterations run over the stack in lockstep: each is one stacked pass
-for the cells still running.  Every cell keeps its own step budget,
+problem.  Problems of one layout (the entry vector and, for each block,
+its size, its entries and whether it is diagonal) share one stack, the
+one form in which the solver holds them (`_Cones`): the dense blocks of a
+cell padded with identity to one size, so that one call evaluates,
+factors or inverts all of them, and their coefficients padded the same
+way in one array, whose rows for a block's own entries, cut to its size,
+also feed that block's share of the Hessian.  The stack is built with
+phase 1's slack entry and box rows; phase 2 takes it without them, for
+the cells that go on, and the full stack is released before phase 2
+runs.  The iterations run over the stack in lockstep: each is one stacked
+pass for the cells still running.  Every cell keeps its own step budget,
 outcome and step lengths, and leaves the stack when its phase ends; no
-cell's arithmetic reads another's.  Many cells of one structure are split
-into several stacks so that the padded coefficients of one stack stay
-under _STACK_BYTES.  `minimize` is a batch of one, so there is one solver
-path.  Everything is numpy with fixed iteration order, so identical
+cell's arithmetic reads another's.  Many cells of one layout are split
+into several stacks so that the padded phase-1 coefficients of one stack
+stay under _STACK_BYTES.  `minimize` is a batch of one, so there is one
+solver path.  Everything is numpy with fixed iteration order, so identical
 batches produce bit-identical outputs.  A batch of one can differ from a
 larger batch in the last bits: the demo cell (0.25, 0.1) alone and in its
 half-row batch agree in c to 6.9e-14 relative.
@@ -65,7 +68,6 @@ singular, indefinite or not finite; a cell never raises.
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,8 +95,9 @@ _EXIT_SLACK = -1e-9       # phase 1 exits once its slack could be this
 _PHASE1_BOX = 1e9         # phase-1 searches |entry| < this; keeps the slack
                           # minimization bounded when the feasible set is not;
                           # phase 2 gives up on a cell whose iterate leaves it
-_STACK_BYTES = 16 << 20   # cap on one stack's padded coefficients; about
-                          # 2.5 MB a cell at n = 10, 15 kB at n = 2
+_STACK_BYTES = 16 << 20   # cap on one stack's padded phase-1 coefficients,
+                          # 8 (refs + 1) J D^2 bytes a cell: 5.8 kB on the
+                          # demo, 0.67 MB at the seeded n = 10 plant
 
 
 class Status(enum.Enum):
@@ -126,87 +129,52 @@ class Solution:
 
 
 @dataclass(frozen=True)
-class _Dense:
-    """One PSD block that is not diagonal, over a stack of cells:
-    S_c(x) = base[c] + sum_k x[idx[k]] A_ck.
-
-    The coefficient matrices are stored flat, one row-major A_ck per row of
-    `flat[c]`, so the block's share of the Hessian is one matrix product
-    per cell.
-    """
-
-    base: np.ndarray   # (cells, d, d)
-    idx: np.ndarray    # (k,) entries of x the block depends on, in every cell
-    flat: np.ndarray   # (cells, k, d*d)
-    ix: tuple          # where the block's Hessian lands in a stacked Hessian
-
-    @staticmethod
-    def make(base, idx, flat) -> "_Dense":
-        return _Dense(base, idx, flat, (slice(None),) + np.ix_(idx, idx))
-
-    @property
-    def dim(self) -> int:
-        return self.base.shape[-1]
-
-    def take(self, sel) -> "_Dense":
-        return _Dense(self.base[sel], self.idx, self.flat[sel], self.ix)
-
-
-@dataclass(frozen=True)
 class _Cones:
     """The strict feasible sets {x : b_c + G_c x > 0, S_cj(x) > 0 for every j}
-    of a stack of cells with the same structure.
+    of a stack of cells of one layout (see `_layout`).
 
     Every constraint block whose base and coefficients are all diagonal
-    becomes d elementwise rows of (b, G); the remaining blocks stay dense.
-    The cone is the same either way, since a diagonal matrix is positive
-    definite when its diagonal is positive, and so is its degree nu, which
-    divides the gap into mu: one per row, d per dense block.
+    becomes d elementwise rows of (b, G).  The J other blocks are dense and
+    padded with identity to the largest size D, so that one call factors
+    or inverts them all.  Their coefficients are held once, padded the same
+    way over the entries vidx that any dense block depends on: row k of
+    vflat[c] is the J row-major matrices of entry vidx[k], zero in the
+    padding and in a block that does not depend on that entry, so that one
+    product gives every value.  Block j has size dims[j] and depends on the
+    entries vidx[pos[j]], in the order of its terms.  With no dense block
+    J = D = 0, vidx is empty and every product over the stack is empty.
+    The cone is the same either way a block is held, since a diagonal
+    matrix is positive definite when its diagonal is positive, and so is
+    its degree nu, which divides the gap into mu: one per row, d per dense
+    block.
     """
 
     b: np.ndarray                 # (cells, r)
     g: np.ndarray                 # (cells, r, n)
-    dense: tuple[_Dense, ...]
-
-    @functools.cached_property
-    def padded(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(base, vidx, vflat), built on first use: the dense blocks of a
-        cell as one stack of J matrices padded to the largest block size D,
-        identity in the padding (which no gap or residual reads), and
-        their coefficients padded the same way over the entries vidx any
-        block depends on.  One call then factors or inverts every block,
-        and one product gives every value.  base is (cells, J, D, D),
-        vflat (cells, m, J*D*D); with no dense block J = D = m = 0, and
-        every product over the stack is empty."""
-        ncell, size = len(self.b), max((blk.dim for blk in self.dense), default=0)
-        base = np.zeros((ncell, len(self.dense), size, size))
-        base[:, :] = np.eye(size)
-        vidx = np.array(sorted(set().union(*(blk.idx.tolist() for blk in self.dense))),
-                        dtype=int)
-        row = {v: k for k, v in enumerate(vidx.tolist())}
-        vflat = np.zeros((ncell, vidx.size, len(self.dense), size, size))
-        for j, blk in enumerate(self.dense):
-            d = blk.dim
-            base[:, j, :d, :d] = blk.base
-            vflat[:, [row[v] for v in blk.idx.tolist()], j, :d, :d] = \
-                blk.flat.reshape(ncell, -1, d, d)
-        return base, vidx, vflat.reshape(ncell, vidx.size, len(self.dense) * size * size)
+    base: np.ndarray              # (cells, J, D, D), identity in the padding
+    vidx: np.ndarray              # (m,)
+    vflat: np.ndarray             # (cells, m, J*D*D)
+    dims: tuple[int, ...]         # (J,)
+    pos: tuple[np.ndarray, ...]   # J arrays of rows of vflat
 
     @property
     def nu(self) -> float:
-        return float(self.b.shape[1] + sum(blk.dim for blk in self.dense))
+        return float(self.b.shape[1] + sum(self.dims))
 
     def take(self, sel) -> "_Cones":
-        """The cells sel of the stack.  A padded stack already built moves
-        to them, taken along the cell axis rather than built again, and
-        leaves this stack, which builds it again if it is used again; so a
-        compaction holds at most two padded stacks at once, as building
-        the taken one anew would."""
-        out = _Cones(self.b[sel], self.g[sel], tuple(blk.take(sel) for blk in self.dense))
-        if "padded" in self.__dict__:
-            base, vidx, vflat = self.__dict__.pop("padded")
-            out.__dict__["padded"] = base[sel], vidx, vflat[sel]
-        return out
+        """The cells sel of the stack."""
+        return _Cones(self.b[sel], self.g[sel], self.base[sel], self.vidx, self.vflat[sel],
+                      self.dims, self.pos)
+
+    def without_slack(self, sel) -> "_Cones":
+        """The cells sel of a stack from `_cones` as phase 2 steps in it:
+        without phase 1's slack entry, the last, and its box rows."""
+        n = self.g.shape[2] - 1
+        nrow = self.b.shape[1] - 2 * (n + 1)
+        m = int(np.count_nonzero(self.vidx < n))
+        return _Cones(self.b[sel, :nrow], self.g[sel, :nrow, :n], self.base[sel],
+                      self.vidx[:m], self.vflat[sel, :m], self.dims,
+                      tuple(p[:-1] for p in self.pos))
 
     def rows(self, x: np.ndarray) -> np.ndarray:
         """b + G x, one row of x per cell."""
@@ -215,12 +183,11 @@ class _Cones:
     def values(self, x: np.ndarray) -> np.ndarray:
         """The padded dense blocks S(x), (cells, J, D, D), one row of x per
         cell."""
-        return self.padded[0] + self.span(x)
+        return self.base + self.span(x)
 
     def span(self, x: np.ndarray) -> np.ndarray:
         """sum_k x_k A_k for every padded dense block, zero in the padding."""
-        base, vidx, vflat = self.padded
-        return (x[:, None, vidx] @ vflat).reshape(base.shape)
+        return (x[:, None, self.vidx] @ self.vflat).reshape(self.base.shape)
 
     def adjoint(self, mats: np.ndarray, rowvals: np.ndarray) -> np.ndarray:
         """A*(mats) + G^T rowvals: entry k gets sum_j <A_jk, mats_j> plus
@@ -228,53 +195,62 @@ class _Cones:
         `values` is.  The padding of mats is never read, and neither is its
         antisymmetric part."""
         out = (rowvals[:, None, :] @ self.g)[:, 0]
-        _, vidx, vflat = self.padded
-        out[:, vidx] += (vflat @ mats.reshape(len(out), vflat.shape[2], 1))[:, :, 0]
+        out[:, self.vidx] += (self.vflat @ mats.reshape(
+            len(out), self.vflat.shape[2], 1))[:, :, 0]
         return out
 
 
-def _cones(sf: lmi.StandardForm) -> _Cones:
-    """One problem as a stack of one cell: its diagonal blocks as rows, the
-    others dense, each with the base F0 - eps I."""
-    n = sf.n
-    b, g, dense = [], [], []
+def _layout(sf: lmi.StandardForm) -> tuple:
+    """What forms must share to be stacked: the entry vector and, for each
+    block, its size, its entries and whether it is diagonal, with F0 - eps I
+    and every coefficient zero off the diagonal."""
+    blocks = []
     for blk in sf.blocks:
-        base = blk.base - blk.eps * np.eye(blk.dim)
         off = ~np.eye(blk.dim, dtype=bool)
-        if not (np.any(base[off]) or np.any(blk.coeffs[:, off])):
-            rows = np.zeros((blk.dim, n))
-            rows[:, blk.idx] = np.diagonal(blk.coeffs, axis1=1, axis2=2).T
-            b.append(np.diagonal(base))
-            g.append(rows)
-        else:
-            dense.append(_Dense.make(base[None], blk.idx, blk.coeffs.reshape(
-                1, len(blk.idx), blk.dim * blk.dim)))
-    return _Cones((np.concatenate(b) if b else np.zeros(0))[None],
-                  (np.vstack(g) if g else np.zeros((0, n)))[None], tuple(dense))
+        diagonal = not (np.any((blk.base - blk.eps * np.eye(blk.dim))[off])
+                        or np.any(blk.coeffs[:, off]))
+        blocks.append((blk.dim, tuple(blk.idx.tolist()), diagonal))
+    return sf.refs, tuple(blocks)
 
 
-def _structure(sf: lmi.StandardForm, cones: _Cones) -> tuple:
-    """What cells must share to be stacked: the entry vector, the number of
-    rows and the sizes of the dense blocks."""
-    return sf.refs, cones.b.shape[1], tuple(blk.dim for blk in cones.dense)
+def _cones(forms) -> _Cones:
+    """Standard forms of one layout as one stack, as phase 1 steps in it:
+    each block with the base F0 - eps I, the diagonal ones as rows and the
+    others dense, and phase 1's slack s as entry n with its box rows (see
+    `_phase1`).  s adds a column of ones to the rows and the identity to
+    every dense block."""
+    refs, layout = _layout(forms[0])
+    ncell, n = len(forms), len(refs)
+    dims = tuple(d for d, _, diagonal in layout if not diagonal)
+    entries = [idx + (n,) for _, idx, diagonal in layout if not diagonal]
+    vidx = np.array(sorted(set().union(*entries)), dtype=int)
+    where = {v: k for k, v in enumerate(vidx.tolist())}
+    pos = tuple(np.array([where[v] for v in e], dtype=int) for e in entries)
+    nrow, size = sum(d for d, _, diagonal in layout if diagonal), max(dims, default=0)
 
-
-def _stack(cells: list[_Cones], refs: tuple) -> _Cones:
-    """Cells of one structure as one stack.  A dense block whose entries
-    differ between cells depends on their union in every cell, ordered by
-    entry reference as lmi orders terms, with zero coefficients where a
-    cell has none."""
-    dense = []
-    for blocks in zip(*(c.dense for c in cells)):
-        union = set().union(*(blk.idx.tolist() for blk in blocks))
-        idx = np.array(sorted(union, key=refs.__getitem__), dtype=int)
-        where = {v: k for k, v in enumerate(idx.tolist())}
-        flat = np.zeros((len(blocks), idx.size, blocks[0].flat.shape[2]))
-        for c, blk in enumerate(blocks):
-            flat[c, [where[v] for v in blk.idx.tolist()]] = blk.flat[0]
-        dense.append(_Dense.make(np.concatenate([blk.base for blk in blocks]), idx, flat))
-    return _Cones(np.concatenate([c.b for c in cells]),
-                  np.concatenate([c.g for c in cells]), tuple(dense))
+    b = np.full((ncell, nrow + 2 * (n + 1)), _PHASE1_BOX)
+    g = np.zeros((ncell, nrow + 2 * (n + 1), n + 1))
+    g[:, :nrow, n] = 1.0
+    g[:, nrow:] = np.kron(np.eye(n + 1), [[-1.0], [1.0]])
+    base = np.zeros((ncell, len(dims), size, size))
+    base[:] = np.eye(size)
+    vflat = np.zeros((ncell, vidx.size, len(dims), size, size))
+    for j, d in enumerate(dims):
+        vflat[:, -1, j, :d, :d] = np.eye(d)
+    for c, sf in enumerate(forms):
+        row, j = 0, 0
+        for blk, (d, _, diagonal) in zip(sf.blocks, layout):
+            shifted = blk.base - blk.eps * np.eye(d)
+            if diagonal:
+                b[c, row:row + d] = np.diagonal(shifted)
+                g[c, row:row + d][:, blk.idx] = np.diagonal(blk.coeffs, axis1=1, axis2=2).T
+                row += d
+            else:
+                base[c, j, :d, :d] = shifted
+                vflat[c, pos[j][:-1], j, :d, :d] = blk.coeffs
+                j += 1
+    return _Cones(b, g, base, vidx, vflat.reshape(ncell, vidx.size, len(dims) * size * size),
+                  dims, pos)
 
 
 def _each(f, *stacks):
@@ -301,38 +277,26 @@ def _phase1(cones: _Cones, x0: np.ndarray):
     The search runs inside a large box |entry| < _PHASE1_BOX so the slack
     minimization stays bounded even when the feasible set has unbounded
     directions (monotone slack-type variables usually give it some).  The
-    box is 2(n+1) more rows, R - x_i > 0 and R + x_i > 0 for every entry
-    and the slack; the slack itself is a column of ones on the rows and
-    the identity on every dense block.  The search starts at x0 with s
-    one above the worst violation there, and its dual at Z = S^-1 and
-    z = 1 / r, without centering: the primal-dual steps drive the dual
-    residual down from there.
+    stack from `_cones` carries both: the slack as entry n, and the box as
+    2(n+1) more rows, R - x_i > 0 and R + x_i > 0 for every entry and the
+    slack.  The search starts at x0 with s one above the worst violation
+    there, and its dual at Z = S^-1 and z = 1 / r, without centering: the
+    primal-dual steps drive the dual residual down from there.
 
     Returns (x, slack, steps, outcomes) with an outcome per cell of None
     when x is feasible (as a rule with every block >= -_EXIT_SLACK I at x),
     Status.INFEASIBLE or Status.NUMERICAL_FAILURE (see `_primal_dual`).
     """
     ncell, n = x0.shape
-    nrow = cones.b.shape[1]
-    box = np.kron(np.eye(n + 1), [[-1.0], [1.0]])
-    aug = _Cones(
-        np.concatenate([cones.b, np.full((ncell, 2 * (n + 1)), _PHASE1_BOX)], axis=1),
-        np.concatenate([np.concatenate([cones.g, np.ones((ncell, nrow, 1))], axis=2),
-                        np.broadcast_to(box, (ncell,) + box.shape)], axis=1),
-        tuple(_Dense.make(blk.base, np.append(blk.idx, n), np.concatenate(
-            [blk.flat, np.broadcast_to(np.eye(blk.dim).reshape(1, 1, -1),
-                                       (ncell, 1, blk.dim * blk.dim))], axis=1))
-              for blk in cones.dense))
-
     # the start: slack 1 above the worst violation at x0, read off the
-    # augmented problem at slack 0 (the box rows are far from binding)
+    # stack at slack 0 (the box rows are far from binding)
     xs = np.concatenate([x0, np.zeros((ncell, 1))], axis=1)
-    floor = np.maximum(0.0, -aug.rows(xs).min(axis=1, initial=np.inf))
-    xs[:, n] = np.maximum(floor, -_lowest(aug.values(xs))) + 1.0
+    floor = np.maximum(0.0, -cones.rows(xs).min(axis=1, initial=np.inf))
+    xs[:, n] = np.maximum(floor, -_lowest(cones.values(xs))) + 1.0
 
     unit = np.zeros((ncell, n + 1))
     unit[:, n] = 1.0
-    xs, steps, outcome, _ = _primal_dual(aug, unit, xs, np.full(ncell, _MAX_NEWTON),
+    xs, steps, outcome, _ = _primal_dual(cones, unit, xs, np.full(ncell, _MAX_NEWTON),
                                          phase1=True)
     return xs[:, :n], xs[:, n], steps, outcome
 
@@ -348,16 +312,20 @@ def _hkm(cones: _Cones, zr: np.ndarray, lsi: np.ndarray, lz: np.ndarray) -> np.n
     rounding relative to its diagonal.  The product of A_k S^-1 and A_l Z,
     whose terms grow like 1/mu where M's smallest diagonal entries shrink
     like mu, makes M numerically indefinite at gaps around 1e-6 on the
-    demo design.
+    demo design.  Block j's coefficients are the rows pos[j] of the padded
+    stack cut to its own size, so each product costs what the block's size
+    does, not the padded size.
     """
     gw = cones.g * np.sqrt(zr)[:, :, None]
     m = gw.transpose(0, 2, 1) @ gw
     ncell = len(m)
-    for j, blk in enumerate(cones.dense):
-        d, k = blk.dim, len(blk.idx)
-        y = (blk.flat.reshape(ncell, k * d, d) @ lz[:, j, :d, :d]).reshape(ncell, k, d, d)
+    coeffs = cones.vflat.reshape(cones.vflat.shape[:2] + cones.base.shape[1:])
+    for j, (d, p) in enumerate(zip(cones.dims, cones.pos)):
+        k, idx = len(p), cones.vidx[p]
+        y = (coeffs[:, p, j, :d, :d].reshape(ncell, k * d, d) @ lz[:, j, :d, :d]).reshape(
+            ncell, k, d, d)
         v = (lsi[:, j, None, :d, :d] @ y).reshape(ncell, k, d * d)
-        m[blk.ix] += v @ v.transpose(0, 2, 1)
+        m[:, idx[:, None], idx] += v @ v.transpose(0, 2, 1)
     return (m + m.transpose(0, 2, 1)) / 2.0
 
 
@@ -415,12 +383,15 @@ def _primal_dual(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndar
     error this leaves in dx feeds the dual residual, and the floor on the
     aim keeps it from growing once the gap is near _GAP_TOL.  Phase 1
     refines the corrector once, solving again with the same factor for
-    the part of the dual residual that A*(dZ) + G^T dz misses: where the
-    slack optimum is approached only as x walks out, S grows
-    ill-conditioned and M and the dZ formed from S^-1 part, enough to
-    stall the residual above tolerance (seeded n = 8 plant at alpha =
-    min lambda).  Phase 2 is not refined, since near its optimum that
-    would undo the ridge.
+    the part of the dual residual that A*(dZ) + G^T dz misses, which grows
+    as S grows ill-conditioned.  Its exit point moves only by rounding,
+    yet phase 2 can hinge on it: for the design of
+    `test_design_that_needs_phase_one_refinement_certifies` (n = 4, mu =
+    1.5, alpha = 0.1) it moves by 1.3e-10, and phase 2 from the unrefined
+    point drives the gap under tolerance while its dual residual stalls
+    above it, until Z has no Cholesky factor after 20 steps; from the
+    refined point it ends OPTIMAL in 14.  Phase 2 is not refined, since
+    near its optimum that would undo the ridge.
 
     A cell is optimal once the gap <Z, S> + z . r is under _GAP_TOL and
     its dual residual c - A*(Z) - G^T z is under _GAP_TOL max(1, max |c|).
@@ -447,10 +418,10 @@ def _primal_dual(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndar
     dual_tol = _GAP_TOL * np.maximum(1.0, np.abs(cvec).max(axis=1, initial=0.0))
 
     zrow = 1.0 / cones.rows(x)
-    base = cones.padded[0]
+    base = cones.base
     inner = np.zeros(base.shape[1:], dtype=bool)
-    for j, blk in enumerate(cones.dense):
-        inner[j, :blk.dim, :blk.dim] = True
+    for j, d in enumerate(cones.dims):
+        inner[j, :d, :d] = True
     zmat = np.where(inner, _each(np.linalg.inv, cones.values(x)), base)
     slack_eye = np.where(inner, np.eye(base.shape[-1]), 0.0)
 
@@ -575,16 +546,18 @@ def _primal_dual(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndar
 
 
 def _solve_stack(cones: _Cones, sfs) -> list[Solution]:
-    """Phase 1 for every cell of the stack, then phase 2's primal-dual steps
-    for the cells it found feasible."""
+    """Phase 1 for every cell of a stack from `_cones`, then phase 2's
+    primal-dual steps for the cells it found feasible, over those cells of
+    the stack without phase 1's slack and box."""
     x, slack, steps1, status = _phase1(cones, np.stack([sf.initial for sf in sfs]))
     steps2 = np.zeros(len(sfs), dtype=int)
     gaps: list = [None] * len(sfs)
     go = [i for i, st in enumerate(status) if st is None]
     if go:
+        # rebinding releases the full stack before phase 2 runs
+        cones = cones.without_slack(go)
         x[go], steps2[go], done, gap = _primal_dual(
-            cones.take(go), np.stack([sfs[i].objective for i in go]), x[go],
-            _MAX_NEWTON - steps1[go])
+            cones, np.stack([sfs[i].objective for i in go]), x[go], _MAX_NEWTON - steps1[go])
         for i, st, g in zip(go, done, gap):
             status[i], gaps[i] = st, g
     x.setflags(write=False)
@@ -598,26 +571,26 @@ def minimize_batch(forms) -> list[Solution]:
     """Minimize each standard form's linear objective over its feasible
     set, all forms in lockstep; the solutions come in the order of `forms`.
 
-    Forms of one structure share a stack.  A structure with many cells is
-    split into stacks whose padded phase-1 coefficients stay under
-    _STACK_BYTES, so memory does not grow with the batch.
+    Forms of one layout share a stack.  A layout with many cells is split
+    into stacks whose padded phase-1 coefficients stay under _STACK_BYTES,
+    so memory does not grow with the batch.
     """
     sfs = list(forms)
     if any(sf.objective is None for sf in sfs):
         raise ValueError("minimize expects problems with an objective")
-    groups: dict[tuple, list] = {}
+    groups: dict[tuple, list[int]] = {}
     for c, sf in enumerate(sfs):
-        cones = _cones(sf)
-        groups.setdefault(_structure(sf, cones), []).append((c, cones))
+        groups.setdefault(_layout(sf), []).append(c)
 
     out: list = [None] * len(sfs)
-    for (refs, _, dims), members in groups.items():
+    for (refs, blocks), members in groups.items():
+        dims = [d for d, _, diagonal in blocks if not diagonal]
         cell_bytes = 8 * (len(refs) + 1) * len(dims) * max(dims, default=0) ** 2
         size = max(1, _STACK_BYTES // max(cell_bytes, 1))
         for start in range(0, len(members), size):
-            cells = [c for c, _ in members[start:start + size]]
-            stack = _stack([k for _, k in members[start:start + size]], refs)
-            for c, solution in zip(cells, _solve_stack(stack, [sfs[c] for c in cells])):
+            cells = members[start:start + size]
+            part = [sfs[c] for c in cells]
+            for c, solution in zip(cells, _solve_stack(_cones(part), part)):
                 out[c] = solution
     return out
 

@@ -284,6 +284,24 @@ class TestSynthesize:
         cert = synthesize(plant, 1.0, ratio * float(np.min(plant.speeds.diagonal)))
         assert min(verify_analysis(plant, cert).values()) >= 0.0
 
+    def test_design_that_needs_phase_one_refinement_certifies(self):
+        # default_rng(5) draws n = 4, lambda, H scaled to norm 0.6257, B, N
+        # and u_max; without phase 1's refinement of its corrector this
+        # design ends NUMERICAL_FAILURE after 7 + 20 steps
+        rng = np.random.default_rng(5)
+        n = int(rng.integers(2, 6))
+        m = (n + 1) // 2
+        lam = rng.uniform(1.0, 2.0, n)
+        h = rng.standard_normal((n, n))
+        h *= rng.uniform(0.3, 1.5) / np.linalg.norm(h, 2)
+        plant = Plant(DiagMatrix(lam), Matrix(h), Matrix(rng.standard_normal((n, m))),
+                      Matrix(rng.standard_normal((n, n)) / math.sqrt(n)),
+                      rng.uniform(0.2, 1.0, m))
+        assert n == 4 and np.linalg.norm(h, 2) == pytest.approx(0.6257, abs=1e-4)
+        cert = synthesize(plant, 1.5, 0.1)
+        assert cert.peak == pytest.approx(6.60336, rel=1e-5)
+        assert min(verify_analysis(plant, cert).values()) >= 0.0
+
 
 class TestClosedFormCoupling:
     """A certificate's coupling is the closed-form witness of

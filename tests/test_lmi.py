@@ -301,6 +301,14 @@ class TestProblem:
         with pytest.raises(ValueError, match="non-finite"):
             sf.pack(dict(good, c=[np.inf]))
 
+    def test_pack_refuses_a_diagonal_variable_off_its_diagonal(self):
+        sf = vectorize(self._problem())
+        good = dict(_DEMO_VALUES)
+        assert np.array_equal(sf.pack(dict(good, q=np.diag([12.5, 82.0]))), sf.pack(good))
+        for off in (np.nan, 5.0):
+            with pytest.raises(ValueError, match="variable q: diagonal, but an entry off"):
+                sf.pack(dict(good, q=[[12.5, off], [0.0, 82.0]]))
+
 
 class TestVectorize:
     def test_declaration_order_and_initial(self):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from hypiss import cli, lmi, sdp
+from hypiss import cli, control, lmi, sdp
 from hypiss.control import build_synthesis_lmis
 from hypiss.lmi import (
     GEQ,
@@ -71,7 +71,7 @@ def _demo_synthesis_problem(mu, alpha, eps=1e-6):
 
 def _free_entry_problem(objective: str):
     """min c or min y with [[c, 1], [1, c]] >= 0 and c <= 2: no constraint
-    touches y.  Its structure is the one of `_hyperbola_problem`."""
+    touches y."""
     vc, vy = VarSpec.scalar("c"), VarSpec.scalar("y")
     c = MatExpr.from_var(vc)
     one = np.array([[1.0]])
@@ -79,6 +79,21 @@ def _free_entry_problem(objective: str):
         (vc, vy),
         (Constraint(sym_block([[c, one], [None, c]]), GEQ, "hyperbola", eps=0.0),
          Constraint(c - 2.0 * one, LEQ, "cap", eps=0.0)),
+        objective=(((objective, 0), 1.0),)))
+
+
+def _tiny_entry_problem(objective: str):
+    """min c or min y with [[y + 1e-200 c, 1], [1, y]] >= 0 and y <= 2, in
+    the layout of `_hyperbola_problem`: c's coefficient squared underflows,
+    so phase 2's Schur complement has a zero row for c and no Cholesky
+    factor, while phase 1's box rows keep that row positive."""
+    vc, vy = VarSpec.scalar("c"), VarSpec.scalar("y")
+    c, y = MatExpr.from_var(vc), MatExpr.from_var(vy)
+    one = np.array([[1.0]])
+    return lmi.vectorize(LmiProblem(
+        (vc, vy),
+        (Constraint(sym_block([[y + 1e-200 * c, one], [None, y]]), GEQ, "hyperbola", eps=0.0),
+         Constraint(y - 2.0 * one, LEQ, "cap", eps=0.0)),
         objective=(((objective, 0), 1.0),)))
 
 
@@ -95,12 +110,12 @@ def _hyperbola_problem():
         objective=((("c", 0), 1.0),)))
 
 
-def _rows_only_problem(objective):
-    """x >= 1, y >= 0 and x + y >= 3: rows only, no dense block."""
+def _rows_only_problem(objective, floor=1.0):
+    """x >= floor, y >= 0 and x + y >= 3: rows only, no dense block."""
     vx, vy = VarSpec.scalar("x"), VarSpec.scalar("y")
     x, y = MatExpr.from_var(vx), MatExpr.from_var(vy)
     return lmi.vectorize(LmiProblem((vx, vy), (
-        Constraint(x - np.array([[1.0]]), GEQ, "x", eps=0.0),
+        Constraint(x - np.array([[floor]]), GEQ, "x", eps=0.0),
         Constraint(y, GEQ, "y", eps=0.0),
         Constraint(x + y - np.array([[3.0]]), GEQ, "sum", eps=0.0)), objective=objective))
 
@@ -108,7 +123,7 @@ def _rows_only_problem(objective):
 def _phase1(sf):
     """Phase 1 alone on one standard form: its outcome (None when it found a
     feasible point) and its last x."""
-    x, _, _, outcome = sdp._phase1(sdp._cones(sf), sf.initial[None])
+    x, _, _, outcome = sdp._phase1(sdp._cones([sf]), sf.initial[None])
     return outcome[0], x[0]
 
 
@@ -154,7 +169,7 @@ class TestFeasibility:
             cons = (Constraint(sym_block([[x, one], [None, y]]), GEQ, "hyperbola", eps=0.0),
                     Constraint(x + y - 2.0 * one, LEQ, "sum", eps=0.0))
         prob = lmi.vectorize(LmiProblem(specs, cons, objective=((("x", 0), 1.0),)))
-        assert (sdp._cones(prob).dense == ()) == (problem == "rows")
+        assert (sdp._cones([prob]).dims == ()) == (problem == "rows")
         sol = sdp.minimize(prob)
         assert sol.status is Status.NUMERICAL_FAILURE
         assert 0.0 <= sol.phase1_slack <= sdp._INFEASIBLE_SLACK
@@ -170,7 +185,7 @@ class TestFeasibility:
     @pytest.mark.parametrize("mu, alpha", [(1.0, 0.5), (2.0, 1.5)])
     def test_phase1_point_clears_every_block_by_the_exit_slack(self, mu, alpha):
         sf = _demo_synthesis_problem(mu, alpha)
-        x, slack, _, outcome = sdp._phase1(sdp._cones(sf), sf.initial[None])
+        x, slack, _, outcome = sdp._phase1(sdp._cones([sf]), sf.initial[None])
         assert outcome == [None] and slack[0] <= sdp._EXIT_SLACK
         for blk in sf.blocks:
             value = barrier_value(blk, x[0])
@@ -306,16 +321,16 @@ class TestSolutionContract:
 class TestStructure:
     def test_diagonal_blocks_become_rows(self):
         sf = _demo_synthesis_problem(1.0, 0.5)
-        cones = sdp._cones(sf)
+        cones = sdp._cones([sf]).without_slack([0])
         # peak_cap, q_pos and s_pos are diagonal: 2 + 2 + 2 rows
         assert cones.b.size == 6
-        assert [blk.dim for blk in cones.dense] == [6, 4, 2, 2]
+        assert cones.dims == (6, 4, 2, 2)
         assert cones.nu == sum(blk.dim for blk in sf.blocks)
 
     def test_rows_and_dense_block_closed_form(self):
         prob = _hyperbola_problem()
-        cones = sdp._cones(prob)
-        assert cones.b.size == 1 and len(cones.dense) == 1
+        cones = sdp._cones([prob]).without_slack([0])
+        assert cones.b.size == 1 and len(cones.dims) == 1
         sol = sdp.minimize(prob)
         assert sol.status is Status.OPTIMAL
         assert sol.objective == pytest.approx(0.5, abs=1e-6)
@@ -324,7 +339,7 @@ class TestStructure:
     def test_rows_only_problem(self):
         # min 2x + y with x >= 1, y >= 0, x + y >= 3: optimum 4 at (1, 2)
         feas = _rows_only_problem(((("x", 0), 2.0), (("y", 0), 1.0)))
-        assert sdp._cones(feas).dense == ()
+        assert sdp._cones([feas]).dims == ()
         found, x = _phase1(feas)
         assert found is None
         assert _worst_margin(feas, x) > 0.0
@@ -345,6 +360,25 @@ class TestStructure:
 
 _DEMO_MUS = np.linspace(0.25, 2.0, 8)
 _DEMO_ALPHAS = np.linspace(0.1, 1.5, 8)
+
+
+def _same_bits(a, b):
+    assert a.status is b.status and a.newton_steps == b.newton_steps
+    assert a.objective == b.objective and a.gap == b.gap
+    assert a.phase1_slack == b.phase1_slack and a.x.tobytes() == b.x.tobytes()
+
+
+def _stack_sizes(monkeypatch) -> list[int]:
+    """The number of cells of each stack solved from here on."""
+    sizes = []
+    real = sdp._solve_stack
+
+    def solve_stack(cones, *args):
+        sizes.append(len(cones.b))
+        return real(cones, *args)
+
+    monkeypatch.setattr(sdp, "_solve_stack", solve_stack)
+    return sizes
 
 
 def _same_outcome(batched, single):
@@ -368,47 +402,58 @@ class TestBatch:
                 assert _worst_margin(problem, sol.x) >= -1e-9
         assert statuses == {Status.OPTIMAL, Status.INFEASIBLE}
 
-    def test_cells_of_different_structure_share_a_stack(self):
-        # at mu = alpha = 0.5 the decay block loses its lyap_inv[0] term
-        # (alpha - mu lambda_0 = 0), so its entries differ from the other
-        # cells of the same grid command
-        sfs = [_demo_synthesis_problem(0.5, alpha) for alpha in (0.1, 0.3, 0.5, 0.7)]
-        cells = [sdp._cones(sf) for sf in sfs]
-        sizes = [[len(blk.idx) for blk in c.dense] for c in cells]
-        assert sizes[2][2] == sizes[0][2] - 1
-        assert len({sdp._structure(sf, c) for sf, c in zip(sfs, cells)}) == 1
-        stacked = sdp._stack(cells, sfs[0].refs)
-        x = np.stack([sf.initial + 0.01 * np.arange(sf.n) for sf in sfs])
-        span = stacked.span(x)
-        mats, rowvals = stacked.values(x), stacked.rows(x)
-        adjoint = stacked.adjoint(mats, rowvals)
-        for c, cell in enumerate(cells):
-            one = slice(c, c + 1)
-            assert np.allclose(span[c], cell.span(x[one])[0], rtol=1e-12, atol=1e-12)
-            assert np.allclose(adjoint[c], cell.adjoint(mats[one], rowvals[one])[0],
-                               rtol=1e-12, atol=1e-12)
-        for sol, sf in zip(sdp.minimize_batch(sfs), sfs):
-            _same_outcome(sol, sdp.minimize(sf))
+    def test_cells_of_different_entries_stack_apart(self, monkeypatch):
+        # at mu = alpha = 0.5 the decay block loses its q[0] term
+        # (alpha - mu lambda_0 = 0), so its entries differ from those of
+        # (0.5, 0.1): each cell is a stack of its own, the same bits as alone
+        sfs = [_demo_synthesis_problem(0.5, alpha) for alpha in (0.5, 0.1)]
+        assert len(sfs[0].blocks[2].idx) == len(sfs[1].blocks[2].idx) - 1
+        assert sdp._layout(sfs[0]) != sdp._layout(sfs[1])
+        stacks = _stack_sizes(monkeypatch)
+        batch = sdp.minimize_batch(sfs)
+        assert stacks == [1, 1]
+        for sol, sf in zip(batch, sfs):
+            _same_bits(sol, sdp.minimize(sf))
 
-    def test_taken_stack_carries_the_padded_stack(self):
-        # a compaction moves the parent's padded stack, sliced, to the
-        # taken cells; it is the same bits as the padded stack built from
-        # the taken blocks
-        sfs = [_demo_synthesis_problem(0.5, alpha) for alpha in (0.1, 0.3, 0.5, 0.7)]
-        stacked = sdp._stack([sdp._cones(sf) for sf in sfs], sfs[0].refs)
-        assert "padded" not in stacked.take([0]).__dict__
-        for sel in (np.array([True, False, True, True]), [3, 1]):
-            stacked.padded
-            taken = stacked.take(sel)
-            assert "padded" in taken.__dict__ and "padded" not in stacked.__dict__
-            rebuilt = sdp._Cones(taken.b, taken.g, taken.dense).padded
-            for a, b in zip(taken.padded, rebuilt):
-                assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
+    @pytest.mark.parametrize("case", ["synthesis", "rows", "seven"])
+    def test_stack_is_its_one_cell_stacks(self, demo_plant, case):
+        # a stack of k forms of one layout evaluates each cell to the same
+        # bits as that form's own stack, with phase 1's slack and without
+        if case == "synthesis":
+            sfs = [lmi.vectorize(build_synthesis_lmis(demo_plant, 0.5, alpha))
+                   for alpha in (0.1, 0.3, 0.45)]
+        elif case == "rows":
+            sfs = [_rows_only_problem(((("x", 0), 2.0),), floor) for floor in (1.0, 1.5)]
+        else:
+            sfs = [_demo_synthesis_problem(mu, 0.3) for mu in (0.5, 1.0, 2.0)]
+        assert len({sdp._layout(sf) for sf in sfs}) == 1
+        assert (sdp._cones(sfs[:1]).dims == ()) == (case == "rows")
+        rng = np.random.default_rng(3)
+        full = sdp._cones(sfs)
+        for stack, cells, n in ((full, [sdp._cones([sf]) for sf in sfs], sfs[0].n + 1),
+                                (full.without_slack(range(len(sfs))),
+                                 [sdp._cones([sf]).without_slack([0]) for sf in sfs], sfs[0].n)):
+            x = rng.standard_normal((len(sfs), n))
+            mats = rng.standard_normal(stack.base.shape)
+            rowvals = rng.standard_normal(stack.b.shape)
+            got = (stack.rows(x), stack.values(x), stack.span(x), stack.adjoint(mats, rowvals))
+            for c, cell in enumerate(cells):
+                one = slice(c, c + 1)
+                want = (cell.rows(x[one]), cell.values(x[one]), cell.span(x[one]),
+                        cell.adjoint(mats[one], rowvals[one]))
+                for a, b in zip(got, want):
+                    assert a[c].tobytes() == b[0].tobytes()
+
+    def test_demo_grid_is_one_stack(self, demo_plant, monkeypatch):
+        # the 41 demo cells below the decay bound share one layout
+        stacks = _stack_sizes(monkeypatch)
+        control.grid_search(demo_plant, _DEMO_MUS, _DEMO_ALPHAS)
+        assert stacks == [41]
 
     def test_failed_cholesky_in_one_cell_leaves_the_others(self):
         sf = _demo_synthesis_problem(1.0, 0.5)
-        cell = sdp._cones(sf)
-        stacked = sdp._stack([cell, cell, cell], sf.refs)
+        cell = sdp._cones([sf]).without_slack([0])
+        stacked = sdp._cones([sf, sf, sf]).without_slack([0, 1, 2])
         inside = sdp.minimize(sf).x
         # gain_scaled far from zero breaks the boundary block but no row
         outside = inside.copy()
@@ -446,15 +491,8 @@ class TestBatch:
     def test_stacks_split_under_the_memory_cap(self, monkeypatch):
         problems = [_demo_synthesis_problem(0.5, alpha) for alpha in (0.1, 0.3, 0.5, 1.3)]
         whole = sdp.minimize_batch(problems)
-        stacks = []
-        real = sdp._solve_stack
-
-        def solve_stack(cones, *args):
-            stacks.append(len(cones.b))
-            return real(cones, *args)
-
+        stacks = _stack_sizes(monkeypatch)
         monkeypatch.setattr(sdp, "_STACK_BYTES", 1)
-        monkeypatch.setattr(sdp, "_solve_stack", solve_stack)
         for sol, ref in zip(sdp.minimize_batch(problems), whole):
             _same_outcome(sol, ref)
         assert stacks == [1, 1, 1, 1]
@@ -472,17 +510,16 @@ class TestBatch:
     @pytest.mark.parametrize("case", ["y", "c", "rows"])
     def test_failing_cell_leaves_its_stack_mates_alone(self, case):
         # min y or min c beside a dense block, or min -x with rows only: the
-        # failing cells leave the phase-1 box and the stack before the
-        # healthy ones end, so the stack, an empty block stack included, is
-        # compacted mid-run
+        # failing cells end in phase 2, with no Schur factor or out of the
+        # phase-1 box, before the healthy ones end, so the stack, an empty
+        # block stack included, is compacted mid-run
         if case == "rows":
             healthy = _rows_only_problem(((("x", 0), 2.0), (("y", 0), 1.0)))
             failing = _rows_only_problem(((("x", 0), -1.0),))
-            assert sdp._cones(healthy).dense == ()
+            assert sdp._cones([healthy]).dims == ()
         else:
-            healthy, failing = _hyperbola_problem(), _free_entry_problem(case)
-        assert sdp._structure(healthy, sdp._cones(healthy)) == \
-            sdp._structure(failing, sdp._cones(failing))
+            healthy, failing = _hyperbola_problem(), _tiny_entry_problem(case)
+        assert sdp._layout(healthy) == sdp._layout(failing)
         alone = sdp.minimize(healthy)
         assert alone.status is Status.OPTIMAL
         batch = sdp.minimize_batch([failing, healthy, failing, healthy])

@@ -301,10 +301,13 @@ def _phase1(cones: _Cones, x0: np.ndarray):
     return xs[:, :n], xs[:, n], steps, outcome
 
 
-def _hkm(cones: _Cones, zr: np.ndarray, lsi: np.ndarray, lz: np.ndarray) -> np.ndarray:
+def _hkm(cones: _Cones, zr: np.ndarray, lsi: np.ndarray, lz: np.ndarray,
+         scatter: list) -> np.ndarray:
     """The HKM Schur complement M_kl = sum_j tr(A_jk S_j^-1 A_jl Z_j)
     + sum_i G_ik (z_i / r_i) G_il, one matrix per cell, with zr = z / r,
-    lsi = L_S^-1 and lz = L_Z for the Cholesky factors of S and Z.
+    lsi = L_S^-1 and lz = L_Z for the Cholesky factors of S and Z, and
+    scatter, for each dense block, the rows and columns of M that its
+    entries index.
 
     M is formed as a Gram matrix: of the rows of G sqrt(z/r), and of
     V_k = L_S^-1 A_k L_Z over each block, since with S^-1 = L_S^-T L_S^-1
@@ -320,33 +323,40 @@ def _hkm(cones: _Cones, zr: np.ndarray, lsi: np.ndarray, lz: np.ndarray) -> np.n
     m = gw.transpose(0, 2, 1) @ gw
     ncell = len(m)
     coeffs = cones.vflat.reshape(cones.vflat.shape[:2] + cones.base.shape[1:])
-    for j, (d, p) in enumerate(zip(cones.dims, cones.pos)):
-        k, idx = len(p), cones.vidx[p]
+    for j, (d, p, (rows, cols)) in enumerate(zip(cones.dims, cones.pos, scatter)):
+        k = len(p)
         y = (coeffs[:, p, j, :d, :d].reshape(ncell, k * d, d) @ lz[:, j, :d, :d]).reshape(
             ncell, k, d, d)
         v = (lsi[:, j, None, :d, :d] @ y).reshape(ncell, k, d * d)
-        m[:, idx[:, None], idx] += v @ v.transpose(0, 2, 1)
+        m[:, rows, cols] += v @ v.transpose(0, 2, 1)
     return (m + m.transpose(0, 2, 1)) / 2.0
 
 
 def _lowest(m: np.ndarray) -> np.ndarray:
     """The smallest eigenvalue of each cell's stack of symmetric matrices,
     +inf for an empty stack and NaN for a cell with an entry that is not
-    finite."""
-    ok = np.isfinite(m).all(axis=(1, 2, 3))
+    finite.  Only a stack with such a cell has its entries masked with 0
+    before the eigensolver and its result masked after; each cell's
+    eigenvalues are the same bits either way."""
+    finite = np.isfinite(m)
+    if finite.all():
+        return np.linalg.eigvalsh(m).min(axis=(1, 2), initial=np.inf)
+    ok = finite.all(axis=(1, 2, 3))
     low = np.linalg.eigvalsh(np.where(ok[:, None, None, None], m, 0.0)).min(
         axis=(1, 2), initial=np.inf)
     return np.where(ok, low, np.nan)
 
 
-def _reach(li: np.ndarray, dmat: np.ndarray, v: np.ndarray, dv: np.ndarray) -> np.ndarray:
+def _reach(li: np.ndarray, lit: np.ndarray, dmat: np.ndarray, v: np.ndarray,
+           dv: np.ndarray) -> np.ndarray:
     """1 / alpha_max per cell, where alpha_max is the longest step that keeps
     the rows v + alpha dv and the blocks L L^T + alpha dmat positive
-    semidefinite, with li = L^-1; 0 where no step leaves them.  A block
-    reaches its boundary at -1 / min eig(li dmat li^T).  NaN for a cell
-    with a factor or a direction that is not finite."""
+    semidefinite, with li = L^-1 and lit its transpose; 0 where no step
+    leaves them.  A block reaches its boundary at -1 / min eig(li dmat
+    li^T).  NaN for a cell with a factor or a direction that is not
+    finite."""
     s = (dv / v).min(axis=1, initial=0.0) * -1.0
-    return np.maximum(s, -_lowest(li @ dmat @ li.transpose(0, 1, 3, 2)))
+    return np.maximum(s, -_lowest(li @ dmat @ lit))
 
 
 def _primal_dual(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndarray,
@@ -410,6 +420,12 @@ def _primal_dual(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndar
     _INFEASIBLE_SLACK ends INFEASIBLE, and any other settled or failed cell
     NUMERICAL_FAILURE.  Returns (x, steps, outcomes, gaps), with the gap at
     each cell's last iterate.
+
+    An iteration selects per cell only when some cell differs: the
+    corrector merges in the centering aim only when some but not all cells
+    center, and the step keeps old points only when some cell did not move;
+    otherwise it takes the stacked values, the same bits.  The padding, M's
+    diagonal and each block's place in M are formed once per phase.
     """
     ncell, nu = len(x), cones.nu
     x_out, gap_out = x.copy(), np.full(ncell, np.nan)
@@ -424,6 +440,8 @@ def _primal_dual(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndar
         inner[j, :d, :d] = True
     zmat = np.where(inner, _each(np.linalg.inv, cones.values(x)), base)
     slack_eye = np.where(inner, np.eye(base.shape[-1]), 0.0)
+    pad, diag = ~inner, np.arange(x.shape[1])
+    scatter = [(cones.vidx[p][:, None], cones.vidx[p]) for p in cones.pos]
 
     def measure(x, zmat, zrow, bad):
         """r(x) (NaN where a row is not positive), S(x), the gap, and the
@@ -479,10 +497,10 @@ def _primal_dual(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndar
         lsi = _each(np.linalg.inv, ls)
         lz = _each(np.linalg.cholesky, zmat)
         lzi = _each(np.linalg.inv, lz)
-        sinv = lsi.transpose(0, 1, 3, 2) @ lsi
-        m = _hkm(cones, zrow * rinv, lsi, lz)
-        k = np.arange(m.shape[1])
-        m[:, k, k] *= 1.0 + _RIDGE
+        lsit, lzit = lsi.transpose(0, 1, 3, 2), lzi.transpose(0, 1, 3, 2)
+        sinv = lsit @ lsi
+        m = _hkm(cones, zrow * rinv, lsi, lz, scatter)
+        m[:, diag, diag] *= 1.0 + _RIDGE
         lm = _each(np.linalg.inv, _each(np.linalg.cholesky, m))
 
         def direction(rhs, smu, crow, cmat):
@@ -494,14 +512,14 @@ def _primal_dual(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndar
             ds = cones.span(dx)
             t = sinv @ ds @ zmat + cmat
             dzm = smu[:, None, None, None] * sinv - zmat - (t + t.transpose(0, 1, 3, 2)) / 2.0
-            dzm[:, ~inner] = 0.0
+            dzm[:, pad] = 0.0
             return dx, dr, ds, dz, dzm
 
         def lengths(dr, ds, dz, dzm, frac):
             """The primal and dual step lengths: frac of the way to the
             boundary, at most 1."""
-            return (frac / np.maximum(_reach(lsi, ds, r, dr), frac),
-                    frac / np.maximum(_reach(lzi, dzm, zrow, dz), frac))
+            return (frac / np.maximum(_reach(lsi, lsit, ds, r, dr), frac),
+                    frac / np.maximum(_reach(lzi, lzit, dzm, zrow, dz), frac))
 
         if centering.any():
             near = centering & (
@@ -512,10 +530,10 @@ def _primal_dual(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndar
                 near[near] = _lowest(lzl) >= _CENTERED
             centering &= ~near
 
-        # a centering cell aims at mu = 1 with no second-order terms
-        smu, crow = np.ones(len(x)), np.zeros_like(r)
-        cmat = np.zeros_like(sinv)
-        if not centering.all():
+        if centering.all():
+            # a centering cell aims at mu = 1 with no second-order terms
+            smu, crow, cmat = np.ones(len(x)), np.zeros_like(r), np.zeros_like(sinv)
+        else:
             # predictor: the affine-scaling direction, aiming at mu = 0
             dx, dr, ds, dz, dzm = direction(-cvec, np.zeros(len(x)), 0.0, 0.0)
             ap, ad = lengths(dr, ds, dz, dzm, 1.0)
@@ -524,10 +542,13 @@ def _primal_dual(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndar
                 * (zmat + ad[:, None, None, None] * dzm))[:, inner].sum(axis=1)
             aim = np.maximum((gap_aff / gap) ** 3 * gap, _GAP_FLOOR * _GAP_TOL) / nu
 
-            # corrector: aim at sigma mu, with the predictor's second-order terms
-            smu = np.where(centering, smu, aim)
-            crow = np.where(centering[:, None], 0.0, dr * dz)
-            cmat = np.where(centering[:, None, None, None], 0.0, sinv @ ds @ dzm)
+            # corrector: aim at sigma mu, with the predictor's second-order
+            # terms; the cells still centering keep mu = 1 and none
+            smu, crow, cmat = aim, dr * dz, sinv @ ds @ dzm
+            if centering.any():
+                smu = np.where(centering, 1.0, smu)
+                crow = np.where(centering[:, None], 0.0, crow)
+                cmat = np.where(centering[:, None, None, None], 0.0, cmat)
         rhs = smu[:, None] * cones.adjoint(sinv, rinv) - cvec - cones.adjoint(cmat, crow * rinv)
         dx, dr, ds, dz, dzm = direction(rhs, smu, crow, cmat)
         if phase1:
@@ -538,9 +559,13 @@ def _primal_dual(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndar
 
         xn = x + ap[:, None] * dx
         move = np.isfinite(ad) & np.isfinite(xn).all(axis=1)
-        x = np.where(move[:, None], xn, x)
-        zrow = np.where(move[:, None], zrow + ad[:, None] * dz, zrow)
-        zmat = np.where(move[:, None, None, None], zmat + ad[:, None, None, None] * dzm, zmat)
+        if move.all():
+            x, zrow, zmat = xn, zrow + ad[:, None] * dz, zmat + ad[:, None, None, None] * dzm
+        else:
+            # a cell that took no step keeps its point
+            x = np.where(move[:, None], xn, x)
+            zrow = np.where(move[:, None], zrow + ad[:, None] * dz, zrow)
+            zmat = np.where(move[:, None, None, None], zmat + ad[:, None, None, None] * dzm, zmat)
         steps += move
         r, smat, gap, rd, ends = measure(x, zmat, zrow, ~move)
 

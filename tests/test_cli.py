@@ -1034,6 +1034,84 @@ class TestVerify:
         assert "certificate.gain" in capsys.readouterr().err
 
 
+def _grid_design(cfg, **grids):
+    cfg["design"] = {"mu": {"min": 0.5, "max": 1.0, "count": 2},
+                     "alpha": {"min": 0.1, "max": 0.5, "count": 2}, "epsilon": 1e-6}
+    for key, grid in grids.items():
+        cfg["design"][key].update(grid)
+
+
+# a hand-made certificate of the demo plant's shapes; each case below breaks
+# one thing, and the loader refuses it before anything runs
+_CERTIFICATE = {
+    "mu": 1.0, "alpha": 0.5, "epsilon": 1e-6, "peak": 82.0, "gamma": 14.9,
+    "omega": 0.25, "kappa": 4.2, "gain": [[-0.24, 0.0], [0.33, -0.08]],
+    "lyap_inv": [12.5, 82.0], "sector_inv": [11.8, 18.4],
+    "gain_scaled": [[-3.0, 0.0], [4.1, -6.6]], "coupling": [[4.07, 0.195], [0.195, 36.3]],
+    "margins": {},
+}
+
+
+class TestConfigErrors:
+    # (command, edit of the design config, edit of the certificate or None,
+    # the path the message names; "{config}" is the config file's own path)
+    CASES = {
+        "integer-type": ("grid", lambda c: _grid_design(c, mu={"count": 2.5}), None,
+                         "design.mu.count: expected an integer"),
+        "integer-minimum": ("grid", lambda c: _grid_design(c, alpha={"count": 0}), None,
+                            "design.alpha.count: must be at least 1"),
+        "simulation-cells": ("simulate", lambda c: c["simulation"].update(M=4), None,
+                             "simulation.M: must be at least 8"),
+        "missing-section": ("synth", lambda c: c.pop("design"), None,
+                            "design: missing section"),
+        "unreadable-file": ("synth", None, None, "{config}: "),
+        "top-level": ("synth", None, None, "{config}: top level must be an object"),
+        "grid-max": ("grid", lambda c: _grid_design(c, alpha={"min": 1.0, "count": 3}), None,
+                     "design.alpha.max: must exceed min"),
+        "phases": ("simulate", lambda c: c["simulation"]["disturbance"].update(phases="sin"),
+                   None, "simulation.disturbance.phases: expected a list"),
+        "output-object": ("synth", lambda c: c.update(output="out"), None,
+                          "output: expected an object"),
+        "output-directory": ("synth", lambda c: c["output"].update(directory=""), None,
+                             "output.directory: expected a nonempty string"),
+        "certificate-weights": ("simulate", None, lambda c: c.update(lyap_inv=[12.5]),
+                                "certificate: weight dimensions do not match the plant"),
+        "certificate-sector": ("verify", None, lambda c: c.update(sector_inv=[11.8]),
+                               "certificate: sector/gain dimensions do not match the plant"),
+        "certificate-sign": ("simulate", None, lambda c: c.update(sector_inv=[11.8, 0.0]),
+                             "certificate: diagonal weights must be positive"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exits_1_naming_the_path_and_makes_no_output(self, tmp_path, monkeypatch,
+                                                          capsys, case):
+        command, edit_config, edit_certificate, named = self.CASES[case]
+        monkeypatch.chdir(tmp_path)
+        cfg = _design_config()
+        argv = [command]
+        if case == "unreadable-file":
+            config = str(tmp_path / "missing.json")
+        elif case == "top-level":
+            config = str(tmp_path / "list.json")
+            (tmp_path / "list.json").write_text("[1, 2]")
+        else:
+            if edit_config is not None:
+                edit_config(cfg)
+            config = _write_config(tmp_path, cfg)
+        if command in ("simulate", "verify"):
+            cert = json.loads(json.dumps(_CERTIFICATE))
+            if edit_certificate is not None:
+                edit_certificate(cert)
+            (tmp_path / "cert.json").write_text(json.dumps(cert))
+            argv += ["--gain", "cert.json" if edit_certificate or command == "verify"
+                     else "zero"]
+        before = sorted(p.name for p in tmp_path.iterdir())
+        assert cli.main(argv + ["--config", config]) == 1
+        assert f"config error: {named.format(config=config)}" in capsys.readouterr().err
+        # the config names the directory "out"; nothing is made, there or anywhere
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
 class TestUsage:
     def test_help_exits_0(self):
         assert cli.main(["--help"]) == 0

@@ -137,9 +137,11 @@ class TestClosedLoopBoundary:
         assert np.array_equal(out, demo_plant.reflection.array @ x)
 
     def test_law_formed_once_matches_the_formula_bit_for_bit(self):
-        # H + B K formed once per run must give the bytes of forming it at
-        # every call, on the strided outflow column a simulation passes,
-        # for every shape including one input with n >= 4
+        # H + B K and -u_max formed once per run must give the bytes of
+        # forming them at every call, on the strided outflow column a
+        # simulation passes, for every shape including one input with
+        # n >= 4: inside the linear range, saturating, with K x at +-u_max
+        # exactly, at +-0.0 and with a NaN entry
         rng = np.random.default_rng(17)
         for n in range(1, 7):
             for m in range(1, 4):
@@ -148,17 +150,24 @@ class TestClosedLoopBoundary:
                               Matrix(rng.standard_normal((n, m))),
                               Matrix(np.eye(n)), rng.uniform(0.2, 1.0, m))
                 gain = Matrix(rng.standard_normal((m, n)))
-                law = BoundaryLaw.of(plant, gain)
                 h, b, k = plant.reflection.array, plant.input_map.array, gain.array
+                signed_zero = np.where(np.arange(n) % 2 == 0, 0.0, -0.0)
+                with_nan = rng.uniform(-1.0, 1.0, n)
+                with_nan[n // 2] = np.nan
                 # the second outflow lies along K's first row, so that
-                # channel saturates
-                for last, saturating in ((rng.uniform(-0.01, 0.01, n), False),
-                                         (50.0 * k[0], True)):
+                # channel saturates; at the third the levels are set to |K x|
+                for last, saturating, edge in ((rng.uniform(-0.01, 0.01, n), False, False),
+                                               (50.0 * k[0], True, False),
+                                               (rng.uniform(-1.0, 1.0, n), False, True),
+                                               (signed_zero, False, False),
+                                               (with_nan, False, False)):
                     state = np.column_stack([rng.uniform(-1.0, 1.0, (n, 8)), last])
                     x = state[:, -1]
-                    assert np.any(np.abs(k @ x) > plant.u_max) == saturating
-                    want = (h + b @ k) @ x + b @ deadzone(k @ x, plant.u_max)
-                    assert np.array_equal(closed_loop_boundary(law, x), want)
+                    p = dataclasses.replace(plant, u_max=np.abs(k @ x)) if edge else plant
+                    law = BoundaryLaw.of(p, gain)
+                    assert np.any(np.abs(k @ x) > p.u_max) == saturating
+                    want = (h + b @ k) @ x + b @ deadzone(k @ x, p.u_max)
+                    assert closed_loop_boundary(law, x).tobytes() == want.tobytes()
 
 
 class TestSynthesisLmis:
@@ -460,6 +469,46 @@ class TestGridSearch:
         assert _same_cells(fm.cells[:3], honest.cells[:3])
         assert (fm.best.mu, fm.best.alpha) == (honest.best.mu, honest.best.alpha) == (0.5, 0.1)
 
+    def test_optimal_cell_above_its_peak_bound_fails(self, demo_plant, monkeypatch):
+        # the solver claims the cell (1.0, 0.4) optimal with its peak entry
+        # 1e-6 relative under max lyap_inv.  The re-check refuses that point
+        # at peak_cap, whose margin peak - max lyap_inv (eps = 0) is under
+        # -1e-9; a re-check that reports peak_cap as met leaves it to the
+        # peak guard of the certificate
+        mus, alphas = [0.5, 1.0], [0.1, 0.4]
+        honest = grid_search(demo_plant, mus, alphas)
+        solve, recheck = sdp.minimize_batch, lmi.margins_batch
+
+        def minimize_batch(forms):
+            forms = list(forms)
+            solutions = solve(forms)
+            sol, sf = solutions[3], forms[3]
+            values = sf.unpack(sol.x)
+            values["peak"] = np.array([[np.max(values["lyap_inv"]) * (1.0 - 1e-6)]])
+            solutions[3] = dataclasses.replace(sol, x=sf.pack(values))
+            return solutions
+
+        def margins_batch(points):
+            points = list(points)
+            out = recheck(points)
+            for (sf, _), margins in zip(points, out):
+                at = [blk.label for blk in sf.blocks].index("peak_cap")
+                margins[at] = max(margins[at], 0.0)
+            return out
+
+        monkeypatch.setattr(sdp, "minimize_batch", minimize_batch)
+        reasons = [grid_search(demo_plant, mus, alphas).cells[3].reason]
+        monkeypatch.setattr(lmi, "margins_batch", margins_batch)
+        fm = grid_search(demo_plant, mus, alphas)
+        reasons.append(fm.cells[3].reason)
+        assert reasons[0].startswith("SolverFailureError: re-checked margins dip")
+        assert reasons[1].startswith("SolverFailureError: largest lyap_inv eigenvalue")
+        assert "exceeds peak bound" in reasons[1]
+        bad = fm.cells[3]
+        assert (bad.mu, bad.alpha, bad.status, bad.peak, bad.gamma) == (
+            1.0, 0.4, "failed", None, None)
+        assert _same_cells(fm.cells[:3], honest.cells[:3])
+
     def test_failing_batch_fails_every_cell(self, demo_plant, monkeypatch):
         def minimize_batch(forms):
             raise FloatingPointError("injected in the batch")
@@ -681,6 +730,11 @@ class TestVerifyAnalysis:
 
 
 class TestAnalysisLmis:
+    @pytest.mark.parametrize("mu, alpha", [(0.0, 0.5), (-1.0, 0.5), (1.0, 0.0), (1.0, -0.5)])
+    def test_rejects_nonpositive_weights(self, demo_plant, demo_gain, mu, alpha):
+        with pytest.raises(ValueError, match="mu and alpha must be positive"):
+            build_analysis_lmis(demo_plant, demo_gain, mu, alpha)
+
     def test_feasible_for_certified_gain(self, demo_plant, demo_gain):
         prob = build_analysis_lmis(demo_plant, demo_gain, 1.0, 0.5)
         # the smallest supply gain the gain admits

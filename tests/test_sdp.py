@@ -532,6 +532,25 @@ class TestBatch:
             assert sol.gap == alone.gap
             assert sol.x.tobytes() == alone.x.tobytes()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_lowest_masks_only_the_cell_that_is_not_finite(self, bad):
+        # a stack with a cell that is not finite takes the masked path of
+        # _lowest and a finite one the direct path: the cell reads NaN and
+        # every other cell the bits of the stack without it
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((4, 2, 3, 3))
+        stack = a + a.transpose(0, 1, 3, 2)
+        poisoned = stack.copy()
+        poisoned[2, 1, 0, 2] = poisoned[2, 1, 2, 0] = bad
+        keep = [0, 1, 3]
+        low, without = sdp._lowest(poisoned), sdp._lowest(stack[keep])
+        assert np.isnan(low[2]) and np.all(np.isfinite(without))
+        assert low[keep].tobytes() == without.tobytes()
+        assert sdp._lowest(stack)[keep].tobytes() == without.tobytes()
+        # an empty block stack still reads +inf
+        empty = np.zeros((3, 0, 0, 0))
+        assert np.array_equal(sdp._lowest(empty), np.full(3, np.inf))
+
     def test_empty_batch_and_missing_objective(self):
         assert sdp.minimize_batch([]) == []
         with pytest.raises(ValueError):

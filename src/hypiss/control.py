@@ -297,7 +297,6 @@ def build_synthesis_lmis(plant: Plant, mu: float, alpha: float,
     big_lam_inv = np.diag(1.0 / lam)
     h = plant.reflection.array
     b = plant.input_map.array
-    nd = plant.disturbance_map.array
 
     vq = lmi.VarSpec.diagonal(_VQ, n)
     vs = lmi.VarSpec.diagonal(_VS, m)
@@ -311,20 +310,32 @@ def build_synthesis_lmis(plant: Plant, mu: float, alpha: float,
         [-(q @ big_lam_inv), h @ q + b @ w, b @ s],
         [None, -math.exp(-mu) * (big_lam @ q), -(w.T)],
         [None, None, -2.0 * s]])
-    # mu lambda - alpha, the negation of _decay_bound's alpha - mu lambda
-    rate = np.diag(-(alpha - mu * lam))
-    merged = lmi.sym_block([[q @ rate - eps * np.eye(n), nd], [None, np.eye(plant.q)]])
     cap = q - lmi.MatExpr.scalar_identity(_VC, n)
 
     constraints = (
         lmi.Constraint(boundary, lmi.LEQ, "boundary_block"),
-        lmi.Constraint(merged, lmi.GEQ, "disturbance_decay_block"),
+        _disturbance_decay(plant, mu, alpha, eps),
         lmi.Constraint(cap, lmi.LEQ, "peak_cap", eps=0.0),
         lmi.Constraint(q, lmi.GEQ, "q_pos"),
         lmi.Constraint(s, lmi.GEQ, "s_pos"),
     )
     return lmi.LmiProblem((vq, vs, vw, vc), constraints,
                           objective=(((_VC, 0), 1.0),), eps=eps)
+
+
+def _disturbance_decay(plant: Plant, mu: float, alpha: float, eps: float) -> lmi.Constraint:
+    """disturbance_decay_block of the synthesis inequalities,
+    [[Q diag(mu lambda - alpha) - eps I, N], [N^T, I]] >= eps I: the one
+    block that depends on alpha, and the only place it is posed, for
+    build_synthesis_lmis and for the cells of grid_search that restate
+    their row's form."""
+    n = plant.n
+    q = lmi.MatExpr.from_var(lmi.VarSpec.diagonal(_VQ, n))
+    # mu lambda - alpha, the negation of _decay_bound's alpha - mu lambda
+    rate = np.diag(-(alpha - mu * plant.speeds.diagonal))
+    merged = lmi.sym_block([[q @ rate - eps * np.eye(n), plant.disturbance_map.array],
+                            [None, np.eye(plant.q)]])
+    return lmi.Constraint(merged, lmi.GEQ, "disturbance_decay_block")
 
 
 def _decay_bound(plant: Plant, mu: float, alpha: float, eps: float) -> str | None:
@@ -336,7 +347,7 @@ def _decay_bound(plant: Plant, mu: float, alpha: float, eps: float) -> str | Non
     gives q_i >= eps > 0, so once alpha - mu lambda_i >= 0 that entry is at
     most -eps < eps, and no point satisfies both.
 
-    alpha - mu lambda is computed as build_synthesis_lmis negates it.  With
+    alpha - mu lambda is computed as _disturbance_decay negates it.  With
     eps = 0 the argument fails (q_i = 0 is allowed), and a weight mu <= 0 is
     left to build_synthesis_lmis to refuse.
     """
@@ -385,24 +396,18 @@ def synthesis_margins(plant: Plant, cert: SynthesisCertificate) -> dict[str, flo
         _VW: cert.gain_scaled.array, _VC: [cert.peak]}))
 
 
-def _certificate(plant: Plant, sf: lmi.StandardForm, solution: sdp.Solution,
-                 mu: float, alpha: float, eps: float,
-                 rechecked: list[float] | ConvergenceError | None) -> SynthesisCertificate:
-    """The certificate of one design of the plant at (mu, alpha), posed
-    with slack eps, with the re-checked margins of its point (None unless
-    it is OPTIMAL), or the error that stopped the re-check.
+def _verdict(sf: lmi.StandardForm, solution: sdp.Solution, mu: float, alpha: float,
+             rechecked: list[float] | ConvergenceError | None) -> dict[str, float]:
+    """The margins, by label, of one solved design at (mu, alpha) that
+    they certify, given the re-checked margins of its point (None unless it
+    is OPTIMAL) or the error that stopped the re-check.
 
     Raises InfeasibleError or SolverFailureError unless the solver reached
-    an optimum whose x passes the re-check: every inequality's margin, and
-    the peak bound.
-
-    The paper's coupling is rebuilt as G = diag(q (mu lambda - alpha)) -
-    (eps + m/2) I, m the re-checked margin of disturbance_decay_block (so
-    that block is >= (eps + m) I).  The decay block is then -(eps + m/2) I,
-    margin m/2; the disturbance block is the merged block minus
-    diag((m/2) I, 0), and G the merged block's top-left block (>= (eps + m) I
-    by interlacing) minus (m/2) I, so each keeps a margin of at least m/2,
-    up to the rounding of forming G.
+    an optimum whose x passes the re-check: every inequality's margin at
+    least -1e-9, and then the peak guard, max lyap_inv at most peak +
+    1e-9 max(1, |peak|).  The guard is a second line of defence: peak_cap
+    is posed with eps = 0, so its margin is peak - max lyap_inv, and an
+    honest re-check has already refused every point the guard would refuse.
     """
     if solution.status is sdp.Status.INFEASIBLE:
         raise InfeasibleError(
@@ -425,17 +430,35 @@ def _certificate(plant: Plant, sf: lmi.StandardForm, solution: sdp.Solution,
             f"re-checked margins dip to {worst:.3e}; refusing to certify",
             solution, sf)
     values = sf.unpack(solution.x)
+    peak = float(values[_VC][0, 0])
+    qmax = float(np.max(np.diagonal(values[_VQ])))
+    if qmax > peak + 1e-9 * max(1.0, abs(peak)):
+        raise SolverFailureError(
+            f"largest lyap_inv eigenvalue {qmax:.6g} exceeds peak bound {peak:.6g}",
+            solution, sf)
+    return margins
+
+
+def _certificate(plant: Plant, sf: lmi.StandardForm, solution: sdp.Solution,
+                 mu: float, alpha: float, eps: float,
+                 margins: dict[str, float]) -> SynthesisCertificate:
+    """The certificate of one design of the plant at (mu, alpha), posed
+    with slack eps, whose margins `_verdict` passed.
+
+    The paper's coupling is rebuilt as G = diag(q (mu lambda - alpha)) -
+    (eps + m/2) I, m the re-checked margin of disturbance_decay_block (so
+    that block is >= (eps + m) I).  The decay block is then -(eps + m/2) I,
+    margin m/2; the disturbance block is the merged block minus
+    diag((m/2) I, 0), and G the merged block's top-left block (>= (eps + m) I
+    by interlacing) minus (m/2) I, so each keeps a margin of at least m/2,
+    up to the rounding of forming G.
+    """
+    values = sf.unpack(solution.x)
     q, s = (DiagMatrix(np.diagonal(values[v])) for v in (_VQ, _VS))
     w = Matrix(values[_VW])
     rate = -(alpha - mu * plant.speeds.diagonal)
     slack = eps + margins["disturbance_decay_block"] / 2.0
     g = SymMatrix(np.diag(q.diagonal * rate - slack))
-    peak = float(values[_VC][0, 0])
-    qmax = float(np.max(q.diagonal))
-    if qmax > peak + 1e-9 * max(1.0, abs(peak)):
-        raise SolverFailureError(
-            f"largest lyap_inv eigenvalue {qmax:.6g} exceeds peak bound {peak:.6g}",
-            solution, sf)
 
     # gamma = sqrt(max lyap_inv) e^{mu/2}, taken from iss_coefficients so that
     # verify, which recomputes it there, finds exactly the stored value
@@ -443,20 +466,24 @@ def _certificate(plant: Plant, sf: lmi.StandardForm, solution: sdp.Solution,
     coeffs = iss_coefficients(lyap, mu, alpha)
     return SynthesisCertificate(
         lyap_inv=q, sector_inv=s, gain_scaled=w, coupling=g,
-        mu=mu, alpha=alpha, peak=peak, gain=Matrix(w.array @ lyap.array),
+        mu=mu, alpha=alpha, peak=float(values[_VC][0, 0]),
+        gain=Matrix(w.array @ lyap.array),
         gamma=coeffs.gamma, omega=coeffs.omega, kappa=coeffs.kappa,
         margins=margins, eps=eps, solution=solution)
 
 
-def _certify(plant: Plant, designs, eps: float) -> list:
-    """The certificate of each solved design (sf, solution, mu, alpha) of
-    the plant, posed with slack eps, or the SynthesisError that refuses it
-    (see `_certificate`).  The margins of every OPTIMAL design are recomputed
-    at its x in one stacked call, `lmi.margins_batch`, each the same bits
-    as `lmi.problem_margins` of its own design; with no OPTIMAL design
-    there is no call.  A re-check that raises ConvergenceError fails every
-    OPTIMAL design of the batch with a SolverFailureError that carries its
-    message.  This is the one place the solver's answer is checked.
+def _certify(designs) -> list:
+    """The verdict of each solved design (sf, solution, mu, alpha): its
+    margins, by label, or the SynthesisError that refuses it (see
+    `_verdict`).  Once per call, the margins of every OPTIMAL design are
+    recomputed at its x in one stacked call, `lmi.margins_batch`, each the
+    same bits as `lmi.problem_margins` of its own design; with no OPTIMAL
+    design there is no call.  A re-check that raises ConvergenceError fails
+    every OPTIMAL design of the batch with a SolverFailureError that
+    carries its message.  Once per design, its verdict is read from them.
+    No certificate is built here: `synthesize` builds its design's, and
+    `grid_search` its best cell's (`_certificate`).  This is the one place
+    the solver's answer is checked.
     """
     designs = list(designs)
     optimal = [sol.status is sdp.Status.OPTIMAL for _, sol, _, _ in designs]
@@ -468,8 +495,7 @@ def _certify(plant: Plant, designs, eps: float) -> list:
     out = []
     for (sf, solution, mu, alpha), ok in zip(designs, optimal):
         try:
-            out.append(_certificate(plant, sf, solution, mu, alpha, eps,
-                                    next(rechecked) if ok else None))
+            out.append(_verdict(sf, solution, mu, alpha, next(rechecked) if ok else None))
         except SynthesisError as e:
             out.append(e)
     return out
@@ -487,10 +513,11 @@ def synthesize(plant: Plant, mu: float, alpha: float,
     if reason is not None:
         raise InfeasibleError(reason)
     sf = lmi.vectorize(build_synthesis_lmis(plant, mu, alpha, eps=eps))
-    [outcome] = _certify(plant, [(sf, sdp.minimize(sf), mu, alpha)], eps)
-    if isinstance(outcome, SynthesisError):
-        raise outcome
-    return outcome
+    solution = sdp.minimize(sf)
+    [verdict] = _certify([(sf, solution, mu, alpha)])
+    if isinstance(verdict, SynthesisError):
+        raise verdict
+    return _certificate(plant, sf, solution, mu, alpha, eps, verdict)
 
 
 def grid_search(plant: Plant, mu_grid, alpha_grid,
@@ -499,18 +526,29 @@ def grid_search(plant: Plant, mu_grid, alpha_grid,
 
     A cell past the decay bound is recorded as "infeasible" with the
     reason of `_decay_bound` and solution None; it is never built,
-    vectorized, solved or re-checked.  All other cells are solved together,
-    in one lockstep batch of sdp.minimize_batch (no call when there is
-    none), and every solved cell goes through the certificate check of
-    synthesize, the margins of all of them in one stacked call, so a
-    "feasible" cell is one whose design was re-checked.  Cells never abort
-    the sweep: a cell whose inequalities cannot be built or vectorized, or
-    whose design fails (its point included), is recorded as "failed", with
-    the exception type and message as reason; if the batch itself raises,
-    every cell in it fails with that reason, and if the margin re-check
-    raises, every OPTIMAL cell does.  The best cell minimizes the
-    disturbance gain gamma = sqrt(c) e^{mu/2}, with ties broken by smaller
-    mu then smaller alpha.
+    vectorized, solved or re-checked.  The other cells pay each only for
+    what differs between them:
+
+    - once per mu row, at its first such cell: the synthesis inequalities
+      are built and vectorized (`build_synthesis_lmis`, `lmi.vectorize`);
+    - once per other such cell of the row: disturbance_decay_block, the
+      one block that depends on alpha, is posed again (`_disturbance_decay`,
+      `lmi.restate`), so the cell's standard form is the same bits as its
+      own vectorize and shares the row's other four blocks;
+    - once per grid: one lockstep batch of sdp.minimize_batch over all of
+      them (no call when there is none), one stacked margin re-check of the
+      OPTIMAL ones and each cell's verdict from it (`_certify`, the check of
+      synthesize), and one certificate, the best cell's (`_certificate`).
+
+    So a "feasible" cell is one whose design passed the re-check.  Cells
+    never abort the sweep: a cell whose inequalities cannot be built,
+    vectorized or restated, or whose design fails (its point included), is
+    recorded as "failed", with the exception type and message as reason,
+    and when it was its row's first, the row's next cell is built in full;
+    if the batch itself raises, every cell in it fails with that reason,
+    and if the margin re-check raises, every OPTIMAL cell does.  The best
+    cell minimizes the disturbance gain gamma = sqrt(c) e^{mu/2}, with ties
+    broken by smaller mu then smaller alpha.
     """
     mus = tuple(float(v) for v in mu_grid)
     alphas = tuple(float(v) for v in alpha_grid)
@@ -523,45 +561,53 @@ def grid_search(plant: Plant, mu_grid, alpha_grid,
 
     weights = [(mu, alpha) for mu in mus for alpha in alphas]
     forms, reasons, implied = {}, {}, {}
-    for w in weights:
-        bound = _decay_bound(plant, *w, eps)
-        if bound is not None:
-            implied[w] = bound
-            continue
-        try:
-            forms[w] = lmi.vectorize(build_synthesis_lmis(plant, *w, eps=eps))
-        except Exception as e:
-            reasons[w] = _failure(e)
+    for mu in mus:
+        row = None  # the form vectorized at the row's first cell that built
+        for alpha in alphas:
+            w = (mu, alpha)
+            bound = _decay_bound(plant, mu, alpha, eps)
+            if bound is not None:
+                implied[w] = bound
+                continue
+            try:
+                if row is None:
+                    forms[w] = row = lmi.vectorize(build_synthesis_lmis(plant, mu, alpha,
+                                                                        eps=eps))
+                else:
+                    forms[w] = lmi.restate(row, _disturbance_decay(plant, mu, alpha, eps), eps)
+            except Exception as e:
+                reasons[w] = _failure(e)
     solutions = {}
     if forms:
         try:
             solutions = dict(zip(forms, sdp.minimize_batch(forms.values())))
         except Exception as e:
             reasons.update(dict.fromkeys(forms, _failure(e)))
-    outcomes = dict(zip(solutions, _certify(
-        plant, ((forms[w], sol, *w) for w, sol in solutions.items()), eps)))
+    verdicts = dict(zip(solutions, _certify(
+        (forms[w], sol, *w) for w, sol in solutions.items())))
 
-    cells, certificates = [], {}
+    cells = []
     for w in weights:
-        solution, outcome = solutions.get(w), outcomes.get(w)
+        solution, verdict = solutions.get(w), verdicts.get(w)
         if w in implied:
             cells.append(GridCell(*w, "infeasible", None, None, implied[w]))
         elif solution is None:
             cells.append(GridCell(*w, "failed", None, None, reasons[w]))
-        elif isinstance(outcome, InfeasibleError):
+        elif isinstance(verdict, InfeasibleError):
             cells.append(GridCell(*w, "infeasible", None, None, solution=solution))
-        elif isinstance(outcome, SolverFailureError):
-            cells.append(GridCell(*w, "failed", None, None, _failure(outcome), solution))
+        elif isinstance(verdict, SolverFailureError):
+            cells.append(GridCell(*w, "failed", None, None, _failure(verdict), solution))
         else:
-            certificates[w] = outcome
             peak = float(solution.objective)
             gamma = math.sqrt(peak) * math.exp(w[0] / 2.0)
             cells.append(GridCell(*w, "feasible", peak, gamma, solution=solution))
 
-    best = min(((c.gamma, c.mu, c.alpha) for c in cells if c.status == "feasible"),
-               default=None)
-    return FeasibilityMap(mu_grid=mus, alpha_grid=alphas, cells=tuple(cells),
-                          best=None if best is None else certificates[best[1:]])
+    feasible = [(c.gamma, c.mu, c.alpha) for c in cells if c.status == "feasible"]
+    best = None
+    if feasible:
+        w = min(feasible)[1:]
+        best = _certificate(plant, forms[w], solutions[w], *w, eps, verdicts[w])
+    return FeasibilityMap(mu_grid=mus, alpha_grid=alphas, cells=tuple(cells), best=best)
 
 
 def build_analysis_lmis(plant: Plant, gain: Matrix, mu: float, alpha: float,

@@ -12,15 +12,17 @@ form (exactly symmetric, terms sorted by entry, zero terms dropped).
 every constraint becomes a block F(x) = F0 + sum_i x_i F_i >= eps I over
 one flat entry vector x, the standard form of Boyd, El Ghaoui, Feron and
 Balakrishnan (*Linear Matrix Inequalities in System and Control Theory*,
-1994).  It is the only reader of a constraint's sense and eps.  The
-interior-point solver and the margin re-check both read those blocks at
-the same x, and StandardForm.pack / unpack convert between x and
-per-variable matrices.
+1994).  `restate` poses one constraint of a form again, with the same
+per-constraint code, which is the only reader of a constraint's sense
+and eps.  The interior-point solver and the margin re-check both read
+those blocks at the same x, and StandardForm.pack / unpack convert
+between x and per-variable matrices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -341,6 +343,15 @@ class StandardBlock:
     coeffs: np.ndarray
     eps: float
 
+    @cached_property
+    def diagonal(self) -> bool:
+        """Whether base - eps I and every coefficient are zero off the
+        diagonal, so that the block is a set of elementwise rows (`sdp`);
+        decided once per block, at the first read."""
+        off = ~np.eye(self.dim, dtype=bool)
+        return not (np.any((self.base - self.eps * np.eye(self.dim))[off])
+                    or np.any(self.coeffs[:, off]))
+
     def value(self, x: np.ndarray) -> np.ndarray:
         """base + sum_k x[idx[k]] coeffs[k], summed term by term in
         coefficient order; exactly symmetric, like base and coeffs."""
@@ -402,6 +413,24 @@ class StandardForm:
         return out
 
 
+def _standard_block(con: Constraint, index: dict[EntryRef, int], eps: float) -> StandardBlock:
+    """The block of one constraint over the entries index (entry -> place
+    in x), in a problem posed with slack eps."""
+    e = con.expr
+    dim = e.shape[0]
+    sign = -1.0 if con.sense == LEQ else 1.0
+    coeffs = (np.stack(list(e.coeffs.values()))
+              if e.coeffs else np.zeros((0, dim, dim)))
+    return StandardBlock(
+        label=con.label,
+        dim=dim,
+        base=sign * e.const,
+        idx=np.array([index[r] for r in e.coeffs], dtype=int),
+        coeffs=sign * coeffs,
+        eps=eps if con.eps is None else con.eps,
+    )
+
+
 def vectorize(problem: LmiProblem) -> StandardForm:
     """Compile the problem to its standard form (see StandardBlock).
 
@@ -416,22 +445,7 @@ def vectorize(problem: LmiProblem) -> StandardForm:
             refs.append((spec.name, k))
             initial.append(1.0 if spec.kind == DIAGONAL else 0.0)
     index = {r: i for i, r in enumerate(refs)}
-
-    blocks = []
-    for con in problem.constraints:
-        e = con.expr
-        dim = e.shape[0]
-        sign = -1.0 if con.sense == LEQ else 1.0
-        coeffs = (np.stack(list(e.coeffs.values()))
-                  if e.coeffs else np.zeros((0, dim, dim)))
-        blocks.append(StandardBlock(
-            label=con.label,
-            dim=dim,
-            base=sign * e.const,
-            idx=np.array([index[r] for r in e.coeffs], dtype=int),
-            coeffs=sign * coeffs,
-            eps=problem.eps if con.eps is None else con.eps,
-        ))
+    blocks = [_standard_block(con, index, problem.eps) for con in problem.constraints]
 
     obj = None
     if problem.objective is not None:
@@ -446,6 +460,28 @@ def vectorize(problem: LmiProblem) -> StandardForm:
         blocks=tuple(blocks),
         variables=problem.variables,
     )
+
+
+def restate(sf: StandardForm, con: Constraint, eps: float) -> StandardForm:
+    """The standard form sf with its block of con's label posed again from
+    con, as `vectorize` poses it in a problem with slack eps; the entry
+    vector, the objective and every other block are sf's own objects.  So a
+    family of problems that differ in one constraint is vectorized once and
+    restated per member, and each member is the same bits as its own
+    `vectorize`.  Raises ValueError when sf has no block of that label, when
+    con reads an entry that sf does not have, or when eps is not >= 0."""
+    if not eps >= 0.0:
+        raise ValueError("problem eps must be nonnegative")
+    at = [k for k, blk in enumerate(sf.blocks) if blk.label == con.label]
+    if len(at) != 1:
+        raise ValueError(f"expected one block labelled {con.label!r}, found {len(at)}")
+    index = {r: i for i, r in enumerate(sf.refs)}
+    unknown = [r for r in con.expr.coeffs if r not in index]
+    if unknown:
+        raise ValueError(f"{con.label} references entry {unknown[0]!r}, not in this form")
+    blocks = list(sf.blocks)
+    blocks[at[0]] = _standard_block(con, index, eps)
+    return replace(sf, blocks=tuple(blocks))
 
 
 def margin(block: StandardBlock, x: np.ndarray) -> float:

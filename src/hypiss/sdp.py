@@ -29,10 +29,11 @@ it certifies at that x, with `lmi.margins_batch` and the eigensolver of
 
 The solver uses the structure of the problem.  Every block whose base and
 coefficients are all diagonal (positivity of diagonal variables, scalar
-bounds, the peak cap) is a set of elementwise linear rows b + G x > 0 with
-a dual z > 0 of their own, and so is the phase-1 box.  The remaining blocks
-are dense.  A problem with no dense block runs the same steps over an
-empty stack of them.
+bounds, the peak cap), as each block decides once
+(`lmi.StandardBlock.diagonal`), is a set of elementwise linear rows
+b + G x > 0 with a dual z > 0 of their own, and so is the phase-1 box.
+The remaining blocks are dense.  A problem with no dense block runs the
+same steps over an empty stack of them.
 
 Problems are solved as a batch along a leading axis, one cell per
 problem.  Problems of one layout (the entry vector and, for each block,
@@ -203,30 +204,26 @@ class _Cones:
 def _layout(sf: lmi.StandardForm) -> tuple:
     """What forms must share to be stacked: the entry vector and, for each
     block, its size, its entries and whether it is diagonal, with F0 - eps I
-    and every coefficient zero off the diagonal."""
-    blocks = []
-    for blk in sf.blocks:
-        off = ~np.eye(blk.dim, dtype=bool)
-        diagonal = not (np.any((blk.base - blk.eps * np.eye(blk.dim))[off])
-                        or np.any(blk.coeffs[:, off]))
-        blocks.append((blk.dim, tuple(blk.idx.tolist()), diagonal))
-    return sf.refs, tuple(blocks)
+    and every coefficient zero off the diagonal, as each block decides once
+    (`lmi.StandardBlock.diagonal`)."""
+    return sf.refs, tuple((blk.dim, tuple(blk.idx.tolist()), blk.diagonal)
+                          for blk in sf.blocks)
 
 
-def _cones(forms) -> _Cones:
-    """Standard forms of one layout as one stack, as phase 1 steps in it:
-    each block with the base F0 - eps I, the diagonal ones as rows and the
-    others dense, and phase 1's slack s as entry n with its box rows (see
-    `_phase1`).  s adds a column of ones to the rows and the identity to
-    every dense block."""
-    refs, layout = _layout(forms[0])
+def _cones(forms, layout: tuple) -> _Cones:
+    """Standard forms of one layout, the `_layout` they share, as one
+    stack, as phase 1 steps in it: each block with the base F0 - eps I, the
+    diagonal ones as rows and the others dense, and phase 1's slack s as
+    entry n with its box rows (see `_phase1`).  s adds a column of ones to
+    the rows and the identity to every dense block."""
+    refs, blocks = layout
     ncell, n = len(forms), len(refs)
-    dims = tuple(d for d, _, diagonal in layout if not diagonal)
-    entries = [idx + (n,) for _, idx, diagonal in layout if not diagonal]
+    dims = tuple(d for d, _, diagonal in blocks if not diagonal)
+    entries = [idx + (n,) for _, idx, diagonal in blocks if not diagonal]
     vidx = np.array(sorted(set().union(*entries)), dtype=int)
     where = {v: k for k, v in enumerate(vidx.tolist())}
     pos = tuple(np.array([where[v] for v in e], dtype=int) for e in entries)
-    nrow, size = sum(d for d, _, diagonal in layout if diagonal), max(dims, default=0)
+    nrow, size = sum(d for d, _, diagonal in blocks if diagonal), max(dims, default=0)
 
     b = np.full((ncell, nrow + 2 * (n + 1)), _PHASE1_BOX)
     g = np.zeros((ncell, nrow + 2 * (n + 1), n + 1))
@@ -239,7 +236,7 @@ def _cones(forms) -> _Cones:
         vflat[:, -1, j, :d, :d] = np.eye(d)
     for c, sf in enumerate(forms):
         row, j = 0, 0
-        for blk, (d, _, diagonal) in zip(sf.blocks, layout):
+        for blk, (d, _, diagonal) in zip(sf.blocks, blocks):
             shifted = blk.base - blk.eps * np.eye(d)
             if diagonal:
                 b[c, row:row + d] = np.diagonal(shifted)
@@ -608,14 +605,15 @@ def minimize_batch(forms) -> list[Solution]:
         groups.setdefault(_layout(sf), []).append(c)
 
     out: list = [None] * len(sfs)
-    for (refs, blocks), members in groups.items():
+    for layout, members in groups.items():
+        refs, blocks = layout
         dims = [d for d, _, diagonal in blocks if not diagonal]
         cell_bytes = 8 * (len(refs) + 1) * len(dims) * max(dims, default=0) ** 2
         size = max(1, _STACK_BYTES // max(cell_bytes, 1))
         for start in range(0, len(members), size):
             cells = members[start:start + size]
             part = [sfs[c] for c in cells]
-            for c, solution in zip(cells, _solve_stack(_cones(part), part)):
+            for c, solution in zip(cells, _solve_stack(_cones(part, layout), part)):
                 out[c] = solution
     return out
 

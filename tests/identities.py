@@ -7,7 +7,8 @@ in terms of the library's public functions, so a test can sweep them over
 random inputs.  `expr_value` and `reference_margins` evaluate a problem's
 own expressions, each constraint's sense read from the constraint, so a
 test can hold what `lmi.vectorize` compiled against the expressions it
-came from; `barrier_value` is the matrix the solver's barrier keeps
+came from, and `form_bytes` compares two compiled forms bit for bit;
+`barrier_value` is the matrix the solver's barrier keeps
 positive definite, and `synthesis_point` and `analysis_point` pack a
 certificate into a problem's entry vector.  `paper_synthesis_margins` and
 `paper_analysis_margins` evaluate the paper's seven inequalities of each
@@ -67,6 +68,19 @@ def reference_margins(problem: LmiProblem, sf: StandardForm, x: np.ndarray) -> l
     values = [SymMatrix(expr_value(c.expr, sf, x)) for c in problem.constraints]
     return [-float(w[-1]) - blk.eps if c.sense == LEQ else float(w[0]) - blk.eps
             for c, blk, w in zip(problem.constraints, sf.blocks, sym_eig(values))]
+
+
+def form_bytes(sf: StandardForm) -> tuple:
+    """Everything of a standard form that the solver and the re-check read,
+    its arrays as bytes: the entry vector, the initial point, the objective,
+    the variables, and each block's label, size, slack, diagonality, base,
+    entries and coefficients; two forms with equal bytes pose the same
+    problem bit for bit."""
+    def arr(a):
+        return None if a is None else (a.dtype.str, a.shape, a.tobytes())
+    return (sf.refs, arr(sf.initial), arr(sf.objective), sf.variables,
+            [(b.label, b.dim, np.float64(b.eps).tobytes(), b.diagonal, arr(b.base),
+              arr(b.idx), arr(b.coeffs)) for b in sf.blocks])
 
 
 def barrier_value(blk: StandardBlock, x: np.ndarray) -> np.ndarray:

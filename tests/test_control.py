@@ -24,6 +24,7 @@ from hypiss.linalg import DiagMatrix, Matrix, SymMatrix, invert_diag
 from identities import (
     analysis_point,
     congruent_boundary_block,
+    form_bytes,
     paper_analysis_margins,
     paper_synthesis_margins,
     reference_margins,
@@ -582,6 +583,47 @@ class TestGridSearch:
             assert x is cell.solution.x
             assert _bits(got) == _bits(lmi.problem_margins(sf, x)), (cell.mu, cell.alpha)
 
+    @pytest.mark.parametrize("case, solved", [("demo", 41), ("reflection", 41),
+                                              ("seeded", 44), ("demo-eps0", 64)])
+    def test_solver_gets_each_cells_own_form_bit_for_bit(self, case, solved, demo_plant,
+                                                         reflection_plant,
+                                                         random_plant_config, monkeypatch):
+        # a row's cells share its form but for disturbance_decay_block, and
+        # each is the same bits as the cell's own vectorize; only the best
+        # cell's certificate is built
+        plant = {"demo": demo_plant, "demo-eps0": demo_plant, "reflection": reflection_plant,
+                 "seeded": cli._build_plant({"plant": random_plant_config(
+                     np.random.default_rng(4), 4, 1.0)})}[case]
+        eps = 0.0 if case == "demo-eps0" else lmi.DEFAULT_EPS
+        solve, batches, made = sdp.minimize_batch, [], []
+        certificate = control.SynthesisCertificate
+
+        def minimize_batch(forms):
+            batches.append(list(forms))
+            return solve(batches[-1])
+
+        def counted_certificate(**fields):
+            made.append(certificate(**fields))
+            return made[-1]
+
+        monkeypatch.setattr(sdp, "minimize_batch", minimize_batch)
+        monkeypatch.setattr(control, "SynthesisCertificate", counted_certificate)
+        fm = grid_search(plant, np.linspace(0.25, 2.0, 8), np.linspace(0.1, 1.5, 8), eps=eps)
+        monkeypatch.undo()
+        [forms] = batches
+        cells = [c for c in fm.cells if c.solution is not None]
+        assert len(forms) == len(cells) == solved
+        firsts = {}
+        for sf, cell in zip(forms, cells):
+            own = lmi.vectorize(build_synthesis_lmis(plant, cell.mu, cell.alpha, eps=eps))
+            assert form_bytes(sf) == form_bytes(own), (cell.mu, cell.alpha)
+            first = firsts.setdefault(cell.mu, sf)
+            assert [a is b for a, b in zip(sf.blocks, first.blocks)] == [
+                sf is first or blk.label != "disturbance_decay_block" for blk in sf.blocks]
+        assert len(firsts) == 8
+        assert made == ([] if fm.best is None else [fm.best])
+        assert (fm.best is None) == (case == "reflection")
+
     def test_grid_validation(self, demo_plant):
         with pytest.raises(ValueError):
             grid_search(demo_plant, [], [0.5])
@@ -600,7 +642,8 @@ class TestDecayBound:
 
     def test_implied_cells_never_reach_the_builder_or_the_solver(self, demo_plant,
                                                                    monkeypatch):
-        calls = {"build": [], "vectorize": [], "solve": [], "recheck": []}
+        calls = {"build": [], "vectorize": [], "decay": [], "restate": [], "solve": [],
+                 "recheck": []}
 
         def counted(name, real, count):
             def wrapper(*args, **kwargs):
@@ -612,12 +655,22 @@ class TestDecayBound:
             "build", control.build_synthesis_lmis, lambda plant, mu, alpha: (mu, alpha)))
         monkeypatch.setattr(lmi, "vectorize", counted("vectorize", lmi.vectorize,
                                                       lambda problem: 1))
+        monkeypatch.setattr(control, "_disturbance_decay", counted(
+            "decay", control._disturbance_decay, lambda plant, mu, alpha, eps: (mu, alpha)))
+        monkeypatch.setattr(lmi, "restate", counted("restate", lmi.restate,
+                                                    lambda sf, con, eps: con.label))
         monkeypatch.setattr(sdp, "minimize_batch", counted("solve", sdp.minimize_batch, len))
         monkeypatch.setattr(lmi, "margins_batch", counted("recheck", lmi.margins_batch, len))
         fm = grid_search(demo_plant, self.DEMO_MU, self.DEMO_ALPHA)
         below = [(c.mu, c.alpha) for c in fm.cells if c.alpha < c.mu]
         assert len(below) == 41
-        assert calls == {"build": below, "vectorize": [1] * 41, "solve": [41],
+        # one build per mu row, at its first cell below the bound (alpha =
+        # 0.1 in every row); each of the row's other 33 cells poses its
+        # decay block alone and restates the row's form with it; every cell
+        # below the bound poses its own decay block once, none past it
+        firsts = [(mu, self.DEMO_ALPHA[0]) for mu in self.DEMO_MU]
+        assert calls == {"build": firsts, "vectorize": [1] * 8, "decay": below,
+                         "restate": ["disturbance_decay_block"] * 33, "solve": [41],
                          "recheck": [41]}
         assert sorted(c.status for c in fm.cells if c.alpha >= c.mu) == ["infeasible"] * 23
         assert all(c.solution is None and c.reason is not None

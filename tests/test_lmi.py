@@ -17,7 +17,7 @@ from hypiss.lmi import (
     sym_block,
     vectorize,
 )
-from identities import expr_value
+from identities import expr_value, form_bytes
 
 
 def _demo_specs():
@@ -351,3 +351,52 @@ class TestVectorize:
         assert sf.objective is not None
         assert sf.objective.sum() == 1.0
         assert sf.objective[sf.refs.index(("c", 0))] == 1.0
+
+    def test_each_block_says_whether_it_is_diagonal(self):
+        specs = _demo_specs()
+        q = MatExpr.from_var(specs[0])
+        cons = (Constraint(q, GEQ, "diag"),
+                Constraint(q - MatExpr.scalar_identity("c", 2), LEQ, "cap", eps=0.0),
+                Constraint(_coupling(specs), GEQ, "coupled"),
+                Constraint(q + np.array([[1.0, 0.5], [0.5, 1.0]]), GEQ, "offbase"))
+        sf = vectorize(LmiProblem(specs, cons))
+        assert [blk.diagonal for blk in sf.blocks] == [True, True, False, False]
+
+
+def _restate_problem(rate: float, eps: float = 1e-3) -> LmiProblem:
+    """A problem whose constraint "rated" alone depends on rate."""
+    specs = _demo_specs()
+    q, s = MatExpr.from_var(specs[0]), MatExpr.from_var(specs[1])
+    cons = (
+        Constraint(q - MatExpr.scalar_identity("c", 2), LEQ, "cap", eps=0.0),
+        Constraint(sym_block([[q @ np.diag([rate, 2.0 * rate]), np.eye(2)],
+                              [None, s]]), GEQ, "rated"),
+        Constraint(_coupling(specs), GEQ, "coupled"),
+    )
+    return LmiProblem(specs, cons, objective=((("c", 0), 1.0),), eps=eps)
+
+
+class TestRestate:
+    def test_is_the_members_own_vectorize_and_shares_the_rest(self):
+        first = vectorize(_restate_problem(0.5))
+        for rate in (0.5, 0.7, 3.25):
+            member = _restate_problem(rate)
+            sf = lmi.restate(first, member.constraints[1], member.eps)
+            assert form_bytes(sf) == form_bytes(vectorize(member)), rate
+            assert [a is b for a, b in zip(sf.blocks, first.blocks)] == [True, False, True]
+            assert all(getattr(sf, f) is getattr(first, f)
+                       for f in ("refs", "initial", "objective", "variables"))
+        # the problem-wide slack reaches the restated block, not the others
+        sf = lmi.restate(first, _restate_problem(0.7).constraints[1], 0.25)
+        assert [blk.eps for blk in sf.blocks] == [0.0, 0.25, 1e-3]
+
+    def test_refuses_what_the_form_cannot_take(self):
+        sf = vectorize(_restate_problem(0.5))
+        con = _restate_problem(0.7).constraints[1]
+        with pytest.raises(ValueError, match="one block labelled 'other'"):
+            lmi.restate(sf, Constraint(con.expr, GEQ, "other"), 1e-3)
+        with pytest.raises(ValueError, match="problem eps"):
+            lmi.restate(sf, con, float("nan"))
+        stray = MatExpr.scalar_identity("stray", 4)
+        with pytest.raises(ValueError, match="stray"):
+            lmi.restate(sf, Constraint(stray, GEQ, "rated"), 1e-3)

@@ -26,6 +26,11 @@ from identities import (
 )
 
 
+def _stack(forms):
+    """The solver's stack of standard forms of one layout."""
+    return sdp._cones(forms, sdp._layout(forms[0]))
+
+
 def _scalar_pos_problem():
     return lmi.vectorize(LmiProblem(
         (VarSpec.scalar("x"),),
@@ -123,7 +128,7 @@ def _rows_only_problem(objective, floor=1.0):
 def _phase1(sf):
     """Phase 1 alone on one standard form: its outcome (None when it found a
     feasible point) and its last x."""
-    x, _, _, outcome = sdp._phase1(sdp._cones([sf]), sf.initial[None])
+    x, _, _, outcome = sdp._phase1(_stack([sf]), sf.initial[None])
     return outcome[0], x[0]
 
 
@@ -169,7 +174,7 @@ class TestFeasibility:
             cons = (Constraint(sym_block([[x, one], [None, y]]), GEQ, "hyperbola", eps=0.0),
                     Constraint(x + y - 2.0 * one, LEQ, "sum", eps=0.0))
         prob = lmi.vectorize(LmiProblem(specs, cons, objective=((("x", 0), 1.0),)))
-        assert (sdp._cones([prob]).dims == ()) == (problem == "rows")
+        assert (_stack([prob]).dims == ()) == (problem == "rows")
         sol = sdp.minimize(prob)
         assert sol.status is Status.NUMERICAL_FAILURE
         assert 0.0 <= sol.phase1_slack <= sdp._INFEASIBLE_SLACK
@@ -185,7 +190,7 @@ class TestFeasibility:
     @pytest.mark.parametrize("mu, alpha", [(1.0, 0.5), (2.0, 1.5)])
     def test_phase1_point_clears_every_block_by_the_exit_slack(self, mu, alpha):
         sf = _demo_synthesis_problem(mu, alpha)
-        x, slack, _, outcome = sdp._phase1(sdp._cones([sf]), sf.initial[None])
+        x, slack, _, outcome = sdp._phase1(_stack([sf]), sf.initial[None])
         assert outcome == [None] and slack[0] <= sdp._EXIT_SLACK
         for blk in sf.blocks:
             value = barrier_value(blk, x[0])
@@ -321,7 +326,7 @@ class TestSolutionContract:
 class TestStructure:
     def test_diagonal_blocks_become_rows(self):
         sf = _demo_synthesis_problem(1.0, 0.5)
-        cones = sdp._cones([sf]).without_slack([0])
+        cones = _stack([sf]).without_slack([0])
         # peak_cap, q_pos and s_pos are diagonal: 2 + 2 + 2 rows
         assert cones.b.size == 6
         assert cones.dims == (6, 4, 2, 2)
@@ -329,7 +334,7 @@ class TestStructure:
 
     def test_rows_and_dense_block_closed_form(self):
         prob = _hyperbola_problem()
-        cones = sdp._cones([prob]).without_slack([0])
+        cones = _stack([prob]).without_slack([0])
         assert cones.b.size == 1 and len(cones.dims) == 1
         sol = sdp.minimize(prob)
         assert sol.status is Status.OPTIMAL
@@ -339,7 +344,7 @@ class TestStructure:
     def test_rows_only_problem(self):
         # min 2x + y with x >= 1, y >= 0, x + y >= 3: optimum 4 at (1, 2)
         feas = _rows_only_problem(((("x", 0), 2.0), (("y", 0), 1.0)))
-        assert sdp._cones([feas]).dims == ()
+        assert _stack([feas]).dims == ()
         found, x = _phase1(feas)
         assert found is None
         assert _worst_margin(feas, x) > 0.0
@@ -427,12 +432,12 @@ class TestBatch:
         else:
             sfs = [_demo_synthesis_problem(mu, 0.3) for mu in (0.5, 1.0, 2.0)]
         assert len({sdp._layout(sf) for sf in sfs}) == 1
-        assert (sdp._cones(sfs[:1]).dims == ()) == (case == "rows")
+        assert (_stack(sfs[:1]).dims == ()) == (case == "rows")
         rng = np.random.default_rng(3)
-        full = sdp._cones(sfs)
-        for stack, cells, n in ((full, [sdp._cones([sf]) for sf in sfs], sfs[0].n + 1),
+        full = _stack(sfs)
+        for stack, cells, n in ((full, [_stack([sf]) for sf in sfs], sfs[0].n + 1),
                                 (full.without_slack(range(len(sfs))),
-                                 [sdp._cones([sf]).without_slack([0]) for sf in sfs], sfs[0].n)):
+                                 [_stack([sf]).without_slack([0]) for sf in sfs], sfs[0].n)):
             x = rng.standard_normal((len(sfs), n))
             mats = rng.standard_normal(stack.base.shape)
             rowvals = rng.standard_normal(stack.b.shape)
@@ -452,8 +457,8 @@ class TestBatch:
 
     def test_failed_cholesky_in_one_cell_leaves_the_others(self):
         sf = _demo_synthesis_problem(1.0, 0.5)
-        cell = sdp._cones([sf]).without_slack([0])
-        stacked = sdp._cones([sf, sf, sf]).without_slack([0, 1, 2])
+        cell = _stack([sf]).without_slack([0])
+        stacked = _stack([sf, sf, sf]).without_slack([0, 1, 2])
         inside = sdp.minimize(sf).x
         # gain_scaled far from zero breaks the boundary block but no row
         outside = inside.copy()
@@ -516,7 +521,7 @@ class TestBatch:
         if case == "rows":
             healthy = _rows_only_problem(((("x", 0), 2.0), (("y", 0), 1.0)))
             failing = _rows_only_problem(((("x", 0), -1.0),))
-            assert sdp._cones([healthy]).dims == ()
+            assert _stack([healthy]).dims == ()
         else:
             healthy, failing = _hyperbola_problem(), _tiny_entry_problem(case)
         assert sdp._layout(healthy) == sdp._layout(failing)

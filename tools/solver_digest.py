@@ -84,6 +84,17 @@ def _demo_grid():
     control.grid_search(_demo(), _DEMO_MU, _DEMO_ALPHA)
 
 
+def _demo_half_rows():
+    """The demo grid as the 16 half-row `hypiss grid` commands of the
+    benchmark's grid-sweep: one mu and four alphas each, the alphas spaced
+    from their ends as a config's {min, max, count} spaces them."""
+    for mu in _DEMO_MU:
+        for j in range(0, _DEMO_ALPHA.size, 4):
+            part = _DEMO_ALPHA[j:j + 4]
+            control.grid_search(_demo(), np.linspace(mu, mu, 1),
+                                np.linspace(part[0], part[-1], part.size))
+
+
 def _demo_synth():
     _synthesize(_demo(), 1.0, 0.5)
 
@@ -122,7 +133,8 @@ def _n10_grid():
     control.grid_search(plant, np.linspace(0.5, 1.25, 4), np.linspace(0.2, 0.8, 4) * low)
 
 
-PROBES = (("demo-grid", _demo_grid), ("demo-synth", _demo_synth),
+PROBES = (("demo-grid", _demo_grid), ("demo-half-rows", _demo_half_rows),
+          ("demo-synth", _demo_synth),
           ("seeded-designs", _seeded_designs), ("random-draws", _random_draws),
           ("probe-cells", _probe_cells), ("probe-grids", _probe_grids),
           ("n10-grid", _n10_grid))

@@ -12,6 +12,7 @@ import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -447,20 +448,24 @@ class TestCsvWriter:
     def test_float_rows(self, tmp_path):
         rows = list(itertools.product(AWKWARD, AWKWARD, [1.5, -2.0]))
         rows += [tuple(np.array(row)) for row in rows]  # numpy floats as cells
-        cli._write_csv(tmp_path / "a.csv", ["x", "y", "z"], cli._lines(rows, 3))
+        cli._write_csv(tmp_path / "a.csv", ["x", "y", "z"],
+                       cli._float_blocks(np.array(rows)))
         write_csv(tmp_path / "b.csv", ["x", "y", "z"], rows)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_text_cells_as_feasibility_csv_has_them(self, tmp_path):
-        # (mu, alpha, status, c, gamma): c and gamma are formatted text, or
+        # (mu, alpha, status, c, gamma): c and gamma are formatted floats, or
         # empty for a cell with no design
-        rows = [(mu, alpha, status, "" if status != "feasible" else "%.17g" % mu,
-                 "" if status != "feasible" else "%.17g" % alpha)
-                for mu, alpha in itertools.product(AWKWARD, AWKWARD)
-                for status in ("feasible", "infeasible", "failed")]
+        cells = [(mu, alpha, status) for mu, alpha in itertools.product(AWKWARD, AWKWARD)
+                 for status in ("feasible", "infeasible", "failed")]
+        rows = [(mu, alpha, status, *((mu, alpha) if status == "feasible" else (None, None)))
+                for mu, alpha, status in cells]
         header = ["mu", "alpha", "status", "c", "gamma"]
-        cli._write_csv(tmp_path / "a.csv", header, cli._lines(rows, 5, text=(2, 3, 4)))
-        write_csv(tmp_path / "b.csv", header, rows)
+        cli._write_csv(tmp_path / "a.csv", header, cli._feasibility_blocks(rows))
+        write_csv(tmp_path / "b.csv", header,
+                  [(mu, alpha, status, "" if status != "feasible" else "%.17g" % mu,
+                    "" if status != "feasible" else "%.17g" % alpha)
+                   for mu, alpha, status in cells])
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_snapshot_blocks(self, tmp_path):
@@ -471,11 +476,104 @@ class TestCsvWriter:
         centers = (np.arange(9) + 0.5) / 9
         header = ["t", "z", "x_1", "x_2", "x_3"]
         cli._write_csv(tmp_path / "a.csv", header,
-                       cli._snapshot_lines(times, snaps, centers))
+                       cli._snapshot_blocks(times, snaps, centers))
         write_csv(tmp_path / "b.csv", header,
                   ([t, z, *snap[:, j]] for t, snap in zip(times, snaps)
                    for j, z in enumerate(centers)))
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_snapshot_table_longer_than_a_block(self, tmp_path):
+        # 5 cells a row and 10 rows a record: each block of rows ends inside
+        # a record, and the table spans several blocks
+        rows_each = cli._BLOCK_CELLS // 5
+        assert rows_each % 10 != 0
+        records = 3 * rows_each // 10
+        rng = np.random.default_rng(4)
+        times = np.cumsum(rng.random(records))
+        snaps = (rng.standard_normal((records, 3, 10))
+                 * 10.0 ** rng.integers(-6, 18, (records, 3, 10)))
+        # awkward values in the rows either side of the first block's end
+        record, j = divmod(rows_each, 10)
+        snaps[record, :, j - 1:j + 1] = [[5e-324, -0.0], [float("nan"), 1e17], [-1e-4, 0.1]]
+        header = ["t", "z", "x_1", "x_2", "x_3"]
+        centers = (np.arange(10) + 0.5) / 10
+        cli._write_csv(tmp_path / "a.csv", header,
+                       cli._snapshot_blocks(times, snaps, centers))
+        write_csv(tmp_path / "b.csv", header,
+                  ([t, z, *snap[:, j]] for t, snap in zip(times, snaps)
+                   for j, z in enumerate(centers)))
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def _cell_texts(values) -> list[str]:
+    """Each value's text as the CSV writer makes it, the values fed as rows
+    of 7 cells, so blocks of rows end inside the runs below."""
+    values = np.asarray(values, dtype=float)
+    table = np.concatenate([values, np.zeros(-values.size % 7)]).reshape(-1, 7)
+    text = b"".join(cli._float_blocks(table)).decode()
+    return text.replace("\n", ",").split(",")[:values.size]
+
+
+def _assert_exact(values):
+    """Every value's cell text is CPython's "%.17g" % value."""
+    values = [float(v) for v in values]
+    wrong = [(v, got, "%.17g" % v) for v, got in zip(values, _cell_texts(values))
+             if got != "%.17g" % v]
+    assert not wrong, wrong[:5]
+
+
+class TestFloatText:
+    """Every float cell is "%.17g" % value, byte for byte, on both sides of
+    the vectorized formatter's exact range [1e-4, 1e17)."""
+
+    def test_awkward_values(self):
+        _assert_exact(AWKWARD + [-v for v in AWKWARD])
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        powers = [10.0 ** j for j in range(-5, 18)]
+        values = [v for p in powers for v in (np.nextafter(p, 0.0), p, np.nextafter(p, np.inf))]
+        _assert_exact(values + [-v for v in values])
+
+    def test_ties_round_half_to_even(self):
+        # x 10**(16 - k) is an odd multiple of 1/2 for x = j 2**-(q + 1) with
+        # j odd and q = 16 - k, so the 17th digit is a tie
+        rng = np.random.default_rng(5)
+        ties = [1e15 + 0.25, 1e15 + 0.75]
+        for q in range(1, 21):
+            lo = 10 ** (16 - q) * 2 ** (q + 1)
+            odd = rng.integers(lo, min(10 * lo, 2 ** 53), 500) | 1
+            ties += np.ldexp(odd.astype(float), -(q + 1)).tolist()
+        assert all(Fraction(x) * 10 ** (16 - math.floor(math.log10(x))) % 1 == Fraction(1, 2)
+                   for x in ties)
+        _assert_exact(ties + [-x for x in ties])
+
+    def test_seventeen_digit_carries(self):
+        # the largest doubles below a power of ten, some of which round up
+        # to it at 17 digits and move the decimal exponent
+        below = [float(np.nextafter(10.0 ** j, 0.0)) for j in range(-4, 18)]
+        for _ in range(3):
+            below += [float(np.nextafter(x, 0.0)) for x in below[-22:]]
+        _assert_exact([9.999999999999999e-5, 99999999999999990.0, 9.9999999999999999e-5,
+                       0.99999999999999999, 9999999999999999.0] + below)
+
+    def test_zeros_subnormals_infinities_and_nan(self):
+        tiny = np.finfo(float).tiny
+        _assert_exact([0.0, -0.0, 5e-324, -5e-324, tiny, -tiny, float(np.nextafter(tiny, 0.0)),
+                       1e-310, -1e-310, float("inf"), -float("inf"), float("nan"),
+                       np.finfo(float).max, -np.finfo(float).max])
+
+    def test_random_bit_patterns(self):
+        # 10**6 patterns, ten runs of 10**5 to keep the text lists small
+        rng = np.random.default_rng(6)
+        for _ in range(10):
+            bits = rng.integers(0, 2 ** 64, 10 ** 5, dtype=np.uint64, endpoint=False)
+            _assert_exact(bits.view(np.float64))
+
+    def test_random_values_in_each_decade(self):
+        rng = np.random.default_rng(7)
+        for j in range(-6, 18):
+            values = rng.uniform(1.0, 10.0, 5000) * 10.0 ** j
+            _assert_exact(values * rng.choice([-1.0, 1.0], values.size))
 
 
 class TestSimulate:
@@ -510,7 +608,8 @@ class TestSimulate:
         assert cli.main(["simulate", "--config", cfg_path,
                          "--out", str(out)]) == 0
         _, rows = _read_csv(out / "norms.csv")
-        # %.17g is the shortest lossless form: reformatting is a fixed point
+        # %.17g is lossless, though not the shortest form (repr is; %.17g
+        # prints 0.1 as 0.10000000000000001): reformatting is a fixed point
         assert all(f"{float(c):.17g}" == c for r in rows for c in r)
 
     def test_zero_gain_zeroes_controls(self, tmp_path):

@@ -63,15 +63,21 @@ phase-1 box up to solver accuracy.  A phase-2 iterate with an entry
 outside the phase-1 box ends its cell at once as NUMERICAL_FAILURE: the
 objective looks unbounded below, and the rest of the step budget would
 only walk further out.  So does a Schur complement or a factor that is
-singular, indefinite or not finite; a cell never raises.
+singular, indefinite or not finite; a cell never raises.  Factors, inverses
+and eigenvalue tests call np.linalg's LAPACK gufuncs directly, on the whole
+stack: a matrix LAPACK fails on reads NaN in its own place, which ends its
+cell, and np.errstate(invalid="ignore"), around those calls only, silences
+the flag it raises.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import lmi
 
@@ -99,6 +105,12 @@ _PHASE1_BOX = 1e9         # phase-1 searches |entry| < this; keeps the slack
 _STACK_BYTES = 16 << 20   # cap on one stack's padded phase-1 coefficients,
                           # 8 (refs + 1) J D^2 bytes a cell: 5.8 kB on the
                           # demo, 0.67 MB at the seeded n = 10 plant
+
+# what np.linalg's cholesky, inv and eigvalsh call after their checks: the
+# same bits, and a matrix LAPACK fails on is NaN and sets the invalid flag
+_cholesky = partial(_umath_linalg.cholesky_lo, signature="d->d")
+_inv = partial(_umath_linalg.inv, signature="d->d")
+_eigvalsh = partial(_umath_linalg.eigvalsh_lo, signature="d->d")
 
 
 class Status(enum.Enum):
@@ -250,22 +262,6 @@ def _cones(forms, layout: tuple) -> _Cones:
                   dims, pos)
 
 
-def _each(f, *stacks):
-    """f applied to stacks of matrices.  numpy raises LinAlgError for the
-    whole stack when one matrix fails; then f runs cell by cell and the
-    cells it fails on get NaN."""
-    try:
-        return f(*stacks)
-    except np.linalg.LinAlgError:
-        out = np.full(stacks[-1].shape, np.nan)
-        for c in range(out.shape[0]):
-            try:
-                out[c] = f(*(s[c] for s in stacks))
-            except np.linalg.LinAlgError:
-                pass
-        return out
-
-
 def _phase1(cones: _Cones, x0: np.ndarray):
     """Minimize a uniform slack s added to every block, min s subject to
     S(x) + s I > 0 and r(x) + s > 0, by the primal-dual steps of phase 2
@@ -337,11 +333,12 @@ def _lowest(m: np.ndarray) -> np.ndarray:
     eigenvalues are the same bits either way."""
     finite = np.isfinite(m)
     if finite.all():
-        return np.linalg.eigvalsh(m).min(axis=(1, 2), initial=np.inf)
+        with np.errstate(invalid="ignore"):
+            return _eigvalsh(m).min(axis=(1, 2), initial=np.inf)
     ok = finite.all(axis=(1, 2, 3))
-    low = np.linalg.eigvalsh(np.where(ok[:, None, None, None], m, 0.0)).min(
-        axis=(1, 2), initial=np.inf)
-    return np.where(ok, low, np.nan)
+    with np.errstate(invalid="ignore"):
+        low = _eigvalsh(np.where(ok[:, None, None, None], m, 0.0))
+    return np.where(ok, low.min(axis=(1, 2), initial=np.inf), np.nan)
 
 
 def _reach(li: np.ndarray, lit: np.ndarray, dmat: np.ndarray, v: np.ndarray,
@@ -435,7 +432,8 @@ def _primal_dual(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndar
     inner = np.zeros(base.shape[1:], dtype=bool)
     for j, d in enumerate(cones.dims):
         inner[j, :d, :d] = True
-    zmat = np.where(inner, _each(np.linalg.inv, cones.values(x)), base)
+    with np.errstate(invalid="ignore"):
+        zmat = np.where(inner, _inv(cones.values(x)), base)
     slack_eye = np.where(inner, np.eye(base.shape[-1]), 0.0)
     pad, diag = ~inner, np.arange(x.shape[1])
     scatter = [(cones.vidx[p][:, None], cones.vidx[p]) for p in cones.pos]
@@ -490,15 +488,17 @@ def _primal_dual(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndar
                 float(v) if np.isfinite(v) else None for v in gap_out]
 
         g, rinv = cones.g, 1.0 / r
-        ls = _each(np.linalg.cholesky, smat)
-        lsi = _each(np.linalg.inv, ls)
-        lz = _each(np.linalg.cholesky, zmat)
-        lzi = _each(np.linalg.inv, lz)
+        with np.errstate(invalid="ignore"):
+            ls = _cholesky(smat)
+            lsi = _inv(ls)
+            lz = _cholesky(zmat)
+            lzi = _inv(lz)
         lsit, lzit = lsi.transpose(0, 1, 3, 2), lzi.transpose(0, 1, 3, 2)
         sinv = lsit @ lsi
         m = _hkm(cones, zrow * rinv, lsi, lz, scatter)
         m[:, diag, diag] *= 1.0 + _RIDGE
-        lm = _each(np.linalg.inv, _each(np.linalg.cholesky, m))
+        with np.errstate(invalid="ignore"):
+            lm = _inv(_cholesky(m))
 
         def direction(rhs, smu, crow, cmat):
             """dx = M^-1 rhs and the directions that go with it, aiming at

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -455,43 +456,78 @@ class TestBatch:
         control.grid_search(demo_plant, _DEMO_MUS, _DEMO_ALPHAS)
         assert stacks == [41]
 
-    def test_failed_cholesky_in_one_cell_leaves_the_others(self):
+    @staticmethod
+    def _one_cell_outside():
+        """A phase-2 stack of three copies of the demo problem at (1.0, 0.5)
+        and a point per cell: the optimum in cells 0 and 2, and in cell 1
+        the optimum with gain_scaled far from zero, which breaks the
+        boundary block, block 0, and no other block or row."""
         sf = _demo_synthesis_problem(1.0, 0.5)
-        cell = _stack([sf]).without_slack([0])
         stacked = _stack([sf, sf, sf]).without_slack([0, 1, 2])
         inside = sdp.minimize(sf).x
-        # gain_scaled far from zero breaks the boundary block but no row
         outside = inside.copy()
         outside[4:8] = 100.0
         x = np.stack([inside, outside, inside])
         assert np.all(stacked.rows(x) > 0.0)
+        return sf, stacked, x
+
+    def test_failed_factor_is_nan_in_its_own_block(self):
+        # the one indefinite block reads NaN; every other factor, and its
+        # inverse, keeps the bytes np.linalg gives that matrix alone
+        _, stacked, x = self._one_cell_outside()
+        smat = stacked.values(x)
         with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(stacked.values(x))
-        factors = sdp._each(np.linalg.cholesky, stacked.values(x))
-        alone = np.linalg.cholesky(cell.values(inside[None]))[0]
-        assert np.all(np.isnan(factors[1]))
-        assert np.array_equal(factors[0], alone) and np.array_equal(factors[2], alone)
+            np.linalg.cholesky(smat[1, 0])
+        with pytest.warns(RuntimeWarning, match="invalid"):
+            sdp._cholesky(smat)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(invalid="ignore"):
+                factors = sdp._cholesky(smat)
+                inverses = sdp._inv(factors)
+        assert np.all(np.isnan(factors[1, 0])) and np.all(np.isnan(inverses[1, 0]))
+        for c, j in np.ndindex(smat.shape[:2]):
+            if (c, j) != (1, 0):
+                alone = np.linalg.cholesky(smat[c, j])
+                assert factors[c, j].tobytes() == alone.tobytes()
+                assert inverses[c, j].tobytes() == np.linalg.inv(alone).tobytes()
+
+    def test_failed_cholesky_in_one_cell_leaves_the_others(self):
+        # the cell whose S has no Cholesky factor ends NUMERICAL_FAILURE
+        # without a step; its stack mates keep the bits of the stack without
+        # it, and no RuntimeWarning escapes the solver
+        sf, stacked, x = self._one_cell_outside()
+        cvec, budget = np.stack([sf.objective] * 3), np.full(3, sdp._MAX_NEWTON)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            xs, steps, outcome, gaps = sdp._primal_dual(stacked, cvec, x, budget)
+            mates = sdp._primal_dual(stacked.take([0, 2]), cvec[[0, 2]], x[[0, 2]],
+                                     budget[[0, 2]])
+        assert outcome[1] is Status.NUMERICAL_FAILURE and steps[1] == 0
+        assert xs[1].tobytes() == x[1].tobytes()
+        assert outcome[::2] == mates[2] == [Status.OPTIMAL] * 2
+        assert steps[::2].tolist() == mates[1].tolist() and gaps[::2] == mates[3]
+        assert xs[::2].tobytes() == mates[0].tobytes()
 
     def test_demo_grid_factors_every_stack_whole(self, demo_plant, monkeypatch):
-        # every stacked Cholesky factor succeeds, so no stack is redone
-        # cell by cell
-        calls, raised = [], []
-        real = np.linalg.cholesky
+        # every Cholesky factor the demo grid asks for succeeds: no block of
+        # any stack reads NaN
+        calls, failed = [], []
+        real = sdp._cholesky
 
         def cholesky(a):
+            out = real(a)
             calls.append(a.shape)
-            try:
-                return real(a)
-            except np.linalg.LinAlgError:
-                raised.append(a.shape)
-                raise
+            if np.isnan(out).any():
+                failed.append(a.shape)
+            return out
 
-        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+        monkeypatch.setattr(sdp, "_cholesky", cholesky)
         forms = [lmi.vectorize(build_synthesis_lmis(demo_plant, mu, alpha))
                  for mu in _DEMO_MUS for alpha in _DEMO_ALPHAS]
         solutions = sdp.minimize_batch(forms)
         assert len(solutions) == 64 and calls
-        assert raised == []
+        assert failed == []
 
     def test_stacks_split_under_the_memory_cap(self, monkeypatch):
         problems = [_demo_synthesis_problem(0.5, alpha) for alpha in (0.1, 0.3, 0.5, 1.3)]
@@ -560,6 +596,30 @@ class TestBatch:
         assert sdp.minimize_batch([]) == []
         with pytest.raises(ValueError):
             sdp.minimize_batch([_demo_synthesis_problem(1.0, 0.5), _scalar_pos_problem()])
+
+
+
+class TestLapack:
+    """sdp calls numpy's LAPACK gufuncs, which np.linalg's own functions
+    call after their argument checks; this pins that private contract."""
+
+    @pytest.mark.parametrize("shape", [(3, 0, 0, 0), (0, 2, 3, 3), (1, 1, 1, 1), (5, 3, 4, 4),
+                                       (2, 4, 7, 7)])
+    @pytest.mark.parametrize("name", ["cholesky", "inv", "eigvalsh"])
+    def test_same_bytes_as_np_linalg(self, name, shape):
+        rng = np.random.default_rng(sum(shape))
+        a = rng.standard_normal(shape)
+        # symmetric positive definite, and a strided view; inv also takes a
+        # general matrix and its transpose
+        spd = a @ a.transpose(0, 1, 3, 2) + shape[-1] * np.eye(shape[-1])
+        ours, theirs = getattr(sdp, "_" + name), getattr(np.linalg, name)
+        stacks = [spd, spd[..., ::-1, ::-1]]
+        if name == "inv":
+            stacks += [a, a.transpose(0, 1, 3, 2)]
+        for m in stacks:
+            got, want = ours(m), theirs(m)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 def _against_the_barrier_path(sf, sol, status, peak):

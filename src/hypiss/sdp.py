@@ -106,8 +106,7 @@ _STACK_BYTES = 16 << 20   # cap on one stack's padded phase-1 coefficients,
                           # 8 (refs + 1) J D^2 bytes a cell: 5.8 kB on the
                           # demo, 0.67 MB at the seeded n = 10 plant
 
-# what np.linalg's cholesky, inv and eigvalsh call after their checks: the
-# same bits, and a matrix LAPACK fails on is NaN and sets the invalid flag
+# the gufuncs np.linalg's cholesky, inv and eigvalsh call after their checks
 _cholesky = partial(_umath_linalg.cholesky_lo, signature="d->d")
 _inv = partial(_umath_linalg.inv, signature="d->d")
 _eigvalsh = partial(_umath_linalg.eigvalsh_lo, signature="d->d")
@@ -332,11 +331,10 @@ def _lowest(m: np.ndarray) -> np.ndarray:
     before the eigensolver and its result masked after; each cell's
     eigenvalues are the same bits either way."""
     finite = np.isfinite(m)
-    if finite.all():
-        with np.errstate(invalid="ignore"):
-            return _eigvalsh(m).min(axis=(1, 2), initial=np.inf)
-    ok = finite.all(axis=(1, 2, 3))
     with np.errstate(invalid="ignore"):
+        if finite.all():
+            return _eigvalsh(m).min(axis=(1, 2), initial=np.inf)
+        ok = finite.all(axis=(1, 2, 3))
         low = _eigvalsh(np.where(ok[:, None, None, None], m, 0.0))
     return np.where(ok, low.min(axis=(1, 2), initial=np.inf), np.nan)
 

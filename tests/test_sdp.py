@@ -598,7 +598,6 @@ class TestBatch:
             sdp.minimize_batch([_demo_synthesis_problem(1.0, 0.5), _scalar_pos_problem()])
 
 
-
 class TestLapack:
     """sdp calls numpy's LAPACK gufuncs, which np.linalg's own functions
     call after their argument checks; this pins that private contract."""

@@ -14,7 +14,10 @@ simulation blows up, and returns the exit code of that status from
 verification, 1 for a solver failure, a grid whose every cell failed, a
 certificate whose margins could not be computed, or a blow-up.  Any other
 error exits 1.  CSV output is deterministic: rerunning a command with the
-same config yields byte-identical files.
+same config yields byte-identical files.  Every output is a new file
+(`_write`): a link at its path is not written through, a read-only file
+there is replaced, since only the directory's permission counts, the umask
+sets the mode, and nothing is fsynced.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import argparse
 import contextlib
 import functools
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -256,8 +260,8 @@ def _output_settings(cfg: dict, out_override: str | None) -> tuple[Path, dict]:
 
 # A float cell is its "%.17g" text: 17 significant digits, which read back to
 # the same double.  `_slots` makes that text for a block of cells at a
-# time; no cell this module writes holds a comma, quote or newline, so none
-# is quoted.
+# time, and `%` for a grid's few rows, which cost less than `_slots`' fixed
+# cost; no cell this module writes holds a comma, quote or newline.
 _FLOAT = "%.17g"
 # bytes of one cell's slot: the longest %.17g text, 24 bytes as in
 # -2.2250738585072014e-308, and the separator after it
@@ -445,21 +449,22 @@ def _feasibility_blocks(rows):
     """The lines of feasibility.csv, as one block of bytes, from rows (mu,
     alpha, status, c, gamma), where c and gamma are None for a cell with no
     design and their cells are left empty."""
-    floats = np.array([[np.nan if v is None else v for v in (mu, alpha, c, gamma)]
-                       for mu, alpha, _, c, gamma in rows]).reshape(-1, 4)
-    lines = b"".join(_float_blocks(floats)).decode().splitlines()
-    yield "".join(f"{mu},{alpha},{status},{'' if c is None else c_text},"
-                  f"{'' if gamma is None else gamma_text}\n"
-                  for (_, _, status, c, gamma), (mu, alpha, c_text, gamma_text)
-                  in zip(rows, (line.split(",") for line in lines))).encode()
+    yield "".join(f"{_FLOAT},{_FLOAT},%s,%s,%s\n" % (mu, alpha, status,
+                  "" if c is None else _FLOAT % c, "" if gamma is None else _FLOAT % gamma)
+                  for mu, alpha, status, c, gamma in rows).encode()
+
+
+def _write(path: Path, chunks) -> None:
+    """Write the byte `chunks`, each as it comes, to a new file at `path`,
+    unlinking what is there: ext4 flushes a file truncated in place at close()."""
+    path.unlink(missing_ok=True)
+    with path.open("xb") as fh:
+        fh.writelines(chunks)
 
 
 def _write_csv(path: Path, header: list[str], blocks) -> None:
-    """Write a CSV file: the header, then each of `blocks`, the bytes of one
-    or more whole lines, as it is made."""
-    with path.open("wb") as fh:
-        fh.write((",".join(header) + "\n").encode())
-        fh.writelines(blocks)
+    """Write a CSV file: the header, then each of `blocks`, whole lines as bytes, as it comes."""
+    _write(path, itertools.chain([(",".join(header) + "\n").encode()], blocks))
 
 
 def _certificate_payload(cert: SynthesisCertificate) -> dict:
@@ -544,8 +549,7 @@ def _finish(out_dir: Path, command: str, digest: str, status: str, timing: float
               "certificate": certificate, "margins": dict(margins or {}),
               "timing_seconds": timing, "manifest": sorted([*manifest, path.name]),
               **fields}
-    path.write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
-                    + "\n")
+    _write(path, [json.dumps(report, indent=2, sort_keys=True, allow_nan=False).encode(), b"\n"])
     return _EXIT_CODES[status]
 
 
@@ -595,7 +599,7 @@ def cmd_synth(config_path: str, out_override: str | None) -> int:
 
     cert_path = out_dir / "certificate.json"
     payload = _certificate_payload(cert)
-    cert_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write(cert_path, [json.dumps(payload, indent=2, sort_keys=True).encode(), b"\n"])
     print(f"feasible: peak={cert.peak:.6g} gamma={cert.gamma:.6g} "
           f"omega={cert.omega:g} kappa={cert.kappa:.6g}")
     print(f"wrote {cert_path}")
@@ -816,14 +820,11 @@ _EXAMPLE_GRID = {
 }
 
 
-def _seed_configs(directory: Path) -> list[Path]:
-    written = []
-    for name, payload in (("example_design.json", _EXAMPLE_DESIGN),
-                          ("example_gridsearch.json", _EXAMPLE_GRID)):
-        path = directory / name
-        path.write_text(json.dumps(payload, indent=2) + "\n")
-        written.append(path)
-    return written
+def _seed_configs(directory: Path) -> None:
+    for path, payload in ((directory / "example_design.json", _EXAMPLE_DESIGN),
+                          (directory / "example_gridsearch.json", _EXAMPLE_GRID)):
+        _write(path, [json.dumps(payload, indent=2).encode(), b"\n"])
+        print(f"wrote {path}")
 
 
 # ---------------------------------------------------------------------------
@@ -886,8 +887,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.seed_configs:
-            for path in _seed_configs(Path.cwd()):
-                print(f"wrote {path}")
+            _seed_configs(Path.cwd())
             return 0
         if args.command is None:
             parser.print_usage(sys.stderr)

@@ -10,6 +10,8 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
 from fractions import Fraction
@@ -79,6 +81,15 @@ class TestSeedConfigs:
         code = cli.main(["synth", "--config", str(design),
                          "--out", str(tmp_path / "o")])
         assert code == 0
+
+    def test_replaces_existing_examples(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        names = ("example_design.json", "example_gridsearch.json")
+        for name in names:
+            (tmp_path / name).write_bytes(b"{}" + b" " * 100_000)
+        assert cli.main(["--seed-configs"]) == 0
+        assert json.loads((tmp_path / names[0]).read_text()) == cli._EXAMPLE_DESIGN
+        assert json.loads((tmp_path / names[1]).read_text()) == cli._EXAMPLE_GRID
 
 
 class TestSynth:
@@ -503,6 +514,71 @@ class TestCsvWriter:
                   ([t, z, *snap[:, j]] for t, snap in zip(times, snaps)
                    for j, z in enumerate(centers)))
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+class TestOutputFiles:
+    """Every output is written as a new file at its path: what was there is
+    neither truncated nor written through."""
+
+    OUTPUTS = ("certificate.json", "synth_report.json", "norms.csv", "controls.csv",
+               "simulate_report.json")
+
+    @staticmethod
+    def _run(tmp_path, out, amplitude=10.0, alpha=0.5):
+        cfg = _design_config()
+        cfg["design"]["alpha"] = alpha
+        cfg["simulation"].update(M=16, t_final=1.0)
+        cfg["simulation"]["initial"]["amplitude"] = amplitude
+        cfg_path = _write_config(tmp_path, cfg)
+        assert cli.main(["synth", "--config", cfg_path, "--out", str(out)]) == 0
+        assert cli.main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
+
+    def test_longer_read_only_stale_file_holds_exactly_the_new_bytes(self, tmp_path):
+        self._run(tmp_path, tmp_path / "fresh")
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in self.OUTPUTS:
+            (out / name).write_bytes(b"stale\n" * 100_000)
+            (out / name).chmod(0o444)
+        umask = os.umask(0o027)
+        try:
+            self._run(tmp_path, out)
+        finally:
+            os.umask(umask)
+        for name in ("certificate.json", "norms.csv", "controls.csv"):
+            assert (out / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+        for name in self.OUTPUTS:
+            # the reports differ from the fresh ones in their wall times only
+            text = (out / name).read_text()
+            assert "stale" not in text and text.endswith("\n")
+            assert stat.S_IMODE((out / name).stat().st_mode) == 0o640
+
+    def test_hard_link_to_an_output_keeps_the_old_bytes(self, tmp_path):
+        out, kept = tmp_path / "out", tmp_path / "kept"
+        self._run(tmp_path, out)
+        kept.mkdir()
+        old = {}
+        for name in self.OUTPUTS:
+            os.link(out / name, kept / name)
+            old[name] = (out / name).read_bytes()
+        # other weights and another initial state: every output changes
+        self._run(tmp_path, out, amplitude=5.0, alpha=0.4)
+        for name in self.OUTPUTS:
+            assert (kept / name).read_bytes() == old[name]
+            assert (out / name).read_bytes() != old[name]
+
+    def test_symlink_at_an_output_path_is_replaced(self, tmp_path):
+        out, target = tmp_path / "out", tmp_path / "target"
+        out.mkdir()
+        target.write_bytes(b"untouched")
+        for name in self.OUTPUTS:
+            (out / name).symlink_to(target)
+        self._run(tmp_path, out)
+        assert target.read_bytes() == b"untouched"
+        for name in self.OUTPUTS:
+            assert not (out / name).is_symlink() and (out / name).is_file()
+        json.loads((out / "certificate.json").read_text())
+        assert _read_csv(out / "norms.csv")[0] == ["t", "l2_norm", "iss_rhs", "lyapunov"]
 
 
 def _cell_texts(values) -> list[str]:

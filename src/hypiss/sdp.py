@@ -51,10 +51,12 @@ outcome and step lengths, and leaves the stack when its phase ends; no
 cell's arithmetic reads another's.  Many cells of one layout are split
 into several stacks so that the padded phase-1 coefficients of one stack
 stay under _STACK_BYTES.  `minimize` is a batch of one, so there is one
-solver path.  Everything is numpy with fixed iteration order, so identical
-batches produce bit-identical outputs.  A batch of one can differ from a
-larger batch in the last bits: the demo cell (0.25, 0.1) alone and in its
-half-row batch agree in c to 6.9e-14 relative.
+solver path.  Everything is numpy with fixed iteration order, and a cell's
+outcome is the same bits in any batch as alone: each of a cell's sums runs
+over one C-ordered row of its own, in the order a lone solve adds it.  So
+the masked sums <S, Z> of the gap read the stack through `compress` of
+the flattened mask; indexing by the 3-D mask would give the cells' terms
+with the cell axis fastest, and numpy would add them in another order.
 
 Infeasibility is declared heuristically: when the phase-1 slack optimum,
 bounded below by s - gap once the dual residual is under tolerance, is
@@ -430,6 +432,7 @@ def _primal_dual(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndar
     inner = np.zeros(base.shape[1:], dtype=bool)
     for j, d in enumerate(cones.dims):
         inner[j, :d, :d] = True
+    flat = inner.ravel()
     with np.errstate(invalid="ignore"):
         zmat = np.where(inner, _inv(cones.values(x)), base)
     slack_eye = np.where(inner, np.eye(base.shape[-1]), 0.0)
@@ -444,7 +447,8 @@ def _primal_dual(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndar
         r = cones.rows(x)
         r = np.where(r > 0.0, r, np.nan)
         smat = cones.values(x)
-        gap = (r * zrow).sum(axis=1) + (smat * zmat)[:, inner].sum(axis=1)
+        gap = (r * zrow).sum(axis=1) + (smat * zmat).reshape(len(x), -1).compress(
+            flat, axis=1).sum(axis=1)
         rd = cvec - cones.adjoint(zmat, zrow)
         dual = np.abs(rd).max(axis=1, initial=0.0) < dual_tol
         optimal = dual & (gap < _GAP_TOL)
@@ -534,7 +538,8 @@ def _primal_dual(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndar
             ap, ad = lengths(dr, ds, dz, dzm, 1.0)
             gap_aff = ((r + ap[:, None] * dr) * (zrow + ad[:, None] * dz)).sum(axis=1) + (
                 (smat + ap[:, None, None, None] * ds)
-                * (zmat + ad[:, None, None, None] * dzm))[:, inner].sum(axis=1)
+                * (zmat + ad[:, None, None, None] * dzm)).reshape(len(x), -1).compress(
+                flat, axis=1).sum(axis=1)
             aim = np.maximum((gap_aff / gap) ** 3 * gap, _GAP_FLOOR * _GAP_TOL) / nu
 
             # corrector: aim at sigma mu, with the predictor's second-order

@@ -369,15 +369,33 @@ class TestIssCoefficients:
             iss_coefficients(DiagMatrix(np.array([-1.0])), 1.0, 0.5)
 
 
+def _outcome_key(sol) -> list | None:
+    """Every field of the solver's outcome, its point x as bytes."""
+    return None if sol is None else [
+        getattr(sol, f.name) for f in dataclasses.fields(sol) if f.name != "x"] + [
+        sol.x.tobytes()]
+
+
 def _same_cells(cells, others) -> bool:
     """Cells that agree in every field and in every field of the solver's
     outcome, its point x byte for byte."""
     def key(cell):
-        sol = cell.solution
-        return (dataclasses.replace(cell, solution=None), None if sol is None else [
-            getattr(sol, f.name) for f in dataclasses.fields(sol) if f.name != "x"]
-            + [sol.x.tobytes()])
+        return dataclasses.replace(cell, solution=None), _outcome_key(cell.solution)
     return [key(c) for c in cells] == [key(c) for c in others]
+
+
+def _certificate_key(cert) -> list:
+    """Every field of a certificate: its matrices as bytes, the solver's
+    outcome as `_outcome_key`, every other field as it is."""
+    def value(v):
+        if isinstance(v, (Matrix, SymMatrix)):
+            return v.array.tobytes()
+        if isinstance(v, DiagMatrix):
+            return v.diagonal.tobytes()
+        if isinstance(v, sdp.Solution):
+            return _outcome_key(v)
+        return v
+    return [(f.name, value(getattr(cert, f.name))) for f in dataclasses.fields(cert)]
 
 
 class TestGridSearch:
@@ -545,7 +563,7 @@ class TestGridSearch:
                     continue
                 assert cell.solution.newton_steps[0] > 0
                 assert cell.status == "feasible"
-                assert cell.peak == pytest.approx(cert.peak, rel=1e-9)
+                assert cell.peak == cert.peak
                 designs[(cell.mu, cell.alpha)] = cert
             return fm, designs, implied
 
@@ -554,14 +572,49 @@ class TestGridSearch:
         assert (len(designs), implied) == (8, [(0.25, 0.3)])
         best = min(designs.values(), key=lambda c: (c.gamma, c.mu, c.alpha))
         assert (best.mu, best.alpha) == (fm.best.mu, fm.best.alpha) == (0.5, 0.1)
-        assert fm.best.peak == pytest.approx(best.peak, rel=1e-9)
-        assert fm.best.gamma == pytest.approx(best.gamma, rel=1e-9)
+        assert _certificate_key(fm.best) == _certificate_key(best)
         assert sum(fm.best.solution.newton_steps) > 0
         # the best certificate carries its cell's outcome, not a copy
         assert fm.best.solution is fm.cells[3].solution
         # cells the solver finds infeasible, and (0.5, 0.5) past the bound
         fm, designs, implied = compare(reflection_plant, [0.5, 1.0], [0.1, 0.5])
         assert (designs, implied, fm.best) == ({}, [(0.5, 0.5)], None)
+
+    @pytest.mark.parametrize("case, solved", [("demo", 41), ("demo-half-rows", 41),
+                                              ("seeded-n10", 13)])
+    def test_each_cell_has_the_bits_of_its_own_solve(self, case, solved, demo_plant,
+                                                     random_plant_config, monkeypatch):
+        # a cell's outcome does not depend on the cells that share its
+        # batch: each is the bits of sdp.minimize on the cell's own form
+        mus, alphas = np.linspace(0.25, 2.0, 8), np.linspace(0.1, 1.5, 8)
+        if case == "demo":
+            plant, grids = demo_plant, [(mus, alphas)]
+        elif case == "demo-half-rows":
+            # the 16 half-row commands of the benchmark's grid-sweep, each
+            # spacing its alphas from their ends as a config does
+            plant, grids = demo_plant, [
+                ([mu], np.linspace(part[0], part[-1], part.size))
+                for mu in mus for part in (alphas[:4], alphas[4:])]
+        else:
+            plant = cli._build_plant({"plant": random_plant_config(
+                np.random.default_rng(10), 10, 1.0)})
+            low = float(np.min(plant.speeds.diagonal))
+            grids = [(np.linspace(0.5, 1.25, 4), np.linspace(0.2, 0.8, 4) * low)]
+        solve, outcomes = sdp.minimize_batch, []
+
+        def minimize_batch(forms):
+            solutions = solve(forms)
+            outcomes.extend(zip(forms, solutions))
+            return solutions
+
+        monkeypatch.setattr(sdp, "minimize_batch", minimize_batch)
+        cells = [c for mu, alpha in grids for c in grid_search(plant, mu, alpha).cells]
+        monkeypatch.undo()
+        assert [sol for _, sol in outcomes] == [
+            c.solution for c in cells if c.solution is not None]
+        assert len(outcomes) == solved
+        for form, sol in outcomes:
+            assert _outcome_key(sol) == _outcome_key(sdp.minimize(form))
 
     def test_one_call_recheck_matches_each_cell_alone(self, demo_plant, monkeypatch):
         # the demo grid re-checks its 41 optimal cells in one stacked call,

@@ -9,6 +9,12 @@ change meant to keep the solver's arithmetic can be checked by running
 this before and after it on one machine.  LAPACK builds differ in their
 last bits, so the digests of two machines need not agree.
 
+A cell's outcome does not depend on the batch it is solved in: each is
+the bits of `sdp.minimize` on the cell's own form (the test
+`test_each_cell_has_the_bits_of_its_own_solve` holds the solver to it).
+So a grid's digest also stands for the same cells solved alone or in
+any split of the grid, and the probe sets need not cover batch layouts.
+
     PYTHONPATH=src python tools/solver_digest.py
 
 Output: one line per probe set, `name solver-cells sha1`.  Uses numpy and
@@ -84,17 +90,6 @@ def _demo_grid():
     control.grid_search(_demo(), _DEMO_MU, _DEMO_ALPHA)
 
 
-def _demo_half_rows():
-    """The demo grid as the 16 half-row `hypiss grid` commands of the
-    benchmark's grid-sweep: one mu and four alphas each, the alphas spaced
-    from their ends as a config's {min, max, count} spaces them."""
-    for mu in _DEMO_MU:
-        for j in range(0, _DEMO_ALPHA.size, 4):
-            part = _DEMO_ALPHA[j:j + 4]
-            control.grid_search(_demo(), np.linspace(mu, mu, 1),
-                                np.linspace(part[0], part[-1], part.size))
-
-
 def _demo_synth():
     _synthesize(_demo(), 1.0, 0.5)
 
@@ -116,12 +111,6 @@ def _random_draws():
         _synthesize(plant, 1.0, rng.uniform(0.9, 1.02) * float(np.min(plant.speeds.diagonal)))
 
 
-def _probe_cells():
-    for plant in _probe_plants():
-        for mu in _PROBE_MU:
-            _synthesize(plant, mu, 0.1)
-
-
 def _probe_grids():
     for plant in _probe_plants():
         control.grid_search(plant, _PROBE_MU, [0.1])
@@ -133,11 +122,9 @@ def _n10_grid():
     control.grid_search(plant, np.linspace(0.5, 1.25, 4), np.linspace(0.2, 0.8, 4) * low)
 
 
-PROBES = (("demo-grid", _demo_grid), ("demo-half-rows", _demo_half_rows),
-          ("demo-synth", _demo_synth),
+PROBES = (("demo-grid", _demo_grid), ("demo-synth", _demo_synth),
           ("seeded-designs", _seeded_designs), ("random-draws", _random_draws),
-          ("probe-cells", _probe_cells), ("probe-grids", _probe_grids),
-          ("n10-grid", _n10_grid))
+          ("probe-grids", _probe_grids), ("n10-grid", _n10_grid))
 
 
 def _digest(solution: sdp.Solution, h) -> None:

@@ -266,10 +266,11 @@ _FLOAT = "%.17g"
 # bytes of one cell's slot: the longest %.17g text, 24 bytes as in
 # -2.2250738585072014e-308, and the separator after it
 _SLOT = 25
-# cells formatted at a time: a block's slots fill 100 kB and each of its
-# arrays of one 8-byte number per cell 32 kB.  Larger blocks run faster but
-# peak higher: on 2 cores, 8192 ran snapshot-export 9 % faster than 4096 and
-# peaked 0.4 MiB higher
+# cells formatted at a time, the state values alone in a snapshot block: a
+# block's slots fill 100 kB and each of its arrays of one 8-byte number per
+# cell 32 kB.  `_slots` costs about 90 us a call plus, per value, 154 ns at
+# 1024 values a call, 110 at 2048, 88 at 4096 and 120 at 8192, where its
+# temporaries leave the cache (2 cores, one BLAS thread)
 _BLOCK_CELLS = 4096
 
 _U64 = np.uint64
@@ -430,19 +431,34 @@ def _float_blocks(table: np.ndarray):
 
 def _snapshot_blocks(times: np.ndarray, snapshots: np.ndarray, centers: np.ndarray):
     """The lines of snapshots.csv, (t, z, x_1..x_n) per record and cell
-    center, as bytes, one block of rows at a time; a block may end inside
-    a record.  t and z are formatted once per run, and each block formats
-    only its state values."""
+    center, as bytes, one block of rows at a time.  t and z are formatted
+    once per run, and each block formats only its state values, at most
+    `_BLOCK_CELLS` of them: a block is a run of whole records, or, when one
+    record has more rows than a block holds, a run of one record's cells.
+    A block's rows are laid out in one (text, keep) buffer per run, of
+    (records a block, cells a block, n + 2, _SLOT), whose z column is
+    written once when every block holds whole records."""
     records, n, cells = snapshots.shape
     t_slots = _slots(times[:, None], newline=False)
     z_slots = _slots(centers[:, None], newline=False)
-    step = _rows_per_block(n + 2)
-    for first in range(0, records * cells, step):
-        record, j = np.divmod(np.arange(first, min(first + step, records * cells)), cells)
-        # (text, keep) of the rows: t's slot, z's slot, then the states'
-        text, keep = (np.concatenate((t.take(record, axis=0), z.take(j, axis=0), x), axis=1)
-                      for t, z, x in zip(t_slots, z_slots, _slots(snapshots[record, :, j])))
-        yield text[keep]
+    rows = _rows_per_block(n)
+    group, width = max(1, rows // cells), min(cells, rows)
+    buffers = [np.empty((group, width, n + 2, _SLOT), dtype=dtype) for dtype in (np.uint8, bool)]
+    if width == cells:
+        for buf, z in zip(buffers, z_slots):
+            buf[:, :, 1] = z[:, 0]
+    for first in range(0, records, group):
+        part = snapshots[first:first + group]
+        for lo in range(0, cells, width):
+            x = part[:, :, lo:lo + width].transpose(0, 2, 1)
+            text, keep = (buf[:len(x), :x.shape[1]] for buf in buffers)
+            for buf, t, z, s in zip((text, keep), t_slots, z_slots,
+                                    _slots(x.reshape(-1, n))):
+                buf[:, :, 0] = t[first:first + len(x)]
+                if width < cells:
+                    buf[:, :, 1] = z[lo:lo + width, 0]
+                buf[:, :, 2:] = s.reshape(x.shape + (_SLOT,))
+            yield text[keep]
 
 
 def _feasibility_blocks(rows):

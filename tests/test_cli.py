@@ -452,6 +452,17 @@ class TestGrid:
         assert "design.mu" in capsys.readouterr().err
 
 
+def _assert_snapshot_bytes(tmp_path, times, snaps, centers):
+    """`_snapshot_blocks` writes the bytes csv.writer writes for the rows
+    (t, z, x_1..x_n) of every record and cell center."""
+    header = ["t", "z"] + [f"x_{i + 1}" for i in range(snaps.shape[1])]
+    cli._write_csv(tmp_path / "a.csv", header, cli._snapshot_blocks(times, snaps, centers))
+    write_csv(tmp_path / "b.csv", header,
+              ([t, z, *snap[:, j]] for t, snap in zip(times, snaps)
+               for j, z in enumerate(centers)))
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
 class TestCsvWriter:
     """`_write_csv` writes the same bytes as csv.writer with each float
     cell formatted on its own."""
@@ -485,35 +496,71 @@ class TestCsvWriter:
         snaps = rng.standard_normal((times.size, 3, 9))
         snaps[1, :, :7] = np.reshape(AWKWARD * 3, (3, 7))
         centers = (np.arange(9) + 0.5) / 9
-        header = ["t", "z", "x_1", "x_2", "x_3"]
-        cli._write_csv(tmp_path / "a.csv", header,
-                       cli._snapshot_blocks(times, snaps, centers))
-        write_csv(tmp_path / "b.csv", header,
-                  ([t, z, *snap[:, j]] for t, snap in zip(times, snaps)
-                   for j, z in enumerate(centers)))
-        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        _assert_snapshot_bytes(tmp_path, times, snaps, centers)
 
     def test_snapshot_table_longer_than_a_block(self, tmp_path):
-        # 5 cells a row and 10 rows a record: each block of rows ends inside
-        # a record, and the table spans several blocks
-        rows_each = cli._BLOCK_CELLS // 5
-        assert rows_each % 10 != 0
-        records = 3 * rows_each // 10
+        # 3 states and 10 rows a record: a block is the whole records whose
+        # states fill it, so it ends on a record boundary, and the table
+        # spans several blocks
+        rows_each = cli._rows_per_block(3) // 10 * 10
+        records = 3 * (cli._BLOCK_CELLS // 5) // 10
+        assert records * 10 > rows_each
         rng = np.random.default_rng(4)
         times = np.cumsum(rng.random(records))
         snaps = (rng.standard_normal((records, 3, 10))
                  * 10.0 ** rng.integers(-6, 18, (records, 3, 10)))
         # awkward values in the rows either side of the first block's end
-        record, j = divmod(rows_each, 10)
-        snaps[record, :, j - 1:j + 1] = [[5e-324, -0.0], [float("nan"), 1e17], [-1e-4, 0.1]]
-        header = ["t", "z", "x_1", "x_2", "x_3"]
+        record = rows_each // 10
+        snaps[record - 1, :, 9] = [5e-324, float("nan"), -1e-4]
+        snaps[record, :, 0] = [-0.0, 1e17, 0.1]
         centers = (np.arange(10) + 0.5) / 10
-        cli._write_csv(tmp_path / "a.csv", header,
-                       cli._snapshot_blocks(times, snaps, centers))
-        write_csv(tmp_path / "b.csv", header,
-                  ([t, z, *snap[:, j]] for t, snap in zip(times, snaps)
-                   for j, z in enumerate(centers)))
-        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        first, second = map(bytes, itertools.islice(cli._snapshot_blocks(times, snaps, centers), 2))
+        assert first.endswith(b",4.9406564584124654e-324,nan,-0.0001\n")
+        assert second.split(b"\n")[0].endswith(b",-0,1e+17,0.10000000000000001")
+        _assert_snapshot_bytes(tmp_path, times, snaps, centers)
+
+    def test_snapshot_record_longer_than_a_block(self, tmp_path):
+        # 3 states and 1500 cells: each record is split into chunks of cells,
+        # and awkward values sit either side of the first chunk's end
+        width = cli._rows_per_block(3)
+        assert 1500 > width
+        rng = np.random.default_rng(5)
+        times = np.cumsum(rng.random(3))
+        snaps = rng.standard_normal((3, 3, 1500))
+        snaps[:, :, width - 1:width + 1] = [[5e-324, -0.0], [float("nan"), 1e17], [-1e-4, 0.1]]
+        centers = (np.arange(1500) + 0.5) / 1500
+        _assert_snapshot_bytes(tmp_path, times, snaps, centers)
+
+    @pytest.mark.parametrize("n, cells, records", [
+        (2, 50, 100), (2, 1100, 4), (2, 4500, 3), (3, 1500, 3), (5, 64, 30)])
+    def test_snapshot_blocks_format_at_most_a_block(self, monkeypatch, n, cells, records):
+        # t and z are formatted once each; every other `_slots` call formats
+        # at most a block of state values, in whole records when a record
+        # fits in a block and within one record when it does not
+        calls = []
+        slots = cli._slots
+
+        def spy(table, newline=True):
+            calls.append((table.shape, newline))
+            return slots(table, newline)
+
+        monkeypatch.setattr(cli, "_slots", spy)
+        snaps = np.random.default_rng(6).standard_normal((records, n, cells))
+        b"".join(cli._snapshot_blocks(np.arange(records) / 8, snaps,
+                                      (np.arange(cells) + 0.5) / cells))
+        assert sorted(call for call in calls if not call[1]) == sorted(
+            [((records, 1), False), ((cells, 1), False)])
+        blocks = [shape for shape, newline in calls if newline]
+        assert len(blocks) == len(calls) - 2
+        first = 0
+        for rows, width in blocks:
+            assert width == n and rows * n <= cli._BLOCK_CELLS
+            if cells * n <= cli._BLOCK_CELLS:
+                assert first % cells == 0 and rows % cells == 0
+            else:
+                assert first // cells == (first + rows - 1) // cells
+            first += rows
+        assert first == records * cells
 
 
 class TestOutputFiles:

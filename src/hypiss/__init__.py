@@ -17,7 +17,6 @@ from .control import (
     build_analysis_lmis,
     build_synthesis_lmis,
     closed_loop_boundary,
-    deadzone,
     grid_search,
     iss_coefficients,
     saturate,
@@ -63,7 +62,6 @@ __all__ = [
     "build_analysis_lmis",
     "build_synthesis_lmis",
     "closed_loop_boundary",
-    "deadzone",
     "disturbance_energy",
     "grid_search",
     "invert_diag",

@@ -229,12 +229,6 @@ def saturate(u, u_max) -> np.ndarray:
     return _clamp(u, -lim, lim)
 
 
-def deadzone(u, u_max) -> np.ndarray:
-    """saturate(u) - u; zero inside the linear range."""
-    u = np.asarray(u, dtype=float)
-    return saturate(u, u_max) - u
-
-
 @dataclass(frozen=True)
 class BoundaryLaw:
     """The saturated boundary law of one plant and gain, formed once so that
@@ -258,7 +252,7 @@ class BoundaryLaw:
 
 def closed_loop_boundary(law: BoundaryLaw, outflow: np.ndarray) -> np.ndarray:
     """Inflow trace produced by reflecting the float outflow x and adding
-    the saturated control: (H + B K) x + B * deadzone(K x), with H + B K
+    the saturated control: (H + B K) x + B (sat(K x) - K x), with H + B K
     and -u_max the law's, formed once, and the clamp of `saturate`."""
     u = law.gain @ outflow
     return law.closed_loop @ outflow + law.input_map @ (_clamp(u, law.neg_u_max, law.u_max) - u)
@@ -302,22 +296,19 @@ def build_synthesis_lmis(plant: Plant, mu: float, alpha: float,
     vs = lmi.VarSpec.diagonal(_VS, m)
     vw = lmi.VarSpec.full(_VW, m, n)
     vc = lmi.VarSpec.scalar(_VC)
-    q = lmi.MatExpr.from_var(vq)
-    s = lmi.MatExpr.from_var(vs)
-    w = lmi.MatExpr.from_var(vw)
 
-    boundary = lmi.sym_block([
+    boundary = lmi.affine((vq, vs, vw), lambda q, s, w: lmi.sym_block([
         [-(q @ big_lam_inv), h @ q + b @ w, b @ s],
-        [None, -math.exp(-mu) * (big_lam @ q), -(w.T)],
-        [None, None, -2.0 * s]])
-    cap = q - lmi.MatExpr.scalar_identity(_VC, n)
+        [None, -math.exp(-mu) * (big_lam @ q), -w.swapaxes(-1, -2)],
+        [None, None, -2.0 * s]]))
+    cap = lmi.affine((vq, vc), lambda q, c: q - c * np.eye(n))
 
     constraints = (
         lmi.Constraint(boundary, lmi.LEQ, "boundary_block"),
         _disturbance_decay(plant, mu, alpha, eps),
         lmi.Constraint(cap, lmi.LEQ, "peak_cap", eps=0.0),
-        lmi.Constraint(q, lmi.GEQ, "q_pos"),
-        lmi.Constraint(s, lmi.GEQ, "s_pos"),
+        lmi.Constraint(lmi.affine((vq,), lambda q: q), lmi.GEQ, "q_pos"),
+        lmi.Constraint(lmi.affine((vs,), lambda s: s), lmi.GEQ, "s_pos"),
     )
     return lmi.LmiProblem((vq, vs, vw, vc), constraints,
                           objective=(((_VC, 0), 1.0),), eps=eps)
@@ -330,11 +321,13 @@ def _disturbance_decay(plant: Plant, mu: float, alpha: float, eps: float) -> lmi
     build_synthesis_lmis and for the cells of grid_search that restate
     their row's form."""
     n = plant.n
-    q = lmi.MatExpr.from_var(lmi.VarSpec.diagonal(_VQ, n))
     # mu lambda - alpha, the negation of _decay_bound's alpha - mu lambda
     rate = np.diag(-(alpha - mu * plant.speeds.diagonal))
-    merged = lmi.sym_block([[q @ rate - eps * np.eye(n), plant.disturbance_map.array],
-                            [None, np.eye(plant.q)]])
+    merged = lmi.affine(
+        (lmi.VarSpec.diagonal(_VQ, n),),
+        lambda q: lmi.sym_block([[q @ rate, None], [None, np.zeros((plant.q, plant.q))]]),
+        const=lmi.sym_block([[np.diag(np.full(n, -eps)), plant.disturbance_map.array],
+                             [None, np.eye(plant.q)]]))
     return lmi.Constraint(merged, lmi.GEQ, "disturbance_decay_block")
 
 
@@ -638,24 +631,25 @@ def build_analysis_lmis(plant: Plant, gain: Matrix, mu: float, alpha: float,
     vp = lmi.VarSpec.diagonal(_VP, n)
     vt = lmi.VarSpec.diagonal(_VT, m)
     vx = lmi.VarSpec.scalar(_VX)
-    p = lmi.MatExpr.from_var(vp)
-    t = lmi.MatExpr.from_var(vt)
 
     lam_b = big_lam @ b
-    boundary = lmi.sym_block([
+    boundary = lmi.affine((vp, vt), lambda p, t: lmi.sym_block([
         [h_cl.T @ (p @ (big_lam @ h_cl)) - math.exp(-mu) * (p @ big_lam),
          h_cl.T @ (p @ lam_b) - k.T @ t],
-        [None, b.T @ (p @ lam_b) - 2.0 * t]])
+        [None, b.T @ (p @ lam_b) - 2.0 * t]]))
     rate = np.diag(-(alpha - mu * lam))
-    merged = lmi.sym_block([[p @ rate - eps * np.eye(n), p @ nd],
-                            [None, lmi.MatExpr.scalar_identity(_VX, plant.q)]])
+    merged = lmi.affine(
+        (vp, vx),
+        lambda p, x: lmi.sym_block([[p @ rate, p @ nd], [None, x * np.eye(plant.q)]]),
+        const=lmi.sym_block([[np.diag(np.full(n, -eps)), None],
+                             [None, np.zeros((plant.q, plant.q))]]))
 
     constraints = (
         lmi.Constraint(boundary, lmi.LEQ, "boundary_block"),
         lmi.Constraint(merged, lmi.GEQ, "disturbance_decay_block"),
-        lmi.Constraint(p, lmi.GEQ, "p_pos"),
-        lmi.Constraint(t, lmi.GEQ, "t_pos"),
-        lmi.Constraint(lmi.MatExpr.scalar_identity(_VX, 1), lmi.GEQ, "supply_pos"),
+        lmi.Constraint(lmi.affine((vp,), lambda p: p), lmi.GEQ, "p_pos"),
+        lmi.Constraint(lmi.affine((vt,), lambda t: t), lmi.GEQ, "t_pos"),
+        lmi.Constraint(lmi.affine((vx,), lambda x: x), lmi.GEQ, "supply_pos"),
     )
     return lmi.LmiProblem((vp, vt, vx), constraints, eps=eps)
 

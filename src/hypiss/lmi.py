@@ -1,12 +1,14 @@
 """Affine symmetric-matrix inequality systems over structured decision
 variables.
 
-A problem is a set of matrix expressions, affine in the scalar entries of
+A problem is a set of square matrices, affine in the scalar entries of
 scalar / diagonal / full variables, each constrained to be
 negative semidefinite shifted by -eps*I or positive semidefinite shifted by
-+eps*I.  There is one expression type, MatExpr: builders combine them with
-+, -, scalar * and @, and a constraint keeps its expression in canonical
-form (exactly symmetric, terms sorted by entry, zero terms dropped).
++eps*I.  A builder writes each matrix as a plain numpy formula over the
+variable matrices, symmetric blocks assembled by `sym_block`, and `affine`
+reads its constant and one coefficient per entry off one evaluation of the
+formula on a stack of unit entries, in canonical form (exactly symmetric,
+terms sorted by entry, zero terms dropped).
 
 `vectorize` compiles a problem into its one evaluated form, StandardForm:
 every constraint becomes a block F(x) = F0 + sum_i x_i F_i >= eps I over
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -104,180 +107,97 @@ class VarSpec:
         return np.diagonal(m).copy()
 
 
-def _exact_sym(a: np.ndarray) -> np.ndarray:
-    # (A + A^T)/2 is bitwise symmetric in IEEE arithmetic
-    return (a + a.T) / 2.0
+@dataclass(frozen=True)
+class Affine:
+    """A square matrix affine in variable entries, in the canonical form
+    that `affine` gives it: const + sum over coeffs of entry * coefficient,
+    the constant and every coefficient exactly symmetric, the terms sorted
+    by (variable name, entry index), no zero coefficient."""
+
+    shape: tuple[int, int]
+    const: np.ndarray
+    coeffs: dict[EntryRef, np.ndarray]
 
 
-class MatExpr:
-    """Rectangular matrix expression, affine in variable entries.
+def affine(variables, linear, const=None) -> Affine:
+    """The affine matrix F(x) = const + linear(x) in standard form, its
+    coefficient of each entry F_i the linear part at the unit entry e_i.
 
-    Stored as a constant plus one coefficient matrix per referenced entry.
-    Supports +, -, scalar *, and @ against plain arrays on either side,
-    which is all the constraint builders need.
-    """
-
-    __array_ufunc__ = None  # keep numpy from consuming our operators
-
-    __slots__ = ("shape", "const", "coeffs", "_canonical")
-
-    def __init__(self, shape: tuple[int, int], const: np.ndarray,
-                 coeffs: dict[EntryRef, np.ndarray]):
-        self.shape = shape
-        self.const = const
-        self.coeffs = coeffs
-        self._canonical = False
-
-    @staticmethod
-    def constant(a) -> "MatExpr":
-        arr = np.atleast_2d(np.asarray(a, dtype=float))
-        return MatExpr(arr.shape, arr.copy(), {})
-
-    @staticmethod
-    def from_var(spec: VarSpec) -> "MatExpr":
-        unit = np.eye(spec.n_entries)
-        coeffs = {(spec.name, k): spec.matrix_from_entries(unit[k])
-                  for k in range(spec.n_entries)}
-        return MatExpr((spec.rows, spec.cols), np.zeros((spec.rows, spec.cols)), coeffs)
-
-    @staticmethod
-    def scalar_identity(name: str, n: int) -> "MatExpr":
-        """x * I_n for a scalar variable x."""
-        return MatExpr((n, n), np.zeros((n, n)), {(name, 0): np.eye(n)})
-
-    def _map(self, f) -> "MatExpr":
-        const = f(self.const)
-        return MatExpr(const.shape, const, {r: f(c) for r, c in self.coeffs.items()})
-
-    @property
-    def T(self) -> "MatExpr":
-        return self._map(lambda m: m.T.copy())
-
-    def __neg__(self) -> "MatExpr":
-        return self._map(lambda m: -m)
-
-    def __add__(self, other) -> "MatExpr":
-        other = other if isinstance(other, MatExpr) else MatExpr.constant(other)
-        if other.shape != self.shape:
-            raise ValueError(f"shape mismatch in +: {self.shape} vs {other.shape}")
-        coeffs = {r: c.copy() for r, c in self.coeffs.items()}
-        for r, c in other.coeffs.items():
-            coeffs[r] = coeffs[r] + c if r in coeffs else c.copy()
-        return MatExpr(self.shape, self.const + other.const, coeffs)
-
-    def __radd__(self, other) -> "MatExpr":
-        return self.__add__(other)
-
-    def __sub__(self, other) -> "MatExpr":
-        other = other if isinstance(other, MatExpr) else MatExpr.constant(other)
-        return self.__add__(-other)
-
-    def __rsub__(self, other) -> "MatExpr":
-        return (-self).__add__(other)
-
-    def __mul__(self, scalar) -> "MatExpr":
-        s = float(scalar)
-        return self._map(lambda m: s * m)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other) -> "MatExpr":
-        if isinstance(other, MatExpr):
-            raise TypeError("products of two variable expressions are not affine")
-        c = np.atleast_2d(np.asarray(other, dtype=float))
-        if self.shape[1] != c.shape[0]:
-            raise ValueError(f"shape mismatch in @: {self.shape} vs {c.shape}")
-        return self._map(lambda m: m @ c)
-
-    def __rmatmul__(self, other) -> "MatExpr":
-        c = np.atleast_2d(np.asarray(other, dtype=float))
-        if c.shape[1] != self.shape[0]:
-            raise ValueError(f"shape mismatch in @: {c.shape} vs {self.shape}")
-        return self._map(lambda m: c @ m)
-
-    def canonical(self) -> "MatExpr":
-        """The same square expression in canonical form: the constant and
-        every coefficient exactly symmetric, (A + A^T)/2, terms sorted by
-        (variable name, entry index) and zero coefficients dropped, so
-        identical expressions evaluate and vectorize identically.  An
-        expression made by canonical() is returned as it is."""
-        if self._canonical:
-            return self
-        if self.shape[0] != self.shape[1]:
-            raise ValueError(f"constraint expression must be square, got {self.shape}")
-        coeffs = {}
-        for ref in sorted(self.coeffs):
-            coeff = _exact_sym(self.coeffs[ref])
-            if np.any(coeff != 0.0):
-                coeffs[ref] = coeff
-        out = MatExpr(self.shape, _exact_sym(self.const), coeffs)
-        out._canonical = True
-        return out
+    ``linear(*stacks)`` is called once, with one stack per variable (in the
+    order given) along a leading axis: slice k holds the variables' values
+    at the k-th unit entry of them all, the last slice all zero.  Written
+    in numpy operations that broadcast over that axis (``w.swapaxes(-1,
+    -2)`` for a transpose), the formula of a block reads as the block.  The
+    constant and each coefficient are made exactly symmetric, (A + A^T)/2,
+    and zero coefficients are dropped.  ``const`` defaults to zero, and a
+    linear part that is not zero at zero (a constant written into it) or a
+    result that is not square raises ValueError."""
+    total = sum(v.n_entries for v in variables)
+    stacks, refs = [], []
+    for spec in variables:
+        stack = np.zeros((total + 1, spec.rows, spec.cols))
+        k = np.arange(spec.n_entries)
+        place = k * (spec.cols + 1) if spec.kind == DIAGONAL else k
+        stack.reshape(total + 1, -1)[len(refs) + k, place] = 1.0
+        stacks.append(stack)
+        refs += [(spec.name, i) for i in range(spec.n_entries)]
+    lin = np.asarray(linear(*stacks), dtype=float)
+    base = np.zeros(lin.shape[-2:]) if const is None else np.asarray(const, dtype=float)
+    if base.ndim != 2 or base.shape[0] != base.shape[1]:
+        raise ValueError(f"an affine matrix must be square, got shape {base.shape}")
+    lin = np.broadcast_to(lin, (total + 1,) + base.shape)
+    if np.any(lin[total] != 0.0):
+        raise ValueError("the linear part is not zero at zero; "
+                         "its constant belongs in const")
+    sym = (lin[:total] + lin[:total].swapaxes(-1, -2)) / 2.0
+    kept = np.any(sym != 0.0, axis=(1, 2)).tolist()
+    coeffs = {refs[k]: sym[k] for k in sorted(range(total), key=refs.__getitem__) if kept[k]}
+    return Affine(base.shape, (base + base.T) / 2.0, coeffs)
 
 
-def sym_block(rows: list[list]) -> MatExpr:
-    """Assemble a symmetric block matrix from its upper triangle, in
-    canonical form.
+def sym_block(rows: list[list]) -> np.ndarray:
+    """The symmetric block matrix of an upper triangle of blocks, over the
+    leading (stack) axes the blocks broadcast to.
 
-    ``rows[i][j]`` for j >= i gives the (i, j) block as a MatExpr or an
-    array.  Lower triangle entries must be None and are filled with the
-    transposed mirror blocks.
+    ``rows[i][j]`` for j >= i gives the (i, j) block as an array, or None
+    for a zero block above the diagonal.  Blocks below the diagonal must be
+    None and are filled with the transposed mirror blocks.
     """
     nb = len(rows)
     if any(len(r) != nb for r in rows):
         raise ValueError("block description must be a square list of lists")
-
-    def as_expr(b):
-        return b if isinstance(b, MatExpr) else MatExpr.constant(b)
-
     for i in range(nb):
-        for j in range(i):
-            if rows[i][j] is not None:
-                raise ValueError("blocks below the diagonal must be None (mirrored)")
+        if any(rows[i][j] is not None for j in range(i)):
+            raise ValueError("blocks below the diagonal must be None (mirrored)")
         if rows[i][i] is None:
             raise ValueError("diagonal blocks are required")
-
-    sizes = []
-    for i in range(nb):
-        d = as_expr(rows[i][i])
-        if d.shape[0] != d.shape[1]:
-            raise ValueError(f"diagonal block {i} must be square, got {d.shape}")
-        sizes.append(d.shape[0])
-    offs = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-    total = int(offs[-1])
-
-    # the constant (under None) and each coefficient, written into place
-    # block by block, the mirror below the diagonal as the transpose
-    parts: dict[EntryRef | None, np.ndarray] = {None: np.zeros((total, total))}
-    for i in range(nb):
-        for j in range(i, nb):
-            if rows[i][j] is None:
-                continue
-            b = as_expr(rows[i][j])
-            if b.shape != (sizes[i], sizes[j]):
-                raise ValueError(
-                    f"block ({i},{j}) has shape {b.shape}, expected {(sizes[i], sizes[j])}")
-            r, c = slice(offs[i], offs[i + 1]), slice(offs[j], offs[j + 1])
-            for ref, m in ((None, b.const), *b.coeffs.items()):
-                if ref not in parts:
-                    parts[ref] = np.zeros((total, total))
-                parts[ref][r, c] = m
-                if i != j:
-                    parts[ref][c, r] = m.T
-    const = parts.pop(None)
-    return MatExpr((total, total), const, parts).canonical()
+    blocks = {(i, j): np.asarray(b, dtype=float) for i, row in enumerate(rows)
+              for j, b in enumerate(row) if b is not None}
+    sizes = [blocks[i, i].shape[-1] for i in range(nb)]
+    offs = [0, *accumulate(sizes)]
+    lead = np.broadcast_shapes(*(b.shape[:-2] for b in blocks.values()))
+    out = np.zeros(lead + (offs[-1], offs[-1]))
+    for (i, j), b in blocks.items():
+        if b.shape[-2:] != (sizes[i], sizes[j]):
+            raise ValueError(
+                f"block ({i},{j}) has shape {b.shape[-2:]}, expected {(sizes[i], sizes[j])}")
+        r, c = slice(offs[i], offs[i + 1]), slice(offs[j], offs[j + 1])
+        out[..., r, c] = b
+        if i != j:
+            out[..., c, r] = b.swapaxes(-1, -2)
+    return out
 
 
 @dataclass(frozen=True)
 class Constraint:
     """One semidefinite constraint: expr <= -eps*I or expr >= +eps*I.
 
-    The expression is stored in canonical form (MatExpr.canonical), so it
-    must be square.  ``eps=None`` defers to the problem-wide slack; an
-    explicit value (0.0 included) overrides it for this constraint alone.
+    The expression is an `affine` matrix, in its canonical form.
+    ``eps=None`` defers to the problem-wide slack; an explicit value (0.0
+    included) overrides it for this constraint alone.
     """
 
-    expr: MatExpr
+    expr: Affine
     sense: str
     label: str = ""
     eps: float | None = None
@@ -288,7 +208,6 @@ class Constraint:
         # not >=, so that a NaN slack is refused too
         if self.eps is not None and not self.eps >= 0.0:
             raise ValueError("constraint eps must be nonnegative")
-        object.__setattr__(self, "expr", self.expr.canonical())
 
 
 @dataclass(frozen=True)

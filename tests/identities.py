@@ -4,10 +4,13 @@ They restate properties the theory guarantees (the global sector bound of
 the deadzone, the derivative of the quadratic Lyapunov functional, the
 congruence that carries the synthesis boundary block to the analysis one)
 in terms of the library's public functions, so a test can sweep them over
-random inputs.  `expr_value` and `reference_margins` evaluate a problem's
-own expressions, each constraint's sense read from the constraint, so a
-test can hold what `lmi.vectorize` compiled against the expressions it
-came from, and `form_bytes` compares two compiled forms bit for bit;
+random inputs.  `deadzone`, saturate(u) - u, is the nonlinearity of that
+sector bound.  `expr_value` and `reference_margins` evaluate a problem's
+own affine matrices (`lmi.affine`: a constant and one coefficient per
+entry, read off the builder's numpy formula), each constraint's sense read
+from the constraint, so a test can hold what `lmi.vectorize` compiled
+against the matrices it came from, and `form_bytes` compares two compiled
+forms bit for bit;
 `barrier_value` is the matrix the solver's barrier keeps
 positive definite, and `synthesis_point` and `analysis_point` pack a
 certificate into a problem's entry vector.  `paper_synthesis_margins` and
@@ -33,11 +36,10 @@ from hypiss.control import (
     Plant,
     SynthesisCertificate,
     build_synthesis_lmis,
-    deadzone,
     saturate,
 )
 from hypiss.linalg import DiagMatrix, Matrix, SymMatrix, sym_eig
-from hypiss.lmi import LEQ, LmiProblem, MatExpr, StandardBlock, StandardForm, vectorize
+from hypiss.lmi import LEQ, Affine, LmiProblem, StandardBlock, StandardForm, vectorize
 from hypiss.pde import (
     ZERO,
     BlowUpError,
@@ -49,10 +51,16 @@ from hypiss.pde import (
 )
 
 
-def expr_value(expr: MatExpr, sf: StandardForm, x: np.ndarray) -> np.ndarray:
-    """The expression's value at the entry vector x of the standard form:
+def deadzone(u, u_max) -> np.ndarray:
+    """saturate(u) - u; zero inside the linear range."""
+    u = np.asarray(u, dtype=float)
+    return saturate(u, u_max) - u
+
+
+def expr_value(expr: Affine, sf: StandardForm, x: np.ndarray) -> np.ndarray:
+    """The affine matrix's value at the entry vector x of the standard form:
     its constant plus entry times coefficient for each term, summed term by
-    term in the expression's order."""
+    term in the matrix's order."""
     index = {r: i for i, r in enumerate(sf.refs)}
     out = expr.const.copy()
     for ref, coeff in expr.coeffs.items():

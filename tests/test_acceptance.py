@@ -13,7 +13,6 @@ import numpy as np
 
 from hypiss import pde
 from hypiss.control import (
-    deadzone,
     grid_search,
     iss_coefficients,
     saturate,
@@ -24,7 +23,7 @@ from hypiss.control import (
 )
 from hypiss.linalg import DiagMatrix, Matrix, SymMatrix, invert_diag
 from hypiss.pde import Grid, SignalSpec, SimConfig, l2_norm, simulate
-from identities import frechet_check, paper_synthesis_margins, sector_value
+from identities import deadzone, frechet_check, paper_synthesis_margins, sector_value
 
 LYAP_INV = np.array([12.5, 82.0])
 GAIN = np.array([[-0.24, 0.0], [0.33, -0.08]])

@@ -12,7 +12,6 @@ from hypiss.control import (
     build_analysis_lmis,
     build_synthesis_lmis,
     closed_loop_boundary,
-    deadzone,
     grid_search,
     iss_coefficients,
     saturate,
@@ -24,6 +23,7 @@ from hypiss.linalg import DiagMatrix, Matrix, SymMatrix, invert_diag
 from identities import (
     analysis_point,
     congruent_boundary_block,
+    deadzone,
     form_bytes,
     paper_analysis_margins,
     paper_synthesis_margins,

@@ -11,8 +11,8 @@ from hypiss.lmi import (
     LEQ,
     Constraint,
     LmiProblem,
-    MatExpr,
     VarSpec,
+    affine,
     margin,
     sym_block,
     vectorize,
@@ -31,11 +31,10 @@ def _demo_specs():
     )
 
 
-def _coupling(specs):
+def _coupling(g, g12):
     """The symmetric 2x2 coupling of the demo specs: its diagonal g and
     its off-diagonal entry g12."""
-    return (MatExpr.from_var(specs[3])
-            + MatExpr.scalar_identity("g12", 2) @ np.array([[0.0, 1.0], [1.0, 0.0]]))
+    return g + g12 * np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 _DEMO_VALUES = {
@@ -48,20 +47,25 @@ _DEMO_VALUES = {
 }
 
 
+def _constant(a):
+    """The affine matrix on no variable: the constant a alone."""
+    return affine((), lambda: 0.0, const=a)
+
+
 def _block(expr, sense=GEQ, specs=(), eps=0.0):
     """The standard-form block of the one constraint `expr sense eps I`."""
     return vectorize(LmiProblem(specs, (Constraint(expr, sense, eps=eps),))).blocks[0]
 
 
 def _value(expr, specs=(), values=None):
-    """The value of a square expression at the point, as the library
+    """The value of an affine matrix at the point, as the library
     evaluates it: the block of `expr >= 0` at the packed entry vector."""
     sf = vectorize(LmiProblem(specs, (Constraint(expr, GEQ),)))
     return sf.blocks[0].value(sf.pack(values or {}))
 
 
 def _expr_at(expr, specs, values):
-    """The reference value of any expression at the point."""
+    """The reference value of an affine matrix at the point."""
     sf = vectorize(LmiProblem(specs, ()))
     return expr_value(expr, sf, sf.pack(values))
 
@@ -85,27 +89,31 @@ class TestVarSpec:
 
 class TestExpressions:
     def test_constant_expr(self):
-        e = MatExpr.constant(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        e = _constant(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        assert e.coeffs == {}
         m = _value(e)
         assert np.array_equal(m, [[2.0, 1.0], [1.0, 2.0]])
 
     def test_affine_algebra_matches_dense(self):
-        # random affine pipeline evaluated two ways
+        # a random affine formula evaluated two ways; affine keeps its
+        # symmetric part
         rng = np.random.default_rng(3)
         spec = VarSpec.full("w", 2, 3)
         left = rng.standard_normal((4, 2))
         right = rng.standard_normal((3, 4))
         shift = rng.standard_normal((4, 4))
-        e = left @ MatExpr.from_var(spec) @ right + shift
+        e = affine((spec,), lambda w: left @ w @ right, const=shift)
         w = rng.standard_normal((2, 3))
-        assert np.allclose(_expr_at(e, [spec], {"w": w}), left @ w @ right + shift,
+        dense = left @ w @ right + shift
+        assert np.allclose(_expr_at(e, [spec], {"w": w}), (dense + dense.T) / 2.0,
                            atol=1e-13)
 
     def test_affinity_property(self):
         rng = np.random.default_rng(4)
         specs = _demo_specs()
-        q = MatExpr.from_var(specs[0])
-        blk = _block(q @ np.diag([0.5, -0.9]) + _coupling(specs), LEQ, specs[:1] + specs[3:5])
+        e = affine(specs[:1] + specs[3:5],
+                   lambda q, g, g12: q @ np.diag([0.5, -0.9]) + _coupling(g, g12))
+        blk = _block(e, LEQ, specs[:1] + specs[3:5])
         for _ in range(20):
             xa, xb = rng.standard_normal(5), rng.standard_normal(5)
             th = rng.uniform()
@@ -117,7 +125,7 @@ class TestExpressions:
         rng = np.random.default_rng(5)
         spec = VarSpec.full("w", 3, 3)
         c = rng.standard_normal((3, 3))
-        e = c.T @ MatExpr.from_var(spec) @ c
+        e = affine((spec,), lambda w: c.T @ w @ c)
         m = _value(e, [spec], {"w": rng.standard_normal((3, 3))})
         assert np.array_equal(m, m.T)
 
@@ -125,10 +133,10 @@ class TestExpressions:
         # Q*(alpha*I - mu*Lambda) + G at the bundled demo values, against a
         # hand expansion with plain scalar arithmetic
         specs = _demo_specs()
-        q = MatExpr.from_var(specs[0])
         lam = np.array([1.0, math.sqrt(2.0)])
         mu, alpha = 1.0, 0.5
-        expr = q @ np.diag(alpha - mu * lam) + _coupling(specs)
+        expr = affine((specs[0], specs[3], specs[4]),
+                      lambda q, g, g12: q @ np.diag(alpha - mu * lam) + _coupling(g, g12))
         got = _value(expr, specs, _DEMO_VALUES)
         expected = np.array([
             [12.5 * (0.5 - 1.0) + 4.07, 0.195],
@@ -136,10 +144,26 @@ class TestExpressions:
         ])
         assert np.allclose(got, expected, atol=1e-12)
 
-    def test_nonaffine_product_rejected(self):
-        a = MatExpr.from_var(VarSpec.diagonal("q", 2))
-        with pytest.raises(TypeError):
-            a @ a
+    def test_linear_part_is_evaluated_once(self):
+        # one stacked call per affine matrix, not one per entry
+        calls = []
+        specs = _demo_specs()
+
+        def linear(q, s, w, g, g12, c):
+            calls.append(q.shape)
+            return sym_block([[q + _coupling(g, g12), w], [None, s - c * np.eye(2)]])
+
+        e = affine(specs, linear)
+        assert calls == [(13, 2, 2)]
+        assert len(e.coeffs) == 12
+
+    def test_constant_in_the_linear_part_refused(self):
+        spec = VarSpec.diagonal("q", 2)
+        with pytest.raises(ValueError, match="not zero at zero"):
+            affine((spec,), lambda q: q + np.eye(2))
+        with pytest.raises(ValueError, match="not zero at zero"):
+            affine((spec,), lambda q: q * np.nan)
+        assert np.array_equal(affine((spec,), lambda q: q, const=np.eye(2)).const, np.eye(2))
 
 
 class TestSymBlock:
@@ -152,11 +176,22 @@ class TestSymBlock:
         d1 = d1 + d1.T
         d2 = rng.standard_normal((2, 2))
         d2 = d2 + d2.T
-        expr = sym_block([[d1, MatExpr.from_var(spec) + a], [None, d2]])
+        zero = np.zeros((2, 2))
+        expr = affine((spec,), lambda w: sym_block([[zero, w], [None, zero]]),
+                      const=sym_block([[d1, a], [None, d2]]))
         got = _value(expr, [spec], {"w": w})
         top = w + a
         expected = np.block([[d1, top], [top.T, d2]])
         assert np.allclose(got, expected, atol=1e-13)
+
+    def test_broadcasts_over_a_stack(self):
+        rng = np.random.default_rng(7)
+        stack = rng.standard_normal((5, 2, 3))
+        d1, d2 = np.eye(2), 2.0 * np.eye(3)
+        got = sym_block([[d1, stack], [None, d2]])
+        assert got.shape == (5, 5, 5)
+        for one, m in zip(stack, got):
+            assert np.array_equal(m, np.block([[d1, one], [one.T, d2]]))
 
     def test_missing_diagonal_rejected(self):
         with pytest.raises(ValueError):
@@ -166,90 +201,106 @@ class TestSymBlock:
         with pytest.raises(ValueError):
             sym_block([[np.eye(2), None], [np.eye(2), np.eye(2)]])
 
+    def test_block_of_the_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match="block \\(0,1\\)"):
+            sym_block([[np.eye(2), np.ones((1, 3))], [None, np.eye(3)]])
+
 
 class TestMargin:
     def test_scalar_leq_example(self):
-        expr = MatExpr.constant(np.array([[1.0]]))
+        expr = _constant(np.array([[1.0]]))
         eps = 1e-6
         blk = _block(expr, LEQ, eps=eps)
         assert margin(blk, np.zeros(0)) == pytest.approx(-1.0 - eps, abs=1e-15)
 
     def test_zero_matrix_both_senses(self):
-        expr = MatExpr.constant(np.zeros((2, 2)))
+        expr = _constant(np.zeros((2, 2)))
         assert margin(_block(expr, LEQ), np.zeros(0)) == pytest.approx(0.0, abs=1e-15)
         assert margin(_block(expr, GEQ), np.zeros(0)) == pytest.approx(0.0, abs=1e-15)
 
     def test_demo_margin_value(self):
         a = np.diag([6.25, 74.97]) - np.array([[4.07, 0.195], [0.195, 36.3]])
-        expr = MatExpr.constant(a)
+        expr = _constant(a)
         assert margin(_block(expr), np.zeros(0)) == pytest.approx(2.17895, abs=5e-3)
 
     def test_negation_duality(self):
         rng = np.random.default_rng(7)
         spec = VarSpec.full("g", 3, 3)
-        e = MatExpr.from_var(spec) + rng.standard_normal((3, 3)).round(3)
+        c = rng.standard_normal((3, 3)).round(3)
+        e = affine((spec,), lambda g: g, const=c)
+        neg = affine((spec,), lambda g: -g, const=-c)
         x = rng.standard_normal(9)
         for eps in (0.0, 1e-6, 0.1):
             assert margin(_block(e, LEQ, [spec], eps), x) == pytest.approx(
-                margin(_block(-e, GEQ, [spec], eps), x), abs=1e-12)
+                margin(_block(neg, GEQ, [spec], eps), x), abs=1e-12)
 
 
 class TestCanonicalForm:
+    _SPECS = (VarSpec.full("w", 1, 2), VarSpec.scalar("a"), VarSpec.diagonal("g", 3))
+
     def _raw(self):
-        # terms out of order, non-symmetric, and one with a zero coefficient
+        """A constant and coefficients by entry: terms out of order,
+        non-symmetric, and one with a zero coefficient."""
         rng = np.random.default_rng(12)
         coeffs = {("w", 1): rng.standard_normal((3, 3)),
                   ("a", 0): np.zeros((3, 3)),
                   ("g", 2): rng.standard_normal((3, 3)),
                   ("g", 0): rng.standard_normal((3, 3))}
-        return MatExpr((3, 3), rng.standard_normal((3, 3)), coeffs)
+        return rng.standard_normal((3, 3)), coeffs
+
+    def _affine(self, const, coeffs):
+        """The affine matrix const + sum of entry times coefficient, its
+        variables given out of name order."""
+        def linear(w, a, g):
+            entry = {"w": lambda k: w[:, :1, k:k + 1], "a": lambda k: a,
+                     "g": lambda k: g[:, k:k + 1, k:k + 1]}
+            return sum(entry[name](k) * coeff for (name, k), coeff in coeffs.items())
+        return affine(self._SPECS, linear, const=const)
 
     def test_constraint_stores_canonical_form(self):
-        raw = self._raw()
+        const, coeffs = self._raw()
+        raw = self._affine(const, coeffs)
         expr = Constraint(raw, LEQ, "c").expr
+        assert expr is raw
         assert list(expr.coeffs) == [("g", 0), ("g", 2), ("w", 1)]
+        assert expr.shape == (3, 3)
         assert np.array_equal(expr.const, expr.const.T)
-        assert np.array_equal(expr.const, (raw.const + raw.const.T) / 2.0)
+        assert np.array_equal(expr.const, (const + const.T) / 2.0)
         for ref, coeff in expr.coeffs.items():
             assert np.array_equal(coeff, coeff.T)
-            assert np.array_equal(coeff, (raw.coeffs[ref] + raw.coeffs[ref].T) / 2.0)
+            assert np.array_equal(coeff, (coeffs[ref] + coeffs[ref].T) / 2.0)
 
     def test_evaluates_term_by_term_in_sorted_order(self):
-        raw = self._raw()
-        specs = (VarSpec.scalar("a"), VarSpec.diagonal("g", 3), VarSpec.full("w", 1, 2))
-        sf = vectorize(LmiProblem(specs, (Constraint(raw, GEQ, "c"),)))
+        const, coeffs = self._raw()
+        sf = vectorize(LmiProblem(self._SPECS, (Constraint(self._affine(const, coeffs),
+                                                           GEQ, "c"),)))
         values = {"a": [3.0], "g": [0.5, -1.0, 2.0], "w": np.array([[1.5, -0.25]])}
         x = sf.pack(values)
-        m = (raw.const + raw.const.T) / 2.0
-        for ref in sorted(raw.coeffs):
-            m += x[sf.refs.index(ref)] * ((raw.coeffs[ref] + raw.coeffs[ref].T) / 2.0)
+        m = (const + const.T) / 2.0
+        for ref in sorted(coeffs):
+            m += x[sf.refs.index(ref)] * ((coeffs[ref] + coeffs[ref].T) / 2.0)
         got = sf.blocks[0].value(x)
         assert np.array_equal(got, m)
         assert np.array_equal(got, (m + m.T) / 2.0)
-        ref = expr_value(raw, sf, x)
+        ref = const + sum(x[sf.refs.index(r)] * c for r, c in coeffs.items())
         assert np.allclose(got, (ref + ref.T) / 2.0, rtol=0.0, atol=1e-12)
 
-    def test_canonical_form_is_a_fixed_point(self):
-        expr = Constraint(self._raw(), LEQ, "c").expr
-        again = Constraint(expr, LEQ, "c").expr
-        assert list(again.coeffs) == list(expr.coeffs)
-        assert np.array_equal(again.const, expr.const)
-        for ref, coeff in expr.coeffs.items():
-            assert np.array_equal(again.coeffs[ref], coeff)
-
     def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
-            Constraint(MatExpr.constant(np.ones((2, 3))), GEQ, "wide")
+        with pytest.raises(ValueError, match="square"):
+            _constant(np.ones((2, 3)))
+        with pytest.raises(ValueError, match="square"):
+            affine((VarSpec.full("w", 2, 3),), lambda w: w)
 
 
 class TestProblem:
     def _problem(self):
         specs = _demo_specs()
-        q = MatExpr.from_var(specs[0])
+        q, g, g12, c = specs[0], specs[3], specs[4], specs[5]
         cons = (
-            Constraint(q @ np.diag([-0.5, -0.9]) + _coupling(specs), LEQ, "decay"),
-            Constraint(q, GEQ, "q_pos"),
-            Constraint(q - MatExpr.scalar_identity("c", 2), LEQ,
+            Constraint(affine((q, g, g12), lambda q, g, g12: q @ np.diag([-0.5, -0.9])
+                              + _coupling(g, g12)), LEQ, "decay"),
+            Constraint(affine((q,), lambda q: q), GEQ, "q_pos"),
+            Constraint(affine((q, c), lambda q, c: q - c * np.eye(2)), LEQ,
                        "peak_cap", eps=0.0),
         )
         return LmiProblem(specs, cons, objective=((("c", 0), 1.0),))
@@ -259,7 +310,7 @@ class TestProblem:
 
     def test_undeclared_reference_rejected(self):
         spec = VarSpec.diagonal("q", 2)
-        bad = Constraint(MatExpr.scalar_identity("zz", 2), GEQ)
+        bad = Constraint(affine((VarSpec.scalar("zz"),), lambda z: z * np.eye(2)), GEQ)
         with pytest.raises(ValueError):
             LmiProblem((spec,), (bad,))
 
@@ -274,7 +325,7 @@ class TestProblem:
 
     def test_nan_eps_rejected(self):
         with pytest.raises(ValueError, match="constraint eps"):
-            Constraint(MatExpr.constant(np.eye(1)), GEQ, eps=float("nan"))
+            Constraint(_constant(np.eye(1)), GEQ, eps=float("nan"))
         with pytest.raises(ValueError, match="problem eps"):
             LmiProblem((), (), eps=float("nan"))
 
@@ -322,15 +373,13 @@ class TestVectorize:
     def test_round_trip_blockwise(self):
         rng = np.random.default_rng(9)
         specs = _demo_specs()
-        q = MatExpr.from_var(specs[0])
-        w = MatExpr.from_var(specs[2])
-        g = _coupling(specs)
         h = rng.standard_normal((2, 2))
         cons = (
-            Constraint(sym_block([[q @ np.diag([-1.0, -2.0]), h @ w],
-                                  [None, -2.0 * MatExpr.from_var(specs[1])]]), LEQ, "big"),
-            Constraint(g + np.eye(2), GEQ, "g_shift"),
-            Constraint(q - MatExpr.scalar_identity("c", 2), LEQ, "cap"),
+            Constraint(affine(specs[:3], lambda q, s, w: sym_block(
+                [[q @ np.diag([-1.0, -2.0]), h @ w], [None, -2.0 * s]])), LEQ, "big"),
+            Constraint(affine(specs[3:5], _coupling, const=np.eye(2)), GEQ, "g_shift"),
+            Constraint(affine((specs[0], specs[5]), lambda q, c: q - c * np.eye(2)), LEQ,
+                       "cap"),
         )
         prob = LmiProblem(specs, cons, objective=((("c", 0), 1.0),), eps=1e-3)
         sf = vectorize(prob)
@@ -354,11 +403,13 @@ class TestVectorize:
 
     def test_each_block_says_whether_it_is_diagonal(self):
         specs = _demo_specs()
-        q = MatExpr.from_var(specs[0])
-        cons = (Constraint(q, GEQ, "diag"),
-                Constraint(q - MatExpr.scalar_identity("c", 2), LEQ, "cap", eps=0.0),
-                Constraint(_coupling(specs), GEQ, "coupled"),
-                Constraint(q + np.array([[1.0, 0.5], [0.5, 1.0]]), GEQ, "offbase"))
+        q = specs[0]
+        cons = (Constraint(affine((q,), lambda q: q), GEQ, "diag"),
+                Constraint(affine((q, specs[5]), lambda q, c: q - c * np.eye(2)), LEQ, "cap",
+                           eps=0.0),
+                Constraint(affine(specs[3:5], _coupling), GEQ, "coupled"),
+                Constraint(affine((q,), lambda q: q, const=[[1.0, 0.5], [0.5, 1.0]]), GEQ,
+                           "offbase"))
         sf = vectorize(LmiProblem(specs, cons))
         assert [blk.diagonal for blk in sf.blocks] == [True, True, False, False]
 
@@ -366,12 +417,14 @@ class TestVectorize:
 def _restate_problem(rate: float, eps: float = 1e-3) -> LmiProblem:
     """A problem whose constraint "rated" alone depends on rate."""
     specs = _demo_specs()
-    q, s = MatExpr.from_var(specs[0]), MatExpr.from_var(specs[1])
     cons = (
-        Constraint(q - MatExpr.scalar_identity("c", 2), LEQ, "cap", eps=0.0),
-        Constraint(sym_block([[q @ np.diag([rate, 2.0 * rate]), np.eye(2)],
-                              [None, s]]), GEQ, "rated"),
-        Constraint(_coupling(specs), GEQ, "coupled"),
+        Constraint(affine((specs[0], specs[5]), lambda q, c: q - c * np.eye(2)), LEQ, "cap",
+                   eps=0.0),
+        Constraint(affine(specs[:2], lambda q, s: sym_block([[q @ np.diag([rate, 2.0 * rate]),
+                                                              None], [None, s]]),
+                          const=sym_block([[np.zeros((2, 2)), np.eye(2)],
+                                           [None, np.zeros((2, 2))]])), GEQ, "rated"),
+        Constraint(affine(specs[3:5], _coupling), GEQ, "coupled"),
     )
     return LmiProblem(specs, cons, objective=((("c", 0), 1.0),), eps=eps)
 
@@ -397,6 +450,6 @@ class TestRestate:
             lmi.restate(sf, Constraint(con.expr, GEQ, "other"), 1e-3)
         with pytest.raises(ValueError, match="problem eps"):
             lmi.restate(sf, con, float("nan"))
-        stray = MatExpr.scalar_identity("stray", 4)
+        stray = affine((VarSpec.scalar("stray"),), lambda z: z * np.eye(4))
         with pytest.raises(ValueError, match="stray"):
             lmi.restate(sf, Constraint(stray, GEQ, "rated"), 1e-3)

@@ -14,8 +14,8 @@ from hypiss.lmi import (
     LEQ,
     Constraint,
     LmiProblem,
-    MatExpr,
     VarSpec,
+    affine,
     sym_block,
 )
 from hypiss.sdp import Status
@@ -35,7 +35,7 @@ def _stack(forms):
 def _scalar_pos_problem():
     return lmi.vectorize(LmiProblem(
         (VarSpec.scalar("x"),),
-        (Constraint(MatExpr.scalar_identity("x", 1), GEQ, "pos"),)))
+        (Constraint(affine((VarSpec.scalar("x"),), lambda x: x), GEQ, "pos"),)))
 
 
 def _demo_synthesis_problem(mu, alpha, eps=1e-6):
@@ -53,23 +53,25 @@ def _demo_synthesis_problem(mu, alpha, eps=1e-6):
     # the symmetric coupling as its diagonal g and its off-diagonal entry g12
     vg, vg12 = VarSpec.diagonal("g", 2), VarSpec.scalar("g12")
     vc = VarSpec.scalar("c")
-    q, s, w = (MatExpr.from_var(v) for v in (vq, vs, vw))
-    g = MatExpr.from_var(vg) + MatExpr.scalar_identity("g12", 2) @ [[0.0, 1.0], [1.0, 0.0]]
-    boundary = sym_block([
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    boundary = affine((vq, vs, vw), lambda q, s, w: sym_block([
         [-(q @ big_lam_inv), h @ q + b @ w, b @ s],
-        [None, -math.exp(-mu) * (big_lam @ q), -(w.T)],
-        [None, None, -2.0 * s]])
-    coupling = sym_block([[g, nd], [None, np.eye(2)]])
-    decay = q @ np.diag(alpha - mu * lam) + g
-    cap = q - MatExpr.scalar_identity("c", 2)
+        [None, -math.exp(-mu) * (big_lam @ q), -w.swapaxes(-1, -2)],
+        [None, None, -2.0 * s]]))
+    coupling = affine((vg, vg12), lambda g, g12: sym_block([[g + g12 * swap, None],
+                                                            [None, np.zeros((2, 2))]]),
+                      const=sym_block([[np.zeros((2, 2)), nd], [None, np.eye(2)]]))
+    decay = affine((vq, vg, vg12),
+                   lambda q, g, g12: q @ np.diag(alpha - mu * lam) + g + g12 * swap)
+    cap = affine((vq, vc), lambda q, c: q - c * np.eye(2))
     cons = (
         Constraint(boundary, LEQ, "boundary_block"),
         Constraint(coupling, GEQ, "disturbance_block"),
         Constraint(decay, LEQ, "decay_block"),
         Constraint(cap, LEQ, "peak_cap", eps=0.0),
-        Constraint(q, GEQ, "q_pos"),
-        Constraint(s, GEQ, "s_pos"),
-        Constraint(g, GEQ, "coupling_pos"),
+        Constraint(affine((vq,), lambda q: q), GEQ, "q_pos"),
+        Constraint(affine((vs,), lambda s: s), GEQ, "s_pos"),
+        Constraint(affine((vg, vg12), lambda g, g12: g + g12 * swap), GEQ, "coupling_pos"),
     )
     return lmi.vectorize(LmiProblem((vq, vs, vw, vg, vg12, vc), cons,
                                     objective=((("c", 0), 1.0),), eps=eps))
@@ -79,12 +81,11 @@ def _free_entry_problem(objective: str):
     """min c or min y with [[c, 1], [1, c]] >= 0 and c <= 2: no constraint
     touches y."""
     vc, vy = VarSpec.scalar("c"), VarSpec.scalar("y")
-    c = MatExpr.from_var(vc)
-    one = np.array([[1.0]])
     return lmi.vectorize(LmiProblem(
         (vc, vy),
-        (Constraint(sym_block([[c, one], [None, c]]), GEQ, "hyperbola", eps=0.0),
-         Constraint(c - 2.0 * one, LEQ, "cap", eps=0.0)),
+        (Constraint(affine((vc,), lambda c: sym_block([[c, None], [None, c]]),
+                           const=[[0.0, 1.0], [1.0, 0.0]]), GEQ, "hyperbola", eps=0.0),
+         Constraint(affine((vc,), lambda c: c, const=[[-2.0]]), LEQ, "cap", eps=0.0)),
         objective=(((objective, 0), 1.0),)))
 
 
@@ -94,36 +95,33 @@ def _tiny_entry_problem(objective: str):
     so phase 2's Schur complement has a zero row for c and no Cholesky
     factor, while phase 1's box rows keep that row positive."""
     vc, vy = VarSpec.scalar("c"), VarSpec.scalar("y")
-    c, y = MatExpr.from_var(vc), MatExpr.from_var(vy)
-    one = np.array([[1.0]])
     return lmi.vectorize(LmiProblem(
         (vc, vy),
-        (Constraint(sym_block([[y + 1e-200 * c, one], [None, y]]), GEQ, "hyperbola", eps=0.0),
-         Constraint(y - 2.0 * one, LEQ, "cap", eps=0.0)),
+        (Constraint(affine((vc, vy), lambda c, y: sym_block([[y + 1e-200 * c, None], [None, y]]),
+                           const=[[0.0, 1.0], [1.0, 0.0]]), GEQ, "hyperbola", eps=0.0),
+         Constraint(affine((vy,), lambda y: y, const=[[-2.0]]), LEQ, "cap", eps=0.0)),
         objective=(((objective, 0), 1.0),)))
 
 
 def _hyperbola_problem():
     """min c with [[c, 1], [1, y]] >= 0 and y <= 2: c y >= 1, optimum 1/2."""
     vc, vy = VarSpec.scalar("c"), VarSpec.scalar("y")
-    c = MatExpr.from_var(vc)
-    y = MatExpr.from_var(vy)
-    one = np.array([[1.0]])
     return lmi.vectorize(LmiProblem(
         (vc, vy),
-        (Constraint(sym_block([[c, one], [None, y]]), GEQ, "hyperbola", eps=0.0),
-         Constraint(y - 2.0 * one, LEQ, "cap", eps=0.0)),
+        (Constraint(affine((vc, vy), lambda c, y: sym_block([[c, None], [None, y]]),
+                           const=[[0.0, 1.0], [1.0, 0.0]]), GEQ, "hyperbola", eps=0.0),
+         Constraint(affine((vy,), lambda y: y, const=[[-2.0]]), LEQ, "cap", eps=0.0)),
         objective=((("c", 0), 1.0),)))
 
 
 def _rows_only_problem(objective, floor=1.0):
     """x >= floor, y >= 0 and x + y >= 3: rows only, no dense block."""
     vx, vy = VarSpec.scalar("x"), VarSpec.scalar("y")
-    x, y = MatExpr.from_var(vx), MatExpr.from_var(vy)
     return lmi.vectorize(LmiProblem((vx, vy), (
-        Constraint(x - np.array([[floor]]), GEQ, "x", eps=0.0),
-        Constraint(y, GEQ, "y", eps=0.0),
-        Constraint(x + y - np.array([[3.0]]), GEQ, "sum", eps=0.0)), objective=objective))
+        Constraint(affine((vx,), lambda x: x, const=[[-floor]]), GEQ, "x", eps=0.0),
+        Constraint(affine((vy,), lambda y: y), GEQ, "y", eps=0.0),
+        Constraint(affine((vx, vy), lambda x, y: x + y, const=[[-3.0]]), GEQ, "sum",
+                   eps=0.0)), objective=objective))
 
 
 def _phase1(sf):
@@ -146,11 +144,11 @@ class TestFeasibility:
         assert _worst_margin(prob, x) >= -1e-9
 
     def test_contradictory_pair(self):
-        x = MatExpr.scalar_identity("x", 1)
+        vx = VarSpec.scalar("x")
         prob = lmi.vectorize(LmiProblem(
-            (VarSpec.scalar("x"),),
-            (Constraint(x, GEQ, "pos"),
-             Constraint(x + np.array([[1.0]]), LEQ, "neg")),
+            (vx,),
+            (Constraint(affine((vx,), lambda x: x), GEQ, "pos"),
+             Constraint(affine((vx,), lambda x: x, const=[[1.0]]), LEQ, "neg")),
             objective=((("x", 0), 1.0),)))
         sol = sdp.minimize(prob)
         assert sol.status is Status.INFEASIBLE
@@ -165,15 +163,17 @@ class TestFeasibility:
         # x = y = 1): phase 1 settles at a slack optimum of 0, which is no
         # verdict either way
         vx, vy = VarSpec.scalar("x"), VarSpec.scalar("y")
-        x, y = MatExpr.from_var(vx), MatExpr.from_var(vy)
-        one = np.array([[1.0]])
+        x = affine((vx,), lambda x: x)
         if problem == "rows":
             specs = (vx,)
             cons = (Constraint(x, GEQ, "pos", eps=0.0), Constraint(x, LEQ, "neg", eps=0.0))
         else:
             specs = (vx, vy)
-            cons = (Constraint(sym_block([[x, one], [None, y]]), GEQ, "hyperbola", eps=0.0),
-                    Constraint(x + y - 2.0 * one, LEQ, "sum", eps=0.0))
+            hyperbola = affine((vx, vy), lambda x, y: sym_block([[x, None], [None, y]]),
+                               const=[[0.0, 1.0], [1.0, 0.0]])
+            cons = (Constraint(hyperbola, GEQ, "hyperbola", eps=0.0),
+                    Constraint(affine((vx, vy), lambda x, y: x + y, const=[[-2.0]]), LEQ,
+                               "sum", eps=0.0))
         prob = lmi.vectorize(LmiProblem(specs, cons, objective=((("x", 0), 1.0),)))
         assert (_stack([prob]).dims == ()) == (problem == "rows")
         sol = sdp.minimize(prob)
@@ -203,11 +203,10 @@ class TestMinimize:
     def test_peak_of_bounded_diagonal(self):
         # min c with q >= I and q <= c I: optimum c = 1
         vq, vc = VarSpec.diagonal("q", 2), VarSpec.scalar("c")
-        q = MatExpr.from_var(vq)
         prob = lmi.vectorize(LmiProblem(
             (vq, vc),
-            (Constraint(q - np.eye(2), GEQ, "floor"),
-             Constraint(q - MatExpr.scalar_identity("c", 2), LEQ,
+            (Constraint(affine((vq,), lambda q: q, const=-np.eye(2)), GEQ, "floor"),
+             Constraint(affine((vq, vc), lambda q, c: q - c * np.eye(2)), LEQ,
                         "cap", eps=0.0)),
             objective=((("c", 0), 1.0),)))
         sol = sdp.minimize(prob)
@@ -216,8 +215,9 @@ class TestMinimize:
 
     def test_correlation_corner(self):
         # min x with [[1, x], [x, 1]] >= eps I: optimum -1
-        x = MatExpr.from_var(VarSpec.scalar("x"))
-        e = sym_block([[np.array([[1.0]]), x], [None, np.array([[1.0]])]])
+        e = affine((VarSpec.scalar("x"),),
+                   lambda x: sym_block([[np.zeros((1, 1)), x], [None, np.zeros((1, 1))]]),
+                   const=np.eye(2))
         prob = lmi.vectorize(LmiProblem((VarSpec.scalar("x"),),
                                         (Constraint(e, GEQ, "corr"),),
                                         objective=((("x", 0), 1.0),)))
@@ -234,7 +234,7 @@ class TestMinimize:
         oracle = min(feas)
         assert oracle == pytest.approx(3.0, abs=1e-4)
 
-        e = MatExpr.scalar_identity("lam", 2) + a
+        e = affine((VarSpec.scalar("lam"),), lambda lam: lam * np.eye(2), const=a)
         prob = lmi.vectorize(LmiProblem((VarSpec.scalar("lam"),),
                                         (Constraint(e, GEQ, "shift", eps=0.0),),
                                         objective=((("lam", 0), 1.0),)))
@@ -252,8 +252,8 @@ class TestMinimize:
         # leaves the phase-1 box, not when the step budget runs out; min x
         # alone constrains nothing, so phase 2 has no cone to step in and
         # ends where it starts, with a zero gap
-        x = MatExpr.scalar_identity("x", 1)
-        cons = (Constraint(x - np.array([[1.0]]), LEQ, "cap"),) if bounded_above else ()
+        x = affine((VarSpec.scalar("x"),), lambda x: x, const=[[-1.0]])
+        cons = (Constraint(x, LEQ, "cap"),) if bounded_above else ()
         prob = LmiProblem((VarSpec.scalar("x"),), cons, objective=((("x", 0), 1.0),))
         sol = sdp.minimize(lmi.vectorize(prob))
         assert sol.status is Status.NUMERICAL_FAILURE

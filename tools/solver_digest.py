@@ -17,8 +17,17 @@ any split of the grid, and the probe sets need not cover batch layouts.
 
     PYTHONPATH=src python tools/solver_digest.py
 
-Output: one line per probe set, `name solver-cells sha1`.  Uses numpy and
-hypiss only; the whole run takes about ten seconds on one core.
+Output: one line per probe set, `name solver-cells sha1`, then the line
+`forms 44 sha1` over the compiled problems themselves, with no solver: the
+synthesis and analysis forms (`lmi.vectorize`) of the demo plant and the
+seeded plants n = 1..10, at two weights each, the analysis at a seeded gain.
+It digests each form's entry vector and each block's label, size, slack,
+entries, base and coefficients, the arrays plus 0.0, so that the sign of a
+zero does not count: no reader of a form sees it (the solver meets the
+coefficients only in sums, and `linalg.sym_eig` clears it).  A change to
+how problems are posed that keeps every compiled value keeps this line.
+Uses numpy and hypiss only; the whole run takes about ten seconds on one
+core.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ import math
 
 import numpy as np
 
-from hypiss import control, sdp
+from hypiss import control, lmi, sdp
 from hypiss.control import Plant, SynthesisError
 from hypiss.linalg import DiagMatrix, Matrix
 
@@ -127,6 +136,27 @@ PROBES = (("demo-grid", _demo_grid), ("demo-synth", _demo_synth),
           ("probe-grids", _probe_grids), ("n10-grid", _n10_grid))
 
 
+def _forms() -> tuple[int, str]:
+    """The count and sha1 of the compiled synthesis and analysis forms (see
+    the module docstring)."""
+    h, count = hashlib.sha1(), 0
+    plants = [_demo()] + [_seeded(np.random.default_rng(n), n) for n in range(1, 11)]
+    for i, plant in enumerate(plants):
+        low = float(np.min(plant.speeds.diagonal))
+        gain = Matrix(np.random.default_rng(100 + i).standard_normal((plant.m, plant.n)))
+        for mu, alpha in ((1.0, 0.5 * low), (0.5, 0.1 * low)):
+            for problem in (control.build_synthesis_lmis(plant, mu, alpha),
+                            control.build_analysis_lmis(plant, gain, mu, alpha)):
+                sf = lmi.vectorize(problem)
+                h.update(repr(sf.refs).encode())
+                for blk in sf.blocks:
+                    h.update(repr((blk.label, blk.dim, blk.eps, blk.idx.tolist())).encode())
+                    h.update((blk.base + 0.0).tobytes())
+                    h.update((blk.coeffs + 0.0).tobytes())
+                count += 1
+    return count, h.hexdigest()
+
+
 def _digest(solution: sdp.Solution, h) -> None:
     h.update(repr((solution.status.value, solution.newton_steps, solution.gap,
                    solution.phase1_slack, solution.objective)).encode())
@@ -152,6 +182,7 @@ def main() -> None:
         finally:
             sdp.minimize_batch = solve
         print(f"{name} {count} {h.hexdigest()}", flush=True)
+    print("forms %d %s" % _forms(), flush=True)
 
 
 if __name__ == "__main__":

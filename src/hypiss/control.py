@@ -14,6 +14,13 @@ K lyap_inv.  So a certificate is re-checked on both sides without a
 solver: its margins are evaluated at its own point in the synthesis
 problem, and at P = lyap_inv^-1, T = sector_inv^-1 in the analysis one.
 
+The solver decides on the projection of the synthesis problem onto
+(lyap_inv, peak) alone (`build_projected_lmis`): it is feasible exactly
+when the full one is, with the same optimal peak.  The gain then comes in
+closed form from a stated rule at the certified lyap_inv (`gain_rule`),
+and the full synthesis inequalities (`build_synthesis_lmis`) are only
+re-checked, at the point they complete, never solved.
+
 Both problems are posed without the paper's coupling matrix (G, Gamma),
 whose disturbance and decay blocks merge into one (`build_synthesis_lmis`);
 a certificate carries a closed-form G that no check reads (`_certificate`).
@@ -53,7 +60,8 @@ from .linalg import (
 
 class SynthesisError(Exception):
     """Base class for design failures; carries the solver's best effort and
-    the standard form it was solving, when there was one."""
+    the standard form it was solving (the projected one,
+    `build_projected_lmis`), when there was one."""
 
     def __init__(self, message: str, solution: sdp.Solution | None = None,
                  form: lmi.StandardForm | None = None):
@@ -143,8 +151,10 @@ class SynthesisCertificate:
     closed form from the point (`_certificate`) and read by no check, peak
     an upper bound on the largest eigenvalue of lyap_inv that the design
     minimized, eps the strictness slack the inequalities were posed with, and
-    solution the solver's outcome the certificate was read from.  A
-    certificate read back from a file has margins {} and solution None.
+    solution the solver's outcome on the projected problem, whose lyap_inv
+    and peak the certificate carries; sector_inv and gain_scaled come from
+    `gain_rule`.  A certificate read back from a file has margins {} and
+    solution None.
     """
 
     lyap_inv: DiagMatrix
@@ -182,14 +192,17 @@ class WellPosednessConstants:
 class GridCell:
     """The design at one (mu, alpha) weight of a grid sweep.
 
-    peak is the solver's optimum c, the bound on the largest entry of
-    lyap_inv, and gamma = sqrt(c) e^{mu/2} the disturbance gain it implies.
+    peak is the solver's optimum c of the projected problem
+    (`build_projected_lmis`), the bound on the largest entry of lyap_inv,
+    and gamma = sqrt(c) e^{mu/2} the disturbance gain it implies.  A
+    "feasible" cell is one whose completion (Q, eps I, 0, c) passed the
+    re-check in the full synthesis form.
     A certificate states gamma from the weight itself,
     sqrt(max lyap_inv) e^{mu/2}.  Its check lets max lyap_inv exceed c by
     at most 1e-9 max(1, c), so for c >= 1/2 that gamma is at most this one
     times 1 + 1e-9; on the demo grid the two agree to about 1e-10
-    relative.  solution is the solver's outcome at the cell, None for a
-    cell that never reached the solver.  reason says why a "failed" cell
+    relative.  solution is the solver's outcome on the cell's projected
+    problem, None for a cell that never reached the solver.  reason says why a "failed" cell
     failed, and why an "infeasible" cell past the decay bound
     (`_decay_bound`) is infeasible; it is None for the solver's verdicts.
     """
@@ -264,6 +277,31 @@ _VQ, _VS, _VW, _VC = "lyap_inv", "sector_inv", "gain_scaled", "peak"
 _VP, _VT, _VX = "lyap", "sector", "supply_sq"
 
 
+def _boundary(plant: Plant, mu: float):
+    """boundary_block of the synthesis inequalities as a formula over
+    lyap_inv Q, sector_inv S and gain_scaled W, matrices or stacks of them:
+    [[-Q Lambda^-1, H Q + B W, B S], [., -e^{-mu} Lambda Q, -W^T],
+    [., ., -2 S]], posed <= -eps I."""
+    lam = plant.speeds.diagonal
+    big_lam, big_lam_inv = np.diag(lam), np.diag(1.0 / lam)
+    h, b = plant.reflection.array, plant.input_map.array
+    return lambda q, s, w: lmi.sym_block([
+        [-(q @ big_lam_inv), h @ q + b @ w, b @ s],
+        [None, -math.exp(-mu) * (big_lam @ q), -w.swapaxes(-1, -2)],
+        [None, None, -2.0 * s]])
+
+
+def _common(plant: Plant, mu: float, alpha: float, eps: float) -> tuple[lmi.Constraint, ...]:
+    """The blocks the full and the projected synthesis problems share:
+    disturbance_decay_block, peak_cap (posed with eps 0) and q_pos."""
+    n = plant.n
+    vq, vc = lmi.VarSpec.diagonal(_VQ, n), lmi.VarSpec.scalar(_VC)
+    return (_disturbance_decay(plant, mu, alpha, eps),
+            lmi.Constraint(lmi.affine((vq, vc), lambda q, c: q - c * np.eye(n)), lmi.LEQ,
+                           "peak_cap", eps=0.0),
+            lmi.Constraint(lmi.affine((vq,), lambda q: q), lmi.GEQ, "q_pos"))
+
+
 def build_synthesis_lmis(plant: Plant, mu: float, alpha: float,
                          eps: float = lmi.DEFAULT_EPS) -> lmi.LmiProblem:
     """Convexified gain-design inequalities for the given weights.
@@ -271,7 +309,9 @@ def build_synthesis_lmis(plant: Plant, mu: float, alpha: float,
     Decision variables: diagonal lyap_inv (inverse Lyapunov weight),
     diagonal sector_inv (inverse sector multiplier), full gain_scaled
     (gain times lyap_inv), and the scalar peak bounding lyap_inv's largest
-    eigenvalue, which is also the objective.
+    eigenvalue, which is also the objective.  No solver is given this
+    problem: `synthesize` and `grid_search` solve its projection
+    (`build_projected_lmis`) and re-check a point of this one.
 
     The paper's coupling G enters only the disturbance block [[G, N],
     [N^T, I]] >= eps I, the decay block Q diag(alpha - mu lambda) + G <=
@@ -286,40 +326,135 @@ def build_synthesis_lmis(plant: Plant, mu: float, alpha: float,
     if mu <= 0.0 or alpha <= 0.0:
         raise ValueError("mu and alpha must be positive")
     n, m = plant.n, plant.m
-    lam = plant.speeds.diagonal
-    big_lam = np.diag(lam)
-    big_lam_inv = np.diag(1.0 / lam)
-    h = plant.reflection.array
-    b = plant.input_map.array
-
     vq = lmi.VarSpec.diagonal(_VQ, n)
     vs = lmi.VarSpec.diagonal(_VS, m)
     vw = lmi.VarSpec.full(_VW, m, n)
     vc = lmi.VarSpec.scalar(_VC)
-
-    boundary = lmi.affine((vq, vs, vw), lambda q, s, w: lmi.sym_block([
-        [-(q @ big_lam_inv), h @ q + b @ w, b @ s],
-        [None, -math.exp(-mu) * (big_lam @ q), -w.swapaxes(-1, -2)],
-        [None, None, -2.0 * s]]))
-    cap = lmi.affine((vq, vc), lambda q, c: q - c * np.eye(n))
-
     constraints = (
-        lmi.Constraint(boundary, lmi.LEQ, "boundary_block"),
-        _disturbance_decay(plant, mu, alpha, eps),
-        lmi.Constraint(cap, lmi.LEQ, "peak_cap", eps=0.0),
-        lmi.Constraint(lmi.affine((vq,), lambda q: q), lmi.GEQ, "q_pos"),
+        lmi.Constraint(lmi.affine((vq, vs, vw), _boundary(plant, mu)), lmi.LEQ,
+                       "boundary_block"),
+        *_common(plant, mu, alpha, eps),
         lmi.Constraint(lmi.affine((vs,), lambda s: s), lmi.GEQ, "s_pos"),
     )
     return lmi.LmiProblem((vq, vs, vw, vc), constraints,
                           objective=(((_VC, 0), 1.0),), eps=eps)
 
 
+def build_projected_lmis(plant: Plant, mu: float, alpha: float,
+                         eps: float = lmi.DEFAULT_EPS) -> lmi.LmiProblem:
+    """The synthesis inequalities projected onto lyap_inv Q and peak c:
+    the problem the solver decides, in n + 1 entries.
+
+    open_loop_block, OL(Q) + eps diag(B B^T, 0) <= -eps I with the
+    open-loop block OL(Q) = [[-Q Lambda^-1, H Q], [Q H^T, -e^{-mu} Lambda
+    Q]], replaces boundary_block; disturbance_decay_block, peak_cap and
+    q_pos are those of `build_synthesis_lmis`.  The two problems are
+    feasible together and have the same optimal c (the projection lemma:
+    Gahinet & Apkarian, *Int. J. Robust Nonlinear Control* 4, 1994):
+
+    - W enters boundary_block as U W V^T + (U W V^T)^T, with U = [B; 0;
+      -I] and V = [0; I; 0].  N_E = [[I, 0], [0, I], [B^T, 0]] spans the
+      kernel of U^T, and N_E^T block N_E = OL(Q), free of S and W.  So a
+      point of the full problem has OL(Q) <= -eps N_E^T N_E = -eps I -
+      eps diag(B B^T, 0): its (Q, c) is a point of this one.
+    - Conversely, take W = 0 and S = eps I.  The block's last row and
+      column are then [eps B; 0; -2 eps I], and by the Schur complement
+      in its -2 eps I + eps I = -eps I corner (Boyd et al., 1994, section
+      2.1) the block is <= -eps I exactly when OL(Q) + eps I + eps
+      diag(B B^T, 0) <= 0, which is open_loop_block; s_pos holds with
+      margin 0.  So (Q, eps I, 0, c), the completion, is a point of the
+      full problem whenever (Q, c) is one of this.
+    """
+    if mu <= 0.0 or alpha <= 0.0:
+        raise ValueError("mu and alpha must be positive")
+    n = plant.n
+    lam = plant.speeds.diagonal
+    big_lam, big_lam_inv = np.diag(lam), np.diag(1.0 / lam)
+    h, b = plant.reflection.array, plant.input_map.array
+    vq = lmi.VarSpec.diagonal(_VQ, n)
+    open_loop = lmi.affine((vq,), lambda q: lmi.sym_block([
+        [-(q @ big_lam_inv), h @ q],
+        [None, -math.exp(-mu) * (big_lam @ q)]]),
+        const=lmi.sym_block([[eps * (b @ b.T), None], [None, np.zeros((n, n))]]))
+    constraints = (lmi.Constraint(open_loop, lmi.LEQ, "open_loop_block"),
+                   *_common(plant, mu, alpha, eps))
+    return lmi.LmiProblem((vq, lmi.VarSpec.scalar(_VC)), constraints,
+                          objective=(((_VC, 0), 1.0),), eps=eps)
+
+
+# sector scales sigma at which gain_rule evaluates boundary_block
+_RULE_SIGMAS = 48
+
+
+def gain_rule(plant: Plant, lyap_inv: DiagMatrix, mu: float,
+              eps: float = lmi.DEFAULT_EPS) -> tuple[float, Matrix]:
+    """The sector scale sigma and gain_scaled W that the design takes at a
+    certified lyap_inv Q: sector_inv S = sigma I and W = W*(sigma), so the
+    gain is K = W Q^-1.
+
+    Lemma.  Fix Q and S, and take boundary_block's rows and columns 1 and
+    3 as A = [[-Q Lambda^-1, B S], [S B^T, -2 S]], with R = -(A + eps I),
+    which does not depend on W.  Their coupling to rows 2 is C0 + U W, with
+    U = [B; -I] and C0 = [H Q; 0].  By the Schur complement the block is
+    <= -eps I exactly when R > 0 and -e^{-mu} Lambda Q + eps I + (C0 +
+    U W)^T R^-1 (C0 + U W) <= 0.  U has full column rank, and
+    W* = -(U^T R^-1 U)^-1 U^T R^-1 C0 minimizes that quadratic in the
+    Loewner order: by the normal equations the cross terms vanish, and it
+    is its value at W* plus (W - W*)^T U^T R^-1 U (W - W*).  So the block
+    holds at W* whenever it holds at any W, for that (Q, S).  At S = eps I
+    it holds at W = 0 once open_loop_block does (`build_projected_lmis`),
+    so it holds at W*(eps).  (Skelton, Iwasaki & Grigoriadis, *A Unified
+    Algebraic Approach to Linear Control Design*, 1998, give every
+    solution of this elimination problem; W* is the simplest.)
+
+    With S = sigma I, write P~ = Q Lambda^-1 - eps I (diagonal), M = B^T
+    P~^-1 B and Sigma = (2 sigma - eps) I - sigma^2 M, the Schur
+    complement of P~ in R.  Block inversion of R gives U^T R^-1 U =
+    Sigma^-1 (I - eps M) and U^T R^-1 C0 = (sigma - eps) Sigma^-1 B^T P~^-1
+    H Q, so W*(sigma) = -(sigma - eps) (I - eps M)^-1 B^T P~^-1 H Q: one
+    m x m solve serves every sigma, and W*(eps) = 0.
+
+    Rule.  R > 0 needs P~ > 0 and Sigma > 0, so sigma < 2 / max_j M_jj.
+    The rule evaluates boundary_block's margin at (Q, sigma I, W*(sigma))
+    for 48 sigma spaced logarithmically from eps up to that bound (from
+    1e-12 of it when eps is smaller), in one stacked eigvalsh, and takes
+    half of the largest sigma whose margin is at least 0, floored at the
+    lowest sigma.  At the projected optimum the block has no room beyond
+    rounding for any (S, W), and half of the largest passing sigma keeps
+    the margins at that level.  When P~ is not positive definite or B = 0
+    no sigma beyond eps can help, and the rule takes sigma = eps, W = 0.
+    """
+    q = lyap_inv.diagonal
+    n, m = plant.n, plant.m
+    lam = plant.speeds.diagonal
+    h, b = plant.reflection.array, plant.input_map.array
+    p_tilde = q / lam - eps
+    if not np.all(p_tilde > 0.0):
+        return eps, Matrix(np.zeros((m, n)))
+    pb = b / p_tilde[:, None]                     # P~^-1 B
+    mm = b.T @ pb
+    reach = float(np.max(np.diagonal(mm)))
+    if not reach > 0.0:
+        return eps, Matrix(np.zeros((m, n)))
+    w_unit = -np.linalg.solve(np.eye(m) - eps * mm, (pb.T @ h) * q)
+    top = 2.0 / reach
+    low = max(eps, 1e-12 * top)
+    sigmas = low * (top / low) ** np.linspace(0.0, 1.0, _RULE_SIGMAS)
+    s = sigmas[:, None, None]
+    blocks = _boundary(plant, mu)(np.diag(q), s * np.eye(m), (s - eps) * w_unit)
+    margins = -np.linalg.eigvalsh(blocks)[:, -1] - eps
+    passing = np.flatnonzero(margins >= 0.0)
+    sigma = max(float(sigmas[passing[-1]]) / 2.0, float(sigmas[0])) if passing.size \
+        else float(sigmas[0])
+    return sigma, Matrix((sigma - eps) * w_unit)
+
+
 def _disturbance_decay(plant: Plant, mu: float, alpha: float, eps: float) -> lmi.Constraint:
     """disturbance_decay_block of the synthesis inequalities,
     [[Q diag(mu lambda - alpha) - eps I, N], [N^T, I]] >= eps I: the one
-    block that depends on alpha, and the only place it is posed, for
-    build_synthesis_lmis and for the cells of grid_search that restate
-    their row's form."""
+    block that depends on alpha, and the only place it is posed, for both
+    synthesis builders and for the cells of grid_search that restate
+    their row's forms."""
     n = plant.n
     # mu lambda - alpha, the negation of _decay_bound's alpha - mu lambda
     rate = np.diag(-(alpha - mu * plant.speeds.diagonal))
@@ -390,17 +525,21 @@ def synthesis_margins(plant: Plant, cert: SynthesisCertificate) -> dict[str, flo
 
 
 def _verdict(sf: lmi.StandardForm, solution: sdp.Solution, mu: float, alpha: float,
+             check: tuple[lmi.StandardForm, np.ndarray] | None,
              rechecked: list[float] | ConvergenceError | None) -> dict[str, float]:
-    """The margins, by label, of one solved design at (mu, alpha) that
-    they certify, given the re-checked margins of its point (None unless it
-    is OPTIMAL) or the error that stopped the re-check.
+    """The margins, by label, of one design at (mu, alpha) that they
+    certify: the solver's outcome on its projected form sf, and check, the
+    full synthesis form and the point of it to certify (None unless the
+    outcome is OPTIMAL), with that point's re-checked margins or the error
+    that stopped the re-check.
 
-    Raises InfeasibleError or SolverFailureError unless the solver reached
-    an optimum whose x passes the re-check: every inequality's margin at
-    least -1e-9, and then the peak guard, max lyap_inv at most peak +
-    1e-9 max(1, |peak|).  The guard is a second line of defence: peak_cap
-    is posed with eps = 0, so its margin is peak - max lyap_inv, and an
-    honest re-check has already refused every point the guard would refuse.
+    Raises InfeasibleError or SolverFailureError, carrying the solution and
+    sf, unless the solver reached an optimum whose point passes the
+    re-check: every inequality's margin at least -1e-9, and then the peak
+    guard, max lyap_inv at most peak + 1e-9 max(1, |peak|).  The guard is
+    a second line of defence: peak_cap is posed with eps = 0, so its margin
+    is peak - max lyap_inv, and an honest re-check has already refused
+    every point the guard would refuse.
     """
     if solution.status is sdp.Status.INFEASIBLE:
         raise InfeasibleError(
@@ -415,14 +554,15 @@ def _verdict(sf: lmi.StandardForm, solution: sdp.Solution, mu: float, alpha: flo
         raise SolverFailureError(
             f"margins could not be re-checked at mu={mu}, alpha={alpha}: "
             f"{_failure(rechecked)}", solution, sf) from rechecked
+    full, x = check
     # margins first: a point they reject may not have lyap_inv > 0
-    margins = {blk.label: v for blk, v in zip(sf.blocks, rechecked)}
+    margins = {blk.label: v for blk, v in zip(full.blocks, rechecked)}
     worst = min(margins.values())
     if worst < -1e-9:
         raise SolverFailureError(
             f"re-checked margins dip to {worst:.3e}; refusing to certify",
             solution, sf)
-    values = sf.unpack(solution.x)
+    values = full.unpack(x)
     peak = float(values[_VC][0, 0])
     qmax = float(np.max(np.diagonal(values[_VQ])))
     if qmax > peak + 1e-9 * max(1.0, abs(peak)):
@@ -432,11 +572,12 @@ def _verdict(sf: lmi.StandardForm, solution: sdp.Solution, mu: float, alpha: flo
     return margins
 
 
-def _certificate(plant: Plant, sf: lmi.StandardForm, solution: sdp.Solution,
-                 mu: float, alpha: float, eps: float,
+def _certificate(plant: Plant, full: lmi.StandardForm, x: np.ndarray,
+                 solution: sdp.Solution, mu: float, alpha: float, eps: float,
                  margins: dict[str, float]) -> SynthesisCertificate:
     """The certificate of one design of the plant at (mu, alpha), posed
-    with slack eps, whose margins `_verdict` passed.
+    with slack eps: the point x of its full synthesis form, whose margins
+    `_verdict` passed, and the projected solve it came from.
 
     The paper's coupling is rebuilt as G = diag(q (mu lambda - alpha)) -
     (eps + m/2) I, m the re-checked margin of disturbance_decay_block (so
@@ -446,7 +587,7 @@ def _certificate(plant: Plant, sf: lmi.StandardForm, solution: sdp.Solution,
     by interlacing) minus (m/2) I, so each keeps a margin of at least m/2,
     up to the rounding of forming G.
     """
-    values = sf.unpack(solution.x)
+    values = full.unpack(x)
     q, s = (DiagMatrix(np.diagonal(values[v])) for v in (_VQ, _VS))
     w = Matrix(values[_VW])
     rate = -(alpha - mu * plant.speeds.diagonal)
@@ -466,51 +607,88 @@ def _certificate(plant: Plant, sf: lmi.StandardForm, solution: sdp.Solution,
 
 
 def _certify(designs) -> list:
-    """The verdict of each solved design (sf, solution, mu, alpha): its
-    margins, by label, or the SynthesisError that refuses it (see
-    `_verdict`).  Once per call, the margins of every OPTIMAL design are
-    recomputed at its x in one stacked call, `lmi.margins_batch`, each the
-    same bits as `lmi.problem_margins` of its own design; with no OPTIMAL
-    design there is no call.  A re-check that raises ConvergenceError fails
-    every OPTIMAL design of the batch with a SolverFailureError that
-    carries its message.  Once per design, its verdict is read from them.
-    No certificate is built here: `synthesize` builds its design's, and
-    `grid_search` its best cell's (`_certificate`).  This is the one place
-    the solver's answer is checked.
+    """The verdict of each solved design (sf, solution, mu, alpha, check),
+    check the full synthesis form and its point to certify, None unless
+    the solution is OPTIMAL: the point's margins, by label, or the
+    SynthesisError that refuses the design (see `_verdict`).  Once per
+    call, the margins of every OPTIMAL design's point are recomputed in
+    one stacked call, `lmi.margins_batch`, each the same bits as
+    `lmi.problem_margins` of its own point; with no OPTIMAL design there is
+    no call.  A re-check that raises ConvergenceError fails every OPTIMAL
+    design of the batch with a SolverFailureError that carries its
+    message.  Once per design, its verdict is read from them.  No
+    certificate is built here (`_certificate`).  This is the one place the
+    solver's answer is checked.
     """
     designs = list(designs)
-    optimal = [sol.status is sdp.Status.OPTIMAL for _, sol, _, _ in designs]
-    points = [(sf, sol.x) for (sf, sol, _, _), ok in zip(designs, optimal) if ok]
+    optimal = [sol.status is sdp.Status.OPTIMAL for _, sol, _, _, _ in designs]
+    points = [check for (_, _, _, _, check), ok in zip(designs, optimal) if ok]
     try:
         rechecked = iter(lmi.margins_batch(points) if points else ())
     except ConvergenceError as e:
         rechecked = itertools.repeat(e)
     out = []
-    for (sf, solution, mu, alpha), ok in zip(designs, optimal):
+    for design, ok in zip(designs, optimal):
         try:
-            out.append(_verdict(sf, solution, mu, alpha, next(rechecked) if ok else None))
+            out.append(_verdict(*design, next(rechecked) if ok else None))
         except SynthesisError as e:
             out.append(e)
     return out
+
+
+def _full_point(full: lmi.StandardForm, sf: lmi.StandardForm, x: np.ndarray,
+                sigma: float, gain_scaled: np.ndarray) -> np.ndarray:
+    """The entry vector of the full synthesis form at (Q, sigma I,
+    gain_scaled, c), where Q and c are the projected form sf's point x."""
+    values = sf.unpack(x)
+    return full.pack({_VQ: np.diagonal(values[_VQ]),
+                      _VS: np.full(gain_scaled.shape[0], sigma),
+                      _VW: gain_scaled, _VC: values[_VC]})
+
+
+def _completion(plant: Plant, full: lmi.StandardForm, sf: lmi.StandardForm,
+                solution: sdp.Solution, mu: float, eps: float) -> np.ndarray:
+    """The full synthesis form's point (Q, eps I, 0, c) at the projected
+    optimum, which holds when it does (`build_projected_lmis`)."""
+    return _full_point(full, sf, solution.x, eps, np.zeros((plant.m, plant.n)))
+
+
+def _ruled(plant: Plant, full: lmi.StandardForm, sf: lmi.StandardForm,
+           solution: sdp.Solution, mu: float, eps: float) -> np.ndarray:
+    """The full synthesis form's point that `gain_rule` completes at the
+    projected optimum: (Q, sigma I, W*(sigma), c)."""
+    q = DiagMatrix(np.diagonal(sf.unpack(solution.x)[_VQ]))
+    sigma, w = gain_rule(plant, q, mu, eps)
+    return _full_point(full, sf, solution.x, sigma, w.array)
 
 
 def synthesize(plant: Plant, mu: float, alpha: float,
                eps: float = lmi.DEFAULT_EPS) -> SynthesisCertificate:
     """Design a saturated boundary gain minimizing the certified peak of the
     inverse Lyapunov weight; raises InfeasibleError when the inequalities
-    admit no solution at these weights.  A design that `_decay_bound`
-    proves infeasible raises InfeasibleError with that reason, with no
-    solution and no form, before anything is built; any other is solved
-    and checked as a grid of one (`_certify`)."""
+    admit no solution at these weights.
+
+    A design that `_decay_bound` proves infeasible raises InfeasibleError
+    with that reason, with no solution and no form, before anything is
+    built.  Any other is decided by the solver on the projected problem
+    (`build_projected_lmis`), whose optimum gives lyap_inv and peak; the
+    gain comes from `gain_rule` at that lyap_inv, and the point (Q, sigma
+    I, W*, c) is re-checked in the full synthesis form (`_certify`), which
+    is never solved.  An error carries the projected solve and its form.
+    """
     reason = _decay_bound(plant, mu, alpha, eps)
     if reason is not None:
         raise InfeasibleError(reason)
-    sf = lmi.vectorize(build_synthesis_lmis(plant, mu, alpha, eps=eps))
+    sf = lmi.vectorize(build_projected_lmis(plant, mu, alpha, eps=eps))
     solution = sdp.minimize(sf)
-    [verdict] = _certify([(sf, solution, mu, alpha)])
+    check = None
+    if solution.status is sdp.Status.OPTIMAL:
+        full = lmi.vectorize(build_synthesis_lmis(plant, mu, alpha, eps=eps))
+        check = (full, _ruled(plant, full, sf, solution, mu, eps))
+    [verdict] = _certify([(sf, solution, mu, alpha, check)])
     if isinstance(verdict, SynthesisError):
         raise verdict
-    return _certificate(plant, sf, solution, mu, alpha, eps, verdict)
+    return _certificate(plant, *check, solution, mu, alpha, eps, verdict)
 
 
 def grid_search(plant: Plant, mu_grid, alpha_grid,
@@ -522,26 +700,33 @@ def grid_search(plant: Plant, mu_grid, alpha_grid,
     vectorized, solved or re-checked.  The other cells pay each only for
     what differs between them:
 
-    - once per mu row, at its first such cell: the synthesis inequalities
-      are built and vectorized (`build_synthesis_lmis`, `lmi.vectorize`);
+    - once per mu row, at its first such cell: the projected and the full
+      synthesis inequalities are built and vectorized
+      (`build_projected_lmis`, `build_synthesis_lmis`, `lmi.vectorize`);
     - once per other such cell of the row: disturbance_decay_block, the
-      one block that depends on alpha, is posed again (`_disturbance_decay`,
-      `lmi.restate`), so the cell's standard form is the same bits as its
-      own vectorize and shares the row's other four blocks;
-    - once per grid: one lockstep batch of sdp.minimize_batch over all of
-      them (no call when there is none), one stacked margin re-check of the
-      OPTIMAL ones and each cell's verdict from it (`_certify`, the check of
-      synthesize), and one certificate, the best cell's (`_certificate`).
+      one block that depends on alpha, is posed again
+      (`_disturbance_decay`) and restated in both of the row's forms
+      (`lmi.restate`), so each of the cell's forms is the same bits as its
+      own vectorize and shares the row's other blocks;
+    - once per grid: one lockstep batch of sdp.minimize_batch over the
+      cells' projected forms (no call when there is none), one stacked
+      margin re-check of the completion (Q, eps I, 0, c) of each OPTIMAL
+      cell in its full form, and each cell's verdict from it (`_certify`);
+      then `gain_rule` at the best cell, whose point (Q, sigma I, W*, c)
+      is re-checked in the same way, and its certificate (`_certificate`).
 
-    So a "feasible" cell is one whose design passed the re-check.  Cells
-    never abort the sweep: a cell whose inequalities cannot be built,
+    So a "feasible" cell is one whose completion passed the re-check, and
+    the best certificate is the one `synthesize` makes at its weight.
+    Cells never abort the sweep: a cell whose inequalities cannot be built,
     vectorized or restated, or whose design fails (its point included), is
     recorded as "failed", with the exception type and message as reason,
     and when it was its row's first, the row's next cell is built in full;
     if the batch itself raises, every cell in it fails with that reason,
     and if the margin re-check raises, every OPTIMAL cell does.  The best
     cell minimizes the disturbance gain gamma = sqrt(c) e^{mu/2}, with ties
-    broken by smaller mu then smaller alpha.
+    broken by smaller mu then smaller alpha; a feasible cell whose rule
+    point fails its re-check is recorded as "failed" with that reason, and
+    the next cell in that order is taken.
     """
     mus = tuple(float(v) for v in mu_grid)
     alphas = tuple(float(v) for v in alpha_grid)
@@ -555,7 +740,7 @@ def grid_search(plant: Plant, mu_grid, alpha_grid,
     weights = [(mu, alpha) for mu in mus for alpha in alphas]
     forms, reasons, implied = {}, {}, {}
     for mu in mus:
-        row = None  # the form vectorized at the row's first cell that built
+        row = None  # the (projected, full) forms vectorized at the row's first cell that built
         for alpha in alphas:
             w = (mu, alpha)
             bound = _decay_bound(plant, mu, alpha, eps)
@@ -564,43 +749,58 @@ def grid_search(plant: Plant, mu_grid, alpha_grid,
                 continue
             try:
                 if row is None:
-                    forms[w] = row = lmi.vectorize(build_synthesis_lmis(plant, mu, alpha,
-                                                                        eps=eps))
+                    forms[w] = row = (
+                        lmi.vectorize(build_projected_lmis(plant, mu, alpha, eps=eps)),
+                        lmi.vectorize(build_synthesis_lmis(plant, mu, alpha, eps=eps)))
                 else:
-                    forms[w] = lmi.restate(row, _disturbance_decay(plant, mu, alpha, eps), eps)
+                    decay = _disturbance_decay(plant, mu, alpha, eps)
+                    forms[w] = tuple(lmi.restate(sf, decay, eps) for sf in row)
             except Exception as e:
                 reasons[w] = _failure(e)
     solutions = {}
     if forms:
         try:
-            solutions = dict(zip(forms, sdp.minimize_batch(forms.values())))
+            solutions = dict(zip(forms, sdp.minimize_batch([sf for sf, _ in forms.values()])))
         except Exception as e:
             reasons.update(dict.fromkeys(forms, _failure(e)))
-    verdicts = dict(zip(solutions, _certify(
-        (forms[w], sol, *w) for w, sol in solutions.items())))
 
-    cells = []
+    def design(w, point):
+        """The cell's design for `_certify`, its full form's point (the
+        completion or the rule's) made by point when the solve is OPTIMAL."""
+        (sf, full), solution = forms[w], solutions[w]
+        ok = solution.status is sdp.Status.OPTIMAL
+        return (sf, solution, *w,
+                (full, point(plant, full, sf, solution, w[0], eps)) if ok else None)
+
+    verdicts = dict(zip(solutions, _certify(design(w, _completion) for w in solutions)))
+
+    cells = {}
     for w in weights:
         solution, verdict = solutions.get(w), verdicts.get(w)
         if w in implied:
-            cells.append(GridCell(*w, "infeasible", None, None, implied[w]))
+            cells[w] = GridCell(*w, "infeasible", None, None, implied[w])
         elif solution is None:
-            cells.append(GridCell(*w, "failed", None, None, reasons[w]))
+            cells[w] = GridCell(*w, "failed", None, None, reasons[w])
         elif isinstance(verdict, InfeasibleError):
-            cells.append(GridCell(*w, "infeasible", None, None, solution=solution))
+            cells[w] = GridCell(*w, "infeasible", None, None, solution=solution)
         elif isinstance(verdict, SolverFailureError):
-            cells.append(GridCell(*w, "failed", None, None, _failure(verdict), solution))
+            cells[w] = GridCell(*w, "failed", None, None, _failure(verdict), solution)
         else:
             peak = float(solution.objective)
             gamma = math.sqrt(peak) * math.exp(w[0] / 2.0)
-            cells.append(GridCell(*w, "feasible", peak, gamma, solution=solution))
+            cells[w] = GridCell(*w, "feasible", peak, gamma, solution=solution)
 
-    feasible = [(c.gamma, c.mu, c.alpha) for c in cells if c.status == "feasible"]
+    ranked = sorted((c.gamma, c.mu, c.alpha) for c in cells.values() if c.status == "feasible")
     best = None
-    if feasible:
-        w = min(feasible)[1:]
-        best = _certificate(plant, forms[w], solutions[w], *w, eps, verdicts[w])
-    return FeasibilityMap(mu_grid=mus, alpha_grid=alphas, cells=tuple(cells), best=best)
+    for w in (r[1:] for r in ranked):
+        ruled = design(w, _ruled)
+        [verdict] = _certify([ruled])
+        if not isinstance(verdict, SynthesisError):
+            best = _certificate(plant, *ruled[4], solutions[w], *w, eps, verdict)
+            break
+        cells[w] = GridCell(*w, "failed", None, None, _failure(verdict), solutions[w])
+    return FeasibilityMap(mu_grid=mus, alpha_grid=alphas,
+                          cells=tuple(cells[w] for w in weights), best=best)
 
 
 def build_analysis_lmis(plant: Plant, gain: Matrix, mu: float, alpha: float,

@@ -13,7 +13,10 @@ against the matrices it came from, and `form_bytes` compares two compiled
 forms bit for bit;
 `barrier_value` is the matrix the solver's barrier keeps
 positive definite, and `synthesis_point` and `analysis_point` pack a
-certificate into a problem's entry vector.  `paper_synthesis_margins` and
+certificate into a problem's entry vector.  `elimination_minimizer` is the
+gain_scaled W* of the elimination lemma in its general form, with R^-1
+applied by a dense solve, which `control.gain_rule` reduces to one m x m
+solve.  `paper_synthesis_margins` and
 `paper_analysis_margins` evaluate the paper's seven inequalities of each
 problem, with the coupling G (Gamma = P G P on the analysis side) that the
 library eliminates, in plain numpy.  `write_csv`, `two_sample_step`,
@@ -121,6 +124,22 @@ def synthesis_point(sf: StandardForm, cert: SynthesisCertificate) -> np.ndarray:
     return sf.pack({
         "lyap_inv": cert.lyap_inv.diagonal, "sector_inv": cert.sector_inv.diagonal,
         "gain_scaled": cert.gain_scaled.array, "peak": [cert.peak]})
+
+
+def elimination_minimizer(plant: Plant, lyap_inv: np.ndarray, sigma: float,
+                          eps: float) -> np.ndarray:
+    """W* = -(U^T R^-1 U)^-1 U^T R^-1 C0 at Q = diag(lyap_inv) and S =
+    sigma I, with R = -(A + eps I), A = [[-Q Lambda^-1, B S], [S B^T,
+    -2 S]] boundary_block's rows and columns 1 and 3, U = [B; -I] and C0 =
+    [H Q; 0]; R^-1 is applied by np.linalg.solve."""
+    q, lam = np.asarray(lyap_inv, dtype=float), plant.speeds.diagonal
+    b, h, m = plant.input_map.array, plant.reflection.array, plant.m
+    a = np.block([[-np.diag(q / lam), sigma * b], [sigma * b.T, -2.0 * sigma * np.eye(m)]])
+    r = -(a + eps * np.eye(a.shape[0]))
+    u = np.vstack([b, -np.eye(m)])
+    c0 = np.vstack([h * q, np.zeros((m, plant.n))])
+    ru, rc = np.linalg.solve(r, u), np.linalg.solve(r, c0)
+    return -np.linalg.solve(u.T @ ru, u.T @ rc)
 
 
 def _leq(a: np.ndarray, eps: float) -> float:

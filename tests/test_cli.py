@@ -152,11 +152,12 @@ class TestSynth:
         assert report["duality_gap"] is None
         assert report["phase1_slack"] > 1e-7
         assert "reason" not in report
-        # the worst synthesis margin at the solver's last point, recomputed
+        # the worst margin of the projected problem the solver decided, at
+        # its last point, recomputed
         plant = cli._build_plant(cfg)
         with pytest.raises(control.InfeasibleError) as exc:
             control.synthesize(plant, 1.0, 0.5, eps=1e-6)
-        sf = lmi.vectorize(control.build_synthesis_lmis(plant, 1.0, 0.5, eps=1e-6))
+        sf = lmi.vectorize(control.build_projected_lmis(plant, 1.0, 0.5, eps=1e-6))
         worst = min(lmi.problem_margins(sf, exc.value.solution.x))
         assert worst < 0.0
         assert report["margins"]["worst_phase1_margin"] == worst
@@ -181,24 +182,30 @@ class TestSynth:
 
     def test_infeasible_design_builds_its_inequalities_once(
             self, tmp_path, monkeypatch, reflection_plant_config):
-        real = control.build_synthesis_lmis
+        # the solver's infeasible verdict comes from the projected problem,
+        # so the full one, only ever re-checked, is not built
         calls = []
 
-        def build(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
+        def counted(name):
+            real = getattr(control, name)
 
-        monkeypatch.setattr(control, "build_synthesis_lmis", build)
+            def build(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return build
+
+        for name in ("build_projected_lmis", "build_synthesis_lmis"):
+            monkeypatch.setattr(control, name, counted(name))
         cfg = _design_config(plant=reflection_plant_config)
         assert cli.main(["synth", "--config", _write_config(tmp_path, cfg),
                          "--out", str(tmp_path / "o")]) == 2
-        assert len(calls) == 1
+        assert calls == ["build_projected_lmis"]
         # a design past the decay bound builds nothing
         cfg = _design_config()
         cfg["design"]["alpha"] = 1.2
         assert cli.main(["synth", "--config", _write_config(tmp_path, cfg),
                          "--out", str(tmp_path / "p")]) == 2
-        assert len(calls) == 1
+        assert calls == ["build_projected_lmis"]
 
     def test_solver_failure_writes_a_report_and_exits_1(self, tmp_path, monkeypatch, capsys):
         real, failed = sdp.minimize, []

@@ -24,6 +24,7 @@ from identities import (
     analysis_point,
     congruent_boundary_block,
     deadzone,
+    elimination_minimizer,
     form_bytes,
     paper_analysis_margins,
     paper_synthesis_margins,
@@ -288,16 +289,23 @@ class TestSynthesize:
                                           (9, 0.999), (9, 0.9999)])
     def test_seeded_designs_at_the_decay_edge_certify(self, random_plant_config,
                                                       n, ratio):
-        # with the coupling as a variable, each of these ended
-        # NUMERICAL_FAILURE, its phase-2 residual stalled
+        # with the coupling as a variable, the full synthesis problem of
+        # each of these ended NUMERICAL_FAILURE, its phase-2 residual
+        # stalled; synthesize solves the projected problem, so the full one
+        # goes to the solver here, and its optimum is certified as a design
         plant = cli._build_plant({"plant": random_plant_config(np.random.default_rng(n), n, 1.0)})
-        cert = synthesize(plant, 1.0, ratio * float(np.min(plant.speeds.diagonal)))
+        alpha = ratio * float(np.min(plant.speeds.diagonal))
+        cert = _full_solve_certificate(plant, 1.0, alpha)
+        assert min(verify_analysis(plant, cert).values()) >= 0.0
+        cert = synthesize(plant, 1.0, alpha)
         assert min(verify_analysis(plant, cert).values()) >= 0.0
 
     def test_design_that_needs_phase_one_refinement_certifies(self):
         # default_rng(5) draws n = 4, lambda, H scaled to norm 0.6257, B, N
-        # and u_max; without phase 1's refinement of its corrector this
-        # design ends NUMERICAL_FAILURE after 7 + 20 steps
+        # and u_max; without phase 1's refinement of its corrector the full
+        # synthesis problem of this design ends NUMERICAL_FAILURE after 7 +
+        # 20 steps.  synthesize solves the projected problem, so the full
+        # one goes to the solver here; both reach the same peak
         rng = np.random.default_rng(5)
         n = int(rng.integers(2, 6))
         m = (n + 1) // 2
@@ -308,9 +316,148 @@ class TestSynthesize:
                       Matrix(rng.standard_normal((n, n)) / math.sqrt(n)),
                       rng.uniform(0.2, 1.0, m))
         assert n == 4 and np.linalg.norm(h, 2) == pytest.approx(0.6257, abs=1e-4)
-        cert = synthesize(plant, 1.5, 0.1)
-        assert cert.peak == pytest.approx(6.60336, rel=1e-5)
-        assert min(verify_analysis(plant, cert).values()) >= 0.0
+        for cert in (_full_solve_certificate(plant, 1.5, 0.1), synthesize(plant, 1.5, 0.1)):
+            assert cert.peak == pytest.approx(6.60336, rel=1e-5)
+            assert min(verify_analysis(plant, cert).values()) >= 0.0
+
+    def test_demo_at_the_mu_edge_certifies(self, demo_plant):
+        # the full synthesis problem ends NUMERICAL_FAILURE at (2.5, 0.1),
+        # inside the demo's feasible region (mu < -2 ln 0.25); the projected
+        # one solves, and synth and grid certify the same design there
+        cert = synthesize(demo_plant, 2.5, 0.1)
+        fm = grid_search(demo_plant, [2.5], [0.1])
+        assert [c.status for c in fm.cells] == ["feasible"]
+        assert _certificate_key(fm.best) == _certificate_key(cert)
+        assert cert.peak == pytest.approx(126.119, rel=1e-5)
+        assert min(cert.margins.values()) >= 0.0
+        assert min(verify_analysis(demo_plant, cert).values()) >= 0.0
+
+
+def _full_solve_certificate(plant, mu, alpha, eps=lmi.DEFAULT_EPS):
+    """The certificate of the full synthesis problem's own optimum: its form
+    solved by sdp.minimize, its point re-checked and certified as
+    synthesize certifies a point (control._certify, control._certificate)."""
+    sf = lmi.vectorize(build_synthesis_lmis(plant, mu, alpha, eps=eps))
+    solution = sdp.minimize(sf)
+    assert solution.status is sdp.Status.OPTIMAL
+    [margins] = control._certify([(sf, solution, mu, alpha, (sf, solution.x))])
+    return control._certificate(plant, sf, solution.x, solution, mu, alpha, eps, margins)
+
+
+class TestGainRule:
+    """control.gain_rule: the elimination lemma's minimizer W*(sigma) in
+    closed form, and the sector scale sigma the design takes with it."""
+
+    EPS = lmi.DEFAULT_EPS
+
+    @staticmethod
+    def _boundary_margins(plant, q, sigma, gains, eps=EPS):
+        """boundary_block's margin at (Q, sigma I, W) for each W of gains,
+        from the full synthesis form (alpha does not enter the block)."""
+        sf = lmi.vectorize(build_synthesis_lmis(plant, 1.0, 0.1, eps=eps))
+        at = [blk.label for blk in sf.blocks].index("boundary_block")
+        points = [(sf, sf.pack({"lyap_inv": q, "sector_inv": np.full(plant.m, sigma),
+                                "gain_scaled": w, "peak": [np.max(q)]})) for w in gains]
+        return [margins[at] for margins in lmi.margins_batch(points)]
+
+    @staticmethod
+    def _plants(random_plant_config):
+        return [cli._build_plant({"plant": random_plant_config(np.random.default_rng(n), n, 1.0)})
+                for n in range(1, 7)]
+
+    def test_block_fails_at_every_w_where_it_fails_at_the_minimizer(self,
+                                                                    random_plant_config):
+        # Q = t Lambda D, D a random diagonal, and sigma up to 100 put the
+        # block on either side of its edge; random W, near W* and far from
+        # it, never pass where W* fails
+        rng = np.random.default_rng(17)
+        verdicts = []
+        for plant in self._plants(random_plant_config):
+            for _ in range(12):
+                q = rng.uniform(0.3, 3.0) * plant.speeds.diagonal * rng.uniform(0.2, 5.0, plant.n)
+                sigma = 10.0 ** rng.uniform(-4.0, 2.0)
+                w_star = elimination_minimizer(plant, q, sigma, self.EPS)
+                shape = w_star.shape
+                draws = [w_star + scale * rng.standard_normal(shape)
+                         for scale in (1e-6, 1e-3, 1e-1, 1.0) for _ in range(3)]
+                draws += [10.0 * rng.standard_normal(shape), np.zeros(shape)]
+                at_star, *others = self._boundary_margins(plant, q, sigma, [w_star, *draws])
+                verdicts.append(at_star >= 0.0)
+                if at_star < 0.0:
+                    assert max(others) < 0.0, (plant.n, sigma, at_star, max(others))
+        assert 10 <= sum(verdicts) <= len(verdicts) - 10
+
+    def test_minimizer_at_eps_passes_where_the_completion_does(self, demo_plant,
+                                                               random_plant_config):
+        # at sigma = eps, W* = 0 in closed form; its general form passes
+        # wherever (eps I, 0) passes, at random Q and at projected optima
+        rng = np.random.default_rng(23)
+        cases = []
+        for plant in [demo_plant, *self._plants(random_plant_config)]:
+            low = float(np.min(plant.speeds.diagonal))
+            sf = lmi.vectorize(control.build_projected_lmis(plant, 1.0, 0.5 * low))
+            sol = sdp.minimize(sf)
+            assert sol.status is sdp.Status.OPTIMAL
+            cases.append((plant, np.diagonal(sf.unpack(sol.x)["lyap_inv"])))
+            cases += [(plant, rng.uniform(0.3, 3.0) * plant.speeds.diagonal) for _ in range(6)]
+        passed = 0
+        for plant, q in cases:
+            w_star = elimination_minimizer(plant, q, self.EPS, self.EPS)
+            assert np.max(np.abs(w_star)) <= 1e-12 * max(1.0, np.max(q))
+            completion, at_star = self._boundary_margins(
+                plant, q, self.EPS, [np.zeros((plant.m, plant.n)), w_star])
+            if completion >= 0.0:
+                passed += 1
+                assert at_star >= 0.0, (plant.n, completion, at_star)
+        assert passed >= 7
+
+    def test_rule_is_the_lemma_in_closed_form(self, demo_plant, random_plant_config):
+        # the rule's W is the general W* at its sigma, K = W Q^-1, and the
+        # block holds there with sigma >= eps
+        for plant in [demo_plant, *self._plants(random_plant_config)]:
+            low = float(np.min(plant.speeds.diagonal))
+            sf = lmi.vectorize(control.build_projected_lmis(plant, 1.0, 0.5 * low))
+            q = np.diagonal(sf.unpack(sdp.minimize(sf).x)["lyap_inv"])
+            sigma, w = control.gain_rule(plant, DiagMatrix(q), 1.0, self.EPS)
+            want = elimination_minimizer(plant, q, sigma, self.EPS)
+            assert sigma > self.EPS
+            assert np.allclose(w.array, want, rtol=1e-7, atol=1e-9 * np.max(np.abs(want)))
+            assert np.any(w.array != 0.0)
+            [margin] = self._boundary_margins(plant, q, sigma, [w.array])
+            assert margin >= 0.0
+        # a lyap_inv too small for P~ = Q Lambda^-1 - eps I > 0 gets sigma = eps
+        # and W = 0, the completion
+        sigma, w = control.gain_rule(demo_plant, DiagMatrix(np.full(2, 1e-7)), 1.0, self.EPS)
+        assert (sigma, np.any(w.array)) == (self.EPS, False)
+
+    def test_certificates_of_the_seeded_and_random_designs(self, random_plant_config):
+        # the seeded-designs and random-draws sets of tools/solver_digest.py:
+        # every OPTIMAL projected solve gives a certificate whose synthesis
+        # and analysis margins are all >= 0
+        def designs():
+            for n in range(1, 11):
+                plant = cli._build_plant({"plant": random_plant_config(
+                    np.random.default_rng(n), n, 1.0)})
+                for ratio in (0.5, 0.9, 0.99, 0.999, 0.9999):
+                    yield plant, ratio * float(np.min(plant.speeds.diagonal))
+            rng = np.random.default_rng(20261019)
+            for _ in range(200):
+                plant = cli._build_plant({"plant": random_plant_config(
+                    rng, int(rng.integers(1, 11)), 1.0)})
+                yield plant, rng.uniform(0.9, 1.02) * float(np.min(plant.speeds.diagonal))
+
+        certified = 0
+        for plant, alpha in designs():
+            try:
+                cert = synthesize(plant, 1.0, alpha)
+            except control.SynthesisError as e:
+                assert e.solution is None or e.solution.status is not sdp.Status.OPTIMAL, e
+                continue
+            certified += 1
+            assert min(cert.margins.values()) >= 0.0, (plant.n, alpha, cert.margins)
+            assert min(control.synthesis_margins(plant, cert).values()) >= 0.0
+            assert min(verify_analysis(plant, cert).values()) >= 0.0, (plant.n, alpha)
+        assert certified == 216
 
 
 class TestClosedFormCoupling:
@@ -528,6 +675,34 @@ class TestGridSearch:
             1.0, 0.4, "failed", None, None)
         assert _same_cells(fm.cells[:3], honest.cells[:3])
 
+    def test_best_cell_whose_rule_point_fails_gives_way_to_the_next(self, demo_plant,
+                                                                    monkeypatch):
+        # the rule's point at the best cell (0.5, 0.1) is doctored to a gain
+        # that breaks boundary_block: that cell fails with the re-check's
+        # reason, and the next cell by gamma carries synthesize's certificate
+        mus, alphas = [0.5, 1.0], [0.1, 0.4]
+        honest = grid_search(demo_plant, mus, alphas)
+        real, calls = control.gain_rule, []
+
+        def gain_rule(plant, lyap_inv, mu, eps):
+            sigma, w = real(plant, lyap_inv, mu, eps)
+            calls.append(mu)
+            return sigma, Matrix(w.array + 100.0) if len(calls) == 1 else w
+
+        monkeypatch.setattr(control, "gain_rule", gain_rule)
+        fm = grid_search(demo_plant, mus, alphas)
+        monkeypatch.undo()
+        assert calls == [0.5, 1.0]
+        bad = fm.cells[0]
+        assert (bad.mu, bad.alpha, bad.status, bad.peak, bad.gamma) == (
+            0.5, 0.1, "failed", None, None)
+        assert bad.reason.startswith("SolverFailureError: re-checked margins dip")
+        assert _outcome_key(bad.solution) == _outcome_key(honest.cells[0].solution)
+        assert _same_cells(fm.cells[1:], honest.cells[1:])
+        ranked = sorted((c.gamma, c.mu, c.alpha) for c in honest.cells if c.status == "feasible")
+        assert (fm.best.mu, fm.best.alpha) == ranked[1][1:] == (1.0, 0.1)
+        assert _certificate_key(fm.best) == _certificate_key(synthesize(demo_plant, 1.0, 0.1))
+
     def test_failing_batch_fails_every_cell(self, demo_plant, monkeypatch):
         def minimize_batch(forms):
             raise FloatingPointError("injected in the batch")
@@ -617,8 +792,10 @@ class TestGridSearch:
             assert _outcome_key(sol) == _outcome_key(sdp.minimize(form))
 
     def test_one_call_recheck_matches_each_cell_alone(self, demo_plant, monkeypatch):
-        # the demo grid re-checks its 41 optimal cells in one stacked call,
-        # and every margin is the same bits as the cell's own re-check
+        # the demo grid re-checks the completions (Q, eps I, 0, c) of its 41
+        # optimal cells in one stacked call, in the full synthesis form, and
+        # every margin is the same bits as the cell's own re-check; a second
+        # call re-checks the best cell's rule point alone
         real, calls = lmi.margins_batch, []
 
         def margins_batch(points):
@@ -629,37 +806,55 @@ class TestGridSearch:
         monkeypatch.setattr(lmi, "margins_batch", margins_batch)
         fm = grid_search(demo_plant, np.linspace(0.25, 2.0, 8), np.linspace(0.1, 1.5, 8))
         monkeypatch.undo()
-        [(points, margins)] = calls
+        [(points, margins), ([(best_sf, best_x)], [best_margins])] = calls
         feasible = [c for c in fm.cells if c.status == "feasible"]
         assert len(points) == len(feasible) == 41
+        eps = lmi.DEFAULT_EPS
         for (sf, x), got, cell in zip(points, margins, feasible):
-            assert x is cell.solution.x
+            assert [blk.label for blk in sf.blocks] == list(fm.best.margins)
+            projected = lmi.vectorize(control.build_projected_lmis(demo_plant, cell.mu,
+                                                                   cell.alpha))
+            want, values = projected.unpack(cell.solution.x), sf.unpack(x)
+            assert np.array_equal(values["lyap_inv"], want["lyap_inv"])
+            assert np.array_equal(values["peak"], want["peak"])
+            assert np.array_equal(values["sector_inv"], eps * np.eye(2))
+            assert not np.any(values["gain_scaled"])
             assert _bits(got) == _bits(lmi.problem_margins(sf, x)), (cell.mu, cell.alpha)
+            assert min(got) >= -1e-9
+        assert best_x.tobytes() == synthesis_point(best_sf, fm.best).tobytes()
+        assert _bits(best_margins) == _bits(list(fm.best.margins.values()))
 
     @pytest.mark.parametrize("case, solved", [("demo", 41), ("reflection", 41),
                                               ("seeded", 44), ("demo-eps0", 64)])
     def test_solver_gets_each_cells_own_form_bit_for_bit(self, case, solved, demo_plant,
                                                          reflection_plant,
                                                          random_plant_config, monkeypatch):
-        # a row's cells share its form but for disturbance_decay_block, and
-        # each is the same bits as the cell's own vectorize; only the best
-        # cell's certificate is built
+        # a row's cells share its projected form but for
+        # disturbance_decay_block, and each is the same bits as the cell's
+        # own vectorize; so is each full form a completion is re-checked in;
+        # only the best cell's certificate is built
         plant = {"demo": demo_plant, "demo-eps0": demo_plant, "reflection": reflection_plant,
                  "seeded": cli._build_plant({"plant": random_plant_config(
                      np.random.default_rng(4), 4, 1.0)})}[case]
         eps = 0.0 if case == "demo-eps0" else lmi.DEFAULT_EPS
         solve, batches, made = sdp.minimize_batch, [], []
+        recheck, rechecked = lmi.margins_batch, []
         certificate = control.SynthesisCertificate
 
         def minimize_batch(forms):
             batches.append(list(forms))
             return solve(batches[-1])
 
+        def margins_batch(points):
+            rechecked.append(list(points))
+            return recheck(rechecked[-1])
+
         def counted_certificate(**fields):
             made.append(certificate(**fields))
             return made[-1]
 
         monkeypatch.setattr(sdp, "minimize_batch", minimize_batch)
+        monkeypatch.setattr(lmi, "margins_batch", margins_batch)
         monkeypatch.setattr(control, "SynthesisCertificate", counted_certificate)
         fm = grid_search(plant, np.linspace(0.25, 2.0, 8), np.linspace(0.1, 1.5, 8), eps=eps)
         monkeypatch.undo()
@@ -668,12 +863,18 @@ class TestGridSearch:
         assert len(forms) == len(cells) == solved
         firsts = {}
         for sf, cell in zip(forms, cells):
-            own = lmi.vectorize(build_synthesis_lmis(plant, cell.mu, cell.alpha, eps=eps))
+            own = lmi.vectorize(control.build_projected_lmis(plant, cell.mu, cell.alpha,
+                                                             eps=eps))
             assert form_bytes(sf) == form_bytes(own), (cell.mu, cell.alpha)
             first = firsts.setdefault(cell.mu, sf)
             assert [a is b for a, b in zip(sf.blocks, first.blocks)] == [
                 sf is first or blk.label != "disturbance_decay_block" for blk in sf.blocks]
         assert len(firsts) == 8
+        feasible = [c for c in cells if c.status == "feasible"]
+        assert [len(points) for points in rechecked] == ([len(feasible), 1] if feasible else [])
+        for (full, _), cell in zip(rechecked[0] if rechecked else [], feasible):
+            own = lmi.vectorize(build_synthesis_lmis(plant, cell.mu, cell.alpha, eps=eps))
+            assert form_bytes(full) == form_bytes(own), (cell.mu, cell.alpha)
         assert made == ([] if fm.best is None else [fm.best])
         assert (fm.best is None) == (case == "reflection")
 
@@ -695,8 +896,8 @@ class TestDecayBound:
 
     def test_implied_cells_never_reach_the_builder_or_the_solver(self, demo_plant,
                                                                    monkeypatch):
-        calls = {"build": [], "vectorize": [], "decay": [], "restate": [], "solve": [],
-                 "recheck": []}
+        calls = {"build": [], "project": [], "vectorize": [], "decay": [], "restate": [],
+                 "solve": [], "recheck": []}
 
         def counted(name, real, count):
             def wrapper(*args, **kwargs):
@@ -706,6 +907,8 @@ class TestDecayBound:
 
         monkeypatch.setattr(control, "build_synthesis_lmis", counted(
             "build", control.build_synthesis_lmis, lambda plant, mu, alpha: (mu, alpha)))
+        monkeypatch.setattr(control, "build_projected_lmis", counted(
+            "project", control.build_projected_lmis, lambda plant, mu, alpha: (mu, alpha)))
         monkeypatch.setattr(lmi, "vectorize", counted("vectorize", lmi.vectorize,
                                                       lambda problem: 1))
         monkeypatch.setattr(control, "_disturbance_decay", counted(
@@ -717,14 +920,17 @@ class TestDecayBound:
         fm = grid_search(demo_plant, self.DEMO_MU, self.DEMO_ALPHA)
         below = [(c.mu, c.alpha) for c in fm.cells if c.alpha < c.mu]
         assert len(below) == 41
-        # one build per mu row, at its first cell below the bound (alpha =
-        # 0.1 in every row); each of the row's other 33 cells poses its
-        # decay block alone and restates the row's form with it; every cell
-        # below the bound poses its own decay block once, none past it
+        # one build of each form per mu row, at its first cell below the
+        # bound (alpha = 0.1 in every row), whose two builders pose its
+        # decay block; each of the row's other 33 cells poses its decay
+        # block alone and restates the row's two forms with it; no cell past
+        # the bound poses one.  The 41 completions are re-checked in one
+        # call, the best cell's rule point in another
         firsts = [(mu, self.DEMO_ALPHA[0]) for mu in self.DEMO_MU]
-        assert calls == {"build": firsts, "vectorize": [1] * 8, "decay": below,
-                         "restate": ["disturbance_decay_block"] * 33, "solve": [41],
-                         "recheck": [41]}
+        assert calls == {"build": firsts, "project": firsts, "vectorize": [1] * 16,
+                         "decay": [w for w in below for _ in range(1 + (w in firsts))],
+                         "restate": ["disturbance_decay_block"] * 66, "solve": [41],
+                         "recheck": [41, 1]}
         assert sorted(c.status for c in fm.cells if c.alpha >= c.mu) == ["infeasible"] * 23
         assert all(c.solution is None and c.reason is not None
                    for c in fm.cells if c.alpha >= c.mu)

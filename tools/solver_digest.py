@@ -3,7 +3,9 @@
 Each probe set runs designs through `hypiss.control` as a user would, and
 every `sdp.Solution` that `sdp.minimize_batch` returns is digested in
 order: its status, the bytes of x, the Newton steps of both phases, the
-gap, the phase-1 slack and the objective.  Two builds of the solver that
+gap, the phase-1 slack and the objective.  The solver is given only the
+projected synthesis problems (`control.build_projected_lmis`); the full
+ones are re-checked, never solved.  Two builds of the solver that
 print the same lines returned the same bits on every probe cell, so a
 change meant to keep the solver's arithmetic can be checked by running
 this before and after it on one machine.  LAPACK builds differ in their
@@ -18,9 +20,10 @@ any split of the grid, and the probe sets need not cover batch layouts.
     PYTHONPATH=src python tools/solver_digest.py
 
 Output: one line per probe set, `name solver-cells sha1`, then the line
-`forms 44 sha1` over the compiled problems themselves, with no solver: the
-synthesis and analysis forms (`lmi.vectorize`) of the demo plant and the
-seeded plants n = 1..10, at two weights each, the analysis at a seeded gain.
+`forms 66 sha1` over the compiled problems themselves, with no solver: the
+synthesis, projected synthesis and analysis forms (`lmi.vectorize`) of the
+demo plant and the seeded plants n = 1..10, at two weights each, the
+analysis at a seeded gain.
 It digests each form's entry vector and each block's label, size, slack,
 entries, base and coefficients, the arrays plus 0.0, so that the sign of a
 zero does not count: no reader of a form sees it (the solver meets the
@@ -137,8 +140,8 @@ PROBES = (("demo-grid", _demo_grid), ("demo-synth", _demo_synth),
 
 
 def _forms() -> tuple[int, str]:
-    """The count and sha1 of the compiled synthesis and analysis forms (see
-    the module docstring)."""
+    """The count and sha1 of the compiled synthesis, projected and analysis
+    forms (see the module docstring)."""
     h, count = hashlib.sha1(), 0
     plants = [_demo()] + [_seeded(np.random.default_rng(n), n) for n in range(1, 11)]
     for i, plant in enumerate(plants):
@@ -146,6 +149,7 @@ def _forms() -> tuple[int, str]:
         gain = Matrix(np.random.default_rng(100 + i).standard_normal((plant.m, plant.n)))
         for mu, alpha in ((1.0, 0.5 * low), (0.5, 0.1 * low)):
             for problem in (control.build_synthesis_lmis(plant, mu, alpha),
+                            control.build_projected_lmis(plant, mu, alpha),
                             control.build_analysis_lmis(plant, gain, mu, alpha)):
                 sf = lmi.vectorize(problem)
                 h.update(repr(sf.refs).encode())

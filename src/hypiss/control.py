@@ -196,15 +196,15 @@ class GridCell:
     (`build_projected_lmis`), the bound on the largest entry of lyap_inv,
     and gamma = sqrt(c) e^{mu/2} the disturbance gain it implies.  A
     "feasible" cell is one whose completion (Q, eps I, 0, c) passed the
-    re-check in the full synthesis form.
-    A certificate states gamma from the weight itself,
-    sqrt(max lyap_inv) e^{mu/2}.  Its check lets max lyap_inv exceed c by
-    at most 1e-9 max(1, c), so for c >= 1/2 that gamma is at most this one
-    times 1 + 1e-9; on the demo grid the two agree to about 1e-10
-    relative.  solution is the solver's outcome on the cell's projected
-    problem, None for a cell that never reached the solver.  reason says why a "failed" cell
-    failed, and why an "infeasible" cell past the decay bound
-    (`_decay_bound`) is infeasible; it is None for the solver's verdicts.
+    re-check in the full synthesis form.  A certificate states gamma from
+    the weight itself, sqrt(max lyap_inv) e^{mu/2}.  Its check lets max
+    lyap_inv exceed c by at most 1e-9 max(1, c), so for c >= 1/2 that
+    gamma is at most this one times 1 + 1e-9; on the demo grid the two
+    agree to about 1e-10 relative.  solution is the solver's outcome on
+    the cell's projected problem, None for a cell that never reached the
+    solver.  reason says why a "failed" cell failed, and why an
+    "infeasible" cell past the decay bound (`_decay_bound`) is infeasible;
+    it is None for the solver's verdicts.
     """
 
     mu: float
@@ -444,8 +444,8 @@ def gain_rule(plant: Plant, lyap_inv: DiagMatrix, mu: float,
     blocks = _boundary(plant, mu)(np.diag(q), s * np.eye(m), (s - eps) * w_unit)
     margins = -np.linalg.eigvalsh(blocks)[:, -1] - eps
     passing = np.flatnonzero(margins >= 0.0)
-    sigma = max(float(sigmas[passing[-1]]) / 2.0, float(sigmas[0])) if passing.size \
-        else float(sigmas[0])
+    half = float(sigmas[passing[-1]]) / 2.0 if passing.size else 0.0
+    sigma = max(half, float(sigmas[0]))
     return sigma, Matrix((sigma - eps) * w_unit)
 
 

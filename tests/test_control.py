@@ -341,6 +341,7 @@ def _full_solve_certificate(plant, mu, alpha, eps=lmi.DEFAULT_EPS):
     solution = sdp.minimize(sf)
     assert solution.status is sdp.Status.OPTIMAL
     [margins] = control._certify([(sf, solution, mu, alpha, (sf, solution.x))])
+    assert isinstance(margins, dict), margins
     return control._certificate(plant, sf, solution.x, solution, mu, alpha, eps, margins)
 
 

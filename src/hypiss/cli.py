@@ -39,6 +39,7 @@ from . import control, lmi, pde, sdp
 from .control import (
     InfeasibleError,
     Plant,
+    RowSolve,
     SynthesisCertificate,
     SynthesisError,
     iss_coefficients,
@@ -527,7 +528,7 @@ def _load_certificate(path: str, plant: Plant) -> tuple[SynthesisCertificate, st
             gamma=_number(data, "certificate", "gamma", positive=True),
             omega=_number(data, "certificate", "omega", positive=True),
             kappa=_number(data, "certificate", "kappa", positive=True),
-            margins={}, solution=None)
+            margins={}, solution=None, row=None)
     n, m = plant.n, plant.m
     if cert.gain.array.shape != (m, n):
         raise ConfigError(f"certificate.gain: expected shape {(m, n)} for this plant")
@@ -540,15 +541,14 @@ def _load_certificate(path: str, plant: Plant) -> tuple[SynthesisCertificate, st
     return cert, digest
 
 
-def _solver_trace(solution: sdp.Solution | None) -> dict:
-    """What the reports record of the solver's outcome: its Newton steps
-    per phase, its final duality gap and its slack at the end of phase 1,
-    each None without an outcome."""
-    if solution is None:
-        return dict.fromkeys(("newton_steps", "duality_gap", "phase1_slack"))
-    phase1, phase2 = solution.newton_steps
-    return {"newton_steps": {"phase1": phase1, "phase2": phase2},
-            "duality_gap": solution.gap, "phase1_slack": solution.phase1_slack}
+def _solver_trace(row: RowSolve | None, solution: sdp.Solution | None) -> dict:
+    """What synth's and simulate's reports record of a design's solves: the
+    row's margin s, the Newton steps of the row and of the cell solve, and
+    the cell's final duality gap; None where there was no solve."""
+    return {"row_margin": row and row.s,
+            "newton_steps": row and {"row": row.steps,
+                                     "cell": solution and solution.newton_steps},
+            "duality_gap": solution and solution.gap}
 
 
 _EXIT_CODES = {"feasible": 0, "completed": 0, "pass": 0,
@@ -571,24 +571,16 @@ def _finish(out_dir: Path, command: str, digest: str, status: str, timing: float
 
 def _uncertified(e: SynthesisError, out_dir: Path, command: str, digest: str,
                  timing: float, mu: float, alpha: float, **fields) -> int:
-    """Report a design that synthesize did not certify, with mu, alpha and
-    the solver trace.  An InfeasibleError is "infeasible": with the worst
-    synthesis margin at phase 1's last point when the solver decided it,
-    and with its closed-form reason and a null trace when no solver ran.
-    Any other error is "failed"."""
-    if isinstance(e, InfeasibleError) and e.solution is None:
-        print(f"infeasible at mu={mu:g}, alpha={alpha:g} ({e})", file=sys.stderr)
-        fields.update(status="infeasible", reason=str(e))
-    elif isinstance(e, InfeasibleError):
-        worst = min(lmi.problem_margins(e.form, e.solution.x))
-        print(f"infeasible at mu={mu:g}, alpha={alpha:g} "
-              f"(worst margin {worst:.3e})", file=sys.stderr)
-        fields.update(status="infeasible", margins={"worst_phase1_margin": worst})
-    else:
-        print(f"solver error: {e}", file=sys.stderr)
-        fields.update(status="failed", reason=str(e))
-    return _finish(out_dir, command, digest, timing=timing, mu=mu, alpha=alpha,
-                   **_solver_trace(e.solution), **fields)
+    """Report a design that synthesize did not certify, with mu, alpha, the
+    solver trace and the error's reason.  An InfeasibleError, past the
+    decay bound or from its row, is "infeasible"; any other error is
+    "failed"."""
+    infeasible = isinstance(e, InfeasibleError)
+    print(f"infeasible at mu={mu:g}, alpha={alpha:g} ({e})" if infeasible
+          else f"solver error: {e}", file=sys.stderr)
+    return _finish(out_dir, command, digest, "infeasible" if infeasible else "failed", timing,
+                   mu=mu, alpha=alpha, reason=str(e), **_solver_trace(e.row, e.solution),
+                   **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +613,7 @@ def cmd_synth(config_path: str, out_override: str | None) -> int:
     print(f"wrote {cert_path}")
     return _finish(out_dir, "synth", digest, "feasible", timing, [cert_path.name],
                    certificate=payload, margins=cert.margins,
-                   **_solver_trace(cert.solution))
+                   **_solver_trace(cert.row, cert.solution))
 
 
 def cmd_grid(config_path: str, out_override: str | None) -> int:
@@ -638,15 +630,15 @@ def cmd_grid(config_path: str, out_override: str | None) -> int:
     rows = []
     extra = {"cells": dict.fromkeys(("feasible", "infeasible", "failed"), 0),
              "failed_cells": [], "infeasible_cells": [], "newton_steps": [],
-             "phase1_slack": []}
+             "rows": [{"mu": r.mu, "s": r.s, "s_minus_gap": r.bound, "newton_steps": r.steps,
+                       "verdict": r.verdict} for r in fmap.rows]}
     for c in fmap.cells:
-        at, trace = {"mu": c.mu, "alpha": c.alpha}, _solver_trace(c.solution)
+        at = {"mu": c.mu, "alpha": c.alpha}
         rows.append((c.mu, c.alpha, c.status, c.peak, c.gamma))
         extra["cells"][c.status] += 1
         if c.status != "feasible":
             extra[f"{c.status}_cells"].append({**at, "reason": c.reason})
-        extra["newton_steps"].append({**at, "steps": trace["newton_steps"]})
-        extra["phase1_slack"].append({**at, "slack": trace["phase1_slack"]})
+        extra["newton_steps"].append({**at, "steps": c.solution and c.solution.newton_steps})
     csv_path = out_dir / "feasibility.csv"
     _write_csv(csv_path, ["mu", "alpha", "status", "c", "gamma"],
                _feasibility_blocks(rows))

@@ -19,24 +19,26 @@ The solver decides on the projection of the synthesis problem onto
 when the full one is, with the same optimal peak.  The gain then comes in
 closed form from a stated rule at the certified lyap_inv (`gain_rule`),
 and the full synthesis inequalities (`build_synthesis_lmis`) are only
-re-checked, at the point they complete, never solved.
+re-checked, at the point they complete, never solved.  Below the decay
+bound, whether a weight mu admits a design does not depend on alpha: one
+small problem per mu decides it (`build_row_lmis`, `_rows`), and its
+solution gives each design of the row a strictly feasible start in
+closed form (`_start`).
 
 Both problems are posed without the paper's coupling matrix (G, Gamma),
 whose disturbance and decay blocks merge into one (`build_synthesis_lmis`);
 a certificate carries a closed-form G that no check reads (`_certificate`).
 
-One verdict needs no solver: posed with eps > 0, the synthesis
-inequalities are infeasible once alpha >= mu min(lambda), the known ceiling
-on the decay rate of the exp(-mu z)-weighted L2 functional (Bastin & Coron,
-*Stability and Boundary Stabilization of 1-D Hyperbolic Systems*, 2016).
+One verdict needs no solver: the synthesis inequalities have no strictly
+feasible point once alpha >= mu min(lambda), the known ceiling on the decay
+rate of the exp(-mu z)-weighted L2 functional (Bastin & Coron, *Stability
+and Boundary Stabilization of 1-D Hyperbolic Systems*, 2016).
 `_decay_bound` proves it from the merged block alone, and `synthesize` and
 `grid_search` report such designs infeasible, with that reason, without
-building or solving their inequalities.  Every other verdict is the
-solver's.
-
-Convention for exponential weights: the certified Lyapunov density decays
-like exp(-mu z) across the domain, and alpha is the certified decay rate of
-the functional along solutions.
+building or solving their inequalities; every other "infeasible" is a
+row's.  Convention for exponential weights: the certified Lyapunov
+density decays like exp(-mu z) across the domain, and alpha is the
+certified decay rate of the functional along solutions.
 """
 
 from __future__ import annotations
@@ -59,15 +61,16 @@ from .linalg import (
 
 
 class SynthesisError(Exception):
-    """Base class for design failures; carries the solver's best effort and
-    the standard form it was solving (the projected one,
-    `build_projected_lmis`), when there was one."""
+    """Base class for design failures; carries the row solve of its mu, the
+    solver's best effort and the standard form it was solving (the
+    projected one, `build_projected_lmis`), each when there was one."""
 
     def __init__(self, message: str, solution: sdp.Solution | None = None,
-                 form: lmi.StandardForm | None = None):
+                 form: lmi.StandardForm | None = None, row: RowSolve | None = None):
         super().__init__(message)
         self.solution = solution
         self.form = form
+        self.row = row
 
 
 class InfeasibleError(SynthesisError):
@@ -152,9 +155,10 @@ class SynthesisCertificate:
     an upper bound on the largest eigenvalue of lyap_inv that the design
     minimized, eps the strictness slack the inequalities were posed with, and
     solution the solver's outcome on the projected problem, whose lyap_inv
-    and peak the certificate carries; sector_inv and gain_scaled come from
-    `gain_rule`.  A certificate read back from a file has margins {} and
-    solution None.
+    and peak the certificate carries, and row the row solve of its mu that
+    gave that problem its start; sector_inv and gain_scaled come from
+    `gain_rule`.  A certificate read back from a file has margins {},
+    solution None and row None.
     """
 
     lyap_inv: DiagMatrix
@@ -171,6 +175,7 @@ class SynthesisCertificate:
     margins: dict[str, float]
     eps: float
     solution: sdp.Solution | None
+    row: RowSolve | None
 
 
 @dataclass(frozen=True)
@@ -203,8 +208,9 @@ class GridCell:
     agree to about 1e-10 relative.  solution is the solver's outcome on
     the cell's projected problem, None for a cell that never reached the
     solver.  reason says why a "failed" cell failed, and why an
-    "infeasible" cell past the decay bound (`_decay_bound`) is infeasible;
-    it is None for the solver's verdicts.
+    "infeasible" cell is infeasible: past the decay bound (`_decay_bound`)
+    or in a row that admits no design (`RowSolve`); it is None for a
+    feasible cell.
     """
 
     mu: float
@@ -222,12 +228,14 @@ class FeasibilityMap:
     with mu varying slowest.  best is the certificate of the feasible cell
     of smallest gamma, ties broken by smaller mu then smaller alpha; its
     own gamma, from max lyap_inv, can differ from the cell's
-    sqrt(c) e^{mu/2} in the last digits (see GridCell)."""
+    sqrt(c) e^{mu/2} in the last digits (see GridCell).  rows holds the row
+    solve of each mu with a cell below the decay bound, in grid order."""
 
     mu_grid: tuple[float, ...]
     alpha_grid: tuple[float, ...]
     cells: tuple[GridCell, ...]
     best: SynthesisCertificate | None
+    rows: tuple[RowSolve, ...]
 
 
 def _clamp(u: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
@@ -271,8 +279,9 @@ def closed_loop_boundary(law: BoundaryLaw, outflow: np.ndarray) -> np.ndarray:
     return law.closed_loop @ outflow + law.input_map @ (_clamp(u, law.neg_u_max, law.u_max) - u)
 
 
-# variable names used in the synthesis problem
+# variable names used in the synthesis problem, and in the row problem
 _VQ, _VS, _VW, _VC = "lyap_inv", "sector_inv", "gain_scaled", "peak"
+_VR, _VM = "lyap_share", "row_margin"
 # and in the analysis problem
 _VP, _VT, _VX = "lyap", "sector", "supply_sq"
 
@@ -289,6 +298,17 @@ def _boundary(plant: Plant, mu: float):
         [-(q @ big_lam_inv), h @ q + b @ w, b @ s],
         [None, -math.exp(-mu) * (big_lam @ q), -w.swapaxes(-1, -2)],
         [None, None, -2.0 * s]])
+
+
+def _open_loop(plant: Plant, mu: float):
+    """The open-loop block OL(Q) = [[-Q Lambda^-1, H Q], [Q H^T,
+    -e^{-mu} Lambda Q]] as a formula over a diagonal Q, a matrix or a
+    stack of them."""
+    lam = plant.speeds.diagonal
+    big_lam, big_lam_inv = np.diag(lam), np.diag(1.0 / lam)
+    h = plant.reflection.array
+    return lambda q: lmi.sym_block([[-(q @ big_lam_inv), h @ q],
+                                    [None, -math.exp(-mu) * (big_lam @ q)]])
 
 
 def _common(plant: Plant, mu: float, alpha: float, eps: float) -> tuple[lmi.Constraint, ...]:
@@ -367,19 +387,123 @@ def build_projected_lmis(plant: Plant, mu: float, alpha: float,
     """
     if mu <= 0.0 or alpha <= 0.0:
         raise ValueError("mu and alpha must be positive")
-    n = plant.n
-    lam = plant.speeds.diagonal
-    big_lam, big_lam_inv = np.diag(lam), np.diag(1.0 / lam)
-    h, b = plant.reflection.array, plant.input_map.array
+    n, b = plant.n, plant.input_map.array
     vq = lmi.VarSpec.diagonal(_VQ, n)
-    open_loop = lmi.affine((vq,), lambda q: lmi.sym_block([
-        [-(q @ big_lam_inv), h @ q],
-        [None, -math.exp(-mu) * (big_lam @ q)]]),
-        const=lmi.sym_block([[eps * (b @ b.T), None], [None, np.zeros((n, n))]]))
+    open_loop = lmi.affine((vq,), _open_loop(plant, mu), const=lmi.sym_block(
+        [[eps * (b @ b.T), None], [None, np.zeros((n, n))]]))
     constraints = (lmi.Constraint(open_loop, lmi.LEQ, "open_loop_block"),
                    *_common(plant, mu, alpha, eps))
     return lmi.LmiProblem((vq, lmi.VarSpec.scalar(_VC)), constraints,
                           objective=(((_VC, 0), 1.0),), eps=eps)
+
+
+def build_row_lmis(plant: Plant, mu: float) -> lmi.LmiProblem:
+    """The row problem of the weight mu: minimize s subject to OL(q) <= s I
+    over the simplex q = diag(r, 1 - sum r), r >= 0 and 1 - sum r >= 0
+    (row_block and simplex, posed with eps 0), in n entries: r and s.
+
+    OL is linear and designs scale, so below the decay bound the synthesis
+    problem at (mu, alpha), 0 < eps < 1/2, is feasible exactly when some
+    diagonal Q > 0 gives OL(Q) < 0, whatever alpha is: then t Q is a point
+    for t large enough (`_start`).  So the optimum s* decides the row.  A
+    plant with one state has s* = lambda_max(OL(1)) in closed form
+    (`_rows`) and no row problem: it raises ValueError.
+    """
+    if mu <= 0.0:
+        raise ValueError("mu must be positive")
+    n = plant.n
+    if n == 1:
+        raise ValueError("a plant with one state has no row problem to solve")
+    ol, last = _open_loop(plant, mu), np.diag(np.eye(n)[-1])
+
+    def share(r):
+        # diag(r, -sum r) of a stack of diagonal r
+        d = np.diagonal(r, axis1=-2, axis2=-1)
+        return np.concatenate([d, -d.sum(axis=-1, keepdims=True)], axis=-1)[..., None] * np.eye(n)
+
+    vr, vm = lmi.VarSpec.diagonal(_VR, n - 1), lmi.VarSpec.scalar(_VM)
+    constraints = (
+        lmi.Constraint(lmi.affine((vr, vm), lambda r, s: ol(share(r)) - s * np.eye(2 * n),
+                                  const=ol(last)), lmi.LEQ, "row_block"),
+        lmi.Constraint(lmi.affine((vr,), share, const=last), lmi.GEQ, "simplex"))
+    return lmi.LmiProblem((vr, vm), constraints, objective=(((_VM, 0), 1.0),), eps=0.0)
+
+
+_RESOLUTION = 1e-7  # a row whose margin s is within this of 0 is not decided
+_ROW_START = 1e-3   # a row solve starts with s this far above lambda_max(OL(q))
+
+
+@dataclass(frozen=True)
+class RowSolve:
+    """The row problem of one mu (`build_row_lmis`) as `_rows` left it:
+    its margin s at the last iterate, bound = s - gap (None without a
+    finite gap), a lower bound on the optimum s* once the solve is optimal,
+    its Newton steps, and direction, the simplex point q-hat there, with
+    OL(q-hat) < s I strictly.  verdict is "feasible" when s < -_RESOLUTION;
+    "infeasible" when the solve ended optimal with s - gap > _RESOLUTION,
+    so no design of the row exists; "failed" otherwise.  Every design of
+    the row below the decay bound takes the verdict, and the reason.
+    """
+
+    mu: float
+    verdict: str  # "feasible" | "infeasible" | "failed"
+    s: float
+    bound: float | None
+    steps: int
+    direction: tuple[float, ...]
+    reason: str | None
+
+
+def _rows(plant: Plant, mus) -> list[RowSolve]:
+    """The row solve of each mu, all in one batch of sdp.minimize_batch:
+    from the uniform q = (1/n) 1 with s _ROW_START above lambda_max(OL(q)),
+    stopping once s < -_RESOLUTION, so a row whose start meets that takes
+    no step.  A plant with one state takes lambda_max(OL(1)), unsolved."""
+    n = plant.n
+    uniform = np.full(n, 1.0 / n)
+    tops = [float(np.linalg.eigvalsh(_open_loop(plant, mu)(np.diag(uniform)))[-1]) for mu in mus]
+    ends = [(top, 0.0, 0, uniform, sdp.Status.OPTIMAL) for top in tops]
+    if n > 1:
+        forms = [lmi.vectorize(build_row_lmis(plant, mu)) for mu in mus]
+        starts = [sf.pack({_VR: uniform[1:], _VM: [top + _ROW_START]})
+                  for sf, top in zip(forms, tops)]
+        ends = [(float(sol.x[-1]), sol.gap, sol.newton_steps,
+                 np.append(r := np.diagonal(sf.unpack(sol.x)[_VR]), 1.0 - r.sum()), sol.status)
+                for sf, sol in zip(forms, sdp.minimize_batch(forms, starts, -_RESOLUTION))]
+    out = []
+    for mu, (s, gap, steps, q, status) in zip(mus, ends):
+        bound = None if gap is None else s - gap
+        optimal = status is sdp.Status.OPTIMAL
+        if s < -_RESOLUTION:
+            verdict, reason = "feasible", None
+        elif optimal and bound > _RESOLUTION:
+            verdict, reason = "infeasible", (
+                f"row bound s - gap = {bound:.3e} > {_RESOLUTION:g} at mu={mu}: no diagonal "
+                f"lyap_inv > 0 makes the open-loop block negative definite")
+        else:
+            verdict, reason = "failed", (
+                f"row margin s = {s:.3e} within resolution {_RESOLUTION:g}" if optimal
+                else f"row solve ended {status.value} at s = {s:.3e}")
+        out.append(RowSolve(mu, verdict, s, bound, steps, tuple(q.tolist()), reason))
+    return out
+
+
+def _start(plant: Plant, row: RowSolve, mu: float, alpha: float, eps: float) -> dict:
+    """A strictly feasible point (Q, c) = (t q-hat, max(t q-hat) + 1) of
+    the projected synthesis problem at (mu, alpha), below the decay bound,
+    from its feasible row's OL(q-hat) < s I, s < 0.  t is twice the largest
+    of the bounds t must pass: 2 eps (1 + ||B||^2) / |s| for
+    open_loop_block, as t OL(q-hat) + eps diag(B B^T, 0) + eps I < (t s +
+    eps ||B||^2 + eps) I; (2 eps + ||N||^2 / (1 - 2 eps) + 1) / min_i
+    q-hat_i (mu lambda_i - alpha) for disturbance_decay_block, by the Schur
+    complement in its I - eps I corner; and 2 eps / min q-hat for q_pos."""
+    q = np.array(row.direction)
+    rates = -(alpha - mu * plant.speeds.diagonal)
+    b2, n2 = (np.linalg.norm(a.array, 2) ** 2 for a in (plant.input_map, plant.disturbance_map))
+    t = 2.0 * max(2.0 * eps * (1.0 + b2) / -row.s,
+                  (2.0 * eps + n2 / (1.0 - 2.0 * eps) + 1.0) / np.min(q * rates),
+                  2.0 * eps / np.min(q))
+    return {_VQ: t * q, _VC: [np.max(t * q) + 1.0]}
 
 
 # sector scales sigma at which gain_rule evaluates boundary_block
@@ -467,27 +591,32 @@ def _disturbance_decay(plant: Plant, mu: float, alpha: float, eps: float) -> lmi
 
 
 def _decay_bound(plant: Plant, mu: float, alpha: float, eps: float) -> str | None:
-    """Why the synthesis inequalities posed with slack eps > 0 cannot hold
-    at (mu, alpha), or None when the solver must decide.
+    """Why the synthesis inequalities posed with slack eps >= 0 have no
+    strictly feasible point at (mu, alpha), or None when a row must decide.
 
     Diagonal entry i of disturbance_decay_block >= eps I is
-    q_i (mu lambda_i - alpha) - eps, and it must be at least eps.  q_pos
-    gives q_i >= eps > 0, so once alpha - mu lambda_i >= 0 that entry is at
-    most -eps < eps, and no point satisfies both.
+    q_i (mu lambda_i - alpha) - eps, and it must be at least eps.  With
+    eps > 0, q_pos gives q_i >= eps > 0, so once alpha - mu lambda_i >= 0
+    that entry is at most -eps < eps, and no point satisfies both.  With
+    eps = 0 the point q_i = 0 is allowed, but the strict interior is empty:
+    q_i > 0 and q_i (mu lambda_i - alpha) > 0 cannot both hold, so the
+    solver would have no start.
 
-    alpha - mu lambda is computed as _disturbance_decay negates it.  With
-    eps = 0 the argument fails (q_i = 0 is allowed), and a weight mu <= 0 is
-    left to build_synthesis_lmis to refuse.
+    alpha - mu lambda is computed as _disturbance_decay negates it.  A
+    weight mu <= 0, or an eps that is not >= 0, is left to the builders to
+    refuse.
     """
-    if not (eps > 0.0 and mu > 0.0):
+    if not (eps >= 0.0 and mu > 0.0):
         return None
     lam = plant.speeds.diagonal
     rates = alpha - mu * lam
     i = int(np.argmax(rates))
     if not rates[i] >= 0.0:
         return None
-    return (f"alpha={alpha} >= mu*lambda_{i + 1}={float(mu * lam[i])}, so q_pos keeps "
-            f"entry {i + 1} of disturbance_decay_block at -eps or below")
+    why = (f"q_pos keeps entry {i + 1} of disturbance_decay_block at -eps or below" if eps > 0.0
+           else f"no strictly feasible point: q_{i + 1} > 0 keeps entry {i + 1} of "
+           "disturbance_decay_block at 0 or below")
+    return f"alpha={alpha} >= mu*lambda_{i + 1}={float(mu * lam[i])}, so {why}"
 
 
 def iss_coefficients(lyap: DiagMatrix, mu: float, alpha: float) -> IssCoefficients:
@@ -533,18 +662,14 @@ def _verdict(sf: lmi.StandardForm, solution: sdp.Solution, mu: float, alpha: flo
     outcome is OPTIMAL), with that point's re-checked margins or the error
     that stopped the re-check.
 
-    Raises InfeasibleError or SolverFailureError, carrying the solution and
-    sf, unless the solver reached an optimum whose point passes the
-    re-check: every inequality's margin at least -1e-9, and then the peak
-    guard, max lyap_inv at most peak + 1e-9 max(1, |peak|).  The guard is
+    Raises SolverFailureError, carrying the solution and sf, unless the
+    solver reached an optimum whose point passes the re-check: every
+    inequality's margin at least -1e-9, and then the peak guard, max
+    lyap_inv at most peak + 1e-9 max(1, |peak|).  The guard is
     a second line of defence: peak_cap is posed with eps = 0, so its margin
     is peak - max lyap_inv, and an honest re-check has already refused
     every point the guard would refuse.
     """
-    if solution.status is sdp.Status.INFEASIBLE:
-        raise InfeasibleError(
-            f"synthesis inequalities are infeasible at mu={mu}, alpha={alpha}",
-            solution, sf)
     if solution.status is not sdp.Status.OPTIMAL:
         raise SolverFailureError(
             f"solver reported {solution.status.value} at mu={mu}, alpha={alpha}",
@@ -573,11 +698,11 @@ def _verdict(sf: lmi.StandardForm, solution: sdp.Solution, mu: float, alpha: flo
 
 
 def _certificate(plant: Plant, full: lmi.StandardForm, x: np.ndarray,
-                 solution: sdp.Solution, mu: float, alpha: float, eps: float,
-                 margins: dict[str, float]) -> SynthesisCertificate:
+                 solution: sdp.Solution, row: RowSolve | None, mu: float, alpha: float,
+                 eps: float, margins: dict[str, float]) -> SynthesisCertificate:
     """The certificate of one design of the plant at (mu, alpha), posed
     with slack eps: the point x of its full synthesis form, whose margins
-    `_verdict` passed, and the projected solve it came from.
+    `_verdict` passed, and the projected solve and row solve it came from.
 
     The paper's coupling is rebuilt as G = diag(q (mu lambda - alpha)) -
     (eps + m/2) I, m the re-checked margin of disturbance_decay_block (so
@@ -603,7 +728,7 @@ def _certificate(plant: Plant, full: lmi.StandardForm, x: np.ndarray,
         mu=mu, alpha=alpha, peak=float(values[_VC][0, 0]),
         gain=Matrix(w.array @ lyap.array),
         gamma=coeffs.gamma, omega=coeffs.omega, kappa=coeffs.kappa,
-        margins=margins, eps=eps, solution=solution)
+        margins=margins, eps=eps, solution=solution, row=row)
 
 
 def _certify(designs) -> list:
@@ -636,30 +761,17 @@ def _certify(designs) -> list:
     return out
 
 
-def _full_point(full: lmi.StandardForm, sf: lmi.StandardForm, x: np.ndarray,
-                sigma: float, gain_scaled: np.ndarray) -> np.ndarray:
-    """The entry vector of the full synthesis form at (Q, sigma I,
-    gain_scaled, c), where Q and c are the projected form sf's point x."""
-    values = sf.unpack(x)
-    return full.pack({_VQ: np.diagonal(values[_VQ]),
-                      _VS: np.full(gain_scaled.shape[0], sigma),
-                      _VW: gain_scaled, _VC: values[_VC]})
-
-
-def _completion(plant: Plant, full: lmi.StandardForm, sf: lmi.StandardForm,
-                solution: sdp.Solution, mu: float, eps: float) -> np.ndarray:
-    """The full synthesis form's point (Q, eps I, 0, c) at the projected
-    optimum, which holds when it does (`build_projected_lmis`)."""
-    return _full_point(full, sf, solution.x, eps, np.zeros((plant.m, plant.n)))
-
-
-def _ruled(plant: Plant, full: lmi.StandardForm, sf: lmi.StandardForm,
-           solution: sdp.Solution, mu: float, eps: float) -> np.ndarray:
-    """The full synthesis form's point that `gain_rule` completes at the
-    projected optimum: (Q, sigma I, W*(sigma), c)."""
-    q = DiagMatrix(np.diagonal(sf.unpack(solution.x)[_VQ]))
-    sigma, w = gain_rule(plant, q, mu, eps)
-    return _full_point(full, sf, solution.x, sigma, w.array)
+def _full_point(plant: Plant, full: lmi.StandardForm, sf: lmi.StandardForm,
+                solution: sdp.Solution, mu: float, eps: float, rule: bool) -> np.ndarray:
+    """The full synthesis form's point at the projected optimum (Q, c): the
+    completion (Q, eps I, 0, c), which holds when (Q, c) does
+    (`build_projected_lmis`), or with rule `gain_rule`'s (Q, sigma I,
+    W*(sigma), c)."""
+    values = sf.unpack(solution.x)
+    q = np.diagonal(values[_VQ])
+    sigma, w = (gain_rule(plant, DiagMatrix(q), mu, eps) if rule
+                else (eps, Matrix(np.zeros((plant.m, plant.n)))))
+    return full.pack({_VQ: q, _VS: np.full(plant.m, sigma), _VW: w.array, _VC: values[_VC]})
 
 
 def synthesize(plant: Plant, mu: float, alpha: float,
@@ -669,26 +781,34 @@ def synthesize(plant: Plant, mu: float, alpha: float,
     admit no solution at these weights.
 
     A design that `_decay_bound` proves infeasible raises InfeasibleError
-    with that reason, with no solution and no form, before anything is
-    built.  Any other is decided by the solver on the projected problem
-    (`build_projected_lmis`), whose optimum gives lyap_inv and peak; the
-    gain comes from `gain_rule` at that lyap_inv, and the point (Q, sigma
-    I, W*, c) is re-checked in the full synthesis form (`_certify`), which
-    is never solved.  An error carries the projected solve and its form.
+    with that reason before anything is built.  Any other builds its
+    projected problem (`build_projected_lmis`) and solves its row
+    (`_rows`): a row that is not feasible raises InfeasibleError or
+    SolverFailureError with its reason.  Then the solver decides the
+    projected problem from its start (`_start`);
+    the gain comes from `gain_rule` at its lyap_inv, and the point (Q,
+    sigma I, W*, c) is re-checked in the full synthesis form (`_certify`),
+    which is never solved.  An error carries the row, the projected solve
+    and its form, as far as they were made.
     """
     reason = _decay_bound(plant, mu, alpha, eps)
     if reason is not None:
         raise InfeasibleError(reason)
     sf = lmi.vectorize(build_projected_lmis(plant, mu, alpha, eps=eps))
-    solution = sdp.minimize(sf)
+    [row] = _rows(plant, [mu])
+    if row.verdict != "feasible":
+        error = InfeasibleError if row.verdict == "infeasible" else SolverFailureError
+        raise error(row.reason, form=sf, row=row)
+    solution = sdp.minimize(sf, sf.pack(_start(plant, row, mu, alpha, eps)))
     check = None
     if solution.status is sdp.Status.OPTIMAL:
         full = lmi.vectorize(build_synthesis_lmis(plant, mu, alpha, eps=eps))
-        check = (full, _ruled(plant, full, sf, solution, mu, eps))
+        check = (full, _full_point(plant, full, sf, solution, mu, eps, rule=True))
     [verdict] = _certify([(sf, solution, mu, alpha, check)])
     if isinstance(verdict, SynthesisError):
+        verdict.row = row
         raise verdict
-    return _certificate(plant, *check, solution, mu, alpha, eps, verdict)
+    return _certificate(plant, *check, solution, row, mu, alpha, eps, verdict)
 
 
 def grid_search(plant: Plant, mu_grid, alpha_grid,
@@ -696,24 +816,25 @@ def grid_search(plant: Plant, mu_grid, alpha_grid,
     """Run the design over a grid of (mu, alpha) weights.
 
     A cell past the decay bound is recorded as "infeasible" with the
-    reason of `_decay_bound` and solution None; it is never built,
-    vectorized, solved or re-checked.  The other cells pay each only for
-    what differs between them:
+    reason of `_decay_bound` and solution None; it is never built or
+    solved.  The other cells pay each only for what differs between them:
 
-    - once per mu row, at its first such cell: the projected and the full
-      synthesis inequalities are built and vectorized
-      (`build_projected_lmis`, `build_synthesis_lmis`, `lmi.vectorize`);
+    - once per grid: one batch of row solves (`_rows`, no call without
+      such a cell); the cells of a row that is not feasible take its
+      verdict and reason, and are never built or solved;
+    - once per feasible row, at its first such cell: the projected and the
+      full synthesis inequalities are built and vectorized;
     - once per other such cell of the row: disturbance_decay_block, the
       one block that depends on alpha, is posed again
       (`_disturbance_decay`) and restated in both of the row's forms
       (`lmi.restate`), so each of the cell's forms is the same bits as its
       own vectorize and shares the row's other blocks;
-    - once per grid: one lockstep batch of sdp.minimize_batch over the
-      cells' projected forms (no call when there is none), one stacked
-      margin re-check of the completion (Q, eps I, 0, c) of each OPTIMAL
-      cell in its full form, and each cell's verdict from it (`_certify`);
-      then `gain_rule` at the best cell, whose point (Q, sigma I, W*, c)
-      is re-checked in the same way, and its certificate (`_certificate`).
+    - once per grid: one batch of sdp.minimize_batch over the cells'
+      projected forms, each from its start (`_start`), one stacked margin
+      re-check of the completion (Q, eps I, 0, c) of each OPTIMAL cell in
+      its full form (`_certify`); then `gain_rule` at the best cell, whose
+      point (Q, sigma I, W*, c) is re-checked in the same way, and its
+      certificate (`_certificate`).
 
     So a "feasible" cell is one whose completion passed the re-check, and
     the best certificate is the one `synthesize` makes at its weight.
@@ -721,9 +842,9 @@ def grid_search(plant: Plant, mu_grid, alpha_grid,
     vectorized or restated, or whose design fails (its point included), is
     recorded as "failed", with the exception type and message as reason,
     and when it was its row's first, the row's next cell is built in full;
-    if the batch itself raises, every cell in it fails with that reason,
-    and if the margin re-check raises, every OPTIMAL cell does.  The best
-    cell minimizes the disturbance gain gamma = sqrt(c) e^{mu/2}, with ties
+    if a batch itself raises, every cell in it fails with that reason, and
+    if the margin re-check raises, every OPTIMAL cell does.  The best cell
+    minimizes the disturbance gain gamma = sqrt(c) e^{mu/2}, with ties
     broken by smaller mu then smaller alpha; a feasible cell whose rule
     point fails its re-check is recorded as "failed" with that reason, and
     the next cell in that order is taken.
@@ -738,52 +859,58 @@ def grid_search(plant: Plant, mu_grid, alpha_grid,
         raise ValueError("grids must be strictly increasing")
 
     weights = [(mu, alpha) for mu in mus for alpha in alphas]
-    forms, reasons, implied = {}, {}, {}
-    for mu in mus:
-        row = None  # the (projected, full) forms vectorized at the row's first cell that built
-        for alpha in alphas:
-            w = (mu, alpha)
-            bound = _decay_bound(plant, mu, alpha, eps)
-            if bound is not None:
-                implied[w] = bound
-                continue
-            try:
-                if row is None:
-                    forms[w] = row = (
-                        lmi.vectorize(build_projected_lmis(plant, mu, alpha, eps=eps)),
-                        lmi.vectorize(build_synthesis_lmis(plant, mu, alpha, eps=eps)))
-                else:
-                    decay = _disturbance_decay(plant, mu, alpha, eps)
-                    forms[w] = tuple(lmi.restate(sf, decay, eps) for sf in row)
-            except Exception as e:
-                reasons[w] = _failure(e)
+    implied = {w: r for w in weights if (r := _decay_bound(plant, *w, eps)) is not None}
+    below = [w for w in weights if w not in implied]
+    reasons, rows = {}, {}
+    row_mus = sorted({mu for mu, _ in below})
+    try:
+        rows = dict(zip(row_mus, _rows(plant, row_mus))) if row_mus else {}
+    except Exception as e:
+        reasons.update(dict.fromkeys(below, _failure(e)))
+    # built: each feasible row's (projected, full) forms, from its first cell that built
+    forms, starts, built = {}, {}, {}
+    for w in (w for w in below if w[0] in rows and rows[w[0]].verdict == "feasible"):
+        mu, alpha = w
+        try:
+            if mu not in built:
+                forms[w] = built[mu] = (
+                    lmi.vectorize(build_projected_lmis(plant, mu, alpha, eps=eps)),
+                    lmi.vectorize(build_synthesis_lmis(plant, mu, alpha, eps=eps)))
+            else:
+                decay = _disturbance_decay(plant, mu, alpha, eps)
+                forms[w] = tuple(lmi.restate(sf, decay, eps) for sf in built[mu])
+            starts[w] = forms[w][0].pack(_start(plant, rows[mu], mu, alpha, eps))
+        except Exception as e:
+            forms.pop(w, None)
+            reasons[w] = _failure(e)
     solutions = {}
     if forms:
         try:
-            solutions = dict(zip(forms, sdp.minimize_batch([sf for sf, _ in forms.values()])))
+            solutions = dict(zip(forms, sdp.minimize_batch(
+                [sf for sf, _ in forms.values()], [starts[w] for w in forms])))
         except Exception as e:
             reasons.update(dict.fromkeys(forms, _failure(e)))
 
-    def design(w, point):
-        """The cell's design for `_certify`, its full form's point (the
-        completion or the rule's) made by point when the solve is OPTIMAL."""
+    def design(w, rule):
+        """The cell's design for `_certify`, with its full form's point (the
+        completion or the rule's) when the solve is OPTIMAL."""
         (sf, full), solution = forms[w], solutions[w]
         ok = solution.status is sdp.Status.OPTIMAL
         return (sf, solution, *w,
-                (full, point(plant, full, sf, solution, w[0], eps)) if ok else None)
+                (full, _full_point(plant, full, sf, solution, w[0], eps, rule)) if ok else None)
 
-    verdicts = dict(zip(solutions, _certify(design(w, _completion) for w in solutions)))
+    verdicts = dict(zip(solutions, _certify(design(w, False) for w in solutions)))
 
     cells = {}
     for w in weights:
-        solution, verdict = solutions.get(w), verdicts.get(w)
+        solution, verdict, row = solutions.get(w), verdicts.get(w), rows.get(w[0])
         if w in implied:
             cells[w] = GridCell(*w, "infeasible", None, None, implied[w])
+        elif solution is None and w not in reasons:
+            cells[w] = GridCell(*w, row.verdict, None, None, row.reason)
         elif solution is None:
             cells[w] = GridCell(*w, "failed", None, None, reasons[w])
-        elif isinstance(verdict, InfeasibleError):
-            cells[w] = GridCell(*w, "infeasible", None, None, solution=solution)
-        elif isinstance(verdict, SolverFailureError):
+        elif isinstance(verdict, SynthesisError):
             cells[w] = GridCell(*w, "failed", None, None, _failure(verdict), solution)
         else:
             peak = float(solution.objective)
@@ -793,14 +920,15 @@ def grid_search(plant: Plant, mu_grid, alpha_grid,
     ranked = sorted((c.gamma, c.mu, c.alpha) for c in cells.values() if c.status == "feasible")
     best = None
     for w in (r[1:] for r in ranked):
-        ruled = design(w, _ruled)
+        ruled = design(w, True)
         [verdict] = _certify([ruled])
         if not isinstance(verdict, SynthesisError):
-            best = _certificate(plant, *ruled[4], solutions[w], *w, eps, verdict)
+            best = _certificate(plant, *ruled[4], solutions[w], rows[w[0]], *w, eps, verdict)
             break
         cells[w] = GridCell(*w, "failed", None, None, _failure(verdict), solutions[w])
     return FeasibilityMap(mu_grid=mus, alpha_grid=alphas,
-                          cells=tuple(cells[w] for w in weights), best=best)
+                          cells=tuple(cells[w] for w in weights), best=best,
+                          rows=tuple(rows.values()))
 
 
 def build_analysis_lmis(plant: Plant, gain: Matrix, mu: float, alpha: float,

@@ -3,73 +3,50 @@
 The solver minimizes a linear objective c @ x over the standard form of
 `lmi.vectorize`, in which every block reads F(x) = F0 + sum_i x_i F_i >=
 eps I with the constraint's sense already folded in; the solver sees each
-block as S(x) = F(x) - eps I > 0.  Both phases take Mehrotra
-predictor-corrector steps (Mehrotra, SIAM J. Optim. 2(4), 1992) along the
-HKM direction (Helmberg, Rendl, Vanderbei & Wolkowicz, SIAM J. Optim.
-6(2), 1996), each with one Schur-complement factorization.  The primal
-iterate stays strictly feasible, with S = S(x) formed from x at every
-step, and the steps drive the gap <Z, S> + z . r and the dual residual
-c - A*(Z) - G^T z under _GAP_TOL.
+block as S(x) = F(x) - eps I > 0.  It starts at a strictly feasible point
+the caller gives, so it needs no feasibility phase (Boyd & Vandenberghe,
+*Convex Optimization*, section 11.4) and has no infeasible verdict:
+`control` builds every start in closed form, and decides "infeasible"
+before it calls the solver.  The steps are Mehrotra predictor-corrector
+steps (Mehrotra, SIAM J. Optim. 2(4), 1992) along the HKM direction
+(Helmberg, Rendl, Vanderbei & Wolkowicz, SIAM J. Optim. 6(2), 1996), each
+with one Schur-complement factorization, after centering steps aimed at
+mu = 1.  The primal iterate stays strictly feasible, with S = S(x) formed
+from x at every step, and the steps drive the gap <Z, S> + z . r and the
+dual residual c - A*(Z) - G^T z under _GAP_TOL; a cell also stops, still
+strictly feasible, once its objective is under a level the caller sets.
+The solver returns x, which it does not audit: `control` re-checks every
+design it certifies at a point of the full synthesis form completed from
+x, with `lmi.margins_batch` and the eigensolver of `linalg`.
 
-Phase 1 minimizes a uniform slack s, F(x) + s I >= 0, from the start
-point with the dual at Z = S^-1 and z = 1 / r, not centered.  It stops as
-soon as its verdict is known (Boyd & Vandenberghe, *Convex Optimization*,
-section 11.4): after the first step where the slack could be _EXIT_SLACK
-with every block still positive definite, so that phase 2 starts with
-every block >= -_EXIT_SLACK I; INFEASIBLE once the dual residual is under
-tolerance and the lower bound s - gap on the slack optimum exceeds
-_INFEASIBLE_SLACK; NUMERICAL_FAILURE otherwise.  Phase 2 starts its dual
-the same way at phase 1's point and centers first: each cell takes HKM
-steps aimed at mu = 1, with no predictor, until its dual residual is all
-but gone and its point is near the central path, and Mehrotra steps from
-then on.  The solver returns the flat entry vector x, the final gap and
-the phase-1 slack, and does not audit x; `control` re-checks every design
-it certifies at that x, with `lmi.margins_batch` and the eigensolver of
-`linalg`, which keeps LAPACK's eigenbasis once its in-package checks pass.
-
-The solver uses the structure of the problem.  Every block whose base and
-coefficients are all diagonal (positivity of diagonal variables, scalar
-bounds, the peak cap), as each block decides once
-(`lmi.StandardBlock.diagonal`), is a set of elementwise linear rows
-b + G x > 0 with a dual z > 0 of their own, and so is the phase-1 box.
-The remaining blocks are dense.  A problem with no dense block runs the
-same steps over an empty stack of them.
+Every block whose base and coefficients are all diagonal
+(`lmi.StandardBlock.diagonal`) is a set of elementwise linear rows b + G x
+> 0 with a dual z > 0 of their own; the other blocks are dense, and a
+problem without one runs the same steps over an empty stack of them.
 
 Problems are solved as a batch along a leading axis, one cell per
 problem.  Problems of one layout (the entry vector and, for each block,
-its size, its entries and whether it is diagonal) share one stack, the
-one form in which the solver holds them (`_Cones`): the dense blocks of a
-cell padded with identity to one size, so that one call evaluates,
-factors or inverts all of them, and their coefficients padded the same
-way in one array, whose rows for a block's own entries, cut to its size,
-also feed that block's share of the Hessian.  The stack is built with
-phase 1's slack entry and box rows; phase 2 takes it without them, for
-the cells that go on, and the full stack is released before phase 2
-runs.  The iterations run over the stack in lockstep: each is one stacked
-pass for the cells still running.  Every cell keeps its own step budget,
-outcome and step lengths, and leaves the stack when its phase ends; no
-cell's arithmetic reads another's.  Many cells of one layout are split
-into several stacks so that the padded phase-1 coefficients of one stack
-stay under _STACK_BYTES.  `minimize` is a batch of one, so there is one
-solver path.  Everything is numpy with fixed iteration order, and a cell's
-outcome is the same bits in any batch as alone: each of a cell's sums runs
-over one C-ordered row of its own, in the order a lone solve adds it.  So
-the masked sums <S, Z> of the gap read the stack through `compress` of
-the flattened mask; indexing by the 3-D mask would give the cells' terms
-with the cell axis fastest, and numpy would add them in another order.
+its size, its entries and whether it is diagonal) share one stack
+(`_Cones`): the dense blocks of a cell padded with identity to one size,
+so that one call evaluates, factors or inverts all of them, and their
+coefficients padded the same way in one array.  The iterations run over
+the stack in lockstep; every cell keeps its own step budget, outcome and
+step lengths, and leaves the stack when it ends.  A layout with many
+cells is split into stacks whose padded coefficients stay under
+_STACK_BYTES.  `minimize` is a batch of one, so there is one solver path,
+and a cell's outcome is the same bits in any batch as alone: each of a
+cell's sums and products reads one C-ordered row of its own (`compress`
+of a flattened mask, `take` of entries), since numpy would add the terms
+of a cell-axis-fastest view in another order.
 
-Infeasibility is declared heuristically: when the phase-1 slack optimum,
-bounded below by s - gap once the dual residual is under tolerance, is
-above _INFEASIBLE_SLACK, no strictly feasible point exists inside the
-phase-1 box up to solver accuracy.  A phase-2 iterate with an entry
-outside the phase-1 box ends its cell at once as NUMERICAL_FAILURE: the
-objective looks unbounded below, and the rest of the step budget would
-only walk further out.  So does a Schur complement or a factor that is
-singular, indefinite or not finite; a cell never raises.  Factors, inverses
-and eigenvalue tests call np.linalg's LAPACK gufuncs directly, on the whole
+A cell ends as NUMERICAL_FAILURE, and never raises, when an entry of its
+iterate reaches _BOX (its objective looks unbounded below), when its
+Schur complement or a factor is singular, indefinite or not finite, or
+when a row of its start is not positive.  Factors, inverses and
+eigenvalue tests call np.linalg's LAPACK gufuncs directly, on the whole
 stack: a matrix LAPACK fails on reads NaN in its own place, which ends its
-cell, and np.errstate(invalid="ignore"), around those calls only, silences
-the flag it raises.
+cell, and np.errstate(invalid="ignore"), around those calls only,
+silences the flag it raises.
 """
 
 from __future__ import annotations
@@ -85,9 +62,9 @@ from . import lmi
 
 # Path-following settings, sized for the synthesis problems of `control` up
 # to state dimension n = 10: dense blocks of dimension up to about 3n and a
-# few hundred entries.  Diagonal blocks and the phase-1 box cost one
-# elementwise row per diagonal entry, whatever their size.
-_MAX_NEWTON = 600         # total step budget of one problem, both phases
+# few hundred entries.  Diagonal blocks cost one elementwise row per
+# diagonal entry, whatever their size.
+_MAX_NEWTON = 600         # step budget of one problem
 _GAP_TOL = 1e-7           # optimal when <Z, S> + z . r < _GAP_TOL and
                           # max |c - A*(Z) - G^T z| < _GAP_TOL max(1, max |c|)
 _GAP_FLOOR = 0.1          # the corrector never aims at a gap under this
@@ -95,18 +72,13 @@ _GAP_FLOOR = 0.1          # the corrector never aims at a gap under this
 _RIDGE = 1e-13            # the Schur complement is factored with its
                           # diagonal times 1 + _RIDGE
 _STEP_FRACTION = 0.98     # primal-dual steps go this far to the boundary
-_CENTERED = 0.9           # phase 2 centers until every z_i r_i and eigenvalue
+_CENTERED = 0.9           # a cell centers until every z_i r_i and eigenvalue
                           # of L_S^T Z L_S is at least this times mu, and
 _CENTERED_DUAL = 1e-3     # its dual residual is under this times tolerance
-_INFEASIBLE_SLACK = 1e-7  # declare infeasible when the phase-1 slack optimum
-                          # exceeds this
-_EXIT_SLACK = -1e-9       # phase 1 exits once its slack could be this
-_PHASE1_BOX = 1e9         # phase-1 searches |entry| < this; keeps the slack
-                          # minimization bounded when the feasible set is not;
-                          # phase 2 gives up on a cell whose iterate leaves it
-_STACK_BYTES = 16 << 20   # cap on one stack's padded phase-1 coefficients,
-                          # 8 (refs + 1) J D^2 bytes a cell: 5.8 kB on the
-                          # demo, 0.67 MB at the seeded n = 10 plant
+_BOX = 1e9                # a cell whose iterate has an entry this large
+                          # ends: its objective looks unbounded below
+_STACK_BYTES = 16 << 20   # cap on one stack's padded coefficients, 8 refs J
+                          # D^2 bytes a cell
 
 # the gufuncs np.linalg's cholesky, inv and eigvalsh call after their checks
 _cholesky = partial(_umath_linalg.cholesky_lo, signature="d->d")
@@ -116,30 +88,28 @@ _eigvalsh = partial(_umath_linalg.eigvalsh_lo, signature="d->d")
 
 class Status(enum.Enum):
     OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
+    FEASIBLE = "feasible"  # stopped under the batch's objective level
     NUMERICAL_FAILURE = "numerical_failure"
 
 
 @dataclass(frozen=True, eq=False)
 class Solution:
     """Solver outcome: the status, the last iterate x over the problem's
-    flat entry vector, the objective there when OPTIMAL (else None), the
-    primal-dual steps taken in phase 1 and in phase 2 (its centering steps
-    included), gap, the duality gap <Z, S> + z . r at the last phase-2
-    iterate, None exactly when phase 1 did not end feasible, and
-    phase1_slack, the slack s at phase 1's exit (at most _EXIT_SLACK when
-    phase 1 found x feasible).  x is the solver's claim only: a caller
-    that certifies it re-checks its margins, as `control` does.  Like the
-    matrix types, an outcome compares and hashes by identity, so the
-    grid cells and certificates that hold one do too.
+    flat entry vector, the objective there when OPTIMAL or FEASIBLE (else
+    None), the primal-dual steps taken (centering steps included), and
+    gap, the duality gap <Z, S> + z . r at the last iterate (None when it
+    is not finite).  FEASIBLE means the objective fell under the batch's
+    level at a strictly feasible x.  x is the solver's claim only: a
+    caller that certifies it re-checks its margins, as `control` does.
+    Like the matrix types, an outcome compares and hashes by identity, so
+    the grid cells and certificates that hold one do too.
     """
 
     status: Status
     x: np.ndarray
     objective: float | None
-    newton_steps: tuple[int, int]
+    newton_steps: int
     gap: float | None
-    phase1_slack: float
 
 
 @dataclass(frozen=True)
@@ -180,16 +150,6 @@ class _Cones:
         return _Cones(self.b[sel], self.g[sel], self.base[sel], self.vidx, self.vflat[sel],
                       self.dims, self.pos)
 
-    def without_slack(self, sel) -> "_Cones":
-        """The cells sel of a stack from `_cones` as phase 2 steps in it:
-        without phase 1's slack entry, the last, and its box rows."""
-        n = self.g.shape[2] - 1
-        nrow = self.b.shape[1] - 2 * (n + 1)
-        m = int(np.count_nonzero(self.vidx < n))
-        return _Cones(self.b[sel, :nrow], self.g[sel, :nrow, :n], self.base[sel],
-                      self.vidx[:m], self.vflat[sel, :m], self.dims,
-                      tuple(p[:-1] for p in self.pos))
-
     def rows(self, x: np.ndarray) -> np.ndarray:
         """b + G x, one row of x per cell."""
         return self.b + (self.g @ x[:, :, None])[:, :, 0]
@@ -200,8 +160,9 @@ class _Cones:
         return self.base + self.span(x)
 
     def span(self, x: np.ndarray) -> np.ndarray:
-        """sum_k x_k A_k for every padded dense block, zero in the padding."""
-        return (x[:, None, self.vidx] @ self.vflat).reshape(self.base.shape)
+        """sum_k x_k A_k for every padded dense block, zero in the padding;
+        `take` keeps each cell's entries one C-ordered row."""
+        return (x.take(self.vidx, axis=1)[:, None] @ self.vflat).reshape(self.base.shape)
 
     def adjoint(self, mats: np.ndarray, rowvals: np.ndarray) -> np.ndarray:
         """A*(mats) + G^T rowvals: entry k gets sum_j <A_jk, mats_j> plus
@@ -225,28 +186,22 @@ def _layout(sf: lmi.StandardForm) -> tuple:
 
 def _cones(forms, layout: tuple) -> _Cones:
     """Standard forms of one layout, the `_layout` they share, as one
-    stack, as phase 1 steps in it: each block with the base F0 - eps I, the
-    diagonal ones as rows and the others dense, and phase 1's slack s as
-    entry n with its box rows (see `_phase1`).  s adds a column of ones to
-    the rows and the identity to every dense block."""
+    stack: each block with the base F0 - eps I, the diagonal ones as rows
+    and the others dense."""
     refs, blocks = layout
-    ncell, n = len(forms), len(refs)
+    ncell = len(forms)
     dims = tuple(d for d, _, diagonal in blocks if not diagonal)
-    entries = [idx + (n,) for _, idx, diagonal in blocks if not diagonal]
+    entries = [idx for _, idx, diagonal in blocks if not diagonal]
     vidx = np.array(sorted(set().union(*entries)), dtype=int)
     where = {v: k for k, v in enumerate(vidx.tolist())}
     pos = tuple(np.array([where[v] for v in e], dtype=int) for e in entries)
     nrow, size = sum(d for d, _, diagonal in blocks if diagonal), max(dims, default=0)
 
-    b = np.full((ncell, nrow + 2 * (n + 1)), _PHASE1_BOX)
-    g = np.zeros((ncell, nrow + 2 * (n + 1), n + 1))
-    g[:, :nrow, n] = 1.0
-    g[:, nrow:] = np.kron(np.eye(n + 1), [[-1.0], [1.0]])
+    b = np.zeros((ncell, nrow))
+    g = np.zeros((ncell, nrow, len(refs)))
     base = np.zeros((ncell, len(dims), size, size))
     base[:] = np.eye(size)
     vflat = np.zeros((ncell, vidx.size, len(dims), size, size))
-    for j, d in enumerate(dims):
-        vflat[:, -1, j, :d, :d] = np.eye(d)
     for c, sf in enumerate(forms):
         row, j = 0, 0
         for blk, (d, _, diagonal) in zip(sf.blocks, blocks):
@@ -257,42 +212,10 @@ def _cones(forms, layout: tuple) -> _Cones:
                 row += d
             else:
                 base[c, j, :d, :d] = shifted
-                vflat[c, pos[j][:-1], j, :d, :d] = blk.coeffs
+                vflat[c, pos[j], j, :d, :d] = blk.coeffs
                 j += 1
     return _Cones(b, g, base, vidx, vflat.reshape(ncell, vidx.size, len(dims) * size * size),
                   dims, pos)
-
-
-def _phase1(cones: _Cones, x0: np.ndarray):
-    """Minimize a uniform slack s added to every block, min s subject to
-    S(x) + s I > 0 and r(x) + s > 0, by the primal-dual steps of phase 2
-    (`_primal_dual`), until the verdict is known.
-
-    The search runs inside a large box |entry| < _PHASE1_BOX so the slack
-    minimization stays bounded even when the feasible set has unbounded
-    directions (monotone slack-type variables usually give it some).  The
-    stack from `_cones` carries both: the slack as entry n, and the box as
-    2(n+1) more rows, R - x_i > 0 and R + x_i > 0 for every entry and the
-    slack.  The search starts at x0 with s one above the worst violation
-    there, and its dual at Z = S^-1 and z = 1 / r, without centering: the
-    primal-dual steps drive the dual residual down from there.
-
-    Returns (x, slack, steps, outcomes) with an outcome per cell of None
-    when x is feasible (as a rule with every block >= -_EXIT_SLACK I at x),
-    Status.INFEASIBLE or Status.NUMERICAL_FAILURE (see `_primal_dual`).
-    """
-    ncell, n = x0.shape
-    # the start: slack 1 above the worst violation at x0, read off the
-    # stack at slack 0 (the box rows are far from binding)
-    xs = np.concatenate([x0, np.zeros((ncell, 1))], axis=1)
-    floor = np.maximum(0.0, -cones.rows(xs).min(axis=1, initial=np.inf))
-    xs[:, n] = np.maximum(floor, -_lowest(cones.values(xs))) + 1.0
-
-    unit = np.zeros((ncell, n + 1))
-    unit[:, n] = 1.0
-    xs, steps, outcome, _ = _primal_dual(cones, unit, xs, np.full(ncell, _MAX_NEWTON),
-                                         phase1=True)
-    return xs[:, :n], xs[:, n], steps, outcome
 
 
 def _hkm(cones: _Cones, zr: np.ndarray, lsi: np.ndarray, lz: np.ndarray,
@@ -354,24 +277,24 @@ def _reach(li: np.ndarray, lit: np.ndarray, dmat: np.ndarray, v: np.ndarray,
 
 
 def _primal_dual(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndarray,
-                 phase1: bool = False):
+                 level: float):
     """Primal-dual steps along the HKM direction over a stack of cells in
-    lockstep: centering steps, then Mehrotra predictor-corrector steps.
+    lockstep, from the strictly feasible points x: centering steps, then
+    Mehrotra predictor-corrector steps.
 
     The dual starts at Z = S^-1 and z = 1 / r.  Each step factors the HKM
     Schur complement M (see `_hkm`) once and solves M dx = rhs with that
-    factor.  In phase 2 every cell is centering at first: it aims at mu = 1
-    with no second-order terms, so that its dual residual falls and its
-    point nears the central path there.  It switches to Mehrotra steps at
-    the first step where its dual residual is under _CENTERED_DUAL of its
-    tolerance and every z_i r_i and every eigenvalue of L_S^T Z L_S
-    (S = L_S L_S^T) is at least _CENTERED mu.
-    Phase 1 takes Mehrotra steps from its uncentered start.  A Mehrotra
-    step first solves for the predictor, rhs = -c; the corrector aims at
-    sigma mu, with mu = gap / nu and sigma = (gap_aff / gap)^3 from the gap
-    after the predictor's step, but never at a gap under
-    _GAP_FLOOR _GAP_TOL, and adds the second-order terms.  A step with
-    every cell centering skips the predictor.  Then dS = A(dx), dr = G dx and
+    factor.  Every cell is centering at first: it aims at mu = 1 with no
+    second-order terms, so that its dual residual falls and its point nears
+    the central path there.  It switches to Mehrotra steps at the first
+    step where its dual residual is under _CENTERED_DUAL of its tolerance
+    and every z_i r_i and every eigenvalue of L_S^T Z L_S (S = L_S L_S^T)
+    is at least _CENTERED mu.  A Mehrotra step first solves for the
+    predictor, rhs = -c; the corrector aims at sigma mu, with mu = gap / nu
+    and sigma = (gap_aff / gap)^3 from the gap after the predictor's step,
+    but never at a gap under _GAP_FLOOR _GAP_TOL, and adds the second-order
+    terms.  A step with every cell centering skips the predictor.  Then
+    dS = A(dx), dr = G dx,
     dZ = sigma mu S^-1 - Z - sym(S^-1 dS Z) - sym(S^-1 dS_a dZ_a),
     dz = sigma mu / r - z - z dr / r - dr_a dz_a / r, with the predictor's
     directions _a (zero while centering).  The primal and dual parts step
@@ -385,41 +308,23 @@ def _primal_dual(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndar
     in the directions the optimal face leaves free, so M is factored with
     its diagonal scaled by 1 + _RIDGE, which tells only near the end.  The
     error this leaves in dx feeds the dual residual, and the floor on the
-    aim keeps it from growing once the gap is near _GAP_TOL.  Phase 1
-    refines the corrector once, solving again with the same factor for
-    the part of the dual residual that A*(dZ) + G^T dz misses, which grows
-    as S grows ill-conditioned.  Its exit point moves only by rounding,
-    yet phase 2 can hinge on it: for the design of
-    `test_design_that_needs_phase_one_refinement_certifies` (n = 4, mu =
-    1.5, alpha = 0.1) it moves by 1.3e-10, and phase 2 from the unrefined
-    point drives the gap under tolerance while its dual residual stalls
-    above it, until Z has no Cholesky factor after 20 steps; from the
-    refined point it ends OPTIMAL in 14.  Phase 2 is not refined, since
-    near its optimum that would undo the ridge.
+    aim keeps it from growing once the gap is near _GAP_TOL.
 
     A cell is optimal once the gap <Z, S> + z . r is under _GAP_TOL and
     its dual residual c - A*(Z) - G^T z is under _GAP_TOL max(1, max |c|).
     It fails at its last iterate when its Schur complement, a factor or a
     direction is not finite (an indefinite M has no Cholesky factor), when
-    an iterate leaves the phase-1 box, or when it has taken budget[c]
-    steps.  In phase 2 the outcomes are OPTIMAL and NUMERICAL_FAILURE.  In
-    phase 1 (see `_phase1`) the last entry of x is the slack s, and a cell
-    ends feasible, with outcome None, after the first step where the point
-    with its slack pinned to min(s, _EXIT_SLACK) is strictly inside, as the
-    smallest eigenvalues of the step's S(x) and r(x) with the slack's share
-    moved tell; x is then that point.  It also ends feasible when optimal
-    with s < 0.  It is settled when optimal otherwise or when its dual
-    residual is under tolerance and s - gap, a lower bound on the slack
-    optimum, is above _INFEASIBLE_SLACK; a settled cell with s above
-    _INFEASIBLE_SLACK ends INFEASIBLE, and any other settled or failed cell
-    NUMERICAL_FAILURE.  Returns (x, steps, outcomes, gaps), with the gap at
-    each cell's last iterate.
+    a row is not positive (a start that is not strictly feasible), when an
+    iterate leaves the box |entry| < _BOX, or when it has taken budget[c]
+    steps.  Otherwise it ends FEASIBLE at the first iterate, the start
+    included, whose objective c . x is under level.  Returns (x, steps,
+    outcomes, gaps), with the gap at each cell's last iterate.
 
     An iteration selects per cell only when some cell differs: the
     corrector merges in the centering aim only when some but not all cells
     center, and the step keeps old points only when some cell did not move;
     otherwise it takes the stacked values, the same bits.  The padding, M's
-    diagonal and each block's place in M are formed once per phase.
+    diagonal and each block's place in M are formed once.
     """
     ncell, nu = len(x), cones.nu
     x_out, gap_out = x.copy(), np.full(ncell, np.nan)
@@ -427,23 +332,22 @@ def _primal_dual(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndar
     outcome: list = [None] * ncell
     dual_tol = _GAP_TOL * np.maximum(1.0, np.abs(cvec).max(axis=1, initial=0.0))
 
-    zrow = 1.0 / cones.rows(x)
     base = cones.base
     inner = np.zeros(base.shape[1:], dtype=bool)
     for j, d in enumerate(cones.dims):
         inner[j, :d, :d] = True
     flat = inner.ravel()
+    # a row that is not positive reads NaN, and ends its cell in measure
+    zrow = 1.0 / np.where(cones.rows(x) > 0.0, cones.rows(x), np.nan)
     with np.errstate(invalid="ignore"):
         zmat = np.where(inner, _inv(cones.values(x)), base)
-    slack_eye = np.where(inner, np.eye(base.shape[-1]), 0.0)
     pad, diag = ~inner, np.arange(x.shape[1])
     scatter = [(cones.vidx[p][:, None], cones.vidx[p]) for p in cones.pos]
 
     def measure(x, zmat, zrow, bad):
         """r(x) (NaN where a row is not positive), S(x), the gap, and the
         ways a cell can end there, (cells, outcome) in order of precedence;
-        bad marks the cells that took no step.  In phase 1 this pins the
-        slack of the cells that end feasible at the pinned point."""
+        bad marks the cells that took no step."""
         r = cones.rows(x)
         r = np.where(r > 0.0, r, np.nan)
         smat = cones.values(x)
@@ -452,26 +356,16 @@ def _primal_dual(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndar
         rd = cvec - cones.adjoint(zmat, zrow)
         dual = np.abs(rd).max(axis=1, initial=0.0) < dual_tol
         optimal = dual & (gap < _GAP_TOL)
-        failed = bad | (np.abs(x) >= _PHASE1_BOX).any(axis=1) | ~optimal & (
+        failed = bad | (np.abs(x) >= _BOX).any(axis=1) | ~optimal & (
             ~((0.0 < gap) & (gap < np.inf)) | (steps >= budget))
-        if not phase1:
-            return r, smat, gap, rd, ((failed, Status.NUMERICAL_FAILURE),
-                                      (optimal, Status.OPTIMAL))
-        s = x[:, -1]
-        shift = np.minimum(s, _EXIT_SLACK) - s
-        pinned = (steps > 0) & (r + cones.g[:, :, -1] * shift[:, None] > 0.0).all(axis=1) & (
-            _lowest(smat + shift[:, None, None, None] * slack_eye) > 0.0)
-        feasible = pinned | optimal & (s < 0.0)
-        settled = optimal | dual & (s - gap > _INFEASIBLE_SLACK)
-        ends = ((feasible, None), (settled & (s > _INFEASIBLE_SLACK), Status.INFEASIBLE),
-                (failed | settled, Status.NUMERICAL_FAILURE))
-        x[pinned, -1] = np.minimum(s[pinned], _EXIT_SLACK)
-        return r, smat, gap, rd, ends
+        below = (cvec * x).sum(axis=1) < level
+        return r, smat, gap, rd, ((failed, Status.NUMERICAL_FAILURE),
+                                  (optimal, Status.OPTIMAL), (below, Status.FEASIBLE))
 
     # the cells still running, compacted whenever one ends
     cell = np.arange(ncell)
     steps = np.zeros(ncell, dtype=int)
-    centering = np.full(ncell, not phase1)
+    centering = np.ones(ncell, dtype=bool)
     r, smat, gap, rd, ends = measure(x, zmat, zrow, np.zeros(ncell, dtype=bool))
     while True:
         ended = np.logical_or.reduce([hit for hit, _ in ends])
@@ -551,10 +445,6 @@ def _primal_dual(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndar
                 cmat = np.where(centering[:, None, None, None], 0.0, cmat)
         rhs = smu[:, None] * cones.adjoint(sinv, rinv) - cvec - cones.adjoint(cmat, crow * rinv)
         dx, dr, ds, dz, dzm = direction(rhs, smu, crow, cmat)
-        if phase1:
-            # one step of iterative refinement: solve again for what the
-            # directions miss of the dual residual, so A*(dZ) + G^T dz = rd
-            dx, dr, ds, dz, dzm = direction(rhs + cones.adjoint(dzm, dz) - rd, smu, crow, cmat)
         ap, ad = lengths(dr, ds, dz, dzm, _STEP_FRACTION)
 
         xn = x + ap[:, None] * dx
@@ -570,37 +460,18 @@ def _primal_dual(cones: _Cones, cvec: np.ndarray, x: np.ndarray, budget: np.ndar
         r, smat, gap, rd, ends = measure(x, zmat, zrow, ~move)
 
 
-def _solve_stack(cones: _Cones, sfs) -> list[Solution]:
-    """Phase 1 for every cell of a stack from `_cones`, then phase 2's
-    primal-dual steps for the cells it found feasible, over those cells of
-    the stack without phase 1's slack and box."""
-    x, slack, steps1, status = _phase1(cones, np.stack([sf.initial for sf in sfs]))
-    steps2 = np.zeros(len(sfs), dtype=int)
-    gaps: list = [None] * len(sfs)
-    go = [i for i, st in enumerate(status) if st is None]
-    if go:
-        # rebinding releases the full stack before phase 2 runs
-        cones = cones.without_slack(go)
-        x[go], steps2[go], done, gap = _primal_dual(
-            cones, np.stack([sfs[i].objective for i in go]), x[go], _MAX_NEWTON - steps1[go])
-        for i, st, g in zip(go, done, gap):
-            status[i], gaps[i] = st, g
-    x.setflags(write=False)
-    return [Solution(status[i], x[i],
-                     float(sf.objective @ x[i]) if status[i] is Status.OPTIMAL else None,
-                     (int(steps1[i]), int(steps2[i])), gaps[i], float(slack[i]))
-            for i, sf in enumerate(sfs)]
-
-
-def minimize_batch(forms) -> list[Solution]:
+def minimize_batch(forms, starts, level: float = -np.inf) -> list[Solution]:
     """Minimize each standard form's linear objective over its feasible
-    set, all forms in lockstep; the solutions come in the order of `forms`.
+    set from its start, a strictly feasible entry vector that the solver
+    checks only in its rows, all forms in lockstep; the solutions come in
+    the order of `forms`.  A cell stops as FEASIBLE once its objective is
+    under level.
 
     Forms of one layout share a stack.  A layout with many cells is split
-    into stacks whose padded phase-1 coefficients stay under _STACK_BYTES,
-    so memory does not grow with the batch.
+    into stacks whose padded coefficients stay under _STACK_BYTES, so
+    memory does not grow with the batch.
     """
-    sfs = list(forms)
+    sfs, x0 = list(forms), [np.asarray(x, dtype=float) for x in starts]
     if any(sf.objective is None for sf in sfs):
         raise ValueError("minimize expects problems with an objective")
     groups: dict[tuple, list[int]] = {}
@@ -611,16 +482,23 @@ def minimize_batch(forms) -> list[Solution]:
     for layout, members in groups.items():
         refs, blocks = layout
         dims = [d for d, _, diagonal in blocks if not diagonal]
-        cell_bytes = 8 * (len(refs) + 1) * len(dims) * max(dims, default=0) ** 2
+        cell_bytes = 8 * len(refs) * len(dims) * max(dims, default=0) ** 2
         size = max(1, _STACK_BYTES // max(cell_bytes, 1))
         for start in range(0, len(members), size):
             cells = members[start:start + size]
-            part = [sfs[c] for c in cells]
-            for c, solution in zip(cells, _solve_stack(_cones(part, layout), part)):
-                out[c] = solution
+            cvec = np.stack([sfs[c].objective for c in cells])
+            x, steps, status, gaps = _primal_dual(
+                _cones([sfs[c] for c in cells], layout), cvec, np.stack([x0[c] for c in cells]),
+                np.full(len(cells), _MAX_NEWTON), level)
+            x.setflags(write=False)
+            for i, c in enumerate(cells):
+                done = status[i] is not Status.NUMERICAL_FAILURE
+                out[c] = Solution(status[i], x[i], float(cvec[i] @ x[i]) if done else None,
+                                  int(steps[i]), gaps[i])
     return out
 
 
-def minimize(sf: lmi.StandardForm) -> Solution:
-    """Minimize the standard form's linear objective over its feasible set."""
-    return minimize_batch([sf])[0]
+def minimize(sf: lmi.StandardForm, start, level: float = -np.inf) -> Solution:
+    """Minimize the standard form's linear objective over its feasible set
+    from the strictly feasible entry vector start."""
+    return minimize_batch([sf], [start], level)[0]

@@ -13,7 +13,9 @@ against the matrices it came from, and `form_bytes` compares two compiled
 forms bit for bit;
 `barrier_value` is the matrix the solver's barrier keeps
 positive definite, and `synthesis_point` and `analysis_point` pack a
-certificate into a problem's entry vector.  `elimination_minimizer` is the
+certificate into a problem's entry vector.  `full_start` is the full
+synthesis form's strictly feasible point in closed form, the solver's
+start when a test solves that form.  `elimination_minimizer` is the
 gain_scaled W* of the elimination lemma in its general form, with R^-1
 applied by a dense solve, which `control.gain_rule` reduces to one m x m
 solve.  `paper_synthesis_margins` and
@@ -35,6 +37,7 @@ import math
 
 import numpy as np
 
+from hypiss import control
 from hypiss.control import (
     Plant,
     SynthesisCertificate,
@@ -42,7 +45,15 @@ from hypiss.control import (
     saturate,
 )
 from hypiss.linalg import DiagMatrix, Matrix, SymMatrix, sym_eig
-from hypiss.lmi import LEQ, Affine, LmiProblem, StandardBlock, StandardForm, vectorize
+from hypiss.lmi import (
+    DEFAULT_EPS,
+    LEQ,
+    Affine,
+    LmiProblem,
+    StandardBlock,
+    StandardForm,
+    vectorize,
+)
 from hypiss.pde import (
     ZERO,
     BlowUpError,
@@ -124,6 +135,21 @@ def synthesis_point(sf: StandardForm, cert: SynthesisCertificate) -> np.ndarray:
     return sf.pack({
         "lyap_inv": cert.lyap_inv.diagonal, "sector_inv": cert.sector_inv.diagonal,
         "gain_scaled": cert.gain_scaled.array, "peak": [cert.peak]})
+
+
+def full_start(sf: StandardForm, plant: Plant, mu: float, alpha: float,
+               eps: float = DEFAULT_EPS) -> np.ndarray:
+    """The closed-form start (t q-hat, 2 eps I, 0, c0) of the full
+    synthesis form at (mu, alpha), with eps > 0: the projected start of
+    `control._start` completed with S = 2 eps I and W = 0.  With S = sigma
+    I and W = 0, boundary_block < -eps I holds once OL(Q) + eps I +
+    sigma^2 / (2 sigma - eps) diag(B B^T, 0) < 0 (the Schur complement in
+    its -2 sigma I + eps I corner), which t q-hat meets at sigma = 2 eps,
+    and s_pos keeps margin eps."""
+    [row] = control._rows(plant, [mu])
+    return sf.pack({**control._start(plant, row, mu, alpha, eps),
+                    "sector_inv": np.full(plant.m, 2.0 * eps),
+                    "gain_scaled": np.zeros((plant.m, plant.n))})
 
 
 def elimination_minimizer(plant: Plant, lyap_inv: np.ndarray, sigma: float,
@@ -360,7 +386,8 @@ def record_by_record_energy(spec: SignalSpec, times, grid: Grid) -> np.ndarray:
 # them, and (n, status, peak, phase-1 Newton steps) of the seeded random
 # plants n = 2..10 (the `conftest` rule, default_rng(n), mu = 1, alpha =
 # min(lambda) / 2), each solved by `sdp.minimize`.  The phase-1 steps are
-# the barrier path's; the tests hold the solver to them as upper bounds.
+# the barrier path's, a record only: the solver now starts at a strictly
+# feasible point and has no feasibility phase.
 BARRIER_DEMO_GRID = (
     (0.25, 0.1, 'optimal', 14.31069637265344, 6),
     (0.25, 0.3, 'infeasible', None, 48),

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hypiss import cli, control, linalg, lmi, pde, sdp
+from hypiss import cli, control, linalg, pde, sdp
 from identities import write_csv
 
 # floats whose text is easy to get wrong: nan, both infinities, negative
@@ -117,12 +117,13 @@ class TestSynth:
         assert "certificate.json" in report["manifest"]
         assert "synth_report.json" in report["manifest"]
         steps = report["newton_steps"]
-        assert steps["phase1"] > 0 and steps["phase2"] > 0
+        assert steps["row"] > 0 and steps["cell"] > 0
         assert 0.0 < report["duality_gap"] < 1e-7
-        # phase 1 ended at a point where every block holds with slack -1e-9
-        assert report["phase1_slack"] <= -1e-9
+        # the row stopped once its margin was under -1e-7, a strictly
+        # feasible start for the design
+        assert report["row_margin"] < -1e-7
         assert "newton_steps" not in cert and "duality_gap" not in cert
-        assert "phase1_slack" not in cert
+        assert "row_margin" not in cert
 
     def test_grid_alpha_is_schema_error(self, tmp_path, capsys):
         cfg = _design_config()
@@ -150,17 +151,15 @@ class TestSynth:
         report = json.loads((out / "synth_report.json").read_text())
         assert report["status"] == "infeasible"
         assert report["duality_gap"] is None
-        assert report["phase1_slack"] > 1e-7
-        assert "reason" not in report
-        # the worst margin of the projected problem the solver decided, at
-        # its last point, recomputed
+        assert report["row_margin"] > 1e-7
+        assert report["newton_steps"]["row"] > 0 and report["newton_steps"]["cell"] is None
+        # the row's verdict, as synthesize gives it
         plant = cli._build_plant(cfg)
         with pytest.raises(control.InfeasibleError) as exc:
             control.synthesize(plant, 1.0, 0.5, eps=1e-6)
-        sf = lmi.vectorize(control.build_projected_lmis(plant, 1.0, 0.5, eps=1e-6))
-        worst = min(lmi.problem_margins(sf, exc.value.solution.x))
-        assert worst < 0.0
-        assert report["margins"]["worst_phase1_margin"] == worst
+        assert report["reason"] == str(exc.value) == exc.value.row.reason
+        assert report["row_margin"] == exc.value.row.s
+        assert report["margins"] == {}
 
     def test_design_past_the_decay_bound_reports_its_reason(self, tmp_path, capsys):
         # alpha = 1.2 >= mu min(lambda) = 1: infeasible with no solver trace
@@ -177,13 +176,14 @@ class TestSynth:
         assert report["reason"] == reason
         assert report["margins"] == {}
         assert report["certificate"] is None
-        assert [report[k] for k in ("newton_steps", "duality_gap", "phase1_slack")] == [
+        assert [report[k] for k in ("row_margin", "newton_steps", "duality_gap")] == [
             None] * 3
 
     def test_infeasible_design_builds_its_inequalities_once(
             self, tmp_path, monkeypatch, reflection_plant_config):
-        # the solver's infeasible verdict comes from the projected problem,
-        # so the full one, only ever re-checked, is not built
+        # the row's infeasible verdict comes before any solve of the
+        # projected problem, so the full one, only ever re-checked, is not
+        # built
         calls = []
 
         def counted(name):
@@ -210,9 +210,9 @@ class TestSynth:
     def test_solver_failure_writes_a_report_and_exits_1(self, tmp_path, monkeypatch, capsys):
         real, failed = sdp.minimize, []
 
-        def fail(sf):
+        def fail(sf, *args):
             failed.append(dataclasses.replace(
-                real(sf), status=sdp.Status.NUMERICAL_FAILURE, objective=None))
+                real(sf, *args), status=sdp.Status.NUMERICAL_FAILURE, objective=None))
             return failed[-1]
 
         monkeypatch.setattr(sdp, "minimize", fail)
@@ -231,7 +231,8 @@ class TestSynth:
         assert report["certificate"] is None
         assert report["manifest"] == ["synth_report.json"]
         [solution] = failed
-        trace = cli._solver_trace(solution)
+        [row] = control._rows(cli._build_plant(_design_config()), [1.0])
+        trace = cli._solver_trace(row, solution)
         assert {k: report[k] for k in trace} == trace
         assert report["duality_gap"] is not None
 
@@ -353,7 +354,8 @@ class TestGrid:
         assert len(report["infeasible_cells"]) == 23
         assert all(c["reason"].startswith(f"alpha={c['alpha']} >= mu*lambda_1=")
                    for c in report["infeasible_cells"])
-        # the solver's infeasible verdicts keep their trace and carry no reason
+        # the rows' infeasible verdicts carry the row's reason, and their
+        # cells no solver trace
         cfg = self._grid_config({"min": 0.5, "max": 2.0, "count": 3},
                                 {"min": 0.1, "max": 0.5, "count": 2})
         cfg["plant"] = reflection_plant_config
@@ -362,29 +364,33 @@ class TestGrid:
         _, rows = _read_csv(tmp_path / "r" / "feasibility.csv")
         report = json.loads((tmp_path / "r" / "grid_report.json").read_text())
         self._check_traces(rows, report)
-        assert [(c["mu"], c["alpha"], c["reason"] is None)
+        rows = {r["mu"]: r for r in report["rows"]}
+        assert [(c["mu"], c["alpha"], c["reason"].startswith("row bound s - gap = "))
                 for c in report["infeasible_cells"]] == [
             (0.5, 0.1, True), (0.5, 0.5, False), (1.25, 0.1, True), (1.25, 0.5, True),
             (2.0, 0.1, True), (2.0, 0.5, True)]
+        assert sorted(rows) == [0.5, 1.25, 2.0]
+        assert all(r["verdict"] == "infeasible" and r["s_minus_gap"] > 1e-7
+                   and r["newton_steps"] > 0 for r in rows.values())
 
     @staticmethod
     def _check_traces(rows, report):
-        """Every cell's solver trace in the report, in the CSV's order: both
-        phases of a feasible cell, phase 1 only of one the solver found
-        infeasible, null for one past the decay bound."""
-        implied = {(c["mu"], c["alpha"]) for c in report["infeasible_cells"]
-                   if c["reason"] is not None}
-        steps, slacks = report["newton_steps"], report["phase1_slack"]
-        for traces in (steps, slacks):
-            assert [(c["mu"], c["alpha"]) for c in traces] == [
-                (float(r[0]), float(r[1])) for r in rows]
-        for cell, slack, r in zip(steps, slacks, rows):
-            if (cell["mu"], cell["alpha"]) in implied:
-                assert (cell["steps"], slack["slack"]) == (None, None)
-                continue
-            assert cell["steps"]["phase1"] > 0
-            assert (cell["steps"]["phase2"] > 0) == (r[2] == "feasible")
-            assert (slack["slack"] <= -1e-9) if r[2] == "feasible" else (slack["slack"] > 1e-7)
+        """Every cell's Newton steps in the report, in the CSV's order: a
+        positive count for a feasible cell, null for an infeasible one,
+        which the decay bound or its row decided; and a row for each mu,
+        with s < 0 in a row with a feasible cell."""
+        steps = report["newton_steps"]
+        assert [(c["mu"], c["alpha"]) for c in steps] == [
+            (float(r[0]), float(r[1])) for r in rows]
+        for cell, r in zip(steps, rows):
+            assert (cell["steps"] is None) == (r[2] == "infeasible")
+            assert r[2] == "infeasible" or cell["steps"] > 0
+        mus = sorted({float(r[0]) for r in rows})
+        assert [r["mu"] for r in report["rows"]] == mus
+        for row in report["rows"]:
+            feasible = any(float(r[0]) == row["mu"] and r[2] == "feasible" for r in rows)
+            assert (row["verdict"] == "feasible") == feasible
+            assert row["s"] < -1e-7 if feasible else row["s_minus_gap"] > 1e-7
 
     def test_demo_grid_best_certificate_verifies(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -812,7 +818,7 @@ class TestSimulate:
         past_bound["design"]["alpha"] = 1.2
         for name, cfg, alpha, detail in (
                 ("solved", _design_config(plant=reflection_plant_config), 0.5,
-                 "(worst margin -"),
+                 "(row bound s - gap = "),
                 ("implied", past_bound, 1.2, "(alpha=1.2 >= mu*lambda_1=1.0, ")):
             cfg_path = _write_config(tmp_path, cfg, f"{name}.json")
             out = tmp_path / name
@@ -825,7 +831,7 @@ class TestSimulate:
             assert report["gain_source"] == "auto"
             assert report["manifest"] == ["simulate_report.json"]
             if name == "solved":
-                assert report["newton_steps"]["phase1"] > 0
+                assert report["newton_steps"]["row"] > 0
             else:
                 assert report["newton_steps"] is None
                 assert err == f"infeasible at mu=1, alpha=1.2 ({report['reason']})\n"
@@ -843,8 +849,8 @@ class TestSimulate:
     def test_auto_design_solver_failure_writes_a_report_and_exits_1(
             self, tmp_path, monkeypatch, capsys):
         real = sdp.minimize
-        monkeypatch.setattr(sdp, "minimize", lambda sf: dataclasses.replace(
-            real(sf), status=sdp.Status.NUMERICAL_FAILURE, objective=None))
+        monkeypatch.setattr(sdp, "minimize", lambda sf, *args: dataclasses.replace(
+            real(sf, *args), status=sdp.Status.NUMERICAL_FAILURE, objective=None))
         out = tmp_path / "o"
         code = cli.main(["simulate", "--config", _write_config(tmp_path, _design_config()),
                          "--out", str(out)])
@@ -1222,9 +1228,9 @@ class TestVerify:
         fresh = control.synthesize(plant, 1.0, 0.5, eps=1e-6)
         loaded, digest = cli._load_certificate(str(cert_path), plant)
         assert digest == hashlib.sha256(cert_path.read_bytes()).hexdigest()
-        assert loaded.margins == {} and loaded.solution is None
+        assert loaded.margins == {} and loaded.solution is None and loaded.row is None
         for field in dataclasses.fields(control.SynthesisCertificate):
-            if field.name in ("margins", "solution"):
+            if field.name in ("margins", "solution", "row"):
                 continue
             a, b = getattr(fresh, field.name), getattr(loaded, field.name)
             if isinstance(a, float):

@@ -26,6 +26,7 @@ from identities import (
     deadzone,
     elimination_minimizer,
     form_bytes,
+    full_start,
     paper_analysis_margins,
     paper_synthesis_margins,
     reference_margins,
@@ -266,10 +267,13 @@ class TestSynthesize:
         assert control.synthesis_margins(demo_plant, flipped)["q_pos"] < 0.0
 
     def test_infeasible_weights_raise(self, reflection_plant):
-        # alpha < mu min(lambda): the solver decides, and its verdict comes back
+        # alpha < mu min(lambda): the row decides, and its verdict comes back
+        # before the design's problem is solved
         with pytest.raises(InfeasibleError) as exc:
             synthesize(reflection_plant, 1.0, 0.5)
-        assert exc.value.solution.status is sdp.Status.INFEASIBLE
+        row = exc.value.row
+        assert row.verdict == "infeasible" and row.bound > control._RESOLUTION
+        assert str(exc.value) == row.reason and exc.value.solution is None
         assert exc.value.form is not None
 
     def test_weights_past_the_decay_bound_raise_with_the_reason(self, demo_plant):
@@ -302,10 +306,11 @@ class TestSynthesize:
 
     def test_design_that_needs_phase_one_refinement_certifies(self):
         # default_rng(5) draws n = 4, lambda, H scaled to norm 0.6257, B, N
-        # and u_max; without phase 1's refinement of its corrector the full
-        # synthesis problem of this design ends NUMERICAL_FAILURE after 7 +
-        # 20 steps.  synthesize solves the projected problem, so the full
-        # one goes to the solver here; both reach the same peak
+        # and u_max; the full synthesis problem of this design once ended
+        # NUMERICAL_FAILURE unless a feasibility phase refined its corrector.
+        # synthesize solves the projected problem, so the full one goes to
+        # the solver here, from its closed-form start; both reach the same
+        # peak
         rng = np.random.default_rng(5)
         n = int(rng.integers(2, 6))
         m = (n + 1) // 2
@@ -335,14 +340,25 @@ class TestSynthesize:
 
 def _full_solve_certificate(plant, mu, alpha, eps=lmi.DEFAULT_EPS):
     """The certificate of the full synthesis problem's own optimum: its form
-    solved by sdp.minimize, its point re-checked and certified as
-    synthesize certifies a point (control._certify, control._certificate)."""
+    solved by sdp.minimize from the closed-form start (t q-hat, 2 eps I, 0,
+    c0), its point re-checked and certified as synthesize certifies a point
+    (control._certify, control._certificate)."""
     sf = lmi.vectorize(build_synthesis_lmis(plant, mu, alpha, eps=eps))
-    solution = sdp.minimize(sf)
+    solution = sdp.minimize(sf, full_start(sf, plant, mu, alpha, eps))
     assert solution.status is sdp.Status.OPTIMAL
     [margins] = control._certify([(sf, solution, mu, alpha, (sf, solution.x))])
     assert isinstance(margins, dict), margins
-    return control._certificate(plant, sf, solution.x, solution, mu, alpha, eps, margins)
+    return control._certificate(plant, sf, solution.x, solution, None, mu, alpha, eps, margins)
+
+
+def _projected_optimum(plant, mu, alpha, eps=lmi.DEFAULT_EPS):
+    """lyap_inv at the projected problem's optimum, solved from its
+    closed-form start."""
+    sf = lmi.vectorize(control.build_projected_lmis(plant, mu, alpha, eps=eps))
+    [row] = control._rows(plant, [mu])
+    sol = sdp.minimize(sf, sf.pack(control._start(plant, row, mu, alpha, eps)))
+    assert sol.status is sdp.Status.OPTIMAL
+    return np.diagonal(sf.unpack(sol.x)["lyap_inv"])
 
 
 class TestGainRule:
@@ -396,10 +412,7 @@ class TestGainRule:
         cases = []
         for plant in [demo_plant, *self._plants(random_plant_config)]:
             low = float(np.min(plant.speeds.diagonal))
-            sf = lmi.vectorize(control.build_projected_lmis(plant, 1.0, 0.5 * low))
-            sol = sdp.minimize(sf)
-            assert sol.status is sdp.Status.OPTIMAL
-            cases.append((plant, np.diagonal(sf.unpack(sol.x)["lyap_inv"])))
+            cases.append((plant, _projected_optimum(plant, 1.0, 0.5 * low)))
             cases += [(plant, rng.uniform(0.3, 3.0) * plant.speeds.diagonal) for _ in range(6)]
         passed = 0
         for plant, q in cases:
@@ -417,8 +430,7 @@ class TestGainRule:
         # block holds there with sigma >= eps
         for plant in [demo_plant, *self._plants(random_plant_config)]:
             low = float(np.min(plant.speeds.diagonal))
-            sf = lmi.vectorize(control.build_projected_lmis(plant, 1.0, 0.5 * low))
-            q = np.diagonal(sf.unpack(sdp.minimize(sf).x)["lyap_inv"])
+            q = _projected_optimum(plant, 1.0, 0.5 * low)
             sigma, w = control.gain_rule(plant, DiagMatrix(q), 1.0, self.EPS)
             want = elimination_minimizer(plant, q, sigma, self.EPS)
             assert sigma > self.EPS
@@ -546,6 +558,11 @@ def _certificate_key(cert) -> list:
     return [(f.name, value(getattr(cert, f.name))) for f in dataclasses.fields(cert)]
 
 
+def _cell_batch(forms) -> bool:
+    """Whether a batch of sdp.minimize_batch holds designs, not rows."""
+    return ("peak", 0) in forms[0].refs
+
+
 class TestGridSearch:
     def test_demo_grid(self, demo_plant):
         fm = grid_search(demo_plant, [0.5, 1.0], [0.5, 1.2])
@@ -579,33 +596,41 @@ class TestGridSearch:
                                           monkeypatch):
         # (0.5, 0.5) is past the decay bound, so the second cell built is
         # (1.0, 0.1); on the demo the solver finds the other cells feasible,
-        # on the uncontrolled reflection infeasible
+        # while on the uncontrolled reflection each row is infeasible and no
+        # cell is built
         real = control.build_synthesis_lmis
         calls = []
 
         def build(*args, **kwargs):
             calls.append(args)
-            if len(calls) % 3 == 2:  # the cell (1.0, 0.1); the sweep goes on
+            if len(calls) == 2:  # the cell (1.0, 0.1); the sweep goes on
                 raise FloatingPointError("injected at one cell")
             return real(*args, **kwargs)
 
         monkeypatch.setattr(control, "build_synthesis_lmis", build)
         failed = ("failed", "FloatingPointError: injected at one cell")
-        bests = []
-        for plant, verdict in ((demo_plant, "feasible"), (reflection_plant, "infeasible")):
-            fm = grid_search(plant, [0.5, 1.0], [0.1, 0.5])
-            reasons = {(c.mu, c.alpha): (c.status, c.reason) for c in fm.cells}
-            assert reasons == {
-                (0.5, 0.1): (verdict, None),
-                (0.5, 0.5): ("infeasible",
-                             control._decay_bound(plant, 0.5, 0.5, lmi.DEFAULT_EPS)),
-                (1.0, 0.1): failed,
-                (1.0, 0.5): (verdict, None),
-            }
-            assert reasons[(0.5, 0.5)][1] is not None
-            bests.append(fm.best and (fm.best.mu, fm.best.alpha))
-        assert len(calls) == 6
-        assert bests == [(0.5, 0.1), None]
+        fm = grid_search(demo_plant, [0.5, 1.0], [0.1, 0.5])
+        reasons = {(c.mu, c.alpha): (c.status, c.reason) for c in fm.cells}
+        assert reasons == {
+            (0.5, 0.1): ("feasible", None),
+            (0.5, 0.5): ("infeasible",
+                         control._decay_bound(demo_plant, 0.5, 0.5, lmi.DEFAULT_EPS)),
+            (1.0, 0.1): failed,
+            (1.0, 0.5): ("feasible", None),
+        }
+        assert reasons[(0.5, 0.5)][1] is not None
+        assert (fm.best.mu, fm.best.alpha) == (0.5, 0.1)
+        assert len(calls) == 3
+        fm = grid_search(reflection_plant, [0.5, 1.0], [0.1, 0.5])
+        rows = {r.mu: r.reason for r in fm.rows}
+        assert {(c.mu, c.alpha): (c.status, c.reason) for c in fm.cells} == {
+            (0.5, 0.1): ("infeasible", rows[0.5]),
+            (0.5, 0.5): ("infeasible",
+                         control._decay_bound(reflection_plant, 0.5, 0.5, lmi.DEFAULT_EPS)),
+            (1.0, 0.1): ("infeasible", rows[1.0]),
+            (1.0, 0.5): ("infeasible", rows[1.0]),
+        }
+        assert fm.best is None and len(calls) == 3
 
     def test_optimal_cell_whose_point_fails_the_recheck_fails(self, demo_plant,
                                                               monkeypatch):
@@ -614,9 +639,11 @@ class TestGridSearch:
         honest = grid_search(demo_plant, mus, alphas)
         real = sdp.minimize_batch
 
-        def minimize_batch(forms):
+        def minimize_batch(forms, *args):
             forms = list(forms)
-            solutions = real(forms)
+            solutions = real(forms, *args)
+            if not _cell_batch(forms):
+                return solutions
             # the solver claims the cell (1.0, 0.4) optimal at a point whose
             # lyap_inv is negative, which breaks q_pos
             sol, sf = solutions[3], forms[3]
@@ -646,9 +673,11 @@ class TestGridSearch:
         honest = grid_search(demo_plant, mus, alphas)
         solve, recheck = sdp.minimize_batch, lmi.margins_batch
 
-        def minimize_batch(forms):
+        def minimize_batch(forms, *args):
             forms = list(forms)
-            solutions = solve(forms)
+            solutions = solve(forms, *args)
+            if not _cell_batch(forms):
+                return solutions
             sol, sf = solutions[3], forms[3]
             values = sf.unpack(sol.x)
             values["peak"] = np.array([[np.max(values["lyap_inv"]) * (1.0 - 1e-6)]])
@@ -705,7 +734,8 @@ class TestGridSearch:
         assert _certificate_key(fm.best) == _certificate_key(synthesize(demo_plant, 1.0, 0.1))
 
     def test_failing_batch_fails_every_cell(self, demo_plant, monkeypatch):
-        def minimize_batch(forms):
+        # the batch of row solves raises first
+        def minimize_batch(forms, *args):
             raise FloatingPointError("injected in the batch")
 
         monkeypatch.setattr(sdp, "minimize_batch", minimize_batch)
@@ -729,15 +759,13 @@ class TestGridSearch:
                     cert = synthesize(plant, cell.mu, cell.alpha)
                 except InfeasibleError as e:
                     assert cell.status == "infeasible"
-                    if e.solution is None:  # past the decay bound: no solver ran
-                        assert (cell.solution, cell.reason) == (None, str(e))
+                    assert (cell.solution, cell.reason, e.solution) == (None, str(e), None)
+                    if e.row is None:  # past the decay bound: no solver ran
                         implied.append((cell.mu, cell.alpha))
                     else:
-                        assert cell.reason is None
-                        assert cell.solution.newton_steps[0] > 0
-                        assert cell.solution.newton_steps[1] == 0
+                        assert e.row in fm.rows and e.row.steps > 0
                     continue
-                assert cell.solution.newton_steps[0] > 0
+                assert cell.solution.newton_steps > 0
                 assert cell.status == "feasible"
                 assert cell.peak == cert.peak
                 designs[(cell.mu, cell.alpha)] = cert
@@ -749,7 +777,7 @@ class TestGridSearch:
         best = min(designs.values(), key=lambda c: (c.gamma, c.mu, c.alpha))
         assert (best.mu, best.alpha) == (fm.best.mu, fm.best.alpha) == (0.5, 0.1)
         assert _certificate_key(fm.best) == _certificate_key(best)
-        assert sum(fm.best.solution.newton_steps) > 0
+        assert fm.best.solution.newton_steps > 0 and fm.best.row in fm.rows
         # the best certificate carries its cell's outcome, not a copy
         assert fm.best.solution is fm.cells[3].solution
         # cells the solver finds infeasible, and (0.5, 0.5) past the bound
@@ -778,19 +806,20 @@ class TestGridSearch:
             grids = [(np.linspace(0.5, 1.25, 4), np.linspace(0.2, 0.8, 4) * low)]
         solve, outcomes = sdp.minimize_batch, []
 
-        def minimize_batch(forms):
-            solutions = solve(forms)
-            outcomes.extend(zip(forms, solutions))
+        def minimize_batch(forms, starts, level=-np.inf):
+            solutions = solve(forms, starts, level)
+            outcomes.extend(zip(forms, starts, [level] * len(forms), solutions))
             return solutions
 
         monkeypatch.setattr(sdp, "minimize_batch", minimize_batch)
         cells = [c for mu, alpha in grids for c in grid_search(plant, mu, alpha).cells]
         monkeypatch.undo()
-        assert [sol for _, sol in outcomes] == [
-            c.solution for c in cells if c.solution is not None]
-        assert len(outcomes) == solved
-        for form, sol in outcomes:
-            assert _outcome_key(sol) == _outcome_key(sdp.minimize(form))
+        designs = [sol for sf, _, _, sol in outcomes if _cell_batch([sf])]
+        assert designs == [c.solution for c in cells if c.solution is not None]
+        assert len(designs) == solved
+        # the row solves too are each the bits of their lone solve
+        for form, start, level, sol in outcomes:
+            assert _outcome_key(sol) == _outcome_key(sdp.minimize(form, start, level))
 
     def test_one_call_recheck_matches_each_cell_alone(self, demo_plant, monkeypatch):
         # the demo grid re-checks the completions (Q, eps I, 0, c) of its 41
@@ -825,15 +854,18 @@ class TestGridSearch:
         assert best_x.tobytes() == synthesis_point(best_sf, fm.best).tobytes()
         assert _bits(best_margins) == _bits(list(fm.best.margins.values()))
 
-    @pytest.mark.parametrize("case, solved", [("demo", 41), ("reflection", 41),
-                                              ("seeded", 44), ("demo-eps0", 64)])
-    def test_solver_gets_each_cells_own_form_bit_for_bit(self, case, solved, demo_plant,
+    @pytest.mark.parametrize("case, below", [("demo", 41), ("reflection", 41),
+                                             ("seeded", 44), ("demo-eps0", 41)])
+    def test_solver_gets_each_cells_own_form_bit_for_bit(self, case, below, demo_plant,
                                                          reflection_plant,
                                                          random_plant_config, monkeypatch):
         # a row's cells share its projected form but for
         # disturbance_decay_block, and each is the same bits as the cell's
         # own vectorize; so is each full form a completion is re-checked in;
-        # only the best cell's certificate is built
+        # only the best cell's certificate is built.  Every cell below the
+        # decay bound has its row solved, and the cells of a feasible row
+        # are solved: none of the uncontrolled reflection's, some of the
+        # seeded plant's
         plant = {"demo": demo_plant, "demo-eps0": demo_plant, "reflection": reflection_plant,
                  "seeded": cli._build_plant({"plant": random_plant_config(
                      np.random.default_rng(4), 4, 1.0)})}[case]
@@ -842,9 +874,9 @@ class TestGridSearch:
         recheck, rechecked = lmi.margins_batch, []
         certificate = control.SynthesisCertificate
 
-        def minimize_batch(forms):
+        def minimize_batch(forms, *args):
             batches.append(list(forms))
-            return solve(batches[-1])
+            return solve(batches[-1], *args)
 
         def margins_batch(points):
             rechecked.append(list(points))
@@ -859,9 +891,15 @@ class TestGridSearch:
         monkeypatch.setattr(control, "SynthesisCertificate", counted_certificate)
         fm = grid_search(plant, np.linspace(0.25, 2.0, 8), np.linspace(0.1, 1.5, 8), eps=eps)
         monkeypatch.undo()
-        [forms] = batches
+        rows, *designs = batches
+        assert [sf.refs for sf in rows] == [rows[0].refs] * 8 and not _cell_batch(rows)
+        forms = designs[0] if designs else []
         cells = [c for c in fm.cells if c.solution is not None]
-        assert len(forms) == len(cells) == solved
+        feasible_rows = [r.mu for r in fm.rows if r.verdict == "feasible"]
+        open_cells = [c for c in fm.cells
+                      if control._decay_bound(plant, c.mu, c.alpha, eps) is None]
+        assert len(open_cells) == below
+        assert len(forms) == len(cells) == sum(c.mu in feasible_rows for c in open_cells)
         firsts = {}
         for sf, cell in zip(forms, cells):
             own = lmi.vectorize(control.build_projected_lmis(plant, cell.mu, cell.alpha,
@@ -870,7 +908,7 @@ class TestGridSearch:
             first = firsts.setdefault(cell.mu, sf)
             assert [a is b for a, b in zip(sf.blocks, first.blocks)] == [
                 sf is first or blk.label != "disturbance_decay_block" for blk in sf.blocks]
-        assert len(firsts) == 8
+        assert len(firsts) == len(feasible_rows)
         feasible = [c for c in cells if c.status == "feasible"]
         assert [len(points) for points in rechecked] == ([len(feasible), 1] if feasible else [])
         for (full, _), cell in zip(rechecked[0] if rechecked else [], feasible):
@@ -897,8 +935,8 @@ class TestDecayBound:
 
     def test_implied_cells_never_reach_the_builder_or_the_solver(self, demo_plant,
                                                                    monkeypatch):
-        calls = {"build": [], "project": [], "vectorize": [], "decay": [], "restate": [],
-                 "solve": [], "recheck": []}
+        calls = {"build": [], "project": [], "row": [], "vectorize": [], "decay": [],
+                 "restate": [], "solve": [], "recheck": []}
 
         def counted(name, real, count):
             def wrapper(*args, **kwargs):
@@ -910,27 +948,32 @@ class TestDecayBound:
             "build", control.build_synthesis_lmis, lambda plant, mu, alpha: (mu, alpha)))
         monkeypatch.setattr(control, "build_projected_lmis", counted(
             "project", control.build_projected_lmis, lambda plant, mu, alpha: (mu, alpha)))
+        monkeypatch.setattr(control, "build_row_lmis", counted(
+            "row", control.build_row_lmis, lambda plant, mu: mu))
         monkeypatch.setattr(lmi, "vectorize", counted("vectorize", lmi.vectorize,
                                                       lambda problem: 1))
         monkeypatch.setattr(control, "_disturbance_decay", counted(
             "decay", control._disturbance_decay, lambda plant, mu, alpha, eps: (mu, alpha)))
         monkeypatch.setattr(lmi, "restate", counted("restate", lmi.restate,
                                                     lambda sf, con, eps: con.label))
-        monkeypatch.setattr(sdp, "minimize_batch", counted("solve", sdp.minimize_batch, len))
+        monkeypatch.setattr(sdp, "minimize_batch", counted(
+            "solve", sdp.minimize_batch, lambda forms, starts, level=None: len(forms)))
         monkeypatch.setattr(lmi, "margins_batch", counted("recheck", lmi.margins_batch, len))
         fm = grid_search(demo_plant, self.DEMO_MU, self.DEMO_ALPHA)
         below = [(c.mu, c.alpha) for c in fm.cells if c.alpha < c.mu]
         assert len(below) == 41
-        # one build of each form per mu row, at its first cell below the
-        # bound (alpha = 0.1 in every row), whose two builders pose its
-        # decay block; each of the row's other 33 cells poses its decay
-        # block alone and restates the row's two forms with it; no cell past
-        # the bound poses one.  The 41 completions are re-checked in one
-        # call, the best cell's rule point in another
+        # one row problem per mu, the 8 solved in one batch; one build of
+        # each form per mu row, at its first cell below the bound (alpha =
+        # 0.1 in every row), whose two builders pose its decay block; each
+        # of the row's other 33 cells poses its decay block alone and
+        # restates the row's two forms with it; no cell past the bound poses
+        # one.  The 41 completions are re-checked in one call, the best
+        # cell's rule point in another
         firsts = [(mu, self.DEMO_ALPHA[0]) for mu in self.DEMO_MU]
-        assert calls == {"build": firsts, "project": firsts, "vectorize": [1] * 16,
+        assert calls == {"build": firsts, "project": firsts, "row": list(self.DEMO_MU),
+                         "vectorize": [1] * 24,
                          "decay": [w for w in below for _ in range(1 + (w in firsts))],
-                         "restate": ["disturbance_decay_block"] * 66, "solve": [41],
+                         "restate": ["disturbance_decay_block"] * 66, "solve": [8, 41],
                          "recheck": [41, 1]}
         assert sorted(c.status for c in fm.cells if c.alpha >= c.mu) == ["infeasible"] * 23
         assert all(c.solution is None and c.reason is not None
@@ -955,28 +998,87 @@ class TestDecayBound:
             f"entry 2 of disturbance_decay_block at -eps or below")
         assert control._decay_bound(plant, mu, below, eps) is None
         fm = grid_search(plant, [mu], [below, edge])
+        # the cell below reaches the solver, but its start needs Q of about
+        # 1e16 (min_i q-hat_i (mu lambda_i - alpha) is about 1e-16), past the
+        # solver's box, so it ends there at once
         assert fm.cells[0].solution is not None
-        assert fm.cells[0].solution.newton_steps[0] > 0
+        assert fm.cells[0].status == "failed" and fm.cells[0].solution.newton_steps == 0
+        assert np.max(fm.cells[0].solution.x) >= sdp._BOX
         assert (fm.cells[1].status, fm.cells[1].solution) == ("infeasible", None)
 
-    def test_eps_zero_reaches_the_solver(self, demo_plant):
-        # with eps = 0, q_1 = 0 leaves the merged block's entry at 0
-        assert control._decay_bound(demo_plant, 1.0, 1.2, 0.0) is None
-        [cell] = grid_search(demo_plant, [1.0], [1.2], eps=0.0).cells
-        assert cell.solution.newton_steps[0] > 0
+    def test_eps_zero_reaches_the_solver(self, demo_plant, reflection_plant):
+        # below the bound, eps = 0 poses every block without slack, and the
+        # row and the design still go to the solver
+        assert control._decay_bound(demo_plant, 1.0, 0.5, 0.0) is None
+        [cell] = grid_search(demo_plant, [1.0], [0.5], eps=0.0).cells
+        assert cell.solution.newton_steps > 0
         assert cell.reason is None
         with pytest.raises(InfeasibleError) as exc:
-            synthesize(demo_plant, 1.0, 1.2, eps=0.0)
-        assert exc.value.solution.status is sdp.Status.INFEASIBLE
+            synthesize(reflection_plant, 1.0, 0.5, eps=0.0)
+        assert exc.value.row.verdict == "infeasible" and exc.value.row.steps > 0
 
-    def test_solver_agrees_on_every_implied_demo_cell(self, demo_plant):
-        # the solver's own infeasible path still reaches the demo's 23 cells
-        implied = [(mu, alpha) for mu in self.DEMO_MU for alpha in self.DEMO_ALPHA
-                   if control._decay_bound(demo_plant, mu, alpha, lmi.DEFAULT_EPS)]
-        assert len(implied) == 23
-        for mu, alpha in implied:
-            sf = lmi.vectorize(build_synthesis_lmis(demo_plant, mu, alpha))
-            assert sdp.minimize(sf).status is sdp.Status.INFEASIBLE, (mu, alpha)
+    def test_eps_zero_past_the_bound_has_no_strictly_feasible_point(self, demo_plant):
+        # q_1 > 0 and q_1 (mu lambda_1 - alpha) > 0 cannot both hold, so the
+        # solver would have no start: the closed-form verdict stands
+        reason = control._decay_bound(demo_plant, 1.0, 1.2, 0.0)
+        assert reason == ("alpha=1.2 >= mu*lambda_1=1.0, so no strictly feasible point: "
+                          "q_1 > 0 keeps entry 1 of disturbance_decay_block at 0 or below")
+        [cell] = grid_search(demo_plant, [1.0], [1.2], eps=0.0).cells
+        assert (cell.status, cell.reason, cell.solution) == ("infeasible", reason, None)
+        with pytest.raises(InfeasibleError, match="no strictly feasible point"):
+            synthesize(demo_plant, 1.0, 1.2, eps=0.0)
+
+
+class TestRows:
+    """The row problem (control.build_row_lmis), its verdicts and the
+    closed-form starts it gives the designs of its row."""
+
+    @staticmethod
+    def _plants(demo_plant, random_plant_config):
+        return [demo_plant] + [cli._build_plant({"plant": random_plant_config(
+            np.random.default_rng(n), n, 1.0)}) for n in range(1, 11)]
+
+    def test_every_block_has_room_at_the_starts(self, demo_plant, random_plant_config):
+        # the row form at its start and the projected form at the start
+        # built from the row's solve: every block's margin is positive
+        designs = [(plant, 1.0, 0.5 * float(np.min(plant.speeds.diagonal)))
+                   for plant in self._plants(demo_plant, random_plant_config)]
+        designs += [(demo_plant, 2.5, 0.1), (demo_plant, 2.7, 0.1)]
+        for plant, mu, alpha in designs:
+            [row] = control._rows(plant, [mu])
+            assert row.verdict == "feasible", (plant.n, mu)
+            if plant.n > 1:
+                sf = lmi.vectorize(control.build_row_lmis(plant, mu))
+                q = np.full(plant.n, 1.0 / plant.n)
+                top = np.linalg.eigvalsh(control._open_loop(plant, mu)(np.diag(q)))[-1]
+                x = sf.pack({"lyap_share": q[1:], "row_margin": [top + control._ROW_START]})
+                assert min(lmi.problem_margins(sf, x)) > 0.0, (plant.n, mu)
+            sf = lmi.vectorize(control.build_projected_lmis(plant, mu, alpha))
+            x = sf.pack(control._start(plant, row, mu, alpha, lmi.DEFAULT_EPS))
+            assert min(lmi.problem_margins(sf, x)) > 0.0, (plant.n, mu, alpha)
+
+    def test_one_state_row_is_the_eigenvalue(self, random_plant_config):
+        # the simplex of one state is q = 1, so s* = lambda_max(OL(1)), with
+        # no solve
+        plant = cli._build_plant({"plant": random_plant_config(np.random.default_rng(1), 1, 1.0)})
+        for mu in (0.5, 1.0, 3.0):
+            [row] = control._rows(plant, [mu])
+            top = np.linalg.eigvalsh(control._open_loop(plant, mu)(np.eye(1)))[-1]
+            assert (row.s, row.bound, row.steps, row.direction) == (top, top, 0, (1.0,))
+        with pytest.raises(ValueError, match="one state"):
+            control.build_row_lmis(plant, 1.0)
+
+    def test_rows_decide_on_either_side_of_the_resolution(self, demo_plant):
+        # the demo's mu edge is -2 ln 0.25: its rows are feasible below the
+        # band around s* = 0, undecided in it and infeasible past it
+        rows = control._rows(demo_plant, [2.0, 2.7, 2.76, 2.78])
+        assert [r.verdict for r in rows] == ["feasible", "feasible", "failed", "infeasible"]
+        assert rows[0].s < 0.0 and rows[1].s < -control._RESOLUTION
+        assert rows[2].reason == f"row margin s = {rows[2].s:.3e} within resolution 1e-07"
+        assert rows[3].bound > control._RESOLUTION and rows[3].reason.startswith(
+            "row bound s - gap = ")
+        [cell] = grid_search(demo_plant, [2.76], [0.1]).cells
+        assert (cell.status, cell.reason, cell.solution) == ("failed", rows[2].reason, None)
 
 
 class TestVerifyAnalysis:
@@ -1050,9 +1152,13 @@ class TestAnalysisLmis:
 
     def test_feasible_for_certified_gain(self, demo_plant, demo_gain):
         prob = build_analysis_lmis(demo_plant, demo_gain, 1.0, 0.5)
-        # the smallest supply gain the gain admits
+        # the smallest supply gain the gain admits, from the reported point
+        # of the next test, which is strictly inside
         sf = lmi.vectorize(dataclasses.replace(prob, objective=((("supply_sq", 0), 1.0),)))
-        sol = sdp.minimize(sf)
+        start = sf.pack({"lyap": 1.0 / LYAP_INV, "sector": np.array([0.08498, 0.05428]),
+                         "supply_sq": np.array([1.0])})
+        assert min(lmi.problem_margins(sf, start)) > 0.0
+        sol = sdp.minimize(sf, start)
         assert sol.status is sdp.Status.OPTIMAL
         assert min(lmi.problem_margins(sf, sol.x)) >= -1e-9
 
@@ -1107,16 +1213,19 @@ class TestMarginsMatchReference:
                     reference_margins(problem, sf, x)), (plant.n, point.__name__)
 
     def test_every_demo_grid_point(self, demo_plant):
-        # the solver's last x in each of the 64 cells, the infeasible cells'
-        # phase-1 points included
-        problems = [build_synthesis_lmis(demo_plant, mu, alpha)
-                    for mu in np.linspace(0.25, 2.0, 8) for alpha in np.linspace(0.1, 1.5, 8)]
+        # the start and the solver's last x in each of the 41 cells below the
+        # decay bound
+        weights = [(mu, alpha) for mu in np.linspace(0.25, 2.0, 8)
+                   for alpha in np.linspace(0.1, 1.5, 8) if alpha < mu]
+        problems = [build_synthesis_lmis(demo_plant, *w) for w in weights]
         forms = [lmi.vectorize(p) for p in problems]
-        solutions = sdp.minimize_batch(forms)
-        assert {sol.status for sol in solutions} == {sdp.Status.OPTIMAL, sdp.Status.INFEASIBLE}
-        for problem, sf, sol in zip(problems, forms, solutions):
-            assert _bits(lmi.problem_margins(sf, sol.x)) == _bits(
-                reference_margins(problem, sf, sol.x))
+        starts = [full_start(sf, demo_plant, *w) for sf, w in zip(forms, weights)]
+        solutions = sdp.minimize_batch(forms, starts)
+        assert {sol.status for sol in solutions} == {sdp.Status.OPTIMAL}
+        for problem, sf, start, sol in zip(problems, forms, starts, solutions):
+            for x in (start, sol.x):
+                assert _bits(lmi.problem_margins(sf, x)) == _bits(
+                    reference_margins(problem, sf, x))
 
 
 class TestWellPosedness:

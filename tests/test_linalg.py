@@ -16,6 +16,7 @@ from hypiss.linalg import (
     invert_diag,
     sym_eig,
 )
+from identities import full_start
 
 
 def _random_sym(rng, n):
@@ -220,21 +221,21 @@ class TestProblemMargins:
     margin equals the one-block margin of its constraint."""
 
     @staticmethod
-    def _agree(problem):
-        sf = lmi.vectorize(problem)
-        x = sdp.minimize(sf).x
+    def _agree(plant, mu, alpha):
+        sf = lmi.vectorize(build_synthesis_lmis(plant, mu, alpha))
+        x = sdp.minimize(sf, full_start(sf, plant, mu, alpha)).x
         stacked = lmi.problem_margins(sf, x)
         for blk, m in zip(sf.blocks, stacked):
             alone = lmi.margin(blk, x)
             assert abs(m - alone) <= 1e-12 * np.linalg.norm(blk.value(x)), blk.label
 
     def test_demo_problem(self, demo_plant):
-        self._agree(build_synthesis_lmis(demo_plant, 1.0, 0.5))
+        self._agree(demo_plant, 1.0, 0.5)
 
     def test_seeded_five_state_plant(self, random_plant_config):
         cfg = random_plant_config(np.random.default_rng(5), 5, 1.0)
         alpha = 0.5 * min(cfg["lambda"])
-        self._agree(build_synthesis_lmis(_random_plant(cfg), 1.0, alpha))
+        self._agree(_random_plant(cfg), 1.0, alpha)
 
 
 def _spectral_norm(a) -> float:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hypiss import cli, control, lmi, sdp
-from hypiss.control import build_synthesis_lmis
+from hypiss.control import InfeasibleError, Plant, build_synthesis_lmis
 from hypiss.lmi import (
     GEQ,
     LEQ,
@@ -18,13 +18,20 @@ from hypiss.lmi import (
     affine,
     sym_block,
 )
+from hypiss.linalg import DiagMatrix, Matrix
 from hypiss.sdp import Status
 from identities import (
     BARRIER_DEMO_GRID,
     BARRIER_SEEDED,
     BARRIER_SEEDED_INFEASIBLE,
     barrier_value,
+    full_start,
 )
+
+# the plant of `_demo_synthesis_problem`
+_DEMO = Plant(DiagMatrix(np.array([1.0, math.sqrt(2.0)])),
+              Matrix(np.array([[0.25, 0.0], [-1.0, 0.25]])), Matrix(np.eye(2)), Matrix(np.eye(2)),
+              np.array([0.3, 0.3]))
 
 
 def _stack(forms):
@@ -77,6 +84,26 @@ def _demo_synthesis_problem(mu, alpha, eps=1e-6):
                                     objective=((("c", 0), 1.0),), eps=eps))
 
 
+def _demo_start(sf, mu, alpha, eps=1e-6):
+    """A strictly feasible entry vector of `_demo_synthesis_problem`:
+    control's closed-form (Q, c) (`control._start`), S = 2 eps I, W = 0,
+    and G = diag(g) halfway between the bounds that the decay block (g_i <
+    q_i (mu lambda_i - alpha) - eps) and the disturbance and coupling
+    blocks (g_i > eps + 1 / (1 - eps), as N = I) put on it."""
+    [row] = control._rows(_DEMO, [mu])
+    start = control._start(_DEMO, row, mu, alpha, eps)
+    q, rates = start["lyap_inv"], mu * _DEMO.speeds.diagonal - alpha
+    return sf.pack({"q": q, "s": np.full(2, 2.0 * eps), "w": np.zeros((2, 2)),
+                    "g": (q * rates + 1.0 / (1.0 - eps)) / 2.0, "g12": [0.0],
+                    "c": start["peak"]})
+
+
+def _demo_solve(mu, alpha, eps=1e-6):
+    """`_demo_synthesis_problem` and its solve from `_demo_start`."""
+    sf = _demo_synthesis_problem(mu, alpha, eps)
+    return sf, sdp.minimize(sf, _demo_start(sf, mu, alpha, eps))
+
+
 def _free_entry_problem(objective: str):
     """min c or min y with [[c, 1], [1, c]] >= 0 and c <= 2: no constraint
     touches y."""
@@ -92,8 +119,7 @@ def _free_entry_problem(objective: str):
 def _tiny_entry_problem(objective: str):
     """min c or min y with [[y + 1e-200 c, 1], [1, y]] >= 0 and y <= 2, in
     the layout of `_hyperbola_problem`: c's coefficient squared underflows,
-    so phase 2's Schur complement has a zero row for c and no Cholesky
-    factor, while phase 1's box rows keep that row positive."""
+    so the Schur complement has a zero row for c and no Cholesky factor."""
     vc, vy = VarSpec.scalar("c"), VarSpec.scalar("y")
     return lmi.vectorize(LmiProblem(
         (vc, vy),
@@ -124,51 +150,45 @@ def _rows_only_problem(objective, floor=1.0):
                    eps=0.0)), objective=objective))
 
 
-def _phase1(sf):
-    """Phase 1 alone on one standard form: its outcome (None when it found a
-    feasible point) and its last x."""
-    x, _, _, outcome = sdp._phase1(_stack([sf]), sf.initial[None])
-    return outcome[0], x[0]
-
-
 def _worst_margin(sf, x) -> float:
     return min(lmi.problem_margins(sf, x))
 
 
 class TestFeasibility:
     def test_trivial_scalar(self):
-        prob = _scalar_pos_problem()
-        found, x = _phase1(prob)
-        assert found is None
-        assert x[0] > 0.0
-        assert _worst_margin(prob, x) >= -1e-9
+        # min x with x >= eps, from x = 1
+        prob = dataclasses.replace(_scalar_pos_problem(), objective=np.ones(1))
+        sol = sdp.minimize(prob, [1.0])
+        assert sol.status is Status.OPTIMAL
+        assert sol.x[0] == pytest.approx(1e-6, abs=1e-7)
+        assert _worst_margin(prob, sol.x) >= -1e-9
 
     def test_contradictory_pair(self):
+        # x >= eps and x <= -1 - eps: every start breaks a block, and the
+        # solver ends the cell at once, without a step or a verdict
         vx = VarSpec.scalar("x")
         prob = lmi.vectorize(LmiProblem(
             (vx,),
             (Constraint(affine((vx,), lambda x: x), GEQ, "pos"),
              Constraint(affine((vx,), lambda x: x, const=[[1.0]]), LEQ, "neg")),
             objective=((("x", 0), 1.0),)))
-        sol = sdp.minimize(prob)
-        assert sol.status is Status.INFEASIBLE
-        assert sol.newton_steps[1] == 0
-        # the dual bound s - gap clears the threshold within a few steps
-        assert sol.newton_steps[0] < 20
+        sol = sdp.minimize(prob, [0.0])
+        assert sol.status is Status.NUMERICAL_FAILURE
+        assert sol.newton_steps == 0 and sol.objective is None
         assert _worst_margin(prob, sol.x) < 0.0
 
     @pytest.mark.parametrize("problem", ["rows", "dense"])
     def test_feasible_set_without_interior_ends_numerical_failure(self, problem):
         # x >= 0 and x <= 0, or [[x, 1], [1, y]] >= 0 with x + y <= 2 (only
-        # x = y = 1): phase 1 settles at a slack optimum of 0, which is no
-        # verdict either way
+        # x = y = 1): its one point is no strictly feasible start, and the
+        # solver ends the cell there, with no RuntimeWarning
         vx, vy = VarSpec.scalar("x"), VarSpec.scalar("y")
         x = affine((vx,), lambda x: x)
         if problem == "rows":
-            specs = (vx,)
+            specs, start = (vx,), [0.0]
             cons = (Constraint(x, GEQ, "pos", eps=0.0), Constraint(x, LEQ, "neg", eps=0.0))
         else:
-            specs = (vx, vy)
+            specs, start = (vx, vy), [1.0, 1.0]
             hyperbola = affine((vx, vy), lambda x, y: sym_block([[x, None], [None, y]]),
                                const=[[0.0, 1.0], [1.0, 0.0]])
             cons = (Constraint(hyperbola, GEQ, "hyperbola", eps=0.0),
@@ -176,27 +196,22 @@ class TestFeasibility:
                                "sum", eps=0.0))
         prob = lmi.vectorize(LmiProblem(specs, cons, objective=((("x", 0), 1.0),)))
         assert (_stack([prob]).dims == ()) == (problem == "rows")
-        sol = sdp.minimize(prob)
+        sol = sdp.minimize(prob, start)
         assert sol.status is Status.NUMERICAL_FAILURE
-        assert 0.0 <= sol.phase1_slack <= sdp._INFEASIBLE_SLACK
-        assert sol.newton_steps[0] < 20 and sol.newton_steps[1] == 0
+        assert sol.newton_steps == 0
         assert sol.gap is None
 
     def test_demo_synthesis_constraints_feasible(self):
-        prob = dataclasses.replace(_demo_synthesis_problem(1.0, 0.5), objective=None)
-        found, x = _phase1(prob)
-        assert found is None
-        assert _worst_margin(prob, x) >= -1e-9
+        # the closed-form start is strictly inside every block
+        prob = _demo_synthesis_problem(1.0, 0.5)
+        assert _worst_margin(prob, _demo_start(prob, 1.0, 0.5)) > 0.0
 
     @pytest.mark.parametrize("mu, alpha", [(1.0, 0.5), (2.0, 1.5)])
-    def test_phase1_point_clears_every_block_by_the_exit_slack(self, mu, alpha):
+    def test_start_clears_every_block(self, mu, alpha):
         sf = _demo_synthesis_problem(mu, alpha)
-        x, slack, _, outcome = sdp._phase1(_stack([sf]), sf.initial[None])
-        assert outcome == [None] and slack[0] <= sdp._EXIT_SLACK
+        x = _demo_start(sf, mu, alpha)
         for blk in sf.blocks:
-            value = barrier_value(blk, x[0])
-            floor = -sdp._EXIT_SLACK - 1e-15 * np.abs(value).max()
-            assert np.linalg.eigvalsh(value).min() >= floor
+            assert np.linalg.eigvalsh(barrier_value(blk, x)).min() > 0.0, blk.label
 
 
 class TestMinimize:
@@ -209,7 +224,7 @@ class TestMinimize:
              Constraint(affine((vq, vc), lambda q, c: q - c * np.eye(2)), LEQ,
                         "cap", eps=0.0)),
             objective=((("c", 0), 1.0),)))
-        sol = sdp.minimize(prob)
+        sol = sdp.minimize(prob, [2.0, 2.0, 3.0])
         assert sol.status is Status.OPTIMAL
         assert sol.objective == pytest.approx(1.0, abs=1e-5)
 
@@ -221,7 +236,7 @@ class TestMinimize:
         prob = lmi.vectorize(LmiProblem((VarSpec.scalar("x"),),
                                         (Constraint(e, GEQ, "corr"),),
                                         objective=((("x", 0), 1.0),)))
-        sol = sdp.minimize(prob)
+        sol = sdp.minimize(prob, [0.0])
         assert sol.status is Status.OPTIMAL
         assert sol.objective == pytest.approx(-1.0, abs=1e-4)
 
@@ -238,86 +253,88 @@ class TestMinimize:
         prob = lmi.vectorize(LmiProblem((VarSpec.scalar("lam"),),
                                         (Constraint(e, GEQ, "shift", eps=0.0),),
                                         objective=((("lam", 0), 1.0),)))
-        sol = sdp.minimize(prob)
+        sol = sdp.minimize(prob, [4.0])
         assert sol.status is Status.OPTIMAL
         assert sol.objective == pytest.approx(oracle, abs=1e-4)
 
     def test_rejects_missing_objective(self):
         with pytest.raises(ValueError):
-            sdp.minimize(_scalar_pos_problem())
+            sdp.minimize(_scalar_pos_problem(), [1.0])
 
     @pytest.mark.parametrize("bounded_above", [False, True])
     def test_unbounded_objective_stops_at_the_box(self, bounded_above):
-        # min x with x <= 1: phase 2 heads for x = -inf and stops once x
-        # leaves the phase-1 box, not when the step budget runs out; min x
-        # alone constrains nothing, so phase 2 has no cone to step in and
-        # ends where it starts, with a zero gap
+        # min x with x <= 1: the solver heads for x = -inf and stops once x
+        # leaves the box, not when the step budget runs out; min x alone
+        # constrains nothing, so the solver has no cone to step in and ends
+        # where it starts, with a zero gap
         x = affine((VarSpec.scalar("x"),), lambda x: x, const=[[-1.0]])
         cons = (Constraint(x, LEQ, "cap"),) if bounded_above else ()
         prob = LmiProblem((VarSpec.scalar("x"),), cons, objective=((("x", 0), 1.0),))
-        sol = sdp.minimize(lmi.vectorize(prob))
+        sol = sdp.minimize(lmi.vectorize(prob), [0.0])
         assert sol.status is Status.NUMERICAL_FAILURE
         assert sol.objective is None
-        assert sum(sol.newton_steps) < 100
+        assert sol.newton_steps < 100
         if bounded_above:
-            assert sol.x[0] <= -sdp._PHASE1_BOX
+            assert sol.x[0] <= -sdp._BOX
         else:
             assert sol.gap is not None and np.all(np.isfinite(sol.x))
 
     @pytest.mark.parametrize("objective", ["y", "c"])
     def test_free_entry_ends_numerical_failure(self, objective):
-        # no constraint touches y, so the Schur complement of phase 2's
-        # first step has a zero row and no Cholesky factor
-        sol = sdp.minimize(_free_entry_problem(objective))
+        # no constraint touches y, so the Schur complement of the first step
+        # has a zero row and no Cholesky factor
+        sol = sdp.minimize(_free_entry_problem(objective), [1.5, 0.0])
         assert sol.status is Status.NUMERICAL_FAILURE
         assert sol.objective is None
-        assert sum(sol.newton_steps) < 100
+        assert sol.newton_steps < 100
         assert sol.gap is not None and np.all(np.isfinite(sol.x))
 
     def test_demo_synthesis_minimize(self):
-        prob = _demo_synthesis_problem(1.0, 0.5)
-        sol = sdp.minimize(prob)
+        prob, sol = _demo_solve(1.0, 0.5)
         assert sol.status is Status.OPTIMAL
         # frozen from an independent convex solver run of the same constraints
         assert sol.objective == pytest.approx(11.1577, abs=5e-3)
         assert _worst_margin(prob, sol.x) >= -1e-9
-        # phase 1 ends at its first iterate that clears every block
-        assert sol.newton_steps[0] <= 12 and sum(sol.newton_steps) <= 80
-        # one centering at t = 1, then primal-dual steps down to the gap
-        assert sol.newton_steps[1] <= 25
+        # centering at mu = 1, then primal-dual steps down to the gap
+        assert sol.newton_steps <= 80
         assert 0.0 < sol.gap < sdp._GAP_TOL
 
     def test_infeasible_detected(self):
-        prob = _demo_synthesis_problem(1.0, 1.2)
-        sol = sdp.minimize(prob)
-        assert sol.status is Status.INFEASIBLE
-        assert sol.objective is None and sol.gap is None
-        assert _worst_margin(prob, sol.x) < 0.0
+        # past the demo's mu edge -2 ln 0.25 no diagonal Q > 0 makes the
+        # open-loop block negative definite: its row problem ends optimal
+        # with a positive bound s - gap on its optimum
+        row = lmi.vectorize(control.build_row_lmis(_DEMO, 2.78))
+        top = np.linalg.eigvalsh(control._open_loop(_DEMO, 2.78)(np.eye(2) / 2.0))[-1]
+        sol = sdp.minimize(row, [0.5, top + 1.0])
+        assert sol.status is Status.OPTIMAL
+        assert sol.objective - sol.gap > 1e-7
+        assert control._rows(_DEMO, [2.78])[0].verdict == "infeasible"
 
-    @pytest.mark.parametrize("mu, alpha", [(0.25, 0.3), (0.5, 1.3), (1.5, 1.5)])
-    def test_demo_infeasible_cells_end_on_the_duality_bound(self, mu, alpha):
-        sol = sdp.minimize(_demo_synthesis_problem(mu, alpha))
-        assert sol.status is Status.INFEASIBLE
-        assert sol.newton_steps[0] <= 60 and sol.newton_steps[1] == 0
+    @pytest.mark.parametrize("mu", [0.25, 0.5, 1.5])
+    def test_reflection_rows_end_on_the_duality_bound(self, reflection_plant, mu):
+        # the demo's infeasible cells are past the decay bound and reach no
+        # solver; the uncontrolled reflection's rows end on the bound s - gap
+        [row] = control._rows(reflection_plant, [mu])
+        assert row.verdict == "infeasible" and row.bound > control._RESOLUTION
+        assert 0 < row.steps <= 60
 
 
 class TestSolutionContract:
     def test_margins_rechecked_nonnegative(self):
         for mu, alpha in ((0.5, 0.1), (1.0, 0.5), (2.0, 1.5)):
-            prob = _demo_synthesis_problem(mu, alpha)
-            sol = sdp.minimize(prob)
+            prob, sol = _demo_solve(mu, alpha)
             assert sol.status is Status.OPTIMAL
             assert _worst_margin(prob, sol.x) >= -1e-9
 
     def test_objective_monotone_in_eps(self):
-        lo = sdp.minimize(_demo_synthesis_problem(1.0, 0.5, eps=1e-6))
-        hi = sdp.minimize(_demo_synthesis_problem(1.0, 0.5, eps=1e-3))
+        _, lo = _demo_solve(1.0, 0.5, eps=1e-6)
+        _, hi = _demo_solve(1.0, 0.5, eps=1e-3)
         assert lo.status is Status.OPTIMAL and hi.status is Status.OPTIMAL
         assert hi.objective >= lo.objective - 1e-6
 
     def test_deterministic_reruns(self):
-        a = sdp.minimize(_demo_synthesis_problem(1.0, 0.5))
-        b = sdp.minimize(_demo_synthesis_problem(1.0, 0.5))
+        _, a = _demo_solve(1.0, 0.5)
+        _, b = _demo_solve(1.0, 0.5)
         assert a.objective == b.objective
         assert a.status == b.status
         assert a.newton_steps == b.newton_steps
@@ -327,7 +344,7 @@ class TestSolutionContract:
 class TestStructure:
     def test_diagonal_blocks_become_rows(self):
         sf = _demo_synthesis_problem(1.0, 0.5)
-        cones = _stack([sf]).without_slack([0])
+        cones = _stack([sf])
         # peak_cap, q_pos and s_pos are diagonal: 2 + 2 + 2 rows
         assert cones.b.size == 6
         assert cones.dims == (6, 4, 2, 2)
@@ -335,9 +352,9 @@ class TestStructure:
 
     def test_rows_and_dense_block_closed_form(self):
         prob = _hyperbola_problem()
-        cones = _stack([prob]).without_slack([0])
+        cones = _stack([prob])
         assert cones.b.size == 1 and len(cones.dims) == 1
-        sol = sdp.minimize(prob)
+        sol = sdp.minimize(prob, [1.0, 1.5])
         assert sol.status is Status.OPTIMAL
         assert sol.objective == pytest.approx(0.5, abs=1e-6)
         assert sol.x[prob.refs.index(("y", 0))] == pytest.approx(2.0, abs=1e-5)
@@ -346,10 +363,8 @@ class TestStructure:
         # min 2x + y with x >= 1, y >= 0, x + y >= 3: optimum 4 at (1, 2)
         feas = _rows_only_problem(((("x", 0), 2.0), (("y", 0), 1.0)))
         assert _stack([feas]).dims == ()
-        found, x = _phase1(feas)
-        assert found is None
-        assert _worst_margin(feas, x) > 0.0
-        sol = sdp.minimize(feas)
+        assert _worst_margin(feas, [2.0, 2.0]) > 0.0
+        sol = sdp.minimize(feas, [2.0, 2.0])
         assert sol.status is Status.OPTIMAL
         assert sol.objective == pytest.approx(4.0, abs=1e-6)
         assert sol.x[feas.refs.index(("x", 0))] == pytest.approx(1.0, abs=1e-5)
@@ -357,11 +372,12 @@ class TestStructure:
     def test_random_plant_at_n8(self, random_plant_config):
         cfg = {"plant": random_plant_config(np.random.default_rng(8), 8, 1.0)}
         alpha = 0.5 * min(cfg["plant"]["lambda"])
-        prob = lmi.vectorize(build_synthesis_lmis(cli._build_plant(cfg), 1.0, alpha))
-        sol = sdp.minimize(prob)
+        plant = cli._build_plant(cfg)
+        prob = lmi.vectorize(build_synthesis_lmis(plant, 1.0, alpha))
+        sol = sdp.minimize(prob, full_start(prob, plant, 1.0, alpha))
         assert sol.status is Status.OPTIMAL
         assert _worst_margin(prob, sol.x) >= -1e-9
-        assert sol.newton_steps[0] <= 15
+        assert sol.newton_steps <= 40
 
 
 _DEMO_MUS = np.linspace(0.25, 2.0, 8)
@@ -371,52 +387,56 @@ _DEMO_ALPHAS = np.linspace(0.1, 1.5, 8)
 def _same_bits(a, b):
     assert a.status is b.status and a.newton_steps == b.newton_steps
     assert a.objective == b.objective and a.gap == b.gap
-    assert a.phase1_slack == b.phase1_slack and a.x.tobytes() == b.x.tobytes()
+    assert a.x.tobytes() == b.x.tobytes()
 
 
 def _stack_sizes(monkeypatch) -> list[int]:
     """The number of cells of each stack solved from here on."""
     sizes = []
-    real = sdp._solve_stack
+    real = sdp._cones
 
-    def solve_stack(cones, *args):
-        sizes.append(len(cones.b))
-        return real(cones, *args)
+    def cones(forms, layout):
+        sizes.append(len(forms))
+        return real(forms, layout)
 
-    monkeypatch.setattr(sdp, "_solve_stack", solve_stack)
+    monkeypatch.setattr(sdp, "_cones", cones)
     return sizes
+
+
+def _demo_below_the_bound():
+    """The cells of the demo 8x8 grid below the decay bound alpha < mu."""
+    return [(mu, alpha) for mu in _DEMO_MUS for alpha in _DEMO_ALPHAS if alpha < mu]
 
 
 class TestBatch:
     def test_demo_grid_matches_one_cell_at_a_time(self):
-        problems = [_demo_synthesis_problem(mu, alpha)
-                    for mu in _DEMO_MUS for alpha in _DEMO_ALPHAS]
-        batched = sdp.minimize_batch(problems)
+        weights = _demo_below_the_bound()
+        problems = [_demo_synthesis_problem(*w) for w in weights]
+        starts = [_demo_start(sf, *w) for sf, w in zip(problems, weights)]
+        batched = sdp.minimize_batch(problems, starts)
         statuses = set()
-        for problem, sol in zip(problems, batched):
-            _same_bits(sol, sdp.minimize(problem))
+        for problem, start, sol in zip(problems, starts, batched):
+            _same_bits(sol, sdp.minimize(problem, start))
             statuses.add(sol.status)
-            if sol.status is Status.OPTIMAL:
-                assert _worst_margin(problem, sol.x) >= -1e-9
-        assert statuses == {Status.OPTIMAL, Status.INFEASIBLE}
+            assert _worst_margin(problem, sol.x) >= -1e-9
+        assert len(weights) == 41 and statuses == {Status.OPTIMAL}
 
     def test_cells_of_different_entries_stack_apart(self, monkeypatch):
-        # at mu = alpha = 0.5 the decay block loses its q[0] term
-        # (alpha - mu lambda_0 = 0), so its entries differ from those of
-        # (0.5, 0.1): each cell is a stack of its own, the same bits as alone
-        sfs = [_demo_synthesis_problem(0.5, alpha) for alpha in (0.5, 0.1)]
-        assert len(sfs[0].blocks[2].idx) == len(sfs[1].blocks[2].idx) - 1
+        # the demo problem and the hyperbola have other entries: each cell
+        # is a stack of its own, the same bits as alone
+        sfs = [_demo_synthesis_problem(0.5, 0.1), _hyperbola_problem()]
+        starts = [_demo_start(sfs[0], 0.5, 0.1), np.array([1.0, 1.5])]
         assert sdp._layout(sfs[0]) != sdp._layout(sfs[1])
         stacks = _stack_sizes(monkeypatch)
-        batch = sdp.minimize_batch(sfs)
+        batch = sdp.minimize_batch(sfs, starts)
         assert stacks == [1, 1]
-        for sol, sf in zip(batch, sfs):
-            _same_bits(sol, sdp.minimize(sf))
+        for sol, sf, start in zip(batch, sfs, starts):
+            _same_bits(sol, sdp.minimize(sf, start))
 
     @pytest.mark.parametrize("case", ["synthesis", "rows", "seven"])
     def test_stack_is_its_one_cell_stacks(self, demo_plant, case):
         # a stack of k forms of one layout evaluates each cell to the same
-        # bits as that form's own stack, with phase 1's slack and without
+        # bits as that form's own stack
         if case == "synthesis":
             sfs = [lmi.vectorize(build_synthesis_lmis(demo_plant, 0.5, alpha))
                    for alpha in (0.1, 0.3, 0.45)]
@@ -427,36 +447,34 @@ class TestBatch:
         assert len({sdp._layout(sf) for sf in sfs}) == 1
         assert (_stack(sfs[:1]).dims == ()) == (case == "rows")
         rng = np.random.default_rng(3)
-        full = _stack(sfs)
-        for stack, cells, n in ((full, [_stack([sf]) for sf in sfs], sfs[0].n + 1),
-                                (full.without_slack(range(len(sfs))),
-                                 [_stack([sf]).without_slack([0]) for sf in sfs], sfs[0].n)):
-            x = rng.standard_normal((len(sfs), n))
-            mats = rng.standard_normal(stack.base.shape)
-            rowvals = rng.standard_normal(stack.b.shape)
-            got = (stack.rows(x), stack.values(x), stack.span(x), stack.adjoint(mats, rowvals))
-            for c, cell in enumerate(cells):
-                one = slice(c, c + 1)
-                want = (cell.rows(x[one]), cell.values(x[one]), cell.span(x[one]),
-                        cell.adjoint(mats[one], rowvals[one]))
-                for a, b in zip(got, want):
-                    assert a[c].tobytes() == b[0].tobytes()
+        stack = _stack(sfs)
+        x = rng.standard_normal((len(sfs), sfs[0].n))
+        mats = rng.standard_normal(stack.base.shape)
+        rowvals = rng.standard_normal(stack.b.shape)
+        got = (stack.rows(x), stack.values(x), stack.span(x), stack.adjoint(mats, rowvals))
+        for c, sf in enumerate(sfs):
+            cell, one = _stack([sf]), slice(c, c + 1)
+            want = (cell.rows(x[one]), cell.values(x[one]), cell.span(x[one]),
+                    cell.adjoint(mats[one], rowvals[one]))
+            for a, b in zip(got, want):
+                assert a[c].tobytes() == b[0].tobytes()
 
     def test_demo_grid_is_one_stack(self, demo_plant, monkeypatch):
-        # the 41 demo cells below the decay bound share one layout
+        # the 8 row problems share one layout, and so do the 41 demo cells
+        # below the decay bound
         stacks = _stack_sizes(monkeypatch)
         control.grid_search(demo_plant, _DEMO_MUS, _DEMO_ALPHAS)
-        assert stacks == [41]
+        assert stacks == [8, 41]
 
     @staticmethod
     def _one_cell_outside():
-        """A phase-2 stack of three copies of the demo problem at (1.0, 0.5)
-        and a point per cell: the optimum in cells 0 and 2, and in cell 1
-        the optimum with gain_scaled far from zero, which breaks the
-        boundary block, block 0, and no other block or row."""
-        sf = _demo_synthesis_problem(1.0, 0.5)
-        stacked = _stack([sf, sf, sf]).without_slack([0, 1, 2])
-        inside = sdp.minimize(sf).x
+        """A stack of three copies of the demo problem at (1.0, 0.5) and a
+        point per cell: the optimum in cells 0 and 2, and in cell 1 the
+        optimum with gain_scaled far from zero, which breaks the boundary
+        block, block 0, and no other block or row."""
+        sf, sol = _demo_solve(1.0, 0.5)
+        stacked = _stack([sf, sf, sf])
+        inside = sol.x
         outside = inside.copy()
         outside[4:8] = 100.0
         x = np.stack([inside, outside, inside])
@@ -492,9 +510,9 @@ class TestBatch:
         cvec, budget = np.stack([sf.objective] * 3), np.full(3, sdp._MAX_NEWTON)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            xs, steps, outcome, gaps = sdp._primal_dual(stacked, cvec, x, budget)
+            xs, steps, outcome, gaps = sdp._primal_dual(stacked, cvec, x, budget, -np.inf)
             mates = sdp._primal_dual(stacked.take([0, 2]), cvec[[0, 2]], x[[0, 2]],
-                                     budget[[0, 2]])
+                                     budget[[0, 2]], -np.inf)
         assert outcome[1] is Status.NUMERICAL_FAILURE and steps[1] == 0
         assert xs[1].tobytes() == x[1].tobytes()
         assert outcome[::2] == mates[2] == [Status.OPTIMAL] * 2
@@ -514,50 +532,56 @@ class TestBatch:
                 failed.append(a.shape)
             return out
 
+        weights = _demo_below_the_bound()
+        forms = [lmi.vectorize(build_synthesis_lmis(demo_plant, *w)) for w in weights]
+        starts = [full_start(sf, demo_plant, *w) for sf, w in zip(forms, weights)]
         monkeypatch.setattr(sdp, "_cholesky", cholesky)
-        forms = [lmi.vectorize(build_synthesis_lmis(demo_plant, mu, alpha))
-                 for mu in _DEMO_MUS for alpha in _DEMO_ALPHAS]
-        solutions = sdp.minimize_batch(forms)
-        assert len(solutions) == 64 and calls
+        solutions = sdp.minimize_batch(forms, starts)
+        assert len(solutions) == 41 and calls
         assert failed == []
 
     def test_stacks_split_under_the_memory_cap(self, monkeypatch):
-        problems = [_demo_synthesis_problem(0.5, alpha) for alpha in (0.1, 0.3, 0.5, 1.3)]
-        whole = sdp.minimize_batch(problems)
+        alphas = (0.1, 0.2, 0.3, 0.4)
+        problems = [_demo_synthesis_problem(0.5, alpha) for alpha in alphas]
+        starts = [_demo_start(sf, 0.5, alpha) for sf, alpha in zip(problems, alphas)]
+        whole = sdp.minimize_batch(problems, starts)
         stacks = _stack_sizes(monkeypatch)
         monkeypatch.setattr(sdp, "_STACK_BYTES", 1)
-        for sol, ref in zip(sdp.minimize_batch(problems), whole):
+        for sol, ref in zip(sdp.minimize_batch(problems, starts), whole):
             _same_bits(sol, ref)
         assert stacks == [1, 1, 1, 1]
 
     def test_batch_of_one_is_minimize(self):
         problem = _demo_synthesis_problem(1.0, 0.5)
-        a = sdp.minimize_batch([problem])[0]
-        b = sdp.minimize(problem)
+        start = _demo_start(problem, 1.0, 0.5)
+        a = sdp.minimize_batch([problem], [start])[0]
+        b = sdp.minimize(problem, start)
         assert a.status is b.status is Status.OPTIMAL
         assert a.objective == b.objective
         assert a.newton_steps == b.newton_steps
-        assert a.newton_steps[0] > 0 and a.newton_steps[1] > 0
+        assert a.newton_steps > 0
         assert np.array_equal(a.x, b.x)
 
     @pytest.mark.parametrize("case", ["y", "c", "rows"])
     def test_failing_cell_leaves_its_stack_mates_alone(self, case):
         # min y or min c beside a dense block, or min -x with rows only: the
-        # failing cells end in phase 2, with no Schur factor or out of the
-        # phase-1 box, before the healthy ones end, so the stack, an empty
-        # block stack included, is compacted mid-run
+        # failing cells end with no Schur factor or out of the box before
+        # the healthy ones end, so the stack, an empty block stack
+        # included, is compacted mid-run
         if case == "rows":
             healthy = _rows_only_problem(((("x", 0), 2.0), (("y", 0), 1.0)))
             failing = _rows_only_problem(((("x", 0), -1.0),))
+            starts = [[2.0, 2.0]] * 2
             assert _stack([healthy]).dims == ()
         else:
             healthy, failing = _hyperbola_problem(), _tiny_entry_problem(case)
+            starts = [[1.0, 1.5], [0.0, 1.5]]
         assert sdp._layout(healthy) == sdp._layout(failing)
-        alone = sdp.minimize(healthy)
+        alone = sdp.minimize(healthy, starts[0])
         assert alone.status is Status.OPTIMAL
-        batch = sdp.minimize_batch([failing, healthy, failing, healthy])
+        batch = sdp.minimize_batch([failing, healthy, failing, healthy], starts[::-1] * 2)
         assert [sol.status for sol in batch[::2]] == [Status.NUMERICAL_FAILURE] * 2
-        assert sum(batch[0].newton_steps) < sum(alone.newton_steps)
+        assert batch[0].newton_steps < alone.newton_steps
         for sol in batch[1::2]:
             assert sol.status is alone.status
             assert sol.objective == alone.objective
@@ -585,9 +609,10 @@ class TestBatch:
         assert np.array_equal(sdp._lowest(empty), np.full(3, np.inf))
 
     def test_empty_batch_and_missing_objective(self):
-        assert sdp.minimize_batch([]) == []
+        assert sdp.minimize_batch([], []) == []
+        sf = _demo_synthesis_problem(1.0, 0.5)
         with pytest.raises(ValueError):
-            sdp.minimize_batch([_demo_synthesis_problem(1.0, 0.5), _scalar_pos_problem()])
+            sdp.minimize_batch([sf, _scalar_pos_problem()], [_demo_start(sf, 1.0, 0.5), [1.0]])
 
 
 class TestLapack:
@@ -630,36 +655,41 @@ def _seeded_plant(random_plant_config, n):
 
 class TestAgainstTheBarrierPath:
     def test_demo_grid(self, demo_plant):
+        # the cells below the decay bound are solved from the closed-form
+        # start; the barrier path's infeasible cells are all past the bound
         weights = [(mu, alpha) for mu in _DEMO_MUS for alpha in _DEMO_ALPHAS]
         assert weights == [row[:2] for row in BARRIER_DEMO_GRID]
-        forms = [lmi.vectorize(build_synthesis_lmis(demo_plant, *w)) for w in weights]
-        solutions = sdp.minimize_batch(forms)
-        for sf, sol, row in zip(forms, solutions, BARRIER_DEMO_GRID):
-            _against_the_barrier_path(sf, sol, *row[2:4])
-        # 2046 phase-1 and 2550 phase-2 Newton steps on the barrier path
-        assert sum(sol.newton_steps[0] for sol in solutions) <= 600
-        assert sum(sol.newton_steps[1] for sol in solutions) <= 480
-        # the barrier phase 1 walked every mu = 2 cell out to the box for
-        # 60-70 steps
-        last_row = [sol.newton_steps[0] for (mu, _), sol in zip(weights, solutions)
-                    if mu == 2.0]
-        assert len(last_row) == len(_DEMO_ALPHAS) and max(last_row) <= 15
+        below = _demo_below_the_bound()
+        forms = [lmi.vectorize(build_synthesis_lmis(demo_plant, *w)) for w in below]
+        solutions = dict(zip(below, sdp.minimize_batch(
+            forms, [full_start(sf, demo_plant, *w) for sf, w in zip(forms, below)])))
+        for sf, w in zip(forms, below):
+            row = BARRIER_DEMO_GRID[weights.index(w)]
+            _against_the_barrier_path(sf, solutions[w], *row[2:4])
+        for row in BARRIER_DEMO_GRID:
+            if row[:2] not in solutions:
+                assert row[2] == "infeasible"
+                assert control._decay_bound(demo_plant, *row[:2], lmi.DEFAULT_EPS) is not None
+        # 2046 + 2550 Newton steps in the two phases of the barrier path, 447
+        # + 453 in the primal-dual ones; 1122 from the closed-form start
+        assert sum(sol.newton_steps for sol in solutions.values()) <= 1200
 
     @pytest.mark.parametrize("n, status, peak, steps1", BARRIER_SEEDED)
     def test_seeded_design(self, random_plant_config, n, status, peak, steps1):
         plant = _seeded_plant(random_plant_config, n)
-        sf = lmi.vectorize(build_synthesis_lmis(
-            plant, 1.0, 0.5 * float(np.min(plant.speeds.diagonal))))
-        sol = sdp.minimize(sf)
+        alpha = 0.5 * float(np.min(plant.speeds.diagonal))
+        sf = lmi.vectorize(build_synthesis_lmis(plant, 1.0, alpha))
+        sol = sdp.minimize(sf, full_start(sf, plant, 1.0, alpha))
         _against_the_barrier_path(sf, sol, status, peak)
-        assert sol.newton_steps[0] <= steps1
         # 51-61 phase-2 Newton steps on the barrier path
-        assert sol.newton_steps[1] <= 35
+        assert sol.newton_steps <= 35
 
     @pytest.mark.parametrize("n, ratio, status", BARRIER_SEEDED_INFEASIBLE)
     def test_seeded_infeasible(self, random_plant_config, n, ratio, status):
+        # past the decay bound the verdict is the closed-form one: no row
+        # and no design reaches the solver
         plant = _seeded_plant(random_plant_config, n)
-        sol = sdp.minimize(lmi.vectorize(build_synthesis_lmis(
-            plant, 1.0, ratio * float(np.min(plant.speeds.diagonal)))))
-        assert sol.status.value == status
-        assert sol.phase1_slack > sdp._INFEASIBLE_SLACK and sol.newton_steps[1] == 0
+        with pytest.raises(InfeasibleError) as exc:
+            control.synthesize(plant, 1.0, ratio * float(np.min(plant.speeds.diagonal)))
+        assert status == "infeasible"
+        assert exc.value.row is None and exc.value.solution is None

@@ -2,8 +2,9 @@
 
 Each probe set runs designs through `hypiss.control` as a user would, and
 every `sdp.Solution` that `sdp.minimize_batch` returns is digested in
-order: its status, the bytes of x, the Newton steps of both phases, the
-gap, the phase-1 slack and the objective.  The solver is given only the
+order: its status, the bytes of x, the Newton steps, the gap and the
+objective.  The solver is given the row problems (`control.build_row_lmis`,
+one per mu, each batch of them solved before the designs) and the
 projected synthesis problems (`control.build_projected_lmis`); the full
 ones are re-checked, never solved.  Two builds of the solver that
 print the same lines returned the same bits on every probe cell, so a
@@ -19,11 +20,12 @@ any split of the grid, and the probe sets need not cover batch layouts.
 
     PYTHONPATH=src python tools/solver_digest.py
 
-Output: one line per probe set, `name solver-cells sha1`, then the line
-`forms 66 sha1` over the compiled problems themselves, with no solver: the
-synthesis, projected synthesis and analysis forms (`lmi.vectorize`) of the
-demo plant and the seeded plants n = 1..10, at two weights each, the
-analysis at a seeded gain.
+Output: one line per probe set, `name solver-cells sha1`, the cells rows
+and designs together, then the line `forms 86 sha1` over the compiled
+problems themselves, with no solver: the synthesis, projected synthesis
+and analysis forms (`lmi.vectorize`) of the demo plant and the seeded
+plants n = 1..10, at two weights each, the analysis at a seeded gain, and
+the row forms at those weights of every plant with more than one state.
 It digests each form's entry vector and each block's label, size, slack,
 entries, base and coefficients, the arrays plus 0.0, so that the sign of a
 zero does not count: no reader of a form sees it (the solver meets the
@@ -140,17 +142,18 @@ PROBES = (("demo-grid", _demo_grid), ("demo-synth", _demo_synth),
 
 
 def _forms() -> tuple[int, str]:
-    """The count and sha1 of the compiled synthesis, projected and analysis
-    forms (see the module docstring)."""
+    """The count and sha1 of the compiled synthesis, projected, analysis and
+    row forms (see the module docstring)."""
     h, count = hashlib.sha1(), 0
     plants = [_demo()] + [_seeded(np.random.default_rng(n), n) for n in range(1, 11)]
     for i, plant in enumerate(plants):
         low = float(np.min(plant.speeds.diagonal))
         gain = Matrix(np.random.default_rng(100 + i).standard_normal((plant.m, plant.n)))
         for mu, alpha in ((1.0, 0.5 * low), (0.5, 0.1 * low)):
+            rows = [control.build_row_lmis(plant, mu)] if plant.n > 1 else []
             for problem in (control.build_synthesis_lmis(plant, mu, alpha),
                             control.build_projected_lmis(plant, mu, alpha),
-                            control.build_analysis_lmis(plant, gain, mu, alpha)):
+                            control.build_analysis_lmis(plant, gain, mu, alpha), *rows):
                 sf = lmi.vectorize(problem)
                 h.update(repr(sf.refs).encode())
                 for blk in sf.blocks:
@@ -163,7 +166,7 @@ def _forms() -> tuple[int, str]:
 
 def _digest(solution: sdp.Solution, h) -> None:
     h.update(repr((solution.status.value, solution.newton_steps, solution.gap,
-                   solution.phase1_slack, solution.objective)).encode())
+                   solution.objective)).encode())
     h.update(np.ascontiguousarray(solution.x).tobytes())
 
 
@@ -172,9 +175,9 @@ def main() -> None:
     for name, run in PROBES:
         h, count = hashlib.sha1(), 0
 
-        def recorded(forms):
+        def recorded(forms, *args):
             nonlocal count
-            solutions = solve(forms)
+            solutions = solve(forms, *args)
             for solution in solutions:
                 _digest(solution, h)
             count += len(solutions)

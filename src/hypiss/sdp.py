@@ -6,8 +6,8 @@ eps I with the constraint's sense already folded in; the solver sees each
 block as S(x) = F(x) - eps I > 0.  It starts at a strictly feasible point
 the caller gives, so it needs no feasibility phase (Boyd & Vandenberghe,
 *Convex Optimization*, section 11.4) and has no infeasible verdict:
-`control` builds every start in closed form, and decides "infeasible"
-before it calls the solver.  The steps are Mehrotra predictor-corrector
+`control` builds every start in closed form, and reads "infeasible" off
+the bound s - gap of a solved row problem.  The steps are Mehrotra predictor-corrector
 steps (Mehrotra, SIAM J. Optim. 2(4), 1992) along the HKM direction
 (Helmberg, Rendl, Vanderbei & Wolkowicz, SIAM J. Optim. 6(2), 1996), each
 with one Schur-complement factorization, after centering steps aimed at

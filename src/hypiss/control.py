@@ -25,6 +25,11 @@ small problem per mu decides it (`build_row_lmis`, `_rows`), and its
 solution gives each design of the row a strictly feasible start in
 closed form (`_start`).
 
+One pipeline makes every design (`_sweep`): `grid_search` runs it over a
+grid of weights, and `synthesize` over the single weight it is given,
+returning that weight's certificate or raising the exception that
+refused it.
+
 Both problems are posed without the paper's coupling matrix (G, Gamma),
 whose disturbance and decay blocks merge into one (`build_synthesis_lmis`);
 a certificate carries a closed-form G that no check reads (`_certificate`).
@@ -33,12 +38,12 @@ One verdict needs no solver: the synthesis inequalities have no strictly
 feasible point once alpha >= mu min(lambda), the known ceiling on the decay
 rate of the exp(-mu z)-weighted L2 functional (Bastin & Coron, *Stability
 and Boundary Stabilization of 1-D Hyperbolic Systems*, 2016).
-`_decay_bound` proves it from the merged block alone, and `synthesize` and
-`grid_search` report such designs infeasible, with that reason, without
-building or solving their inequalities; every other "infeasible" is a
-row's.  Convention for exponential weights: the certified Lyapunov
-density decays like exp(-mu z) across the domain, and alpha is the
-certified decay rate of the functional along solutions.
+`_decay_bound` proves it from the merged block alone, and such designs
+are reported infeasible, with that reason, without building or solving
+their inequalities; every other "infeasible" is a row's.  Convention for
+exponential weights: the certified Lyapunov density decays like
+exp(-mu z) across the domain, and alpha is the certified decay rate of
+the functional along solutions.
 """
 
 from __future__ import annotations
@@ -61,15 +66,13 @@ from .linalg import (
 
 
 class SynthesisError(Exception):
-    """Base class for design failures; carries the row solve of its mu, the
-    solver's best effort and the standard form it was solving (the
-    projected one, `build_projected_lmis`), each when there was one."""
+    """Base class for design failures; carries the row solve of its mu and
+    the solver's best effort, each when there was one."""
 
     def __init__(self, message: str, solution: sdp.Solution | None = None,
-                 form: lmi.StandardForm | None = None, row: RowSolve | None = None):
+                 row: RowSolve | None = None):
         super().__init__(message)
         self.solution = solution
-        self.form = form
         self.row = row
 
 
@@ -653,47 +656,38 @@ def synthesis_margins(plant: Plant, cert: SynthesisCertificate) -> dict[str, flo
         _VW: cert.gain_scaled.array, _VC: [cert.peak]}))
 
 
-def _verdict(sf: lmi.StandardForm, solution: sdp.Solution, mu: float, alpha: float,
-             check: tuple[lmi.StandardForm, np.ndarray] | None,
-             rechecked: list[float] | ConvergenceError | None) -> dict[str, float]:
+def _verdict(solution: sdp.Solution, mu: float, alpha: float,
+             check: tuple[lmi.StandardForm, np.ndarray],
+             rechecked: list[float] | ConvergenceError) -> dict[str, float]:
     """The margins, by label, of one design at (mu, alpha) that they
-    certify: the solver's outcome on its projected form sf, and check, the
-    full synthesis form and the point of it to certify (None unless the
-    outcome is OPTIMAL), with that point's re-checked margins or the error
-    that stopped the re-check.
+    certify: the solver's OPTIMAL outcome on its projected form, and check,
+    the full synthesis form and the point of it to certify, with that
+    point's re-checked margins or the error that stopped the re-check.
 
-    Raises SolverFailureError, carrying the solution and sf, unless the
-    solver reached an optimum whose point passes the re-check: every
-    inequality's margin at least -1e-9, and then the peak guard, max
-    lyap_inv at most peak + 1e-9 max(1, |peak|).  The guard is
-    a second line of defence: peak_cap is posed with eps = 0, so its margin
-    is peak - max lyap_inv, and an honest re-check has already refused
-    every point the guard would refuse.
+    Raises SolverFailureError, carrying the solution, unless the point
+    passes the re-check: every inequality's margin at least -1e-9, and then
+    the peak guard, max lyap_inv at most peak + 1e-9 max(1, |peak|).  The
+    guard is a second line of defence: peak_cap is posed with eps = 0, so
+    its margin is peak - max lyap_inv, and an honest re-check has already
+    refused every point the guard would refuse.
     """
-    if solution.status is not sdp.Status.OPTIMAL:
-        raise SolverFailureError(
-            f"solver reported {solution.status.value} at mu={mu}, alpha={alpha}",
-            solution, sf)
-
     if isinstance(rechecked, ConvergenceError):
         raise SolverFailureError(
             f"margins could not be re-checked at mu={mu}, alpha={alpha}: "
-            f"{_failure(rechecked)}", solution, sf) from rechecked
+            f"{_failure(rechecked)}", solution) from rechecked
     full, x = check
     # margins first: a point they reject may not have lyap_inv > 0
     margins = {blk.label: v for blk, v in zip(full.blocks, rechecked)}
     worst = min(margins.values())
     if worst < -1e-9:
         raise SolverFailureError(
-            f"re-checked margins dip to {worst:.3e}; refusing to certify",
-            solution, sf)
+            f"re-checked margins dip to {worst:.3e}; refusing to certify", solution)
     values = full.unpack(x)
     peak = float(values[_VC][0, 0])
     qmax = float(np.max(np.diagonal(values[_VQ])))
     if qmax > peak + 1e-9 * max(1.0, abs(peak)):
         raise SolverFailureError(
-            f"largest lyap_inv eigenvalue {qmax:.6g} exceeds peak bound {peak:.6g}",
-            solution, sf)
+            f"largest lyap_inv eigenvalue {qmax:.6g} exceeds peak bound {peak:.6g}", solution)
     return margins
 
 
@@ -732,30 +726,26 @@ def _certificate(plant: Plant, full: lmi.StandardForm, x: np.ndarray,
 
 
 def _certify(designs) -> list:
-    """The verdict of each solved design (sf, solution, mu, alpha, check),
-    check the full synthesis form and its point to certify, None unless
-    the solution is OPTIMAL: the point's margins, by label, or the
-    SynthesisError that refuses the design (see `_verdict`).  Once per
-    call, the margins of every OPTIMAL design's point are recomputed in
-    one stacked call, `lmi.margins_batch`, each the same bits as
-    `lmi.problem_margins` of its own point; with no OPTIMAL design there is
-    no call.  A re-check that raises ConvergenceError fails every OPTIMAL
-    design of the batch with a SolverFailureError that carries its
-    message.  Once per design, its verdict is read from them.  No
-    certificate is built here (`_certificate`).  This is the one place the
-    solver's answer is checked.
+    """The verdict of each design (solution, mu, alpha, check), an OPTIMAL
+    solve with check, the full synthesis form and its point to certify:
+    the point's margins, by label, or the SynthesisError that refuses the
+    design (see `_verdict`).  The margins of every design's point are
+    recomputed in one stacked call, `lmi.margins_batch`, each the same bits
+    as `lmi.problem_margins` of its own point; with no design there is no
+    call.  A re-check that raises ConvergenceError fails every design of
+    the call with a SolverFailureError that carries its message.  No
+    certificate is built here (`_certificate`).  This is the one place a
+    solved point is checked.
     """
     designs = list(designs)
-    optimal = [sol.status is sdp.Status.OPTIMAL for _, sol, _, _, _ in designs]
-    points = [check for (_, _, _, _, check), ok in zip(designs, optimal) if ok]
     try:
-        rechecked = iter(lmi.margins_batch(points) if points else ())
+        rechecked = iter(lmi.margins_batch([check for *_, check in designs]) if designs else ())
     except ConvergenceError as e:
         rechecked = itertools.repeat(e)
     out = []
-    for design, ok in zip(designs, optimal):
+    for design, margins in zip(designs, rechecked):
         try:
-            out.append(_verdict(*design, next(rechecked) if ok else None))
+            out.append(_verdict(*design, margins))
         except SynthesisError as e:
             out.append(e)
     return out
@@ -774,80 +764,160 @@ def _full_point(plant: Plant, full: lmi.StandardForm, sf: lmi.StandardForm,
     return full.pack({_VQ: q, _VS: np.full(plant.m, sigma), _VW: w.array, _VC: values[_VC]})
 
 
+def _sweep(plant: Plant, mus: tuple[float, ...], alphas: tuple[float, ...],
+           eps: float) -> tuple[FeasibilityMap, dict]:
+    """The design at each (mu, alpha) weight of the grid mus x alphas, and
+    the exception that refused each weight left without a certificate.
+
+    A weight past the decay bound is refused with InfeasibleError and the
+    reason of `_decay_bound`, and is never built or solved.  The other
+    weights pay each only for what differs between them:
+
+    - once per grid: one batch of row solves (`_rows`); the weights of a
+      row that is not feasible are refused with its reason, by
+      InfeasibleError or, for a failed row, SolverFailureError;
+    - once per feasible row, at its first weight: the projected and the
+      full synthesis inequalities are built and vectorized;
+    - once per other weight of the row: disturbance_decay_block, the one
+      block that depends on alpha, is posed again (`_disturbance_decay`)
+      and restated in both of the row's forms (`lmi.restate`), so each
+      form is the same bits as the weight's own vectorize;
+    - once per grid: one batch of sdp.minimize_batch over the projected
+      forms, each from its start (`_start`), and one stacked re-check
+      (`_certify`) of the completion (Q, eps I, 0, c) of each OPTIMAL
+      solve in its full form, together with `gain_rule`'s point (Q,
+      sigma I, W*, c) at the OPTIMAL weight first in the order of gamma =
+      sqrt(c) e^{mu/2}, then mu, then alpha.
+
+    A solve that is not OPTIMAL, or a point that fails its re-check (as
+    every point of a re-check that raises ConvergenceError does), refuses
+    its weight with SolverFailureError, carrying the row and the solve.  The best certificate (`_certificate`) is that of the first
+    weight in that order whose completion and rule point both pass; the
+    rule point of a later weight is re-checked alone, once the ones before
+    it have failed.  An exception raised in building a weight's forms
+    refuses that weight (the row's next weight is then built in full), and
+    one raised by a batch refuses every weight in it.
+
+    A refused weight's cell is "infeasible" for an InfeasibleError and
+    "failed" otherwise, with the message of a refusal made before any
+    solve as its reason, and the exception's type and message
+    (`_failure`) for any other.
+    """
+    weights = [(mu, alpha) for mu in mus for alpha in alphas]
+    refusals = {w: InfeasibleError(r) for w in weights
+                if (r := _decay_bound(plant, *w, eps)) is not None}
+    below = [w for w in weights if w not in refusals]
+    rows = {}
+    row_mus = sorted({mu for mu, _ in below})
+    try:
+        rows = dict(zip(row_mus, _rows(plant, row_mus))) if row_mus else {}
+    except Exception as e:
+        refusals.update(dict.fromkeys(below, e))
+    # built: each feasible row's (projected, full) forms, from its first weight that built
+    forms, starts, built = {}, {}, {}
+    for w in (w for w in below if w[0] in rows):
+        (mu, alpha), row = w, rows[w[0]]
+        if row.verdict != "feasible":
+            error = InfeasibleError if row.verdict == "infeasible" else SolverFailureError
+            refusals[w] = error(row.reason, row=row)
+            continue
+        try:
+            if mu not in built:
+                pair = built[mu] = (
+                    lmi.vectorize(build_projected_lmis(plant, mu, alpha, eps=eps)),
+                    lmi.vectorize(build_synthesis_lmis(plant, mu, alpha, eps=eps)))
+            else:
+                decay = _disturbance_decay(plant, mu, alpha, eps)
+                pair = tuple(lmi.restate(sf, decay, eps) for sf in built[mu])
+            starts[w] = pair[0].pack(_start(plant, row, mu, alpha, eps))
+            forms[w] = pair
+        except Exception as e:
+            refusals[w] = e
+    solutions = {}
+    if forms:
+        try:
+            solutions = dict(zip(forms, sdp.minimize_batch(
+                [sf for sf, _ in forms.values()], [starts[w] for w in forms])))
+        except Exception as e:
+            refusals.update(dict.fromkeys(forms, e))
+
+    def refuse(w, e: SynthesisError):
+        e.row = rows[w[0]]
+        refusals[w] = e
+
+    def design(w, rule: bool):
+        """The weight's design for `_certify`: its completion, or with rule
+        the gain rule's point."""
+        (sf, full), solution = forms[w], solutions[w]
+        return solution, *w, (full, _full_point(plant, full, sf, solution, w[0], eps, rule))
+
+    gammas = {}
+    for w, solution in solutions.items():
+        if solution.status is sdp.Status.OPTIMAL:
+            gammas[w] = math.sqrt(float(solution.objective)) * math.exp(w[0] / 2.0)
+            continue
+        top = float(np.max(np.abs(starts[w])))
+        past = (f": the closed-form start's largest entry {top:.3e} is at or above "
+                f"the solver's box {sdp._BOX:g}" if top >= sdp._BOX else "")
+        refuse(w, SolverFailureError(f"solver reported {solution.status.value} at "
+                                     f"mu={w[0]}, alpha={w[1]}{past}", solution))
+    ranked = sorted(gammas, key=lambda w: (gammas[w], *w))
+    # keyed (weight, rule); the first weight's rule point joins the completions
+    keys = [(w, False) for w in gammas] + [(w, True) for w in ranked[:1]]
+    points = {k: design(*k) for k in keys}
+    verdicts = dict(zip(points, _certify(points.values())))
+    for w in gammas:
+        if isinstance(verdicts[w, False], SynthesisError):
+            refuse(w, verdicts[w, False])
+    best = None
+    for w in (w for w in ranked if w not in refusals):
+        if (w, True) not in points:
+            points[w, True] = design(w, True)
+            [verdicts[w, True]] = _certify([points[w, True]])
+        (solution, _, _, check), verdict = points[w, True], verdicts[w, True]
+        if not isinstance(verdict, SynthesisError):
+            best = _certificate(plant, *check, solution, rows[w[0]], *w, eps, verdict)
+            break
+        refuse(w, verdict)
+
+    cells = []
+    for w in weights:
+        e, solution = refusals.get(w), solutions.get(w)
+        if e is None:
+            cells.append(GridCell(*w, "feasible", float(solution.objective), gammas[w],
+                                  solution=solution))
+            continue
+        unsolved = isinstance(e, SynthesisError) and e.solution is None
+        cells.append(GridCell(*w, "infeasible" if isinstance(e, InfeasibleError) else "failed",
+                              None, None, str(e) if unsolved else _failure(e), solution))
+    return FeasibilityMap(mu_grid=mus, alpha_grid=alphas, cells=tuple(cells), best=best,
+                          rows=tuple(rows.values())), refusals
+
+
 def synthesize(plant: Plant, mu: float, alpha: float,
                eps: float = lmi.DEFAULT_EPS) -> SynthesisCertificate:
     """Design a saturated boundary gain minimizing the certified peak of the
-    inverse Lyapunov weight; raises InfeasibleError when the inequalities
-    admit no solution at these weights.
+    inverse Lyapunov weight: the certificate `_sweep` makes at the single
+    weight (mu, alpha), the one `grid_search` makes there.
 
-    A design that `_decay_bound` proves infeasible raises InfeasibleError
-    with that reason before anything is built.  Any other builds its
-    projected problem (`build_projected_lmis`) and solves its row
-    (`_rows`): a row that is not feasible raises InfeasibleError or
-    SolverFailureError with its reason.  Then the solver decides the
-    projected problem from its start (`_start`);
-    the gain comes from `gain_rule` at its lyap_inv, and the point (Q,
-    sigma I, W*, c) is re-checked in the full synthesis form (`_certify`),
-    which is never solved.  An error carries the row, the projected solve
-    and its form, as far as they were made.
+    Otherwise raises the exception that refused the weight: InfeasibleError
+    past the decay bound or in an infeasible row; SolverFailureError for a
+    failed row, a failed solve or a failed re-check; any other, such as a
+    builder's ValueError, unchanged.
     """
-    reason = _decay_bound(plant, mu, alpha, eps)
-    if reason is not None:
-        raise InfeasibleError(reason)
-    sf = lmi.vectorize(build_projected_lmis(plant, mu, alpha, eps=eps))
-    [row] = _rows(plant, [mu])
-    if row.verdict != "feasible":
-        error = InfeasibleError if row.verdict == "infeasible" else SolverFailureError
-        raise error(row.reason, form=sf, row=row)
-    solution = sdp.minimize(sf, sf.pack(_start(plant, row, mu, alpha, eps)))
-    check = None
-    if solution.status is sdp.Status.OPTIMAL:
-        full = lmi.vectorize(build_synthesis_lmis(plant, mu, alpha, eps=eps))
-        check = (full, _full_point(plant, full, sf, solution, mu, eps, rule=True))
-    [verdict] = _certify([(sf, solution, mu, alpha, check)])
-    if isinstance(verdict, SynthesisError):
-        verdict.row = row
-        raise verdict
-    return _certificate(plant, *check, solution, row, mu, alpha, eps, verdict)
+    fmap, refusals = _sweep(plant, (float(mu),), (float(alpha),), eps)
+    if fmap.best is None:
+        [error] = refusals.values()
+        raise error
+    return fmap.best
 
 
 def grid_search(plant: Plant, mu_grid, alpha_grid,
                 eps: float = lmi.DEFAULT_EPS) -> FeasibilityMap:
-    """Run the design over a grid of (mu, alpha) weights.
-
-    A cell past the decay bound is recorded as "infeasible" with the
-    reason of `_decay_bound` and solution None; it is never built or
-    solved.  The other cells pay each only for what differs between them:
-
-    - once per grid: one batch of row solves (`_rows`, no call without
-      such a cell); the cells of a row that is not feasible take its
-      verdict and reason, and are never built or solved;
-    - once per feasible row, at its first such cell: the projected and the
-      full synthesis inequalities are built and vectorized;
-    - once per other such cell of the row: disturbance_decay_block, the
-      one block that depends on alpha, is posed again
-      (`_disturbance_decay`) and restated in both of the row's forms
-      (`lmi.restate`), so each of the cell's forms is the same bits as its
-      own vectorize and shares the row's other blocks;
-    - once per grid: one batch of sdp.minimize_batch over the cells'
-      projected forms, each from its start (`_start`), one stacked margin
-      re-check of the completion (Q, eps I, 0, c) of each OPTIMAL cell in
-      its full form (`_certify`); then `gain_rule` at the best cell, whose
-      point (Q, sigma I, W*, c) is re-checked in the same way, and its
-      certificate (`_certificate`).
-
-    So a "feasible" cell is one whose completion passed the re-check, and
-    the best certificate is the one `synthesize` makes at its weight.
-    Cells never abort the sweep: a cell whose inequalities cannot be built,
-    vectorized or restated, or whose design fails (its point included), is
-    recorded as "failed", with the exception type and message as reason,
-    and when it was its row's first, the row's next cell is built in full;
-    if a batch itself raises, every cell in it fails with that reason, and
-    if the margin re-check raises, every OPTIMAL cell does.  The best cell
-    minimizes the disturbance gain gamma = sqrt(c) e^{mu/2}, with ties
-    broken by smaller mu then smaller alpha; a feasible cell whose rule
-    point fails its re-check is recorded as "failed" with that reason, and
-    the next cell in that order is taken.
+    """Run the design over a grid of (mu, alpha) weights (`_sweep`), whose
+    best certificate is the one `synthesize` makes at its weight.  Cells
+    never abort the sweep: each weight `synthesize` would refuse is a cell
+    "infeasible" or "failed" with the refusal as its reason.
     """
     mus = tuple(float(v) for v in mu_grid)
     alphas = tuple(float(v) for v in alpha_grid)
@@ -857,78 +927,7 @@ def grid_search(plant: Plant, mu_grid, alpha_grid,
         raise ValueError("grid weights must be positive")
     if list(mus) != sorted(set(mus)) or list(alphas) != sorted(set(alphas)):
         raise ValueError("grids must be strictly increasing")
-
-    weights = [(mu, alpha) for mu in mus for alpha in alphas]
-    implied = {w: r for w in weights if (r := _decay_bound(plant, *w, eps)) is not None}
-    below = [w for w in weights if w not in implied]
-    reasons, rows = {}, {}
-    row_mus = sorted({mu for mu, _ in below})
-    try:
-        rows = dict(zip(row_mus, _rows(plant, row_mus))) if row_mus else {}
-    except Exception as e:
-        reasons.update(dict.fromkeys(below, _failure(e)))
-    # built: each feasible row's (projected, full) forms, from its first cell that built
-    forms, starts, built = {}, {}, {}
-    for w in (w for w in below if w[0] in rows and rows[w[0]].verdict == "feasible"):
-        mu, alpha = w
-        try:
-            if mu not in built:
-                forms[w] = built[mu] = (
-                    lmi.vectorize(build_projected_lmis(plant, mu, alpha, eps=eps)),
-                    lmi.vectorize(build_synthesis_lmis(plant, mu, alpha, eps=eps)))
-            else:
-                decay = _disturbance_decay(plant, mu, alpha, eps)
-                forms[w] = tuple(lmi.restate(sf, decay, eps) for sf in built[mu])
-            starts[w] = forms[w][0].pack(_start(plant, rows[mu], mu, alpha, eps))
-        except Exception as e:
-            forms.pop(w, None)
-            reasons[w] = _failure(e)
-    solutions = {}
-    if forms:
-        try:
-            solutions = dict(zip(forms, sdp.minimize_batch(
-                [sf for sf, _ in forms.values()], [starts[w] for w in forms])))
-        except Exception as e:
-            reasons.update(dict.fromkeys(forms, _failure(e)))
-
-    def design(w, rule):
-        """The cell's design for `_certify`, with its full form's point (the
-        completion or the rule's) when the solve is OPTIMAL."""
-        (sf, full), solution = forms[w], solutions[w]
-        ok = solution.status is sdp.Status.OPTIMAL
-        return (sf, solution, *w,
-                (full, _full_point(plant, full, sf, solution, w[0], eps, rule)) if ok else None)
-
-    verdicts = dict(zip(solutions, _certify(design(w, False) for w in solutions)))
-
-    cells = {}
-    for w in weights:
-        solution, verdict, row = solutions.get(w), verdicts.get(w), rows.get(w[0])
-        if w in implied:
-            cells[w] = GridCell(*w, "infeasible", None, None, implied[w])
-        elif solution is None and w not in reasons:
-            cells[w] = GridCell(*w, row.verdict, None, None, row.reason)
-        elif solution is None:
-            cells[w] = GridCell(*w, "failed", None, None, reasons[w])
-        elif isinstance(verdict, SynthesisError):
-            cells[w] = GridCell(*w, "failed", None, None, _failure(verdict), solution)
-        else:
-            peak = float(solution.objective)
-            gamma = math.sqrt(peak) * math.exp(w[0] / 2.0)
-            cells[w] = GridCell(*w, "feasible", peak, gamma, solution=solution)
-
-    ranked = sorted((c.gamma, c.mu, c.alpha) for c in cells.values() if c.status == "feasible")
-    best = None
-    for w in (r[1:] for r in ranked):
-        ruled = design(w, True)
-        [verdict] = _certify([ruled])
-        if not isinstance(verdict, SynthesisError):
-            best = _certificate(plant, *ruled[4], solutions[w], rows[w[0]], *w, eps, verdict)
-            break
-        cells[w] = GridCell(*w, "failed", None, None, _failure(verdict), solutions[w])
-    return FeasibilityMap(mu_grid=mus, alpha_grid=alphas,
-                          cells=tuple(cells[w] for w in weights), best=best,
-                          rows=tuple(rows.values()))
+    return _sweep(plant, mus, alphas, eps)[0]
 
 
 def build_analysis_lmis(plant: Plant, gain: Matrix, mu: float, alpha: float,

@@ -287,7 +287,6 @@ class StandardForm:
     and the objective as a vector over x (None without one)."""
 
     refs: tuple[EntryRef, ...]
-    initial: np.ndarray
     objective: np.ndarray | None
     blocks: tuple[StandardBlock, ...]
     variables: tuple[VarSpec, ...]
@@ -351,18 +350,8 @@ def _standard_block(con: Constraint, index: dict[EntryRef, int], eps: float) -> 
 
 
 def vectorize(problem: LmiProblem) -> StandardForm:
-    """Compile the problem to its standard form (see StandardBlock).
-
-    The suggested initial vector is 1 on entries of diagonal variables and
-    0 elsewhere, which keeps the usual positivity blocks away from zero at
-    the solver's starting point.
-    """
-    refs: list[EntryRef] = []
-    initial = []
-    for spec in problem.variables:
-        for k in range(spec.n_entries):
-            refs.append((spec.name, k))
-            initial.append(1.0 if spec.kind == DIAGONAL else 0.0)
+    """Compile the problem to its standard form (see StandardBlock)."""
+    refs = [(spec.name, k) for spec in problem.variables for k in range(spec.n_entries)]
     index = {r: i for i, r in enumerate(refs)}
     blocks = [_standard_block(con, index, problem.eps) for con in problem.constraints]
 
@@ -374,7 +363,6 @@ def vectorize(problem: LmiProblem) -> StandardForm:
 
     return StandardForm(
         refs=tuple(refs),
-        initial=np.array(initial),
         objective=obj,
         blocks=tuple(blocks),
         variables=problem.variables,

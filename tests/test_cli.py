@@ -61,6 +61,11 @@ def _write_config(tmp_path, cfg, name="config.json") -> str:
     return str(path)
 
 
+def _design_batch(forms) -> bool:
+    """Whether a batch of sdp.minimize_batch holds designs, not rows."""
+    return ("peak", 0) in forms[0].refs
+
+
 def _read_csv(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -181,9 +186,8 @@ class TestSynth:
 
     def test_infeasible_design_builds_its_inequalities_once(
             self, tmp_path, monkeypatch, reflection_plant_config):
-        # the row's infeasible verdict comes before any solve of the
-        # projected problem, so the full one, only ever re-checked, is not
-        # built
+        # the row's infeasible verdict comes before any form of the design
+        # is built
         calls = []
 
         def counted(name):
@@ -199,23 +203,26 @@ class TestSynth:
         cfg = _design_config(plant=reflection_plant_config)
         assert cli.main(["synth", "--config", _write_config(tmp_path, cfg),
                          "--out", str(tmp_path / "o")]) == 2
-        assert calls == ["build_projected_lmis"]
+        assert calls == []
         # a design past the decay bound builds nothing
         cfg = _design_config()
         cfg["design"]["alpha"] = 1.2
         assert cli.main(["synth", "--config", _write_config(tmp_path, cfg),
                          "--out", str(tmp_path / "p")]) == 2
-        assert calls == ["build_projected_lmis"]
+        assert calls == []
 
     def test_solver_failure_writes_a_report_and_exits_1(self, tmp_path, monkeypatch, capsys):
-        real, failed = sdp.minimize, []
+        real, failed = sdp.minimize_batch, []
 
-        def fail(sf, *args):
-            failed.append(dataclasses.replace(
-                real(sf, *args), status=sdp.Status.NUMERICAL_FAILURE, objective=None))
-            return failed[-1]
+        def fail(forms, *args):
+            solutions = real(forms, *args)
+            if _design_batch(forms):
+                solutions = [dataclasses.replace(sol, status=sdp.Status.NUMERICAL_FAILURE,
+                                                 objective=None) for sol in solutions]
+                failed.extend(solutions)
+            return solutions
 
-        monkeypatch.setattr(sdp, "minimize", fail)
+        monkeypatch.setattr(sdp, "minimize_batch", fail)
         out = tmp_path / "o"
         code = cli.main(["synth", "--config", _write_config(tmp_path, _design_config()),
                          "--out", str(out)])
@@ -848,9 +855,14 @@ class TestSimulate:
 
     def test_auto_design_solver_failure_writes_a_report_and_exits_1(
             self, tmp_path, monkeypatch, capsys):
-        real = sdp.minimize
-        monkeypatch.setattr(sdp, "minimize", lambda sf, *args: dataclasses.replace(
-            real(sf, *args), status=sdp.Status.NUMERICAL_FAILURE, objective=None))
+        real = sdp.minimize_batch
+
+        def fail(forms, *args):
+            solutions = real(forms, *args)
+            return [dataclasses.replace(sol, status=sdp.Status.NUMERICAL_FAILURE, objective=None)
+                    if _design_batch(forms) else sol for sol in solutions]
+
+        monkeypatch.setattr(sdp, "minimize_batch", fail)
         out = tmp_path / "o"
         code = cli.main(["simulate", "--config", _write_config(tmp_path, _design_config()),
                          "--out", str(out)])

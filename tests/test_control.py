@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from hypiss import cli, control, lmi, sdp
+from hypiss import cli, control, linalg, lmi, sdp
 from hypiss.control import (
     BoundaryLaw,
     InfeasibleError,
     Plant,
+    SolverFailureError,
     build_analysis_lmis,
     build_synthesis_lmis,
     closed_loop_boundary,
@@ -274,13 +275,12 @@ class TestSynthesize:
         row = exc.value.row
         assert row.verdict == "infeasible" and row.bound > control._RESOLUTION
         assert str(exc.value) == row.reason and exc.value.solution is None
-        assert exc.value.form is not None
 
     def test_weights_past_the_decay_bound_raise_with_the_reason(self, demo_plant):
         # alpha = 1.2 >= mu min(lambda) = 1: no solver trace, and the reason
         with pytest.raises(InfeasibleError) as exc:
             synthesize(demo_plant, 1.0, 1.2)
-        assert (exc.value.solution, exc.value.form) == (None, None)
+        assert exc.value.solution is None
         assert str(exc.value) == control._decay_bound(demo_plant, 1.0, 1.2, lmi.DEFAULT_EPS)
         assert str(exc.value).startswith("alpha=1.2 >= mu*lambda_1=1.0, ")
 
@@ -288,6 +288,56 @@ class TestSynthesize:
         # not a solver failure: the problem itself refuses the slack
         with pytest.raises(ValueError, match="problem eps"):
             synthesize(demo_plant, 1.0, 0.5, eps=float("nan"))
+
+    @pytest.mark.parametrize("kind, error", [
+        ("certified", None), ("decay-bound", InfeasibleError),
+        ("reflection-row", InfeasibleError), ("row-within-resolution", SolverFailureError),
+        ("start-past-the-box", SolverFailureError), ("failed-solve", SolverFailureError),
+        ("recheck-error", SolverFailureError)])
+    def test_is_the_one_cell_grid(self, kind, error, demo_plant, reflection_plant,
+                                  monkeypatch):
+        # synthesize returns the one-cell grid's best certificate, or raises
+        # the refusal that grid's cell records: a refusal made before any
+        # solve as its reason, any other as its type and message
+        plant, mu, alpha = demo_plant, 1.0, 0.5
+        if kind == "decay-bound":
+            alpha = 1.2
+        elif kind == "reflection-row":
+            plant = reflection_plant
+        elif kind == "row-within-resolution":
+            mu, alpha = 2.76, 0.1
+        elif kind == "start-past-the-box":
+            # one ulp under the decay bound, as in test_the_bound_is_tight
+            plant = dataclasses.replace(
+                demo_plant, speeds=DiagMatrix(np.array([math.sqrt(3.0), math.sqrt(2.0)])))
+            mu, alpha = 0.7, float(np.nextafter(0.7 * math.sqrt(2.0), 0.0))
+        elif kind == "failed-solve":
+            solve = sdp.minimize_batch
+
+            def minimize_batch(forms, *args):
+                solutions = solve(forms, *args)
+                return [dataclasses.replace(sol, status=sdp.Status.NUMERICAL_FAILURE,
+                                            objective=None) if _cell_batch(forms) else sol
+                        for sol in solutions]
+
+            monkeypatch.setattr(sdp, "minimize_batch", minimize_batch)
+        elif kind == "recheck-error":
+            monkeypatch.setattr(linalg, "_ORTHO_ULPS", -1.0)
+        fm = grid_search(plant, [mu], [alpha])
+        [cell] = fm.cells
+        if error is None:
+            assert _certificate_key(synthesize(plant, mu, alpha)) == _certificate_key(fm.best)
+            return
+        with pytest.raises(control.SynthesisError) as exc:
+            synthesize(plant, mu, alpha)
+        e = exc.value
+        assert type(e) is error and fm.best is None
+        solved = kind in ("start-past-the-box", "failed-solve", "recheck-error")
+        assert cell.status == ("infeasible" if error is InfeasibleError else "failed")
+        assert cell.reason == (f"{error.__name__}: {e}" if solved else str(e))
+        assert _outcome_key(e.solution) == _outcome_key(cell.solution)
+        assert (e.solution is not None) == solved
+        assert e.row == (fm.rows[0] if fm.rows else None)
 
     @pytest.mark.parametrize("n, ratio", [(3, 0.9999), (5, 0.9999), (7, 0.9999),
                                           (9, 0.999), (9, 0.9999)])
@@ -346,7 +396,7 @@ def _full_solve_certificate(plant, mu, alpha, eps=lmi.DEFAULT_EPS):
     sf = lmi.vectorize(build_synthesis_lmis(plant, mu, alpha, eps=eps))
     solution = sdp.minimize(sf, full_start(sf, plant, mu, alpha, eps))
     assert solution.status is sdp.Status.OPTIMAL
-    [margins] = control._certify([(sf, solution, mu, alpha, (sf, solution.x))])
+    [margins] = control._certify([(solution, mu, alpha, (sf, solution.x))])
     assert isinstance(margins, dict), margins
     return control._certificate(plant, sf, solution.x, solution, None, mu, alpha, eps, margins)
 
@@ -824,8 +874,8 @@ class TestGridSearch:
     def test_one_call_recheck_matches_each_cell_alone(self, demo_plant, monkeypatch):
         # the demo grid re-checks the completions (Q, eps I, 0, c) of its 41
         # optimal cells in one stacked call, in the full synthesis form, and
-        # every margin is the same bits as the cell's own re-check; a second
-        # call re-checks the best cell's rule point alone
+        # every margin is the same bits as the cell's own re-check; the best
+        # cell's rule point is re-checked last in the same call
         real, calls = lmi.margins_batch, []
 
         def margins_batch(points):
@@ -836,7 +886,9 @@ class TestGridSearch:
         monkeypatch.setattr(lmi, "margins_batch", margins_batch)
         fm = grid_search(demo_plant, np.linspace(0.25, 2.0, 8), np.linspace(0.1, 1.5, 8))
         monkeypatch.undo()
-        [(points, margins), ([(best_sf, best_x)], [best_margins])] = calls
+        [(points, margins)] = calls
+        *points, (best_sf, best_x) = points
+        *margins, best_margins = margins
         feasible = [c for c in fm.cells if c.status == "feasible"]
         assert len(points) == len(feasible) == 41
         eps = lmi.DEFAULT_EPS
@@ -910,7 +962,7 @@ class TestGridSearch:
                 sf is first or blk.label != "disturbance_decay_block" for blk in sf.blocks]
         assert len(firsts) == len(feasible_rows)
         feasible = [c for c in cells if c.status == "feasible"]
-        assert [len(points) for points in rechecked] == ([len(feasible), 1] if feasible else [])
+        assert [len(points) for points in rechecked] == ([len(feasible) + 1] if feasible else [])
         for (full, _), cell in zip(rechecked[0] if rechecked else [], feasible):
             own = lmi.vectorize(build_synthesis_lmis(plant, cell.mu, cell.alpha, eps=eps))
             assert form_bytes(full) == form_bytes(own), (cell.mu, cell.alpha)
@@ -967,14 +1019,14 @@ class TestDecayBound:
         # 0.1 in every row), whose two builders pose its decay block; each
         # of the row's other 33 cells poses its decay block alone and
         # restates the row's two forms with it; no cell past the bound poses
-        # one.  The 41 completions are re-checked in one call, the best
-        # cell's rule point in another
+        # one.  The 41 completions and the best cell's rule point are
+        # re-checked in one call
         firsts = [(mu, self.DEMO_ALPHA[0]) for mu in self.DEMO_MU]
         assert calls == {"build": firsts, "project": firsts, "row": list(self.DEMO_MU),
                          "vectorize": [1] * 24,
                          "decay": [w for w in below for _ in range(1 + (w in firsts))],
                          "restate": ["disturbance_decay_block"] * 66, "solve": [8, 41],
-                         "recheck": [41, 1]}
+                         "recheck": [42]}
         assert sorted(c.status for c in fm.cells if c.alpha >= c.mu) == ["infeasible"] * 23
         assert all(c.solution is None and c.reason is not None
                    for c in fm.cells if c.alpha >= c.mu)
@@ -1004,6 +1056,12 @@ class TestDecayBound:
         assert fm.cells[0].solution is not None
         assert fm.cells[0].status == "failed" and fm.cells[0].solution.newton_steps == 0
         assert np.max(fm.cells[0].solution.x) >= sdp._BOX
+        # and its reason names the start and the box
+        top = float(np.max(fm.cells[0].solution.x))
+        assert fm.cells[0].reason == (
+            f"SolverFailureError: solver reported numerical_failure at mu={mu}, "
+            f"alpha={below}: the closed-form start's largest entry {top:.3e} is at or "
+            f"above the solver's box 1e+09")
         assert (fm.cells[1].status, fm.cells[1].solution) == ("infeasible", None)
 
     def test_eps_zero_reaches_the_solver(self, demo_plant, reflection_plant):

@@ -362,13 +362,10 @@ class TestProblem:
 
 
 class TestVectorize:
-    def test_declaration_order_and_initial(self):
+    def test_declaration_order(self):
         sf = vectorize(LmiProblem(_demo_specs(), ()))
         assert len(sf.refs) == 12
         assert [r for r in sf.refs[:2]] == [("q", 0), ("q", 1)]
-        # diagonal variables start at 1, everything else at 0
-        expected = [1.0] * 4 + [0.0] * 4 + [1.0] * 2 + [0.0] * 2
-        assert np.array_equal(sf.initial, expected)
 
     def test_round_trip_blockwise(self):
         rng = np.random.default_rng(9)
@@ -438,7 +435,7 @@ class TestRestate:
             assert form_bytes(sf) == form_bytes(vectorize(member)), rate
             assert [a is b for a, b in zip(sf.blocks, first.blocks)] == [True, False, True]
             assert all(getattr(sf, f) is getattr(first, f)
-                       for f in ("refs", "initial", "objective", "variables"))
+                       for f in ("refs", "objective", "variables"))
         # the problem-wide slack reaches the restated block, not the others
         sf = lmi.restate(first, _restate_problem(0.7).constraints[1], 0.25)
         assert [blk.eps for blk in sf.blocks] == [0.0, 0.25, 1e-3]

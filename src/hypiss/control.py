@@ -19,11 +19,11 @@ The solver decides on the projection of the synthesis problem onto
 when the full one is, with the same optimal peak.  The gain then comes in
 closed form from a stated rule at the certified lyap_inv (`gain_rule`),
 and the full synthesis inequalities (`build_synthesis_lmis`) are only
-re-checked, at the point they complete, never solved.  Below the decay
-bound, whether a weight mu admits a design does not depend on alpha: one
-small problem per mu decides it (`build_row_lmis`, `_rows`), and its
-solution gives each design of the row a strictly feasible start in
-closed form (`_start`).
+re-checked, at the one point that gain completes, never solved.  Below the
+decay bound, whether a weight mu admits a design does not depend on alpha:
+one small problem per mu decides it (`build_row_lmis`, `_rows`), and its
+solution gives each design of the row a strictly feasible start in closed
+form (`_start`).
 
 One pipeline makes every design (`_sweep`): `grid_search` runs it over a
 grid of weights, and `synthesize` over the single weight it is given,
@@ -203,17 +203,17 @@ class GridCell:
     peak is the solver's optimum c of the projected problem
     (`build_projected_lmis`), the bound on the largest entry of lyap_inv,
     and gamma = sqrt(c) e^{mu/2} the disturbance gain it implies.  A
-    "feasible" cell is one whose completion (Q, eps I, 0, c) passed the
-    re-check in the full synthesis form.  A certificate states gamma from
-    the weight itself, sqrt(max lyap_inv) e^{mu/2}.  Its check lets max
-    lyap_inv exceed c by at most 1e-9 max(1, c), so for c >= 1/2 that
-    gamma is at most this one times 1 + 1e-9; on the demo grid the two
-    agree to about 1e-10 relative.  solution is the solver's outcome on
-    the cell's projected problem, None for a cell that never reached the
-    solver.  reason says why a "failed" cell failed, and why an
-    "infeasible" cell is infeasible: past the decay bound (`_decay_bound`)
-    or in a row that admits no design (`RowSolve`); it is None for a
-    feasible cell.
+    "feasible" cell is one whose `gain_rule` point (Q, sigma I, W*, c)
+    passed the re-check in the full synthesis form, so `synthesize`
+    certifies its weight.  A certificate states gamma from the weight
+    itself, sqrt(max lyap_inv) e^{mu/2}.  Its check lets max lyap_inv
+    exceed c by at most 1e-9 max(1, c), so for c >= 1/2 that gamma is at
+    most this one times 1 + 1e-9; on the demo grid the two agree to about
+    1e-10 relative.  solution is the solver's outcome on the cell's
+    projected problem, None for a cell that never reached the solver.
+    reason says why a "failed" cell failed, and why an "infeasible" cell
+    is infeasible: past the decay bound (`_decay_bound`) or in a row that
+    admits no design (`RowSolve`); it is None for a feasible cell.
     """
 
     mu: float
@@ -229,10 +229,11 @@ class GridCell:
 class FeasibilityMap:
     """Design outcome over a (mu, alpha) grid; cells are in row-major order
     with mu varying slowest.  best is the certificate of the feasible cell
-    of smallest gamma, ties broken by smaller mu then smaller alpha; its
-    own gamma, from max lyap_inv, can differ from the cell's
-    sqrt(c) e^{mu/2} in the last digits (see GridCell).  rows holds the row
-    solve of each mu with a cell below the decay bound, in grid order."""
+    of smallest gamma, ties broken by smaller mu then smaller alpha, built
+    at the point its cell was re-checked at; its own gamma, from max
+    lyap_inv, can differ from the cell's sqrt(c) e^{mu/2} in the last
+    digits (see GridCell).  rows holds the row solve of each mu with a
+    cell below the decay bound, in grid order."""
 
     mu_grid: tuple[float, ...]
     alpha_grid: tuple[float, ...]
@@ -727,15 +728,16 @@ def _certificate(plant: Plant, full: lmi.StandardForm, x: np.ndarray,
 
 def _certify(designs) -> list:
     """The verdict of each design (solution, mu, alpha, check), an OPTIMAL
-    solve with check, the full synthesis form and its point to certify:
-    the point's margins, by label, or the SynthesisError that refuses the
-    design (see `_verdict`).  The margins of every design's point are
-    recomputed in one stacked call, `lmi.margins_batch`, each the same bits
-    as `lmi.problem_margins` of its own point; with no design there is no
-    call.  A re-check that raises ConvergenceError fails every design of
-    the call with a SolverFailureError that carries its message.  No
-    certificate is built here (`_certificate`).  This is the one place a
-    solved point is checked.
+    solve with check, the full synthesis form and the point `gain_rule`
+    completes from the solve (`_rule_point`): the point's margins, by
+    label, or the SynthesisError that refuses the design (see `_verdict`).
+    The margins of every design's point are recomputed in one stacked
+    call, `lmi.margins_batch`, each the same bits as `lmi.problem_margins`
+    of its own point; with no design there is no call.  A re-check that
+    raises ConvergenceError fails every design of the call with a
+    SolverFailureError that carries its message.  No certificate is built
+    here (`_certificate`).  This is the one place a solved point is
+    checked.
     """
     designs = list(designs)
     try:
@@ -751,16 +753,13 @@ def _certify(designs) -> list:
     return out
 
 
-def _full_point(plant: Plant, full: lmi.StandardForm, sf: lmi.StandardForm,
-                solution: sdp.Solution, mu: float, eps: float, rule: bool) -> np.ndarray:
-    """The full synthesis form's point at the projected optimum (Q, c): the
-    completion (Q, eps I, 0, c), which holds when (Q, c) does
-    (`build_projected_lmis`), or with rule `gain_rule`'s (Q, sigma I,
-    W*(sigma), c)."""
+def _rule_point(plant: Plant, full: lmi.StandardForm, sf: lmi.StandardForm,
+                solution: sdp.Solution, mu: float, eps: float) -> np.ndarray:
+    """The full synthesis form's point at the projected optimum (Q, c) with
+    `gain_rule`'s gain: (Q, sigma I, W*(sigma), c)."""
     values = sf.unpack(solution.x)
     q = np.diagonal(values[_VQ])
-    sigma, w = (gain_rule(plant, DiagMatrix(q), mu, eps) if rule
-                else (eps, Matrix(np.zeros((plant.m, plant.n)))))
+    sigma, w = gain_rule(plant, DiagMatrix(q), mu, eps)
     return full.pack({_VQ: q, _VS: np.full(plant.m, sigma), _VW: w.array, _VC: values[_VC]})
 
 
@@ -784,19 +783,18 @@ def _sweep(plant: Plant, mus: tuple[float, ...], alphas: tuple[float, ...],
       form is the same bits as the weight's own vectorize;
     - once per grid: one batch of sdp.minimize_batch over the projected
       forms, each from its start (`_start`), and one stacked re-check
-      (`_certify`) of the completion (Q, eps I, 0, c) of each OPTIMAL
-      solve in its full form, together with `gain_rule`'s point (Q,
-      sigma I, W*, c) at the OPTIMAL weight first in the order of gamma =
-      sqrt(c) e^{mu/2}, then mu, then alpha.
+      (`_certify`) of the point (Q, sigma I, W*, c) that `gain_rule`
+      completes from each OPTIMAL solve, in its full form.
 
-    A solve that is not OPTIMAL, or a point that fails its re-check (as
-    every point of a re-check that raises ConvergenceError does), refuses
-    its weight with SolverFailureError, carrying the row and the solve.  The best certificate (`_certificate`) is that of the first
-    weight in that order whose completion and rule point both pass; the
-    rule point of a later weight is re-checked alone, once the ones before
-    it have failed.  An exception raised in building a weight's forms
-    refuses that weight (the row's next weight is then built in full), and
-    one raised by a batch refuses every weight in it.
+    A solve that is not OPTIMAL refuses its weight with SolverFailureError,
+    carrying the row and the solve.  So does a point that fails its
+    re-check, as every point of a re-check that raises ConvergenceError
+    does.  The best certificate (`_certificate`) is built from the first
+    weight whose point passed, in the order of gamma = sqrt(c) e^{mu/2},
+    then mu, then alpha, at that point and with its re-checked margins.
+    An exception raised in building a weight's forms refuses that weight
+    (the row's next weight is then built in full), and one raised by a
+    batch refuses every weight in it.
 
     A refused weight's cell is "infeasible" for an InfeasibleError and
     "failed" otherwise, with the message of a refusal made before any
@@ -845,40 +843,26 @@ def _sweep(plant: Plant, mus: tuple[float, ...], alphas: tuple[float, ...],
         e.row = rows[w[0]]
         refusals[w] = e
 
-    def design(w, rule: bool):
-        """The weight's design for `_certify`: its completion, or with rule
-        the gain rule's point."""
-        (sf, full), solution = forms[w], solutions[w]
-        return solution, *w, (full, _full_point(plant, full, sf, solution, w[0], eps, rule))
-
-    gammas = {}
+    designs, gammas = {}, {}
     for w, solution in solutions.items():
-        if solution.status is sdp.Status.OPTIMAL:
-            gammas[w] = math.sqrt(float(solution.objective)) * math.exp(w[0] / 2.0)
+        if solution.status is not sdp.Status.OPTIMAL:
+            top = float(np.max(np.abs(starts[w])))
+            past = (f": the closed-form start's largest entry {top:.3e} is at or above "
+                    f"the solver's box {sdp._BOX:g}" if top >= sdp._BOX else "")
+            refuse(w, SolverFailureError(f"solver reported {solution.status.value} at "
+                                         f"mu={w[0]}, alpha={w[1]}{past}", solution))
             continue
-        top = float(np.max(np.abs(starts[w])))
-        past = (f": the closed-form start's largest entry {top:.3e} is at or above "
-                f"the solver's box {sdp._BOX:g}" if top >= sdp._BOX else "")
-        refuse(w, SolverFailureError(f"solver reported {solution.status.value} at "
-                                     f"mu={w[0]}, alpha={w[1]}{past}", solution))
-    ranked = sorted(gammas, key=lambda w: (gammas[w], *w))
-    # keyed (weight, rule); the first weight's rule point joins the completions
-    keys = [(w, False) for w in gammas] + [(w, True) for w in ranked[:1]]
-    points = {k: design(*k) for k in keys}
-    verdicts = dict(zip(points, _certify(points.values())))
-    for w in gammas:
-        if isinstance(verdicts[w, False], SynthesisError):
-            refuse(w, verdicts[w, False])
+        sf, full = forms[w]
+        designs[w] = solution, *w, (full, _rule_point(plant, full, sf, solution, w[0], eps))
+        gammas[w] = math.sqrt(float(solution.objective)) * math.exp(w[0] / 2.0)
+    verdicts = dict(zip(designs, _certify(designs.values())))
     best = None
-    for w in (w for w in ranked if w not in refusals):
-        if (w, True) not in points:
-            points[w, True] = design(w, True)
-            [verdicts[w, True]] = _certify([points[w, True]])
-        (solution, _, _, check), verdict = points[w, True], verdicts[w, True]
-        if not isinstance(verdict, SynthesisError):
-            best = _certificate(plant, *check, solution, rows[w[0]], *w, eps, verdict)
-            break
-        refuse(w, verdict)
+    for w in sorted(designs, key=lambda w: (gammas[w], *w)):
+        if isinstance(verdicts[w], SynthesisError):
+            refuse(w, verdicts[w])
+        elif best is None:
+            solution, _, _, check = designs[w]
+            best = _certificate(plant, *check, solution, rows[w[0]], *w, eps, verdicts[w])
 
     cells = []
     for w in weights:
@@ -917,7 +901,8 @@ def grid_search(plant: Plant, mu_grid, alpha_grid,
     """Run the design over a grid of (mu, alpha) weights (`_sweep`), whose
     best certificate is the one `synthesize` makes at its weight.  Cells
     never abort the sweep: each weight `synthesize` would refuse is a cell
-    "infeasible" or "failed" with the refusal as its reason.
+    "infeasible" or "failed" with the refusal as its reason, and each
+    "feasible" cell is a weight it certifies, at the same point.
     """
     mus = tuple(float(v) for v in mu_grid)
     alphas = tuple(float(v) for v in alpha_grid)

@@ -757,9 +757,10 @@ class TestGridSearch:
 
     def test_best_cell_whose_rule_point_fails_gives_way_to_the_next(self, demo_plant,
                                                                     monkeypatch):
-        # the rule's point at the best cell (0.5, 0.1) is doctored to a gain
-        # that breaks boundary_block: that cell fails with the re-check's
-        # reason, and the next cell by gamma carries synthesize's certificate
+        # the rule's point at the best cell (0.5, 0.1), made first, is
+        # doctored to a gain that breaks boundary_block: that cell fails with
+        # the re-check's reason, and the next cell by gamma carries
+        # synthesize's certificate.  The rule runs once at each optimal cell
         mus, alphas = [0.5, 1.0], [0.1, 0.4]
         honest = grid_search(demo_plant, mus, alphas)
         real, calls = control.gain_rule, []
@@ -772,7 +773,7 @@ class TestGridSearch:
         monkeypatch.setattr(control, "gain_rule", gain_rule)
         fm = grid_search(demo_plant, mus, alphas)
         monkeypatch.undo()
-        assert calls == [0.5, 1.0]
+        assert calls == [0.5, 0.5, 1.0, 1.0]
         bad = fm.cells[0]
         assert (bad.mu, bad.alpha, bad.status, bad.peak, bad.gamma) == (
             0.5, 0.1, "failed", None, None)
@@ -782,6 +783,26 @@ class TestGridSearch:
         ranked = sorted((c.gamma, c.mu, c.alpha) for c in honest.cells if c.status == "feasible")
         assert (fm.best.mu, fm.best.alpha) == ranked[1][1:] == (1.0, 0.1)
         assert _certificate_key(fm.best) == _certificate_key(synthesize(demo_plant, 1.0, 0.1))
+
+    def test_each_cell_synthesize_refuses_is_refused_alike(self, demo_plant, monkeypatch):
+        # the rule breaks boundary_block at mu = 1 only, away from the best
+        # cell (0.5, 0.1): both cells of that row are refused, each with the
+        # exception synthesize raises at its weight, and the best stands
+        real = control.gain_rule
+
+        def gain_rule(plant, lyap_inv, mu, eps):
+            sigma, w = real(plant, lyap_inv, mu, eps)
+            return sigma, Matrix(w.array + 100.0) if mu == 1.0 else w
+
+        monkeypatch.setattr(control, "gain_rule", gain_rule)
+        fm = grid_search(demo_plant, [0.5, 1.0], [0.1, 0.4])
+        assert [c.status for c in fm.cells] == ["feasible"] * 2 + ["failed"] * 2
+        for cell in fm.cells[2:]:
+            with pytest.raises(SolverFailureError, match="re-checked margins dip") as refused:
+                synthesize(demo_plant, cell.mu, cell.alpha)
+            assert cell.reason == f"{type(refused.value).__name__}: {refused.value}"
+        assert (fm.best.mu, fm.best.alpha) == (0.5, 0.1)
+        assert _certificate_key(fm.best) == _certificate_key(synthesize(demo_plant, 0.5, 0.1))
 
     def test_failing_batch_fails_every_cell(self, demo_plant, monkeypatch):
         # the batch of row solves raises first
@@ -872,10 +893,10 @@ class TestGridSearch:
             assert _outcome_key(sol) == _outcome_key(sdp.minimize(form, start, level))
 
     def test_one_call_recheck_matches_each_cell_alone(self, demo_plant, monkeypatch):
-        # the demo grid re-checks the completions (Q, eps I, 0, c) of its 41
-        # optimal cells in one stacked call, in the full synthesis form, and
-        # every margin is the same bits as the cell's own re-check; the best
-        # cell's rule point is re-checked last in the same call
+        # the demo grid re-checks the rule points (Q, sigma I, W*, c) of its
+        # 41 optimal cells in one stacked call, in the full synthesis form,
+        # and every margin is the same bits as the cell's own re-check; the
+        # best cell's point is one of them
         real, calls = lmi.margins_batch, []
 
         def margins_batch(points):
@@ -887,8 +908,6 @@ class TestGridSearch:
         fm = grid_search(demo_plant, np.linspace(0.25, 2.0, 8), np.linspace(0.1, 1.5, 8))
         monkeypatch.undo()
         [(points, margins)] = calls
-        *points, (best_sf, best_x) = points
-        *margins, best_margins = margins
         feasible = [c for c in fm.cells if c.status == "feasible"]
         assert len(points) == len(feasible) == 41
         eps = lmi.DEFAULT_EPS
@@ -899,12 +918,16 @@ class TestGridSearch:
             want, values = projected.unpack(cell.solution.x), sf.unpack(x)
             assert np.array_equal(values["lyap_inv"], want["lyap_inv"])
             assert np.array_equal(values["peak"], want["peak"])
-            assert np.array_equal(values["sector_inv"], eps * np.eye(2))
-            assert not np.any(values["gain_scaled"])
+            sigma, w = control.gain_rule(demo_plant, DiagMatrix(np.diagonal(want["lyap_inv"])),
+                                         cell.mu, eps)
+            assert values["sector_inv"].tobytes() == (sigma * np.eye(2)).tobytes()
+            assert values["gain_scaled"].tobytes() == w.array.tobytes()
             assert _bits(got) == _bits(lmi.problem_margins(sf, x)), (cell.mu, cell.alpha)
             assert min(got) >= -1e-9
+        at = [(c.mu, c.alpha) for c in feasible].index((fm.best.mu, fm.best.alpha))
+        best_sf, best_x = points[at]
         assert best_x.tobytes() == synthesis_point(best_sf, fm.best).tobytes()
-        assert _bits(best_margins) == _bits(list(fm.best.margins.values()))
+        assert _bits(margins[at]) == _bits(list(fm.best.margins.values()))
 
     @pytest.mark.parametrize("case, below", [("demo", 41), ("reflection", 41),
                                              ("seeded", 44), ("demo-eps0", 41)])
@@ -913,7 +936,7 @@ class TestGridSearch:
                                                          random_plant_config, monkeypatch):
         # a row's cells share its projected form but for
         # disturbance_decay_block, and each is the same bits as the cell's
-        # own vectorize; so is each full form a completion is re-checked in;
+        # own vectorize; so is each full form a rule point is re-checked in;
         # only the best cell's certificate is built.  Every cell below the
         # decay bound has its row solved, and the cells of a feasible row
         # are solved: none of the uncontrolled reflection's, some of the
@@ -962,7 +985,7 @@ class TestGridSearch:
                 sf is first or blk.label != "disturbance_decay_block" for blk in sf.blocks]
         assert len(firsts) == len(feasible_rows)
         feasible = [c for c in cells if c.status == "feasible"]
-        assert [len(points) for points in rechecked] == ([len(feasible) + 1] if feasible else [])
+        assert [len(points) for points in rechecked] == ([len(feasible)] if feasible else [])
         for (full, _), cell in zip(rechecked[0] if rechecked else [], feasible):
             own = lmi.vectorize(build_synthesis_lmis(plant, cell.mu, cell.alpha, eps=eps))
             assert form_bytes(full) == form_bytes(own), (cell.mu, cell.alpha)
@@ -1019,14 +1042,13 @@ class TestDecayBound:
         # 0.1 in every row), whose two builders pose its decay block; each
         # of the row's other 33 cells poses its decay block alone and
         # restates the row's two forms with it; no cell past the bound poses
-        # one.  The 41 completions and the best cell's rule point are
-        # re-checked in one call
+        # one.  The 41 rule points are re-checked in one call
         firsts = [(mu, self.DEMO_ALPHA[0]) for mu in self.DEMO_MU]
         assert calls == {"build": firsts, "project": firsts, "row": list(self.DEMO_MU),
                          "vectorize": [1] * 24,
                          "decay": [w for w in below for _ in range(1 + (w in firsts))],
                          "restate": ["disturbance_decay_block"] * 66, "solve": [8, 41],
-                         "recheck": [42]}
+                         "recheck": [41]}
         assert sorted(c.status for c in fm.cells if c.alpha >= c.mu) == ["infeasible"] * 23
         assert all(c.solution is None and c.reason is not None
                    for c in fm.cells if c.alpha >= c.mu)

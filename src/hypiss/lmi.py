@@ -14,17 +14,18 @@ terms sorted by entry, zero terms dropped).
 every constraint becomes a block F(x) = F0 + sum_i x_i F_i >= eps I over
 one flat entry vector x, the standard form of Boyd, El Ghaoui, Feron and
 Balakrishnan (*Linear Matrix Inequalities in System and Control Theory*,
-1994).  `restate` poses one constraint of a form again, with the same
-per-constraint code, which is the only reader of a constraint's sense
-and eps.  The interior-point solver and the margin re-check both read
-those blocks at the same x, and StandardForm.pack / unpack convert
-between x and per-variable matrices.
+1994).  Every block is a dense symmetric matrix, whatever its structure:
+the interior-point solver (`sdp`) treats each one, a diagonal one
+included, as one positive semidefinite cone.  `restate` poses one
+constraint of a form again, with the same per-constraint code, which is
+the only reader of a constraint's sense and eps.  The solver and the
+margin re-check both read those blocks at the same x, and
+StandardForm.pack / unpack convert between x and per-variable matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -261,15 +262,6 @@ class StandardBlock:
     idx: np.ndarray
     coeffs: np.ndarray
     eps: float
-
-    @cached_property
-    def diagonal(self) -> bool:
-        """Whether base - eps I and every coefficient are zero off the
-        diagonal, so that the block is a set of elementwise rows (`sdp`);
-        decided once per block, at the first read."""
-        off = ~np.eye(self.dim, dtype=bool)
-        return not (np.any((self.base - self.eps * np.eye(self.dim))[off])
-                    or np.any(self.coeffs[:, off]))
 
     def value(self, x: np.ndarray) -> np.ndarray:
         """base + sum_k x[idx[k]] coeffs[k], summed term by term in

@@ -95,13 +95,12 @@ def reference_margins(problem: LmiProblem, sf: StandardForm, x: np.ndarray) -> l
 def form_bytes(sf: StandardForm) -> tuple:
     """Everything of a standard form that the solver and the re-check read,
     its arrays as bytes: the entry vector, the objective, the variables,
-    and each block's label, size, slack, diagonality, base, entries and
-    coefficients; two forms with equal bytes pose the same problem bit for
-    bit."""
+    and each block's label, size, slack, base, entries and coefficients;
+    two forms with equal bytes pose the same problem bit for bit."""
     def arr(a):
         return None if a is None else (a.dtype.str, a.shape, a.tobytes())
     return (sf.refs, arr(sf.objective), sf.variables,
-            [(b.label, b.dim, np.float64(b.eps).tobytes(), b.diagonal, arr(b.base),
+            [(b.label, b.dim, np.float64(b.eps).tobytes(), arr(b.base),
               arr(b.idx), arr(b.coeffs)) for b in sf.blocks])
 
 

@@ -398,18 +398,6 @@ class TestVectorize:
         assert sf.objective.sum() == 1.0
         assert sf.objective[sf.refs.index(("c", 0))] == 1.0
 
-    def test_each_block_says_whether_it_is_diagonal(self):
-        specs = _demo_specs()
-        q = specs[0]
-        cons = (Constraint(affine((q,), lambda q: q), GEQ, "diag"),
-                Constraint(affine((q, specs[5]), lambda q, c: q - c * np.eye(2)), LEQ, "cap",
-                           eps=0.0),
-                Constraint(affine(specs[3:5], _coupling), GEQ, "coupled"),
-                Constraint(affine((q,), lambda q: q, const=[[1.0, 0.5], [0.5, 1.0]]), GEQ,
-                           "offbase"))
-        sf = vectorize(LmiProblem(specs, cons))
-        assert [blk.diagonal for blk in sf.blocks] == [True, True, False, False]
-
 
 def _restate_problem(rate: float, eps: float = 1e-3) -> LmiProblem:
     """A problem whose constraint "rated" alone depends on rate."""

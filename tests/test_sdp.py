@@ -140,8 +140,8 @@ def _hyperbola_problem():
         objective=((("c", 0), 1.0),)))
 
 
-def _rows_only_problem(objective, floor=1.0):
-    """x >= floor, y >= 0 and x + y >= 3: rows only, no dense block."""
+def _diagonal_only_problem(objective, floor=1.0):
+    """x >= floor, y >= 0 and x + y >= 3: 1x1 blocks only."""
     vx, vy = VarSpec.scalar("x"), VarSpec.scalar("y")
     return lmi.vectorize(LmiProblem((vx, vy), (
         Constraint(affine((vx,), lambda x: x, const=[[-floor]]), GEQ, "x", eps=0.0),
@@ -177,14 +177,14 @@ class TestFeasibility:
         assert sol.newton_steps == 0 and sol.objective is None
         assert _worst_margin(prob, sol.x) < 0.0
 
-    @pytest.mark.parametrize("problem", ["rows", "dense"])
+    @pytest.mark.parametrize("problem", ["diagonal", "dense"])
     def test_feasible_set_without_interior_ends_numerical_failure(self, problem):
         # x >= 0 and x <= 0, or [[x, 1], [1, y]] >= 0 with x + y <= 2 (only
         # x = y = 1): its one point is no strictly feasible start, and the
         # solver ends the cell there, with no RuntimeWarning
         vx, vy = VarSpec.scalar("x"), VarSpec.scalar("y")
         x = affine((vx,), lambda x: x)
-        if problem == "rows":
+        if problem == "diagonal":
             specs, start = (vx,), [0.0]
             cons = (Constraint(x, GEQ, "pos", eps=0.0), Constraint(x, LEQ, "neg", eps=0.0))
         else:
@@ -195,11 +195,38 @@ class TestFeasibility:
                     Constraint(affine((vx, vy), lambda x, y: x + y, const=[[-2.0]]), LEQ,
                                "sum", eps=0.0))
         prob = lmi.vectorize(LmiProblem(specs, cons, objective=((("x", 0), 1.0),)))
-        assert (_stack([prob]).dims == ()) == (problem == "rows")
+        assert _stack([prob]).dims == ((1, 1) if problem == "diagonal" else (2, 1))
         sol = sdp.minimize(prob, start)
         assert sol.status is Status.NUMERICAL_FAILURE
         assert sol.newton_steps == 0
         assert sol.gap is None
+
+    @pytest.mark.parametrize("problem", ["hyperbola", "pair"])
+    def test_start_outside_the_cone_ends_before_a_step(self, monkeypatch, problem):
+        # [[x, 1], [1, y]] >= 0 at (0.2, 3.0) is indefinite, and x >= eps,
+        # x <= -1 - eps at x = -0.5 breaks both 1x1 blocks: a block with no
+        # Cholesky factor reads NaN in Z, so the cell ends at its start with
+        # no gap, before any Schur complement is formed
+        vx, vy = VarSpec.scalar("x"), VarSpec.scalar("y")
+        if problem == "hyperbola":
+            specs, start = (vx, vy), [0.2, 3.0]
+            cons = (Constraint(affine((vx, vy), lambda x, y: sym_block([[x, None], [None, y]]),
+                                      const=[[0.0, 1.0], [1.0, 0.0]]), GEQ, "hyperbola",
+                               eps=0.0),)
+        else:
+            specs, start = (vx,), [-0.5]
+            cons = (Constraint(affine((vx,), lambda x: x), GEQ, "pos"),
+                    Constraint(affine((vx,), lambda x: x, const=[[1.0]]), LEQ, "neg"))
+        prob = lmi.vectorize(LmiProblem(specs, cons, objective=((("x", 0), 1.0),)))
+        assert _worst_margin(prob, np.array(start)) < 0.0
+        schur = []
+        monkeypatch.setattr(sdp, "_hkm", lambda *args: schur.append(args))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sol = sdp.minimize(prob, start)
+        assert sol.status is Status.NUMERICAL_FAILURE
+        assert sol.newton_steps == 0 and sol.objective is None and sol.gap is None
+        assert sol.x.tolist() == start and schur == []
 
     def test_demo_synthesis_constraints_feasible(self):
         # the closed-form start is strictly inside every block
@@ -342,27 +369,32 @@ class TestSolutionContract:
 
 
 class TestStructure:
-    def test_diagonal_blocks_become_rows(self):
-        sf = _demo_synthesis_problem(1.0, 0.5)
-        cones = _stack([sf])
-        # peak_cap, q_pos and s_pos are diagonal: 2 + 2 + 2 rows
-        assert cones.b.size == 6
-        assert cones.dims == (6, 4, 2, 2)
-        assert cones.nu == sum(blk.dim for blk in sf.blocks)
+    def test_every_block_is_a_block_of_the_stack(self, demo_plant):
+        # one cone type: the diagonal blocks peak_cap, q_pos, s_pos and
+        # simplex are blocks of the padded stack like the dense ones
+        forms = {"synthesis": build_synthesis_lmis(demo_plant, 1.0, 0.5),
+                 "projected": control.build_projected_lmis(demo_plant, 1.0, 0.5),
+                 "row": control.build_row_lmis(demo_plant, 1.0)}
+        dims = {"synthesis": (6, 4, 2, 2, 2), "projected": (4, 4, 2, 2), "row": (4, 2)}
+        for name, problem in forms.items():
+            sf = lmi.vectorize(problem)
+            cones = _stack([sf])
+            assert cones.dims == dims[name] == tuple(blk.dim for blk in sf.blocks), name
+            assert cones.nu == sum(blk.dim for blk in sf.blocks)
 
-    def test_rows_and_dense_block_closed_form(self):
+    def test_diagonal_and_dense_block_closed_form(self):
         prob = _hyperbola_problem()
         cones = _stack([prob])
-        assert cones.b.size == 1 and len(cones.dims) == 1
+        assert cones.dims == (2, 1)
         sol = sdp.minimize(prob, [1.0, 1.5])
         assert sol.status is Status.OPTIMAL
         assert sol.objective == pytest.approx(0.5, abs=1e-6)
         assert sol.x[prob.refs.index(("y", 0))] == pytest.approx(2.0, abs=1e-5)
 
-    def test_rows_only_problem(self):
+    def test_diagonal_only_problem(self):
         # min 2x + y with x >= 1, y >= 0, x + y >= 3: optimum 4 at (1, 2)
-        feas = _rows_only_problem(((("x", 0), 2.0), (("y", 0), 1.0)))
-        assert _stack([feas]).dims == ()
+        feas = _diagonal_only_problem(((("x", 0), 2.0), (("y", 0), 1.0)))
+        assert _stack([feas]).dims == (1, 1, 1)
         assert _worst_margin(feas, [2.0, 2.0]) > 0.0
         sol = sdp.minimize(feas, [2.0, 2.0])
         assert sol.status is Status.OPTIMAL
@@ -433,29 +465,27 @@ class TestBatch:
         for sol, sf, start in zip(batch, sfs, starts):
             _same_bits(sol, sdp.minimize(sf, start))
 
-    @pytest.mark.parametrize("case", ["synthesis", "rows", "seven"])
+    @pytest.mark.parametrize("case", ["synthesis", "diagonal", "seven"])
     def test_stack_is_its_one_cell_stacks(self, demo_plant, case):
         # a stack of k forms of one layout evaluates each cell to the same
         # bits as that form's own stack
         if case == "synthesis":
             sfs = [lmi.vectorize(build_synthesis_lmis(demo_plant, 0.5, alpha))
                    for alpha in (0.1, 0.3, 0.45)]
-        elif case == "rows":
-            sfs = [_rows_only_problem(((("x", 0), 2.0),), floor) for floor in (1.0, 1.5)]
+        elif case == "diagonal":
+            sfs = [_diagonal_only_problem(((("x", 0), 2.0),), floor) for floor in (1.0, 1.5)]
         else:
             sfs = [_demo_synthesis_problem(mu, 0.3) for mu in (0.5, 1.0, 2.0)]
         assert len({sdp._layout(sf) for sf in sfs}) == 1
-        assert (_stack(sfs[:1]).dims == ()) == (case == "rows")
+        assert _stack(sfs[:1]).dims == tuple(blk.dim for blk in sfs[0].blocks)
         rng = np.random.default_rng(3)
         stack = _stack(sfs)
         x = rng.standard_normal((len(sfs), sfs[0].n))
         mats = rng.standard_normal(stack.base.shape)
-        rowvals = rng.standard_normal(stack.b.shape)
-        got = (stack.rows(x), stack.values(x), stack.span(x), stack.adjoint(mats, rowvals))
+        got = (stack.values(x), stack.span(x), stack.adjoint(mats))
         for c, sf in enumerate(sfs):
             cell, one = _stack([sf]), slice(c, c + 1)
-            want = (cell.rows(x[one]), cell.values(x[one]), cell.span(x[one]),
-                    cell.adjoint(mats[one], rowvals[one]))
+            want = (cell.values(x[one]), cell.span(x[one]), cell.adjoint(mats[one]))
             for a, b in zip(got, want):
                 assert a[c].tobytes() == b[0].tobytes()
 
@@ -471,14 +501,16 @@ class TestBatch:
         """A stack of three copies of the demo problem at (1.0, 0.5) and a
         point per cell: the optimum in cells 0 and 2, and in cell 1 the
         optimum with gain_scaled far from zero, which breaks the boundary
-        block, block 0, and no other block or row."""
+        block, block 0, and no other block."""
         sf, sol = _demo_solve(1.0, 0.5)
         stacked = _stack([sf, sf, sf])
         inside = sol.x
         outside = inside.copy()
         outside[4:8] = 100.0
         x = np.stack([inside, outside, inside])
-        assert np.all(stacked.rows(x) > 0.0)
+        holds = [[m > 0.0 for m in lmi.problem_margins(sf, point)] for point in x]
+        assert holds[::2] == [[True] * len(sf.blocks)] * 2
+        assert holds[1] == [False] + [True] * (len(sf.blocks) - 1)
         return sf, stacked, x
 
     def test_failed_factor_is_nan_in_its_own_block(self):
@@ -562,17 +594,16 @@ class TestBatch:
         assert a.newton_steps > 0
         assert np.array_equal(a.x, b.x)
 
-    @pytest.mark.parametrize("case", ["y", "c", "rows"])
+    @pytest.mark.parametrize("case", ["y", "c", "diagonal"])
     def test_failing_cell_leaves_its_stack_mates_alone(self, case):
-        # min y or min c beside a dense block, or min -x with rows only: the
-        # failing cells end with no Schur factor or out of the box before
-        # the healthy ones end, so the stack, an empty block stack
-        # included, is compacted mid-run
-        if case == "rows":
-            healthy = _rows_only_problem(((("x", 0), 2.0), (("y", 0), 1.0)))
-            failing = _rows_only_problem(((("x", 0), -1.0),))
+        # min y or min c beside a dense block, or min -x with 1x1 blocks
+        # only: the failing cells end with no Schur factor or out of the box
+        # before the healthy ones end, so the stack is compacted mid-run
+        if case == "diagonal":
+            healthy = _diagonal_only_problem(((("x", 0), 2.0), (("y", 0), 1.0)))
+            failing = _diagonal_only_problem(((("x", 0), -1.0),))
             starts = [[2.0, 2.0]] * 2
-            assert _stack([healthy]).dims == ()
+            assert _stack([healthy]).dims == (1, 1, 1)
         else:
             healthy, failing = _hyperbola_problem(), _tiny_entry_problem(case)
             starts = [[1.0, 1.5], [0.0, 1.5]]

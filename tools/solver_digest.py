@@ -1,4 +1,5 @@
-"""Print one sha1 per probe set over every solver outcome it produces.
+"""Print one sha1 per probe set over every solver outcome it produces,
+with the set's status counts and total Newton steps beside it.
 
 Each probe set runs designs through `hypiss.control` as a user would, and
 every `sdp.Solution` that `sdp.minimize_batch` returns is digested in
@@ -20,10 +21,17 @@ any split of the grid, and the probe sets need not cover batch layouts.
 
     PYTHONPATH=src python tools/solver_digest.py
 
-Output: one line per probe set, `name solver-cells sha1`, the cells rows
-and designs together, then the line `forms 86 sha1` over the compiled
-problems themselves, with no solver: the synthesis, projected synthesis
-and analysis forms (`lmi.vectorize`) of the demo plant and the seeded
+Output: one line per probe set, `name solver-cells status=count...
+steps=total sha1`, the cells rows and designs together and the statuses
+that occur in `sdp.Status` order, as in
+
+    demo-grid 49 optimal=41 feasible=8 steps=457 <sha1>
+
+A change that moves the solver's last bits changes the sha1, and the
+counts beside it show whether any status or step count moved with them.
+Then comes the line `forms 86 sha1` over the compiled problems
+themselves, with no solver: the synthesis, projected synthesis and
+analysis forms (`lmi.vectorize`) of the demo plant and the seeded
 plants n = 1..10, at two weights each, the analysis at a seeded gain, and
 the row forms at those weights of every plant with more than one state.
 It digests each form's entry vector and each block's label, size, slack,
@@ -173,14 +181,15 @@ def _digest(solution: sdp.Solution, h) -> None:
 def main() -> None:
     solve = sdp.minimize_batch
     for name, run in PROBES:
-        h, count = hashlib.sha1(), 0
+        h, statuses, steps = hashlib.sha1(), [], 0
 
         def recorded(forms, *args):
-            nonlocal count
+            nonlocal steps
             solutions = solve(forms, *args)
             for solution in solutions:
                 _digest(solution, h)
-            count += len(solutions)
+                statuses.append(solution.status)
+                steps += solution.newton_steps
             return solutions
 
         sdp.minimize_batch = recorded
@@ -188,7 +197,9 @@ def main() -> None:
             run()
         finally:
             sdp.minimize_batch = solve
-        print(f"{name} {count} {h.hexdigest()}", flush=True)
+        counts = " ".join(f"{status.value}={statuses.count(status)}" for status in sdp.Status
+                          if status in statuses)
+        print(f"{name} {len(statuses)} {counts} steps={steps} {h.hexdigest()}", flush=True)
     print("forms %d %s" % _forms(), flush=True)
 
 
